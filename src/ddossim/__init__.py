@@ -12,7 +12,7 @@ from .detector import (DetectionOutcome, Detector, DetectorConfig, Method,
                        detect_statistical, run_detection)
 from .harness import (BatchStats, MetricSummary, RunMetrics, declare_restored,
                       run_batch, run_once, sweep_window)
-from .identifier import (Classification, FilterState, PerSourceMeasurement,
+from .identifier import (FilterState, PerSourceMeasurement, WindowCounts,
                          apply_filter, estimate_attack_rate,
                          identify_by_history, identify_greedy,
                          measure_per_source)
@@ -21,6 +21,6 @@ from .stats import (ConfidenceBound, SummaryStats, TestResult, ks_normality,
                     levene_test, pooled_variance, sample_mean, sample_stddev,
                     t_statistic_welch, t_test_pooled, upper_conf_bound)
 from .traffic import (ScenarioConfig, SlotTraffic, SourceKind, TrafficSource,
-                      TrafficStream, build_sources, generate_slot)
+                      TrafficStream, build_sources)
 
 __version__ = "0.1.0"

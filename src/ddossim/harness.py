@@ -23,7 +23,7 @@ import numpy as np
 
 from .buffer import BufferState, step
 from .detector import Detector, DetectorConfig, Method
-from .identifier import (FilterState, apply_filter, estimate_attack_rate,
+from .identifier import (FilterState, WindowCounts, apply_filter, estimate_attack_rate,
                          identify_by_history, identify_greedy, measure_per_source)
 from .stats import sample_mean, sample_stddev
 from .traffic import ScenarioConfig, TrafficStream, build_sources
@@ -164,12 +164,12 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     dt = scenario.slot_dt
     service = scenario.mu * dt
     ws_slots = max(1, round(detector_cfg.w_s / dt))
-    truth_attackers = frozenset(scenario.attacker_ids())
-    all_active_ids = [s.id for s in sources]
+    truth_attackers = np.arange(stream.n_sources) >= scenario.n_legal
+    active_from = np.array([s.active_from for s in sources])
 
     phase = "monitor"
     filt: Optional[FilterState] = None
-    measure_slots: list = []
+    measured: Optional[WindowCounts] = None
     restoration: Optional[RestorationMonitor] = None
     episode_primary = False
     t_hat = 0.0
@@ -178,7 +178,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     detection_time: Optional[float] = None
     detection_method: Optional[str] = None
     restore_time: Optional[float] = None
-    first_blocked: Optional[frozenset[int]] = None
+    first_blocked: Optional[np.ndarray] = None
     false_alarms = 0
     ratio_fires = 0
 
@@ -205,27 +205,25 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             continue
 
         if phase == "measure":
-            measure_slots.append(slot)
-            if len(measure_slots) == ws_slots:
+            measured.add(slot)
+            if measured.slots == ws_slots:
                 window = (t_hat, t_hat + detector_cfg.w_s)
-                m = measure_per_source(measure_slots, window, source_ids=all_active_ids)
-                total_packets = sum(s.aggregate for s in measure_slots)
-                total_rate = total_packets / detector_cfg.w_s
+                m = measure_per_source(measured, window)
+                total_rate = measured.packets / detector_cfg.w_s
                 budget = estimate_attack_rate(total_rate, baseline_rate)
                 if id_method == "history":
-                    pre_active = {s.id for s in sources
-                                  if s.active_from <= t_hat - detector_cfg.c}
-                    cls = identify_by_history(m, pre_active, budget)
+                    pre_active = active_from <= t_hat - detector_cfg.c
+                    suspects = identify_by_history(m, pre_active, budget)
                 else:
-                    cls = identify_greedy(m, budget)
+                    suspects = identify_greedy(m, budget)
                 if filt is None:
-                    filt = FilterState(blocked=cls.attackers, activated_at=t_end)
+                    filt = FilterState(blocked=suspects, activated_at=t_end)
                     restoration = RestorationMonitor(scenario.l1, baseline_rate,
                                                      detector_cfg.r,
                                                      detector_cfg.w_s, dt)
                 else:
                     # re-measurement of residual traffic: widen the block set
-                    filt = FilterState(blocked=filt.blocked | cls.attackers,
+                    filt = FilterState(blocked=filt.blocked | suspects,
                                        activated_at=filt.activated_at,
                                        cumulative_filtered=filt.cumulative_filtered)
                 if episode_primary and first_blocked is None:
@@ -254,11 +252,13 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 detection_method = fired.value
                 episode_primary = True
             t_hat = t_end
-            measure_slots = []
+            measured = WindowCounts(stream.n_sources)
             phase = "measure"
 
-    correct = len(first_blocked & truth_attackers) if first_blocked else 0
-    wrong = len(first_blocked - truth_attackers) if first_blocked else 0
+    correct = wrong = 0
+    if first_blocked is not None:
+        correct = int(np.count_nonzero(first_blocked & truth_attackers))
+        wrong = int(np.count_nonzero(first_blocked & ~truth_attackers))
     return RunMetrics(
         detected=detection_time is not None,
         detection_time=detection_time,

@@ -5,18 +5,24 @@ the aggregate attack rate is estimated as measured total minus the lagged
 baseline, and the suspected-attacker set is the descending-rate prefix
 whose rate sum stays within that budget.  The history variant first
 exempts every source that was already active before the attack.
+
+Per-source quantities are numpy vectors indexed by source id: counts are
+int64, rates float64, and source sets (suspected attackers, blocked
+sources, exemptions, ground truth) are boolean masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .traffic import SlotTraffic
 
 __all__ = [
     "PerSourceMeasurement",
-    "Classification",
+    "WindowCounts",
     "FilterState",
     "measure_per_source",
     "estimate_attack_rate",
@@ -30,53 +36,45 @@ __all__ = [
 class PerSourceMeasurement:
     start: float                    # seconds
     end: float                      # seconds
-    rates: dict[int, float]         # source id -> measured packets/sec
+    rates: np.ndarray               # packets/sec by source id
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Classification:
-    attackers: frozenset[int]       # suspected attack sources (to be blocked)
-    legal: frozenset[int]           # everything else in the active set
+class WindowCounts:
+    """Running per-source packet counts over the slots of a measurement window."""
 
-    def __post_init__(self):
-        if self.attackers & self.legal:
-            raise ValueError("attacker and legal sets must be disjoint")
+    def __init__(self, n_sources: int):
+        self.counts = np.zeros(n_sources, dtype=np.int64)
+        self.packets = 0
+        self.slots = 0
+
+    def add(self, slot: SlotTraffic) -> None:
+        if slot.per_source is None:
+            raise ValueError(f"slot {slot.slot_index} lacks per-source counts")
+        self.counts += slot.per_source
+        self.packets += slot.aggregate
+        self.slots += 1
 
 
 @dataclass
 class FilterState:
-    blocked: frozenset[int]
+    blocked: np.ndarray             # boolean mask by source id
     activated_at: float
     released_at: Optional[float] = None
     cumulative_filtered: int = 0
 
 
-def measure_per_source(slots: Iterable[SlotTraffic], window: tuple[float, float],
-                       source_ids: Optional[Iterable[int]] = None) -> PerSourceMeasurement:
-    """Aggregate per-source counts over the window into packets/sec rates.
-
-    Sources listed in source_ids but absent from every slot get rate 0.
-    """
+def measure_per_source(window_counts: WindowCounts,
+                       window: tuple[float, float]) -> PerSourceMeasurement:
+    """Per-source rates in packets/sec over the window; silent sources get 0."""
     start, end = window
     duration = end - start
-    slots = list(slots)
-    if duration <= 0 or not slots:
+    if duration <= 0 or not window_counts.slots:
         raise ValueError("empty measurement window")
-    counts: dict[int, int] = {}
-    for slot in slots:
-        if slot.per_source is None:
-            raise ValueError(f"slot {slot.slot_index} lacks per-source counts")
-        for sid, c in slot.per_source.items():
-            counts[sid] = counts.get(sid, 0) + c
-    rates = {sid: c / duration for sid, c in counts.items()}
-    if source_ids is not None:
-        for sid in source_ids:
-            rates.setdefault(sid, 0.0)
-    return PerSourceMeasurement(start=start, end=end, rates=rates)
+    return PerSourceMeasurement(start=start, end=end, rates=window_counts.counts / duration)
 
 
 def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:
@@ -86,71 +84,59 @@ def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:
     return max(0.0, total_rate - baseline_rate)
 
 
-def _greedy_prefix(items: list[tuple[int, float]], budget: float) -> set[int]:
-    """Longest descending-rate prefix whose rate sum stays within budget.
+def _greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndarray:
+    """Mask of the longest descending-rate prefix of ids whose rate sum stays
+    within budget.
 
-    Ties on rate break by ascending source id; iteration stops at the
-    first source that would push the sum past the budget.
+    Ties on rate break by ascending source id; the prefix ends before the
+    first source that would push the sum past the budget.  cumsum adds left
+    to right, and rates are >= 0, so the running sum never falls.
     """
-    picked: set[int] = set()
-    total = 0.0
-    for sid, rate in sorted(items, key=lambda kv: (-kv[1], kv[0])):
-        if total + rate > budget:
-            break
-        total += rate
-        picked.add(sid)
+    order = ids[np.lexsort((ids, -rates[ids]))]
+    n_picked = np.searchsorted(np.cumsum(rates[order]), budget, side="right")
+    picked = np.zeros(len(rates), dtype=bool)
+    picked[order[:n_picked]] = True
     return picked
 
 
 def identify_greedy(measurement: PerSourceMeasurement,
-                    attack_rate_budget: float) -> Classification:
+                    attack_rate_budget: float) -> np.ndarray:
+    """Mask of suspected attack sources; every other source is legal."""
     if attack_rate_budget < 0:
         raise ValueError("budget must be >= 0")
-    items = list(measurement.rates.items())
-    attackers = _greedy_prefix(items, attack_rate_budget)
-    legal = set(measurement.rates) - attackers
-    return Classification(attackers=frozenset(attackers), legal=frozenset(legal))
+    rates = measurement.rates
+    return _greedy_prefix(rates, np.arange(len(rates)), attack_rate_budget)
 
 
 def identify_by_history(measurement: PerSourceMeasurement,
-                        pre_attack_active: Iterable[int],
-                        attack_rate_budget: float) -> Classification:
+                        pre_attack_active: np.ndarray,
+                        attack_rate_budget: float) -> np.ndarray:
     """Greedy identification restricted to sources with no pre-attack history."""
     if attack_rate_budget < 0:
         raise ValueError("budget must be >= 0")
-    exempt = set(pre_attack_active)
-    candidates = [(sid, r) for sid, r in measurement.rates.items() if sid not in exempt]
-    attackers = _greedy_prefix(candidates, attack_rate_budget)
-    legal = set(measurement.rates) - attackers
-    return Classification(attackers=frozenset(attackers), legal=frozenset(legal))
+    return _greedy_prefix(measurement.rates, np.flatnonzero(~pre_attack_active),
+                          attack_rate_budget)
 
 
 def apply_filter(filter_state: FilterState, slot: SlotTraffic,
-                 attacker_ids: frozenset[int] = frozenset()) -> SlotTraffic:
+                 attackers: Optional[np.ndarray] = None) -> SlotTraffic:
     """Discard counts from blocked sources before buffer admission.
 
-    attacker_ids (ground-truth attacking ids) is only used to keep the
+    attackers (ground-truth attacking mask) is only used to keep the
     legal/attack aggregate split of the returned record consistent.
     """
-    if not filter_state.blocked:
+    if not filter_state.blocked.any():
         return slot
     if slot.per_source is None:
         raise ValueError(f"slot {slot.slot_index} lacks per-source counts while filter is active")
-    removed_legal = 0
-    removed_attack = 0
-    kept: dict[int, int] = {}
-    for sid, c in slot.per_source.items():
-        if sid in filter_state.blocked:
-            if sid in attacker_ids:
-                removed_attack += c
-            else:
-                removed_legal += c
-        else:
-            kept[sid] = c
-    removed = removed_legal + removed_attack
-    filter_state.cumulative_filtered += removed
+    removed = slot.per_source * filter_state.blocked
+    removed_total = int(removed.sum())
+    if not removed_total:
+        return slot
+    removed_attack = int(removed.sum(where=attackers)) if attackers is not None else 0
+    filter_state.cumulative_filtered += removed_total
     return SlotTraffic(slot_index=slot.slot_index,
-                       aggregate=slot.aggregate - removed,
-                       legal_aggregate=slot.legal_aggregate - removed_legal,
+                       aggregate=slot.aggregate - removed_total,
+                       legal_aggregate=slot.legal_aggregate - (removed_total - removed_attack),
                        attack_aggregate=slot.attack_aggregate - removed_attack,
-                       per_source=kept)
+                       per_source=slot.per_source - removed)

@@ -3,7 +3,8 @@
 Each source class (same kind, rate, and activity window) is sampled as one
 Poisson aggregate per slot; per-source counts, when requested, come from a
 conditional multinomial split proportional to the member rates, which is
-exact for superposed independent Poisson sources.
+exact for superposed independent Poisson sources.  Per-source counts are
+one int64 vector indexed by source id.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "ScenarioConfig",
     "SlotTraffic",
     "build_sources",
-    "generate_slot",
     "TrafficStream",
 ]
 
@@ -43,7 +43,7 @@ class TrafficSource:
         return self.active_from <= t < self.active_to
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for one simulated scenario."""
 
@@ -108,7 +108,7 @@ class SlotTraffic:
     aggregate: int
     legal_aggregate: int
     attack_aggregate: int
-    per_source: Optional[dict[int, int]] = None
+    per_source: Optional[np.ndarray] = None     # int64 packet counts by source id
 
 
 def build_sources(config: ScenarioConfig) -> list[TrafficSource]:
@@ -135,6 +135,14 @@ class _SourceClass:
     rate_sum: float
     cum_probs: np.ndarray = field(repr=False)
 
+    @property
+    def index(self) -> slice | np.ndarray:
+        """Where the members sit in a per-source vector: a slice when ids run contiguously."""
+        lo = int(self.ids[0])
+        if np.array_equal(self.ids, np.arange(lo, lo + len(self.ids))):
+            return slice(lo, lo + len(self.ids))
+        return self.ids
+
 
 def _group_classes(sources: Iterable[TrafficSource]) -> list[_SourceClass]:
     by_key: dict[tuple, list[TrafficSource]] = {}
@@ -152,39 +160,6 @@ def _group_classes(sources: Iterable[TrafficSource]) -> list[_SourceClass]:
     return classes
 
 
-def _split_count(cls_: _SourceClass, count: int, rng: np.random.Generator) -> dict[int, int]:
-    """Attribute a class aggregate to members, proportional to their rates."""
-    if count == 0:
-        return {}
-    u = rng.random(count)
-    idx = np.searchsorted(cls_.cum_probs, u, side="left")
-    counts = np.bincount(idx, minlength=len(cls_.ids))
-    nz = counts.nonzero()[0]
-    return {int(cls_.ids[j]): int(counts[j]) for j in nz}
-
-
-def generate_slot(sources: list[TrafficSource], slot_index: int, slot_dt: float,
-                  rng: np.random.Generator, want_per_source: bool = False) -> SlotTraffic:
-    """Draw one slot of traffic from the given population."""
-    t = slot_index * slot_dt
-    legal = 0
-    attack = 0
-    per_source: Optional[dict[int, int]] = {} if want_per_source else None
-    for cls_ in _group_classes(sources):
-        if not (cls_.active_from <= t < cls_.active_to):
-            continue
-        count = int(rng.poisson(cls_.rate_sum * slot_dt))
-        if cls_.kind is SourceKind.LEGAL:
-            legal += count
-        else:
-            attack += count
-        if per_source is not None:
-            per_source.update(_split_count(cls_, count, rng))
-    return SlotTraffic(slot_index=slot_index, aggregate=legal + attack,
-                       legal_aggregate=legal, attack_aggregate=attack,
-                       per_source=per_source)
-
-
 class TrafficStream:
     """Pre-drawn slot sequence for a whole run.
 
@@ -200,21 +175,22 @@ class TrafficStream:
         self.slot_dt = slot_dt
         self.n_slots = n_slots
         self._split_rng = split_rng if split_rng is not None else rng
-        self._classes = _group_classes(sources)
-        self._counts: list[tuple[_SourceClass, list[int], int, int]] = []
-        for cls_ in self._classes:
+        classes = _group_classes(sources)
+        self.n_sources = max((int(c.ids.max()) + 1 for c in classes), default=0)
+        self._counts: list[tuple[_SourceClass, slice | np.ndarray, list[int], int, int]] = []
+        for cls_ in classes:
             lo = max(0, int(math.ceil(cls_.active_from / slot_dt - 1e-9)))
             hi = min(n_slots, int(math.ceil(cls_.active_to / slot_dt - 1e-9)))
             if hi <= lo:
                 continue
             draws = rng.poisson(cls_.rate_sum * slot_dt, size=hi - lo).tolist()
-            self._counts.append((cls_, draws, lo, hi))
+            self._counts.append((cls_, cls_.index, draws, lo, hi))
 
     def slot(self, i: int, want_per_source: bool = False) -> SlotTraffic:
         legal = 0
         attack = 0
-        per_source: Optional[dict[int, int]] = {} if want_per_source else None
-        for cls_, draws, lo, hi in self._counts:
+        per_source = np.zeros(self.n_sources, dtype=np.int64) if want_per_source else None
+        for cls_, index, draws, lo, hi in self._counts:
             if not lo <= i < hi:
                 continue
             count = draws[i - lo]
@@ -223,7 +199,13 @@ class TrafficStream:
             else:
                 attack += count
             if per_source is not None and count:
-                per_source.update(_split_count(cls_, count, self._split_rng))
+                # attribute the class aggregate to members, proportional to
+                # rates; bincount ignores order, and sorted keys make the
+                # search walk the cumulative table in order
+                u = self._split_rng.random(count)
+                u.sort()
+                idx = cls_.cum_probs.searchsorted(u, side="left")
+                per_source[index] = np.bincount(idx, minlength=len(cls_.ids))
         return SlotTraffic(slot_index=i, aggregate=legal + attack,
                            legal_aggregate=legal, attack_aggregate=attack,
                            per_source=per_source)

@@ -197,11 +197,14 @@ def test_criterion_7_structural_invariants():
         rates = {int(i): float(r) for i, r in
                  enumerate(rng.uniform(0, 10, n))}
         budget = float(rng.uniform(0, 12 * n / 2))
-        cls = identify_greedy(
-            PerSourceMeasurement(0.0, 1.0, rates), budget)
-        if cls.attackers & cls.legal or cls.attackers | cls.legal != set(rates):
+        mask = identify_greedy(
+            PerSourceMeasurement(0.0, 1.0, np.array([rates[i] for i in range(n)])),
+            budget)
+        attackers = {int(i) for i in np.flatnonzero(mask)}
+        legal = {int(i) for i in np.flatnonzero(~mask)}
+        if attackers & legal or attackers | legal != set(rates):
             greedy_ok = False
-        total = sum(rates[s] for s in cls.attackers)
+        total = sum(rates[s] for s in attackers)
         if total > budget + 1e-9:
             greedy_ok = False
         # reference walk
@@ -211,7 +214,7 @@ def test_criterion_7_structural_invariants():
                 break
             acc += rates[sid]
             picked.add(sid)
-        if picked != cls.attackers:
+        if picked != attackers:
             greedy_ok = False
     # window running averages vs recomputed means, exact for integer counts
     win = SlidingWindow(31)

@@ -7,17 +7,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddossim.identifier import (Classification, FilterState,
-                                PerSourceMeasurement, apply_filter,
+from ddossim.identifier import (FilterState, PerSourceMeasurement,
+                                WindowCounts, apply_filter,
                                 estimate_attack_rate, identify_by_history,
                                 identify_greedy, measure_per_source)
 from ddossim.traffic import SlotTraffic
 
 
-def slot_of(index, per_source):
+def counts_of(per_source, n):
+    """Counts keyed by source id as a length-n int64 vector."""
+    v = np.zeros(n, dtype=np.int64)
+    for sid, c in per_source.items():
+        v[sid] = c
+    return v
+
+
+def mask_of(ids, n):
+    return counts_of(dict.fromkeys(ids, 1), n).astype(bool)
+
+
+def ids_of(mask):
+    return {int(i) for i in np.flatnonzero(mask)}
+
+
+def slot_of(index, per_source, n=None):
+    n = max(per_source, default=-1) + 1 if n is None else n
     legal = sum(per_source.values())
     return SlotTraffic(slot_index=index, aggregate=legal, legal_aggregate=legal,
-                       attack_aggregate=0, per_source=dict(per_source))
+                       attack_aggregate=0, per_source=counts_of(per_source, n))
+
+
+def measured(slots, window, n):
+    window_counts = WindowCounts(n)
+    for slot in slots:
+        window_counts.add(slot)
+    return measure_per_source(window_counts, window)
 
 
 # ---------------------------------------------------------------------------
@@ -26,29 +50,30 @@ def slot_of(index, per_source):
 
 def test_measure_single_source_rate():
     slots = [slot_of(i, {7: 3}) for i in range(10)]
-    m = measure_per_source(slots, (0.0, 10.0))
-    assert m.rates == {7: 3.0}
+    m = measured(slots, (0.0, 10.0), 8)
+    assert m.rates[7] == 3.0
+    assert ids_of(m.rates) == {7}
     assert m.duration == 10.0
 
 
 def test_measure_absent_source_gets_zero():
-    slots = [slot_of(0, {1: 5})]
-    m = measure_per_source(slots, (0.0, 1.0), source_ids=[1, 2])
+    slots = [slot_of(0, {1: 5}, n=3)]
+    m = measured(slots, (0.0, 1.0), 3)
     assert m.rates[2] == 0.0
 
 
 def test_measure_empty_window_rejected():
     with pytest.raises(ValueError, match="empty measurement window"):
-        measure_per_source([], (0.0, 1.0))
+        measured([], (0.0, 1.0), 3)
     with pytest.raises(ValueError, match="empty measurement window"):
-        measure_per_source([slot_of(0, {})], (5.0, 5.0))
+        measured([slot_of(0, {}, n=3)], (5.0, 5.0), 3)
 
 
 def test_measure_requires_per_source_counts():
     bare = SlotTraffic(slot_index=0, aggregate=3, legal_aggregate=3,
                        attack_aggregate=0)
     with pytest.raises(ValueError, match="per-source"):
-        measure_per_source([bare], (0.0, 1.0))
+        measured([bare], (0.0, 1.0), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -68,33 +93,54 @@ def test_estimate_attack_rate():
 # ---------------------------------------------------------------------------
 
 def measurement_of(rates):
-    return PerSourceMeasurement(start=0.0, end=1.0, rates=dict(rates))
+    """Rates keyed by source id, as a dense vector over ids 0..len(rates)-1."""
+    assert set(rates) == set(range(len(rates)))
+    return PerSourceMeasurement(start=0.0, end=1.0,
+                                rates=np.array([rates[i] for i in range(len(rates))],
+                                               dtype=float))
+
+
+def classify(identify, rates, budget, *exempt):
+    """(attacker ids, legal ids) for rates keyed by arbitrary distinct ids.
+
+    The ids are mapped in ascending order onto vector positions, which keeps
+    the tie-break by ascending id; the legal set is the complement of the
+    returned attacker mask.
+    """
+    ids = sorted(rates)
+    slot = {sid: j for j, sid in enumerate(ids)}
+    m = measurement_of({slot[sid]: r for sid, r in rates.items()})
+    mask = identify(m, *[mask_of([slot[s] for s in e], len(ids)) for e in exempt],
+                    budget)
+    assert mask.dtype == bool and len(mask) == len(ids)
+    return ({ids[j] for j in np.flatnonzero(mask)},
+            {ids[j] for j in np.flatnonzero(~mask)})
 
 
 def test_greedy_prefix_example():
-    m = measurement_of({0: 5.0, 1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0})
-    cls = identify_greedy(m, 12.0)
-    assert cls.attackers == {0, 1, 2}        # 5+4+3 = 12 <= 12; +2 exceeds
-    assert cls.legal == {3, 4}
+    attackers, legal = classify(identify_greedy,
+                                {0: 5.0, 1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0}, 12.0)
+    assert attackers == {0, 1, 2}        # 5+4+3 = 12 <= 12; +2 exceeds
+    assert legal == {3, 4}
 
 
 def test_greedy_zero_budget():
-    m = measurement_of({0: 5.0, 1: 1.0})
-    cls = identify_greedy(m, 0.0)
-    assert cls.attackers == frozenset()
-    assert cls.legal == {0, 1}
+    attackers, legal = classify(identify_greedy, {0: 5.0, 1: 1.0}, 0.0)
+    assert attackers == set()
+    assert legal == {0, 1}
 
 
 def test_greedy_unbounded_budget_takes_all():
-    m = measurement_of({0: 5.0, 1: 1.0, 2: 0.0})
-    cls = identify_greedy(m, 100.0)
-    assert cls.attackers == {0, 1, 2}
+    attackers, _ = classify(identify_greedy, {0: 5.0, 1: 1.0, 2: 0.0}, 100.0)
+    assert attackers == {0, 1, 2}
 
 
 def test_greedy_tie_break_by_ascending_id():
-    m = measurement_of({9: 2.0, 3: 2.0, 5: 2.0})
-    cls = identify_greedy(m, 4.0)
-    assert cls.attackers == {3, 5}
+    attackers, _ = classify(identify_greedy, {9: 2.0, 3: 2.0, 5: 2.0}, 4.0)
+    assert attackers == {3, 5}
+    # the same ids in a dense vector with silent sources between them
+    m = PerSourceMeasurement(0.0, 1.0, counts_of({9: 2, 3: 2, 5: 2}, 10) * 1.0)
+    assert ids_of(identify_greedy(m, 4.0)) == {3, 5}
 
 
 def test_greedy_negative_budget_rejected():
@@ -119,24 +165,19 @@ def brute_force_prefix(rates, budget):
                        st.floats(0.0, 50.0, allow_nan=False), max_size=20),
        st.floats(0.0, 200.0, allow_nan=False))
 def test_greedy_matches_brute_force_oracle(rates, budget):
-    cls = identify_greedy(measurement_of(rates), budget)
-    assert cls.attackers == brute_force_prefix(rates, budget)
+    attackers, legal = classify(identify_greedy, rates, budget)
+    assert attackers == brute_force_prefix(rates, budget)
     # partition invariant
-    assert cls.attackers | cls.legal == set(rates)
-    assert not cls.attackers & cls.legal
+    assert attackers | legal == set(rates)
+    assert not attackers & legal
     # feasibility
-    assert sum(rates[s] for s in cls.attackers) <= budget + 1e-9
+    assert sum(rates[s] for s in attackers) <= budget + 1e-9
     # maximality: the best excluded candidate would exceed the budget
-    excluded = sorted(cls.legal, key=lambda sid: (-rates[sid], sid))
-    if excluded and cls.attackers != set(rates):
+    excluded = sorted(legal, key=lambda sid: (-rates[sid], sid))
+    if excluded and attackers != set(rates):
         best = excluded[0]
-        total = sum(rates[s] for s in cls.attackers)
+        total = sum(rates[s] for s in attackers)
         assert total + rates[best] > budget - 1e-9
-
-
-def test_classification_partition_enforced():
-    with pytest.raises(ValueError, match="disjoint"):
-        Classification(attackers=frozenset({1}), legal=frozenset({1, 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +185,9 @@ def test_classification_partition_enforced():
 # ---------------------------------------------------------------------------
 
 def test_history_all_pre_active_blocks_nothing():
-    m = measurement_of({0: 5.0, 1: 4.0})
-    cls = identify_by_history(m, pre_attack_active={0, 1}, attack_rate_budget=100.0)
-    assert cls.attackers == frozenset()
-    assert cls.legal == {0, 1}
+    attackers, legal = classify(identify_by_history, {0: 5.0, 1: 4.0}, 100.0, {0, 1})
+    assert attackers == set()
+    assert legal == {0, 1}
 
 
 def test_history_empty_exemption_equals_greedy():
@@ -156,15 +196,15 @@ def test_history_empty_exemption_equals_greedy():
         rates = {int(i): float(r) for i, r in
                  enumerate(rng.uniform(0, 10, rng.integers(1, 15)))}
         budget = float(rng.uniform(0, 30))
-        assert (identify_by_history(measurement_of(rates), set(), budget)
-                == identify_greedy(measurement_of(rates), budget))
+        assert np.array_equal(
+            identify_by_history(measurement_of(rates), mask_of([], len(rates)), budget),
+            identify_greedy(measurement_of(rates), budget))
 
 
 def test_history_exempt_sources_never_blocked():
-    m = measurement_of({0: 50.0, 1: 4.0, 2: 3.0})
-    cls = identify_by_history(m, pre_attack_active={0}, attack_rate_budget=10.0)
-    assert 0 not in cls.attackers
-    assert cls.attackers == {1, 2}
+    attackers, _ = classify(identify_by_history, {0: 50.0, 1: 4.0, 2: 3.0}, 10.0, {0})
+    assert 0 not in attackers
+    assert attackers == {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +212,16 @@ def test_history_exempt_sources_never_blocked():
 # ---------------------------------------------------------------------------
 
 def test_filter_empty_blocked_is_identity():
-    filt = FilterState(blocked=frozenset(), activated_at=0.0)
+    filt = FilterState(blocked=mask_of([], 3), activated_at=0.0)
     slot = slot_of(3, {1: 2, 2: 5})
     assert apply_filter(filt, slot) is slot
 
 
 def test_filter_all_blocked_zeroes_aggregate():
-    filt = FilterState(blocked=frozenset({1, 2}), activated_at=0.0)
+    filt = FilterState(blocked=mask_of({1, 2}, 3), activated_at=0.0)
     out = apply_filter(filt, slot_of(0, {1: 2, 2: 5}))
     assert out.aggregate == 0
-    assert out.per_source == {}
+    assert not out.per_source.any()
     assert filt.cumulative_filtered == 7
 
 
@@ -191,29 +231,29 @@ def test_filter_never_touches_unblocked_sources():
         per_source = {int(i): int(c) for i, c in
                       enumerate(rng.integers(0, 10, 12))}
         blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
-        filt = FilterState(blocked=blocked, activated_at=0.0)
+        filt = FilterState(blocked=mask_of(blocked, 12), activated_at=0.0)
         out = apply_filter(filt, slot_of(0, per_source))
         for sid, c in per_source.items():
             if sid in blocked:
-                assert sid not in out.per_source
+                assert out.per_source[sid] == 0
             else:
                 assert out.per_source[sid] == c
-        assert out.aggregate == sum(out.per_source.values())
+        assert out.aggregate == out.per_source.sum()
 
 
 def test_filter_splits_removed_volume_by_ground_truth():
-    per_source = {1: 4, 2: 6, 3: 5}
+    per_source = counts_of({1: 4, 2: 6, 3: 5}, 4)
     slot = SlotTraffic(slot_index=0, aggregate=15, legal_aggregate=9,
                        attack_aggregate=6, per_source=per_source)
-    filt = FilterState(blocked=frozenset({1, 2}), activated_at=0.0)
-    out = apply_filter(filt, slot, attacker_ids=frozenset({2}))
+    filt = FilterState(blocked=mask_of({1, 2}, 4), activated_at=0.0)
+    out = apply_filter(filt, slot, attackers=mask_of({2}, 4))
     assert out.legal_aggregate == 9 - 4
     assert out.attack_aggregate == 6 - 6
     assert out.aggregate == 5
 
 
 def test_filter_requires_per_source_when_active():
-    filt = FilterState(blocked=frozenset({1}), activated_at=0.0)
+    filt = FilterState(blocked=mask_of({1}, 2), activated_at=0.0)
     bare = SlotTraffic(slot_index=0, aggregate=3, legal_aggregate=3,
                        attack_aggregate=0)
     with pytest.raises(ValueError, match="per-source"):

@@ -1,13 +1,15 @@
 """Traffic generator tests: population building, Poisson moments,
 per-source attribution, activity windows, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ddossim.presets import get_preset
 from ddossim.traffic import (ScenarioConfig, SourceKind, TrafficSource,
-                             TrafficStream, build_sources, generate_slot)
+                             TrafficStream, build_sources)
 
 
 def large_config(**overrides) -> ScenarioConfig:
@@ -76,6 +78,13 @@ def test_config_derived_values():
     assert list(cfg.attacker_ids()) == list(range(50, 100))
 
 
+def test_scenario_config_frozen():
+    scenario = get_preset("sim2").scenario
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.n_attack = 0
+    assert get_preset("sim2").scenario.n_attack == 50
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -93,9 +102,11 @@ def test_stream_bit_exact_determinism():
 
     a, b = trace(99), trace(99)
     for x, y in zip(a, b):
-        assert (x.aggregate, x.legal_aggregate, x.attack_aggregate,
-                x.per_source) == (y.aggregate, y.legal_aggregate,
-                                  y.attack_aggregate, y.per_source)
+        assert (x.aggregate, x.legal_aggregate, x.attack_aggregate) == (
+            y.aggregate, y.legal_aggregate, y.attack_aggregate)
+        assert (x.per_source is None) == (y.per_source is None)
+        if x.per_source is not None:
+            assert np.array_equal(x.per_source, y.per_source)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +144,15 @@ def test_per_source_counts_sum_to_aggregate():
                            np.random.default_rng(5), np.random.default_rng(6))
     for i in range(0, cfg.n_slots, 13):
         slot = stream.slot(i, want_per_source=True)
-        assert sum(slot.per_source.values()) == slot.aggregate
+        assert slot.per_source.dtype == np.int64
+        assert len(slot.per_source) == cfg.n_legal + cfg.n_attack
+        assert slot.per_source.sum() == slot.aggregate
         assert slot.aggregate == slot.legal_aggregate + slot.attack_aggregate
 
 
 def test_no_attack_packets_outside_window():
     cfg = small_config()
-    attackers = set(cfg.attacker_ids())
+    attackers = list(cfg.attacker_ids())
     stream = TrafficStream(build_sources(cfg), cfg.n_slots, cfg.slot_dt,
                            np.random.default_rng(7), np.random.default_rng(8))
     for i in range(cfg.n_slots):
@@ -147,31 +160,47 @@ def test_no_attack_packets_outside_window():
         slot = stream.slot(i, want_per_source=True)
         if not (cfg.t_star <= t < cfg.attack_end):
             assert slot.attack_aggregate == 0
-            assert not attackers & slot.per_source.keys()
+            assert not slot.per_source[attackers].any()
+
+
+def test_per_source_counts_land_on_interleaved_ids():
+    # a class whose ids are not one contiguous run
+    sources = [TrafficSource(0, SourceKind.LEGAL, 1.0, 0.0, 10.0),
+               TrafficSource(1, SourceKind.ATTACKING, 2.0, 5.0, 10.0),
+               TrafficSource(2, SourceKind.LEGAL, 1.0, 0.0, 10.0),
+               TrafficSource(3, SourceKind.ATTACKING, 2.0, 5.0, 10.0)]
+    stream = TrafficStream(sources, 100, 0.1, np.random.default_rng(10))
+    for i in range(100):
+        slot = stream.slot(i, want_per_source=True)
+        assert slot.per_source[[0, 2]].sum() == slot.legal_aggregate
+        assert slot.per_source[[1, 3]].sum() == slot.attack_aggregate
+        if i < 50:
+            assert slot.attack_aggregate == 0
 
 
 def test_split_proportions_follow_rates():
     # two legal sources with rates 1 and 3 should split counts near 1:3
-    sources = [TrafficSource(0, SourceKind.LEGAL, 1.0, 0.0, 10.0),
-               TrafficSource(1, SourceKind.LEGAL, 3.0, 0.0, 10.0)]
-    rng = np.random.default_rng(9)
+    sources = [TrafficSource(0, SourceKind.LEGAL, 1.0, 0.0, 500.0),
+               TrafficSource(1, SourceKind.LEGAL, 3.0, 0.0, 500.0)]
+    stream = TrafficStream(sources, 5_000, 0.1, np.random.default_rng(9))
     total = {0: 0, 1: 0}
     for i in range(5_000):
-        slot = generate_slot(sources, i % 10, 0.1, rng, want_per_source=True)
-        for sid, c in slot.per_source.items():
-            total[sid] += c
+        slot = stream.slot(i, want_per_source=True)
+        for sid, c in enumerate(slot.per_source):
+            total[sid] += int(c)
     n = total[0] + total[1]
     p = total[1] / n
     # binomial 3-sigma band around 0.75
     assert abs(p - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / n)
 
 
-def test_generate_slot_inactive_population():
+def test_stream_slot_inactive_population():
     cfg = small_config()
     sources = build_sources(cfg)
     # slot beyond every activity window
-    slot = generate_slot(sources, int(cfg.total_duration / cfg.slot_dt) + 10,
-                         cfg.slot_dt, np.random.default_rng(0),
-                         want_per_source=True)
+    i = int(cfg.total_duration / cfg.slot_dt) + 10
+    stream = TrafficStream(sources, i + 1, cfg.slot_dt, np.random.default_rng(0))
+    slot = stream.slot(i, want_per_source=True)
     assert slot.aggregate == 0
-    assert slot.per_source == {}
+    assert len(slot.per_source) == len(sources)
+    assert not slot.per_source.any()

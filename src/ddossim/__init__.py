@@ -6,21 +6,18 @@ per-source filtering, and a batch harness with confidence-interval
 reporting.
 """
 
-from .buffer import BufferState, SlotOutcome, is_l1_full, step
-from .detector import (DetectionOutcome, Detector, DetectorConfig, Method,
-                       SlidingWindow, detect_buffer, detect_ratio,
-                       detect_statistical, run_detection)
-from .harness import (BatchStats, MetricSummary, RunMetrics, declare_restored,
-                      run_batch, run_once, sweep_window)
-from .identifier import (FilterState, PerSourceMeasurement, WindowCounts,
-                         apply_filter, estimate_attack_rate,
-                         identify_by_history, identify_greedy,
-                         measure_per_source)
+from .buffer import BufferState, SlotOutcome, step
+from .detector import (Detector, DetectorConfig, Method, SlidingWindow,
+                       detect_ratio, detect_statistical)
+from .harness import (BatchStats, MetricSummary, RunMetrics, run_batch,
+                      run_once, sweep_window)
+from .identifier import (PerSourceMeasurement, WindowCounts, apply_filter,
+                         estimate_attack_rate, identify_by_history,
+                         identify_greedy, measure_per_source)
 from .presets import PRESETS, Preset, get_preset
 from .stats import (ConfidenceBound, SummaryStats, TestResult, ks_normality,
                     levene_test, pooled_variance, sample_mean, sample_stddev,
-                    t_statistic_welch, t_test_pooled, upper_conf_bound)
-from .traffic import (ScenarioConfig, SlotTraffic, SourceKind, TrafficSource,
-                      TrafficStream, build_sources)
+                    t_test_pooled, upper_conf_bound)
+from .traffic import ScenarioConfig, SlotTraffic, TrafficStream
 
 __version__ = "0.1.0"

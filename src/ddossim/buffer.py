@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BufferState", "SlotOutcome", "step", "is_l1_full"]
+__all__ = ["BufferState", "SlotOutcome", "step"]
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,13 @@ class BufferState:
     def capacity(self) -> int:
         return self.l1 + self.l2
 
-    def is_l1_full(self) -> bool:
-        return self.occupancy >= self.l1
-
     def is_l1_backlogged(self) -> bool:
         """Occupancy net of the last slot's service still at or above l1.
 
         At coarse slot sizes a single slot's arrival batch can exceed l1 on
         its own even in normal operation; the backlog that survives a full
         slot of service is the persistent-overload signal.  With very small
-        slots this coincides with is_l1_full.
+        slots this coincides with occupancy >= l1.
         """
         return self.post_service_occupancy >= self.l1
 
@@ -101,7 +98,3 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> SlotOutc
     state._slot += 1
     return SlotOutcome(admitted=admitted, dropped=dropped, served=served,
                        occupancy_after=state.occupancy)
-
-
-def is_l1_full(state: BufferState) -> bool:
-    return state.is_l1_full()

@@ -12,26 +12,21 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .buffer import BufferState
-from .stats import (SummaryStats, TestResult, ks_normality, levene_test,
-                    sample_mean, t_test_pooled, upper_conf_bound)
+from .stats import (SummaryStats, levene_test, sample_mean, t_test_pooled,
+                    upper_conf_bound)
 
 __all__ = [
     "Method",
     "DetectorConfig",
     "SlidingWindow",
-    "DetectionOutcome",
     "MPAR_ALPHA",
-    "window_push",
-    "window_average",
     "detect_ratio",
-    "detect_buffer",
     "detect_statistical",
     "Detector",
-    "run_detection",
 ]
 
 # One-sided significance used for the maximum-packet-arrival-rate gate.
@@ -107,15 +102,6 @@ class SlidingWindow:
         return len(self.contents)
 
 
-def window_push(win: SlidingWindow, value: int) -> SlidingWindow:
-    win.push(value)
-    return win
-
-
-def window_average(win: SlidingWindow) -> float:
-    return win.average()
-
-
 def detect_ratio(short_avg: float, long_avg: float, r: float) -> bool:
     """Ratio rule: short-time average strictly above (1+r) * long-time average."""
     if long_avg <= 0:
@@ -123,44 +109,27 @@ def detect_ratio(short_avg: float, long_avg: float, r: float) -> bool:
     return short_avg > (1.0 + r) * long_avg
 
 
-def detect_buffer(buffer: BufferState) -> bool:
-    return buffer.is_l1_full()
-
-
 def detect_statistical(baseline_par: list[float], current_par: list[float],
-                       alpha: float = 0.05) -> tuple[bool, list[TestResult]]:
+                       alpha: float = 0.05) -> bool:
     """Hypothesis-testing detection on packet-arrival-rate samples.
 
-    Records a K-S normality check of the baseline, gates on the upper
-    confidence bound of the baseline mean (MPAR, alpha = 0.025), then runs
-    the pooled t-test and Levene's test; the attack flag is raised if
-    either rejects at the given alpha.
+    Gates on the upper confidence bound of the baseline mean (MPAR,
+    alpha = 0.025), then runs the pooled t-test and Levene's test; the
+    attack flag is raised if either rejects at the given alpha.
     """
     if len(baseline_par) < 8 or len(current_par) < 2:
         raise ValueError("statistical detection needs >= 8 baseline and >= 2 current samples")
-    details: list[TestResult] = []
     base = SummaryStats.from_sample(baseline_par)
-    if base.stddev > 0:
-        details.append(ks_normality(baseline_par, alpha))
     cur_mean = sample_mean(current_par)
     if base.stddev == 0.0:
         # degenerate baseline: only the threshold comparison is meaningful
-        return cur_mean > base.mean, details
+        return cur_mean > base.mean
     t_x = upper_conf_bound(base, MPAR_ALPHA).upper
     if cur_mean <= t_x:
-        return False, details
+        return False
     t_res = t_test_pooled(baseline_par, current_par, alpha)
     lev_res = levene_test(baseline_par, current_par, alpha)
-    details += [t_res, lev_res]
-    return t_res.reject or lev_res.reject, details
-
-
-@dataclass
-class DetectionOutcome:
-    detected: bool
-    t_hat: float = 0.0
-    method: Optional[Method] = None
-    details: list[TestResult] = field(default_factory=list)
+    return t_res.reject or lev_res.reject
 
 
 class Detector:
@@ -179,7 +148,6 @@ class Detector:
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
         cfg.validate()
         self.cfg = cfg
-        self.slot_dt = slot_dt
         self.short = SlidingWindow(max(1, round(cfg.w_s / slot_dt)))
         self.long = SlidingWindow(max(2, round(cfg.w_l / slot_dt)))
         self._slots_per_bucket = max(1, round(1.0 / slot_dt))
@@ -191,7 +159,6 @@ class Detector:
         self._lambda_bar_ring: deque[float] = deque(maxlen=max(1, round(cfg.c / slot_dt)))
         self.stat_checks = 0
         self.stat_positives = 0
-        self._slot = 0
         self._frozen = False
         self._frozen_baseline: Optional[list[float]] = None
         self._frozen_lambda_bar = 0.0
@@ -225,8 +192,8 @@ class Detector:
         """
         if self._frozen:
             return
+        self._frozen_lambda_bar = self.baseline_lambda_bar()
         self._frozen = True
-        self._frozen_lambda_bar = self.baseline_lambda_bar_unfrozen()
         if len(self.buckets) == self.buckets.maxlen:
             self._frozen_baseline = [float(v)
                                      for v in list(self.buckets)[:self.cfg.baseline_len]]
@@ -234,13 +201,6 @@ class Detector:
             self._frozen_baseline = None
         self._fresh_buckets = 0
         self._frozen_appended = 0
-
-    def baseline_lambda_bar_unfrozen(self) -> float:
-        if self._lambda_bar_ring:
-            return self._lambda_bar_ring[0]
-        if len(self.long):
-            return self.long.average()
-        return 0.0
 
     def unfreeze(self) -> None:
         """Resume normal monitoring after restoration.
@@ -255,10 +215,6 @@ class Detector:
             self.buckets.pop()
         self._frozen_appended = 0
         self.reset_after_episode()
-
-    def reset_short(self) -> None:
-        """Drop stale short-window contents (used when monitoring resumes)."""
-        self.short.clear()
 
     def rearm(self) -> None:
         """Require fresh post-filter traffic before the next fire.
@@ -286,10 +242,14 @@ class Detector:
         self._bucket_fill = 0
 
     def observe(self, aggregate: int,
-                buffer: Optional[BufferState] = None) -> tuple[Optional[Method], list[TestResult]]:
+                buffer: Optional[BufferState] = None) -> Optional[Method]:
+        """Feed one slot's aggregate; the method that fired, if any.
+
+        buffer is the state after this slot's step, for the buffer-full
+        method.
+        """
         cfg = self.cfg
         fired: Optional[Method] = None
-        details: list[TestResult] = []
 
         self._bucket_acc += aggregate
         self._bucket_fill += 1
@@ -308,9 +268,8 @@ class Detector:
                 baseline = [float(v) for v in list(self.buckets)[:cfg.baseline_len]]
             if Method.STATISTICAL in cfg.methods and baseline is not None:
                 current = [float(v) for v in list(self.buckets)[-self._ws_buckets:]]
-                hit, details = detect_statistical(baseline, current, cfg.alpha)
                 self.stat_checks += 1
-                if hit:
+                if detect_statistical(baseline, current, cfg.alpha):
                     self.stat_positives += 1
                     fired = Method.STATISTICAL
 
@@ -332,25 +291,4 @@ class Detector:
             # arrival batch cannot trip the detector under normal load
             if buffer.is_l1_backlogged():
                 fired = Method.BUFFER_FULL
-
-        self._slot += 1
-        return fired, details
-
-
-def run_detection(slots: Iterable, cfg: DetectorConfig, slot_dt: float,
-                  buffers: Optional[Iterable[BufferState]] = None) -> DetectionOutcome:
-    """Run the detector over a time-ordered slot feed until the first fire.
-
-    slots yields SlotTraffic records; buffers, when given, yields the
-    buffer state after the matching slot (for the buffer-full method).
-    """
-    det = Detector(cfg, slot_dt)
-    buf_iter = iter(buffers) if buffers is not None else None
-    for slot in slots:
-        buf = next(buf_iter) if buf_iter is not None else None
-        fired, details = det.observe(slot.aggregate, buf)
-        if fired is not None:
-            t_hat = (slot.slot_index + 1) * slot_dt
-            return DetectionOutcome(detected=True, t_hat=t_hat, method=fired,
-                                    details=details)
-    return DetectionOutcome(detected=False)
+        return fired

@@ -23,10 +23,10 @@ import numpy as np
 
 from .buffer import BufferState, step
 from .detector import Detector, DetectorConfig, Method
-from .identifier import (FilterState, WindowCounts, apply_filter, estimate_attack_rate,
+from .identifier import (WindowCounts, apply_filter, estimate_attack_rate,
                          identify_by_history, identify_greedy, measure_per_source)
 from .stats import sample_mean, sample_stddev
-from .traffic import ScenarioConfig, TrafficStream, build_sources
+from .traffic import ScenarioConfig, TrafficStream
 
 __all__ = [
     "RunMetrics",
@@ -35,16 +35,7 @@ __all__ = [
     "run_once",
     "run_batch",
     "sweep_window",
-    "declare_restored",
     "RestorationMonitor",
-    "ROW_FIELDS",
-]
-
-ROW_FIELDS = [
-    "detected", "detection_time", "detection_method", "restore_time",
-    "correctly_identified_attackers", "legal_filtered", "packets_dropped",
-    "max_buffer_level", "max_buffer_time", "false_alarms",
-    "ratio_fires", "stat_checks", "stat_positives", "seed",
 ]
 
 # numeric RunMetrics fields aggregated by run_batch
@@ -72,8 +63,7 @@ class RunMetrics:
     seed: int
 
     def as_row(self) -> dict:
-        d = dataclasses.asdict(self)
-        return {k: d[k] for k in ROW_FIELDS}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,17 +112,6 @@ class RestorationMonitor:
                 and self._admitted_sum <= self.threshold_sum)
 
 
-def declare_restored(backlogs: Sequence[int], admitted: Sequence[int],
-                     l1: int, baseline_rate: float, cfg: DetectorConfig,
-                     slot_dt: float, t_star: float = 0.0) -> Optional[float]:
-    """First time (relative to t_star) the restoration condition holds."""
-    mon = RestorationMonitor(l1, baseline_rate, cfg.r, cfg.w_s, slot_dt)
-    for i, (occ, adm) in enumerate(zip(backlogs, admitted)):
-        if mon.update(occ, adm):
-            return (i + 1) * slot_dt - t_star
-    return None
-
-
 def _check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
     scenario.validate()
     cfg.validate()
@@ -155,20 +134,20 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
     ss = np.random.SeedSequence(seed)
     rng_traffic, rng_split = (np.random.default_rng(s) for s in ss.spawn(2))
-    sources = build_sources(scenario)
-    stream = TrafficStream(sources, scenario.n_slots, scenario.slot_dt,
-                           rng_traffic, rng_split)
+    stream = TrafficStream(scenario, rng_traffic, rng_split)
     buf = BufferState(scenario.l1, scenario.l2)
     det = Detector(detector_cfg, scenario.slot_dt)
 
     dt = scenario.slot_dt
     service = scenario.mu * dt
     ws_slots = max(1, round(detector_cfg.w_s / dt))
+    # reported times are whole slot counts over slots per second
+    per_second = scenario.slots_per_second
+    onset = scenario.slots_in(scenario.t_star)
     truth_attackers = np.arange(stream.n_sources) >= scenario.n_legal
-    active_from = np.array([s.active_from for s in sources])
 
     phase = "monitor"
-    filt: Optional[FilterState] = None
+    blocked: Optional[np.ndarray] = None       # sources the active filter drops
     measured: Optional[WindowCounts] = None
     restoration: Optional[RestorationMonitor] = None
     episode_primary = False
@@ -183,21 +162,20 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     ratio_fires = 0
 
     for i in range(scenario.n_slots):
-        t_end = (i + 1) * dt
-        want_ps = phase == "measure" or filt is not None
+        elapsed = i + 1                        # slots done at the end of this one
+        want_ps = phase == "measure" or blocked is not None
         slot = stream.slot(i, want_per_source=want_ps)
-        if filt is not None:
-            slot = apply_filter(filt, slot, truth_attackers)
+        if blocked is not None:
+            slot = apply_filter(blocked, slot, truth_attackers)
         out = step(buf, slot.aggregate, service)
-        fired, _details = det.observe(slot.aggregate, buf)
+        fired = det.observe(slot.aggregate, buf)
 
         if restoration is not None and restoration.update(buf.post_service_occupancy,
                                                           out.admitted):
             # sustained-normal condition met: release the filter
             if episode_primary and restore_time is None:
-                restore_time = t_end - scenario.t_star
-            filt.released_at = t_end
-            filt = None
+                restore_time = (elapsed - onset) / per_second
+            blocked = None
             restoration = None
             episode_primary = False
             det.unfreeze()
@@ -212,22 +190,22 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 total_rate = measured.packets / detector_cfg.w_s
                 budget = estimate_attack_rate(total_rate, baseline_rate)
                 if id_method == "history":
+                    # legal sources are active from 0, attackers from t_star
+                    active_from = np.where(truth_attackers, scenario.t_star, 0.0)
                     pre_active = active_from <= t_hat - detector_cfg.c
                     suspects = identify_by_history(m, pre_active, budget)
                 else:
                     suspects = identify_greedy(m, budget)
-                if filt is None:
-                    filt = FilterState(blocked=suspects, activated_at=t_end)
+                if blocked is None:
+                    blocked = suspects
                     restoration = RestorationMonitor(scenario.l1, baseline_rate,
                                                      detector_cfg.r,
                                                      detector_cfg.w_s, dt)
                 else:
                     # re-measurement of residual traffic: widen the block set
-                    filt = FilterState(blocked=filt.blocked | suspects,
-                                       activated_at=filt.activated_at,
-                                       cumulative_filtered=filt.cumulative_filtered)
+                    blocked = blocked | suspects
                 if episode_primary and first_blocked is None:
-                    first_blocked = filt.blocked
+                    first_blocked = blocked
                 det.rearm()
                 phase = "filter"
         elif fired is not None:
@@ -237,21 +215,21 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             if phase == "monitor":
                 det.freeze()
                 baseline_rate = det.baseline_lambda_bar() / dt
-                if t_end < scenario.t_star:
+                if elapsed < onset:
                     false_alarms += 1
             if fired is Method.RATIO:
                 ratio_fires += 1
-            if t_end >= scenario.t_star and detection_time is None:
-                latency = t_end - scenario.t_star
+            if elapsed >= onset and detection_time is None:
+                latency = elapsed - onset
                 if fired is Method.STATISTICAL:
                     # a statistical fire is raised when its one-second
                     # arrival sample completes; latency counts from the
                     # start of that sample
-                    latency = max(0.0, latency - 1.0)
-                detection_time = latency
+                    latency = max(0, latency - per_second)
+                detection_time = latency / per_second
                 detection_method = fired.value
                 episode_primary = True
-            t_hat = t_end
+            t_hat = elapsed / per_second
             measured = WindowCounts(stream.n_sources)
             phase = "measure"
 
@@ -268,7 +246,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         legal_filtered=wrong,
         packets_dropped=buf.cumulative_dropped,
         max_buffer_level=buf.peak_occupancy,
-        max_buffer_time=buf.peak_slot * dt,
+        max_buffer_time=buf.peak_slot / per_second,
         false_alarms=false_alarms,
         ratio_fires=ratio_fires,
         stat_checks=det.stat_checks,

@@ -23,7 +23,6 @@ from .traffic import SlotTraffic
 __all__ = [
     "PerSourceMeasurement",
     "WindowCounts",
-    "FilterState",
     "measure_per_source",
     "estimate_attack_rate",
     "identify_greedy",
@@ -57,14 +56,6 @@ class WindowCounts:
         self.counts += slot.per_source
         self.packets += slot.aggregate
         self.slots += 1
-
-
-@dataclass
-class FilterState:
-    blocked: np.ndarray             # boolean mask by source id
-    activated_at: float
-    released_at: Optional[float] = None
-    cumulative_filtered: int = 0
 
 
 def measure_per_source(window_counts: WindowCounts,
@@ -118,23 +109,22 @@ def identify_by_history(measurement: PerSourceMeasurement,
                           attack_rate_budget)
 
 
-def apply_filter(filter_state: FilterState, slot: SlotTraffic,
+def apply_filter(blocked: np.ndarray, slot: SlotTraffic,
                  attackers: Optional[np.ndarray] = None) -> SlotTraffic:
-    """Discard counts from blocked sources before buffer admission.
+    """Discard counts from the blocked sources (a mask) before buffer admission.
 
     attackers (ground-truth attacking mask) is only used to keep the
     legal/attack aggregate split of the returned record consistent.
     """
-    if not filter_state.blocked.any():
+    if not blocked.any():
         return slot
     if slot.per_source is None:
         raise ValueError(f"slot {slot.slot_index} lacks per-source counts while filter is active")
-    removed = slot.per_source * filter_state.blocked
+    removed = slot.per_source * blocked
     removed_total = int(removed.sum())
     if not removed_total:
         return slot
     removed_attack = int(removed.sum(where=attackers)) if attackers is not None else 0
-    filter_state.cumulative_filtered += removed_total
     return SlotTraffic(slot_index=slot.slot_index,
                        aggregate=slot.aggregate - removed_total,
                        legal_aggregate=slot.legal_aggregate - (removed_total - removed_attack),

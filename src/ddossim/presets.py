@@ -2,8 +2,9 @@
 
 sim1 is a large web portal under a distributed flood (10000 legal clients,
 5000 attackers, fast service); sim2 a medium server with matched source
-counts and small buffers.  case1-3 scale the same pipeline to small,
-medium and large servers with increasing attack intensity.
+counts and small buffers.  case1 and case3 run the same pipeline on a
+small server and on a large portal with a heavier attack; the medium case
+is sim2.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ PRESETS: dict[str, Preset] = {
         name="case1",
         scenario=ScenarioConfig(n_legal=5, n_attack=40, lambda_n=0.1,
                                 lambda_a=0.4, mu=4.0, l1=40, l2=160,
-                                **_COMMON),
-        detector=DetectorConfig(methods=ALL_METHODS, **_DETECTOR_DEFAULTS),
-        id_method="history",
-    ),
-    # medium server, comparable counts (same sizing as sim2)
-    "case2": Preset(
-        name="case2",
-        scenario=ScenarioConfig(n_legal=50, n_attack=50, lambda_n=0.1,
-                                lambda_a=0.2, mu=8.0, l1=40, l2=160,
                                 **_COMMON),
         detector=DetectorConfig(methods=ALL_METHODS, **_DETECTOR_DEFAULTS),
         id_method="history",

@@ -1,11 +1,12 @@
 """Self-contained statistics kernel for the detection pipeline.
 
 Summary statistics, the one-sample Kolmogorov-Smirnov normality test, the
-pooled and Welch t statistics, Levene's variance test, and the special
-functions (normal CDF/quantile, regularized incomplete beta, Kolmogorov
-survival function) that back their p-values.  Everything is pure Python on
-top of the math module so the whole decision path can be audited and
-cross-checked against independent oracles.
+pooled t-test, Levene's variance test, and the special functions (normal
+CDF/quantile, regularized incomplete beta, Kolmogorov survival function)
+that back their p-values.  Everything is pure Python on top of the math
+module so the whole decision path can be audited and cross-checked
+against independent oracles.  The K-S test is not on the decision path;
+it describes the baseline sample.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "f_sf",
     "ks_normality",
     "upper_conf_bound",
-    "t_statistic_welch",
     "pooled_variance",
     "t_test_pooled",
     "levene_test",
@@ -274,15 +274,6 @@ def upper_conf_bound(stats: SummaryStats, alpha: float) -> ConfidenceBound:
     z = normal_quantile(1.0 - alpha)
     return ConfidenceBound(upper=stats.mean + z * stats.stddev / math.sqrt(stats.n),
                            level=1.0 - alpha)
-
-
-def t_statistic_welch(s1: SummaryStats, s2: SummaryStats) -> float:
-    if s1.n < 2 or s2.n < 2:
-        raise ValueError("Welch t needs n >= 2 in both samples")
-    denom = math.sqrt(s1.stddev ** 2 / s1.n + s2.stddev ** 2 / s2.n)
-    if denom == 0.0:
-        raise ValueError("no variance")
-    return (s1.mean - s2.mean) / denom
 
 
 def pooled_variance(s1: SummaryStats, s2: SummaryStats) -> float:

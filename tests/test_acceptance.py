@@ -23,7 +23,7 @@ from ddossim.presets import get_preset
 from ddossim.stats import (SummaryStats, levene_test, pooled_variance,
                            sample_mean, sample_stddev, t_test_pooled,
                            upper_conf_bound)
-from ddossim.traffic import TrafficStream, build_sources
+from ddossim.traffic import TrafficStream
 
 ACCEPTANCE_SEED = 2026
 
@@ -92,15 +92,14 @@ def test_criterion_4_fluid_fill_time():
     for seed in range(20):
         ss = np.random.SeedSequence(ACCEPTANCE_SEED + seed)
         rng_t, rng_s = (np.random.default_rng(s) for s in ss.spawn(2))
-        stream = TrafficStream(build_sources(sc), sc.n_slots, sc.slot_dt,
-                               rng_t, rng_s)
+        stream = TrafficStream(sc, rng_t, rng_s)
         buf = BufferState(sc.l1, sc.l2)
         service = sc.mu * sc.slot_dt
         fill = None
         for i in range(sc.n_slots):
             step(buf, stream.slot(i).aggregate, service)
             t = (i + 1) * sc.slot_dt
-            if t > sc.t_star and buf.is_l1_full():
+            if t > sc.t_star and buf.occupancy >= buf.l1:
                 fill = t - sc.t_star
                 break
         assert fill is not None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddossim.buffer import BufferState, is_l1_full, step
+from ddossim.buffer import BufferState, step
 
 
 def test_empty_buffer_serves_nothing():
@@ -30,12 +30,14 @@ def test_saturated_buffer_drops_everything():
 def test_is_l1_full_boundaries():
     buf = BufferState(l1=40, l2=30000)
     step(buf, 39, 0)
-    assert not is_l1_full(buf)
+    assert buf.occupancy == 39 < buf.l1
     step(buf, 1, 0)
-    assert is_l1_full(buf)
+    assert buf.occupancy == buf.l1
+    # this slot's arrivals are not backlog until a slot of service passes
+    assert not buf.is_l1_backlogged()
     step(buf, 30000, 0)
     assert buf.occupancy == 30040
-    assert is_l1_full(buf)
+    assert buf.is_l1_backlogged()
 
 
 def test_conservation_under_random_arrivals():
@@ -114,7 +116,7 @@ def test_post_service_backlog_vs_raw_occupancy():
     buf = BufferState(l1=40, l2=160)
     # a single large arrival batch exceeds l1 at end of slot...
     step(buf, 100, 150)
-    assert buf.is_l1_full()
+    assert buf.occupancy >= buf.l1
     # ...but is fully cleared by one slot of service, so no backlog persists
     step(buf, 100, 150)
     assert not buf.is_l1_backlogged()

@@ -8,10 +8,7 @@ import pytest
 
 from ddossim.buffer import BufferState, step
 from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method,
-                              SlidingWindow, detect_buffer, detect_ratio,
-                              detect_statistical, run_detection, window_average,
-                              window_push)
-from ddossim.traffic import SlotTraffic
+                              SlidingWindow, detect_ratio, detect_statistical)
 
 
 def make_cfg(**overrides) -> DetectorConfig:
@@ -26,13 +23,13 @@ def make_cfg(**overrides) -> DetectorConfig:
 
 def test_window_push_and_average():
     win = SlidingWindow(3)
-    window_push(win, 5)
-    assert window_average(win) == 5.0
+    win.push(5)
+    assert win.average() == 5.0
     win = SlidingWindow(3)
     for v in (1, 2, 3, 4):
-        window_push(win, v)
+        win.push(v)
     assert list(win.contents) == [2, 3, 4]
-    assert window_average(win) == 3.0
+    assert win.average() == 3.0
 
 
 def test_window_running_sum_exact_over_many_pushes():
@@ -42,7 +39,7 @@ def test_window_running_sum_exact_over_many_pushes():
     for v in values:
         win.push(int(v))
     assert win.running_sum == sum(win.contents)
-    assert window_average(win) == sum(win.contents) / len(win.contents)
+    assert win.average() == sum(win.contents) / len(win.contents)
 
 
 def test_window_average_matches_mean_at_every_step():
@@ -51,14 +48,14 @@ def test_window_average_matches_mean_at_every_step():
     for v in rng.integers(0, 100, size=2_000):
         win.push(int(v))
         assert win.running_sum == sum(win.contents)
-        assert window_average(win) == sum(win.contents) / len(win.contents)
+        assert win.average() == sum(win.contents) / len(win.contents)
 
 
 def test_window_errors():
     with pytest.raises(ValueError):
         SlidingWindow(0)
     with pytest.raises(ValueError, match="warmed up"):
-        window_average(SlidingWindow(3))
+        SlidingWindow(3).average()
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +81,17 @@ def test_ratio_monotonicity():
 
 
 def test_detect_buffer_thresholds():
+    # the buffer-full method fires once the backlog left after a slot's
+    # service reaches l1, and keeps firing while it stays there
+    det = Detector(make_cfg(methods=(Method.BUFFER_FULL,)), slot_dt=0.1)
     buf = BufferState(l1=40, l2=30_000)
-    step(buf, 39, 0)
-    assert not detect_buffer(buf)
-    step(buf, 1, 0)
-    assert detect_buffer(buf)
-    step(buf, 30_000, 0)
-    assert detect_buffer(buf)
+    for arrivals, fires in ((39, False), (1, False), (0, True), (30_000, True),
+                            (0, True)):
+        step(buf, arrivals, 0)
+        assert (det.observe(arrivals, buf) is Method.BUFFER_FULL) == fires
+    assert buf.post_service_occupancy == 30_040
+    # no buffer state given: the method cannot fire
+    assert det.observe(0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +101,7 @@ def test_detect_buffer_thresholds():
 def test_statistical_same_data_not_detected():
     rng = np.random.default_rng(34)
     baseline = rng.poisson(5, 30).astype(float).tolist()
-    hit, details = detect_statistical(baseline, list(baseline[-10:]), 0.05)
-    assert not hit
+    assert not detect_statistical(baseline, list(baseline[-10:]), 0.05)
 
 
 def test_statistical_attack_regime_always_detected():
@@ -111,8 +111,7 @@ def test_statistical_attack_regime_always_detected():
     for _ in range(1000):
         baseline = rng.poisson(5, 30).astype(float).tolist()
         current = rng.poisson(15, 10).astype(float).tolist()
-        hit, _ = detect_statistical(baseline, current, 0.05)
-        hits += hit
+        hits += detect_statistical(baseline, current, 0.05)
     assert hits == 1000
 
 
@@ -122,8 +121,7 @@ def test_statistical_null_false_alarm_rate():
     for _ in range(1000):
         baseline = rng.poisson(5, 30).astype(float).tolist()
         current = rng.poisson(5, 10).astype(float).tolist()
-        hit, _ = detect_statistical(baseline, current, 0.05)
-        hits += hit
+        hits += detect_statistical(baseline, current, 0.05)
     assert hits / 1000 <= 0.05 + 0.02
 
 
@@ -132,19 +130,17 @@ def test_statistical_scale_consistency():
     for _ in range(50):
         baseline = rng.poisson(5, 30).astype(float).tolist()
         current = rng.poisson(9, 10).astype(float).tolist()
-        hit1, _ = detect_statistical(baseline, current, 0.05)
+        hit1 = detect_statistical(baseline, current, 0.05)
         scale = 7.3
-        hit2, _ = detect_statistical([scale * x for x in baseline],
-                                     [scale * x for x in current], 0.05)
+        hit2 = detect_statistical([scale * x for x in baseline],
+                                  [scale * x for x in current], 0.05)
         assert hit1 == hit2
 
 
 def test_statistical_degenerate_baseline_falls_back_to_threshold():
     baseline = [5.0] * 30
-    hit, details = detect_statistical(baseline, [6.0, 6.0], 0.05)
-    assert hit
-    hit, _ = detect_statistical(baseline, [5.0, 5.0], 0.05)
-    assert not hit
+    assert detect_statistical(baseline, [6.0, 6.0], 0.05) is True
+    assert detect_statistical(baseline, [5.0, 5.0], 0.05) is False
 
 
 def test_statistical_input_validation():
@@ -158,9 +154,17 @@ def test_statistical_input_validation():
 # detector state machine
 # ---------------------------------------------------------------------------
 
-def constant_slots(values, start=0):
-    return [SlotTraffic(slot_index=start + i, aggregate=v, legal_aggregate=v,
-                        attack_aggregate=0) for i, v in enumerate(values)]
+def first_fire(cfg, aggregates, buf=None, service=0.0):
+    """(slots elapsed, method) at the first fire of a fresh detector, or
+    (None, None); buf, when given, is stepped with each aggregate first."""
+    det = Detector(cfg, slot_dt=0.1)
+    for i, v in enumerate(aggregates):
+        if buf is not None:
+            step(buf, v, service)
+        fired = det.observe(v, buf)
+        if fired is not None:
+            return i + 1, fired
+    return None, None
 
 
 def test_config_validation():
@@ -181,34 +185,22 @@ def test_config_validation():
 def test_run_detection_silent_attack_never_fires():
     # attackers that send nothing: constant normal traffic throughout
     cfg = make_cfg(methods=(Method.RATIO,))
-    slots = constant_slots([100] * 2000)
-    out = run_detection(slots, cfg, slot_dt=0.1)
-    assert not out.detected
-    assert out.method is None
+    assert first_fire(cfg, [100] * 2000) == (None, None)
 
 
 def test_run_detection_step_change_fires_ratio():
     cfg = make_cfg(methods=(Method.RATIO,))
-    dt = 0.1
-    slots = constant_slots([100] * 1000 + [300] * 500)
-    out = run_detection(slots, cfg, slot_dt=dt)
-    assert out.detected
-    assert out.method is Method.RATIO
-    assert out.t_hat >= 1000 * dt
+    elapsed, method = first_fire(cfg, [100] * 1000 + [300] * 500)
+    assert method is Method.RATIO
+    assert elapsed > 1000
 
 
 def test_run_detection_with_buffer_feed():
     cfg = make_cfg(methods=(Method.BUFFER_FULL,))
-    dt = 0.1
     buf = BufferState(l1=40, l2=160)
-    slots = constant_slots([5] * 500 + [30] * 200)
-    buffers = []
-    for s in slots:
-        step(buf, s.aggregate, 10 * dt * 10)   # service 10/slot
-        buffers.append(buf)
-    out = run_detection(slots, cfg, dt, buffers=buffers)
-    assert out.detected
-    assert out.method is Method.BUFFER_FULL
+    elapsed, method = first_fire(cfg, [5] * 500 + [30] * 200, buf, service=10.0)
+    assert method is Method.BUFFER_FULL
+    assert elapsed > 500
 
 
 def test_statistical_priority_over_ratio():
@@ -218,9 +210,8 @@ def test_statistical_priority_over_ratio():
     rng = np.random.default_rng(38)
     pre = rng.poisson(5, 1000).tolist()
     post = rng.poisson(50, 300).tolist()
-    out = run_detection(constant_slots(pre + post), cfg, slot_dt=0.1)
-    assert out.detected
-    assert out.method in (Method.STATISTICAL, Method.RATIO)
+    _, method = first_fire(cfg, pre + post)
+    assert method in (Method.STATISTICAL, Method.RATIO)
 
 
 def test_frozen_lambda_bar_is_pinned():
@@ -246,7 +237,7 @@ def test_frozen_ratio_fires_against_pinned_baseline():
     det.rearm()
     fired = None
     for _ in range(200):
-        fired, _ = det.observe(100)
+        fired = det.observe(100)
         if fired:
             break
     assert fired is Method.RATIO
@@ -263,8 +254,7 @@ def test_rearm_requires_fresh_short_window():
     det.rearm()
     # immediately after rearm the short window is empty: no fire on a
     # normal-level slot even though the previous contents were attack-level
-    fired, _ = det.observe(10)
-    assert fired is None
+    assert det.observe(10) is None
 
 
 def test_unfreeze_discards_excursion_buckets():
@@ -285,7 +275,6 @@ def test_unfreeze_discards_excursion_buckets():
     checks_before = det.stat_checks
     fires = 0
     for v in rng.poisson(0.5, 30_000):
-        fired, _ = det.observe(int(v))
-        fires += fired is Method.STATISTICAL
+        fires += det.observe(int(v)) is Method.STATISTICAL
     assert det.stat_checks > checks_before
     assert fires / (det.stat_checks - checks_before) <= 0.05 + 0.03

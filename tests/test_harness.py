@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from ddossim.detector import DetectorConfig, Method
-from ddossim.harness import (RestorationMonitor, batch_seeds, declare_restored,
-                             run_batch, run_once, sweep_window)
+from ddossim.detector import Method
+from ddossim.harness import (RestorationMonitor, batch_seeds, run_batch, run_once,
+                             sweep_window)
 from ddossim.presets import PRESETS
 from ddossim.stats import sample_mean, sample_stddev
 
@@ -70,6 +70,15 @@ def test_run_once_config_errors():
         run_once(scenario, det, "nonsense", seed=1)
 
 
+def test_reported_times_are_exact_decimals():
+    # times are slot counts divided by slots per second, so they carry no
+    # float residue from multiplying by slot_dt
+    scenario, det, idm = small_run()
+    assert run_once(scenario, det, idm, seed=0).restore_time == 39.2
+    m = run_once(scenario, det, idm, seed=5)
+    assert (m.detection_time, m.restore_time, m.max_buffer_time) == (7.0, 49.7, 179.6)
+
+
 def test_detection_never_precedes_attack_when_no_false_alarm():
     scenario, det, idm = small_run()
     for seed in range(8):
@@ -115,13 +124,14 @@ def test_restoration_requires_admitted_near_baseline():
 
 
 def test_declare_restored_times_first_instant():
-    cfg = DetectorConfig(w_s=1.0, w_l=45.0, r=0.6)
-    backlogs = [100] * 10 + [0] * 30
-    admitted = [0] * 40
-    t = declare_restored(backlogs, admitted, l1=40, baseline_rate=10.0,
-                         cfg=cfg, slot_dt=0.1, t_star=0.0)
-    assert t == pytest.approx(2.0)   # 10 bad slots + 10-slot clean streak
-    assert declare_restored([100] * 20, [0] * 20, 40, 10.0, cfg, 0.1) is None
+    def first_restored_slot(backlogs):
+        mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
+                                 slot_dt=0.1)
+        return next((i + 1 for i, b in enumerate(backlogs) if mon.update(b, 0)), None)
+
+    # 10 bad slots + 10-slot clean streak: restored 2.0 s in
+    assert first_restored_slot([100] * 10 + [0] * 30) == 20
+    assert first_restored_slot([100] * 20) is None
 
 
 # ---------------------------------------------------------------------------

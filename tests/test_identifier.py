@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddossim.identifier import (FilterState, PerSourceMeasurement,
-                                WindowCounts, apply_filter,
-                                estimate_attack_rate, identify_by_history,
-                                identify_greedy, measure_per_source)
+from ddossim.identifier import (PerSourceMeasurement, WindowCounts,
+                                apply_filter, estimate_attack_rate,
+                                identify_by_history, identify_greedy,
+                                measure_per_source)
 from ddossim.traffic import SlotTraffic
 
 
@@ -212,17 +212,16 @@ def test_history_exempt_sources_never_blocked():
 # ---------------------------------------------------------------------------
 
 def test_filter_empty_blocked_is_identity():
-    filt = FilterState(blocked=mask_of([], 3), activated_at=0.0)
     slot = slot_of(3, {1: 2, 2: 5})
-    assert apply_filter(filt, slot) is slot
+    assert apply_filter(mask_of([], 3), slot) is slot
 
 
 def test_filter_all_blocked_zeroes_aggregate():
-    filt = FilterState(blocked=mask_of({1, 2}, 3), activated_at=0.0)
-    out = apply_filter(filt, slot_of(0, {1: 2, 2: 5}))
+    slot = slot_of(0, {1: 2, 2: 5})
+    out = apply_filter(mask_of({1, 2}, 3), slot)
+    assert slot.aggregate - out.aggregate == 7
     assert out.aggregate == 0
     assert not out.per_source.any()
-    assert filt.cumulative_filtered == 7
 
 
 def test_filter_never_touches_unblocked_sources():
@@ -231,8 +230,7 @@ def test_filter_never_touches_unblocked_sources():
         per_source = {int(i): int(c) for i, c in
                       enumerate(rng.integers(0, 10, 12))}
         blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
-        filt = FilterState(blocked=mask_of(blocked, 12), activated_at=0.0)
-        out = apply_filter(filt, slot_of(0, per_source))
+        out = apply_filter(mask_of(blocked, 12), slot_of(0, per_source))
         for sid, c in per_source.items():
             if sid in blocked:
                 assert out.per_source[sid] == 0
@@ -245,16 +243,14 @@ def test_filter_splits_removed_volume_by_ground_truth():
     per_source = counts_of({1: 4, 2: 6, 3: 5}, 4)
     slot = SlotTraffic(slot_index=0, aggregate=15, legal_aggregate=9,
                        attack_aggregate=6, per_source=per_source)
-    filt = FilterState(blocked=mask_of({1, 2}, 4), activated_at=0.0)
-    out = apply_filter(filt, slot, attackers=mask_of({2}, 4))
+    out = apply_filter(mask_of({1, 2}, 4), slot, attackers=mask_of({2}, 4))
     assert out.legal_aggregate == 9 - 4
     assert out.attack_aggregate == 6 - 6
     assert out.aggregate == 5
 
 
 def test_filter_requires_per_source_when_active():
-    filt = FilterState(blocked=mask_of({1}, 2), activated_at=0.0)
     bare = SlotTraffic(slot_index=0, aggregate=3, legal_aggregate=3,
                        attack_aggregate=0)
     with pytest.raises(ValueError, match="per-source"):
-        apply_filter(filt, bare)
+        apply_filter(mask_of({1}, 2), bare)

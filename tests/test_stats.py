@@ -16,7 +16,7 @@ from ddossim.stats import (ConfidenceBound, SummaryStats, betainc_reg, f_sf,
                            kolmogorov_sf, ks_normality, levene_test,
                            normal_cdf, normal_quantile, pooled_variance,
                            sample_mean, sample_stddev, student_t_two_sided_p,
-                           t_statistic_welch, t_test_pooled, upper_conf_bound)
+                           t_test_pooled, upper_conf_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +251,6 @@ def test_ucb_validation():
 # ---------------------------------------------------------------------------
 # t statistics and pooled variance
 # ---------------------------------------------------------------------------
-
-def test_welch_t_reference():
-    s1 = SummaryStats(mean=5.0, stddev=2.0, n=4)
-    s2 = SummaryStats(mean=3.0, stddev=2.0, n=4)
-    assert t_statistic_welch(s1, s2) == pytest.approx(2.0 / math.sqrt(2.0),
-                                                      rel=1e-12)
-
-
-def test_welch_t_properties():
-    s1 = SummaryStats(4.0, 1.5, 10)
-    s2 = SummaryStats(7.0, 2.5, 12)
-    assert t_statistic_welch(s1, s1) == 0.0
-    assert t_statistic_welch(s1, s2) == -t_statistic_welch(s2, s1)
-    with pytest.raises(ValueError, match="no variance"):
-        t_statistic_welch(SummaryStats(1.0, 0.0, 5), SummaryStats(2.0, 0.0, 5))
-
 
 def test_pooled_variance_reference():
     # (1*1 + 2*4) / 3 = 3

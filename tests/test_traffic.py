@@ -1,5 +1,5 @@
-"""Traffic generator tests: population building, Poisson moments,
-per-source attribution, activity windows, determinism."""
+"""Traffic generator tests: population layout, config validation, Poisson
+moments, per-source attribution, activity windows, determinism."""
 
 import dataclasses
 import math
@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from ddossim.harness import run_once
 from ddossim.presets import get_preset
-from ddossim.traffic import (ScenarioConfig, SourceKind, TrafficSource,
-                             TrafficStream, build_sources)
+from ddossim.traffic import ScenarioConfig, TrafficStream
 
 
 def large_config(**overrides) -> ScenarioConfig:
@@ -28,33 +28,53 @@ def small_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def stream_of(cfg, seed=0, split_seed=None):
+    split_seed = seed + 1 if split_seed is None else split_seed
+    return TrafficStream(cfg, np.random.default_rng(seed),
+                         np.random.default_rng(split_seed))
+
+
+def active_ids(stream, slots):
+    """Ids of the sources that sent at least one packet over the slots."""
+    sent = np.zeros(stream.n_sources, dtype=bool)
+    for i in slots:
+        sent |= stream.slot(i, want_per_source=True).per_source > 0
+    return sent
+
+
 # ---------------------------------------------------------------------------
-# population building
+# population layout
 # ---------------------------------------------------------------------------
 
 def test_build_sources_large_population():
-    sources = build_sources(large_config())
-    legal = [s for s in sources if s.kind is SourceKind.LEGAL]
-    attack = [s for s in sources if s.kind is SourceKind.ATTACKING]
-    assert len(legal) == 10_000
-    assert len(attack) == 5_000
-    assert all(s.active_from == 0.0 and s.active_to == 300.0 for s in legal)
-    assert all(s.active_from == 100.0 and s.active_to == 200.0 for s in attack)
+    cfg = large_config()
+    stream = stream_of(cfg)
+    assert stream.n_sources == 15_000
+    legal, attack = slice(0, 10_000), slice(10_000, 15_000)
+    # legal sources are active over the whole run, attackers over [100, 200)
+    for i in (0, 999, 1000, 1999, 2000, 2999):
+        slot = stream.slot(i, want_per_source=True)
+        assert slot.per_source[legal].sum() == slot.legal_aggregate > 0
+        assert slot.per_source[attack].sum() == slot.attack_aggregate
+        assert (slot.attack_aggregate > 0) == (1000 <= i < 2000)
 
 
 def test_build_sources_small_population():
-    sources = build_sources(small_config())
-    kinds = [s.kind for s in sources]
-    assert kinds.count(SourceKind.LEGAL) == 50
-    assert kinds.count(SourceKind.ATTACKING) == 50
+    cfg = small_config()
+    stream = stream_of(cfg)
+    assert stream.n_sources == 100
+    # every legal source sends before the attack; during it every source
+    # of both kinds does, and legal traffic lands on ids 0..49 only
+    pre = active_ids(stream, range(0, 1000))
+    assert pre[:50].all() and not pre[50:].any()
+    during = active_ids(stream, range(1000, 2000))
+    assert during.all()
 
 
 def test_build_sources_no_attackers():
     cfg = small_config(n_attack=0)
-    sources = build_sources(cfg)
-    assert all(s.kind is SourceKind.LEGAL for s in sources)
-    stream = TrafficStream(sources, cfg.n_slots, cfg.slot_dt,
-                           np.random.default_rng(0))
+    stream = stream_of(cfg)
+    assert stream.n_sources == 50
     assert all(stream.slot(i).attack_aggregate == 0 for i in range(cfg.n_slots))
 
 
@@ -71,11 +91,40 @@ def test_config_validation():
 
 def test_config_derived_values():
     cfg = small_config()
-    assert cfg.q == pytest.approx(2.0)
     assert cfg.n_slots == 3000
-    assert cfg.sigma_n == pytest.approx(math.sqrt(50 * 0.1 * 0.1))
-    assert list(cfg.legal_ids()) == list(range(50))
-    assert list(cfg.attacker_ids()) == list(range(50, 100))
+    assert cfg.slots_per_second == 10
+    assert cfg.slots_in(cfg.t_star) == 1000
+    fine = small_config(slot_dt=0.002, t_star=5.0, attack_end=6.0, total_duration=6.0)
+    fine.validate()
+    assert (fine.slots_per_second, fine.n_slots) == (500, 3000)
+
+
+def test_slot_longer_than_a_second_rejected():
+    # one-second buckets cannot be built from 2 s slots, so the statistical
+    # method would never run
+    with pytest.raises(ValueError, match="whole number of slots"):
+        small_config(slot_dt=2.0).validate()
+    sim2 = get_preset("sim2")
+    with pytest.raises(ValueError, match="whole number of slots"):
+        run_once(dataclasses.replace(sim2.scenario, slot_dt=2.0), sim2.detector,
+                 sim2.id_method, seed=0)
+
+
+def test_slot_not_tiling_a_second_rejected():
+    # three 0.3 s slots make a 0.9 s "one-second" bucket
+    with pytest.raises(ValueError, match="whole number of slots"):
+        small_config(slot_dt=0.3).validate()
+
+
+def test_times_off_the_slot_grid_rejected():
+    # an onset between slots would skew every latency against it
+    with pytest.raises(ValueError, match="t_star=100.05 is not on the grid"):
+        small_config(t_star=100.05).validate()
+    with pytest.raises(ValueError, match="attack_end"):
+        small_config(attack_end=200.01).validate()
+    with pytest.raises(ValueError, match="total_duration"):
+        small_config(total_duration=300.04).validate()
+    small_config(slot_dt=0.5, t_star=100.5, attack_end=200.0).validate()
 
 
 def test_scenario_config_frozen():
@@ -91,12 +140,11 @@ def test_scenario_config_frozen():
 
 def test_stream_bit_exact_determinism():
     cfg = small_config()
-    sources = build_sources(cfg)
 
     def trace(seed):
         ss = np.random.SeedSequence(seed)
         r1, r2 = (np.random.default_rng(s) for s in ss.spawn(2))
-        stream = TrafficStream(sources, cfg.n_slots, cfg.slot_dt, r1, r2)
+        stream = TrafficStream(cfg, r1, r2)
         return [stream.slot(i, want_per_source=(i % 7 == 0))
                 for i in range(cfg.n_slots)]
 
@@ -116,8 +164,7 @@ def test_stream_bit_exact_determinism():
 def test_pre_attack_mean_within_three_sigma():
     cfg = small_config(total_duration=10_000.0, t_star=9_000.0,
                        attack_end=9_001.0)
-    stream = TrafficStream(build_sources(cfg), 100_000, cfg.slot_dt,
-                           np.random.default_rng(3))
+    stream = stream_of(cfg, 3)
     counts = [stream.slot(i).aggregate for i in range(90_000)]
     lam = cfg.n_legal * cfg.lambda_n * cfg.slot_dt
     m = len(counts)
@@ -126,8 +173,7 @@ def test_pre_attack_mean_within_three_sigma():
 
 def test_attack_window_mean():
     cfg = small_config()
-    stream = TrafficStream(build_sources(cfg), cfg.n_slots, cfg.slot_dt,
-                           np.random.default_rng(4))
+    stream = stream_of(cfg, 4)
     lo, hi = int(100 / cfg.slot_dt), int(200 / cfg.slot_dt)
     counts = [stream.slot(i).aggregate for i in range(lo, hi)]
     lam = (cfg.n_legal * cfg.lambda_n + cfg.n_attack * cfg.lambda_a) * cfg.slot_dt
@@ -140,8 +186,7 @@ def test_attack_window_mean():
 
 def test_per_source_counts_sum_to_aggregate():
     cfg = small_config()
-    stream = TrafficStream(build_sources(cfg), cfg.n_slots, cfg.slot_dt,
-                           np.random.default_rng(5), np.random.default_rng(6))
+    stream = stream_of(cfg, 5, 6)
     for i in range(0, cfg.n_slots, 13):
         slot = stream.slot(i, want_per_source=True)
         assert slot.per_source.dtype == np.int64
@@ -152,9 +197,8 @@ def test_per_source_counts_sum_to_aggregate():
 
 def test_no_attack_packets_outside_window():
     cfg = small_config()
-    attackers = list(cfg.attacker_ids())
-    stream = TrafficStream(build_sources(cfg), cfg.n_slots, cfg.slot_dt,
-                           np.random.default_rng(7), np.random.default_rng(8))
+    attackers = slice(cfg.n_legal, cfg.n_legal + cfg.n_attack)
+    stream = stream_of(cfg, 7, 8)
     for i in range(cfg.n_slots):
         t = i * cfg.slot_dt
         slot = stream.slot(i, want_per_source=True)
@@ -163,44 +207,23 @@ def test_no_attack_packets_outside_window():
             assert not slot.per_source[attackers].any()
 
 
-def test_per_source_counts_land_on_interleaved_ids():
-    # a class whose ids are not one contiguous run
-    sources = [TrafficSource(0, SourceKind.LEGAL, 1.0, 0.0, 10.0),
-               TrafficSource(1, SourceKind.ATTACKING, 2.0, 5.0, 10.0),
-               TrafficSource(2, SourceKind.LEGAL, 1.0, 0.0, 10.0),
-               TrafficSource(3, SourceKind.ATTACKING, 2.0, 5.0, 10.0)]
-    stream = TrafficStream(sources, 100, 0.1, np.random.default_rng(10))
-    for i in range(100):
-        slot = stream.slot(i, want_per_source=True)
-        assert slot.per_source[[0, 2]].sum() == slot.legal_aggregate
-        assert slot.per_source[[1, 3]].sum() == slot.attack_aggregate
-        if i < 50:
-            assert slot.attack_aggregate == 0
-
-
 def test_split_proportions_follow_rates():
-    # two legal sources with rates 1 and 3 should split counts near 1:3
-    sources = [TrafficSource(0, SourceKind.LEGAL, 1.0, 0.0, 500.0),
-               TrafficSource(1, SourceKind.LEGAL, 3.0, 0.0, 500.0)]
-    stream = TrafficStream(sources, 5_000, 0.1, np.random.default_rng(9))
-    total = {0: 0, 1: 0}
-    for i in range(5_000):
-        slot = stream.slot(i, want_per_source=True)
-        for sid, c in enumerate(slot.per_source):
-            total[sid] += int(c)
-    n = total[0] + total[1]
-    p = total[1] / n
-    # binomial 3-sigma band around 0.75
-    assert abs(p - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / n)
+    # four legal sources at equal rates should each get a quarter of the counts
+    cfg = small_config(n_legal=4, n_attack=0, lambda_n=1.0, total_duration=500.0)
+    stream = stream_of(cfg, 9)
+    total = np.zeros(4, dtype=np.int64)
+    for i in range(cfg.n_slots):
+        total += stream.slot(i, want_per_source=True).per_source
+    n = int(total.sum())
+    # binomial 3-sigma band around 0.25 for each source
+    assert np.all(np.abs(total / n - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n))
 
 
 def test_stream_slot_inactive_population():
     cfg = small_config()
-    sources = build_sources(cfg)
+    stream = stream_of(cfg)
     # slot beyond every activity window
-    i = int(cfg.total_duration / cfg.slot_dt) + 10
-    stream = TrafficStream(sources, i + 1, cfg.slot_dt, np.random.default_rng(0))
-    slot = stream.slot(i, want_per_source=True)
+    slot = stream.slot(cfg.n_slots + 10, want_per_source=True)
     assert slot.aggregate == 0
-    assert len(slot.per_source) == len(sources)
+    assert len(slot.per_source) == cfg.n_legal + cfg.n_attack
     assert not slot.per_source.any()

@@ -6,7 +6,7 @@ per-source filtering, and a batch harness with confidence-interval
 reporting.
 """
 
-from .buffer import BufferState, SlotOutcome, step
+from .buffer import BufferState, step
 from .detector import (Detector, DetectorConfig, Method, SlidingWindow,
                        detect_ratio, detect_statistical)
 from .harness import (BatchStats, MetricSummary, RunMetrics, run_batch,

@@ -9,17 +9,7 @@ mu * slot_dt even when that product is not an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["BufferState", "SlotOutcome", "step"]
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    admitted: int
-    dropped: int
-    served: int
-    occupancy_after: int
+__all__ = ["BufferState", "step"]
 
 
 class BufferState:
@@ -62,11 +52,12 @@ class BufferState:
                 f"served={self.cumulative_served}, dropped={self.cumulative_dropped})")
 
 
-def step(state: BufferState, arrivals: int, service_per_slot: float) -> SlotOutcome:
+def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
     """Advance the buffer by one slot: serve, then admit, then account.
 
-    Conservation: occupancy_after = occupancy_before - served + admitted,
-    and admitted + dropped = arrivals.
+    Returns the packets admitted.  Conservation: occupancy after the slot
+    is occupancy before - served + admitted, and admitted + dropped =
+    arrivals; the state's cumulative counters carry served and dropped.
     """
     if arrivals < 0:
         raise ValueError("arrivals must be >= 0")
@@ -96,5 +87,4 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> SlotOutc
         state.peak_occupancy = state.occupancy
         state.peak_slot = state._slot
     state._slot += 1
-    return SlotOutcome(admitted=admitted, dropped=dropped, served=served,
-                       occupancy_after=state.occupancy)
+    return admitted

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
 from .detector import DetectorConfig, Method
-from .harness import BatchStats, RunMetrics, run_batch, run_once, sweep_window
+from .harness import (BatchStats, RunMetrics, check_configs, run_batch, run_once,
+                      sweep_window)
 from .presets import PRESETS, get_preset
 from .traffic import ScenarioConfig
 
@@ -157,8 +158,7 @@ def load_config(path: str) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSp
 
     spec = ExperimentSpec(**exp_kwargs)
     try:
-        scenario.validate()
-        detector.validate()
+        check_configs(scenario, detector)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     spec.validate()

@@ -18,6 +18,7 @@ from typing import Optional
 from .buffer import BufferState
 from .stats import (SummaryStats, levene_test, sample_mean, t_test_pooled,
                     upper_conf_bound)
+from .traffic import slots_in
 
 __all__ = [
     "Method",
@@ -65,6 +66,22 @@ class DetectorConfig:
             raise ValueError("baseline_len must be >= 8")
         if not self.methods:
             raise ValueError("at least one detection method must be enabled")
+
+    def window_slots(self, slot_dt: float) -> tuple[int, int, int]:
+        """(w_s, w_l, c) in whole slots of slot_dt.
+
+        Each window must lie on the slot grid.  The statistical method
+        tests one-second arrival buckets, so with it enabled w_s and c must
+        also be whole seconds, and w_s at least the two samples a test needs.
+        """
+        ws, wl, c = (slots_in(getattr(self, name), slot_dt, name)
+                     for name in ("w_s", "w_l", "c"))
+        if Method.STATISTICAL in self.methods:
+            per_second = slots_in(1.0, slot_dt, "one second")
+            if ws % per_second or c % per_second or ws < 2 * per_second:
+                raise ValueError(f"the statistical method needs w_s and c in whole "
+                                 f"seconds and w_s >= 2; got w_s={self.w_s}, c={self.c}")
+        return ws, wl, c
 
 
 class SlidingWindow:
@@ -148,15 +165,17 @@ class Detector:
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
         cfg.validate()
         self.cfg = cfg
-        self.short = SlidingWindow(max(1, round(cfg.w_s / slot_dt)))
-        self.long = SlidingWindow(max(2, round(cfg.w_l / slot_dt)))
-        self._slots_per_bucket = max(1, round(1.0 / slot_dt))
+        ws, wl, c = cfg.window_slots(slot_dt)
+        self.short = SlidingWindow(ws)
+        self.long = SlidingWindow(wl)
+        self._slots_per_bucket = slots_in(1.0, slot_dt, "one second")
         self._bucket_acc = 0
         self._bucket_fill = 0
-        self._c_buckets = max(1, round(cfg.c))
-        self._ws_buckets = max(2, round(cfg.w_s))
-        self.buckets: deque[int] = deque(maxlen=self._c_buckets + cfg.baseline_len)
-        self._lambda_bar_ring: deque[float] = deque(maxlen=max(1, round(cfg.c / slot_dt)))
+        # exact bucket counts whenever the statistical method is on
+        self._ws_buckets = ws // self._slots_per_bucket
+        self.buckets: deque[int] = deque(
+            maxlen=c // self._slots_per_bucket + cfg.baseline_len)
+        self._lambda_bar_ring: deque[float] = deque(maxlen=c)
         self.stat_checks = 0
         self.stat_positives = 0
         self._frozen = False
@@ -205,16 +224,21 @@ class Detector:
     def unfreeze(self) -> None:
         """Resume normal monitoring after restoration.
 
-        All buckets collected during the episode are discarded along with
-        the pre-fire excursion, so the baseline picks up exactly where it
-        left off and episode traffic never rotates into it.
+        All buckets collected during the episode are discarded, and so are
+        the trailing w_s buckets before it -- the excursion that triggered
+        the fire -- so the baseline picks up exactly where it left off and
+        attack-era buckets never rotate into it.  The short window is
+        cleared too, so the same data cannot re-fire instantly; the
+        statistical method re-arms once fresh buckets refill the gap.
         """
         self._frozen = False
         self._frozen_baseline = None
-        for _ in range(min(self._frozen_appended, len(self.buckets))):
+        for _ in range(min(self._frozen_appended + self._ws_buckets, len(self.buckets))):
             self.buckets.pop()
         self._frozen_appended = 0
-        self.reset_after_episode()
+        self.short.clear()
+        self._bucket_acc = 0
+        self._bucket_fill = 0
 
     def rearm(self) -> None:
         """Require fresh post-filter traffic before the next fire.
@@ -225,21 +249,6 @@ class Detector:
         """
         self.short.clear()
         self._fresh_buckets = 0
-
-    def reset_after_episode(self) -> None:
-        """Re-arm after a measurement/filtering episode.
-
-        Clears the short window and discards the trailing w_s arrival
-        buckets -- the excursion that triggered the fire -- so the same
-        frozen data cannot re-fire instantly and attack-era buckets never
-        rotate into the baseline.  The statistical method re-arms once
-        fresh buckets refill the gap.
-        """
-        self.short.clear()
-        for _ in range(min(self._ws_buckets, len(self.buckets))):
-            self.buckets.pop()
-        self._bucket_acc = 0
-        self._bucket_fill = 0
 
     def observe(self, aggregate: int,
                 buffer: Optional[BufferState] = None) -> Optional[Method]:

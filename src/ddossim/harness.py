@@ -26,12 +26,13 @@ from .detector import Detector, DetectorConfig, Method
 from .identifier import (WindowCounts, apply_filter, estimate_attack_rate,
                          identify_by_history, identify_greedy, measure_per_source)
 from .stats import sample_mean, sample_stddev
-from .traffic import ScenarioConfig, TrafficStream
+from .traffic import ScenarioConfig, TrafficStream, slots_in
 
 __all__ = [
     "RunMetrics",
     "MetricSummary",
     "BatchStats",
+    "check_configs",
     "run_once",
     "run_batch",
     "sweep_window",
@@ -85,17 +86,17 @@ class RestorationMonitor:
     """Tracks the sustained restoration condition during a filtering episode.
 
     Restored once the buffer backlog (net of each slot's service) has
-    stayed below l1 for w_s consecutive seconds while the traffic admitted
-    over those w_s seconds is at most (1+r) times the frozen baseline
-    rate.  Backlog rather than raw occupancy, for the same reason the
-    buffer-full detector uses it: at coarse slot sizes one slot's arrival
-    batch can exceed l1 on its own under normal load.
+    stayed below l1 for ws_slots consecutive slots (w_s seconds) while the
+    traffic admitted over those slots is at most (1+r) times the frozen
+    baseline rate over w_s.  Backlog rather than raw occupancy, for the
+    same reason the buffer-full detector uses it: at coarse slot sizes one
+    slot's arrival batch can exceed l1 on its own under normal load.
     """
 
     def __init__(self, l1: int, baseline_rate: float, r: float,
-                 w_s: float, slot_dt: float):
+                 w_s: float, ws_slots: int):
         self.l1 = l1
-        self.ws_slots = max(1, round(w_s / slot_dt))
+        self.ws_slots = ws_slots
         self.threshold_sum = (1.0 + r) * baseline_rate * w_s
         self._admitted: deque[int] = deque(maxlen=self.ws_slots)
         self._admitted_sum = 0
@@ -112,9 +113,11 @@ class RestorationMonitor:
                 and self._admitted_sum <= self.threshold_sum)
 
 
-def _check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
+def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
+    """Reject a scenario and detector pair that cannot run as specified."""
     scenario.validate()
     cfg.validate()
+    cfg.window_slots(scenario.slot_dt)
     if cfg.w_l >= scenario.t_star:
         raise ValueError("long window w_l must warm up before the attack onset t_star")
     if Method.STATISTICAL in cfg.methods:
@@ -126,7 +129,7 @@ def _check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
              id_method: str = "greedy", seed: Optional[int] = None) -> RunMetrics:
     """Execute one complete scenario and collect its metrics."""
-    _check_configs(scenario, detector_cfg)
+    check_configs(scenario, detector_cfg)
     if id_method not in ("greedy", "history"):
         raise ValueError(f"unknown identification method {id_method!r}")
     if seed is None:
@@ -140,10 +143,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
     dt = scenario.slot_dt
     service = scenario.mu * dt
-    ws_slots = max(1, round(detector_cfg.w_s / dt))
+    ws_slots, _, c_slots = detector_cfg.window_slots(dt)
     # reported times are whole slot counts over slots per second
     per_second = scenario.slots_per_second
-    onset = scenario.slots_in(scenario.t_star)
+    onset = slots_in(scenario.t_star, dt, "t_star")
     truth_attackers = np.arange(stream.n_sources) >= scenario.n_legal
 
     phase = "monitor"
@@ -151,7 +154,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     measured: Optional[WindowCounts] = None
     restoration: Optional[RestorationMonitor] = None
     episode_primary = False
-    t_hat = 0.0
+    fire = 0                                   # slots elapsed at the episode's fire
     baseline_rate = 0.0
 
     detection_time: Optional[float] = None
@@ -166,12 +169,12 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         want_ps = phase == "measure" or blocked is not None
         slot = stream.slot(i, want_per_source=want_ps)
         if blocked is not None:
-            slot = apply_filter(blocked, slot, truth_attackers)
-        out = step(buf, slot.aggregate, service)
+            slot = apply_filter(blocked, slot)
+        admitted = step(buf, slot.aggregate, service)
         fired = det.observe(slot.aggregate, buf)
 
         if restoration is not None and restoration.update(buf.post_service_occupancy,
-                                                          out.admitted):
+                                                          admitted):
             # sustained-normal condition met: release the filter
             if episode_primary and restore_time is None:
                 restore_time = (elapsed - onset) / per_second
@@ -185,14 +188,14 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         if phase == "measure":
             measured.add(slot)
             if measured.slots == ws_slots:
-                window = (t_hat, t_hat + detector_cfg.w_s)
-                m = measure_per_source(measured, window)
+                m = measure_per_source(measured, detector_cfg.w_s)
                 total_rate = measured.packets / detector_cfg.w_s
                 budget = estimate_attack_rate(total_rate, baseline_rate)
                 if id_method == "history":
-                    # legal sources are active from 0, attackers from t_star
-                    active_from = np.where(truth_attackers, scenario.t_star, 0.0)
-                    pre_active = active_from <= t_hat - detector_cfg.c
+                    # legal sources are active from slot 0, attackers from
+                    # the onset; exempt those active c before the fire
+                    active_from = np.where(truth_attackers, onset, 0)
+                    pre_active = active_from <= fire - c_slots
                     suspects = identify_by_history(m, pre_active, budget)
                 else:
                     suspects = identify_greedy(m, budget)
@@ -200,7 +203,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                     blocked = suspects
                     restoration = RestorationMonitor(scenario.l1, baseline_rate,
                                                      detector_cfg.r,
-                                                     detector_cfg.w_s, dt)
+                                                     detector_cfg.w_s, ws_slots)
                 else:
                     # re-measurement of residual traffic: widen the block set
                     blocked = blocked | suspects
@@ -229,7 +232,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 detection_time = latency / per_second
                 detection_method = fired.value
                 episode_primary = True
-            t_hat = elapsed / per_second
+            fire = elapsed
             measured = WindowCounts(stream.n_sources)
             phase = "measure"
 

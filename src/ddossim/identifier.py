@@ -14,7 +14,6 @@ sources, exemptions, ground truth) are boolean masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,13 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerSourceMeasurement:
-    start: float                    # seconds
-    end: float                      # seconds
     rates: np.ndarray               # packets/sec by source id
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class WindowCounts:
@@ -58,14 +51,12 @@ class WindowCounts:
         self.slots += 1
 
 
-def measure_per_source(window_counts: WindowCounts,
-                       window: tuple[float, float]) -> PerSourceMeasurement:
-    """Per-source rates in packets/sec over the window; silent sources get 0."""
-    start, end = window
-    duration = end - start
+def measure_per_source(window_counts: WindowCounts, duration: float) -> PerSourceMeasurement:
+    """Per-source rates in packets/sec over a window of duration seconds;
+    silent sources get 0."""
     if duration <= 0 or not window_counts.slots:
         raise ValueError("empty measurement window")
-    return PerSourceMeasurement(start=start, end=end, rates=window_counts.counts / duration)
+    return PerSourceMeasurement(rates=window_counts.counts / duration)
 
 
 def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:
@@ -109,13 +100,8 @@ def identify_by_history(measurement: PerSourceMeasurement,
                           attack_rate_budget)
 
 
-def apply_filter(blocked: np.ndarray, slot: SlotTraffic,
-                 attackers: Optional[np.ndarray] = None) -> SlotTraffic:
-    """Discard counts from the blocked sources (a mask) before buffer admission.
-
-    attackers (ground-truth attacking mask) is only used to keep the
-    legal/attack aggregate split of the returned record consistent.
-    """
+def apply_filter(blocked: np.ndarray, slot: SlotTraffic) -> SlotTraffic:
+    """Discard counts from the blocked sources (a mask) before buffer admission."""
     if not blocked.any():
         return slot
     if slot.per_source is None:
@@ -124,9 +110,6 @@ def apply_filter(blocked: np.ndarray, slot: SlotTraffic,
     removed_total = int(removed.sum())
     if not removed_total:
         return slot
-    removed_attack = int(removed.sum(where=attackers)) if attackers is not None else 0
     return SlotTraffic(slot_index=slot.slot_index,
                        aggregate=slot.aggregate - removed_total,
-                       legal_aggregate=slot.legal_aggregate - (removed_total - removed_attack),
-                       attack_aggregate=slot.attack_aggregate - removed_attack,
                        per_source=slot.per_source - removed)

@@ -20,10 +20,25 @@ __all__ = [
     "ScenarioConfig",
     "SlotTraffic",
     "TrafficStream",
+    "slots_in",
 ]
 
-# how far 1/slot_dt and a time in slots may sit from a whole number
+# how far a span in slots may sit from a whole number, relative to its size
 _GRID_TOL = 1e-9
+
+
+def slots_in(seconds: float, slot_dt: float, name: str) -> int:
+    """Whole slots of slot_dt in a span of seconds.
+
+    Every seconds-to-slots conversion goes through here, so a span that is
+    not a positive whole number of slots is rejected rather than rounded.
+    """
+    slots = seconds / slot_dt
+    whole = round(slots)
+    if whole < 1 or abs(slots - whole) > _GRID_TOL * max(1.0, slots):
+        raise ValueError(f"{name}={seconds} is not on the grid of slot_dt={slot_dt}: "
+                         "it is not a whole number of slots")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -60,36 +75,23 @@ class ScenarioConfig:
             raise ValueError("slot_dt must be > 0")
         # one-second arrival buckets and times reported in seconds are
         # whole numbers of slots
-        per_second = 1.0 / self.slot_dt
-        if round(per_second) < 1 or abs(per_second - round(per_second)) > _GRID_TOL:
-            raise ValueError(f"slot_dt={self.slot_dt} does not divide one second "
-                             "into a whole number of slots")
+        slots_in(1.0, self.slot_dt, "one second")
         for name in ("t_star", "attack_end", "total_duration"):
-            seconds = getattr(self, name)
-            slots = seconds * round(per_second)
-            if abs(slots - round(slots)) > _GRID_TOL * max(1.0, slots):
-                raise ValueError(f"{name}={seconds} is not on the grid "
-                                 f"of slot_dt={self.slot_dt}")
+            slots_in(getattr(self, name), self.slot_dt, name)
 
     @property
     def slots_per_second(self) -> int:
-        return round(1.0 / self.slot_dt)
-
-    def slots_in(self, seconds: float) -> int:
-        """Whole slots in a span of seconds that lies on the slot grid."""
-        return round(seconds * self.slots_per_second)
+        return slots_in(1.0, self.slot_dt, "one second")
 
     @property
     def n_slots(self) -> int:
-        return self.slots_in(self.total_duration)
+        return slots_in(self.total_duration, self.slot_dt, "total_duration")
 
 
 @dataclass
 class SlotTraffic:
     slot_index: int
     aggregate: int
-    legal_aggregate: int
-    attack_aggregate: int
     per_source: Optional[np.ndarray] = None     # int64 packet counts by source id
 
 
@@ -107,12 +109,13 @@ class TrafficStream:
         config.validate()
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
-        # per class: is_attack, member ids, split table, draws, active slots [lo, hi)
-        self._classes: list[tuple[bool, slice, np.ndarray, list[int], int, int]] = []
-        for is_attack, first_id, n, rate, lo, hi in (
-                (False, 0, config.n_legal, config.lambda_n, 0, config.n_slots),
-                (True, config.n_legal, config.n_attack, config.lambda_a,
-                 config.slots_in(config.t_star), config.slots_in(config.attack_end))):
+        # per class: member ids, split table, draws, active slots [lo, hi)
+        self._classes: list[tuple[slice, np.ndarray, list[int], int, int]] = []
+        for first_id, n, rate, lo, hi in (
+                (0, config.n_legal, config.lambda_n, 0, config.n_slots),
+                (config.n_legal, config.n_attack, config.lambda_a,
+                 slots_in(config.t_star, config.slot_dt, "t_star"),
+                 slots_in(config.attack_end, config.slot_dt, "attack_end"))):
             if n == 0:
                 continue
             # the class rate is the numpy sum of the member rates; n * rate
@@ -123,21 +126,16 @@ class TrafficStream:
             cum_probs = np.cumsum(rates) / total
             cum_probs[-1] = 1.0
             draws = rng.poisson(total * config.slot_dt, size=hi - lo).tolist()
-            self._classes.append((is_attack, slice(first_id, first_id + n), cum_probs,
-                                  draws, lo, hi))
+            self._classes.append((slice(first_id, first_id + n), cum_probs, draws, lo, hi))
 
     def slot(self, i: int, want_per_source: bool = False) -> SlotTraffic:
-        legal = 0
-        attack = 0
+        aggregate = 0
         per_source = np.zeros(self.n_sources, dtype=np.int64) if want_per_source else None
-        for is_attack, ids, cum_probs, draws, lo, hi in self._classes:
+        for ids, cum_probs, draws, lo, hi in self._classes:
             if not lo <= i < hi:
                 continue
             count = draws[i - lo]
-            if is_attack:
-                attack += count
-            else:
-                legal += count
+            aggregate += count
             if per_source is not None and count:
                 # attribute the class aggregate to members, proportional to
                 # rates; bincount ignores order, and sorted keys make the
@@ -146,6 +144,4 @@ class TrafficStream:
                 u.sort()
                 idx = cum_probs.searchsorted(u, side="left")
                 per_source[ids] = np.bincount(idx, minlength=len(cum_probs))
-        return SlotTraffic(slot_index=i, aggregate=legal + attack,
-                           legal_aggregate=legal, attack_aggregate=attack,
-                           per_source=per_source)
+        return SlotTraffic(slot_index=i, aggregate=aggregate, per_source=per_source)

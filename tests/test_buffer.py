@@ -10,21 +10,28 @@ from hypothesis import strategies as st
 from ddossim.buffer import BufferState, step
 
 
+def step_counts(buf, arrivals, service):
+    """(admitted, dropped, served) of one step, from the cumulative counters."""
+    dropped, served = buf.cumulative_dropped, buf.cumulative_served
+    admitted = step(buf, arrivals, service)
+    return admitted, buf.cumulative_dropped - dropped, buf.cumulative_served - served
+
+
 def test_empty_buffer_serves_nothing():
     buf = BufferState(l1=40, l2=160)
-    out = step(buf, arrivals=10, service_per_slot=15)
-    assert out.served == 0
-    assert out.admitted == 10
-    assert out.occupancy_after == 10
+    admitted, _, served = step_counts(buf, arrivals=10, service=15)
+    assert served == 0
+    assert admitted == 10
+    assert buf.occupancy == 10
 
 
 def test_saturated_buffer_drops_everything():
     buf = BufferState(l1=40, l2=160)
     step(buf, arrivals=200, service_per_slot=0)
     assert buf.occupancy == 200
-    out = step(buf, arrivals=17, service_per_slot=0)
-    assert out.dropped == 17
-    assert out.admitted == 0
+    admitted, dropped, _ = step_counts(buf, arrivals=17, service=0)
+    assert dropped == 17
+    assert admitted == 0
 
 
 def test_is_l1_full_boundaries():
@@ -46,10 +53,10 @@ def test_conservation_under_random_arrivals():
     arrivals = rng.integers(0, 30, size=100_000)
     for a in arrivals:
         before = buf.occupancy
-        out = step(buf, int(a), 7.5)
+        admitted, dropped, served = step_counts(buf, int(a), 7.5)
         # per-slot conservation
-        assert out.occupancy_after == before - out.served + out.admitted
-        assert out.admitted + out.dropped == a
+        assert buf.occupancy == before - served + admitted
+        assert admitted + dropped == a
         assert 0 <= buf.occupancy <= buf.capacity
     # cumulative conservation
     assert (buf.cumulative_offered
@@ -63,9 +70,9 @@ def test_conservation_property(arrivals, service):
     buf = BufferState(l1=10, l2=25)
     for a in arrivals:
         before = buf.occupancy
-        out = step(buf, a, service)
-        assert out.occupancy_after == before - out.served + out.admitted
-        assert out.admitted + out.dropped == a
+        admitted, dropped, served = step_counts(buf, a, service)
+        assert buf.occupancy == before - served + admitted
+        assert admitted + dropped == a
         assert 0 <= buf.occupancy <= buf.capacity
     assert (buf.cumulative_offered
             == buf.cumulative_served + buf.cumulative_dropped + buf.occupancy)
@@ -96,11 +103,11 @@ def test_idle_capacity_not_banked():
     # 100 idle slots of service 5 must not accumulate a 500-packet credit
     for _ in range(100):
         step(buf, 0, 5)
-    out = step(buf, 12, 5)
-    assert out.served == 0          # service precedes admission in the slot
+    _, _, served = step_counts(buf, 12, 5)
+    assert served == 0              # service precedes admission in the slot
     assert buf.occupancy == 12
-    out = step(buf, 0, 5)
-    assert out.served == 5          # not 12
+    _, _, served = step_counts(buf, 0, 5)
+    assert served == 5              # not 12
 
 
 def test_fractional_remainder_carries_when_idle():
@@ -108,8 +115,8 @@ def test_fractional_remainder_carries_when_idle():
     # 0.5/slot over an empty buffer: the fraction carries, whole packets do not
     step(buf, 0, 0.5)
     step(buf, 1, 0.0)
-    out = step(buf, 0, 0.5)
-    assert out.served == 1          # 0.5 carried + 0.5 = 1.0
+    _, _, served = step_counts(buf, 0, 0.5)
+    assert served == 1              # 0.5 carried + 0.5 = 1.0
 
 
 def test_post_service_backlog_vs_raw_occupancy():

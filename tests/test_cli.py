@@ -190,7 +190,7 @@ def test_main_dump_config_round_trip(tmp_path):
     assert detector == p.detector
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     # config errors -> 1
     assert main([]) == 1
     assert main(["--preset", "sim2", "--mode", "batch", "--runs", "1"]) == 1
@@ -199,6 +199,13 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("[scenario]\nbogus = 1\n")
     assert main(["--config", str(bad)]) == 1
     assert main(["--preset", "sim2", "--config", str(bad)]) == 1
+    # detector windows that do not fit the scenario: a long window that
+    # outlasts the onset, and a statistical short window in half seconds
+    for window in ("w_l = 120", "w_s = 10.5"):
+        bad.write_text(f"[experiment]\npreset = sim2\n\n[detector]\n{window}\n")
+        capsys.readouterr()
+        assert main(["--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
     # runtime errors -> 2
     assert main(["--preset", "sim2", "--mode", "once",
                  "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2

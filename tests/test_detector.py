@@ -182,6 +182,17 @@ def test_config_validation():
         make_cfg(methods=()).validate()
 
 
+def test_window_sizes_are_exact_slot_counts():
+    det = Detector(make_cfg(), slot_dt=0.1)
+    # 10 s and 45 s windows; 45 look-back buckets plus a 30-bucket baseline
+    assert (det.short.capacity, det.long.capacity, det.buckets.maxlen) == (100, 450, 75)
+    ratio_only = Detector(make_cfg(w_s=10.5, c=45.5, methods=(Method.RATIO,)), slot_dt=0.1)
+    assert ratio_only.short.capacity == 105
+    # with the statistical method on, w_s and c size one-second buckets
+    with pytest.raises(ValueError, match="whole seconds"):
+        Detector(make_cfg(w_s=10.5, c=45.5), slot_dt=0.1)
+
+
 def test_run_detection_silent_attack_never_fires():
     # attackers that send nothing: constant normal traffic throughout
     cfg = make_cfg(methods=(Method.RATIO,))

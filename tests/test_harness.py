@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ddossim import harness
 from ddossim.detector import Method
 from ddossim.harness import (RestorationMonitor, batch_seeds, run_batch, run_once,
                              sweep_window)
@@ -70,6 +71,50 @@ def test_run_once_config_errors():
         run_once(scenario, det, "nonsense", seed=1)
 
 
+@pytest.mark.parametrize("overrides, match", [
+    # the statistical method would test 10 one-second buckets against a
+    # 10.5 s ratio window
+    (dict(w_s=10.5), "whole seconds"),
+    # a 45.5 s look-back for the ratio baseline but 46 buckets for the
+    # statistical one
+    (dict(c=45.5), "whole seconds"),
+    # a single one-second sample has no variance to test
+    (dict(w_s=1.0), "w_s >= 2"),
+    # 450.5 slots
+    (dict(w_l=45.05), "w_l=45.05 is not on the grid"),
+])
+def test_detector_windows_that_do_not_fit_rejected(overrides, match):
+    scenario, det, idm = small_run()
+    with pytest.raises(ValueError, match=match):
+        run_once(scenario, dataclasses.replace(det, **overrides), idm, seed=1)
+
+
+def test_ratio_only_fractional_window_runs():
+    # without the statistical method no one-second bucket is sized from
+    # w_s, so a 105-slot window is valid
+    scenario, det, idm = small_run()
+    det = dataclasses.replace(det, w_s=10.5, methods=(Method.RATIO, Method.BUFFER_FULL))
+    m = run_once(scenario, det, idm, seed=5)
+    assert m.detected and m.detection_method == "ratio"
+    assert m.stat_checks == 0
+
+
+def test_measurement_divides_by_the_window_length(monkeypatch):
+    # the fire slot never enters the denominator: (t + w_s) - t is not
+    # w_s for 200 of the 3000 fire slots of sim2
+    durations = []
+    measure_per_source = harness.measure_per_source
+
+    def measure(window_counts, duration):
+        durations.append(duration)
+        return measure_per_source(window_counts, duration)
+
+    scenario, det, idm = small_run()
+    monkeypatch.setattr(harness, "measure_per_source", measure)
+    run_once(scenario, det, idm, seed=0)
+    assert durations and all(d == det.w_s for d in durations)
+
+
 def test_reported_times_are_exact_decimals():
     # times are slot counts divided by slots per second, so they carry no
     # float residue from multiplying by slot_dt
@@ -94,7 +139,7 @@ def test_detection_never_precedes_attack_when_no_false_alarm():
 def test_restoration_monitor_degenerate_overblocking():
     # admitted 0 and an empty buffer is still "restored": service load is normal
     mon = RestorationMonitor(l1=40, baseline_rate=100.0, r=0.6, w_s=1.0,
-                             slot_dt=0.1)
+                             ws_slots=10)
     hit = False
     for _ in range(10):
         hit = mon.update(0, 0)
@@ -103,7 +148,7 @@ def test_restoration_monitor_degenerate_overblocking():
 
 def test_restoration_requires_sustained_low_occupancy():
     mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
-                             slot_dt=0.1)
+                             ws_slots=10)
     for _ in range(9):
         assert not mon.update(0, 1)
     mon.update(50, 1)          # backlog spike resets the streak
@@ -114,7 +159,7 @@ def test_restoration_requires_sustained_low_occupancy():
 
 def test_restoration_requires_admitted_near_baseline():
     mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
-                             slot_dt=0.1)
+                             ws_slots=10)
     # threshold sum is (1+0.6)*10*1 = 16 over the window; 2/slot = 20 > 16
     for _ in range(50):
         assert not mon.update(0, 2)
@@ -126,7 +171,7 @@ def test_restoration_requires_admitted_near_baseline():
 def test_declare_restored_times_first_instant():
     def first_restored_slot(backlogs):
         mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
-                                 slot_dt=0.1)
+                                 ws_slots=10)
         return next((i + 1 for i, b in enumerate(backlogs) if mon.update(b, 0)), None)
 
     # 10 bad slots + 10-slot clean streak: restored 2.0 s in

@@ -32,16 +32,15 @@ def ids_of(mask):
 
 def slot_of(index, per_source, n=None):
     n = max(per_source, default=-1) + 1 if n is None else n
-    legal = sum(per_source.values())
-    return SlotTraffic(slot_index=index, aggregate=legal, legal_aggregate=legal,
-                       attack_aggregate=0, per_source=counts_of(per_source, n))
+    return SlotTraffic(slot_index=index, aggregate=sum(per_source.values()),
+                       per_source=counts_of(per_source, n))
 
 
-def measured(slots, window, n):
+def measured(slots, duration, n):
     window_counts = WindowCounts(n)
     for slot in slots:
         window_counts.add(slot)
-    return measure_per_source(window_counts, window)
+    return measure_per_source(window_counts, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -50,30 +49,38 @@ def measured(slots, window, n):
 
 def test_measure_single_source_rate():
     slots = [slot_of(i, {7: 3}) for i in range(10)]
-    m = measured(slots, (0.0, 10.0), 8)
+    m = measured(slots, 10.0, 8)
     assert m.rates[7] == 3.0
     assert ids_of(m.rates) == {7}
-    assert m.duration == 10.0
+
+
+def test_measure_rates_are_counts_over_window_length():
+    # the window length itself is the denominator: a window placed at a
+    # fire time t has (t + w_s) - t != w_s for many t, e.g. 6.1 + 10.0
+    rng = np.random.default_rng(43)
+    slots = [slot_of(i, dict(enumerate(rng.integers(0, 9, 20).tolist()))) for i in range(100)]
+    counts = sum(slot.per_source for slot in slots)
+    assert (6.1 + 10.0) - 6.1 != 10.0
+    assert np.array_equal(measured(slots, 10.0, 20).rates, counts / 10.0)
 
 
 def test_measure_absent_source_gets_zero():
     slots = [slot_of(0, {1: 5}, n=3)]
-    m = measured(slots, (0.0, 1.0), 3)
+    m = measured(slots, 1.0, 3)
     assert m.rates[2] == 0.0
 
 
 def test_measure_empty_window_rejected():
     with pytest.raises(ValueError, match="empty measurement window"):
-        measured([], (0.0, 1.0), 3)
+        measured([], 1.0, 3)
     with pytest.raises(ValueError, match="empty measurement window"):
-        measured([slot_of(0, {}, n=3)], (5.0, 5.0), 3)
+        measured([slot_of(0, {}, n=3)], 0.0, 3)
 
 
 def test_measure_requires_per_source_counts():
-    bare = SlotTraffic(slot_index=0, aggregate=3, legal_aggregate=3,
-                       attack_aggregate=0)
+    bare = SlotTraffic(slot_index=0, aggregate=3)
     with pytest.raises(ValueError, match="per-source"):
-        measured([bare], (0.0, 1.0), 3)
+        measured([bare], 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +102,8 @@ def test_estimate_attack_rate():
 def measurement_of(rates):
     """Rates keyed by source id, as a dense vector over ids 0..len(rates)-1."""
     assert set(rates) == set(range(len(rates)))
-    return PerSourceMeasurement(start=0.0, end=1.0,
-                                rates=np.array([rates[i] for i in range(len(rates))],
-                                               dtype=float))
+    return PerSourceMeasurement(np.array([rates[i] for i in range(len(rates))],
+                                         dtype=float))
 
 
 def classify(identify, rates, budget, *exempt):
@@ -139,7 +145,7 @@ def test_greedy_tie_break_by_ascending_id():
     attackers, _ = classify(identify_greedy, {9: 2.0, 3: 2.0, 5: 2.0}, 4.0)
     assert attackers == {3, 5}
     # the same ids in a dense vector with silent sources between them
-    m = PerSourceMeasurement(0.0, 1.0, counts_of({9: 2, 3: 2, 5: 2}, 10) * 1.0)
+    m = PerSourceMeasurement(counts_of({9: 2, 3: 2, 5: 2}, 10) * 1.0)
     assert ids_of(identify_greedy(m, 4.0)) == {3, 5}
 
 
@@ -239,18 +245,7 @@ def test_filter_never_touches_unblocked_sources():
         assert out.aggregate == out.per_source.sum()
 
 
-def test_filter_splits_removed_volume_by_ground_truth():
-    per_source = counts_of({1: 4, 2: 6, 3: 5}, 4)
-    slot = SlotTraffic(slot_index=0, aggregate=15, legal_aggregate=9,
-                       attack_aggregate=6, per_source=per_source)
-    out = apply_filter(mask_of({1, 2}, 4), slot, attackers=mask_of({2}, 4))
-    assert out.legal_aggregate == 9 - 4
-    assert out.attack_aggregate == 6 - 6
-    assert out.aggregate == 5
-
-
 def test_filter_requires_per_source_when_active():
-    bare = SlotTraffic(slot_index=0, aggregate=3, legal_aggregate=3,
-                       attack_aggregate=0)
+    bare = SlotTraffic(slot_index=0, aggregate=3)
     with pytest.raises(ValueError, match="per-source"):
         apply_filter(mask_of({1}, 2), bare)

@@ -9,7 +9,7 @@ import pytest
 
 from ddossim.harness import run_once
 from ddossim.presets import get_preset
-from ddossim.traffic import ScenarioConfig, TrafficStream
+from ddossim.traffic import ScenarioConfig, TrafficStream, slots_in
 
 
 def large_config(**overrides) -> ScenarioConfig:
@@ -34,6 +34,15 @@ def stream_of(cfg, seed=0, split_seed=None):
                          np.random.default_rng(split_seed))
 
 
+def legal_only(cfg, seed=0):
+    """The same-seed stream without attackers.
+
+    Legal draws come first from the aggregate generator, so this stream's
+    aggregate is the legal share of every slot of the full stream.
+    """
+    return stream_of(dataclasses.replace(cfg, n_attack=0), seed)
+
+
 def active_ids(stream, slots):
     """Ids of the sources that sent at least one packet over the slots."""
     sent = np.zeros(stream.n_sources, dtype=bool)
@@ -48,15 +57,17 @@ def active_ids(stream, slots):
 
 def test_build_sources_large_population():
     cfg = large_config()
-    stream = stream_of(cfg)
+    stream, legal_stream = stream_of(cfg), legal_only(cfg)
     assert stream.n_sources == 15_000
     legal, attack = slice(0, 10_000), slice(10_000, 15_000)
     # legal sources are active over the whole run, attackers over [100, 200)
     for i in (0, 999, 1000, 1999, 2000, 2999):
         slot = stream.slot(i, want_per_source=True)
-        assert slot.per_source[legal].sum() == slot.legal_aggregate > 0
-        assert slot.per_source[attack].sum() == slot.attack_aggregate
-        assert (slot.attack_aggregate > 0) == (1000 <= i < 2000)
+        legal_aggregate = legal_stream.slot(i).aggregate
+        attack_aggregate = slot.aggregate - legal_aggregate
+        assert slot.per_source[legal].sum() == legal_aggregate > 0
+        assert slot.per_source[attack].sum() == attack_aggregate
+        assert (attack_aggregate > 0) == (1000 <= i < 2000)
 
 
 def test_build_sources_small_population():
@@ -75,7 +86,11 @@ def test_build_sources_no_attackers():
     cfg = small_config(n_attack=0)
     stream = stream_of(cfg)
     assert stream.n_sources == 50
-    assert all(stream.slot(i).attack_aggregate == 0 for i in range(cfg.n_slots))
+    # every packet is the legal share of the same-seed stream with attackers
+    full = stream_of(small_config())
+    assert all(stream.slot(i).aggregate
+               == full.slot(i, want_per_source=True).per_source[:50].sum()
+               for i in range(cfg.n_slots))
 
 
 def test_config_validation():
@@ -93,7 +108,7 @@ def test_config_derived_values():
     cfg = small_config()
     assert cfg.n_slots == 3000
     assert cfg.slots_per_second == 10
-    assert cfg.slots_in(cfg.t_star) == 1000
+    assert slots_in(cfg.t_star, cfg.slot_dt, "t_star") == 1000
     fine = small_config(slot_dt=0.002, t_star=5.0, attack_end=6.0, total_duration=6.0)
     fine.validate()
     assert (fine.slots_per_second, fine.n_slots) == (500, 3000)
@@ -127,6 +142,19 @@ def test_times_off_the_slot_grid_rejected():
     small_config(slot_dt=0.5, t_star=100.5, attack_end=200.0).validate()
 
 
+def test_slots_in_rejects_spans_off_the_grid():
+    assert slots_in(45.0, 0.1, "w_l") == 450
+    assert slots_in(10.5, 0.1, "w_s") == 105
+    assert slots_in(1.0, 0.002, "one second") == 500
+    with pytest.raises(ValueError, match="w_l=45.05 is not on the grid"):
+        slots_in(45.05, 0.1, "w_l")
+    # a span must hold at least one slot
+    with pytest.raises(ValueError, match="w_s=0.0 is not on the grid"):
+        slots_in(0.0, 0.1, "w_s")
+    with pytest.raises(ValueError, match="whole number of slots"):
+        slots_in(1.0, 2.0, "one second")
+
+
 def test_scenario_config_frozen():
     scenario = get_preset("sim2").scenario
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -150,8 +178,7 @@ def test_stream_bit_exact_determinism():
 
     a, b = trace(99), trace(99)
     for x, y in zip(a, b):
-        assert (x.aggregate, x.legal_aggregate, x.attack_aggregate) == (
-            y.aggregate, y.legal_aggregate, y.attack_aggregate)
+        assert x.aggregate == y.aggregate
         assert (x.per_source is None) == (y.per_source is None)
         if x.per_source is not None:
             assert np.array_equal(x.per_source, y.per_source)
@@ -186,24 +213,24 @@ def test_attack_window_mean():
 
 def test_per_source_counts_sum_to_aggregate():
     cfg = small_config()
-    stream = stream_of(cfg, 5, 6)
+    stream, legal_stream = stream_of(cfg, 5, 6), legal_only(cfg, 5)
     for i in range(0, cfg.n_slots, 13):
         slot = stream.slot(i, want_per_source=True)
         assert slot.per_source.dtype == np.int64
         assert len(slot.per_source) == cfg.n_legal + cfg.n_attack
         assert slot.per_source.sum() == slot.aggregate
-        assert slot.aggregate == slot.legal_aggregate + slot.attack_aggregate
+        assert slot.per_source[:cfg.n_legal].sum() == legal_stream.slot(i).aggregate
 
 
 def test_no_attack_packets_outside_window():
     cfg = small_config()
     attackers = slice(cfg.n_legal, cfg.n_legal + cfg.n_attack)
-    stream = stream_of(cfg, 7, 8)
+    stream, legal_stream = stream_of(cfg, 7, 8), legal_only(cfg, 7)
     for i in range(cfg.n_slots):
         t = i * cfg.slot_dt
         slot = stream.slot(i, want_per_source=True)
         if not (cfg.t_star <= t < cfg.attack_end):
-            assert slot.attack_aggregate == 0
+            assert slot.aggregate == legal_stream.slot(i).aggregate
             assert not slot.per_source[attackers].any()
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: run single/batch/sweep experiments and emit
 machine-readable results.
 
-Configuration precedence is flags > config file > preset defaults.  The
-config file is INI-style with [scenario], [detector] and [experiment]
+A configuration is built in one order: the preset's defaults, then the
+config file's values, then the flags, and it is validated once at the end.
+The config file is INI-style with [scenario], [detector] and [experiment]
 sections; every key maps one-to-one onto the dataclass fields (the
 ratio-rule tolerance is spelled tolerance_r).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import sys
@@ -33,7 +35,6 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentSpec:
-    preset: Optional[str] = None
     mode: str = "once"                 # once | batch | sweep
     runs: int = 2
     sweep_ws: list[float] = field(default_factory=list)
@@ -49,25 +50,12 @@ class ExperimentSpec:
             raise ConfigError("batch mode needs runs >= 2")
         if self.mode == "sweep" and not self.sweep_ws:
             raise ConfigError("sweep mode needs a non-empty sweep_ws list")
+        if self.mode == "sweep" and self.runs < 1:
+            raise ConfigError("sweep mode needs runs >= 1")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv|jsonl, got {self.format!r}")
         if self.id_method not in ("greedy", "history"):
             raise ConfigError(f"id_method must be greedy|history, got {self.id_method!r}")
-
-
-_SCENARIO_KEYS = {
-    "n_legal": int, "n_attack": int, "lambda_n": float, "lambda_a": float,
-    "mu": float, "l1": int, "l2": int, "t_star": float, "attack_end": float,
-    "total_duration": float, "slot_dt": float, "seed": int,
-}
-_DETECTOR_KEYS = {
-    "w_s": float, "w_l": float, "tolerance_r": float, "c": float,
-    "alpha": float, "baseline_len": int, "methods": str,
-}
-_EXPERIMENT_KEYS = {
-    "preset": str, "mode": str, "runs": int, "sweep_ws": str, "seed": int,
-    "out": str, "format": str, "id_method": str,
-}
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
@@ -93,19 +81,25 @@ def _parse_ws_list(text: str) -> list[float]:
         raise ConfigError(f"bad sweep_ws list {text!r}: {e}") from None
 
 
-def _apply_section(section, keys: dict, target_kwargs: dict, section_name: str) -> None:
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-        conv = keys[key]
-        try:
-            target_kwargs[key] = conv(section[key])
-        except ValueError as e:
-            raise ConfigError(f"bad value for {section_name}.{key}: {e}") from None
+_SCENARIO_KEYS = {
+    "n_legal": int, "n_attack": int, "lambda_n": float, "lambda_a": float,
+    "mu": float, "l1": int, "l2": int, "t_star": float, "attack_end": float,
+    "total_duration": float, "slot_dt": float, "seed": int,
+}
+_DETECTOR_KEYS = {
+    "w_s": float, "w_l": float, "tolerance_r": float, "c": float,
+    "alpha": float, "baseline_len": int, "methods": _parse_methods,
+}
+_EXPERIMENT_KEYS = {
+    "preset": str, "mode": str, "runs": int, "sweep_ws": _parse_ws_list, "seed": int,
+    "out": str, "format": str, "id_method": str,
+}
+_SECTIONS = {"scenario": _SCENARIO_KEYS, "detector": _DETECTOR_KEYS,
+             "experiment": _EXPERIMENT_KEYS}
 
 
-def load_config(path: str) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSpec]:
-    """Load and validate a config file, resolving any preset it names."""
+def _read_file(path: str) -> tuple[dict, dict, dict]:
+    """The converted [scenario], [detector] and [experiment] kwargs of a file."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -116,53 +110,59 @@ def load_config(path: str) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSp
         raise ConfigError(f"parse error in {path}: {e}") from None
 
     for section in parser.sections():
-        if section not in ("scenario", "detector", "experiment"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
+    kwargs: dict[str, dict] = {}
+    for name, keys in _SECTIONS.items():
+        section = parser[name] if parser.has_section(name) else {}
+        kwargs[name] = {}
+        for key in section:
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            try:
+                kwargs[name][key] = keys[key](section[key])
+            except ValueError as e:
+                raise ConfigError(f"bad value for {name}.{key}: {e}") from None
+    if "tolerance_r" in kwargs["detector"]:
+        kwargs["detector"]["r"] = kwargs["detector"].pop("tolerance_r")
+    return kwargs["scenario"], kwargs["detector"], kwargs["experiment"]
 
-    exp_kwargs: dict = {}
-    if parser.has_section("experiment"):
-        _apply_section(parser["experiment"], _EXPERIMENT_KEYS, exp_kwargs, "experiment")
-    if "sweep_ws" in exp_kwargs:
-        exp_kwargs["sweep_ws"] = _parse_ws_list(exp_kwargs["sweep_ws"])
 
-    preset_name = exp_kwargs.get("preset")
-    if preset_name is not None:
-        preset = get_preset_or_error(preset_name)
-        scenario = dataclasses.replace(preset.scenario)
-        detector = dataclasses.replace(preset.detector)
-        exp_kwargs.setdefault("id_method", preset.id_method)
-    else:
-        scenario = None
-        detector = DetectorConfig()
-
-    scen_kwargs: dict = {}
-    if parser.has_section("scenario"):
-        _apply_section(parser["scenario"], _SCENARIO_KEYS, scen_kwargs, "scenario")
-    det_kwargs: dict = {}
-    if parser.has_section("detector"):
-        _apply_section(parser["detector"], _DETECTOR_KEYS, det_kwargs, "detector")
-    if "tolerance_r" in det_kwargs:
-        det_kwargs["r"] = det_kwargs.pop("tolerance_r")
-    if "methods" in det_kwargs:
-        det_kwargs["methods"] = _parse_methods(det_kwargs["methods"])
-
-    if scenario is None:
-        missing = [k for k in _SCENARIO_KEYS if k not in scen_kwargs
-                   and k not in ("seed", "slot_dt")]
-        if missing:
-            raise ConfigError(f"no preset given and [scenario] is missing: {missing}")
-        scenario = ScenarioConfig(**scen_kwargs)
-    else:
-        scenario = dataclasses.replace(scenario, **scen_kwargs)
-    detector = dataclasses.replace(detector, **det_kwargs)
-
-    spec = ExperimentSpec(**exp_kwargs)
+def _build(path: Optional[str], flags: dict) -> tuple[ScenarioConfig, DetectorConfig,
+                                                      ExperimentSpec]:
+    """Apply the preset's defaults, then the file's values, then the flags,
+    and validate the result once; in sweep mode every swept w_s is checked."""
+    scen_kwargs, det_kwargs, exp_kwargs = _read_file(path) if path else ({}, {}, {})
+    exp_kwargs.update(flags)
+    preset_name = exp_kwargs.pop("preset", None)
     try:
-        check_configs(scenario, detector)
+        if preset_name is not None:
+            preset = get_preset(preset_name)
+            scenario = dataclasses.replace(preset.scenario, **scen_kwargs)
+            detector = dataclasses.replace(preset.detector, **det_kwargs)
+            exp_kwargs = {"id_method": preset.id_method, **exp_kwargs}
+        else:
+            missing = [k for k in _SCENARIO_KEYS if k not in scen_kwargs
+                       and k not in ("seed", "slot_dt")]
+            if missing:
+                raise ConfigError(f"no preset given and [scenario] is missing: {missing}")
+            scenario = ScenarioConfig(**scen_kwargs)
+            detector = DetectorConfig(**det_kwargs)
+        spec = ExperimentSpec(**exp_kwargs)
+        spec.validate()
+        if spec.mode == "sweep":
+            for w_s in spec.sweep_ws:
+                check_configs(scenario, dataclasses.replace(detector, w_s=w_s))
+        else:
+            check_configs(scenario, detector)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    spec.validate()
     return scenario, detector, spec
+
+
+def load_config(path: str) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSpec]:
+    """Load and validate a config file, resolving any preset it names."""
+    return _build(path, {})
 
 
 def dump_config(scenario: ScenarioConfig, detector: DetectorConfig,
@@ -217,13 +217,6 @@ def emit_results(rows: list[dict], fmt: str, out: TextIO,
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def get_preset_or_error(name: str):
-    try:
-        return get_preset(name)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
 def _summary_dict(stats: BatchStats) -> dict:
     d: dict = {"n_runs": stats.n_runs, "detected_rate": stats.detected_rate}
     for name, s in stats.metrics.items():
@@ -233,11 +226,7 @@ def _summary_dict(stats: BatchStats) -> dict:
 
 
 def _run_rows(runs: list[RunMetrics], extra: Optional[dict] = None) -> list[dict]:
-    rows = []
-    for idx, r in enumerate(runs):
-        row = {"run": idx, **(extra or {}), **r.as_row()}
-        rows.append(row)
-    return rows
+    return [{"run": idx, **(extra or {}), **r.as_row()} for idx, r in enumerate(runs)]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -259,79 +248,47 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve(args) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSpec]:
-    if args.config:
-        scenario, detector, spec = load_config(args.config)
-        if args.preset:
-            raise ConfigError("give either --preset or --config, not both "
-                              "(a config file may name its preset)")
-    elif args.preset:
-        preset = get_preset_or_error(args.preset)
-        scenario = dataclasses.replace(preset.scenario)
-        detector = dataclasses.replace(preset.detector)
-        spec = ExperimentSpec(preset=args.preset, id_method=preset.id_method)
-    else:
-        raise ConfigError("either --preset or --config is required")
-
-    if args.mode:
-        spec.mode = args.mode
-    if args.runs is not None:
-        spec.runs = args.runs
-    if args.sweep_ws:
-        spec.sweep_ws = _parse_ws_list(args.sweep_ws)
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.id_method:
-        spec.id_method = args.id_method
-    if args.out:
-        spec.out = args.out
-    if args.format:
-        spec.format = args.format
-    spec.validate()
-    return scenario, detector, spec
-
-
 def _execute(scenario: ScenarioConfig, detector: DetectorConfig,
              spec: ExperimentSpec, out: TextIO) -> None:
     seed = spec.seed if spec.seed is not None else scenario.seed
+    summary = None
     if spec.mode == "once":
-        run = run_once(scenario, detector, spec.id_method, seed=seed)
-        emit_results(_run_rows([run]), spec.format, out)
+        rows = _run_rows([run_once(scenario, detector, spec.id_method, seed=seed)])
     elif spec.mode == "batch":
         stats, runs = run_batch(scenario, detector, spec.id_method,
                                 spec.runs, base_seed=seed)
-        emit_results(_run_rows(runs), spec.format, out,
-                     summary=_summary_dict(stats))
+        rows, summary = _run_rows(runs), _summary_dict(stats)
     else:
-        rows: list[dict] = []
-        for w_s, runs in sweep_window(scenario, detector, spec.id_method,
-                                      spec.sweep_ws, runs_per_value=max(1, spec.runs),
-                                      base_seed=seed):
-            for idx, r in enumerate(runs):
-                rows.append({"run": idx, "w_s": w_s, **r.as_row()})
-        emit_results(rows, spec.format, out)
+        rows = [row for w_s, runs in sweep_window(scenario, detector, spec.id_method,
+                                                  spec.sweep_ws, runs_per_value=spec.runs,
+                                                  base_seed=seed)
+                for row in _run_rows(runs, {"w_s": w_s})]
+    emit_results(rows, spec.format, out, summary=summary)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        scenario, detector, spec = _resolve(args)
+        if args.preset and args.config:
+            raise ConfigError("give either --preset or --config, not both "
+                              "(a config file may name its preset)")
+        if not (args.preset or args.config):
+            raise ConfigError("either --preset or --config is required")
+        # flags convert like the file's [experiment] keys; --preset, like a
+        # file's preset key, supplies the defaults the rest override
+        flags = {k: conv(getattr(args, k)) for k, conv in _EXPERIMENT_KEYS.items()
+                 if getattr(args, k) is not None}
+        scenario, detector, spec = _build(args.config, flags)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     try:
-        if args.dump_config:
-            if spec.out:
-                with open(spec.out, "w") as fh:
-                    dump_config(scenario, detector, spec, fh)
+        with (open(spec.out, "w", newline="") if spec.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            if args.dump_config:
+                dump_config(scenario, detector, spec, out)
             else:
-                dump_config(scenario, detector, spec, sys.stdout)
-            return 0
-        if spec.out:
-            with open(spec.out, "w", newline="") as fh:
-                _execute(scenario, detector, spec, fh)
-        else:
-            _execute(scenario, detector, spec, sys.stdout)
+                _execute(scenario, detector, spec, out)
     except (ValueError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2

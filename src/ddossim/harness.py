@@ -15,14 +15,13 @@ normal baseline rotation.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .buffer import BufferState, step
-from .detector import Detector, DetectorConfig, Method
+from .detector import Detector, DetectorConfig, Method, SlidingWindow
 from .identifier import (WindowCounts, apply_filter, estimate_attack_rate,
                          identify_by_history, identify_greedy, measure_per_source)
 from .stats import sample_mean, sample_stddev
@@ -98,19 +97,15 @@ class RestorationMonitor:
         self.l1 = l1
         self.ws_slots = ws_slots
         self.threshold_sum = (1.0 + r) * baseline_rate * w_s
-        self._admitted: deque[int] = deque(maxlen=self.ws_slots)
-        self._admitted_sum = 0
+        self._admitted = SlidingWindow(ws_slots)
         self._occ_ok = 0
 
     def update(self, backlog: int, admitted: int) -> bool:
-        if len(self._admitted) == self.ws_slots:
-            self._admitted_sum -= self._admitted[0]
-        self._admitted.append(admitted)
-        self._admitted_sum += admitted
+        self._admitted.push(admitted)
         self._occ_ok = self._occ_ok + 1 if backlog < self.l1 else 0
         return (self._occ_ok >= self.ws_slots
-                and len(self._admitted) == self.ws_slots
-                and self._admitted_sum <= self.threshold_sum)
+                and self._admitted.is_full
+                and self._admitted.running_sum <= self.threshold_sum)
 
 
 def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
@@ -298,6 +293,8 @@ def sweep_window(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     """One run-set per short-window size, with the analysis window tied to it."""
     if not ws_values:
         raise ValueError("sweep needs at least one window value")
+    if runs_per_value < 1:
+        raise ValueError("sweep needs runs_per_value >= 1")
     rows = []
     for w_s in ws_values:
         cfg = dataclasses.replace(detector_cfg, w_s=w_s)

@@ -132,6 +132,45 @@ def test_dump_config_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# precedence: preset, then file, then flags
+# ---------------------------------------------------------------------------
+
+def test_main_flag_completes_file_sweep(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\npreset = sim2\nmode = sweep\n")
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(cfg), "--sweep-ws", "10,20", "--runs", "1",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2
+
+
+def test_main_flag_overrides_file_runs(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\npreset = sim2\nmode = batch\nruns = 1\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["--config", str(cfg), "--runs", "2", "--seed", "3",
+                 "--format", "jsonl", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[-1]["n_runs"] == 2
+
+
+def test_main_flags_override_file_naming_a_preset(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    # on its own the file is invalid: batch mode needs runs >= 2
+    cfg.write_text("[experiment]\npreset = sim2\nmode = batch\nruns = 1\n"
+                   "format = jsonl\n\n[detector]\ntolerance_r = 0.8\n")
+    dumped = tmp_path / "resolved.ini"
+    assert main(["--config", str(cfg), "--mode", "once", "--id-method", "greedy",
+                 "--format", "csv", "--seed", "7", "--dump-config",
+                 "--out", str(dumped)]) == 0
+    scenario, detector, spec = load_config(str(dumped))
+    assert scenario == get_preset("sim2").scenario          # from the preset
+    assert detector.r == 0.8                                 # from the file
+    assert (spec.mode, spec.id_method, spec.format, spec.seed, spec.runs) == \
+        ("once", "greedy", "csv", 7, 1)                      # flags, then file
+
+
+# ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
 
@@ -206,6 +245,15 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--config", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+    # every swept w_s is checked before the first run or the output file
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,10.5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+    assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10",
+                 "--runs", "0"]) == 1
     # runtime errors -> 2
     assert main(["--preset", "sim2", "--mode", "once",
                  "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2

@@ -234,3 +234,5 @@ def test_sweep_rejects_empty_values():
     scenario, det, idm = small_run()
     with pytest.raises(ValueError):
         sweep_window(scenario, det, idm, [])
+    with pytest.raises(ValueError, match="runs_per_value"):
+        sweep_window(scenario, det, idm, [10.0], runs_per_value=0)

@@ -152,7 +152,10 @@ def _build(path: Optional[str], flags: dict) -> tuple[ScenarioConfig, DetectorCo
         spec.validate()
         if spec.mode == "sweep":
             for w_s in spec.sweep_ws:
-                check_configs(scenario, dataclasses.replace(detector, w_s=w_s))
+                try:
+                    check_configs(scenario, dataclasses.replace(detector, w_s=w_s))
+                except ValueError as e:
+                    raise ValueError(f"swept w_s={w_s}: {e}") from None
         else:
             check_configs(scenario, detector)
     except ValueError as e:

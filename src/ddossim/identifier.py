@@ -6,9 +6,11 @@ baseline, and the suspected-attacker set is the descending-rate prefix
 whose rate sum stays within that budget.  The history variant first
 exempts every source that was already active before the attack.
 
-Per-source quantities are numpy vectors indexed by source id: counts are
-int64, rates float64, and source sets (suspected attackers, blocked
-sources, exemptions, ground truth) are boolean masks.
+A slot carries the source id of each packet; a measurement window counts
+them once, when it closes.  Per-source quantities are numpy vectors
+indexed by source id: counts are int64, rates float64, and source sets
+(suspected attackers, blocked sources, exemptions, ground truth) are
+boolean masks.
 """
 
 from __future__ import annotations
@@ -36,19 +38,25 @@ class PerSourceMeasurement:
 
 
 class WindowCounts:
-    """Running per-source packet counts over the slots of a measurement window."""
+    """Packet source ids over the slots of a measurement window."""
 
     def __init__(self, n_sources: int):
-        self.counts = np.zeros(n_sources, dtype=np.int64)
+        self.n_sources = n_sources
         self.packets = 0
         self.slots = 0
+        self._ids: list[np.ndarray] = []
 
     def add(self, slot: SlotTraffic) -> None:
-        if slot.per_source is None:
-            raise ValueError(f"slot {slot.slot_index} lacks per-source counts")
-        self.counts += slot.per_source
+        if slot.sources is None:
+            raise ValueError(f"slot {slot.slot_index} lacks per-source packet ids")
+        self._ids.append(slot.sources)
         self.packets += slot.aggregate
         self.slots += 1
+
+    def counts(self) -> np.ndarray:
+        """int64 packet counts by source id over the window so far."""
+        ids = np.concatenate(self._ids) if self._ids else np.empty(0, dtype=np.int64)
+        return np.bincount(ids, minlength=self.n_sources)
 
 
 def measure_per_source(window_counts: WindowCounts, duration: float) -> PerSourceMeasurement:
@@ -56,7 +64,7 @@ def measure_per_source(window_counts: WindowCounts, duration: float) -> PerSourc
     silent sources get 0."""
     if duration <= 0 or not window_counts.slots:
         raise ValueError("empty measurement window")
-    return PerSourceMeasurement(rates=window_counts.counts / duration)
+    return PerSourceMeasurement(rates=window_counts.counts() / duration)
 
 
 def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:
@@ -101,15 +109,11 @@ def identify_by_history(measurement: PerSourceMeasurement,
 
 
 def apply_filter(blocked: np.ndarray, slot: SlotTraffic) -> SlotTraffic:
-    """Discard counts from the blocked sources (a mask) before buffer admission."""
-    if not blocked.any():
+    """Discard packets from the blocked sources (a mask) before buffer admission."""
+    if slot.sources is None:
+        raise ValueError(f"slot {slot.slot_index} lacks per-source packet ids "
+                         "while filter is active")
+    kept = slot.sources[~blocked[slot.sources]]
+    if len(kept) == len(slot.sources):
         return slot
-    if slot.per_source is None:
-        raise ValueError(f"slot {slot.slot_index} lacks per-source counts while filter is active")
-    removed = slot.per_source * blocked
-    removed_total = int(removed.sum())
-    if not removed_total:
-        return slot
-    return SlotTraffic(slot_index=slot.slot_index,
-                       aggregate=slot.aggregate - removed_total,
-                       per_source=slot.per_source - removed)
+    return SlotTraffic(slot_index=slot.slot_index, aggregate=len(kept), sources=kept)

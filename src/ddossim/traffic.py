@@ -3,10 +3,11 @@
 A scenario has two source classes: legal sources with ids 0..n_legal-1,
 active for the whole run, and attackers with the ids that follow, active
 over [t_star, attack_end).  Each class is sampled as one Poisson aggregate
-per slot; per-source counts, when requested, come from a conditional
+per slot; per-source data, when requested, come from a conditional
 multinomial split proportional to the member rates, which is exact for
-superposed independent Poisson sources.  Per-source counts are one int64
-vector indexed by source id.
+superposed independent Poisson sources.  A split slot carries the source
+id of each of its packets, so its cost follows the packets, not the
+number of sources.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class ScenarioConfig:
 class SlotTraffic:
     slot_index: int
     aggregate: int
-    per_source: Optional[np.ndarray] = None     # int64 packet counts by source id
+    sources: Optional[np.ndarray] = None     # int64 source id of each packet
 
 
 class TrafficStream:
@@ -109,8 +110,8 @@ class TrafficStream:
         config.validate()
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
-        # per class: member ids, split table, draws, active slots [lo, hi)
-        self._classes: list[tuple[slice, np.ndarray, list[int], int, int]] = []
+        # per class: first member id, split table, draws, active slots [lo, hi)
+        self._classes: list[tuple[int, np.ndarray, list[int], int, int]] = []
         for first_id, n, rate, lo, hi in (
                 (0, config.n_legal, config.lambda_n, 0, config.n_slots),
                 (config.n_legal, config.n_attack, config.lambda_a,
@@ -126,22 +127,27 @@ class TrafficStream:
             cum_probs = np.cumsum(rates) / total
             cum_probs[-1] = 1.0
             draws = rng.poisson(total * config.slot_dt, size=hi - lo).tolist()
-            self._classes.append((slice(first_id, first_id + n), cum_probs, draws, lo, hi))
+            self._classes.append((first_id, cum_probs, draws, lo, hi))
 
     def slot(self, i: int, want_per_source: bool = False) -> SlotTraffic:
         aggregate = 0
-        per_source = np.zeros(self.n_sources, dtype=np.int64) if want_per_source else None
-        for ids, cum_probs, draws, lo, hi in self._classes:
+        parts: Optional[list[np.ndarray]] = [] if want_per_source else None
+        for first_id, cum_probs, draws, lo, hi in self._classes:
             if not lo <= i < hi:
                 continue
             count = draws[i - lo]
             aggregate += count
-            if per_source is not None and count:
-                # attribute the class aggregate to members, proportional to
-                # rates; bincount ignores order, and sorted keys make the
-                # search walk the cumulative table in order
+            if parts is not None and count:
+                # attribute each packet of the class aggregate to a member,
+                # proportional to rates; sorted keys make the search walk
+                # the cumulative table in order, which is faster than
+                # random keys on a large table
                 u = self._split_rng.random(count)
                 u.sort()
                 idx = cum_probs.searchsorted(u, side="left")
-                per_source[ids] = np.bincount(idx, minlength=len(cum_probs))
-        return SlotTraffic(slot_index=i, aggregate=aggregate, per_source=per_source)
+                idx += first_id
+                parts.append(idx)
+        sources = None
+        if parts is not None:
+            sources = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        return SlotTraffic(slot_index=i, aggregate=aggregate, sources=sources)

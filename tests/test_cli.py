@@ -254,6 +254,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert not out.exists()
     assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10",
                  "--runs", "0"]) == 1
+    # the message names the swept value that fails
+    capsys.readouterr()
+    assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "w_s=50" in err
     # runtime errors -> 2
     assert main(["--preset", "sim2", "--mode", "once",
                  "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2

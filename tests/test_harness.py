@@ -4,6 +4,7 @@ batch aggregation, and the window sweep."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ddossim import harness
@@ -113,6 +114,46 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     monkeypatch.setattr(harness, "measure_per_source", measure)
     run_once(scenario, det, idm, seed=0)
     assert durations and all(d == det.w_s for d in durations)
+
+
+@pytest.mark.parametrize("preset, overrides, seed", [
+    ("sim2", {}, 0),                    # history identification
+    ("sim1", {}, 500),                  # greedy over 15 000 sources
+    ("sim2", {"n_attack": 0}, 3),       # false alarms only
+])
+def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
+    # every generated packet is filtered, dropped, served or still queued
+    generated, filtered, buffers = [], [], []
+    slot, apply_filter, buffer_state = (harness.TrafficStream.slot, harness.apply_filter,
+                                        harness.BufferState)
+
+    def counted_slot(self, *args, **kwargs):
+        out = slot(self, *args, **kwargs)
+        generated.append(out.aggregate)
+        return out
+
+    def counted_filter(blocked, traffic):
+        # the packets from blocked sources, counted apart from the filter
+        filtered.append(int(np.count_nonzero(blocked[traffic.sources])))
+        return apply_filter(blocked, traffic)
+
+    def kept_buffer(*args):
+        buffers.append(buffer_state(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr(harness.TrafficStream, "slot", counted_slot)
+    monkeypatch.setattr(harness, "apply_filter", counted_filter)
+    monkeypatch.setattr(harness, "BufferState", kept_buffer)
+    p = PRESETS[preset]
+    scenario = dataclasses.replace(p.scenario, **overrides)
+    m = run_once(scenario, p.detector, p.id_method, seed=seed)
+    (buf,) = buffers
+    assert len(generated) == scenario.n_slots
+    if scenario.n_attack:
+        assert sum(filtered) > 0
+    assert sum(generated) == (sum(filtered) + buf.cumulative_dropped + buf.cumulative_served
+                              + buf.occupancy)
+    assert m.packets_dropped == buf.cumulative_dropped
 
 
 def test_reported_times_are_exact_decimals():

@@ -30,10 +30,16 @@ def ids_of(mask):
     return {int(i) for i in np.flatnonzero(mask)}
 
 
-def slot_of(index, per_source, n=None):
-    n = max(per_source, default=-1) + 1 if n is None else n
-    return SlotTraffic(slot_index=index, aggregate=sum(per_source.values()),
-                       per_source=counts_of(per_source, n))
+def slot_of(index, per_source):
+    """A split slot with per_source[sid] packets from each source id."""
+    sources = np.repeat(np.array(list(per_source), dtype=np.int64),
+                        np.array(list(per_source.values()), dtype=np.int64))
+    return SlotTraffic(slot_index=index, aggregate=len(sources), sources=sources)
+
+
+def slot_counts(slot, n):
+    """Packet counts by source id of a split slot, as a length-n vector."""
+    return np.bincount(slot.sources, minlength=n)
 
 
 def measured(slots, duration, n):
@@ -59,13 +65,13 @@ def test_measure_rates_are_counts_over_window_length():
     # fire time t has (t + w_s) - t != w_s for many t, e.g. 6.1 + 10.0
     rng = np.random.default_rng(43)
     slots = [slot_of(i, dict(enumerate(rng.integers(0, 9, 20).tolist()))) for i in range(100)]
-    counts = sum(slot.per_source for slot in slots)
+    counts = sum(slot_counts(slot, 20) for slot in slots)
     assert (6.1 + 10.0) - 6.1 != 10.0
     assert np.array_equal(measured(slots, 10.0, 20).rates, counts / 10.0)
 
 
 def test_measure_absent_source_gets_zero():
-    slots = [slot_of(0, {1: 5}, n=3)]
+    slots = [slot_of(0, {1: 5})]
     m = measured(slots, 1.0, 3)
     assert m.rates[2] == 0.0
 
@@ -74,7 +80,7 @@ def test_measure_empty_window_rejected():
     with pytest.raises(ValueError, match="empty measurement window"):
         measured([], 1.0, 3)
     with pytest.raises(ValueError, match="empty measurement window"):
-        measured([slot_of(0, {}, n=3)], 0.0, 3)
+        measured([slot_of(0, {})], 0.0, 3)
 
 
 def test_measure_requires_per_source_counts():
@@ -227,7 +233,7 @@ def test_filter_all_blocked_zeroes_aggregate():
     out = apply_filter(mask_of({1, 2}, 3), slot)
     assert slot.aggregate - out.aggregate == 7
     assert out.aggregate == 0
-    assert not out.per_source.any()
+    assert not slot_counts(out, 3).any()
 
 
 def test_filter_never_touches_unblocked_sources():
@@ -237,12 +243,13 @@ def test_filter_never_touches_unblocked_sources():
                       enumerate(rng.integers(0, 10, 12))}
         blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
         out = apply_filter(mask_of(blocked, 12), slot_of(0, per_source))
+        out_counts = slot_counts(out, 12)
         for sid, c in per_source.items():
             if sid in blocked:
-                assert out.per_source[sid] == 0
+                assert out_counts[sid] == 0
             else:
-                assert out.per_source[sid] == c
-        assert out.aggregate == out.per_source.sum()
+                assert out_counts[sid] == c
+        assert out.aggregate == out_counts.sum()
 
 
 def test_filter_requires_per_source_when_active():

@@ -43,11 +43,16 @@ def legal_only(cfg, seed=0):
     return stream_of(dataclasses.replace(cfg, n_attack=0), seed)
 
 
+def counts_of(slot, n):
+    """Packet counts by source id of a split slot, as a length-n vector."""
+    return np.bincount(slot.sources, minlength=n)
+
+
 def active_ids(stream, slots):
     """Ids of the sources that sent at least one packet over the slots."""
     sent = np.zeros(stream.n_sources, dtype=bool)
     for i in slots:
-        sent |= stream.slot(i, want_per_source=True).per_source > 0
+        sent |= counts_of(stream.slot(i, want_per_source=True), stream.n_sources) > 0
     return sent
 
 
@@ -63,10 +68,11 @@ def test_build_sources_large_population():
     # legal sources are active over the whole run, attackers over [100, 200)
     for i in (0, 999, 1000, 1999, 2000, 2999):
         slot = stream.slot(i, want_per_source=True)
+        per_source = counts_of(slot, 15_000)
         legal_aggregate = legal_stream.slot(i).aggregate
         attack_aggregate = slot.aggregate - legal_aggregate
-        assert slot.per_source[legal].sum() == legal_aggregate > 0
-        assert slot.per_source[attack].sum() == attack_aggregate
+        assert per_source[legal].sum() == legal_aggregate > 0
+        assert per_source[attack].sum() == attack_aggregate
         assert (attack_aggregate > 0) == (1000 <= i < 2000)
 
 
@@ -89,7 +95,7 @@ def test_build_sources_no_attackers():
     # every packet is the legal share of the same-seed stream with attackers
     full = stream_of(small_config())
     assert all(stream.slot(i).aggregate
-               == full.slot(i, want_per_source=True).per_source[:50].sum()
+               == counts_of(full.slot(i, want_per_source=True), 100)[:50].sum()
                for i in range(cfg.n_slots))
 
 
@@ -179,9 +185,9 @@ def test_stream_bit_exact_determinism():
     a, b = trace(99), trace(99)
     for x, y in zip(a, b):
         assert x.aggregate == y.aggregate
-        assert (x.per_source is None) == (y.per_source is None)
-        if x.per_source is not None:
-            assert np.array_equal(x.per_source, y.per_source)
+        assert (x.sources is None) == (y.sources is None)
+        if x.sources is not None:
+            assert np.array_equal(x.sources, y.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +222,11 @@ def test_per_source_counts_sum_to_aggregate():
     stream, legal_stream = stream_of(cfg, 5, 6), legal_only(cfg, 5)
     for i in range(0, cfg.n_slots, 13):
         slot = stream.slot(i, want_per_source=True)
-        assert slot.per_source.dtype == np.int64
-        assert len(slot.per_source) == cfg.n_legal + cfg.n_attack
-        assert slot.per_source.sum() == slot.aggregate
-        assert slot.per_source[:cfg.n_legal].sum() == legal_stream.slot(i).aggregate
+        assert slot.sources.dtype == np.int64
+        per_source = counts_of(slot, cfg.n_legal + cfg.n_attack)
+        assert len(per_source) == cfg.n_legal + cfg.n_attack
+        assert per_source.sum() == slot.aggregate
+        assert per_source[:cfg.n_legal].sum() == legal_stream.slot(i).aggregate
 
 
 def test_no_attack_packets_outside_window():
@@ -231,7 +238,7 @@ def test_no_attack_packets_outside_window():
         slot = stream.slot(i, want_per_source=True)
         if not (cfg.t_star <= t < cfg.attack_end):
             assert slot.aggregate == legal_stream.slot(i).aggregate
-            assert not slot.per_source[attackers].any()
+            assert not counts_of(slot, cfg.n_legal + cfg.n_attack)[attackers].any()
 
 
 def test_split_proportions_follow_rates():
@@ -240,10 +247,74 @@ def test_split_proportions_follow_rates():
     stream = stream_of(cfg, 9)
     total = np.zeros(4, dtype=np.int64)
     for i in range(cfg.n_slots):
-        total += stream.slot(i, want_per_source=True).per_source
+        total += counts_of(stream.slot(i, want_per_source=True), 4)
     n = int(total.sum())
     # binomial 3-sigma band around 0.25 for each source
     assert np.all(np.abs(total / n - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n))
+
+
+class CountVectorSplit:
+    """Reference split: one count vector over every source per slot.
+
+    Classes, Poisson draws and split tables are built as TrafficStream
+    builds them; each active class's uniforms are sorted, looked up in its
+    cumulative table and counted into its id range of a zeros vector.
+    """
+
+    def __init__(self, cfg, rng, split_rng):
+        self.n_sources = cfg.n_legal + cfg.n_attack
+        self.split_rng = split_rng
+        self.classes = []
+        for first_id, n, rate, lo, hi in (
+                (0, cfg.n_legal, cfg.lambda_n, 0, cfg.n_slots),
+                (cfg.n_legal, cfg.n_attack, cfg.lambda_a,
+                 slots_in(cfg.t_star, cfg.slot_dt, "t_star"),
+                 slots_in(cfg.attack_end, cfg.slot_dt, "attack_end"))):
+            if n == 0:
+                continue
+            rates = np.full(n, rate)
+            total = float(rates.sum())
+            cum_probs = np.cumsum(rates) / total
+            cum_probs[-1] = 1.0
+            draws = rng.poisson(total * cfg.slot_dt, size=hi - lo)
+            self.classes.append((slice(first_id, first_id + n), cum_probs, draws, lo, hi))
+
+    def slot(self, i, split):
+        """(aggregate, per-source counts or None) of slot i."""
+        aggregate = 0
+        per_source = np.zeros(self.n_sources, dtype=np.int64) if split else None
+        for ids, cum_probs, draws, lo, hi in self.classes:
+            if not lo <= i < hi:
+                continue
+            count = int(draws[i - lo])
+            aggregate += count
+            if split and count:
+                u = self.split_rng.random(count)
+                u.sort()
+                idx = cum_probs.searchsorted(u, side="left")
+                per_source[ids] = np.bincount(idx, minlength=len(cum_probs))
+        return aggregate, per_source
+
+
+@pytest.mark.parametrize("cfg", [large_config(), small_config()],
+                         ids=["10000-5000", "50-50"])
+def test_split_matches_count_vector_reference(cfg):
+    n = cfg.n_legal + cfg.n_attack
+    split_rng, ref_split_rng = np.random.default_rng(12), np.random.default_rng(12)
+    stream = TrafficStream(cfg, np.random.default_rng(11), split_rng)
+    ref = CountVectorSplit(cfg, np.random.default_rng(11), ref_split_rng)
+    # before the onset at slot 1000, across it, and during the attack;
+    # every third slot is not split and must draw nothing
+    for i in [*range(900, 1100), *range(1500, 1530)]:
+        split = i % 3 != 0
+        slot = stream.slot(i, want_per_source=split)
+        aggregate, per_source = ref.slot(i, split)
+        assert slot.aggregate == aggregate
+        if split:
+            assert np.array_equal(counts_of(slot, n), per_source)
+        else:
+            assert slot.sources is None
+        assert split_rng.bit_generator.state == ref_split_rng.bit_generator.state
 
 
 def test_stream_slot_inactive_population():
@@ -252,5 +323,6 @@ def test_stream_slot_inactive_population():
     # slot beyond every activity window
     slot = stream.slot(cfg.n_slots + 10, want_per_source=True)
     assert slot.aggregate == 0
-    assert len(slot.per_source) == cfg.n_legal + cfg.n_attack
-    assert not slot.per_source.any()
+    per_source = counts_of(slot, cfg.n_legal + cfg.n_attack)
+    assert len(per_source) == cfg.n_legal + cfg.n_attack
+    assert not per_source.any()

@@ -9,7 +9,7 @@ mu * slot_dt even when that product is not an integer.
 
 from __future__ import annotations
 
-__all__ = ["BufferState", "step"]
+__all__ = ["BufferState", "step", "advance"]
 
 
 class BufferState:
@@ -88,3 +88,59 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
         state.peak_slot = state._slot
     state._slot += 1
     return admitted
+
+
+def advance(state: BufferState, arrivals: list[int], service_per_slot: float,
+            stop_at_l1: bool = True) -> int:
+    """step() over each count of arrivals in turn; the slots advanced.
+
+    With stop_at_l1 it stops after the first slot whose backlog (occupancy
+    net of that slot's service) is at or above l1, the buffer-full signal.
+    The same arithmetic as step(), run on locals and written back once.
+    """
+    if arrivals and min(arrivals) < 0:
+        raise ValueError("arrivals must be >= 0")
+    if service_per_slot < 0:
+        raise ValueError("service_per_slot must be >= 0")
+
+    l1 = state.l1
+    capacity = state.capacity
+    occupancy = state.occupancy
+    post = state.post_service_occupancy
+    credit = state._service_credit
+    offered = served_total = dropped = 0
+    peak, peak_slot, slot = state.peak_occupancy, state.peak_slot, state._slot
+    for count in arrivals:
+        credit += service_per_slot
+        whole = int(credit)
+        served = occupancy if occupancy < whole else whole
+        occupancy -= served
+        if occupancy == 0:
+            credit -= whole
+        else:
+            credit -= served
+        post = occupancy
+        room = capacity - occupancy
+        admitted = count if count <= room else room
+        occupancy += admitted
+        offered += count
+        served_total += served
+        dropped += count - admitted
+        if occupancy > peak:
+            peak = occupancy
+            peak_slot = slot
+        slot += 1
+        if stop_at_l1 and post >= l1:
+            break
+
+    state.occupancy = occupancy
+    state.post_service_occupancy = post
+    state._service_credit = credit
+    state.cumulative_offered += offered
+    state.cumulative_served += served_total
+    state.cumulative_dropped += dropped
+    state.peak_occupancy = peak
+    state.peak_slot = peak_slot
+    ran = slot - state._slot
+    state._slot = slot
+    return ran

@@ -15,7 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .buffer import BufferState
+import numpy as np
+
+from .buffer import BufferState, advance
 from .stats import (SummaryStats, levene_test, sample_mean, t_test_pooled,
                     upper_conf_bound)
 from .traffic import slots_in
@@ -115,8 +117,30 @@ class SlidingWindow:
         self.contents.clear()
         self.running_sum = 0
 
+    def refill(self, values: np.ndarray) -> None:
+        """Hold the last `capacity` of values, as pushing each in turn leaves it."""
+        self.contents = deque(values[-self.capacity:].tolist())
+        self.running_sum = sum(self.contents)
+
     def __len__(self) -> int:
         return len(self.contents)
+
+
+def _pushed_averages(window: SlidingWindow,
+                     arrivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The window's contents followed by arrivals, and the window's average
+    after each arrival is pushed: NaN until it is full, then its sum over
+    the capacity, rounded as average() rounds it (exact int64 prefix sums;
+    int / int and float64 division agree below 2**53)."""
+    held, cap = len(window), window.capacity
+    values = np.concatenate((np.fromiter(window.contents, np.int64, held), arrivals))
+    sums = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=sums[1:])
+    averages = np.full(len(arrivals), np.nan)
+    first = max(0, cap - held - 1)         # the first arrival that fills the window
+    if first < len(arrivals):
+        averages[first:] = (sums[held + first + 1:] - sums[held + first + 1 - cap:-cap]) / cap
+    return values, averages
 
 
 def detect_ratio(short_avg: float, long_avg: float, r: float) -> bool:
@@ -152,9 +176,10 @@ def detect_statistical(baseline_par: list[float], current_par: list[float],
 class Detector:
     """Per-run detection state machine over a slotted traffic feed.
 
-    Feed one aggregate per slot via observe(); the first enabled method to
-    fire is reported (priority statistical > ratio > buffer-full within a
-    slot).  The statistical method is re-evaluated whenever a one-second
+    Feed one aggregate per slot via observe(), or, while unfrozen, run
+    ahead over many slots to the next fire with scan(); the first enabled
+    method to fire is reported (priority statistical > ratio > buffer-full
+    within a slot).  The statistical method is re-evaluated whenever a one-second
     arrival bucket completes; its baseline is the block of buckets ending
     c seconds in the past.  While an episode (measurement/filtering) is in
     progress the caller freeze()s the detector: monitoring continues, but
@@ -301,3 +326,89 @@ class Detector:
             if buffer.is_l1_backlogged():
                 fired = Method.BUFFER_FULL
         return fired
+
+    def scan(self, arrivals: np.ndarray, buffer: BufferState,
+             service_per_slot: float) -> tuple[int, Optional[Method]]:
+        """observe() over arrivals up to the first fire, for the unfrozen detector.
+
+        arrivals are the int64 aggregates of the slots from here on; the
+        buffer is stepped through the same slots (buffer.advance), as the
+        caller of observe() would.  Returns the slots consumed and the
+        method that fired in the last of them, or None if none fired and
+        every slot was consumed.  The ratio rule is found from whole-array
+        prefix sums and the one-second buckets from a reshape-sum; the
+        statistical method is evaluated in order at each bucket boundary up
+        to the fire, as observe() would.  The detector and the buffer are
+        left exactly as that many observe() and step() calls leave them.
+        """
+        if self._frozen:
+            raise RuntimeError("scan runs only on an unfrozen detector")
+        cfg = self.cfg
+        n = len(arrivals)
+        if n == 0:
+            return 0, None
+        short_values, short_avg = _pushed_averages(self.short, arrivals)
+        long_values, long_avg = _pushed_averages(self.long, arrivals)
+        last = n - 1                        # the last slot the scan may reach
+        ratio_at = n
+        if Method.RATIO in cfg.methods:
+            # NaN, a window not yet full, compares False
+            hits = np.flatnonzero((long_avg > 0) & (short_avg > (1.0 + cfg.r) * long_avg))
+            if len(hits):
+                ratio_at = last = int(hits[0])
+
+        # one-second buckets: the partial bucket's count, then the arrivals
+        spb, fill = self._slots_per_bucket, self._bucket_fill
+        head = np.zeros(fill, dtype=np.int64)
+        if fill:
+            head[0] = self._bucket_acc
+        slot_counts = np.concatenate((head, arrivals))
+        new = slot_counts[:len(slot_counts) // spb * spb].reshape(-1, spb).sum(axis=1).tolist()
+        held = len(self.buckets)
+        buckets = list(self.buckets) + new
+        maxlen, base_len = self.buckets.maxlen, cfg.baseline_len
+
+        # new bucket j completes at slot (j + 1) * spb - fill - 1; it is
+        # tested once the deque is full, up to the last reachable slot
+        checks = range(0)
+        if Method.STATISTICAL in cfg.methods:
+            checks = range(max(0, maxlen - held - 1), (last + fill + 1) // spb)
+        watch_full = Method.BUFFER_FULL in cfg.methods
+        fired: Optional[Method] = None
+        done = 0
+        for j in checks:
+            end = (j + 1) * spb - fill - 1
+            done += advance(buffer, arrivals[done:end + 1].tolist(), service_per_slot,
+                            watch_full)
+            if done <= end:
+                break                       # buffer-full before the boundary
+            top = held + j + 1              # buckets[top - maxlen:top] are in the deque
+            baseline = [float(v) for v in buckets[top - maxlen:top - maxlen + base_len]]
+            current = [float(v) for v in buckets[top - self._ws_buckets:top]]
+            self.stat_checks += 1
+            if detect_statistical(baseline, current, cfg.alpha):
+                self.stat_positives += 1
+                fired = Method.STATISTICAL
+                break
+            if watch_full and buffer.is_l1_backlogged():
+                break
+        else:
+            done += advance(buffer, arrivals[done:last + 1].tolist(), service_per_slot,
+                            watch_full)
+        if fired is None:
+            if done - 1 == ratio_at:
+                fired = Method.RATIO
+            elif watch_full and buffer.is_l1_backlogged():
+                fired = Method.BUFFER_FULL
+
+        # the state `done` observe() calls leave
+        self.short.refill(short_values[:len(self.short) + done])
+        self.long.refill(long_values[:len(self.long) + done])
+        ring = long_avg[:done]
+        self._lambda_bar_ring.extend(ring[~np.isnan(ring)][-self._lambda_bar_ring.maxlen:]
+                                     .tolist())
+        completed = (fill + done) // spb
+        self.buckets.extend(new[max(0, completed - maxlen):completed])
+        self._bucket_acc = int(slot_counts[completed * spb:fill + done].sum())
+        self._bucket_fill = fill + done - completed * spb
+        return done, fired

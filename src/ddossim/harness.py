@@ -1,9 +1,11 @@
 """End-to-end scenario execution and batch aggregation.
 
-run_once drives the whole pipeline for one seed: generate a slot, apply
-the active filter, step the buffer, feed the detector, and on a fire
-open a measurement episode (per-source attribution on for w_s seconds),
-classify, activate the filter, and watch for restoration.  Monitoring
+run_once drives the whole pipeline for one seed.  Between episodes it
+runs the buffer and the detector ahead on the pre-drawn slot totals to
+the next fire (Detector.scan); a fire opens an episode, which runs slot
+by slot: generate the slot's packets, apply the active filter, step the
+buffer, feed the detector, measure per source for w_s seconds, classify,
+activate the filter, and watch for restoration.  Monitoring
 continues while the filter is active, pinned against the baseline frozen
 at the fire: if the residual traffic still looks abnormal the pipeline
 re-measures and widens the block set, so a false alarm just before the
@@ -159,14 +161,22 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     false_alarms = 0
     ratio_fires = 0
 
-    for i in range(scenario.n_slots):
-        elapsed = i + 1                        # slots done at the end of this one
-        want_ps = phase == "measure" or blocked is not None
-        slot = stream.slot(i, want_per_source=want_ps)
-        if blocked is not None:
-            slot = apply_filter(blocked, slot)
-        admitted = step(buf, slot.aggregate, service)
-        fired = det.observe(slot.aggregate, buf)
+    n_slots = scenario.n_slots
+    elapsed = 0                                # slots done
+    while elapsed < n_slots:
+        if phase == "monitor":
+            # nothing is split or filtered between episodes: run ahead on
+            # the slot totals to the next fire, or to the end of the run
+            ran, fired = det.scan(stream.totals[elapsed:], buf, service)
+            elapsed += ran
+        else:
+            # an episode slot: per-source data for the measurement or filter
+            slot = stream.slot(elapsed, want_per_source=True)
+            elapsed += 1
+            if blocked is not None:
+                slot = apply_filter(blocked, slot)
+            admitted = step(buf, slot.aggregate, service)
+            fired = det.observe(slot.aggregate, buf)
 
         if restoration is not None and restoration.update(buf.post_service_occupancy,
                                                           admitted):

@@ -99,10 +99,11 @@ class SlotTraffic:
 class TrafficStream:
     """Pre-drawn slot sequence for a whole run.
 
-    Class aggregates for every slot are drawn up front (vectorized); the
-    multinomial per-source split is done lazily, only for the slots where
-    the caller asks for it.  A separate split RNG keeps the aggregate
-    sequence independent of when splits are requested.
+    Class aggregates for every slot are drawn up front (vectorized), and
+    totals holds their sum per slot, the run's arrivals as one int64 array;
+    the multinomial per-source split is done lazily, only for the slots
+    where the caller asks for it.  A separate split RNG keeps the
+    aggregate sequence independent of when splits are requested.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -110,6 +111,7 @@ class TrafficStream:
         config.validate()
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
+        self.totals = np.zeros(config.n_slots, dtype=np.int64)
         # per class: first member id, split table, draws, active slots [lo, hi)
         self._classes: list[tuple[int, np.ndarray, list[int], int, int]] = []
         for first_id, n, rate, lo, hi in (
@@ -126,8 +128,9 @@ class TrafficStream:
             total = float(rates.sum())
             cum_probs = np.cumsum(rates) / total
             cum_probs[-1] = 1.0
-            draws = rng.poisson(total * config.slot_dt, size=hi - lo).tolist()
-            self._classes.append((first_id, cum_probs, draws, lo, hi))
+            draws = rng.poisson(total * config.slot_dt, size=hi - lo)
+            self.totals[lo:hi] += draws
+            self._classes.append((first_id, cum_probs, draws.tolist(), lo, hi))
 
     def slot(self, i: int, want_per_source: bool = False) -> SlotTraffic:
         aggregate = 0

@@ -55,4 +55,8 @@ def test_traced_run_matches_untraced(preset, called):
     with tracing.patched(tracing.layer_patches(tracer, harness, detector)):
         traced = harness.run_once(p.scenario, p.detector, p.id_method, seed=3).as_row()
     assert traced == untraced
-    assert {name for name, (calls, _, _) in tracer.totals().items() if calls} == called
+    totals = tracer.totals()
+    assert {name for name, (calls, _, _) in totals.items() if calls} == called
+    # every statistical check goes through the wrapped module global, and
+    # none is evaluated past a fire
+    assert totals["detector.detect_statistical"][0] == traced["stat_checks"]

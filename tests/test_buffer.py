@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddossim.buffer import BufferState, step
+from ddossim.buffer import BufferState, advance, step
 
 
 def step_counts(buf, arrivals, service):
@@ -155,3 +155,58 @@ def test_step_input_validation():
         step(buf, -1, 1.0)
     with pytest.raises(ValueError):
         step(buf, 1, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# bulk advance: the same state as step() slot by slot
+# ---------------------------------------------------------------------------
+
+def buffer_fields(buf):
+    return {name: getattr(buf, name) for name in BufferState.__slots__}
+
+
+def stepped(buf, arrivals, service, stop_at_l1):
+    """advance() as a loop of step(): the slots stepped."""
+    for n, count in enumerate(arrivals, 1):
+        step(buf, count, service)
+        if stop_at_l1 and buf.is_l1_backlogged():
+            return n
+    return len(arrivals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.4, 0.8, 8.0, 150.0]),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=200),
+       st.lists(st.integers(min_value=0, max_value=300), max_size=60),
+       st.lists(st.integers(min_value=0, max_value=300), max_size=300),
+       st.booleans())
+def test_advance_matches_repeated_step(service, l1, l2, warm, arrivals, stop_at_l1):
+    bulk = BufferState(l1=l1, l2=l2)
+    for count in warm:              # carried occupancy, credit, peak and slot
+        step(bulk, count, service)
+    reference = BufferState(l1=l1, l2=l2)
+    for count in warm:
+        step(reference, count, service)
+    ran = advance(bulk, arrivals, service, stop_at_l1)
+    assert ran == stepped(reference, arrivals, service, stop_at_l1)
+    # every field, the float service credit and peak_slot included, exactly
+    assert buffer_fields(bulk) == buffer_fields(reference)
+    assert type(bulk._service_credit) is float
+
+
+def test_advance_stops_at_the_first_backlogged_slot():
+    buf = BufferState(l1=10, l2=100)
+    # backlog after service: 0, 0, 12 (20 - 8), then it would keep growing
+    assert advance(buf, [5, 20, 20, 20, 20], 8.0) == 3
+    assert buf.post_service_occupancy == 12 and buf.occupancy == 32
+    assert advance(buf, [], 8.0) == 0
+    assert advance(buf, [20, 20], 8.0, stop_at_l1=False) == 2
+
+
+def test_advance_input_validation():
+    buf = BufferState(10, 10)
+    with pytest.raises(ValueError):
+        advance(buf, [1, -1], 1.0)
+    with pytest.raises(ValueError):
+        advance(buf, [1], -1.0)
+    assert buffer_fields(buf) == buffer_fields(BufferState(10, 10))

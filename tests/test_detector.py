@@ -1,10 +1,13 @@
 """Detector tests: sliding windows, the three detection rules, the frozen
 baseline during episodes, and the end-to-end fire logic."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddossim.buffer import BufferState, step
 from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method,
@@ -289,3 +292,137 @@ def test_unfreeze_discards_excursion_buckets():
         fires += det.observe(int(v)) is Method.STATISTICAL
     assert det.stat_checks > checks_before
     assert fires / (det.stat_checks - checks_before) <= 0.05 + 0.03
+
+
+# ---------------------------------------------------------------------------
+# scan: the unfrozen detector run ahead to the next fire
+# ---------------------------------------------------------------------------
+
+def detector_state(det):
+    """Every field of a detector, with the type of each value."""
+    def typed(values):
+        return [(type(v), v) for v in values]
+    return {
+        "short": (typed(det.short.contents), typed([det.short.running_sum])),
+        "long": (typed(det.long.contents), typed([det.long.running_sum])),
+        "ring": (typed(det._lambda_bar_ring), det._lambda_bar_ring.maxlen),
+        "buckets": (typed(det.buckets), det.buckets.maxlen),
+        "partial": typed([det._bucket_acc, det._bucket_fill]),
+        "stat": (det.stat_checks, det.stat_positives),
+        "frozen": (det._frozen, det._frozen_baseline, det._frozen_lambda_bar,
+                   det._fresh_buckets, det._frozen_appended),
+    }
+
+
+def buffer_fields(buf):
+    return {name: getattr(buf, name) for name in BufferState.__slots__}
+
+
+def observed(det, buf, service, arrivals):
+    """scan() as a loop of step() and observe(): (slots consumed, method)."""
+    for n, v in enumerate(arrivals, 1):
+        step(buf, v, service)
+        fired = det.observe(v, buf)
+        if fired is not None:
+            return n, fired
+    return len(arrivals), None
+
+
+def assert_scan_matches_observe(det, buf, service, arrivals):
+    """Scan a copy of det and buf; compare with observe() slot by slot,
+    then through a freeze() and a few episode slots."""
+    ref_det, ref_buf = copy.deepcopy(det), copy.deepcopy(buf)
+    got = det.scan(np.array(arrivals, dtype=np.int64), buf, service)
+    assert got == observed(ref_det, ref_buf, service, arrivals)
+    assert detector_state(det) == detector_state(ref_det)
+    assert buffer_fields(buf) == buffer_fields(ref_buf)
+    det.freeze()
+    ref_det.freeze()
+    assert detector_state(det) == detector_state(ref_det)
+    for v in arrivals[:40]:
+        step(buf, v, service)
+        step(ref_buf, v, service)
+        assert det.observe(v, buf) == ref_det.observe(v, ref_buf)
+    assert detector_state(det) == detector_state(ref_det)
+    return got
+
+
+@st.composite
+def aggregate_feeds(draw, max_segments, min_segments=0):
+    """Steps, bursts and zero runs: constant or Poisson segments of levels."""
+    segments = draw(st.lists(st.tuples(st.booleans(), st.sampled_from([0, 1, 2, 5, 12, 40]),
+                                       st.integers(min_value=1, max_value=40)),
+                             min_size=min_segments, max_size=max_segments))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    feed = []
+    for poisson, level, length in segments:
+        feed += rng.poisson(level, length).tolist() if poisson else [level] * length
+    return feed
+
+
+@st.composite
+def scan_cases(draw):
+    slots_per_second = draw(st.sampled_from([1, 2, 4]))
+    w_s = draw(st.sampled_from([2.0, 3.0]))
+    methods = draw(st.sets(st.sampled_from(ALL_METHODS), min_size=1))
+    cfg = make_cfg(w_s=w_s, w_l=w_s + draw(st.integers(min_value=1, max_value=4)),
+                   c=w_s + draw(st.integers(min_value=0, max_value=3)),
+                   r=draw(st.sampled_from([0.3, 0.6])), baseline_len=8,
+                   methods=tuple(m for m in ALL_METHODS if m in methods))
+    det = Detector(cfg, slot_dt=1 / slots_per_second)
+    buf = BufferState(l1=draw(st.sampled_from([3, 10, 40])), l2=draw(st.sampled_from([0, 30])))
+    service = draw(st.sampled_from([0.4, 0.8, 8.0, 150.0]))
+    # warm and carried-over state: the long window, the lambda-bar ring and
+    # the buckets from before, optionally across an episode, which leaves
+    # the long window non-contiguous and the short window empty
+    for v in draw(aggregate_feeds(6)):
+        step(buf, v, service)
+        det.observe(v, buf)
+    if draw(st.booleans()):
+        det.freeze()
+        for v in draw(aggregate_feeds(2)):
+            step(buf, v, service)
+            det.observe(v, buf)
+        det.unfreeze()
+        for v in draw(st.lists(st.integers(min_value=0, max_value=12), max_size=6)):
+            step(buf, v, service)
+            det.observe(v, buf)
+    return det, buf, service, draw(aggregate_feeds(8, min_segments=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_scan_matches_observe(case):
+    det, buf, service, arrivals = case
+    assert_scan_matches_observe(det, buf, service, arrivals)
+
+
+@pytest.mark.parametrize("methods, expected", [
+    (ALL_METHODS, Method.STATISTICAL),
+    ((Method.RATIO, Method.BUFFER_FULL), Method.RATIO),
+    ((Method.BUFFER_FULL,), Method.BUFFER_FULL),
+    ((Method.STATISTICAL, Method.RATIO), Method.STATISTICAL),
+])
+def test_scan_fires_as_observe_does(methods, expected):
+    # a fresh sim2-sized detector: warm-up, baseline, then a tenfold step
+    rng = np.random.default_rng(40)
+    arrivals = rng.poisson(1, 1000).tolist() + rng.poisson(10, 400).tolist()
+    det = Detector(make_cfg(methods=methods), slot_dt=0.1)
+    _, fired = assert_scan_matches_observe(det, BufferState(l1=40, l2=160), 8.0, arrivals)
+    assert fired is expected
+
+
+def test_scan_ratio_boundary_is_strict():
+    # 2-slot and 4-slot windows: after [1, 1, 4, 4] the short average 4 equals
+    # 1.6 times the long average 2.5 exactly, which is not a fire
+    det = Detector(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), slot_dt=1.0)
+    assert (1.0 + det.cfg.r) * 2.5 == 4.0
+    got = assert_scan_matches_observe(det, BufferState(l1=40, l2=160), 8.0, [1, 1, 4, 4, 20])
+    assert got == (5, Method.RATIO)
+
+
+def test_scan_needs_an_unfrozen_detector():
+    det = Detector(make_cfg(), slot_dt=0.1)
+    det.freeze()
+    with pytest.raises(RuntimeError):
+        det.scan(np.zeros(5, dtype=np.int64), BufferState(l1=40, l2=160), 8.0)

@@ -120,39 +120,45 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     ("sim2", {}, 0),                    # history identification
     ("sim1", {}, 500),                  # greedy over 15 000 sources
     ("sim2", {"n_attack": 0}, 3),       # false alarms only
+    ("case1", {}, 0),                   # fractional service, 0.4 packets a slot
+    ("sim2", {"slot_dt": 1.0}, 0),      # whole service, 8 packets a slot
 ])
 def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
     # every generated packet is filtered, dropped, served or still queued
-    generated, filtered, buffers = [], [], []
-    slot, apply_filter, buffer_state = (harness.TrafficStream.slot, harness.apply_filter,
-                                        harness.BufferState)
-
-    def counted_slot(self, *args, **kwargs):
-        out = slot(self, *args, **kwargs)
-        generated.append(out.aggregate)
-        return out
+    filtered, streams, buffers = [], [], []
+    apply_filter, traffic_stream, buffer_state = (harness.apply_filter, harness.TrafficStream,
+                                                  harness.BufferState)
 
     def counted_filter(blocked, traffic):
         # the packets from blocked sources, counted apart from the filter
         filtered.append(int(np.count_nonzero(blocked[traffic.sources])))
         return apply_filter(blocked, traffic)
 
+    def kept_stream(*args):
+        streams.append(traffic_stream(*args))
+        return streams[-1]
+
     def kept_buffer(*args):
         buffers.append(buffer_state(*args))
         return buffers[-1]
 
-    monkeypatch.setattr(harness.TrafficStream, "slot", counted_slot)
     monkeypatch.setattr(harness, "apply_filter", counted_filter)
+    monkeypatch.setattr(harness, "TrafficStream", kept_stream)
     monkeypatch.setattr(harness, "BufferState", kept_buffer)
     p = PRESETS[preset]
     scenario = dataclasses.replace(p.scenario, **overrides)
     m = run_once(scenario, p.detector, p.id_method, seed=seed)
-    (buf,) = buffers
-    assert len(generated) == scenario.n_slots
+    (stream,), (buf,) = streams, buffers
+    # generated: the slot-by-slot aggregates, drawn again after the run
+    # (an unsplit slot uses no randomness)
+    generated = sum(stream.slot(i).aggregate for i in range(scenario.n_slots))
+    assert int(stream.totals.sum()) == generated
+    assert buf._slot == scenario.n_slots
     if scenario.n_attack:
         assert sum(filtered) > 0
-    assert sum(generated) == (sum(filtered) + buf.cumulative_dropped + buf.cumulative_served
-                              + buf.occupancy)
+    assert buf.cumulative_offered == generated - sum(filtered)
+    assert buf.cumulative_offered == (buf.cumulative_dropped + buf.cumulative_served
+                                      + buf.occupancy)
     assert m.packets_dropped == buf.cumulative_dropped
 
 

@@ -15,9 +15,9 @@ from .identifier import (PerSourceMeasurement, WindowCounts, apply_filter,
                          estimate_attack_rate, identify_by_history,
                          identify_greedy, measure_per_source)
 from .presets import PRESETS, Preset, get_preset
-from .stats import (ConfidenceBound, SummaryStats, TestResult, ks_normality,
-                    levene_test, pooled_variance, sample_mean, sample_stddev,
-                    t_test_pooled, upper_conf_bound)
+from .stats import (SummaryStats, TestResult, ks_normality, levene_test,
+                    pooled_variance, sample_mean, sample_stddev, t_test_pooled,
+                    upper_conf_bound)
 from .traffic import ScenarioConfig, SlotTraffic, TrafficStream
 
 __version__ = "0.1.0"

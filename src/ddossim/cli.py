@@ -52,6 +52,8 @@ class ExperimentSpec:
             raise ConfigError("sweep mode needs a non-empty sweep_ws list")
         if self.mode == "sweep" and self.runs < 1:
             raise ConfigError("sweep mode needs runs >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv|jsonl, got {self.format!r}")
         if self.id_method not in ("greedy", "history"):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -150,13 +151,14 @@ def detect_ratio(short_avg: float, long_avg: float, r: float) -> bool:
     return short_avg > (1.0 + r) * long_avg
 
 
-def detect_statistical(baseline_par: list[float], current_par: list[float],
-                       alpha: float = 0.05) -> bool:
+def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
+                       alpha: float) -> bool:
     """Hypothesis-testing detection on packet-arrival-rate samples.
 
     Gates on the upper confidence bound of the baseline mean (MPAR,
     alpha = 0.025), then runs the pooled t-test and Levene's test; the
-    attack flag is raised if either rejects at the given alpha.
+    attack flag is raised if either rejects at the given alpha (Levene
+    runs only when the t-test does not).
     """
     if len(baseline_par) < 8 or len(current_par) < 2:
         raise ValueError("statistical detection needs >= 8 baseline and >= 2 current samples")
@@ -165,12 +167,10 @@ def detect_statistical(baseline_par: list[float], current_par: list[float],
     if base.stddev == 0.0:
         # degenerate baseline: only the threshold comparison is meaningful
         return cur_mean > base.mean
-    t_x = upper_conf_bound(base, MPAR_ALPHA).upper
-    if cur_mean <= t_x:
+    if cur_mean <= upper_conf_bound(base, MPAR_ALPHA):
         return False
-    t_res = t_test_pooled(baseline_par, current_par, alpha)
-    lev_res = levene_test(baseline_par, current_par, alpha)
-    return t_res.reject or lev_res.reject
+    return (t_test_pooled(base, SummaryStats.from_sample(current_par)).p_value < alpha
+            or levene_test(baseline_par, current_par).p_value < alpha)
 
 
 class Detector:
@@ -204,14 +204,10 @@ class Detector:
         self.stat_checks = 0
         self.stat_positives = 0
         self._frozen = False
-        self._frozen_baseline: Optional[list[float]] = None
+        self._frozen_baseline: Optional[list[int]] = None
         self._frozen_lambda_bar = 0.0
         self._fresh_buckets = 0
         self._frozen_appended = 0
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def baseline_lambda_bar(self) -> float:
         """Long-window average from c seconds back, in packets per slot.
@@ -239,8 +235,7 @@ class Detector:
         self._frozen_lambda_bar = self.baseline_lambda_bar()
         self._frozen = True
         if len(self.buckets) == self.buckets.maxlen:
-            self._frozen_baseline = [float(v)
-                                     for v in list(self.buckets)[:self.cfg.baseline_len]]
+            self._frozen_baseline = list(islice(self.buckets, self.cfg.baseline_len))
         else:
             self._frozen_baseline = None
         self._fresh_buckets = 0
@@ -275,6 +270,14 @@ class Detector:
         self.short.clear()
         self._fresh_buckets = 0
 
+    def _stat_check(self, baseline: Sequence[int], current: Sequence[int]) -> bool:
+        """One counted statistical check of the current buckets against baseline."""
+        self.stat_checks += 1
+        if detect_statistical(baseline, current, self.cfg.alpha):
+            self.stat_positives += 1
+            return True
+        return False
+
     def observe(self, aggregate: int,
                 buffer: Optional[BufferState] = None) -> Optional[Method]:
         """Feed one slot's aggregate; the method that fired, if any.
@@ -294,17 +297,16 @@ class Detector:
             if self._frozen:
                 self._fresh_buckets += 1
                 self._frozen_appended += 1
-            baseline: Optional[list[float]] = None
-            if self._frozen:
-                if self._frozen_baseline is not None and self._fresh_buckets >= self._ws_buckets:
-                    baseline = self._frozen_baseline
-            elif len(self.buckets) == self.buckets.maxlen:
-                baseline = [float(v) for v in list(self.buckets)[:cfg.baseline_len]]
-            if Method.STATISTICAL in cfg.methods and baseline is not None:
-                current = [float(v) for v in list(self.buckets)[-self._ws_buckets:]]
-                self.stat_checks += 1
-                if detect_statistical(baseline, current, cfg.alpha):
-                    self.stat_positives += 1
+            if Method.STATISTICAL in cfg.methods:
+                baseline: Optional[list[int]] = None
+                if self._frozen:
+                    if self._fresh_buckets >= self._ws_buckets:
+                        baseline = self._frozen_baseline
+                elif len(self.buckets) == self.buckets.maxlen:
+                    baseline = list(islice(self.buckets, cfg.baseline_len))
+                if baseline is not None and self._stat_check(
+                        baseline,
+                        list(islice(self.buckets, len(self.buckets) - self._ws_buckets, None))):
                     fired = Method.STATISTICAL
 
         self.short.push(aggregate)
@@ -383,11 +385,8 @@ class Detector:
             if done <= end:
                 break                       # buffer-full before the boundary
             top = held + j + 1              # buckets[top - maxlen:top] are in the deque
-            baseline = [float(v) for v in buckets[top - maxlen:top - maxlen + base_len]]
-            current = [float(v) for v in buckets[top - self._ws_buckets:top]]
-            self.stat_checks += 1
-            if detect_statistical(baseline, current, cfg.alpha):
-                self.stat_positives += 1
+            if self._stat_check(buckets[top - maxlen:top - maxlen + base_len],
+                                buckets[top - self._ws_buckets:top]):
                 fired = Method.STATISTICAL
                 break
             if watch_full and buffer.is_l1_backlogged():

@@ -19,7 +19,6 @@ __all__ = ["Preset", "PRESETS", "get_preset"]
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     scenario: ScenarioConfig
     detector: DetectorConfig
     id_method: str
@@ -34,7 +33,6 @@ PRESETS: dict[str, Preset] = {
     # large portal: 10000 legal at 0.1 pkt/s vs 5000 attackers at 0.4 pkt/s;
     # approximate detectors plus greedy identification
     "sim1": Preset(
-        name="sim1",
         scenario=ScenarioConfig(n_legal=10000, n_attack=5000, lambda_n=0.1,
                                 lambda_a=0.4, mu=1500.0, l1=40, l2=30000,
                                 **_COMMON),
@@ -45,7 +43,6 @@ PRESETS: dict[str, Preset] = {
     # medium server: 50 vs 50 sources, small buffers, all three detectors
     # and history-based identification
     "sim2": Preset(
-        name="sim2",
         scenario=ScenarioConfig(n_legal=50, n_attack=50, lambda_n=0.1,
                                 lambda_a=0.2, mu=8.0, l1=40, l2=160,
                                 **_COMMON),
@@ -54,7 +51,6 @@ PRESETS: dict[str, Preset] = {
     ),
     # small corporate server: few legal clients, many attackers
     "case1": Preset(
-        name="case1",
         scenario=ScenarioConfig(n_legal=5, n_attack=40, lambda_n=0.1,
                                 lambda_a=0.4, mu=4.0, l1=40, l2=160,
                                 **_COMMON),
@@ -63,7 +59,6 @@ PRESETS: dict[str, Preset] = {
     ),
     # global portal with a 10x per-source attack rate
     "case3": Preset(
-        name="case3",
         scenario=ScenarioConfig(n_legal=10000, n_attack=5000, lambda_n=0.1,
                                 lambda_a=1.0, mu=1500.0, l1=40, l2=30000,
                                 **_COMMON),

@@ -18,7 +18,6 @@ from typing import Sequence
 __all__ = [
     "SummaryStats",
     "TestResult",
-    "ConfidenceBound",
     "sample_mean",
     "sample_stddev",
     "normal_cdf",
@@ -49,22 +48,14 @@ class SummaryStats:
 
     @classmethod
     def from_sample(cls, xs: Sequence[float]) -> "SummaryStats":
-        return cls(mean=sample_mean(xs), stddev=sample_stddev(xs), n=len(xs))
+        mean = sample_mean(xs)
+        return cls(mean=mean, stddev=_stddev_about(xs, mean), n=len(xs))
 
 
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
     p_value: float
-    reject: bool
-    alpha: float
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class ConfidenceBound:
-    upper: float
-    level: float
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +69,15 @@ def sample_mean(xs: Sequence[float]) -> float:
 
 
 def sample_stddev(xs: Sequence[float]) -> float:
+    return _stddev_about(xs, sample_mean(xs))
+
+
+def _stddev_about(xs: Sequence[float], mean: float) -> float:
+    """Sample standard deviation of xs, whose mean is given."""
     n = len(xs)
     if n < 2:
         raise ValueError("sample standard deviation needs at least 2 observations")
-    m = sample_mean(xs)
-    ss = math.fsum((x - m) ** 2 for x in xs)
+    ss = math.fsum((x - mean) ** 2 for x in xs)
     return math.sqrt(ss / (n - 1))
 
 
@@ -241,7 +236,7 @@ def f_sf(w: float, d1: int, d2: int) -> float:
 # tests
 # ---------------------------------------------------------------------------
 
-def ks_normality(xs: Sequence[float], alpha: float = 0.05) -> TestResult:
+def ks_normality(xs: Sequence[float]) -> TestResult:
     """One-sample K-S test of xs against a normal fitted by mean/stddev.
 
     The p-value comes from the asymptotic Kolmogorov distribution with the
@@ -251,29 +246,24 @@ def ks_normality(xs: Sequence[float], alpha: float = 0.05) -> TestResult:
     n = len(xs)
     if n < 8:
         raise ValueError("K-S normality test needs at least 8 observations")
-    mean = sample_mean(xs)
-    sd = sample_stddev(xs)
-    if sd == 0.0:
+    fit = SummaryStats.from_sample(xs)
+    if fit.stddev == 0.0:
         raise ValueError("degenerate sample")
-    xs_sorted = sorted(xs)
     d = 0.0
-    for i, x in enumerate(xs_sorted):
-        f = normal_cdf((x - mean) / sd)
+    for i, x in enumerate(sorted(xs)):
+        f = normal_cdf((x - fit.mean) / fit.stddev)
         d = max(d, (i + 1) / n - f, f - i / n)
-    p = kolmogorov_sf(math.sqrt(n) * d)
-    return TestResult(statistic=d, p_value=p, reject=p < alpha, alpha=alpha,
-                      name="ks_normality")
+    return TestResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d))
 
 
-def upper_conf_bound(stats: SummaryStats, alpha: float) -> ConfidenceBound:
+def upper_conf_bound(stats: SummaryStats, alpha: float) -> float:
     """One-sided upper confidence bound mean + z(alpha) * stddev / sqrt(n)."""
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
     if stats.n < 2:
         raise ValueError("upper confidence bound needs n >= 2")
     z = normal_quantile(1.0 - alpha)
-    return ConfidenceBound(upper=stats.mean + z * stats.stddev / math.sqrt(stats.n),
-                           level=1.0 - alpha)
+    return stats.mean + z * stats.stddev / math.sqrt(stats.n)
 
 
 def pooled_variance(s1: SummaryStats, s2: SummaryStats) -> float:
@@ -283,28 +273,22 @@ def pooled_variance(s1: SummaryStats, s2: SummaryStats) -> float:
             / (s1.n + s2.n - 2))
 
 
-def t_test_pooled(sample1: Sequence[float], sample2: Sequence[float],
-                  alpha: float = 0.05) -> TestResult:
-    """Two-sided equal-variance t-test using the weighted variance estimate.
+def t_test_pooled(s1: SummaryStats, s2: SummaryStats) -> TestResult:
+    """Two-sided equal-variance t-test of two summarised samples.
 
     The pooled variance feeds both denominator terms; degrees of freedom
     are n1 + n2 - 2.
     """
-    s1 = SummaryStats.from_sample(sample1)
-    s2 = SummaryStats.from_sample(sample2)
     sp2 = pooled_variance(s1, s2)
     if sp2 == 0.0:
         if s1.mean == s2.mean:
-            return TestResult(0.0, 1.0, False, alpha, name="t_pooled")
-        t = math.copysign(math.inf, s1.mean - s2.mean)
-        return TestResult(t, 0.0, True, alpha, name="t_pooled")
+            return TestResult(0.0, 1.0)
+        return TestResult(math.copysign(math.inf, s1.mean - s2.mean), 0.0)
     t = (s1.mean - s2.mean) / math.sqrt(sp2 / s1.n + sp2 / s2.n)
-    p = student_t_two_sided_p(t, s1.n + s2.n - 2)
-    return TestResult(t, p, p < alpha, alpha, name="t_pooled")
+    return TestResult(t, student_t_two_sided_p(t, s1.n + s2.n - 2))
 
 
-def levene_test(sample1: Sequence[float], sample2: Sequence[float],
-                alpha: float = 0.05) -> TestResult:
+def levene_test(sample1: Sequence[float], sample2: Sequence[float]) -> TestResult:
     """Levene's test for equality of variances of two groups.
 
     Classic mean-centered form: W on absolute deviations from the group
@@ -312,18 +296,17 @@ def levene_test(sample1: Sequence[float], sample2: Sequence[float],
     """
     if len(sample1) < 2 or len(sample2) < 2:
         raise ValueError("Levene's test needs at least 2 observations per group")
-    groups = (sample1, sample2)
     devs = []
-    for g in groups:
+    for g in (sample1, sample2):
         center = sample_mean(g)
         devs.append([abs(x - center) for x in g])
-    n_total = sum(len(z) for z in devs)
-    grand = math.fsum(math.fsum(z) for z in devs) / n_total
-    numer = math.fsum(len(z) * (sample_mean(z) - grand) ** 2 for z in devs)
-    denom = math.fsum(math.fsum((v - sample_mean(z)) ** 2 for v in z) for z in devs)
+    sums = [math.fsum(z) for z in devs]
+    dev_means = [s / len(z) for s, z in zip(sums, devs)]
+    n_total = len(sample1) + len(sample2)
+    grand = math.fsum(sums) / n_total
+    numer = math.fsum(len(z) * (m - grand) ** 2 for z, m in zip(devs, dev_means))
+    denom = math.fsum(math.fsum((v - m) ** 2 for v in z) for z, m in zip(devs, dev_means))
     if denom == 0.0:
-        return TestResult(0.0, 1.0, False, alpha, name="levene")
-    k = len(groups)
-    w = ((n_total - k) / (k - 1)) * numer / denom
-    p = f_sf(w, k - 1, n_total - k)
-    return TestResult(w, p, p < alpha, alpha, name="levene")
+        return TestResult(0.0, 1.0)
+    w = (n_total - 2) * numer / denom
+    return TestResult(w, f_sf(w, 1, n_total - 2))

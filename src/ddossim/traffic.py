@@ -74,6 +74,8 @@ class ScenarioConfig:
             raise ValueError("need 0 < t_star < attack_end <= total_duration")
         if self.slot_dt <= 0:
             raise ValueError("slot_dt must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # one-second arrival buckets and times reported in seconds are
         # whole numbers of slots
         slots_in(1.0, self.slot_dt, "one second")

@@ -153,7 +153,7 @@ def test_criterion_6_statistics_kernel_oracles():
     for _ in range(100):
         a = rng.normal(0, 1, int(rng.integers(2, 30))).tolist()
         b = rng.normal(0.5, 2, int(rng.integers(2, 30))).tolist()
-        t_res = t_test_pooled(a, b)
+        t_res = t_test_pooled(SummaryStats.from_sample(a), SummaryStats.from_sample(b))
         df = len(a) + len(b) - 2
         t_ref = scipy.special.betainc(df / 2, 0.5,
                                       df / (df + t_res.statistic ** 2))
@@ -165,7 +165,7 @@ def test_criterion_6_statistics_kernel_oracles():
         if abs(t_res.p_value - t_ref) > 1e-9 or abs(lev.p_value - lev_ref) > 1e-9:
             p_ok = False
     # upper-confidence-bound fixture
-    t_x = upper_conf_bound(SummaryStats(10.0, 2.0, 100), 0.025).upper
+    t_x = upper_conf_bound(SummaryStats(10.0, 2.0, 100), 0.025)
     ucb_ok = abs(t_x - 10.3920) <= 1e-4
     ok = moments_ok and pooled_ok and p_ok and ucb_ok
     verdict(6, ok, f"moments {moments_ok}, pooled variance {pooled_ok}, "

@@ -259,6 +259,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,50"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "w_s=50" in err
+    # a negative seed, as a flag or in [scenario], before --out is opened
+    out = tmp_path / "r.csv"
+    bad.write_text("[experiment]\npreset = sim2\n\n[scenario]\nseed = -3\n")
+    for argv in (["--preset", "sim2", "--seed", "-1"], ["--config", str(bad)]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
     # runtime errors -> 2
     assert main(["--preset", "sim2", "--mode", "once",
                  "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2

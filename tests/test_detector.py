@@ -3,10 +3,12 @@ baseline during episodes, and the end-to-end fire logic."""
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddossim.buffer import BufferState, step
@@ -153,6 +155,46 @@ def test_statistical_input_validation():
         detect_statistical([1.0] * 10, [1.0], 0.05)
 
 
+def scipy_decision(baseline, current, alpha):
+    """The statistical rule from scipy: the gate at norm.ppf(0.975), then
+    ttest_ind(equal_var=True) or levene(center="mean") at alpha.  None for
+    a tie that rounding may break either way: a current mean within 1e-12
+    of the gate bound, or a p-value within 1e-9 of alpha."""
+    base = np.asarray(baseline, dtype=float)
+    cur_mean = np.mean(current)
+    mean, sd = base.mean(), base.std(ddof=1)
+    if sd == 0.0:
+        return bool(cur_mean > mean)
+    bound = mean + scipy.stats.norm.ppf(0.975) * sd / math.sqrt(len(base))
+    if abs(cur_mean - bound) <= 1e-12:
+        return None
+    if cur_mean < bound:
+        return False
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        # scipy warns of cancellation on a constant current sample, whose
+        # variance it still finds exactly 0
+        warnings.filterwarnings("ignore", "Precision loss", RuntimeWarning)
+        t_p = scipy.stats.ttest_ind(base, current, equal_var=True).pvalue
+        lev_p = scipy.stats.levene(base, current, center="mean").pvalue
+    if math.isnan(lev_p):             # 0/0: within each group every deviation is equal
+        lev_p = 1.0
+    if min(abs(t_p - alpha), abs(lev_p - alpha)) <= 1e-9:
+        return None
+    return bool(t_p < alpha or lev_p < alpha)
+
+
+@settings(max_examples=400, deadline=None)
+@given(baseline=st.lists(st.integers(0, 60), min_size=8, max_size=40),
+       # a raised floor lifts the current mean past the gate more often
+       current=st.integers(0, 60).flatmap(
+           lambda floor: st.lists(st.integers(floor, 60), min_size=2, max_size=15)),
+       alpha=st.sampled_from([0.01, 0.05, 0.2]))
+def test_statistical_decision_matches_scipy(baseline, current, alpha):
+    expected = scipy_decision(baseline, current, alpha)
+    assume(expected is not None)
+    assert detect_statistical(baseline, current, alpha) == expected
+
+
 # ---------------------------------------------------------------------------
 # detector state machine
 # ---------------------------------------------------------------------------
@@ -239,7 +281,7 @@ def test_frozen_lambda_bar_is_pinned():
         det.observe(100)           # attack-level traffic while frozen
     assert det.baseline_lambda_bar() == before
     det.unfreeze()
-    assert not det.frozen
+    assert not det._frozen
 
 
 def test_frozen_ratio_fires_against_pinned_baseline():

@@ -21,7 +21,7 @@ import numpy as np
 from .buffer import BufferState, advance
 from .stats import (SummaryStats, levene_test, sample_mean, t_test_pooled,
                     upper_conf_bound)
-from .traffic import slots_in
+from .traffic import require_finite, slots_in
 
 __all__ = [
     "Method",
@@ -57,6 +57,7 @@ class DetectorConfig:
     methods: tuple[Method, ...] = ALL_METHODS
 
     def validate(self) -> None:
+        require_finite(self)
         if not 0 < self.w_s < self.w_l:
             raise ValueError("need 0 < w_s < w_l")
         if self.r <= 0:

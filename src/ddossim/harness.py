@@ -170,13 +170,13 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             ran, fired = det.scan(stream.totals[elapsed:], buf, service)
             elapsed += ran
         else:
-            # an episode slot: per-source data for the measurement or filter
-            slot = stream.slot(elapsed, want_per_source=True)
+            # an episode slot: packet source ids for the measurement or filter
+            ids = stream.slot(elapsed)
             elapsed += 1
             if blocked is not None:
-                slot = apply_filter(blocked, slot)
-            admitted = step(buf, slot.aggregate, service)
-            fired = det.observe(slot.aggregate, buf)
+                ids = apply_filter(blocked, ids)
+            admitted = step(buf, len(ids), service)
+            fired = det.observe(len(ids), buf)
 
         if restoration is not None and restoration.update(buf.post_service_occupancy,
                                                           admitted):
@@ -191,7 +191,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             continue
 
         if phase == "measure":
-            measured.add(slot)
+            measured.add(ids)
             if measured.slots == ws_slots:
                 m = measure_per_source(measured, detector_cfg.w_s)
                 total_rate = measured.packets / detector_cfg.w_s

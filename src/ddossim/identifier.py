@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traffic import SlotTraffic
-
 __all__ = [
     "PerSourceMeasurement",
     "WindowCounts",
@@ -46,11 +44,10 @@ class WindowCounts:
         self.slots = 0
         self._ids: list[np.ndarray] = []
 
-    def add(self, slot: SlotTraffic) -> None:
-        if slot.sources is None:
-            raise ValueError(f"slot {slot.slot_index} lacks per-source packet ids")
-        self._ids.append(slot.sources)
-        self.packets += slot.aggregate
+    def add(self, ids: np.ndarray) -> None:
+        """Add one slot's packet source ids."""
+        self._ids.append(ids)
+        self.packets += len(ids)
         self.slots += 1
 
     def counts(self) -> np.ndarray:
@@ -108,12 +105,7 @@ def identify_by_history(measurement: PerSourceMeasurement,
                           attack_rate_budget)
 
 
-def apply_filter(blocked: np.ndarray, slot: SlotTraffic) -> SlotTraffic:
-    """Discard packets from the blocked sources (a mask) before buffer admission."""
-    if slot.sources is None:
-        raise ValueError(f"slot {slot.slot_index} lacks per-source packet ids "
-                         "while filter is active")
-    kept = slot.sources[~blocked[slot.sources]]
-    if len(kept) == len(slot.sources):
-        return slot
-    return SlotTraffic(slot_index=slot.slot_index, aggregate=len(kept), sources=kept)
+def apply_filter(blocked: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The packet source ids of a slot that the blocked sources (a mask) do
+    not own, before buffer admission."""
+    return ids[~blocked[ids]]

@@ -3,24 +3,24 @@
 A scenario has two source classes: legal sources with ids 0..n_legal-1,
 active for the whole run, and attackers with the ids that follow, active
 over [t_star, attack_end).  Each class is sampled as one Poisson aggregate
-per slot; per-source data, when requested, come from a conditional
+per slot; a slot's packets are attributed to sources by a conditional
 multinomial split proportional to the member rates, which is exact for
-superposed independent Poisson sources.  A split slot carries the source
-id of each of its packets, so its cost follows the packets, not the
-number of sources.
+superposed independent Poisson sources.  A slot is the source id of each
+of its packets, so its cost follows the packets, not the number of
+sources.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "ScenarioConfig",
-    "SlotTraffic",
     "TrafficStream",
+    "require_finite",
     "slots_in",
 ]
 
@@ -42,6 +42,14 @@ def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     return whole
 
 
+def require_finite(config) -> None:
+    """Reject a NaN or infinite value in any float field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for one simulated scenario."""
@@ -60,6 +68,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.n_legal < 0 or self.n_attack < 0:
             raise ValueError("source counts must be >= 0")
         if self.lambda_n <= 0:
@@ -91,21 +100,14 @@ class ScenarioConfig:
         return slots_in(self.total_duration, self.slot_dt, "total_duration")
 
 
-@dataclass
-class SlotTraffic:
-    slot_index: int
-    aggregate: int
-    sources: Optional[np.ndarray] = None     # int64 source id of each packet
-
-
 class TrafficStream:
     """Pre-drawn slot sequence for a whole run.
 
     Class aggregates for every slot are drawn up front (vectorized), and
     totals holds their sum per slot, the run's arrivals as one int64 array;
     the multinomial per-source split is done lazily, only for the slots
-    where the caller asks for it.  A separate split RNG keeps the
-    aggregate sequence independent of when splits are requested.
+    the caller asks for.  A separate split RNG keeps the aggregate sequence
+    independent of which slots are split.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -134,25 +136,19 @@ class TrafficStream:
             self.totals[lo:hi] += draws
             self._classes.append((first_id, cum_probs, draws.tolist(), lo, hi))
 
-    def slot(self, i: int, want_per_source: bool = False) -> SlotTraffic:
-        aggregate = 0
-        parts: Optional[list[np.ndarray]] = [] if want_per_source else None
+    def slot(self, i: int) -> np.ndarray:
+        """The int64 source id of each packet of slot i; totals[i] of them."""
+        parts = []
         for first_id, cum_probs, draws, lo, hi in self._classes:
-            if not lo <= i < hi:
+            if not lo <= i < hi or not draws[i - lo]:
                 continue
-            count = draws[i - lo]
-            aggregate += count
-            if parts is not None and count:
-                # attribute each packet of the class aggregate to a member,
-                # proportional to rates; sorted keys make the search walk
-                # the cumulative table in order, which is faster than
-                # random keys on a large table
-                u = self._split_rng.random(count)
-                u.sort()
-                idx = cum_probs.searchsorted(u, side="left")
-                idx += first_id
-                parts.append(idx)
-        sources = None
-        if parts is not None:
-            sources = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SlotTraffic(slot_index=i, aggregate=aggregate, sources=sources)
+            # attribute each packet of the class aggregate to a member,
+            # proportional to rates; sorted keys make the search walk the
+            # cumulative table in order, which is faster than random keys
+            # on a large table
+            u = self._split_rng.random(draws[i - lo])
+            u.sort()
+            idx = cum_probs.searchsorted(u, side="left")
+            idx += first_id
+            parts.append(idx)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

@@ -96,8 +96,8 @@ def test_criterion_4_fluid_fill_time():
         buf = BufferState(sc.l1, sc.l2)
         service = sc.mu * sc.slot_dt
         fill = None
-        for i in range(sc.n_slots):
-            step(buf, stream.slot(i).aggregate, service)
+        for i, arrivals in enumerate(stream.totals.tolist()):
+            step(buf, arrivals, service)
             t = (i + 1) * sc.slot_dt
             if t > sc.t_star and buf.occupancy >= buf.l1:
                 fill = t - sc.t_star

@@ -267,6 +267,17 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+    # a NaN or infinite number, which no range check catches on its own,
+    # before --out is opened
+    for section, line in (("detector", "tolerance_r = nan"), ("detector", "w_l = inf"),
+                          ("detector", "c = inf"), ("scenario", "mu = nan"),
+                          ("scenario", "lambda_a = nan"), ("scenario", "lambda_n = inf"),
+                          ("scenario", "total_duration = inf"), ("scenario", "slot_dt = nan")):
+        bad.write_text(f"[experiment]\npreset = sim2\n\n[{section}]\n{line}\n")
+        capsys.readouterr()
+        assert main(["--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
     # runtime errors -> 2
     assert main(["--preset", "sim2", "--mode", "once",
                  "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2

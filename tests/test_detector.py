@@ -227,6 +227,13 @@ def test_config_validation():
         make_cfg(methods=()).validate()
 
 
+@pytest.mark.parametrize("field", ["w_s", "w_l", "r", "c", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_cfg(**{field: value}).validate()
+
+
 def test_window_sizes_are_exact_slot_counts():
     det = Detector(make_cfg(), slot_dt=0.1)
     # 10 s and 45 s windows; 45 look-back buckets plus a 30-bucket baseline

@@ -129,10 +129,10 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
     apply_filter, traffic_stream, buffer_state = (harness.apply_filter, harness.TrafficStream,
                                                   harness.BufferState)
 
-    def counted_filter(blocked, traffic):
+    def counted_filter(blocked, ids):
         # the packets from blocked sources, counted apart from the filter
-        filtered.append(int(np.count_nonzero(blocked[traffic.sources])))
-        return apply_filter(blocked, traffic)
+        filtered.append(int(np.count_nonzero(blocked[ids])))
+        return apply_filter(blocked, ids)
 
     def kept_stream(*args):
         streams.append(traffic_stream(*args))
@@ -149,9 +149,9 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
     scenario = dataclasses.replace(p.scenario, **overrides)
     m = run_once(scenario, p.detector, p.id_method, seed=seed)
     (stream,), (buf,) = streams, buffers
-    # generated: the slot-by-slot aggregates, drawn again after the run
-    # (an unsplit slot uses no randomness)
-    generated = sum(stream.slot(i).aggregate for i in range(scenario.n_slots))
+    # generated: the packets of every slot, split again after the run (the
+    # split RNG has moved on, but a slot's packet count is its pre-drawn total)
+    generated = sum(len(stream.slot(i)) for i in range(scenario.n_slots))
     assert int(stream.totals.sum()) == generated
     assert buf._slot == scenario.n_slots
     if scenario.n_attack:

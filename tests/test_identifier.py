@@ -11,7 +11,6 @@ from ddossim.identifier import (PerSourceMeasurement, WindowCounts,
                                 apply_filter, estimate_attack_rate,
                                 identify_by_history, identify_greedy,
                                 measure_per_source)
-from ddossim.traffic import SlotTraffic
 
 
 def counts_of(per_source, n):
@@ -30,22 +29,22 @@ def ids_of(mask):
     return {int(i) for i in np.flatnonzero(mask)}
 
 
-def slot_of(index, per_source):
-    """A split slot with per_source[sid] packets from each source id."""
-    sources = np.repeat(np.array(list(per_source), dtype=np.int64),
-                        np.array(list(per_source.values()), dtype=np.int64))
-    return SlotTraffic(slot_index=index, aggregate=len(sources), sources=sources)
+def slot_of(per_source):
+    """A slot's packet source ids, per_source[sid] packets from each source id."""
+    return np.repeat(np.array(list(per_source), dtype=np.int64),
+                     np.array(list(per_source.values()), dtype=np.int64))
 
 
-def slot_counts(slot, n):
-    """Packet counts by source id of a split slot, as a length-n vector."""
-    return np.bincount(slot.sources, minlength=n)
+def slot_counts(ids, n):
+    """Packet counts by source id of a slot's packet ids, as a length-n vector."""
+    return np.bincount(ids, minlength=n)
 
 
 def measured(slots, duration, n):
     window_counts = WindowCounts(n)
-    for slot in slots:
-        window_counts.add(slot)
+    for ids in slots:
+        window_counts.add(ids)
+    assert window_counts.packets == sum(len(ids) for ids in slots)
     return measure_per_source(window_counts, duration)
 
 
@@ -54,7 +53,7 @@ def measured(slots, duration, n):
 # ---------------------------------------------------------------------------
 
 def test_measure_single_source_rate():
-    slots = [slot_of(i, {7: 3}) for i in range(10)]
+    slots = [slot_of({7: 3}) for _ in range(10)]
     m = measured(slots, 10.0, 8)
     assert m.rates[7] == 3.0
     assert ids_of(m.rates) == {7}
@@ -64,14 +63,14 @@ def test_measure_rates_are_counts_over_window_length():
     # the window length itself is the denominator: a window placed at a
     # fire time t has (t + w_s) - t != w_s for many t, e.g. 6.1 + 10.0
     rng = np.random.default_rng(43)
-    slots = [slot_of(i, dict(enumerate(rng.integers(0, 9, 20).tolist()))) for i in range(100)]
+    slots = [slot_of(dict(enumerate(rng.integers(0, 9, 20).tolist()))) for _ in range(100)]
     counts = sum(slot_counts(slot, 20) for slot in slots)
     assert (6.1 + 10.0) - 6.1 != 10.0
     assert np.array_equal(measured(slots, 10.0, 20).rates, counts / 10.0)
 
 
 def test_measure_absent_source_gets_zero():
-    slots = [slot_of(0, {1: 5})]
+    slots = [slot_of({1: 5})]
     m = measured(slots, 1.0, 3)
     assert m.rates[2] == 0.0
 
@@ -80,13 +79,7 @@ def test_measure_empty_window_rejected():
     with pytest.raises(ValueError, match="empty measurement window"):
         measured([], 1.0, 3)
     with pytest.raises(ValueError, match="empty measurement window"):
-        measured([slot_of(0, {})], 0.0, 3)
-
-
-def test_measure_requires_per_source_counts():
-    bare = SlotTraffic(slot_index=0, aggregate=3)
-    with pytest.raises(ValueError, match="per-source"):
-        measured([bare], 1.0, 3)
+        measured([slot_of({})], 0.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +217,17 @@ def test_history_exempt_sources_never_blocked():
 # ---------------------------------------------------------------------------
 
 def test_filter_empty_blocked_is_identity():
-    slot = slot_of(3, {1: 2, 2: 5})
-    assert apply_filter(mask_of([], 3), slot) is slot
+    ids = slot_of({1: 2, 2: 5})
+    out = apply_filter(mask_of([], 3), ids)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, ids)
 
 
 def test_filter_all_blocked_zeroes_aggregate():
-    slot = slot_of(0, {1: 2, 2: 5})
-    out = apply_filter(mask_of({1, 2}, 3), slot)
-    assert slot.aggregate - out.aggregate == 7
-    assert out.aggregate == 0
+    ids = slot_of({1: 2, 2: 5})
+    out = apply_filter(mask_of({1, 2}, 3), ids)
+    assert len(ids) - len(out) == 7
+    assert len(out) == 0
     assert not slot_counts(out, 3).any()
 
 
@@ -242,17 +237,11 @@ def test_filter_never_touches_unblocked_sources():
         per_source = {int(i): int(c) for i, c in
                       enumerate(rng.integers(0, 10, 12))}
         blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
-        out = apply_filter(mask_of(blocked, 12), slot_of(0, per_source))
+        out = apply_filter(mask_of(blocked, 12), slot_of(per_source))
         out_counts = slot_counts(out, 12)
         for sid, c in per_source.items():
             if sid in blocked:
                 assert out_counts[sid] == 0
             else:
                 assert out_counts[sid] == c
-        assert out.aggregate == out_counts.sum()
-
-
-def test_filter_requires_per_source_when_active():
-    bare = SlotTraffic(slot_index=0, aggregate=3)
-    with pytest.raises(ValueError, match="per-source"):
-        apply_filter(mask_of({1}, 2), bare)
+        assert len(out) == out_counts.sum()

@@ -38,21 +38,21 @@ def legal_only(cfg, seed=0):
     """The same-seed stream without attackers.
 
     Legal draws come first from the aggregate generator, so this stream's
-    aggregate is the legal share of every slot of the full stream.
+    totals are the legal share of every slot of the full stream.
     """
     return stream_of(dataclasses.replace(cfg, n_attack=0), seed)
 
 
-def counts_of(slot, n):
-    """Packet counts by source id of a split slot, as a length-n vector."""
-    return np.bincount(slot.sources, minlength=n)
+def counts_of(ids, n):
+    """Packet counts by source id of a slot's packet ids, as a length-n vector."""
+    return np.bincount(ids, minlength=n)
 
 
 def active_ids(stream, slots):
     """Ids of the sources that sent at least one packet over the slots."""
     sent = np.zeros(stream.n_sources, dtype=bool)
     for i in slots:
-        sent |= counts_of(stream.slot(i, want_per_source=True), stream.n_sources) > 0
+        sent |= counts_of(stream.slot(i), stream.n_sources) > 0
     return sent
 
 
@@ -67,10 +67,10 @@ def test_build_sources_large_population():
     legal, attack = slice(0, 10_000), slice(10_000, 15_000)
     # legal sources are active over the whole run, attackers over [100, 200)
     for i in (0, 999, 1000, 1999, 2000, 2999):
-        slot = stream.slot(i, want_per_source=True)
-        per_source = counts_of(slot, 15_000)
-        legal_aggregate = legal_stream.slot(i).aggregate
-        attack_aggregate = slot.aggregate - legal_aggregate
+        ids = stream.slot(i)
+        per_source = counts_of(ids, 15_000)
+        legal_aggregate = legal_stream.totals[i]
+        attack_aggregate = len(ids) - legal_aggregate
         assert per_source[legal].sum() == legal_aggregate > 0
         assert per_source[attack].sum() == attack_aggregate
         assert (attack_aggregate > 0) == (1000 <= i < 2000)
@@ -94,8 +94,7 @@ def test_build_sources_no_attackers():
     assert stream.n_sources == 50
     # every packet is the legal share of the same-seed stream with attackers
     full = stream_of(small_config())
-    assert all(stream.slot(i).aggregate
-               == counts_of(full.slot(i, want_per_source=True), 100)[:50].sum()
+    assert all(stream.totals[i] == counts_of(full.slot(i), 100)[:50].sum()
                for i in range(cfg.n_slots))
 
 
@@ -108,6 +107,14 @@ def test_config_validation():
         small_config(t_star=250.0, attack_end=200.0).validate()
     with pytest.raises(ValueError):
         small_config(slot_dt=0.0).validate()
+
+
+@pytest.mark.parametrize("field", ["lambda_n", "lambda_a", "mu", "t_star", "attack_end",
+                                   "total_duration", "slot_dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        small_config(**{field: value}).validate()
 
 
 def test_config_derived_values():
@@ -179,15 +186,13 @@ def test_stream_bit_exact_determinism():
         ss = np.random.SeedSequence(seed)
         r1, r2 = (np.random.default_rng(s) for s in ss.spawn(2))
         stream = TrafficStream(cfg, r1, r2)
-        return [stream.slot(i, want_per_source=(i % 7 == 0))
-                for i in range(cfg.n_slots)]
+        return stream.totals, [stream.slot(i) for i in range(cfg.n_slots)]
 
-    a, b = trace(99), trace(99)
+    (totals_a, a), (totals_b, b) = trace(99), trace(99)
+    assert np.array_equal(totals_a, totals_b)
+    assert len(a) == len(b)
     for x, y in zip(a, b):
-        assert x.aggregate == y.aggregate
-        assert (x.sources is None) == (y.sources is None)
-        if x.sources is not None:
-            assert np.array_equal(x.sources, y.sources)
+        assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +203,7 @@ def test_pre_attack_mean_within_three_sigma():
     cfg = small_config(total_duration=10_000.0, t_star=9_000.0,
                        attack_end=9_001.0)
     stream = stream_of(cfg, 3)
-    counts = [stream.slot(i).aggregate for i in range(90_000)]
+    counts = stream.totals[:90_000]
     lam = cfg.n_legal * cfg.lambda_n * cfg.slot_dt
     m = len(counts)
     assert abs(np.mean(counts) - lam) <= 3 * math.sqrt(lam / m)
@@ -208,7 +213,7 @@ def test_attack_window_mean():
     cfg = small_config()
     stream = stream_of(cfg, 4)
     lo, hi = int(100 / cfg.slot_dt), int(200 / cfg.slot_dt)
-    counts = [stream.slot(i).aggregate for i in range(lo, hi)]
+    counts = stream.totals[lo:hi]
     lam = (cfg.n_legal * cfg.lambda_n + cfg.n_attack * cfg.lambda_a) * cfg.slot_dt
     assert abs(np.mean(counts) - lam) <= 3 * math.sqrt(lam / len(counts))
 
@@ -221,12 +226,12 @@ def test_per_source_counts_sum_to_aggregate():
     cfg = small_config()
     stream, legal_stream = stream_of(cfg, 5, 6), legal_only(cfg, 5)
     for i in range(0, cfg.n_slots, 13):
-        slot = stream.slot(i, want_per_source=True)
-        assert slot.sources.dtype == np.int64
-        per_source = counts_of(slot, cfg.n_legal + cfg.n_attack)
+        ids = stream.slot(i)
+        assert ids.dtype == np.int64
+        per_source = counts_of(ids, cfg.n_legal + cfg.n_attack)
         assert len(per_source) == cfg.n_legal + cfg.n_attack
-        assert per_source.sum() == slot.aggregate
-        assert per_source[:cfg.n_legal].sum() == legal_stream.slot(i).aggregate
+        assert per_source.sum() == len(ids) == stream.totals[i]
+        assert per_source[:cfg.n_legal].sum() == legal_stream.totals[i]
 
 
 def test_no_attack_packets_outside_window():
@@ -235,10 +240,10 @@ def test_no_attack_packets_outside_window():
     stream, legal_stream = stream_of(cfg, 7, 8), legal_only(cfg, 7)
     for i in range(cfg.n_slots):
         t = i * cfg.slot_dt
-        slot = stream.slot(i, want_per_source=True)
+        ids = stream.slot(i)
         if not (cfg.t_star <= t < cfg.attack_end):
-            assert slot.aggregate == legal_stream.slot(i).aggregate
-            assert not counts_of(slot, cfg.n_legal + cfg.n_attack)[attackers].any()
+            assert len(ids) == legal_stream.totals[i]
+            assert not counts_of(ids, cfg.n_legal + cfg.n_attack)[attackers].any()
 
 
 def test_split_proportions_follow_rates():
@@ -247,7 +252,7 @@ def test_split_proportions_follow_rates():
     stream = stream_of(cfg, 9)
     total = np.zeros(4, dtype=np.int64)
     for i in range(cfg.n_slots):
-        total += counts_of(stream.slot(i, want_per_source=True), 4)
+        total += counts_of(stream.slot(i), 4)
     n = int(total.sum())
     # binomial 3-sigma band around 0.25 for each source
     assert np.all(np.abs(total / n - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n))
@@ -279,16 +284,16 @@ class CountVectorSplit:
             draws = rng.poisson(total * cfg.slot_dt, size=hi - lo)
             self.classes.append((slice(first_id, first_id + n), cum_probs, draws, lo, hi))
 
-    def slot(self, i, split):
-        """(aggregate, per-source counts or None) of slot i."""
+    def slot(self, i):
+        """(aggregate, per-source counts) of slot i."""
         aggregate = 0
-        per_source = np.zeros(self.n_sources, dtype=np.int64) if split else None
+        per_source = np.zeros(self.n_sources, dtype=np.int64)
         for ids, cum_probs, draws, lo, hi in self.classes:
             if not lo <= i < hi:
                 continue
             count = int(draws[i - lo])
             aggregate += count
-            if split and count:
+            if count:
                 u = self.split_rng.random(count)
                 u.sort()
                 idx = cum_probs.searchsorted(u, side="left")
@@ -304,16 +309,13 @@ def test_split_matches_count_vector_reference(cfg):
     stream = TrafficStream(cfg, np.random.default_rng(11), split_rng)
     ref = CountVectorSplit(cfg, np.random.default_rng(11), ref_split_rng)
     # before the onset at slot 1000, across it, and during the attack;
-    # every third slot is not split and must draw nothing
+    # every third slot is skipped, and a slot nobody asks for draws nothing
     for i in [*range(900, 1100), *range(1500, 1530)]:
-        split = i % 3 != 0
-        slot = stream.slot(i, want_per_source=split)
-        aggregate, per_source = ref.slot(i, split)
-        assert slot.aggregate == aggregate
-        if split:
-            assert np.array_equal(counts_of(slot, n), per_source)
-        else:
-            assert slot.sources is None
+        if i % 3:
+            ids = stream.slot(i)
+            aggregate, per_source = ref.slot(i)
+            assert len(ids) == stream.totals[i] == aggregate
+            assert np.array_equal(counts_of(ids, n), per_source)
         assert split_rng.bit_generator.state == ref_split_rng.bit_generator.state
 
 
@@ -321,8 +323,8 @@ def test_stream_slot_inactive_population():
     cfg = small_config()
     stream = stream_of(cfg)
     # slot beyond every activity window
-    slot = stream.slot(cfg.n_slots + 10, want_per_source=True)
-    assert slot.aggregate == 0
-    per_source = counts_of(slot, cfg.n_legal + cfg.n_attack)
+    ids = stream.slot(cfg.n_slots + 10)
+    assert len(ids) == 0 and ids.dtype == np.int64
+    per_source = counts_of(ids, cfg.n_legal + cfg.n_attack)
     assert len(per_source) == cfg.n_legal + cfg.n_attack
     assert not per_source.any()

@@ -72,17 +72,25 @@ def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:
 
 
 def _greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndarray:
-    """Mask of the longest descending-rate prefix of ids whose rate sum stays
-    within budget.
+    """Mask of the longest descending-rate prefix of ids (ascending) whose
+    rate sum stays within budget.
 
     Ties on rate break by ascending source id; the prefix ends before the
     first source that would push the sum past the budget.  cumsum adds left
-    to right, and rates are >= 0, so the running sum never falls.
+    to right, and rates are >= 0, so the running sum never falls.  Tied
+    rates are equal values, so the sorted values fix the prefix length and
+    its last rate, the cut: the prefix is every source above the cut and
+    the lowest ids at it.
     """
-    order = ids[np.lexsort((ids, -rates[ids]))]
-    n_picked = np.searchsorted(np.cumsum(rates[order]), budget, side="right")
+    values = rates[ids]
+    descending = np.sort(values)[::-1]
+    n_picked = int(np.searchsorted(np.cumsum(descending), budget, side="right"))
     picked = np.zeros(len(rates), dtype=bool)
-    picked[order[:n_picked]] = True
+    if n_picked:
+        cut = descending[n_picked - 1]
+        above = values > cut
+        picked[ids[above]] = True
+        picked[ids[values == cut][:n_picked - np.count_nonzero(above)]] = True
     return picked
 
 

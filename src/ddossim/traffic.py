@@ -27,6 +27,9 @@ __all__ = [
 # how far a span in slots may sit from a whole number, relative to its size
 _GRID_TOL = 1e-9
 
+# slots a TrafficStream splits at once, with one split RNG draw
+_BLOCK_SLOTS = 64
+
 
 def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     """Whole slots of slot_dt in a span of seconds.
@@ -108,6 +111,15 @@ class TrafficStream:
     the multinomial per-source split is done lazily, only for the slots
     the caller asks for.  A separate split RNG keeps the aggregate sequence
     independent of which slots are split.
+
+    A slot is split as part of a block.  Asking for a slot whose packets do
+    not lead the queue of uniforms splits it and up to _BLOCK_SLOTS - 1
+    slots after it at once: one split RNG draw for the keys the queue
+    lacks, in slot-then-class order, and one exact index pass over them;
+    the next slots, asked for in order, are slices of the block.  Uniforms
+    of block slots nobody asks for stay queued and are the next ones
+    consumed, so each slot gets the split that one draw per slot, in the
+    order asked, would give it.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -115,40 +127,98 @@ class TrafficStream:
         config.validate()
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
-        self.totals = np.zeros(config.n_slots, dtype=np.int64)
-        # per class: first member id, split table, draws, active slots [lo, hi)
-        self._classes: list[tuple[int, np.ndarray, list[int], int, int]] = []
-        for first_id, n, rate, lo, hi in (
-                (0, config.n_legal, config.lambda_n, 0, config.n_slots),
-                (config.n_legal, config.n_attack, config.lambda_a,
-                 slots_in(config.t_star, config.slot_dt, "t_star"),
-                 slots_in(config.attack_end, config.slot_dt, "attack_end"))):
-            if n == 0:
-                continue
+        n_slots = config.n_slots
+        # per class: members, rate, first member id, active slots [lo, hi)
+        classes = [c for c in (
+            (config.n_legal, config.lambda_n, 0, 0, n_slots),
+            (config.n_attack, config.lambda_a, config.n_legal,
+             slots_in(config.t_star, config.slot_dt, "t_star"),
+             slots_in(config.attack_end, config.slot_dt, "attack_end"))) if c[0]]
+        # packets of each class in each slot, and their sum per slot
+        self._cells = np.zeros((n_slots, len(classes)), dtype=np.int64)
+        for c, (n, rate, _, lo, hi) in enumerate(classes):
             # the class rate is the numpy sum of the member rates; n * rate
             # differs in the last bit (999.9999999999999 vs 1000.0 on sim1)
             # and would change every Poisson draw of a seed
-            rates = np.full(n, rate)
-            total = float(rates.sum())
-            cum_probs = np.cumsum(rates) / total
-            cum_probs[-1] = 1.0
-            draws = rng.poisson(total * config.slot_dt, size=hi - lo)
-            self.totals[lo:hi] += draws
-            self._classes.append((first_id, cum_probs, draws.tolist(), lo, hi))
+            total = float(np.full(n, rate).sum())
+            self._cells[lo:hi, c] = rng.poisson(total * config.slot_dt, size=hi - lo)
+        self.totals = self._cells.sum(axis=1)
+        self._size = np.array([n for n, *_ in classes], dtype=np.float64)
+        self._first = np.array([first for _, _, first, _, _ in classes], dtype=np.int64)
+        self._cum_probs, self._below = split_tables([(n, rate) for n, rate, *_ in classes])
+        # the block: its first slot, the slot whose packets lead the queue,
+        # its end, each slot's offset into the queue, and the block's ids
+        self._start = self._next = self._end = 0
+        self._bounds = np.zeros(1, dtype=np.int64)
+        self._queue = np.empty(0)
+        self._ids = np.empty(0, dtype=np.int64)
 
     def slot(self, i: int) -> np.ndarray:
         """The int64 source id of each packet of slot i; totals[i] of them."""
-        parts = []
-        for first_id, cum_probs, draws, lo, hi in self._classes:
-            if not lo <= i < hi or not draws[i - lo]:
-                continue
-            # attribute each packet of the class aggregate to a member,
-            # proportional to rates; sorted keys make the search walk the
-            # cumulative table in order, which is faster than random keys
-            # on a large table
-            u = self._split_rng.random(draws[i - lo])
-            u.sort()
-            idx = cum_probs.searchsorted(u, side="left")
-            idx += first_id
-            parts.append(idx)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if not 0 <= i < len(self.totals):
+            return np.empty(0, dtype=np.int64)
+        if i != self._next or i >= self._end:
+            self._split_block(i)
+        self._next = i + 1
+        j = i - self._start
+        return self._ids[self._bounds[j]:self._bounds[j + 1]]
+
+    def _split_block(self, i: int) -> None:
+        """Split slot i and the slots after it, up to _BLOCK_SLOTS in all,
+        on the queued uniforms and as many fresh ones as the block lacks."""
+        queued = self._queued()
+        end = min(i + _BLOCK_SLOTS, len(self.totals))
+        bounds = np.zeros(end - i + 1, dtype=np.int64)
+        np.cumsum(self.totals[i:end], out=bounds[1:])
+        n_keys = int(bounds[-1])
+        if len(queued) < n_keys:
+            queued = np.concatenate((queued, self._split_rng.random(n_keys - len(queued))))
+        # each key attributes one packet of its class aggregate to a member;
+        # the keys run slot by slot, and within a slot class by class
+        cells = self._cells[i:end].ravel()
+        size = np.repeat(np.tile(self._size, end - i), cells)
+        first = np.repeat(np.tile(self._first, end - i), cells)
+        self._ids = equal_rate_index(queued[:n_keys], size, first, self._cum_probs, self._below)
+        self._start, self._end, self._bounds, self._queue = i, end, bounds, queued
+
+    def _queued(self) -> np.ndarray:
+        """The split uniforms drawn and not yet consumed, in draw order."""
+        return self._queue[self._bounds[self._next - self._start]:]
+
+
+def split_tables(classes: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The split tables of classes of (members, rate), end to end in id order.
+
+    cum_probs[j] is the cumulative share of its class rate up to and
+    including source j, exactly 1.0 for a class's last member, above every
+    uniform key; below[j] is the entry before it in its class, -inf for a
+    class's first member.
+    """
+    tables, below = [np.empty(0)], [np.empty(0)]
+    for n, rate in classes:
+        rates = np.full(n, rate)
+        cum_probs = np.cumsum(rates) / float(rates.sum())
+        cum_probs[-1] = 1.0
+        tables.append(cum_probs)
+        below.append(np.concatenate(([-np.inf], cum_probs[:-1])))
+    return np.concatenate(tables), np.concatenate(below)
+
+
+def equal_rate_index(keys: np.ndarray, size, first,
+                     cum_probs: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """The source id of each uniform key in [0, 1): first plus the index
+    that searchsorted(key, side="left") finds in the split table of its
+    class, whose members share one rate, and whose size and first member
+    id come per key (or as scalars).
+
+    Entry k of such a table is (k+1)/size to within far less than 1/size,
+    so floor(key*size) is that index or one off it, and one step each way
+    against the table itself makes it exact.  A key below 1 times a whole
+    size rounds to less than the size, so the first guess stays in the
+    class.
+    """
+    idx = (keys * size).astype(np.int64)
+    idx += first
+    idx -= below[idx] >= keys
+    idx += cum_probs[idx] < keys
+    return idx

@@ -168,8 +168,24 @@ def brute_force_prefix(rates, budget):
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.integers(0, 100),
                        st.floats(0.0, 50.0, allow_nan=False), max_size=20),
-       st.floats(0.0, 200.0, allow_nan=False))
-def test_greedy_matches_brute_force_oracle(rates, budget):
+       st.floats(0.0, 200.0, allow_nan=False),
+       st.dictionaries(st.integers(0, 100), st.integers(0, 4), max_size=40),
+       st.sampled_from([1.0, 2.0, 10.0, 10.5]),
+       st.integers(0, 60),
+       st.sets(st.integers(0, 100)))
+def test_greedy_matches_brute_force_oracle(rates, budget, counts, w_s, budget_packets,
+                                           history):
+    # tie-heavy: small packet counts over w_s, as measure_per_source makes
+    # rates, so the cut mostly falls inside a run of equal rates; greedy
+    # over every source, and the history variant over those without history
+    tied = {sid: c / w_s for sid, c in counts.items()}
+    exempt = history & set(tied)
+    tied_budget = budget_packets / w_s
+    assert classify(identify_greedy, tied, tied_budget)[0] == brute_force_prefix(
+        tied, tied_budget)
+    assert classify(identify_by_history, tied, tied_budget, exempt)[0] == brute_force_prefix(
+        {sid: r for sid, r in tied.items() if sid not in exempt}, tied_budget)
+
     attackers, legal = classify(identify_greedy, rates, budget)
     assert attackers == brute_force_prefix(rates, budget)
     # partition invariant

@@ -1,15 +1,19 @@
 """Traffic generator tests: population layout, config validation, Poisson
 moments, per-source attribution, activity windows, determinism."""
 
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddossim.harness import run_once
 from ddossim.presets import get_preset
-from ddossim.traffic import ScenarioConfig, TrafficStream, slots_in
+from ddossim.traffic import (ScenarioConfig, TrafficStream, equal_rate_index, slots_in,
+                             split_tables)
 
 
 def large_config(**overrides) -> ScenarioConfig:
@@ -258,6 +262,68 @@ def test_split_proportions_follow_rates():
     assert np.all(np.abs(total / n - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n))
 
 
+def table_keys(cum_probs, rng):
+    """Uniform keys, plus every entry of a split table with its two float
+    neighbours, the ones in [0, 1)."""
+    keys = np.concatenate((rng.random(2000), [0.0], cum_probs,
+                           np.nextafter(cum_probs, -np.inf), np.nextafter(cum_probs, np.inf)))
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+def preset_classes(name):
+    s = get_preset(name).scenario
+    return [(s.n_legal, s.lambda_n), (s.n_attack, s.lambda_a)]
+
+
+# sim1 and case3: 10 000 legal at 0.1 pkt/s, 5 000 attackers at 0.4 and 1.0
+@example(preset_classes("sim1"), 0)
+@example(preset_classes("case3"), 0)
+@example(preset_classes("sim2"), 0)
+@example(preset_classes("case1"), 0)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 20_000),
+                                    st.sampled_from([5_000, 10_000])),
+                          st.one_of(st.sampled_from([0.1, 0.2, 0.4, 1.0]),
+                                    st.floats(1e-3, 1e3))),
+                min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_equal_rate_index_matches_searchsorted(classes, seed):
+    # against searchsorted(side="left") on each class's own split table: one
+    # class at a time with scalar size and first id, and all classes at once
+    # with per-key ones, keys shuffled across classes
+    rng = np.random.default_rng(seed)
+    cum_probs, below = split_tables(classes)
+    keys, size, first, want = [], [], [], []
+    start = 0
+    for n, _ in classes:
+        table = cum_probs[start:start + n]
+        k = table_keys(table, rng)
+        expected = start + table.searchsorted(k, side="left")
+        got = equal_rate_index(k, float(n), start, cum_probs, below)
+        assert np.array_equal(got, expected), (n, k[got != expected])
+        keys.append(k)
+        size.append(np.full(len(k), float(n)))
+        first.append(np.full(len(k), start))
+        want.append(expected)
+        start += n
+    order = rng.permutation(sum(len(k) for k in keys))
+    keys, size, first, want = (np.concatenate(a)[order] for a in (keys, size, first, want))
+    assert np.array_equal(equal_rate_index(keys, size, first, cum_probs, below), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 700), max_size=12), st.integers(0, 2**32 - 1))
+def test_random_in_chunks_equals_one_draw(chunks, seed):
+    # a block draws its keys at once where one draw per slot and class
+    # drew them in pieces; the split stream is unchanged only while numpy's
+    # Generator.random consumes the bit stream the same way for both
+    whole, pieces = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = [pieces.random(k) for k in chunks]
+    assert np.array_equal(whole.random(sum(chunks)),
+                          np.concatenate([np.empty(0), *drawn]))
+    assert whole.bit_generator.state == pieces.bit_generator.state
+
+
 class CountVectorSplit:
     """Reference split: one count vector over every source per slot.
 
@@ -301,6 +367,27 @@ class CountVectorSplit:
         return aggregate, per_source
 
 
+def queue_matches_reference(stream, split_rng, ref_split_rng):
+    """The stream's queued uniforms are the reference split generator's next
+    draws, and drawing them leaves a copy of it in the stream's generator
+    state: the stream drew exactly what the reference consumed, plus its
+    queue, and nothing else."""
+    queued = stream._queued()
+    ahead = copy.deepcopy(ref_split_rng)
+    return (np.array_equal(queued, ahead.random(len(queued)))
+            and split_rng.bit_generator.state == ahead.bit_generator.state)
+
+
+# slots asked for in order, as run_once asks for episode slots: contiguous
+# runs across block ends and across the onset at slot 1000, an episode end
+# mid-block (1010) with a miss further into the same block (1020), every
+# third slot skipped, a re-entry after a gap longer than a block, and the
+# run's last block, which ends at slot 2999
+ASKED = [*range(900, 1011), *range(1020, 1040),
+         *(i for i in range(1100, 1300) if i % 3), *range(1500, 1530),
+         *range(1700, 1800), *range(2930, 3000)]
+
+
 @pytest.mark.parametrize("cfg", [large_config(), small_config()],
                          ids=["10000-5000", "50-50"])
 def test_split_matches_count_vector_reference(cfg):
@@ -308,15 +395,18 @@ def test_split_matches_count_vector_reference(cfg):
     split_rng, ref_split_rng = np.random.default_rng(12), np.random.default_rng(12)
     stream = TrafficStream(cfg, np.random.default_rng(11), split_rng)
     ref = CountVectorSplit(cfg, np.random.default_rng(11), ref_split_rng)
-    # before the onset at slot 1000, across it, and during the attack;
-    # every third slot is skipped, and a slot nobody asks for draws nothing
-    for i in [*range(900, 1100), *range(1500, 1530)]:
-        if i % 3:
+    asked = set(ASKED)
+    # a slot nobody asks for consumes nothing of the split stream
+    for i in range(ASKED[0], cfg.n_slots):
+        if i in asked:
             ids = stream.slot(i)
             aggregate, per_source = ref.slot(i)
             assert len(ids) == stream.totals[i] == aggregate
             assert np.array_equal(counts_of(ids, n), per_source)
-        assert split_rng.bit_generator.state == ref_split_rng.bit_generator.state
+        assert queue_matches_reference(stream, split_rng, ref_split_rng), i
+    # past the run nothing is split and nothing is drawn
+    assert len(stream.slot(cfg.n_slots)) == 0
+    assert queue_matches_reference(stream, split_rng, ref_split_rng)
 
 
 def test_stream_slot_inactive_population():

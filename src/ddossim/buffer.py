@@ -9,6 +9,8 @@ mu * slot_dt even when that product is not an integer.
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = ["BufferState", "step", "advance"]
 
 
@@ -32,6 +34,11 @@ class BufferState:
         self.peak_slot = 0
         self._service_credit = 0.0
         self._slot = 0
+
+    def reset_to(self, saved: "BufferState") -> None:
+        """Take every field of saved, a copy.copy() of this state."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(saved, name))
 
     @property
     def capacity(self) -> int:
@@ -91,18 +98,22 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
 
 
 def advance(state: BufferState, arrivals: list[int], service_per_slot: float,
-            stop_at_l1: bool = True) -> int:
+            stop_at_l1: bool = True, admitted_out: Optional[list[int]] = None,
+            backlog_out: Optional[list[int]] = None) -> int:
     """step() over each count of arrivals in turn; the slots advanced.
 
     With stop_at_l1 it stops after the first slot whose backlog (occupancy
     net of that slot's service) is at or above l1, the buffer-full signal.
-    The same arithmetic as step(), run on locals and written back once.
+    Given admitted_out and backlog_out, it appends each slot's admitted
+    count (what step() returns) and backlog to them.  The same arithmetic
+    as step(), run on locals and written back once.
     """
     if arrivals and min(arrivals) < 0:
         raise ValueError("arrivals must be >= 0")
     if service_per_slot < 0:
         raise ValueError("service_per_slot must be >= 0")
 
+    record = admitted_out is not None
     l1 = state.l1
     capacity = state.capacity
     occupancy = state.occupancy
@@ -126,6 +137,9 @@ def advance(state: BufferState, arrivals: list[int], service_per_slot: float,
         offered += count
         served_total += served
         dropped += count - admitted
+        if record:
+            admitted_out.append(admitted)
+            backlog_out.append(post)
         if occupancy > peak:
             peak = occupancy
             peak_slot = slot

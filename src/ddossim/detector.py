@@ -124,25 +124,28 @@ class SlidingWindow:
         self.contents = deque(values[-self.capacity:].tolist())
         self.running_sum = sum(self.contents)
 
+    def extend(self, values: np.ndarray) -> None:
+        """push() each of the int64 values in turn."""
+        self.refill(np.concatenate((np.fromiter(self.contents, np.int64, len(self.contents)),
+                                    values)))
+
+    def pushed_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The window's contents followed by the int64 values, for refill(),
+        and running_sum after each of values is pushed in turn: NaN while the
+        window is not full, then the sum from exact int64 prefix sums as a
+        float64, exact below 2**53."""
+        held, cap = len(self.contents), self.capacity
+        values = np.concatenate((np.fromiter(self.contents, np.int64, held), values))
+        prefix = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(values, out=prefix[1:])
+        sums = np.full(len(values) - held, np.nan)
+        first = max(0, cap - held - 1)         # the first value that fills the window
+        if first < len(sums):
+            sums[first:] = prefix[held + first + 1:] - prefix[held + first + 1 - cap:-cap]
+        return values, sums
+
     def __len__(self) -> int:
         return len(self.contents)
-
-
-def _pushed_averages(window: SlidingWindow,
-                     arrivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The window's contents followed by arrivals, and the window's average
-    after each arrival is pushed: NaN until it is full, then its sum over
-    the capacity, rounded as average() rounds it (exact int64 prefix sums;
-    int / int and float64 division agree below 2**53)."""
-    held, cap = len(window), window.capacity
-    values = np.concatenate((np.fromiter(window.contents, np.int64, held), arrivals))
-    sums = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=sums[1:])
-    averages = np.full(len(arrivals), np.nan)
-    first = max(0, cap - held - 1)         # the first arrival that fills the window
-    if first < len(arrivals):
-        averages[first:] = (sums[held + first + 1:] - sums[held + first + 1 - cap:-cap]) / cap
-    return values, averages
 
 
 def detect_ratio(short_avg: float, long_avg: float, r: float) -> bool:
@@ -350,8 +353,12 @@ class Detector:
         n = len(arrivals)
         if n == 0:
             return 0, None
-        short_values, short_avg = _pushed_averages(self.short, arrivals)
-        long_values, long_avg = _pushed_averages(self.long, arrivals)
+        # the averages as average() rounds them: int / int and float64
+        # division agree below 2**53
+        short_values, short_avg = self.short.pushed_sums(arrivals)
+        short_avg /= self.short.capacity
+        long_values, long_avg = self.long.pushed_sums(arrivals)
+        long_avg /= self.long.capacity
         last = n - 1                        # the last slot the scan may reach
         ratio_at = n
         if Method.RATIO in cfg.methods:
@@ -360,13 +367,8 @@ class Detector:
             if len(hits):
                 ratio_at = last = int(hits[0])
 
-        # one-second buckets: the partial bucket's count, then the arrivals
         spb, fill = self._slots_per_bucket, self._bucket_fill
-        head = np.zeros(fill, dtype=np.int64)
-        if fill:
-            head[0] = self._bucket_acc
-        slot_counts = np.concatenate((head, arrivals))
-        new = slot_counts[:len(slot_counts) // spb * spb].reshape(-1, spb).sum(axis=1).tolist()
+        slot_counts, new = self._bucket_sums(arrivals)
         held = len(self.buckets)
         buckets = list(self.buckets) + new
         maxlen, base_len = self.buckets.maxlen, cfg.baseline_len
@@ -407,8 +409,51 @@ class Detector:
         ring = long_avg[:done]
         self._lambda_bar_ring.extend(ring[~np.isnan(ring)][-self._lambda_bar_ring.maxlen:]
                                      .tolist())
-        completed = (fill + done) // spb
+        completed = self._hold_partial(slot_counts, done)
         self.buckets.extend(new[max(0, completed - maxlen):completed])
+        return done, fired
+
+    def run_frozen(self, arrivals: np.ndarray) -> None:
+        """observe() over the int64 arrivals on the frozen detector, whose
+        fires an episode ignores.
+
+        The detector is left as len(arrivals) observe() calls leave it: the
+        one-second buckets appended and counted fresh, every due statistical
+        check run in order and counted, and the short window refilled.  The
+        ratio and buffer-full rules have no state to leave while frozen.
+        """
+        if not self._frozen:
+            raise RuntimeError("run_frozen runs only on a frozen detector")
+        slot_counts, new = self._bucket_sums(arrivals)
+        self._hold_partial(slot_counts, len(arrivals))
+        baseline = (self._frozen_baseline if Method.STATISTICAL in self.cfg.methods
+                    else None)
+        for count in new:
+            self.buckets.append(count)
+            self._fresh_buckets += 1
+            if baseline is not None and self._fresh_buckets >= self._ws_buckets:
+                self._stat_check(baseline, list(islice(
+                    self.buckets, len(self.buckets) - self._ws_buckets, None)))
+        self._frozen_appended += len(new)
+        self.short.extend(arrivals)
+
+    def _bucket_sums(self, arrivals: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The partial bucket's count, then arrivals, one per slot; and the
+        count of each one-second bucket that they complete, from a
+        reshape-sum."""
+        spb, fill = self._slots_per_bucket, self._bucket_fill
+        head = np.zeros(fill, dtype=np.int64)
+        if fill:
+            head[0] = self._bucket_acc
+        slot_counts = np.concatenate((head, arrivals))
+        return (slot_counts,
+                slot_counts[:len(slot_counts) // spb * spb].reshape(-1, spb).sum(axis=1).tolist())
+
+    def _hold_partial(self, slot_counts: np.ndarray, done: int) -> int:
+        """Hold the partial bucket after the first `done` arrivals of
+        _bucket_sums(); the buckets those arrivals complete."""
+        spb, fill = self._slots_per_bucket, self._bucket_fill
+        completed = (fill + done) // spb
         self._bucket_acc = int(slot_counts[completed * spb:fill + done].sum())
         self._bucket_fill = fill + done - completed * spb
-        return done, fired
+        return completed

@@ -1,31 +1,35 @@
 """End-to-end scenario execution and batch aggregation.
 
-run_once drives the whole pipeline for one seed.  Between episodes it
-runs the buffer and the detector ahead on the pre-drawn slot totals to
-the next fire (Detector.scan); a fire opens an episode, which runs slot
-by slot: generate the slot's packets, apply the active filter, step the
-buffer, feed the detector, measure per source for w_s seconds, classify,
-activate the filter, and watch for restoration.  Monitoring
-continues while the filter is active, pinned against the baseline frozen
-at the fire: if the residual traffic still looks abnormal the pipeline
-re-measures and widens the block set, so a false alarm just before the
-attack cannot blind the run, and a partial first classification is
-progressively repaired.  Restoration releases the filter and resumes
-normal baseline rotation.
+run_once drives the whole pipeline for one seed as a loop over stretches
+of slots, each run ahead to its next event.  Between episodes the buffer
+and the detector run on the pre-drawn slot totals to the next fire
+(Detector.scan).  A fire freezes the detector and opens a measurement
+window of w_s, which runs as one stretch (TrafficStream.slots,
+buffer.advance, Detector.run_frozen): its packet source ids are counted
+per source once, the traffic is classified, and the filter activated.
+The stretch ends early only at restoration or at the end of the run.
+Filter slots run one at a time: each slot's packets are split, filtered,
+buffered and observed, and a fire among them means the residual traffic
+still looks abnormal, so the pipeline re-measures and widens the block
+set; a false alarm just before the attack cannot blind the run, and a
+partial first classification is progressively repaired.  Monitoring
+stays pinned against the baseline frozen at the fire until restoration
+releases the filter and resumes normal baseline rotation.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .buffer import BufferState, step
+from .buffer import BufferState, advance, step
 from .detector import Detector, DetectorConfig, Method, SlidingWindow
-from .identifier import (WindowCounts, apply_filter, estimate_attack_rate,
-                         identify_by_history, identify_greedy, measure_per_source)
+from .identifier import (apply_filter, estimate_attack_rate, identify_by_history,
+                         identify_greedy, measure_per_source)
 from .stats import sample_mean, sample_stddev
 from .traffic import ScenarioConfig, TrafficStream, slots_in
 
@@ -109,6 +113,28 @@ class RestorationMonitor:
                 and self._admitted.is_full
                 and self._admitted.running_sum <= self.threshold_sum)
 
+    def first_restored(self, backlogs: list[int], admitted: list[int]) -> Optional[int]:
+        """The first slot of these at which update() would return True, or None.
+
+        The monitor is left as update() over the slots up to that one, or
+        over all of them, leaves it.  The low-backlog run comes from the
+        last slot at or above l1, the admitted window sums from prefix sums.
+        """
+        n = len(admitted)
+        if n == 0:
+            return None
+        values, sums = self._admitted.pushed_sums(np.array(admitted, dtype=np.int64))
+        slot = np.arange(n)
+        last_high = np.maximum.accumulate(np.where(np.array(backlogs) >= self.l1, slot, -1))
+        low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
+        # a window not yet full has a NaN sum, which compares False
+        hits = np.flatnonzero((low_run >= self.ws_slots) & (sums <= self.threshold_sum))
+        at = int(hits[0]) if len(hits) else None
+        ran = n if at is None else at + 1
+        self._admitted.refill(values[:len(values) - n + ran])
+        self._occ_ok = int(low_run[ran - 1])
+        return at
+
 
 def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
     """Reject a scenario and detector pair that cannot run as specified."""
@@ -148,10 +174,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
     phase = "monitor"
     blocked: Optional[np.ndarray] = None       # sources the active filter drops
-    measured: Optional[WindowCounts] = None
     restoration: Optional[RestorationMonitor] = None
     episode_primary = False
     fire = 0                                   # slots elapsed at the episode's fire
+    window_end = 0                             # slots elapsed when the measurement ends
     baseline_rate = 0.0
 
     detection_time: Optional[float] = None
@@ -164,22 +190,52 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     n_slots = scenario.n_slots
     elapsed = 0                                # slots done
     while elapsed < n_slots:
+        fired, restored = None, False
         if phase == "monitor":
             # nothing is split or filtered between episodes: run ahead on
             # the slot totals to the next fire, or to the end of the run
             ran, fired = det.scan(stream.totals[elapsed:], buf, service)
             elapsed += ran
-        else:
-            # an episode slot: packet source ids for the measurement or filter
-            ids = stream.slot(elapsed)
-            elapsed += 1
+        elif phase == "measure":
+            # the window runs ahead in one stretch, to its end, to
+            # restoration or to the end of the run; fires are ignored
+            stop = min(window_end, n_slots)
+            ids, bounds = stream.slots(elapsed, stop)
+            if blocked is None:
+                arrivals = stream.totals[elapsed:stop]
+                advance(buf, arrivals.tolist(), service, stop_at_l1=False)
+            else:
+                # each slot's unblocked packets: the packets before each of
+                # its bounds less the blocked ones, counted by one search
+                unblocked = bounds - np.searchsorted(np.flatnonzero(blocked[ids]), bounds)
+                arrivals = np.diff(unblocked)
+                before = copy.copy(buf)
+                admitted, backlogs = [], []
+                advance(buf, arrivals.tolist(), service, False, admitted, backlogs)
+                at = restoration.first_restored(backlogs, admitted)
+                restored = at is not None
+                if restored and at + 1 < len(arrivals):
+                    # the stretch ends at the slot restoration holds in
+                    arrivals = arrivals[:at + 1]
+                    buf.reset_to(before)
+                    advance(buf, arrivals.tolist(), service, stop_at_l1=False)
+            det.run_frozen(arrivals)
+            ran = len(arrivals)
+            elapsed += ran
+            if elapsed < stop:
+                stream.rewind(elapsed)
+            window = ids[:bounds[ran]]
             if blocked is not None:
-                ids = apply_filter(blocked, ids)
+                window = apply_filter(blocked, window)
+        else:
+            # a filter slot: packet source ids, of which the blocked go
+            ids = apply_filter(blocked, stream.slot(elapsed))
+            elapsed += 1
             admitted = step(buf, len(ids), service)
             fired = det.observe(len(ids), buf)
+            restored = restoration.update(buf.post_service_occupancy, admitted)
 
-        if restoration is not None and restoration.update(buf.post_service_occupancy,
-                                                          admitted):
+        if restored:
             # sustained-normal condition met: release the filter
             if episode_primary and restore_time is None:
                 restore_time = (elapsed - onset) / per_second
@@ -191,10 +247,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             continue
 
         if phase == "measure":
-            measured.add(ids)
-            if measured.slots == ws_slots:
-                m = measure_per_source(measured, detector_cfg.w_s)
-                total_rate = measured.packets / detector_cfg.w_s
+            if elapsed == window_end:
+                m = measure_per_source(np.bincount(window, minlength=stream.n_sources),
+                                       detector_cfg.w_s)
+                total_rate = len(window) / detector_cfg.w_s
                 budget = estimate_attack_rate(total_rate, baseline_rate)
                 if id_method == "history":
                     # legal sources are active from slot 0, attackers from
@@ -238,7 +294,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 detection_method = fired.value
                 episode_primary = True
             fire = elapsed
-            measured = WindowCounts(stream.n_sources)
+            window_end = elapsed + ws_slots
             phase = "measure"
 
     correct = wrong = 0

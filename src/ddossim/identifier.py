@@ -7,10 +7,10 @@ whose rate sum stays within that budget.  The history variant first
 exempts every source that was already active before the attack.
 
 A slot carries the source id of each packet; a measurement window counts
-them once, when it closes.  Per-source quantities are numpy vectors
-indexed by source id: counts are int64, rates float64, and source sets
-(suspected attackers, blocked sources, exemptions, ground truth) are
-boolean masks.
+them by source once, when it closes, with one bincount.  Per-source
+quantities are numpy vectors indexed by source id: counts are int64,
+rates float64, and source sets (suspected attackers, blocked sources,
+exemptions, ground truth) are boolean masks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "PerSourceMeasurement",
-    "WindowCounts",
     "measure_per_source",
     "estimate_attack_rate",
     "identify_greedy",
@@ -35,33 +34,12 @@ class PerSourceMeasurement:
     rates: np.ndarray               # packets/sec by source id
 
 
-class WindowCounts:
-    """Packet source ids over the slots of a measurement window."""
-
-    def __init__(self, n_sources: int):
-        self.n_sources = n_sources
-        self.packets = 0
-        self.slots = 0
-        self._ids: list[np.ndarray] = []
-
-    def add(self, ids: np.ndarray) -> None:
-        """Add one slot's packet source ids."""
-        self._ids.append(ids)
-        self.packets += len(ids)
-        self.slots += 1
-
-    def counts(self) -> np.ndarray:
-        """int64 packet counts by source id over the window so far."""
-        ids = np.concatenate(self._ids) if self._ids else np.empty(0, dtype=np.int64)
-        return np.bincount(ids, minlength=self.n_sources)
-
-
-def measure_per_source(window_counts: WindowCounts, duration: float) -> PerSourceMeasurement:
-    """Per-source rates in packets/sec over a window of duration seconds;
-    silent sources get 0."""
-    if duration <= 0 or not window_counts.slots:
+def measure_per_source(counts: np.ndarray, duration: float) -> PerSourceMeasurement:
+    """Per-source rates in packets/sec from the int64 packet counts by
+    source id over a window of duration seconds; silent sources get 0."""
+    if duration <= 0:
         raise ValueError("empty measurement window")
-    return PerSourceMeasurement(rates=window_counts.counts() / duration)
+    return PerSourceMeasurement(rates=counts / duration)
 
 
 def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:

@@ -1,16 +1,15 @@
 """Self-contained statistics kernel for the detection pipeline.
 
-Summary statistics, the one-sample Kolmogorov-Smirnov normality test, the
-pooled t-test, Levene's variance test, and the special functions (normal
-CDF/quantile, regularized incomplete beta, Kolmogorov survival function)
-that back their p-values.  Everything is pure Python on top of the math
-module so the whole decision path can be audited and cross-checked
-against independent oracles.  The K-S test is not on the decision path;
-it describes the baseline sample.
+Summary statistics, the upper confidence bound, the pooled t-test,
+Levene's variance test, and the special functions (normal CDF/quantile,
+regularized incomplete beta) that back them.  Everything is pure Python
+on top of the math module so the whole decision path can be audited and
+cross-checked against independent oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,10 +23,8 @@ __all__ = [
     "normal_pdf",
     "normal_quantile",
     "betainc_reg",
-    "kolmogorov_sf",
     "student_t_two_sided_p",
     "f_sf",
-    "ks_normality",
     "upper_conf_bound",
     "pooled_variance",
     "t_test_pooled",
@@ -193,29 +190,6 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def kolmogorov_sf(x: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Uses the Jacobi theta form for small arguments and the alternating
-    exponential series otherwise (cephes-style branch point).
-    """
-    if x <= 0.0:
-        return 1.0
-    if x < 1.18:
-        t = math.exp(-math.pi * math.pi / (8.0 * x * x))
-        cdf = (_SQRT_2PI / x) * (t + t ** 9 + t ** 25 + t ** 49)
-        return min(1.0, max(0.0, 1.0 - cdf))
-    s = 0.0
-    sign = 1.0
-    for k in range(1, 200):
-        term = math.exp(-2.0 * k * k * x * x)
-        s += sign * term
-        if term < 1e-18:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * s))
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Two-sided p-value of the Student t distribution with df degrees."""
     if df < 1:
@@ -236,34 +210,19 @@ def f_sf(w: float, d1: int, d2: int) -> float:
 # tests
 # ---------------------------------------------------------------------------
 
-def ks_normality(xs: Sequence[float]) -> TestResult:
-    """One-sample K-S test of xs against a normal fitted by mean/stddev.
-
-    The p-value comes from the asymptotic Kolmogorov distribution with the
-    sqrt(N) scaling.  Because the normal parameters are estimated from the
-    same sample, this p-value is conservative (Lilliefors effect).
-    """
-    n = len(xs)
-    if n < 8:
-        raise ValueError("K-S normality test needs at least 8 observations")
-    fit = SummaryStats.from_sample(xs)
-    if fit.stddev == 0.0:
-        raise ValueError("degenerate sample")
-    d = 0.0
-    for i, x in enumerate(sorted(xs)):
-        f = normal_cdf((x - fit.mean) / fit.stddev)
-        d = max(d, (i + 1) / n - f, f - i / n)
-    return TestResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d))
-
-
 def upper_conf_bound(stats: SummaryStats, alpha: float) -> float:
     """One-sided upper confidence bound mean + z(alpha) * stddev / sqrt(n)."""
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
     if stats.n < 2:
         raise ValueError("upper confidence bound needs n >= 2")
-    z = normal_quantile(1.0 - alpha)
-    return stats.mean + z * stats.stddev / math.sqrt(stats.n)
+    return stats.mean + _upper_quantile(alpha) * stats.stddev / math.sqrt(stats.n)
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_quantile(alpha: float) -> float:
+    """z(alpha), computed once per alpha: every check uses the same one."""
+    return normal_quantile(1.0 - alpha)
 
 
 def pooled_variance(s1: SummaryStats, s2: SummaryStats) -> float:

@@ -112,14 +112,15 @@ class TrafficStream:
     the caller asks for.  A separate split RNG keeps the aggregate sequence
     independent of which slots are split.
 
-    A slot is split as part of a block.  Asking for a slot whose packets do
-    not lead the queue of uniforms splits it and up to _BLOCK_SLOTS - 1
-    slots after it at once: one split RNG draw for the keys the queue
-    lacks, in slot-then-class order, and one exact index pass over them;
-    the next slots, asked for in order, are slices of the block.  Uniforms
-    of block slots nobody asks for stay queued and are the next ones
-    consumed, so each slot gets the split that one draw per slot, in the
-    order asked, would give it.
+    A slot is split as part of a block.  Asking for a slot, or a range of
+    slots, whose packets do not lead the queue of uniforms splits it and
+    the slots after it, _BLOCK_SLOTS at least, at once: one split RNG draw
+    for the keys the queue lacks, in slot-then-class order, and one exact
+    index pass over them; the next slots, asked for in order, are slices
+    of the block.  Uniforms of block slots nobody asks for, or that
+    rewind() hands back, stay queued and are the next ones consumed, so
+    each slot gets the split that one draw per slot, in the order asked,
+    would give it.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -143,8 +144,11 @@ class TrafficStream:
             total = float(np.full(n, rate).sum())
             self._cells[lo:hi, c] = rng.poisson(total * config.slot_dt, size=hi - lo)
         self.totals = self._cells.sum(axis=1)
-        self._size = np.array([n for n, *_ in classes], dtype=np.float64)
-        self._first = np.array([first for _, _, first, _, _ in classes], dtype=np.int64)
+        # each cell's class size and first member id (read-only views)
+        self._size = np.broadcast_to(np.array([n for n, *_ in classes], dtype=np.float64),
+                                     self._cells.shape)
+        self._first = np.broadcast_to(np.array([first for _, _, first, _, _ in classes],
+                                               dtype=np.int64), self._cells.shape)
         self._cum_probs, self._below = split_tables([(n, rate) for n, rate, *_ in classes])
         # the block: its first slot, the slot whose packets lead the queue,
         # its end, each slot's offset into the queue, and the block's ids
@@ -158,16 +162,41 @@ class TrafficStream:
         if not 0 <= i < len(self.totals):
             return np.empty(0, dtype=np.int64)
         if i != self._next or i >= self._end:
-            self._split_block(i)
+            self._split_block(i, i + 1)
         self._next = i + 1
         j = i - self._start
         return self._ids[self._bounds[j]:self._bounds[j + 1]]
 
-    def _split_block(self, i: int) -> None:
-        """Split slot i and the slots after it, up to _BLOCK_SLOTS in all,
-        on the queued uniforms and as many fresh ones as the block lacks."""
+    def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The packet source ids of slots lo..hi-1, end to end, and each
+        slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]].
+
+        The same split as slot() asked for each slot in turn.
+        """
+        if not 0 <= lo < hi <= len(self.totals):
+            raise ValueError(f"no slot range [{lo}, {hi}) in a run of {len(self.totals)} slots")
+        if lo != self._next or hi > self._end:
+            self._split_block(lo, hi)
+        self._next = hi
+        j = lo - self._start
+        bounds = self._bounds[j:j + hi - lo + 1]
+        return self._ids[bounds[0]:bounds[-1]], bounds - bounds[0]
+
+    def rewind(self, i: int) -> None:
+        """Hand the uniforms of the slots from i on, which the last slots()
+        call took, back to the queue; slot i is the next one consumed."""
+        if not self._start <= i <= self._next:
+            raise ValueError(f"slot {i} is not in the slots last taken")
+        self._next = i
+
+    def _split_block(self, i: int, hi: int) -> None:
+        """Split slots i..hi-1, and the slots after them up to _BLOCK_SLOTS
+        in all, on the queued uniforms and as many fresh ones as the block
+        lacks.  Slots from i on that the current block already split, when
+        slot i leads the queue, keep their ids."""
+        kept = self._end - i if i == self._next and i < self._end else 0
         queued = self._queued()
-        end = min(i + _BLOCK_SLOTS, len(self.totals))
+        end = min(max(hi, i + _BLOCK_SLOTS), len(self.totals))
         bounds = np.zeros(end - i + 1, dtype=np.int64)
         np.cumsum(self.totals[i:end], out=bounds[1:])
         n_keys = int(bounds[-1])
@@ -175,10 +204,14 @@ class TrafficStream:
             queued = np.concatenate((queued, self._split_rng.random(n_keys - len(queued))))
         # each key attributes one packet of its class aggregate to a member;
         # the keys run slot by slot, and within a slot class by class
-        cells = self._cells[i:end].ravel()
-        size = np.repeat(np.tile(self._size, end - i), cells)
-        first = np.repeat(np.tile(self._first, end - i), cells)
-        self._ids = equal_rate_index(queued[:n_keys], size, first, self._cum_probs, self._below)
+        cells = self._cells[i + kept:end].ravel()
+        size = np.repeat(self._size[i + kept:end], cells)
+        first = np.repeat(self._first[i + kept:end], cells)
+        ids = equal_rate_index(queued[bounds[kept]:n_keys], size, first,
+                               self._cum_probs, self._below)
+        if kept:
+            ids = np.concatenate((self._ids[self._bounds[i - self._start]:], ids))
+        self._ids = ids
         self._start, self._end, self._bounds, self._queue = i, end, bounds, queued
 
     def _queued(self) -> np.ndarray:

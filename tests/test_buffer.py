@@ -1,5 +1,6 @@
 """Two-tier buffer invariants: conservation, bounds, fractional service."""
 
+import copy
 import math
 
 import numpy as np
@@ -192,6 +193,34 @@ def test_advance_matches_repeated_step(service, l1, l2, warm, arrivals, stop_at_
     # every field, the float service credit and peak_slot included, exactly
     assert buffer_fields(bulk) == buffer_fields(reference)
     assert type(bulk._service_credit) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.4, 0.8, 8.0, 150.0]),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=200),
+       st.lists(st.integers(min_value=0, max_value=300), max_size=60),
+       st.lists(st.integers(min_value=0, max_value=300), max_size=300),
+       st.booleans())
+def test_advance_records_what_step_gives_each_slot(service, l1, l2, warm, arrivals,
+                                                   stop_at_l1):
+    bulk, reference = BufferState(l1=l1, l2=l2), BufferState(l1=l1, l2=l2)
+    for count in warm:
+        step(bulk, count, service)
+        step(reference, count, service)
+    before = copy.copy(bulk)
+    admitted, backlogs = [], []
+    ran = advance(bulk, arrivals, service, stop_at_l1, admitted, backlogs)
+    expect_admitted, expect_backlogs = [], []
+    for count in arrivals[:ran]:
+        expect_admitted.append(step(reference, count, service))
+        expect_backlogs.append(reference.post_service_occupancy)
+    assert (admitted, backlogs) == (expect_admitted, expect_backlogs)
+    assert buffer_fields(bulk) == buffer_fields(reference)
+    # a copy taken before puts every field back
+    bulk.reset_to(before)
+    assert buffer_fields(bulk) == buffer_fields(before)
+    assert advance(bulk, arrivals, service, stop_at_l1) == ran
+    assert buffer_fields(bulk) == buffer_fields(reference)
 
 
 def test_advance_stops_at_the_first_backlogged_slot():

@@ -475,3 +475,79 @@ def test_scan_needs_an_unfrozen_detector():
     det.freeze()
     with pytest.raises(RuntimeError):
         det.scan(np.zeros(5, dtype=np.int64), BufferState(l1=40, l2=160), 8.0)
+
+
+# ---------------------------------------------------------------------------
+# run_frozen: a measurement stretch on the frozen detector
+# ---------------------------------------------------------------------------
+
+@st.composite
+def frozen_cases(draw):
+    """A warmed detector with each method subset, frozen, then stretches,
+    each started right after freeze(), right after rearm(), or after a few
+    observed slots."""
+    det, _, _, _ = draw(scan_cases())
+    spb = det._slots_per_bucket
+    if draw(st.booleans()):
+        # enough Poisson slots to fill the buckets, so the baseline freezes
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        for v in rng.poisson(draw(st.sampled_from([1, 4])), det.buckets.maxlen * spb).tolist():
+            det.observe(v)
+    det.freeze()
+    stretches = draw(st.lists(st.tuples(st.sampled_from(["none", "rearm", "observe"]),
+                                        aggregate_feeds(4)), min_size=1, max_size=4))
+    return det, stretches
+
+
+@settings(max_examples=300, deadline=None)
+@given(frozen_cases())
+def test_run_frozen_matches_observe(case):
+    det, stretches = case
+    ref = copy.deepcopy(det)
+    for before, arrivals in stretches:
+        if before == "rearm":
+            det.rearm()
+            ref.rearm()
+        elif before == "observe":
+            for v in arrivals[:3]:
+                assert det.observe(v) == ref.observe(v)
+        det.run_frozen(np.array(arrivals, dtype=np.int64))
+        for v in arrivals:
+            ref.observe(v)              # its fires are ignored, its checks counted
+        assert detector_state(det) == detector_state(ref)
+    det.unfreeze()
+    ref.unfreeze()
+    assert detector_state(det) == detector_state(ref)
+
+
+@pytest.mark.parametrize("methods", [ALL_METHODS, (Method.STATISTICAL,),
+                                     (Method.RATIO, Method.BUFFER_FULL)])
+def test_run_frozen_counts_the_checks_of_a_window(methods):
+    # a sim2-sized detector frozen at a tenfold step, then a 100-slot window
+    # and a rearmed second one: every check is counted, none stops the run
+    rng = np.random.default_rng(41)
+    det = Detector(make_cfg(methods=methods), slot_dt=0.1)
+    for v in rng.poisson(1, 1000).tolist():
+        det.observe(v)
+    det.freeze()
+    checks, positives = det.stat_checks, det.stat_positives
+    ref = copy.deepcopy(det)
+    for _ in range(2):
+        arrivals = rng.poisson(10, 100)
+        det.run_frozen(arrivals)
+        for v in arrivals.tolist():
+            ref.observe(v)
+        assert detector_state(det) == detector_state(ref)
+        det.rearm()
+        ref.rearm()
+    if Method.STATISTICAL in methods:
+        # ten buckets a window, tested from the tenth fresh one on
+        assert (det.stat_checks - checks, det.stat_positives - positives) == (2, 2)
+    else:
+        assert det.stat_checks == 0
+
+
+def test_run_frozen_needs_a_frozen_detector():
+    det = Detector(make_cfg(), slot_dt=0.1)
+    with pytest.raises(RuntimeError):
+        det.run_frozen(np.zeros(5, dtype=np.int64))

@@ -1,11 +1,14 @@
 """End-to-end harness tests: determinism, metric consistency, restoration,
 batch aggregation, and the window sweep."""
 
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddossim import harness
 from ddossim.detector import Method
@@ -106,9 +109,9 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     durations = []
     measure_per_source = harness.measure_per_source
 
-    def measure(window_counts, duration):
+    def measure(counts, duration):
         durations.append(duration)
-        return measure_per_source(window_counts, duration)
+        return measure_per_source(counts, duration)
 
     scenario, det, idm = small_run()
     monkeypatch.setattr(harness, "measure_per_source", measure)
@@ -123,7 +126,7 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     ("case1", {}, 0),                   # fractional service, 0.4 packets a slot
     ("sim2", {"slot_dt": 1.0}, 0),      # whole service, 8 packets a slot
 ])
-def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
+def test_packet_ledger_balances(monkeypatch, preset, overrides, seed, id_method=None):
     # every generated packet is filtered, dropped, served or still queued
     filtered, streams, buffers = [], [], []
     apply_filter, traffic_stream, buffer_state = (harness.apply_filter, harness.TrafficStream,
@@ -147,7 +150,7 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
     monkeypatch.setattr(harness, "BufferState", kept_buffer)
     p = PRESETS[preset]
     scenario = dataclasses.replace(p.scenario, **overrides)
-    m = run_once(scenario, p.detector, p.id_method, seed=seed)
+    m = run_once(scenario, p.detector, id_method or p.id_method, seed=seed)
     (stream,), (buf,) = streams, buffers
     # generated: the packets of every slot, split again after the run (the
     # split RNG has moved on, but a slot's packet count is its pre-drawn total)
@@ -160,6 +163,13 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed):
     assert buf.cumulative_offered == (buf.cumulative_dropped + buf.cumulative_served
                                       + buf.occupancy)
     assert m.packets_dropped == buf.cumulative_dropped
+
+
+def test_packet_ledger_balances_when_restored_mid_window(monkeypatch):
+    # case1 under greedy identification, seed 7: restoration holds inside a
+    # re-measurement window while blocked legal sources still send, so the
+    # slots after it must reach the filter unblocked, as monitor slots
+    test_packet_ledger_balances(monkeypatch, "case1", {}, 7, id_method="greedy")
 
 
 def test_reported_times_are_exact_decimals():
@@ -224,6 +234,53 @@ def test_declare_restored_times_first_instant():
     # 10 bad slots + 10-slot clean streak: restored 2.0 s in
     assert first_restored_slot([100] * 10 + [0] * 30) == 20
     assert first_restored_slot([100] * 20) is None
+
+
+def monitor_state(mon):
+    return (list(mon._admitted.contents), mon._admitted.running_sum, mon._occ_ok)
+
+
+def updated_to_restoration(mon, backlogs, admitted):
+    """first_restored() as a loop of update()."""
+    for i, (backlog, count) in enumerate(zip(backlogs, admitted)):
+        if mon.update(backlog, count):
+            return i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.sampled_from([2, 5, 40]),
+       st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                          st.integers(min_value=0, max_value=8)), max_size=30),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                          st.integers(min_value=0, max_value=8)), max_size=60))
+def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots):
+    mon = RestorationMonitor(l1=l1, baseline_rate=baseline_rate, r=0.6, w_s=ws_slots * 0.1,
+                             ws_slots=ws_slots)
+    for backlog, count in warm:     # a streak and a window carried in
+        mon.update(backlog, count)
+    reference = copy.deepcopy(mon)
+    backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
+    assert (mon.first_restored(backlogs, admitted)
+            == updated_to_restoration(reference, backlogs, admitted))
+    # left as update() up to the restoring slot, or over every slot, leaves it
+    assert monitor_state(mon) == monitor_state(reference)
+    assert type(mon._admitted.running_sum) is int and type(mon._occ_ok) is int
+
+
+def test_first_restored_on_the_last_slot():
+    # a 10-slot streak that completes on the stretch's last slot
+    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    backlogs, admitted = [100] * 10 + [0] * 10, [1] * 20
+    assert mon.first_restored(backlogs, admitted) == 19
+    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    assert mon.first_restored(backlogs[:-1], admitted[:-1]) is None
+    assert mon.update(0, 1)
+    # and after a restoring slot nothing more is taken in
+    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    assert mon.first_restored(backlogs + [100] * 5, admitted + [7] * 5) == 19
+    assert monitor_state(mon) == ([1] * 10, 10, 10)
 
 
 # ---------------------------------------------------------------------------

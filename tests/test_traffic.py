@@ -418,3 +418,59 @@ def test_stream_slot_inactive_population():
     per_source = counts_of(ids, cfg.n_legal + cfg.n_attack)
     assert len(per_source) == cfg.n_legal + cfg.n_attack
     assert not per_source.any()
+
+
+@st.composite
+def episode_asks(draw):
+    """Slots asked for as run_once asks for them: ranges, each cut short at
+    some slot or not, and runs of single slots, each after a gap (0 to
+    resume where the last ask stopped, mid-block after single slots)."""
+    return draw(st.lists(st.tuples(st.integers(min_value=0, max_value=80), st.booleans(),
+                                   st.integers(min_value=1, max_value=150),
+                                   st.integers(min_value=0, max_value=149)),
+                         min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=900, max_value=2950), episode_asks(), st.integers(0, 2**32 - 1))
+def test_slot_ranges_match_slot_by_slot(first, asks, seed):
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    n = cfg.n_legal + cfg.n_attack
+    split_rng, ref_split_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = TrafficStream(cfg, np.random.default_rng(11), split_rng)
+    # the same stream asked for one slot at a time, and the reference split
+    twin = TrafficStream(cfg, np.random.default_rng(11), np.random.default_rng(seed))
+    ref = CountVectorSplit(cfg, np.random.default_rng(11), ref_split_rng)
+    at = first
+    for gap, ranged, length, cut in asks:
+        lo = at + gap
+        hi = min(lo + length, cfg.n_slots)
+        if lo >= hi:
+            break
+        if ranged:
+            ids, bounds = stream.slots(lo, hi)
+            assert bounds[0] == 0 and bounds[-1] == len(ids)
+            assert np.array_equal(np.diff(bounds), stream.totals[lo:hi])
+            at = min(lo + cut + 1, hi)      # the stretch stops after slot at - 1
+            if at < hi:
+                stream.rewind(at)
+            got = [ids[bounds[j]:bounds[j + 1]] for j in range(at - lo)]
+        else:
+            at = hi
+            got = [stream.slot(i) for i in range(lo, hi)]
+        for i, slot_ids in zip(range(lo, at), got):
+            assert np.array_equal(slot_ids, twin.slot(i))
+            assert np.array_equal(counts_of(slot_ids, n), ref.slot(i)[1])
+        # the uniforms of the slots after the cut are queued, not consumed
+        assert queue_matches_reference(stream, split_rng, ref_split_rng), (lo, at)
+
+
+def test_slot_range_bounds_checked():
+    stream = stream_of(small_config())
+    with pytest.raises(ValueError):
+        stream.slots(5, 5)
+    with pytest.raises(ValueError):
+        stream.slots(2990, 3001)
+    stream.slots(10, 20)
+    with pytest.raises(ValueError):
+        stream.rewind(21)

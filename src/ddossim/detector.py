@@ -148,11 +148,10 @@ class SlidingWindow:
         return len(self.contents)
 
 
-def detect_ratio(short_avg: float, long_avg: float, r: float) -> bool:
-    """Ratio rule: short-time average strictly above (1+r) * long-time average."""
-    if long_avg <= 0:
-        return False
-    return short_avg > (1.0 + r) * long_avg
+def detect_ratio(short_avg, long_avg, r: float):
+    """Ratio rule on floats, or elementwise on arrays: short-time average strictly
+    above (1+r) * long-time average; a NaN long average (not yet full) never fires."""
+    return (long_avg > 0) & (short_avg > (1.0 + r) * long_avg)
 
 
 def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
@@ -238,12 +237,8 @@ class Detector:
             return
         self._frozen_lambda_bar = self.baseline_lambda_bar()
         self._frozen = True
-        if len(self.buckets) == self.buckets.maxlen:
-            self._frozen_baseline = list(islice(self.buckets, self.cfg.baseline_len))
-        else:
-            self._frozen_baseline = None
+        self._frozen_baseline = self._baseline()
         self._fresh_buckets = 0
-        self._frozen_appended = 0
 
     def unfreeze(self) -> None:
         """Resume normal monitoring after restoration.
@@ -274,6 +269,29 @@ class Detector:
         self.short.clear()
         self._fresh_buckets = 0
 
+    def _baseline(self) -> Optional[list[int]]:
+        """The oldest baseline_len buckets once the deque is full, else None."""
+        if len(self.buckets) < self.buckets.maxlen:
+            return None
+        return list(islice(self.buckets, self.cfg.baseline_len))
+
+    def _push_bucket(self, count: int) -> bool:
+        """Append a completed one-second bucket and run its statistical check if
+        one is due: frozen, against the pinned baseline from the ws_buckets-th
+        fresh bucket on; unfrozen, once the deque is full.  Whether it fired."""
+        self.buckets.append(count)
+        if self._frozen:
+            self._fresh_buckets += 1
+            self._frozen_appended += 1
+        if Method.STATISTICAL not in self.cfg.methods:
+            return False
+        if self._frozen:
+            baseline = self._frozen_baseline if self._fresh_buckets >= self._ws_buckets else None
+        else:
+            baseline = self._baseline()
+        return baseline is not None and self._stat_check(
+            baseline, list(islice(self.buckets, len(self.buckets) - self._ws_buckets, None)))
+
     def _stat_check(self, baseline: Sequence[int], current: Sequence[int]) -> bool:
         """One counted statistical check of the current buckets against baseline."""
         self.stat_checks += 1
@@ -295,23 +313,10 @@ class Detector:
         self._bucket_acc += aggregate
         self._bucket_fill += 1
         if self._bucket_fill == self._slots_per_bucket:
-            self.buckets.append(self._bucket_acc)
+            if self._push_bucket(self._bucket_acc):
+                fired = Method.STATISTICAL
             self._bucket_acc = 0
             self._bucket_fill = 0
-            if self._frozen:
-                self._fresh_buckets += 1
-                self._frozen_appended += 1
-            if Method.STATISTICAL in cfg.methods:
-                baseline: Optional[list[int]] = None
-                if self._frozen:
-                    if self._fresh_buckets >= self._ws_buckets:
-                        baseline = self._frozen_baseline
-                elif len(self.buckets) == self.buckets.maxlen:
-                    baseline = list(islice(self.buckets, cfg.baseline_len))
-                if baseline is not None and self._stat_check(
-                        baseline,
-                        list(islice(self.buckets, len(self.buckets) - self._ws_buckets, None))):
-                    fired = Method.STATISTICAL
 
         self.short.push(aggregate)
         if not self._frozen:
@@ -320,12 +325,10 @@ class Detector:
                 self._lambda_bar_ring.append(self.long.average())
 
         if fired is None and Method.RATIO in cfg.methods and self.short.is_full:
-            if self._frozen:
-                if detect_ratio(self.short.average(), self._frozen_lambda_bar, cfg.r):
-                    fired = Method.RATIO
-            elif self.long.is_full:
-                if detect_ratio(self.short.average(), self.long.average(), cfg.r):
-                    fired = Method.RATIO
+            reference = (self._frozen_lambda_bar if self._frozen
+                         else self.long.average() if self.long.is_full else np.nan)
+            if detect_ratio(self.short.average(), reference, cfg.r):
+                fired = Method.RATIO
         if fired is None and Method.BUFFER_FULL in cfg.methods and buffer is not None:
             # backlog net of the slot's service, so a single coarse-slot
             # arrival batch cannot trip the detector under normal load
@@ -362,8 +365,7 @@ class Detector:
         last = n - 1                        # the last slot the scan may reach
         ratio_at = n
         if Method.RATIO in cfg.methods:
-            # NaN, a window not yet full, compares False
-            hits = np.flatnonzero((long_avg > 0) & (short_avg > (1.0 + cfg.r) * long_avg))
+            hits = np.flatnonzero(detect_ratio(short_avg, long_avg, cfg.r))
             if len(hits):
                 ratio_at = last = int(hits[0])
 
@@ -415,26 +417,15 @@ class Detector:
 
     def run_frozen(self, arrivals: np.ndarray) -> None:
         """observe() over the int64 arrivals on the frozen detector, whose
-        fires an episode ignores.
-
-        The detector is left as len(arrivals) observe() calls leave it: the
-        one-second buckets appended and counted fresh, every due statistical
-        check run in order and counted, and the short window refilled.  The
-        ratio and buffer-full rules have no state to leave while frozen.
-        """
+        fires an episode ignores: each completed bucket goes through
+        _push_bucket() in order, and the short window is refilled.  The ratio
+        and buffer-full rules have no state to leave while frozen."""
         if not self._frozen:
             raise RuntimeError("run_frozen runs only on a frozen detector")
         slot_counts, new = self._bucket_sums(arrivals)
         self._hold_partial(slot_counts, len(arrivals))
-        baseline = (self._frozen_baseline if Method.STATISTICAL in self.cfg.methods
-                    else None)
         for count in new:
-            self.buckets.append(count)
-            self._fresh_buckets += 1
-            if baseline is not None and self._fresh_buckets >= self._ws_buckets:
-                self._stat_check(baseline, list(islice(
-                    self.buckets, len(self.buckets) - self._ws_buckets, None)))
-        self._frozen_appended += len(new)
+            self._push_bucket(count)
         self.short.extend(arrivals)
 
     def _bucket_sums(self, arrivals: np.ndarray) -> tuple[np.ndarray, list[int]]:

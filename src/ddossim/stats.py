@@ -1,10 +1,11 @@
 """Self-contained statistics kernel for the detection pipeline.
 
 Summary statistics, the upper confidence bound, the pooled t-test,
-Levene's variance test, and the special functions (normal CDF/quantile,
-regularized incomplete beta) that back them.  Everything is pure Python
-on top of the math module so the whole decision path can be audited and
-cross-checked against independent oracles.
+Levene's variance test, and the regularized incomplete beta behind the
+tests.  The bound's normal quantile comes from the standard library's
+statistics.NormalDist, so numpy stays the only runtime dependency; the
+rest is pure Python on the math module, so the whole decision path can
+be audited and cross-checked against independent oracles.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 __all__ = [
@@ -19,9 +21,6 @@ __all__ = [
     "TestResult",
     "sample_mean",
     "sample_stddev",
-    "normal_cdf",
-    "normal_pdf",
-    "normal_quantile",
     "betainc_reg",
     "student_t_two_sided_p",
     "f_sf",
@@ -30,10 +29,6 @@ __all__ = [
     "t_test_pooled",
     "levene_test",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -81,56 +76,6 @@ def _stddev_about(xs: Sequence[float], mean: float) -> float:
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-# Coefficients of Acklam's rational approximation to the normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF.
-
-    Rational approximation polished by two Newton steps; agrees with
-    normal_cdf to better than 1e-12 away from the extreme tails.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    for _ in range(2):
-        err = normal_cdf(x) - p
-        d = normal_pdf(x)
-        if d <= 0.0:
-            break
-        x -= err / d
-    return x
-
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
@@ -222,7 +167,7 @@ def upper_conf_bound(stats: SummaryStats, alpha: float) -> float:
 @functools.lru_cache(maxsize=16)
 def _upper_quantile(alpha: float) -> float:
     """z(alpha), computed once per alpha: every check uses the same one."""
-    return normal_quantile(1.0 - alpha)
+    return NormalDist().inv_cdf(1.0 - alpha)
 
 
 def pooled_variance(s1: SummaryStats, s2: SummaryStats) -> float:

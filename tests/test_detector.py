@@ -71,6 +71,13 @@ def test_ratio_boundary_is_strict():
     assert detect_ratio(1601, 1000, 0.6)
     assert not detect_ratio(1600, 1000, 0.6)
     assert not detect_ratio(100, 0, 0.6)     # warm-up guard
+    # the array form scan() uses: the same cases elementwise, plus a NaN
+    # long average, a window not yet full
+    short = np.array([1601.0, 1600.0, 100.0, 100.0])
+    long = np.array([1000.0, 1000.0, 0.0, np.nan])
+    hits = detect_ratio(short, long, 0.6)
+    assert hits.tolist() == [bool(detect_ratio(float(a), float(b), 0.6))
+                             for a, b in zip(short, long)] == [True, False, False, False]
 
 
 def test_ratio_monotonicity():
@@ -256,6 +263,9 @@ def test_run_detection_step_change_fires_ratio():
     elapsed, method = first_fire(cfg, [100] * 1000 + [300] * 500)
     assert method is Method.RATIO
     assert elapsed > 1000
+    # a step before the 450-slot long window is full is compared with no
+    # partial average: by the time it fills, the step is the reference
+    assert first_fire(cfg, [100] * 200 + [300] * 1000) == (None, None)
 
 
 def test_run_detection_with_buffer_feed():

@@ -2,8 +2,9 @@
 
 perfbench/golden/<workload>.json holds RunMetrics.as_row() for the
 benchmark's workload seeds.  The first rows of each file are replayed
-here; ints, bools, strings and None must match exactly, floats within
-1e-9.  The files are only read.
+in tier-1, and every row under `pytest -m slow`; ints, bools, strings
+and None must match exactly, floats within 1e-9.  The files are only
+read.
 """
 
 import json
@@ -16,6 +17,7 @@ from ddossim import cli, get_preset, run_once
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROWS_PER_WORKLOAD = 5
+WORKLOADS = ["sim2-attack", "sim1-portal", "sim2-quiet"]
 
 
 def workload_configs(name):
@@ -27,9 +29,9 @@ def workload_configs(name):
     return p.scenario, p.detector, p.id_method
 
 
-def golden_rows(name):
+def golden_rows(name, limit=None):
     doc = json.loads((PERFBENCH / "golden" / f"{name}.json").read_text())
-    return [dict(zip(doc["fields"], values)) for values in doc["rows"][:ROWS_PER_WORKLOAD]]
+    return [dict(zip(doc["fields"], values)) for values in doc["rows"][:limit]]
 
 
 def same_value(expected, got):
@@ -40,11 +42,8 @@ def same_value(expected, got):
     return expected == got
 
 
-@pytest.mark.parametrize("name", ["sim2-attack", "sim1-portal", "sim2-quiet"])
-def test_golden_rows_replay(name):
+def replay(name, rows):
     scenario, detector, id_method = workload_configs(name)
-    rows = golden_rows(name)
-    assert len(rows) == ROWS_PER_WORKLOAD
     for expected in rows:
         # the JSON round trip gives the row the types the CLI's output carries
         got = json.loads(json.dumps(
@@ -53,3 +52,18 @@ def test_golden_rows_replay(name):
         diff = {f: (expected[f], got[f]) for f in expected
                 if not same_value(expected[f], got[f])}
         assert not diff, f"seed {expected['seed']}: {diff}"
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_golden_rows_replay(name):
+    rows = golden_rows(name, ROWS_PER_WORKLOAD)
+    assert len(rows) == ROWS_PER_WORKLOAD
+    replay(name, rows)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_golden_all_rows_replay(name):
+    rows = golden_rows(name)
+    assert len(rows) > ROWS_PER_WORKLOAD
+    replay(name, rows)

@@ -6,16 +6,16 @@ and two-pass computations cover the summary statistics.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
-from ddossim.stats import (SummaryStats, betainc_reg, f_sf, levene_test, normal_cdf,
-                           normal_quantile, pooled_variance, sample_mean,
-                           sample_stddev, student_t_two_sided_p, t_test_pooled,
-                           upper_conf_bound)
+from ddossim.stats import (SummaryStats, betainc_reg, f_sf, levene_test, pooled_variance,
+                           sample_mean, sample_stddev, student_t_two_sided_p,
+                           t_test_pooled, upper_conf_bound)
 
 
 def t_test(a, b):
@@ -82,33 +82,6 @@ def test_mean_stddev_permutation_and_scaling():
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def test_normal_cdf_matches_scipy():
-    for x in np.linspace(-8, 8, 161):
-        assert normal_cdf(float(x)) == pytest.approx(scipy.stats.norm.cdf(x),
-                                                     abs=1e-14)
-
-
-def test_normal_quantile_matches_scipy():
-    for p in np.concatenate([np.linspace(1e-6, 0.5, 200),
-                             np.linspace(0.5, 1 - 1e-6, 200)]):
-        assert normal_quantile(float(p)) == pytest.approx(
-            scipy.special.ndtri(p), abs=1e-9)
-
-
-def test_quantile_cdf_mutual_inverses():
-    for alpha in np.geomspace(1e-6, 0.5, 120):
-        z = normal_quantile(float(alpha))
-        assert normal_cdf(z) == pytest.approx(float(alpha), abs=1e-10)
-        z = normal_quantile(1.0 - float(alpha))
-        assert normal_cdf(z) == pytest.approx(1.0 - float(alpha), abs=1e-10)
-
-
-def test_quantile_domain_rejected():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            normal_quantile(p)
-
 
 def test_betainc_endpoints_and_symmetry():
     rng = np.random.default_rng(77)
@@ -178,11 +151,19 @@ def test_ucb_degenerate_cases():
 @pytest.mark.parametrize("alpha", [0.025, 0.05, 0.3])
 def test_ucb_is_the_uncached_formula(alpha):
     # z(alpha) is computed once per alpha; every later call gives the float
-    # the formula with a fresh normal_quantile gives
+    # the formula with a fresh NormalDist().inv_cdf gives
     stats = SummaryStats(mean=3.7, stddev=1.9, n=30)
-    expect = stats.mean + normal_quantile(1.0 - alpha) * stats.stddev / math.sqrt(stats.n)
+    expect = stats.mean + NormalDist().inv_cdf(1.0 - alpha) * stats.stddev / math.sqrt(stats.n)
     for _ in range(3):
         assert upper_conf_bound(stats, alpha) == expect
+
+
+def test_ucb_quantile_matches_scipy():
+    # the z(alpha) inside the bound, recovered through the public function
+    s = SummaryStats(mean=3.7, stddev=1.9, n=30)
+    for alpha in np.concatenate([np.geomspace(1e-6, 0.5, 120), [0.025, 0.05, 0.5]]):
+        z = (upper_conf_bound(s, float(alpha)) - s.mean) * math.sqrt(s.n) / s.stddev
+        assert z == pytest.approx(scipy.special.ndtri(1.0 - alpha), abs=1e-12)
 
 
 def test_ucb_validation():

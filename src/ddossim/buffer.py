@@ -5,13 +5,36 @@ size l2; occupancy at or above l1 is the overload signal the buffer-full
 detector watches.  Within a slot, service happens before admission, and a
 fractional service credit keeps the long-run served rate equal to
 mu * slot_dt even when that product is not an integer.
+
+step() runs one slot; run_ahead() and commit() run a stretch of slots at
+once and leave the same state.  Two facts make the stretch exact in int64:
+
+- Service does not depend on arrivals.  A slot's whole capacity is
+  int(credit), and the credit keeps only its fractional part whether or
+  not the buffer empties (when it does not, exactly int(credit) was
+  served).  So the capacity of every slot follows from service_per_slot
+  and the slot index alone, one cached sequence per service rate.
+- Between the two walls the backlog is a Lindley recursion (Lindley 1952)
+  on prefix sums.  With S_k = occupancy + sum(a[:k]) - sum(w[:k + 1]) for
+  arrivals a and capacities w, the backlog after slot k's service is
+  S_k - min(0, min(S[:k + 1])) up to the first slot whose admission would
+  pass l1 + l2.  From there the buffer serves its whole capacity each
+  slot, and its occupancy is V_k - max(0, max(V[:k + 1] - l1 - l2)) for
+  V_k = occupancy + sum(a[:k + 1] - w[:k + 1]), up to the first slot that
+  cannot.  A stretch alternates the two regimes, one numpy pass each.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import NamedTuple
 
-__all__ = ["BufferState", "step", "advance"]
+import numpy as np
+
+__all__ = ["BufferState", "Stretch", "step", "run_ahead", "commit"]
+
+# the shortest service sequence cached for a rate: a preset run's 3000 slots
+_TABLE_SLOTS = 4096
 
 
 class BufferState:
@@ -34,11 +57,6 @@ class BufferState:
         self.peak_slot = 0
         self._service_credit = 0.0
         self._slot = 0
-
-    def reset_to(self, saved: "BufferState") -> None:
-        """Take every field of saved, a copy.copy() of this state."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(saved, name))
 
     @property
     def capacity(self) -> int:
@@ -97,64 +115,127 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
     return admitted
 
 
-def advance(state: BufferState, arrivals: list[int], service_per_slot: float,
-            stop_at_l1: bool = True, admitted_out: Optional[list[int]] = None,
-            backlog_out: Optional[list[int]] = None) -> int:
-    """step() over each count of arrivals in turn; the slots advanced.
 
-    With stop_at_l1 it stops after the first slot whose backlog (occupancy
-    net of that slot's service) is at or above l1, the buffer-full signal.
-    Given admitted_out and backlog_out, it appends each slot's admitted
-    count (what step() returns) and backlog to them.  The same arithmetic
-    as step(), run on locals and written back once.
+
+class Stretch(NamedTuple):
+    """What each slot of a stretch gives, from the state run_ahead() saw."""
+
+    arrivals: np.ndarray     # int64 packets offered
+    backlog: np.ndarray      # int64 occupancy net of the slot's service
+    occupancy: np.ndarray    # int64 occupancy after the slot's admission
+    credit: np.ndarray       # float64 service credit after the slot
+
+    @property
+    def admitted(self) -> np.ndarray:
+        return self.occupancy - self.backlog
+
+
+def _service_sequence(credit: float, service_per_slot: float,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of n slots' whole service capacity from this credit on, and the
+    credit after it: step()'s float arithmetic, slot by slot."""
+    whole, after = [], []
+    for _ in range(n):
+        credit += service_per_slot
+        w = int(credit)
+        credit -= w
+        whole.append(w)
+        after.append(credit)
+    return np.array(whole, dtype=np.int64), np.array(after, dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=8)
+def _service_table(service_per_slot: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_service_sequence() of a fresh buffer's first n slots, read-only."""
+    table = _service_sequence(0.0, service_per_slot, n)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _service(state: BufferState, service_per_slot: float,
+             n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The capacities and credits of the state's next n slots: a slice of the
+    rate's table when the state's credit is the table's at its slot, as
+    it is for a state only ever stepped at this rate."""
+    lo, hi = state._slot, state._slot + n
+    size = max(_TABLE_SLOTS, 1 << (hi - 1).bit_length())
+    whole, credit = _service_table(service_per_slot, size)
+    if state._service_credit == (credit[lo - 1] if lo else 0.0):
+        return whole[lo:hi], credit[lo:hi]
+    return _service_sequence(state._service_credit, service_per_slot, n)
+
+
+def run_ahead(state: BufferState, arrivals: np.ndarray,
+              service_per_slot: float) -> Stretch:
+    """step() over each count of arrivals in turn, as arrays; state unchanged.
+
+    Exact in int64: the empty-floored and the full regime of the module
+    docstring, alternated at each switch.  commit() then leaves the state
+    as step() over any prefix of the slots would.
     """
-    if arrivals and min(arrivals) < 0:
+    arrivals = np.asarray(arrivals, dtype=np.int64)
+    n = len(arrivals)
+    if n and arrivals.min() < 0:
         raise ValueError("arrivals must be >= 0")
     if service_per_slot < 0:
         raise ValueError("service_per_slot must be >= 0")
 
-    record = admitted_out is not None
-    l1 = state.l1
-    capacity = state.capacity
-    occupancy = state.occupancy
-    post = state.post_service_occupancy
-    credit = state._service_credit
-    offered = served_total = dropped = 0
-    peak, peak_slot, slot = state.peak_occupancy, state.peak_slot, state._slot
-    for count in arrivals:
-        credit += service_per_slot
-        whole = int(credit)
-        served = occupancy if occupancy < whole else whole
-        occupancy -= served
-        if occupancy == 0:
-            credit -= whole
-        else:
-            credit -= served
-        post = occupancy
-        room = capacity - occupancy
-        admitted = count if count <= room else room
-        occupancy += admitted
-        offered += count
-        served_total += served
-        dropped += count - admitted
-        if record:
-            admitted_out.append(admitted)
-            backlog_out.append(post)
-        if occupancy > peak:
-            peak = occupancy
-            peak_slot = slot
-        slot += 1
-        if stop_at_l1 and post >= l1:
+    whole, credit = _service(state, service_per_slot, n)
+    cap = state.capacity
+    backlog = np.empty(n, dtype=np.int64)
+    occupancy = np.empty(n, dtype=np.int64)
+    occ, k = state.occupancy, 0
+    while k < n:
+        # empty-floored: every arrival admitted, up to the first slot that
+        # would pass capacity, which admits what fits
+        a = arrivals[k:]
+        s = occ - np.cumsum(whole[k:]) + (np.cumsum(a) - a)
+        post = s - np.minimum(np.minimum.accumulate(s), 0)
+        over = np.flatnonzero(post + a > cap)
+        m = int(over[0]) if len(over) else n - k
+        backlog[k:k + m] = post[:m]
+        occupancy[k:k + m] = post[:m] + a[:m]
+        k += m
+        if k == n:
             break
+        backlog[k] = post[m]
+        occupancy[k] = occ = cap
+        k += 1
+        # full: each slot serves its whole capacity, up to the first that
+        # cannot because less than that is queued
+        v = occ + np.cumsum(arrivals[k:] - whole[k:])
+        full = v - np.maximum(np.maximum.accumulate(v - cap), 0)
+        post = np.concatenate(([occ], full[:-1])) - whole[k:]
+        short = np.flatnonzero(post < 0)
+        m = int(short[0]) if len(short) else n - k
+        backlog[k:k + m] = post[:m]
+        occupancy[k:k + m] = full[:m]
+        if m:
+            occ = int(full[m - 1])
+        k += m
+    return Stretch(arrivals, backlog, occupancy, credit)
 
-    state.occupancy = occupancy
-    state.post_service_occupancy = post
-    state._service_credit = credit
+
+def commit(state: BufferState, stretch: Stretch, k: int) -> None:
+    """Leave the state as step() over the first k slots of the stretch,
+    which run_ahead() gave from this state, leaves it."""
+    if not 0 <= k <= len(stretch.arrivals):
+        raise ValueError(f"cannot commit {k} of {len(stretch.arrivals)} slots")
+    if k == 0:
+        return
+    occupancy = stretch.occupancy[:k]
+    admitted = int(occupancy.sum() - stretch.backlog[:k].sum())
+    offered = int(stretch.arrivals[:k].sum())
+    after = int(occupancy[-1])
     state.cumulative_offered += offered
-    state.cumulative_served += served_total
-    state.cumulative_dropped += dropped
-    state.peak_occupancy = peak
-    state.peak_slot = peak_slot
-    ran = slot - state._slot
-    state._slot = slot
-    return ran
+    state.cumulative_served += state.occupancy + admitted - after
+    state.cumulative_dropped += offered - admitted
+    top = int(occupancy.argmax())
+    if occupancy[top] > state.peak_occupancy:
+        state.peak_occupancy = int(occupancy[top])
+        state.peak_slot = state._slot + top
+    state.occupancy = after
+    state.post_service_occupancy = int(stretch.backlog[k - 1])
+    state._service_credit = float(stretch.credit[k - 1])
+    state._slot += k

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .buffer import BufferState, advance
+from .buffer import BufferState, commit, run_ahead
 from .stats import (SummaryStats, levene_test, sample_mean, t_test_pooled,
                     upper_conf_bound)
 from .traffic import require_finite, slots_in
@@ -341,14 +341,16 @@ class Detector:
         """observe() over arrivals up to the first fire, for the unfrozen detector.
 
         arrivals are the int64 aggregates of the slots from here on; the
-        buffer is stepped through the same slots (buffer.advance), as the
-        caller of observe() would.  Returns the slots consumed and the
-        method that fired in the last of them, or None if none fired and
-        every slot was consumed.  The ratio rule is found from whole-array
-        prefix sums and the one-second buckets from a reshape-sum; the
-        statistical method is evaluated in order at each bucket boundary up
-        to the fire, as observe() would.  The detector and the buffer are
-        left exactly as that many observe() and step() calls leave them.
+        buffer runs through the same slots (buffer.run_ahead, then
+        buffer.commit), as the caller of observe() would step it.  Returns
+        the slots consumed and the method that fired in the last of them,
+        or None if none fired and every slot was consumed.  The ratio rule
+        is found from whole-array prefix sums, the buffer-full slot from
+        the stretch's backlogs, and the one-second buckets from a
+        reshape-sum; the statistical method is evaluated in order at each
+        bucket boundary up to the first of those fires, as observe() would.
+        The detector and the buffer are left exactly as that many observe()
+        and step() calls leave them.
         """
         if self._frozen:
             raise RuntimeError("scan runs only on an unfrozen detector")
@@ -363,11 +365,16 @@ class Detector:
         long_values, long_avg = self.long.pushed_sums(arrivals)
         long_avg /= self.long.capacity
         last = n - 1                        # the last slot the scan may reach
-        ratio_at = n
+        ratio_at = full_at = n
         if Method.RATIO in cfg.methods:
             hits = np.flatnonzero(detect_ratio(short_avg, long_avg, cfg.r))
             if len(hits):
                 ratio_at = last = int(hits[0])
+        stretch = run_ahead(buffer, arrivals[:last + 1], service_per_slot)
+        if Method.BUFFER_FULL in cfg.methods:
+            hits = np.flatnonzero(stretch.backlog >= buffer.l1)
+            if len(hits):
+                full_at = last = int(hits[0])
 
         spb, fill = self._slots_per_bucket, self._bucket_fill
         slot_counts, new = self._bucket_sums(arrivals)
@@ -377,33 +384,22 @@ class Detector:
 
         # new bucket j completes at slot (j + 1) * spb - fill - 1; it is
         # tested once the deque is full, up to the last reachable slot
-        checks = range(0)
-        if Method.STATISTICAL in cfg.methods:
-            checks = range(max(0, maxlen - held - 1), (last + fill + 1) // spb)
-        watch_full = Method.BUFFER_FULL in cfg.methods
         fired: Optional[Method] = None
-        done = 0
-        for j in checks:
-            end = (j + 1) * spb - fill - 1
-            done += advance(buffer, arrivals[done:end + 1].tolist(), service_per_slot,
-                            watch_full)
-            if done <= end:
-                break                       # buffer-full before the boundary
-            top = held + j + 1              # buckets[top - maxlen:top] are in the deque
-            if self._stat_check(buckets[top - maxlen:top - maxlen + base_len],
-                                buckets[top - self._ws_buckets:top]):
-                fired = Method.STATISTICAL
-                break
-            if watch_full and buffer.is_l1_backlogged():
-                break
-        else:
-            done += advance(buffer, arrivals[done:last + 1].tolist(), service_per_slot,
-                            watch_full)
+        done = last + 1
+        if Method.STATISTICAL in cfg.methods:
+            for j in range(max(0, maxlen - held - 1), (last + fill + 1) // spb):
+                top = held + j + 1          # buckets[top - maxlen:top] are in the deque
+                if self._stat_check(buckets[top - maxlen:top - maxlen + base_len],
+                                    buckets[top - self._ws_buckets:top]):
+                    fired = Method.STATISTICAL
+                    done = (j + 1) * spb - fill
+                    break
         if fired is None:
-            if done - 1 == ratio_at:
+            if last == ratio_at:
                 fired = Method.RATIO
-            elif watch_full and buffer.is_l1_backlogged():
+            elif last == full_at:
                 fired = Method.BUFFER_FULL
+        commit(buffer, stretch, done)
 
         # the state `done` observe() calls leave
         self.short.refill(short_values[:len(self.short) + done])

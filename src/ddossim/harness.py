@@ -5,8 +5,9 @@ of slots, each run ahead to its next event.  Between episodes the buffer
 and the detector run on the pre-drawn slot totals to the next fire
 (Detector.scan).  A fire freezes the detector and opens a measurement
 window of w_s, which runs as one stretch (TrafficStream.slots,
-buffer.advance, Detector.run_frozen): its packet source ids are counted
-per source once, the traffic is classified, and the filter activated.
+buffer.run_ahead and buffer.commit, Detector.run_frozen): its packet
+source ids are counted per source once, the traffic is classified, and
+the filter activated.
 The stretch ends early only at restoration or at the end of the run.
 Filter slots run one at a time: each slot's packets are split, filtered,
 buffered and observed, and a fire among them means the residual traffic
@@ -19,18 +20,17 @@ releases the filter and resumes normal baseline rotation.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .buffer import BufferState, advance, step
+from .buffer import BufferState, commit, run_ahead, step
 from .detector import Detector, DetectorConfig, Method, SlidingWindow
 from .identifier import (apply_filter, estimate_attack_rate, identify_by_history,
                          identify_greedy, measure_per_source)
-from .stats import sample_mean, sample_stddev
+from .stats import sample_mean, sample_stddev, student_t_quantile
 from .traffic import ScenarioConfig, TrafficStream, slots_in
 
 __all__ = [
@@ -113,9 +113,10 @@ class RestorationMonitor:
                 and self._admitted.is_full
                 and self._admitted.running_sum <= self.threshold_sum)
 
-    def first_restored(self, backlogs: list[int], admitted: list[int]) -> Optional[int]:
+    def first_restored(self, backlogs: np.ndarray, admitted: np.ndarray) -> Optional[int]:
         """The first slot of these at which update() would return True, or None.
 
+        backlogs and admitted are a stretch's int64 arrays, one per slot.
         The monitor is left as update() over the slots up to that one, or
         over all of them, leaves it.  The low-backlog run comes from the
         last slot at or above l1, the admitted window sums from prefix sums.
@@ -123,9 +124,9 @@ class RestorationMonitor:
         n = len(admitted)
         if n == 0:
             return None
-        values, sums = self._admitted.pushed_sums(np.array(admitted, dtype=np.int64))
+        values, sums = self._admitted.pushed_sums(admitted)
         slot = np.arange(n)
-        last_high = np.maximum.accumulate(np.where(np.array(backlogs) >= self.l1, slot, -1))
+        last_high = np.maximum.accumulate(np.where(backlogs >= self.l1, slot, -1))
         low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
         # a window not yet full has a NaN sum, which compares False
         hits = np.flatnonzero((low_run >= self.ws_slots) & (sums <= self.threshold_sum))
@@ -200,33 +201,31 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # the window runs ahead in one stretch, to its end, to
             # restoration or to the end of the run; fires are ignored
             stop = min(window_end, n_slots)
-            ids, bounds = stream.slots(elapsed, stop)
             if blocked is None:
                 arrivals = stream.totals[elapsed:stop]
-                advance(buf, arrivals.tolist(), service, stop_at_l1=False)
+                commit(buf, run_ahead(buf, arrivals, service), len(arrivals))
+                if stop == window_end:
+                    # a window the end of the run cuts short is never
+                    # classified, so its packets are not split
+                    window, _ = stream.slots(elapsed, stop)
             else:
+                ids, bounds = stream.slots(elapsed, stop)
                 # each slot's unblocked packets: the packets before each of
                 # its bounds less the blocked ones, counted by one search
                 unblocked = bounds - np.searchsorted(np.flatnonzero(blocked[ids]), bounds)
                 arrivals = np.diff(unblocked)
-                before = copy.copy(buf)
-                admitted, backlogs = [], []
-                advance(buf, arrivals.tolist(), service, False, admitted, backlogs)
-                at = restoration.first_restored(backlogs, admitted)
+                stretch = run_ahead(buf, arrivals, service)
+                at = restoration.first_restored(stretch.backlog, stretch.admitted)
                 restored = at is not None
-                if restored and at + 1 < len(arrivals):
+                if restored:
                     # the stretch ends at the slot restoration holds in
                     arrivals = arrivals[:at + 1]
-                    buf.reset_to(before)
-                    advance(buf, arrivals.tolist(), service, stop_at_l1=False)
+                commit(buf, stretch, len(arrivals))
+                window = apply_filter(blocked, ids[:bounds[len(arrivals)]])
             det.run_frozen(arrivals)
-            ran = len(arrivals)
-            elapsed += ran
+            elapsed += len(arrivals)
             if elapsed < stop:
                 stream.rewind(elapsed)
-            window = ids[:bounds[ran]]
-            if blocked is not None:
-                window = apply_filter(blocked, window)
         else:
             # a filter slot: packet source ids, of which the blocked go
             ids = apply_filter(blocked, stream.slot(elapsed))
@@ -333,7 +332,8 @@ def _summarize(values: list[float]) -> MetricSummary:
     avg = sample_mean(values)
     half = 0.0
     if n >= 2:
-        half = 1.96 * sample_stddev(values) / (n ** 0.5)
+        # the 95% Student t interval for the mean, on n - 1 degrees
+        half = student_t_quantile(0.975, n - 1) * sample_stddev(values) / (n ** 0.5)
     return MetricSummary(min=min(values), avg=avg, ci95_halfwidth=half, n=n)
 
 

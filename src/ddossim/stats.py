@@ -23,6 +23,7 @@ __all__ = [
     "sample_stddev",
     "betainc_reg",
     "student_t_two_sided_p",
+    "student_t_quantile",
     "f_sf",
     "upper_conf_bound",
     "pooled_variance",
@@ -142,6 +143,31 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     if math.isinf(t):
         return 0.0
     return betainc_reg(df / 2.0, 0.5, df / (df + t * t))
+
+
+@functools.lru_cache(maxsize=64)
+def student_t_quantile(p: float, df: int) -> float:
+    """The p quantile of the Student t distribution with df degrees.
+
+    Bisection on student_t_two_sided_p down to adjacent floats, computed
+    once per (p, df): a batch summary asks for the same one per metric.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"quantile needs p in (0, 1), got {p}")
+    if p < 0.5:
+        return -student_t_quantile(1.0 - p, df)
+    target = 2.0 * (1.0 - p)        # the two-sided p of the quantile
+    lo, hi = 0.0, 1.0
+    while student_t_two_sided_p(hi, df) > target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if student_t_two_sided_p(mid, df) > target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def f_sf(w: float, d1: int, d2: int) -> float:

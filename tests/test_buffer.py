@@ -1,6 +1,5 @@
 """Two-tier buffer invariants: conservation, bounds, fractional service."""
 
-import copy
 import math
 
 import numpy as np
@@ -8,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddossim.buffer import BufferState, advance, step
+from ddossim import buffer
+from ddossim.buffer import BufferState, commit, run_ahead, step
+from ddossim.harness import run_once
+from ddossim.presets import PRESETS
 
 
 def step_counts(buf, arrivals, service):
@@ -159,83 +161,128 @@ def test_step_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# bulk advance: the same state as step() slot by slot
+# stretches: run_ahead() and commit() against step() slot by slot
 # ---------------------------------------------------------------------------
 
 def buffer_fields(buf):
     return {name: getattr(buf, name) for name in BufferState.__slots__}
 
 
-def stepped(buf, arrivals, service, stop_at_l1):
-    """advance() as a loop of step(): the slots stepped."""
-    for n, count in enumerate(arrivals, 1):
-        step(buf, count, service)
-        if stop_at_l1 and buf.is_l1_backlogged():
-            return n
-    return len(arrivals)
+def assert_same_state(buf, reference):
+    # every field, the float service credit and peak_slot included, exactly,
+    # and of the same type: no numpy scalar may leak into the state
+    assert buffer_fields(buf) == buffer_fields(reference)
+    assert ({name: type(v) for name, v in buffer_fields(buf).items()}
+            == {name: type(v) for name, v in buffer_fields(reference).items()})
+    assert type(buf._service_credit) is float
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([0.4, 0.8, 8.0, 150.0]),
-       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=200),
-       st.lists(st.integers(min_value=0, max_value=300), max_size=60),
-       st.lists(st.integers(min_value=0, max_value=300), max_size=300),
-       st.booleans())
-def test_advance_matches_repeated_step(service, l1, l2, warm, arrivals, stop_at_l1):
-    bulk = BufferState(l1=l1, l2=l2)
+def warmed(l1, l2, warm, service):
+    buf = BufferState(l1=l1, l2=l2)
     for count in warm:              # carried occupancy, credit, peak and slot
-        step(bulk, count, service)
-    reference = BufferState(l1=l1, l2=l2)
-    for count in warm:
+        step(buf, count, service)
+    return buf
+
+
+SERVICE = st.sampled_from([0.4, 0.8, 8.0, 150.0])
+
+# l2 of 0 or 5 fills the buffer often, and counts up to 12 meet its walls
+# exactly, so both regimes and the switches between them are drawn; a
+# warm-up at another service rate leaves a credit off the rate's cached
+# sequence
+L2 = st.sampled_from([0, 5]) | st.integers(min_value=0, max_value=200)
+COUNTS = st.lists(st.integers(min_value=0, max_value=300)
+                  | st.integers(min_value=0, max_value=12), max_size=300)
+STRETCHES = given(SERVICE, SERVICE, st.integers(min_value=1, max_value=40), L2,
+                  st.lists(st.integers(min_value=0, max_value=300), max_size=60), COUNTS,
+                  st.data())
+
+
+def check_commit_matches_repeated_step(service, warm_service, l1, l2, warm, arrivals,
+                                       data):
+    bulk = warmed(l1, l2, warm, warm_service)
+    reference = warmed(l1, l2, warm, warm_service)
+    stretch = run_ahead(bulk, np.array(arrivals, dtype=np.int64), service)
+    assert_same_state(bulk, reference)      # the pass leaves the state alone
+    k = data.draw(st.integers(min_value=0, max_value=len(arrivals)), label="k")
+    commit(bulk, stretch, k)
+    for count in arrivals[:k]:
         step(reference, count, service)
-    ran = advance(bulk, arrivals, service, stop_at_l1)
-    assert ran == stepped(reference, arrivals, service, stop_at_l1)
-    # every field, the float service credit and peak_slot included, exactly
-    assert buffer_fields(bulk) == buffer_fields(reference)
-    assert type(bulk._service_credit) is float
+    assert_same_state(bulk, reference)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([0.4, 0.8, 8.0, 150.0]),
-       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=200),
-       st.lists(st.integers(min_value=0, max_value=300), max_size=60),
-       st.lists(st.integers(min_value=0, max_value=300), max_size=300),
-       st.booleans())
-def test_advance_records_what_step_gives_each_slot(service, l1, l2, warm, arrivals,
-                                                   stop_at_l1):
-    bulk, reference = BufferState(l1=l1, l2=l2), BufferState(l1=l1, l2=l2)
-    for count in warm:
-        step(bulk, count, service)
-        step(reference, count, service)
-    before = copy.copy(bulk)
-    admitted, backlogs = [], []
-    ran = advance(bulk, arrivals, service, stop_at_l1, admitted, backlogs)
-    expect_admitted, expect_backlogs = [], []
-    for count in arrivals[:ran]:
-        expect_admitted.append(step(reference, count, service))
-        expect_backlogs.append(reference.post_service_occupancy)
-    assert (admitted, backlogs) == (expect_admitted, expect_backlogs)
-    assert buffer_fields(bulk) == buffer_fields(reference)
-    # a copy taken before puts every field back
-    bulk.reset_to(before)
-    assert buffer_fields(bulk) == buffer_fields(before)
-    assert advance(bulk, arrivals, service, stop_at_l1) == ran
-    assert buffer_fields(bulk) == buffer_fields(reference)
+@STRETCHES
+def test_commit_matches_repeated_step(service, warm_service, l1, l2, warm, arrivals, data):
+    check_commit_matches_repeated_step(service, warm_service, l1, l2, warm, arrivals, data)
 
 
-def test_advance_stops_at_the_first_backlogged_slot():
-    buf = BufferState(l1=10, l2=100)
-    # backlog after service: 0, 0, 12 (20 - 8), then it would keep growing
-    assert advance(buf, [5, 20, 20, 20, 20], 8.0) == 3
-    assert buf.post_service_occupancy == 12 and buf.occupancy == 32
-    assert advance(buf, [], 8.0) == 0
-    assert advance(buf, [20, 20], 8.0, stop_at_l1=False) == 2
+@pytest.mark.slow
+@settings(max_examples=3000, deadline=None)
+@STRETCHES
+def test_commit_matches_repeated_step_many(service, warm_service, l1, l2, warm, arrivals,
+                                           data):
+    check_commit_matches_repeated_step(service, warm_service, l1, l2, warm, arrivals, data)
 
 
-def test_advance_input_validation():
+@settings(max_examples=300, deadline=None)
+@given(SERVICE, SERVICE, st.integers(min_value=1, max_value=40), L2,
+       st.lists(st.integers(min_value=0, max_value=300), max_size=60), COUNTS)
+def test_run_ahead_gives_what_step_gives_each_slot(service, warm_service, l1, l2, warm,
+                                                   arrivals):
+    bulk = warmed(l1, l2, warm, warm_service)
+    reference = warmed(l1, l2, warm, warm_service)
+    stretch = run_ahead(bulk, np.array(arrivals, dtype=np.int64), service)
+    admitted, backlogs, occupancies, credits = [], [], [], []
+    for count in arrivals:
+        admitted.append(step(reference, count, service))
+        backlogs.append(reference.post_service_occupancy)
+        occupancies.append(reference.occupancy)
+        credits.append(reference._service_credit)
+    assert stretch.admitted.tolist() == admitted
+    assert stretch.backlog.tolist() == backlogs
+    assert stretch.occupancy.tolist() == occupancies
+    assert stretch.credit.tolist() == credits
+
+
+def test_run_ahead_through_both_regimes():
+    # capacity 10, service 3: slot 1 fills the buffer (4 dropped), slots 2-5
+    # serve all 3 (6 more dropped in slot 2), slot 6 finds 1 queued and
+    # admits 10 of 12
+    buf = BufferState(l1=10, l2=0)
+    stretch = run_ahead(buf, np.array([8, 9, 9, 0, 0, 0, 12]), 3.0)
+    assert stretch.backlog.tolist() == [0, 5, 7, 7, 4, 1, 0]
+    assert stretch.occupancy.tolist() == [8, 10, 10, 7, 4, 1, 10]
+    assert stretch.admitted.tolist() == [8, 5, 3, 0, 0, 0, 10]
+    commit(buf, stretch, 7)
+    assert (buf.cumulative_offered, buf.cumulative_served, buf.cumulative_dropped) == (38, 16, 12)
+    assert (buf.peak_occupancy, buf.peak_slot, buf._slot) == (10, 1, 7)
+    assert buf.is_l1_backlogged() is False and buf.occupancy == 10
+
+
+def test_runs_with_two_service_rates_do_not_share_a_table():
+    # sim2 serves 0.8 packets a slot and sim1 150; each rate has its own
+    # cached sequence, so a run gives the row a fresh process gives
+    def row(name):
+        p = PRESETS[name]
+        return run_once(p.scenario, p.detector, p.id_method, seed=3).as_row()
+
+    rows = [row(name) for name in ("sim2", "sim1", "sim2")]
+    fresh = []
+    for name in ("sim2", "sim1", "sim2"):
+        buffer._service_table.cache_clear()
+        fresh.append(row(name))
+    assert rows == fresh
+
+
+def test_run_ahead_input_validation():
     buf = BufferState(10, 10)
     with pytest.raises(ValueError):
-        advance(buf, [1, -1], 1.0)
+        run_ahead(buf, np.array([1, -1]), 1.0)
     with pytest.raises(ValueError):
-        advance(buf, [1], -1.0)
+        run_ahead(buf, np.array([1]), -1.0)
+    stretch = run_ahead(buf, np.array([1, 2]), 1.0)
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            commit(buf, stretch, k)
     assert buffer_fields(buf) == buffer_fields(BufferState(10, 10))

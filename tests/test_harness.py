@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,7 +263,8 @@ def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots)
         mon.update(backlog, count)
     reference = copy.deepcopy(mon)
     backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
-    assert (mon.first_restored(backlogs, admitted)
+    assert (mon.first_restored(np.array(backlogs, dtype=np.int64),
+                               np.array(admitted, dtype=np.int64))
             == updated_to_restoration(reference, backlogs, admitted))
     # left as update() up to the restoring slot, or over every slot, leaves it
     assert monitor_state(mon) == monitor_state(reference)
@@ -272,14 +274,15 @@ def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots)
 def test_first_restored_on_the_last_slot():
     # a 10-slot streak that completes on the stretch's last slot
     mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
-    backlogs, admitted = [100] * 10 + [0] * 10, [1] * 20
+    backlogs, admitted = np.array([100] * 10 + [0] * 10), np.ones(20, dtype=np.int64)
     assert mon.first_restored(backlogs, admitted) == 19
     mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
     assert mon.first_restored(backlogs[:-1], admitted[:-1]) is None
     assert mon.update(0, 1)
     # and after a restoring slot nothing more is taken in
     mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
-    assert mon.first_restored(backlogs + [100] * 5, admitted + [7] * 5) == 19
+    assert mon.first_restored(np.concatenate((backlogs, [100] * 5)),
+                              np.concatenate((admitted, [7] * 5))) == 19
     assert monitor_state(mon) == ([1] * 10, 10, 10)
 
 
@@ -303,16 +306,18 @@ def test_run_batch_aggregates_and_ci():
     assert s.n == len(dts)
     assert s.min == min(dts)
     assert s.avg == pytest.approx(sample_mean(dts))
+    # the 95% Student t interval on n - 1 degrees
     assert s.ci95_halfwidth == pytest.approx(
-        1.96 * sample_stddev(dts) / math.sqrt(len(dts)))
+        scipy.stats.t.ppf(0.975, len(dts) - 1) * sample_stddev(dts) / math.sqrt(len(dts)))
 
 
 def test_run_batch_two_point_ci_closed_form():
     scenario, det, idm = small_run()
     stats, runs = run_batch(scenario, det, idm, n_runs=2, base_seed=13)
     vals = [float(r.detection_time) for r in runs]
-    # sample stddev of two points is |a-b|/sqrt(2)
-    expect = 1.96 * abs(vals[0] - vals[1]) / math.sqrt(2) / math.sqrt(2)
+    # sample stddev of two points is |a-b|/sqrt(2), and on one degree the
+    # t distribution is Cauchy, whose 0.975 quantile is tan(0.475 pi)
+    expect = math.tan(0.475 * math.pi) * abs(vals[0] - vals[1]) / math.sqrt(2) / math.sqrt(2)
     assert stats.metrics["detection_time"].ci95_halfwidth == pytest.approx(expect)
 
 

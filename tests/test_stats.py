@@ -14,8 +14,8 @@ import scipy.special
 import scipy.stats
 
 from ddossim.stats import (SummaryStats, betainc_reg, f_sf, levene_test, pooled_variance,
-                           sample_mean, sample_stddev, student_t_two_sided_p,
-                           t_test_pooled, upper_conf_bound)
+                           sample_mean, sample_stddev, student_t_quantile,
+                           student_t_two_sided_p, t_test_pooled, upper_conf_bound)
 
 
 def t_test(a, b):
@@ -121,6 +121,17 @@ def test_student_t_p_matches_scipy():
         ref = 2.0 * scipy.stats.t.sf(abs(t), df)
         assert student_t_two_sided_p(t, df) == pytest.approx(ref, abs=1e-12)
     assert student_t_two_sided_p(math.inf, 5) == 0.0
+
+
+def test_student_t_quantile_matches_scipy():
+    for df in range(1, 61):
+        for p in (0.6, 0.9, 0.95, 0.975, 0.995):
+            assert student_t_quantile(p, df) == pytest.approx(scipy.stats.t.ppf(p, df),
+                                                              rel=1e-10)
+            assert student_t_quantile(1.0 - p, df) == -student_t_quantile(p, df)
+    assert student_t_quantile(0.5, 7) == 0.0
+    with pytest.raises(ValueError):
+        student_t_quantile(1.0, 3)
 
 
 def test_f_sf_matches_scipy():

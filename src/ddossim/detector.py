@@ -179,15 +179,18 @@ def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
 class Detector:
     """Per-run detection state machine over a slotted traffic feed.
 
-    Feed one aggregate per slot via observe(), or, while unfrozen, run
-    ahead over many slots to the next fire with scan(); the first enabled
-    method to fire is reported (priority statistical > ratio > buffer-full
-    within a slot).  The statistical method is re-evaluated whenever a one-second
-    arrival bucket completes; its baseline is the block of buckets ending
-    c seconds in the past.  While an episode (measurement/filtering) is in
-    progress the caller freeze()s the detector: monitoring continues, but
-    against baselines pinned at the fire, so attack traffic cannot poison
-    the reference level; unfreeze() resumes normal rotation afterwards.
+    Each entry point serves one phase.  Unfrozen, between episodes, scan()
+    runs ahead over many slots to the next fire.  A fire freeze()s the
+    detector: monitoring continues, but against baselines pinned at the
+    fire, so attack traffic cannot poison the reference level.  Frozen,
+    run_frozen() takes a measurement window's slots, whose fires the
+    episode ignores, and observe() one filter slot; unfreeze() resumes
+    normal rotation at restoration.  The first enabled method to fire is
+    reported (priority statistical > ratio > buffer-full within a slot).
+    The statistical method is re-evaluated whenever a one-second arrival
+    bucket completes; its baseline is the block of buckets ending c
+    seconds in the past.  tests/reference.py holds the same rules one
+    slot at a time, for both phases.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
@@ -234,7 +237,7 @@ class Detector:
         updating until unfreeze().
         """
         if self._frozen:
-            return
+            raise RuntimeError("freeze needs an unfrozen detector")
         self._frozen_lambda_bar = self.baseline_lambda_bar()
         self._frozen = True
         self._frozen_baseline = self._baseline()
@@ -250,6 +253,8 @@ class Detector:
         cleared too, so the same data cannot re-fire instantly; the
         statistical method re-arms once fresh buckets refill the gap.
         """
+        if not self._frozen:
+            raise RuntimeError("unfreeze needs a frozen detector")
         self._frozen = False
         self._frozen_baseline = None
         for _ in range(min(self._frozen_appended + self._ws_buckets, len(self.buckets))):
@@ -276,21 +281,18 @@ class Detector:
         return list(islice(self.buckets, self.cfg.baseline_len))
 
     def _push_bucket(self, count: int) -> bool:
-        """Append a completed one-second bucket and run its statistical check if
-        one is due: frozen, against the pinned baseline from the ws_buckets-th
-        fresh bucket on; unfrozen, once the deque is full.  Whether it fired."""
+        """Append a one-second bucket completed while frozen and, from the
+        ws_buckets-th fresh one on, check it against the pinned baseline.
+        Whether it fired."""
         self.buckets.append(count)
-        if self._frozen:
-            self._fresh_buckets += 1
-            self._frozen_appended += 1
-        if Method.STATISTICAL not in self.cfg.methods:
+        self._fresh_buckets += 1
+        self._frozen_appended += 1
+        if (Method.STATISTICAL not in self.cfg.methods or self._frozen_baseline is None
+                or self._fresh_buckets < self._ws_buckets):
             return False
-        if self._frozen:
-            baseline = self._frozen_baseline if self._fresh_buckets >= self._ws_buckets else None
-        else:
-            baseline = self._baseline()
-        return baseline is not None and self._stat_check(
-            baseline, list(islice(self.buckets, len(self.buckets) - self._ws_buckets, None)))
+        return self._stat_check(
+            self._frozen_baseline,
+            list(islice(self.buckets, len(self.buckets) - self._ws_buckets, None)))
 
     def _stat_check(self, baseline: Sequence[int], current: Sequence[int]) -> bool:
         """One counted statistical check of the current buckets against baseline."""
@@ -300,13 +302,16 @@ class Detector:
             return True
         return False
 
-    def observe(self, aggregate: int,
-                buffer: Optional[BufferState] = None) -> Optional[Method]:
-        """Feed one slot's aggregate; the method that fired, if any.
+    def observe(self, aggregate: int, buffer: BufferState) -> Optional[Method]:
+        """Feed one filter slot's aggregate to the frozen detector; the
+        method that fired, if any.
 
         buffer is the state after this slot's step, for the buffer-full
-        method.
+        method.  The ratio rule compares the short window with the
+        lambda-bar pinned at freeze(); the long window stays as it was.
         """
+        if not self._frozen:
+            raise RuntimeError("observe runs only on a frozen detector")
         cfg = self.cfg
         fired: Optional[Method] = None
 
@@ -319,38 +324,30 @@ class Detector:
             self._bucket_fill = 0
 
         self.short.push(aggregate)
-        if not self._frozen:
-            self.long.push(aggregate)
-            if self.long.is_full:
-                self._lambda_bar_ring.append(self.long.average())
-
-        if fired is None and Method.RATIO in cfg.methods and self.short.is_full:
-            reference = (self._frozen_lambda_bar if self._frozen
-                         else self.long.average() if self.long.is_full else np.nan)
-            if detect_ratio(self.short.average(), reference, cfg.r):
-                fired = Method.RATIO
-        if fired is None and Method.BUFFER_FULL in cfg.methods and buffer is not None:
-            # backlog net of the slot's service, so a single coarse-slot
-            # arrival batch cannot trip the detector under normal load
-            if buffer.is_l1_backlogged():
-                fired = Method.BUFFER_FULL
+        if (fired is None and Method.RATIO in cfg.methods and self.short.is_full
+                and detect_ratio(self.short.average(), self._frozen_lambda_bar, cfg.r)):
+            fired = Method.RATIO
+        # backlog net of the slot's service, so a single coarse-slot arrival
+        # batch cannot trip the detector under normal load
+        if fired is None and Method.BUFFER_FULL in cfg.methods and buffer.is_l1_backlogged():
+            fired = Method.BUFFER_FULL
         return fired
 
     def scan(self, arrivals: np.ndarray, buffer: BufferState,
              service_per_slot: float) -> tuple[int, Optional[Method]]:
-        """observe() over arrivals up to the first fire, for the unfrozen detector.
+        """The unfrozen detector over arrivals up to the first fire.
 
         arrivals are the int64 aggregates of the slots from here on; the
         buffer runs through the same slots (buffer.run_ahead, then
-        buffer.commit), as the caller of observe() would step it.  Returns
+        buffer.commit), as a per-slot caller would step it.  Returns
         the slots consumed and the method that fired in the last of them,
         or None if none fired and every slot was consumed.  The ratio rule
         is found from whole-array prefix sums, the buffer-full slot from
         the stretch's backlogs, and the one-second buckets from a
         reshape-sum; the statistical method is evaluated in order at each
-        bucket boundary up to the first of those fires, as observe() would.
-        The detector and the buffer are left exactly as that many observe()
-        and step() calls leave them.
+        bucket boundary up to the first of those fires.  The detector and
+        the buffer are left exactly as the per-slot rules and step() over
+        that many slots leave them.
         """
         if self._frozen:
             raise RuntimeError("scan runs only on an unfrozen detector")
@@ -401,7 +398,7 @@ class Detector:
                 fired = Method.BUFFER_FULL
         commit(buffer, stretch, done)
 
-        # the state `done` observe() calls leave
+        # the state the per-slot rules leave after `done` slots
         self.short.refill(short_values[:len(self.short) + done])
         self.long.refill(long_values[:len(self.long) + done])
         ring = long_avg[:done]

@@ -160,7 +160,7 @@ class TrafficStream:
     def slot(self, i: int) -> np.ndarray:
         """The int64 source id of each packet of slot i; totals[i] of them."""
         if not 0 <= i < len(self.totals):
-            return np.empty(0, dtype=np.int64)
+            raise ValueError(f"no slot {i} in a run of {len(self.totals)} slots")
         if i != self._next or i >= self._end:
             self._split_block(i, i + 1)
         self._next = i + 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ddossim.buffer import BufferState, step
 from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method,
                               SlidingWindow, detect_ratio, detect_statistical)
+from reference import ReferenceDetector
 
 
 def make_cfg(**overrides) -> DetectorConfig:
@@ -95,15 +96,22 @@ def test_ratio_monotonicity():
 def test_detect_buffer_thresholds():
     # the buffer-full method fires once the backlog left after a slot's
     # service reaches l1, and keeps firing while it stays there
-    det = Detector(make_cfg(methods=(Method.BUFFER_FULL,)), slot_dt=0.1)
+    cfg = make_cfg(methods=(Method.BUFFER_FULL,))
+    ref = ReferenceDetector(cfg, slot_dt=0.1)
     buf = BufferState(l1=40, l2=30_000)
-    for arrivals, fires in ((39, False), (1, False), (0, True), (30_000, True),
-                            (0, True)):
+    feed = ((39, False), (1, False), (0, True), (30_000, True), (0, True))
+    for arrivals, fires in feed:
         step(buf, arrivals, 0)
-        assert (det.observe(arrivals, buf) is Method.BUFFER_FULL) == fires
+        assert (ref.observe(arrivals, buf) is Method.BUFFER_FULL) == fires
     assert buf.post_service_occupancy == 30_040
     # no buffer state given: the method cannot fire
-    assert det.observe(0) is None
+    assert ref.observe(0) is None
+    # scan() stops at the first of those fires; frozen, observe() fires on
+    # each slot after it
+    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=30_000)
+    assert det.scan(np.array([a for a, _ in feed]), buf, 0.0) == (3, Method.BUFFER_FULL)
+    det.freeze()
+    assert filter_slots(det, buf, 0.0, [a for a, _ in feed[3:]]) == [Method.BUFFER_FULL] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +214,121 @@ def test_statistical_decision_matches_scipy(baseline, current, alpha):
 # detector state machine
 # ---------------------------------------------------------------------------
 
-def first_fire(cfg, aggregates, buf=None, service=0.0):
-    """(slots elapsed, method) at the first fire of a fresh detector, or
-    (None, None); buf, when given, is stepped with each aggregate first."""
-    det = Detector(cfg, slot_dt=0.1)
-    for i, v in enumerate(aggregates):
-        if buf is not None:
-            step(buf, v, service)
+def detector_state(det):
+    """Every field of a detector, with the type of each value."""
+    def typed(values):
+        return [(type(v), v) for v in values]
+    return {
+        "short": (typed(det.short.contents), typed([det.short.running_sum])),
+        "long": (typed(det.long.contents), typed([det.long.running_sum])),
+        "ring": (typed(det._lambda_bar_ring), det._lambda_bar_ring.maxlen),
+        "buckets": (typed(det.buckets), det.buckets.maxlen),
+        "partial": typed([det._bucket_acc, det._bucket_fill]),
+        "stat": (det.stat_checks, det.stat_positives),
+        "frozen": (det._frozen, det._frozen_baseline, det._frozen_lambda_bar,
+                   det._fresh_buckets, det._frozen_appended),
+    }
+
+
+def buffer_fields(buf):
+    return {name: getattr(buf, name) for name in BufferState.__slots__}
+
+
+def observed(det, buf, service, arrivals):
+    """The reference's observe() loop, each slot stepped through buf first:
+    (slots consumed, method) at the first fire, as scan() returns it."""
+    for n, v in enumerate(arrivals, 1):
+        step(buf, v, service)
         fired = det.observe(v, buf)
         if fired is not None:
-            return i + 1, fired
-    return None, None
+            return n, fired
+    return len(arrivals), None
+
+
+def scanned(det, buf, service, arrivals):
+    """scan() the unfrozen detector over all of arrivals, fires and all,
+    starting a new scan after each fire: the method of each fire."""
+    rest = np.asarray(arrivals, dtype=np.int64)
+    fires = []
+    while len(rest):
+        n, fired = det.scan(rest, buf, service)
+        rest = rest[n:]
+        if fired is not None:
+            fires.append(fired)
+    return fires
+
+
+def filter_slots(det, buf, service, arrivals):
+    """observe() on the frozen detector over filter slots, each stepped
+    through buf first: what each slot fired."""
+    fires = []
+    for v in arrivals:
+        step(buf, v, service)
+        fires.append(det.observe(v, buf))
+    return fires
+
+
+class Twins:
+    """A Detector and a ReferenceDetector fed the same slots, each with its
+    own copy of a buffer: the detector through the entry point of its
+    phase, the reference one observe() at a time."""
+
+    def __init__(self, cfg, slot_dt, buf, service):
+        self.det, self.ref = Detector(cfg, slot_dt), ReferenceDetector(cfg, slot_dt)
+        self.buf, self.ref_buf = buf, copy.deepcopy(buf)
+        self.service = service
+
+    def monitor(self, arrivals):
+        """Unfrozen slots: scan() to the end of them, and observe() each."""
+        scanned(self.det, self.buf, self.service, arrivals)
+        for v in arrivals:
+            step(self.ref_buf, v, self.service)
+            self.ref.observe(v, self.ref_buf)
+
+    def measure(self, arrivals):
+        """A frozen stretch whose fires are ignored: run_frozen(), and
+        observe() each slot; both buffers step through it."""
+        self.det.run_frozen(np.array(arrivals, dtype=np.int64))
+        for v in arrivals:
+            step(self.buf, v, self.service)
+            step(self.ref_buf, v, self.service)
+            self.ref.observe(v, self.ref_buf)
+
+    def filter_slot(self, v):
+        """One frozen filter slot: what each detector fired."""
+        return (filter_slots(self.det, self.buf, self.service, [v])[0],
+                filter_slots(self.ref, self.ref_buf, self.service, [v])[0])
+
+    def freeze(self):
+        self.det.freeze()
+        self.ref.freeze()
+
+    def unfreeze(self):
+        self.det.unfreeze()
+        self.ref.unfreeze()
+
+    def rearm(self):
+        self.det.rearm()
+        self.ref.rearm()
+
+    def assert_same(self):
+        assert detector_state(self.det) == detector_state(self.ref)
+        assert buffer_fields(self.buf) == buffer_fields(self.ref_buf)
+
+
+def first_fire(cfg, aggregates, buf=None, service=0.0):
+    """(slots elapsed, method) at the first fire of a fresh detector, or
+    (None, None): scan() over the aggregates, which the reference's
+    observe() loop must agree with.  buf, when given, runs through the
+    same slots; without it the buffer-full method cannot fire."""
+    if buf is None:
+        # served faster than any slot fills it, a buffer is never backlogged
+        buf, service = BufferState(l1=40, l2=160), float(max(aggregates)) + 1.0
+    t = Twins(cfg, 0.1, buf, service)
+    got = t.det.scan(np.array(aggregates, dtype=np.int64), t.buf, service)
+    assert got == observed(t.ref, t.ref_buf, service, aggregates)
+    t.assert_same()
+    return got if got[1] is not None else (None, None)
 
 
 def test_config_validation():
@@ -287,122 +399,100 @@ def test_statistical_priority_over_ratio():
     assert method in (Method.STATISTICAL, Method.RATIO)
 
 
+def warm_ratio_detector():
+    """A ratio-only detector and its buffer after 1000 slots of 10."""
+    det, buf = Detector(make_cfg(methods=(Method.RATIO,)), slot_dt=0.1), BufferState(40, 160)
+    assert scanned(det, buf, 8.0, [10] * 1_000) == []
+    return det, buf
+
+
 def test_frozen_lambda_bar_is_pinned():
-    cfg = make_cfg(methods=(Method.RATIO,))
-    det = Detector(cfg, slot_dt=0.1)
-    for _ in range(1_000):
-        det.observe(10)
+    det, buf = warm_ratio_detector()
     before = det.baseline_lambda_bar()
     det.freeze()
-    for _ in range(500):
-        det.observe(100)           # attack-level traffic while frozen
+    filter_slots(det, buf, 8.0, [100] * 500)      # attack-level traffic while frozen
     assert det.baseline_lambda_bar() == before
     det.unfreeze()
     assert not det._frozen
 
 
 def test_frozen_ratio_fires_against_pinned_baseline():
-    cfg = make_cfg(methods=(Method.RATIO,))
-    det = Detector(cfg, slot_dt=0.1)
-    for _ in range(1_000):
-        det.observe(10)
+    det, buf = warm_ratio_detector()
     det.freeze()
     det.rearm()
-    fired = None
-    for _ in range(200):
-        fired = det.observe(100)
-        if fired:
-            break
-    assert fired is Method.RATIO
+    fires = filter_slots(det, buf, 8.0, [100] * 200)
+    assert next(f for f in fires if f) is Method.RATIO
 
 
 def test_rearm_requires_fresh_short_window():
-    cfg = make_cfg(methods=(Method.RATIO,))
-    det = Detector(cfg, slot_dt=0.1)
-    for _ in range(1_000):
-        det.observe(10)
+    det, buf = warm_ratio_detector()
     det.freeze()
-    for _ in range(200):
-        det.observe(100)
+    filter_slots(det, buf, 8.0, [100] * 200)
     det.rearm()
     # immediately after rearm the short window is empty: no fire on a
     # normal-level slot even though the previous contents were attack-level
-    assert det.observe(10) is None
+    assert filter_slots(det, buf, 8.0, [10]) == [None]
 
 
 def test_unfreeze_discards_excursion_buckets():
     cfg = make_cfg()
-    det = Detector(cfg, slot_dt=0.1)
+    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=160)
     rng = np.random.default_rng(39)
-    for v in rng.poisson(0.5, 10_000):
-        det.observe(int(v))
+    scanned(det, buf, 8.0, rng.poisson(0.5, 10_000))
     det.freeze()
     # attack-level traffic while frozen: bucket sums around 50 vs normal 5
-    for v in rng.poisson(5.0, 300):
-        det.observe(int(v))
+    filter_slots(det, buf, 8.0, rng.poisson(5.0, 300).tolist())
     assert max(det.buckets) > 30
     det.unfreeze()
     # every episode bucket is discarded; only pre-episode normal ones remain
     assert all(b < 30 for b in det.buckets)
     # resumed monitoring on normal traffic fires only at the null rate
     checks_before = det.stat_checks
-    fires = 0
-    for v in rng.poisson(0.5, 30_000):
-        fires += det.observe(int(v)) is Method.STATISTICAL
+    fires = scanned(det, buf, 8.0, rng.poisson(0.5, 30_000)).count(Method.STATISTICAL)
     assert det.stat_checks > checks_before
     assert fires / (det.stat_checks - checks_before) <= 0.05 + 0.03
+
+
+def test_observe_needs_a_frozen_detector():
+    det = Detector(make_cfg(), slot_dt=0.1)
+    with pytest.raises(RuntimeError):
+        det.observe(5, BufferState(l1=40, l2=160))
+    assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
+
+
+def test_freeze_and_unfreeze_need_the_other_phase():
+    # a warm default detector: its 75-bucket deque is full
+    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160)
+    scanned(det, buf, 8.0, np.random.default_rng(42).poisson(1, 1000))
+    warm = detector_state(det)
+    assert len(det.buckets) == 75
+    with pytest.raises(RuntimeError):
+        det.unfreeze()
+    assert detector_state(det) == warm
+    det.freeze()
+    frozen = detector_state(det)
+    with pytest.raises(RuntimeError):
+        det.freeze()
+    assert detector_state(det) == frozen
 
 
 # ---------------------------------------------------------------------------
 # scan: the unfrozen detector run ahead to the next fire
 # ---------------------------------------------------------------------------
 
-def detector_state(det):
-    """Every field of a detector, with the type of each value."""
-    def typed(values):
-        return [(type(v), v) for v in values]
-    return {
-        "short": (typed(det.short.contents), typed([det.short.running_sum])),
-        "long": (typed(det.long.contents), typed([det.long.running_sum])),
-        "ring": (typed(det._lambda_bar_ring), det._lambda_bar_ring.maxlen),
-        "buckets": (typed(det.buckets), det.buckets.maxlen),
-        "partial": typed([det._bucket_acc, det._bucket_fill]),
-        "stat": (det.stat_checks, det.stat_positives),
-        "frozen": (det._frozen, det._frozen_baseline, det._frozen_lambda_bar,
-                   det._fresh_buckets, det._frozen_appended),
-    }
-
-
-def buffer_fields(buf):
-    return {name: getattr(buf, name) for name in BufferState.__slots__}
-
-
-def observed(det, buf, service, arrivals):
-    """scan() as a loop of step() and observe(): (slots consumed, method)."""
-    for n, v in enumerate(arrivals, 1):
-        step(buf, v, service)
-        fired = det.observe(v, buf)
-        if fired is not None:
-            return n, fired
-    return len(arrivals), None
-
-
-def assert_scan_matches_observe(det, buf, service, arrivals):
-    """Scan a copy of det and buf; compare with observe() slot by slot,
-    then through a freeze() and a few episode slots."""
-    ref_det, ref_buf = copy.deepcopy(det), copy.deepcopy(buf)
-    got = det.scan(np.array(arrivals, dtype=np.int64), buf, service)
-    assert got == observed(ref_det, ref_buf, service, arrivals)
-    assert detector_state(det) == detector_state(ref_det)
-    assert buffer_fields(buf) == buffer_fields(ref_buf)
-    det.freeze()
-    ref_det.freeze()
-    assert detector_state(det) == detector_state(ref_det)
+def assert_scan_matches_observe(t, arrivals):
+    """Scan the twins' detector; compare with the reference's observe() slot
+    by slot, then through a freeze() and a few filter slots."""
+    t.assert_same()
+    got = t.det.scan(np.array(arrivals, dtype=np.int64), t.buf, t.service)
+    assert got == observed(t.ref, t.ref_buf, t.service, arrivals)
+    t.assert_same()
+    t.freeze()
+    t.assert_same()
     for v in arrivals[:40]:
-        step(buf, v, service)
-        step(ref_buf, v, service)
-        assert det.observe(v, buf) == ref_det.observe(v, ref_buf)
-    assert detector_state(det) == detector_state(ref_det)
+        fired, expected = t.filter_slot(v)
+        assert fired == expected
+    t.assert_same()
     return got
 
 
@@ -428,32 +518,26 @@ def scan_cases(draw):
                    c=w_s + draw(st.integers(min_value=0, max_value=3)),
                    r=draw(st.sampled_from([0.3, 0.6])), baseline_len=8,
                    methods=tuple(m for m in ALL_METHODS if m in methods))
-    det = Detector(cfg, slot_dt=1 / slots_per_second)
     buf = BufferState(l1=draw(st.sampled_from([3, 10, 40])), l2=draw(st.sampled_from([0, 30])))
     service = draw(st.sampled_from([0.4, 0.8, 8.0, 150.0]))
+    t = Twins(cfg, 1 / slots_per_second, buf, service)
     # warm and carried-over state: the long window, the lambda-bar ring and
     # the buckets from before, optionally across an episode, which leaves
     # the long window non-contiguous and the short window empty
-    for v in draw(aggregate_feeds(6)):
-        step(buf, v, service)
-        det.observe(v, buf)
+    t.monitor(draw(aggregate_feeds(6)))
     if draw(st.booleans()):
-        det.freeze()
-        for v in draw(aggregate_feeds(2)):
-            step(buf, v, service)
-            det.observe(v, buf)
-        det.unfreeze()
-        for v in draw(st.lists(st.integers(min_value=0, max_value=12), max_size=6)):
-            step(buf, v, service)
-            det.observe(v, buf)
-    return det, buf, service, draw(aggregate_feeds(8, min_segments=1))
+        t.freeze()
+        t.measure(draw(aggregate_feeds(2)))
+        t.unfreeze()
+        t.monitor(draw(st.lists(st.integers(min_value=0, max_value=12), max_size=6)))
+    return t, draw(aggregate_feeds(8, min_segments=1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(scan_cases())
 def test_scan_matches_observe(case):
-    det, buf, service, arrivals = case
-    assert_scan_matches_observe(det, buf, service, arrivals)
+    t, arrivals = case
+    assert_scan_matches_observe(t, arrivals)
 
 
 @pytest.mark.parametrize("methods, expected", [
@@ -466,17 +550,18 @@ def test_scan_fires_as_observe_does(methods, expected):
     # a fresh sim2-sized detector: warm-up, baseline, then a tenfold step
     rng = np.random.default_rng(40)
     arrivals = rng.poisson(1, 1000).tolist() + rng.poisson(10, 400).tolist()
-    det = Detector(make_cfg(methods=methods), slot_dt=0.1)
-    _, fired = assert_scan_matches_observe(det, BufferState(l1=40, l2=160), 8.0, arrivals)
+    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160), 8.0)
+    _, fired = assert_scan_matches_observe(t, arrivals)
     assert fired is expected
 
 
 def test_scan_ratio_boundary_is_strict():
     # 2-slot and 4-slot windows: after [1, 1, 4, 4] the short average 4 equals
     # 1.6 times the long average 2.5 exactly, which is not a fire
-    det = Detector(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), slot_dt=1.0)
-    assert (1.0 + det.cfg.r) * 2.5 == 4.0
-    got = assert_scan_matches_observe(det, BufferState(l1=40, l2=160), 8.0, [1, 1, 4, 4, 20])
+    t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), 1.0,
+              BufferState(l1=40, l2=160), 8.0)
+    assert (1.0 + t.det.cfg.r) * 2.5 == 4.0
+    got = assert_scan_matches_observe(t, [1, 1, 4, 4, 20])
     assert got == (5, Method.RATIO)
 
 
@@ -493,41 +578,38 @@ def test_scan_needs_an_unfrozen_detector():
 
 @st.composite
 def frozen_cases(draw):
-    """A warmed detector with each method subset, frozen, then stretches,
-    each started right after freeze(), right after rearm(), or after a few
-    observed slots."""
-    det, _, _, _ = draw(scan_cases())
-    spb = det._slots_per_bucket
+    """Warmed twins with each method subset, frozen, then stretches, each
+    started right after freeze(), right after rearm(), or after a few
+    filter slots."""
+    t, _ = draw(scan_cases())
+    spb = t.det._slots_per_bucket
     if draw(st.booleans()):
         # enough Poisson slots to fill the buckets, so the baseline freezes
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-        for v in rng.poisson(draw(st.sampled_from([1, 4])), det.buckets.maxlen * spb).tolist():
-            det.observe(v)
-    det.freeze()
+        t.monitor(rng.poisson(draw(st.sampled_from([1, 4])),
+                              t.det.buckets.maxlen * spb).tolist())
+    t.freeze()
     stretches = draw(st.lists(st.tuples(st.sampled_from(["none", "rearm", "observe"]),
                                         aggregate_feeds(4)), min_size=1, max_size=4))
-    return det, stretches
+    return t, stretches
 
 
 @settings(max_examples=300, deadline=None)
 @given(frozen_cases())
 def test_run_frozen_matches_observe(case):
-    det, stretches = case
-    ref = copy.deepcopy(det)
+    t, stretches = case
+    t.assert_same()
     for before, arrivals in stretches:
         if before == "rearm":
-            det.rearm()
-            ref.rearm()
+            t.rearm()
         elif before == "observe":
             for v in arrivals[:3]:
-                assert det.observe(v) == ref.observe(v)
-        det.run_frozen(np.array(arrivals, dtype=np.int64))
-        for v in arrivals:
-            ref.observe(v)              # its fires are ignored, its checks counted
-        assert detector_state(det) == detector_state(ref)
-    det.unfreeze()
-    ref.unfreeze()
-    assert detector_state(det) == detector_state(ref)
+                fired, expected = t.filter_slot(v)
+                assert fired == expected
+        t.measure(arrivals)             # its fires are ignored, its checks counted
+        t.assert_same()
+    t.unfreeze()
+    t.assert_same()
 
 
 @pytest.mark.parametrize("methods", [ALL_METHODS, (Method.STATISTICAL,),
@@ -536,20 +618,15 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
     # a sim2-sized detector frozen at a tenfold step, then a 100-slot window
     # and a rearmed second one: every check is counted, none stops the run
     rng = np.random.default_rng(41)
-    det = Detector(make_cfg(methods=methods), slot_dt=0.1)
-    for v in rng.poisson(1, 1000).tolist():
-        det.observe(v)
-    det.freeze()
+    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160), 8.0)
+    t.monitor(rng.poisson(1, 1000).tolist())
+    t.freeze()
+    det = t.det
     checks, positives = det.stat_checks, det.stat_positives
-    ref = copy.deepcopy(det)
     for _ in range(2):
-        arrivals = rng.poisson(10, 100)
-        det.run_frozen(arrivals)
-        for v in arrivals.tolist():
-            ref.observe(v)
-        assert detector_state(det) == detector_state(ref)
-        det.rearm()
-        ref.rearm()
+        t.measure(rng.poisson(10, 100).tolist())
+        t.assert_same()
+        t.rearm()
     if Method.STATISTICAL in methods:
         # ten buckets a window, tested from the tenth fresh one on
         assert (det.stat_checks - checks, det.stat_positives - positives) == (2, 2)

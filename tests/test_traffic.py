@@ -14,6 +14,7 @@ from ddossim.harness import run_once
 from ddossim.presets import get_preset
 from ddossim.traffic import (ScenarioConfig, TrafficStream, equal_rate_index, slots_in,
                              split_tables)
+from reference import CountVectorSplit
 
 
 def large_config(**overrides) -> ScenarioConfig:
@@ -324,49 +325,6 @@ def test_random_in_chunks_equals_one_draw(chunks, seed):
     assert whole.bit_generator.state == pieces.bit_generator.state
 
 
-class CountVectorSplit:
-    """Reference split: one count vector over every source per slot.
-
-    Classes, Poisson draws and split tables are built as TrafficStream
-    builds them; each active class's uniforms are sorted, looked up in its
-    cumulative table and counted into its id range of a zeros vector.
-    """
-
-    def __init__(self, cfg, rng, split_rng):
-        self.n_sources = cfg.n_legal + cfg.n_attack
-        self.split_rng = split_rng
-        self.classes = []
-        for first_id, n, rate, lo, hi in (
-                (0, cfg.n_legal, cfg.lambda_n, 0, cfg.n_slots),
-                (cfg.n_legal, cfg.n_attack, cfg.lambda_a,
-                 slots_in(cfg.t_star, cfg.slot_dt, "t_star"),
-                 slots_in(cfg.attack_end, cfg.slot_dt, "attack_end"))):
-            if n == 0:
-                continue
-            rates = np.full(n, rate)
-            total = float(rates.sum())
-            cum_probs = np.cumsum(rates) / total
-            cum_probs[-1] = 1.0
-            draws = rng.poisson(total * cfg.slot_dt, size=hi - lo)
-            self.classes.append((slice(first_id, first_id + n), cum_probs, draws, lo, hi))
-
-    def slot(self, i):
-        """(aggregate, per-source counts) of slot i."""
-        aggregate = 0
-        per_source = np.zeros(self.n_sources, dtype=np.int64)
-        for ids, cum_probs, draws, lo, hi in self.classes:
-            if not lo <= i < hi:
-                continue
-            count = int(draws[i - lo])
-            aggregate += count
-            if count:
-                u = self.split_rng.random(count)
-                u.sort()
-                idx = cum_probs.searchsorted(u, side="left")
-                per_source[ids] = np.bincount(idx, minlength=len(cum_probs))
-        return aggregate, per_source
-
-
 def queue_matches_reference(stream, split_rng, ref_split_rng):
     """The stream's queued uniforms are the reference split generator's next
     draws, and drawing them leaves a copy of it in the stream's generator
@@ -404,20 +362,22 @@ def test_split_matches_count_vector_reference(cfg):
             assert len(ids) == stream.totals[i] == aggregate
             assert np.array_equal(counts_of(ids, n), per_source)
         assert queue_matches_reference(stream, split_rng, ref_split_rng), i
-    # past the run nothing is split and nothing is drawn
-    assert len(stream.slot(cfg.n_slots)) == 0
+    # past the run there is no slot, and nothing is split or drawn
+    with pytest.raises(ValueError, match="no slot 3000"):
+        stream.slot(cfg.n_slots)
     assert queue_matches_reference(stream, split_rng, ref_split_rng)
 
 
 def test_stream_slot_inactive_population():
     cfg = small_config()
-    stream = stream_of(cfg)
-    # slot beyond every activity window
-    ids = stream.slot(cfg.n_slots + 10)
-    assert len(ids) == 0 and ids.dtype == np.int64
-    per_source = counts_of(ids, cfg.n_legal + cfg.n_attack)
-    assert len(per_source) == cfg.n_legal + cfg.n_attack
-    assert not per_source.any()
+    split_rng, untouched = np.random.default_rng(1), np.random.default_rng(1)
+    stream = TrafficStream(cfg, np.random.default_rng(0), split_rng)
+    # a slot beyond every activity window, and one before the run
+    for i in (cfg.n_slots, cfg.n_slots + 10, -1):
+        with pytest.raises(ValueError, match=f"no slot {i} "):
+            stream.slot(i)
+    assert len(stream._queued()) == 0
+    assert split_rng.bit_generator.state == untouched.bit_generator.state
 
 
 @st.composite

@@ -6,8 +6,9 @@ detector watches.  Within a slot, service happens before admission, and a
 fractional service credit keeps the long-run served rate equal to
 mu * slot_dt even when that product is not an integer.
 
-step() runs one slot; run_ahead() and commit() run a stretch of slots at
-once and leave the same state.  Two facts make the stretch exact in int64:
+run_ahead() runs a stretch of slots at once and commit() leaves the state
+as the per-slot rules (tests/reference.py's step) over any prefix of them
+leave it.  Two facts make the stretch exact in int64:
 
 - Service does not depend on arrivals.  A slot's whole capacity is
   int(credit), and the credit keeps only its fractional part whether or
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["BufferState", "Stretch", "step", "run_ahead", "commit"]
+__all__ = ["BufferState", "Stretch", "run_ahead", "commit"]
 
 # the shortest service sequence cached for a rate: a preset run's 3000 slots
 _TABLE_SLOTS = 4096
@@ -62,59 +63,9 @@ class BufferState:
     def capacity(self) -> int:
         return self.l1 + self.l2
 
-    def is_l1_backlogged(self) -> bool:
-        """Occupancy net of the last slot's service still at or above l1.
-
-        At coarse slot sizes a single slot's arrival batch can exceed l1 on
-        its own even in normal operation; the backlog that survives a full
-        slot of service is the persistent-overload signal.  With very small
-        slots this coincides with occupancy >= l1.
-        """
-        return self.post_service_occupancy >= self.l1
-
     def __repr__(self) -> str:
         return (f"BufferState(occupancy={self.occupancy}, l1={self.l1}, l2={self.l2}, "
                 f"served={self.cumulative_served}, dropped={self.cumulative_dropped})")
-
-
-def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
-    """Advance the buffer by one slot: serve, then admit, then account.
-
-    Returns the packets admitted.  Conservation: occupancy after the slot
-    is occupancy before - served + admitted, and admitted + dropped =
-    arrivals; the state's cumulative counters carry served and dropped.
-    """
-    if arrivals < 0:
-        raise ValueError("arrivals must be >= 0")
-    if service_per_slot < 0:
-        raise ValueError("service_per_slot must be >= 0")
-
-    credit = state._service_credit + service_per_slot
-    served = min(state.occupancy, int(credit))
-    state.occupancy -= served
-    if state.occupancy == 0:
-        # idle capacity is not banked; only the fractional remainder carries
-        credit -= int(credit)
-    else:
-        credit -= served
-    state._service_credit = credit
-    state.post_service_occupancy = state.occupancy
-
-    room = state.capacity - state.occupancy
-    admitted = arrivals if arrivals <= room else room
-    dropped = arrivals - admitted
-    state.occupancy += admitted
-
-    state.cumulative_offered += arrivals
-    state.cumulative_served += served
-    state.cumulative_dropped += dropped
-    if state.occupancy > state.peak_occupancy:
-        state.peak_occupancy = state.occupancy
-        state.peak_slot = state._slot
-    state._slot += 1
-    return admitted
-
-
 
 
 class Stretch(NamedTuple):
@@ -133,7 +84,7 @@ class Stretch(NamedTuple):
 def _service_sequence(credit: float, service_per_slot: float,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each of n slots' whole service capacity from this credit on, and the
-    credit after it: step()'s float arithmetic, slot by slot."""
+    credit after it: the per-slot rule's float arithmetic, slot by slot."""
     whole, after = [], []
     for _ in range(n):
         credit += service_per_slot
@@ -168,11 +119,12 @@ def _service(state: BufferState, service_per_slot: float,
 
 def run_ahead(state: BufferState, arrivals: np.ndarray,
               service_per_slot: float) -> Stretch:
-    """step() over each count of arrivals in turn, as arrays; state unchanged.
+    """Each count of arrivals run through the per-slot rules in turn, as
+    arrays; state unchanged.
 
     Exact in int64: the empty-floored and the full regime of the module
     docstring, alternated at each switch.  commit() then leaves the state
-    as step() over any prefix of the slots would.
+    as the rules over any prefix of the slots would.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
     n = len(arrivals)
@@ -190,9 +142,9 @@ def run_ahead(state: BufferState, arrivals: np.ndarray,
         # empty-floored: every arrival admitted, up to the first slot that
         # would pass capacity, which admits what fits
         a = arrivals[k:]
-        s = occ - np.cumsum(whole[k:]) + (np.cumsum(a) - a)
+        s = occ + np.add.accumulate(a - whole[k:]) - a
         post = s - np.minimum(np.minimum.accumulate(s), 0)
-        over = np.flatnonzero(post + a > cap)
+        over = (post + a > cap).nonzero()[0]
         m = int(over[0]) if len(over) else n - k
         backlog[k:k + m] = post[:m]
         occupancy[k:k + m] = post[:m] + a[:m]
@@ -202,12 +154,14 @@ def run_ahead(state: BufferState, arrivals: np.ndarray,
         backlog[k] = post[m]
         occupancy[k] = occ = cap
         k += 1
+        if k == n:
+            break
         # full: each slot serves its whole capacity, up to the first that
         # cannot because less than that is queued
-        v = occ + np.cumsum(arrivals[k:] - whole[k:])
+        v = occ + np.add.accumulate(arrivals[k:] - whole[k:])
         full = v - np.maximum(np.maximum.accumulate(v - cap), 0)
         post = np.concatenate(([occ], full[:-1])) - whole[k:]
-        short = np.flatnonzero(post < 0)
+        short = (post < 0).nonzero()[0]
         m = int(short[0]) if len(short) else n - k
         backlog[k:k + m] = post[:m]
         occupancy[k:k + m] = full[:m]
@@ -218,8 +172,8 @@ def run_ahead(state: BufferState, arrivals: np.ndarray,
 
 
 def commit(state: BufferState, stretch: Stretch, k: int) -> None:
-    """Leave the state as step() over the first k slots of the stretch,
-    which run_ahead() gave from this state, leaves it."""
+    """Leave the state as the per-slot rules over the first k slots of the
+    stretch, which run_ahead() gave from this state, leave it."""
     if not 0 <= k <= len(stretch.arrivals):
         raise ValueError(f"cannot commit {k} of {len(stretch.arrivals)} slots")
     if k == 0:

@@ -97,52 +97,37 @@ class SlidingWindow:
         if capacity < 1:
             raise ValueError("window capacity must be >= 1")
         self.capacity = capacity
-        self.contents: deque[int] = deque()
+        self.contents: deque[int] = deque(maxlen=capacity)
         self.running_sum = 0
-
-    def push(self, value: int) -> None:
-        if len(self.contents) == self.capacity:
-            self.running_sum -= self.contents.popleft()
-        self.contents.append(value)
-        self.running_sum += value
 
     def average(self) -> float:
         if not self.contents:
             raise ValueError("window not warmed up")
         return self.running_sum / len(self.contents)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.contents) == self.capacity
-
     def clear(self) -> None:
         self.contents.clear()
         self.running_sum = 0
 
-    def refill(self, values: np.ndarray) -> None:
-        """Hold the last `capacity` of values, as pushing each in turn leaves it."""
-        self.contents = deque(values[-self.capacity:].tolist())
+    def extend(self, values: np.ndarray) -> None:
+        """Push each of the int64 values in turn."""
+        self.contents.extend(values[-self.capacity:].tolist())
         self.running_sum = sum(self.contents)
 
-    def extend(self, values: np.ndarray) -> None:
-        """push() each of the int64 values in turn."""
-        self.refill(np.concatenate((np.fromiter(self.contents, np.int64, len(self.contents)),
-                                    values)))
-
-    def pushed_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The window's contents followed by the int64 values, for refill(),
-        and running_sum after each of values is pushed in turn: NaN while the
-        window is not full, then the sum from exact int64 prefix sums as a
-        float64, exact below 2**53."""
+    def pushed_sums(self, values: np.ndarray) -> np.ndarray:
+        """running_sum after each of the int64 values is pushed in turn:
+        NaN while the window is not full, then the sum from exact int64
+        prefix sums as a float64, exact below 2**53.  The window is
+        unchanged."""
         held, cap = len(self.contents), self.capacity
-        values = np.concatenate((np.fromiter(self.contents, np.int64, held), values))
-        prefix = np.zeros(len(values) + 1, dtype=np.int64)
-        np.cumsum(values, out=prefix[1:])
-        sums = np.full(len(values) - held, np.nan)
+        sums = np.full(len(values), np.nan)
         first = max(0, cap - held - 1)         # the first value that fills the window
         if first < len(sums):
+            values = np.concatenate((np.fromiter(self.contents, np.int64, held), values))
+            prefix = np.zeros(len(values) + 1, dtype=np.int64)
+            np.cumsum(values, out=prefix[1:])
             sums[first:] = prefix[held + first + 1:] - prefix[held + first + 1 - cap:-cap]
-        return values, sums
+        return sums
 
     def __len__(self) -> int:
         return len(self.contents)
@@ -179,18 +164,18 @@ def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
 class Detector:
     """Per-run detection state machine over a slotted traffic feed.
 
-    Each entry point serves one phase.  Unfrozen, between episodes, scan()
-    runs ahead over many slots to the next fire.  A fire freeze()s the
-    detector: monitoring continues, but against baselines pinned at the
-    fire, so attack traffic cannot poison the reference level.  Frozen,
-    run_frozen() takes a measurement window's slots, whose fires the
-    episode ignores, and observe() one filter slot; unfreeze() resumes
-    normal rotation at restoration.  The first enabled method to fire is
-    reported (priority statistical > ratio > buffer-full within a slot).
-    The statistical method is re-evaluated whenever a one-second arrival
-    bucket completes; its baseline is the block of buckets ending c
-    seconds in the past.  tests/reference.py holds the same rules one
-    slot at a time, for both phases.
+    Each entry point serves one phase, and each runs a stretch of slots
+    ahead.  Unfrozen, between episodes, scan() runs to the next fire.  A
+    fire freeze()s the detector: monitoring continues, but against
+    baselines pinned at the fire, so attack traffic cannot poison the
+    reference level.  Frozen, run_frozen() takes a measurement window,
+    whose fires the episode ignores, or filter slots up to the next fire;
+    unfreeze() resumes normal rotation at restoration.  The first enabled
+    method to fire is reported (priority statistical > ratio >
+    buffer-full within a slot).  The statistical method is re-evaluated
+    whenever a one-second arrival bucket completes; its baseline is the
+    block of buckets ending c seconds in the past.  tests/reference.py
+    holds the same rules one slot at a time, for both phases.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
@@ -280,20 +265,6 @@ class Detector:
             return None
         return list(islice(self.buckets, self.cfg.baseline_len))
 
-    def _push_bucket(self, count: int) -> bool:
-        """Append a one-second bucket completed while frozen and, from the
-        ws_buckets-th fresh one on, check it against the pinned baseline.
-        Whether it fired."""
-        self.buckets.append(count)
-        self._fresh_buckets += 1
-        self._frozen_appended += 1
-        if (Method.STATISTICAL not in self.cfg.methods or self._frozen_baseline is None
-                or self._fresh_buckets < self._ws_buckets):
-            return False
-        return self._stat_check(
-            self._frozen_baseline,
-            list(islice(self.buckets, len(self.buckets) - self._ws_buckets, None)))
-
     def _stat_check(self, baseline: Sequence[int], current: Sequence[int]) -> bool:
         """One counted statistical check of the current buckets against baseline."""
         self.stat_checks += 1
@@ -302,52 +273,20 @@ class Detector:
             return True
         return False
 
-    def observe(self, aggregate: int, buffer: BufferState) -> Optional[Method]:
-        """Feed one filter slot's aggregate to the frozen detector; the
-        method that fired, if any.
-
-        buffer is the state after this slot's step, for the buffer-full
-        method.  The ratio rule compares the short window with the
-        lambda-bar pinned at freeze(); the long window stays as it was.
-        """
-        if not self._frozen:
-            raise RuntimeError("observe runs only on a frozen detector")
-        cfg = self.cfg
-        fired: Optional[Method] = None
-
-        self._bucket_acc += aggregate
-        self._bucket_fill += 1
-        if self._bucket_fill == self._slots_per_bucket:
-            if self._push_bucket(self._bucket_acc):
-                fired = Method.STATISTICAL
-            self._bucket_acc = 0
-            self._bucket_fill = 0
-
-        self.short.push(aggregate)
-        if (fired is None and Method.RATIO in cfg.methods and self.short.is_full
-                and detect_ratio(self.short.average(), self._frozen_lambda_bar, cfg.r)):
-            fired = Method.RATIO
-        # backlog net of the slot's service, so a single coarse-slot arrival
-        # batch cannot trip the detector under normal load
-        if fired is None and Method.BUFFER_FULL in cfg.methods and buffer.is_l1_backlogged():
-            fired = Method.BUFFER_FULL
-        return fired
-
     def scan(self, arrivals: np.ndarray, buffer: BufferState,
              service_per_slot: float) -> tuple[int, Optional[Method]]:
         """The unfrozen detector over arrivals up to the first fire.
 
         arrivals are the int64 aggregates of the slots from here on; the
-        buffer runs through the same slots (buffer.run_ahead, then
-        buffer.commit), as a per-slot caller would step it.  Returns
-        the slots consumed and the method that fired in the last of them,
-        or None if none fired and every slot was consumed.  The ratio rule
-        is found from whole-array prefix sums, the buffer-full slot from
-        the stretch's backlogs, and the one-second buckets from a
+        buffer runs through the same slots (run_ahead, then commit).
+        Returns the slots consumed and the method that fired in the last
+        of them, or None if none fired and every slot was consumed.  The
+        ratio rule is found from whole-array prefix sums, the buffer-full
+        slot from the stretch's backlogs, and the one-second buckets from a
         reshape-sum; the statistical method is evaluated in order at each
         bucket boundary up to the first of those fires.  The detector and
-        the buffer are left exactly as the per-slot rules and step() over
-        that many slots leave them.
+        the buffer are left as the per-slot rules over those slots leave
+        them.
         """
         if self._frozen:
             raise RuntimeError("scan runs only on an unfrozen detector")
@@ -357,19 +296,17 @@ class Detector:
             return 0, None
         # the averages as average() rounds them: int / int and float64
         # division agree below 2**53
-        short_values, short_avg = self.short.pushed_sums(arrivals)
-        short_avg /= self.short.capacity
-        long_values, long_avg = self.long.pushed_sums(arrivals)
-        long_avg /= self.long.capacity
+        short_avg = self.short.pushed_sums(arrivals) / self.short.capacity
+        long_avg = self.long.pushed_sums(arrivals) / self.long.capacity
         last = n - 1                        # the last slot the scan may reach
         ratio_at = full_at = n
         if Method.RATIO in cfg.methods:
-            hits = np.flatnonzero(detect_ratio(short_avg, long_avg, cfg.r))
+            hits = detect_ratio(short_avg, long_avg, cfg.r).nonzero()[0]
             if len(hits):
                 ratio_at = last = int(hits[0])
         stretch = run_ahead(buffer, arrivals[:last + 1], service_per_slot)
         if Method.BUFFER_FULL in cfg.methods:
-            hits = np.flatnonzero(stretch.backlog >= buffer.l1)
+            hits = (stretch.backlog >= buffer.l1).nonzero()[0]
             if len(hits):
                 full_at = last = int(hits[0])
 
@@ -399,8 +336,8 @@ class Detector:
         commit(buffer, stretch, done)
 
         # the state the per-slot rules leave after `done` slots
-        self.short.refill(short_values[:len(self.short) + done])
-        self.long.refill(long_values[:len(self.long) + done])
+        self.short.extend(arrivals[:done])
+        self.long.extend(arrivals[:done])
         ring = long_avg[:done]
         self._lambda_bar_ring.extend(ring[~np.isnan(ring)][-self._lambda_bar_ring.maxlen:]
                                      .tolist())
@@ -408,18 +345,63 @@ class Detector:
         self.buckets.extend(new[max(0, completed - maxlen):completed])
         return done, fired
 
-    def run_frozen(self, arrivals: np.ndarray) -> None:
-        """observe() over the int64 arrivals on the frozen detector, whose
-        fires an episode ignores: each completed bucket goes through
-        _push_bucket() in order, and the short window is refilled.  The ratio
-        and buffer-full rules have no state to leave while frozen."""
+    def run_frozen(self, arrivals: np.ndarray,
+                   backlogged: Optional[np.ndarray] = None) -> tuple[int, Optional[Method]]:
+        """The frozen detector over a stretch's int64 arrivals, one per slot.
+
+        Filter slots come with backlogged, each slot's backlog at or above
+        l1, and run to the first fire as scan() does, against the pinned
+        lambda-bar and baseline, the statistical method from the
+        ws_buckets-th fresh bucket on.  A measurement window comes without:
+        its fires are ignored and every due check counted.  Returns the
+        slots consumed and the method that fired in the last, or None;
+        the detector is left as the per-slot rules over them leave it.
+        """
         if not self._frozen:
             raise RuntimeError("run_frozen runs only on a frozen detector")
+        cfg = self.cfg
+        watch = backlogged is not None
+        last = len(arrivals) - 1            # the last slot the stretch may reach
+        ratio_at = full_at = len(arrivals)
+        if watch and Method.RATIO in cfg.methods:
+            short_avg = self.short.pushed_sums(arrivals) / self.short.capacity
+            hits = detect_ratio(short_avg, self._frozen_lambda_bar, cfg.r).nonzero()[0]
+            if len(hits):
+                ratio_at = last = int(hits[0])
+        if watch and Method.BUFFER_FULL in cfg.methods:
+            hits = backlogged[:last + 1].nonzero()[0]
+            if len(hits):
+                full_at = last = int(hits[0])
+
+        spb, fill, ws = self._slots_per_bucket, self._bucket_fill, self._ws_buckets
         slot_counts, new = self._bucket_sums(arrivals)
-        self._hold_partial(slot_counts, len(arrivals))
-        for count in new:
-            self._push_bucket(count)
-        self.short.extend(arrivals)
+        fired: Optional[Method] = None
+        done = last + 1
+        # new bucket j completes at slot (j + 1) * spb - fill - 1 and is the
+        # (fresh + j + 1)-th fresh one
+        due = range(max(0, ws - self._fresh_buckets - 1), (last + fill + 1) // spb)
+        if Method.STATISTICAL in cfg.methods and self._frozen_baseline is not None and due:
+            held = len(self.buckets)
+            buckets = list(self.buckets) + new
+            for j in due:
+                top = held + j + 1
+                if self._stat_check(self._frozen_baseline, buckets[top - ws:top]) and watch:
+                    fired = Method.STATISTICAL
+                    done = (j + 1) * spb - fill
+                    break
+        if fired is None and watch:
+            if last == ratio_at:
+                fired = Method.RATIO
+            elif last == full_at:
+                fired = Method.BUFFER_FULL
+
+        # the state the per-slot rules leave after `done` slots
+        self.short.extend(arrivals[:done])
+        completed = self._hold_partial(slot_counts, done)
+        self.buckets.extend(new[:completed])
+        self._fresh_buckets += completed
+        self._frozen_appended += completed
+        return done, fired
 
     def _bucket_sums(self, arrivals: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The partial bucket's count, then arrivals, one per slot; and the

@@ -1,21 +1,17 @@
 """End-to-end scenario execution and batch aggregation.
 
-run_once drives the whole pipeline for one seed as a loop over stretches
-of slots, each run ahead to its next event.  Between episodes the buffer
-and the detector run on the pre-drawn slot totals to the next fire
-(Detector.scan).  A fire freezes the detector and opens a measurement
-window of w_s, which runs as one stretch (TrafficStream.slots,
-buffer.run_ahead and buffer.commit, Detector.run_frozen): its packet
-source ids are counted per source once, the traffic is classified, and
-the filter activated.
-The stretch ends early only at restoration or at the end of the run.
-Filter slots run one at a time: each slot's packets are split, filtered,
-buffered and observed, and a fire among them means the residual traffic
-still looks abnormal, so the pipeline re-measures and widens the block
-set; a false alarm just before the attack cannot blind the run, and a
-partial first classification is progressively repaired.  Monitoring
-stays pinned against the baseline frozen at the fire until restoration
-releases the filter and resumes normal baseline rotation.
+run_once drives the whole pipeline for one seed as a loop over two kinds
+of stretch, each run ahead to its next event.  Between episodes the
+buffer and the detector run on the slot totals to the next fire
+(Detector.scan).  A fire freezes the detector, and every slot from then
+to restoration runs in frozen stretches (frozen_stretch): a measurement
+window of w_s, whose fires are ignored and whose traffic is then
+classified and filtered, and filter slots up to the next fire.  That
+fire means the residual traffic still looks abnormal, so the pipeline
+re-measures and widens the block set; a false alarm just before the
+attack cannot blind the run, and a partial first classification is
+progressively repaired.  Restoration releases the filter and resumes
+normal baseline rotation.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .buffer import BufferState, commit, run_ahead, step
+from .buffer import BufferState, commit, run_ahead
 from .detector import Detector, DetectorConfig, Method, SlidingWindow
 from .identifier import (apply_filter, estimate_attack_rate, identify_by_history,
                          identify_greedy, measure_per_source)
@@ -42,6 +38,7 @@ __all__ = [
     "run_batch",
     "sweep_window",
     "RestorationMonitor",
+    "frozen_stretch",
 ]
 
 # numeric RunMetrics fields aggregated by run_batch
@@ -96,6 +93,7 @@ class RestorationMonitor:
     baseline rate over w_s.  Backlog rather than raw occupancy, for the
     same reason the buffer-full detector uses it: at coarse slot sizes one
     slot's arrival batch can exceed l1 on its own under normal load.
+    tests/reference.py holds the rule one slot at a time.
     """
 
     def __init__(self, l1: int, baseline_rate: float, r: float,
@@ -106,35 +104,29 @@ class RestorationMonitor:
         self._admitted = SlidingWindow(ws_slots)
         self._occ_ok = 0
 
-    def update(self, backlog: int, admitted: int) -> bool:
-        self._admitted.push(admitted)
-        self._occ_ok = self._occ_ok + 1 if backlog < self.l1 else 0
-        return (self._occ_ok >= self.ws_slots
-                and self._admitted.is_full
-                and self._admitted.running_sum <= self.threshold_sum)
-
     def first_restored(self, backlogs: np.ndarray, admitted: np.ndarray) -> Optional[int]:
-        """The first slot of these at which update() would return True, or None.
-
-        backlogs and admitted are a stretch's int64 arrays, one per slot.
-        The monitor is left as update() over the slots up to that one, or
-        over all of them, leaves it.  The low-backlog run comes from the
-        last slot at or above l1, the admitted window sums from prefix sums.
-        """
+        """The first slot of a stretch's int64 backlogs and admitted counts
+        at which restoration holds, or None; the monitor is unchanged.  The
+        low-backlog run comes from the last slot at or above l1, the
+        admitted window sums from prefix sums."""
         n = len(admitted)
-        if n == 0:
-            return None
-        values, sums = self._admitted.pushed_sums(admitted)
+        if self._occ_ok + n < self.ws_slots:
+            return None                         # too short a run of low backlogs
+        sums = self._admitted.pushed_sums(admitted)
         slot = np.arange(n)
         last_high = np.maximum.accumulate(np.where(backlogs >= self.l1, slot, -1))
         low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
         # a window not yet full has a NaN sum, which compares False
-        hits = np.flatnonzero((low_run >= self.ws_slots) & (sums <= self.threshold_sum))
-        at = int(hits[0]) if len(hits) else None
-        ran = n if at is None else at + 1
-        self._admitted.refill(values[:len(values) - n + ran])
-        self._occ_ok = int(low_run[ran - 1])
-        return at
+        hits = ((low_run >= self.ws_slots) & (sums <= self.threshold_sum)).nonzero()[0]
+        return int(hits[0]) if len(hits) else None
+
+    def advance(self, backlogs: np.ndarray, admitted: np.ndarray) -> None:
+        """Take in the slots of a stretch that ran, as the per-slot rule
+        over each in turn would."""
+        self._admitted.extend(admitted)
+        high = (backlogs >= self.l1).nonzero()[0]
+        n = len(backlogs)
+        self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
 
 
 def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
@@ -148,6 +140,29 @@ def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
         warmup = cfg.c + cfg.baseline_len
         if warmup >= scenario.t_star:
             raise ValueError("statistical baseline warm-up must finish before t_star")
+
+
+def frozen_stretch(det: Detector, buf: BufferState,
+                   restoration: Optional[RestorationMonitor], arrivals: np.ndarray,
+                   service_per_slot: float, filtering: bool) -> tuple[int, Optional[Method], bool]:
+    """The frozen detector, the buffer and the restoration monitor, if any,
+    over int64 arrivals, one per slot, up to restoration or, when
+    filtering, a fire: each searches, then commits up to that slot.
+    Restoration beats a fire in its slot, whose due check still counts.
+    Returns the slots run, what fired in the last, and if it restored."""
+    stretch = run_ahead(buf, arrivals, service_per_slot)
+    at = None if restoration is None else restoration.first_restored(stretch.backlog,
+                                                                     stretch.admitted)
+    end = len(arrivals) if at is None else at + 1
+    # buffer-full watches the backlog net of each slot's service, so that
+    # one coarse slot's arrival batch cannot trip it under normal load
+    ran, fired = det.run_frozen(arrivals[:end],
+                                stretch.backlog[:end] >= buf.l1 if filtering else None)
+    commit(buf, stretch, ran)
+    restored = at == ran - 1
+    if restoration is not None and not restored:
+        restoration.advance(stretch.backlog[:ran], stretch.admitted[:ran])
+    return ran, fired, restored
 
 
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
@@ -191,48 +206,35 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     n_slots = scenario.n_slots
     elapsed = 0                                # slots done
     while elapsed < n_slots:
-        fired, restored = None, False
         if phase == "monitor":
             # nothing is split or filtered between episodes: run ahead on
             # the slot totals to the next fire, or to the end of the run
             ran, fired = det.scan(stream.totals[elapsed:], buf, service)
             elapsed += ran
-        elif phase == "measure":
-            # the window runs ahead in one stretch, to its end, to
-            # restoration or to the end of the run; fires are ignored
-            stop = min(window_end, n_slots)
+            restored = False
+        else:
+            # a window runs to its end, filter slots w_s ahead and on while
+            # nothing happens; a slot serves under service + 1 packets, so
+            # buffer-full ends the phase on the next one at this occupancy
+            if phase == "measure":
+                stop = min(window_end, n_slots)
+            elif Method.BUFFER_FULL in detector_cfg.methods and buf.occupancy - service >= buf.l1:
+                stop = elapsed + 1
+            else:
+                stop = min(elapsed + ws_slots, n_slots)
             if blocked is None:
+                # the first window of an episode, unfiltered
                 arrivals = stream.totals[elapsed:stop]
-                commit(buf, run_ahead(buf, arrivals, service), len(arrivals))
-                if stop == window_end:
-                    # a window the end of the run cuts short is never
-                    # classified, so its packets are not split
-                    window, _ = stream.slots(elapsed, stop)
             else:
                 ids, bounds = stream.slots(elapsed, stop)
                 # each slot's unblocked packets: the packets before each of
                 # its bounds less the blocked ones, counted by one search
-                unblocked = bounds - np.searchsorted(np.flatnonzero(blocked[ids]), bounds)
-                arrivals = np.diff(unblocked)
-                stretch = run_ahead(buf, arrivals, service)
-                at = restoration.first_restored(stretch.backlog, stretch.admitted)
-                restored = at is not None
-                if restored:
-                    # the stretch ends at the slot restoration holds in
-                    arrivals = arrivals[:at + 1]
-                commit(buf, stretch, len(arrivals))
-                window = apply_filter(blocked, ids[:bounds[len(arrivals)]])
-            det.run_frozen(arrivals)
-            elapsed += len(arrivals)
+                arrivals = np.diff(bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds))
+            ran, fired, restored = frozen_stretch(det, buf, restoration, arrivals, service,
+                                                  phase == "filter")
+            elapsed += ran
             if elapsed < stop:
                 stream.rewind(elapsed)
-        else:
-            # a filter slot: packet source ids, of which the blocked go
-            ids = apply_filter(blocked, stream.slot(elapsed))
-            elapsed += 1
-            admitted = step(buf, len(ids), service)
-            fired = det.observe(len(ids), buf)
-            restored = restoration.update(buf.post_service_occupancy, admitted)
 
         if restored:
             # sustained-normal condition met: release the filter
@@ -247,6 +249,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
         if phase == "measure":
             if elapsed == window_end:
+                # a window runs as one stretch from the fire, and only one
+                # that is classified has its packets split or filtered
+                window = (stream.slots(fire, window_end)[0] if blocked is None
+                          else apply_filter(blocked, ids))
                 m = measure_per_source(np.bincount(window, minlength=stream.n_sources),
                                        detector_cfg.w_s)
                 total_rate = len(window) / detector_cfg.w_s

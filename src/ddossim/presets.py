@@ -10,6 +10,8 @@ is sim2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .detector import ALL_METHODS, DetectorConfig, Method
 from .traffic import ScenarioConfig
@@ -29,7 +31,8 @@ _COMMON = dict(t_star=100.0, attack_end=200.0, total_duration=300.0, slot_dt=0.1
 _DETECTOR_DEFAULTS = dict(w_s=10.0, w_l=45.0, r=0.6, c=45.0, alpha=0.05,
                           baseline_len=30)
 
-PRESETS: dict[str, Preset] = {
+# read-only, so no caller can change what a preset name runs in this process
+PRESETS: Mapping[str, Preset] = MappingProxyType({
     # large portal: 10000 legal at 0.1 pkt/s vs 5000 attackers at 0.4 pkt/s;
     # approximate detectors plus greedy identification
     "sim1": Preset(
@@ -66,7 +69,7 @@ PRESETS: dict[str, Preset] = {
                                 **_DETECTOR_DEFAULTS),
         id_method="greedy",
     ),
-}
+})
 
 
 def get_preset(name: str) -> Preset:

@@ -112,15 +112,15 @@ class TrafficStream:
     the caller asks for.  A separate split RNG keeps the aggregate sequence
     independent of which slots are split.
 
-    A slot is split as part of a block.  Asking for a slot, or a range of
-    slots, whose packets do not lead the queue of uniforms splits it and
-    the slots after it, _BLOCK_SLOTS at least, at once: one split RNG draw
-    for the keys the queue lacks, in slot-then-class order, and one exact
-    index pass over them; the next slots, asked for in order, are slices
-    of the block.  Uniforms of block slots nobody asks for, or that
-    rewind() hands back, stay queued and are the next ones consumed, so
-    each slot gets the split that one draw per slot, in the order asked,
-    would give it.
+    A slot is split as part of a block.  Asking for a range of slots whose
+    packets do not lead the queue of uniforms splits it and the slots
+    after it, _BLOCK_SLOTS at least, at once: one split RNG draw for the
+    keys the queue lacks, in slot-then-class order, and one exact index
+    pass over them; the next slots, asked for in order, are slices of the
+    block.  Uniforms of block slots nobody asks for, or that rewind()
+    hands back, stay queued and are the next ones consumed, so each slot
+    gets the split that one draw per slot, in the order asked, would give
+    it.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -157,21 +157,12 @@ class TrafficStream:
         self._queue = np.empty(0)
         self._ids = np.empty(0, dtype=np.int64)
 
-    def slot(self, i: int) -> np.ndarray:
-        """The int64 source id of each packet of slot i; totals[i] of them."""
-        if not 0 <= i < len(self.totals):
-            raise ValueError(f"no slot {i} in a run of {len(self.totals)} slots")
-        if i != self._next or i >= self._end:
-            self._split_block(i, i + 1)
-        self._next = i + 1
-        j = i - self._start
-        return self._ids[self._bounds[j]:self._bounds[j + 1]]
-
     def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The packet source ids of slots lo..hi-1, end to end, and each
         slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]].
 
-        The same split as slot() asked for each slot in turn.
+        The same split as asking for each of the slots in turn, one at a
+        time.
         """
         if not 0 <= lo < hi <= len(self.totals):
             raise ValueError(f"no slot range [{lo}, {hi}) in a run of {len(self.totals)} slots")

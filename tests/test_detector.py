@@ -11,10 +11,11 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddossim.buffer import BufferState, step
+from ddossim.buffer import BufferState
 from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method,
                               SlidingWindow, detect_ratio, detect_statistical)
-from reference import ReferenceDetector
+from ddossim.harness import RestorationMonitor, frozen_stretch
+from reference import ReferenceDetector, ReferenceRestorationMonitor, ReferenceWindow, step
 
 
 def make_cfg(**overrides) -> DetectorConfig:
@@ -28,10 +29,10 @@ def make_cfg(**overrides) -> DetectorConfig:
 # ---------------------------------------------------------------------------
 
 def test_window_push_and_average():
-    win = SlidingWindow(3)
+    win = ReferenceWindow(3)
     win.push(5)
     assert win.average() == 5.0
-    win = SlidingWindow(3)
+    win = ReferenceWindow(3)
     for v in (1, 2, 3, 4):
         win.push(v)
     assert list(win.contents) == [2, 3, 4]
@@ -40,7 +41,7 @@ def test_window_push_and_average():
 
 def test_window_running_sum_exact_over_many_pushes():
     rng = np.random.default_rng(31)
-    win = SlidingWindow(257)
+    win = ReferenceWindow(257)
     values = rng.integers(0, 10_000, size=1_000_000)
     for v in values:
         win.push(int(v))
@@ -50,7 +51,7 @@ def test_window_running_sum_exact_over_many_pushes():
 
 def test_window_average_matches_mean_at_every_step():
     rng = np.random.default_rng(32)
-    win = SlidingWindow(16)
+    win = ReferenceWindow(16)
     for v in rng.integers(0, 100, size=2_000):
         win.push(int(v))
         assert win.running_sum == sum(win.contents)
@@ -106,8 +107,8 @@ def test_detect_buffer_thresholds():
     assert buf.post_service_occupancy == 30_040
     # no buffer state given: the method cannot fire
     assert ref.observe(0) is None
-    # scan() stops at the first of those fires; frozen, observe() fires on
-    # each slot after it
+    # scan() stops at the first of those fires; frozen, a filter stretch
+    # fires on each slot after it
     det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=30_000)
     assert det.scan(np.array([a for a, _ in feed]), buf, 0.0) == (3, Method.BUFFER_FULL)
     det.freeze()
@@ -259,19 +260,32 @@ def scanned(det, buf, service, arrivals):
 
 
 def filter_slots(det, buf, service, arrivals):
-    """observe() on the frozen detector over filter slots, each stepped
-    through buf first: what each slot fired."""
-    fires = []
-    for v in arrivals:
-        step(buf, v, service)
-        fires.append(det.observe(v, buf))
-    return fires
+    """The frozen Detector over filter slots, a one-slot frozen stretch
+    each, buf run through it: what each slot fired."""
+    return [frozen_stretch(det, buf, None, np.array([v], dtype=np.int64), service, True)[1]
+            for v in arrivals]
+
+
+def reference_stretch(ref, buf, mon, arrivals, service, filtering):
+    """frozen_stretch() one slot at a time: step, observe() and the
+    restoration monitor's update(), up to restoration or, when filtering,
+    a fire; (slots run, what fired in the last, whether restored)."""
+    for n, v in enumerate(arrivals, 1):
+        admitted = step(buf, v, service)
+        fired = ref.observe(v, buf)
+        if not filtering:
+            fired = None                # a measurement window ignores its fires
+        if mon is not None and mon.update(buf.post_service_occupancy, admitted):
+            return n, fired, True
+        if fired is not None:
+            return n, fired, False
+    return len(arrivals), None, False
 
 
 class Twins:
     """A Detector and a ReferenceDetector fed the same slots, each with its
-    own copy of a buffer: the detector through the entry point of its
-    phase, the reference one observe() at a time."""
+    own copy of a buffer: the detector through the stretch of its phase,
+    the reference one observe() at a time."""
 
     def __init__(self, cfg, slot_dt, buf, service):
         self.det, self.ref = Detector(cfg, slot_dt), ReferenceDetector(cfg, slot_dt)
@@ -286,18 +300,15 @@ class Twins:
             self.ref.observe(v, self.ref_buf)
 
     def measure(self, arrivals):
-        """A frozen stretch whose fires are ignored: run_frozen(), and
-        observe() each slot; both buffers step through it."""
-        self.det.run_frozen(np.array(arrivals, dtype=np.int64))
-        for v in arrivals:
-            step(self.buf, v, self.service)
-            step(self.ref_buf, v, self.service)
-            self.ref.observe(v, self.ref_buf)
+        """A frozen stretch whose fires are ignored, and observe() each slot."""
+        assert frozen_stretch(self.det, self.buf, None, np.array(arrivals, dtype=np.int64),
+                              self.service, False) == (len(arrivals), None, False)
+        reference_stretch(self.ref, self.ref_buf, None, arrivals, self.service, False)
 
     def filter_slot(self, v):
         """One frozen filter slot: what each detector fired."""
         return (filter_slots(self.det, self.buf, self.service, [v])[0],
-                filter_slots(self.ref, self.ref_buf, self.service, [v])[0])
+                reference_stretch(self.ref, self.ref_buf, None, [v], self.service, True)[1])
 
     def freeze(self):
         self.det.freeze()
@@ -453,13 +464,6 @@ def test_unfreeze_discards_excursion_buckets():
     assert fires / (det.stat_checks - checks_before) <= 0.05 + 0.03
 
 
-def test_observe_needs_a_frozen_detector():
-    det = Detector(make_cfg(), slot_dt=0.1)
-    with pytest.raises(RuntimeError):
-        det.observe(5, BufferState(l1=40, l2=160))
-    assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
-
-
 def test_freeze_and_unfreeze_need_the_other_phase():
     # a warm default detector: its 75-bucket deque is full
     det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160)
@@ -573,21 +577,26 @@ def test_scan_needs_an_unfrozen_detector():
 
 
 # ---------------------------------------------------------------------------
-# run_frozen: a measurement stretch on the frozen detector
+# run_frozen: measurement stretches on the frozen detector
 # ---------------------------------------------------------------------------
+
+def warmed_twins(draw):
+    """Twins with each method subset, warmed by scan_cases(), and most often
+    on enough Poisson slots to fill the buckets, so the baseline freezes."""
+    t, _ = draw(scan_cases())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        t.monitor(rng.poisson(draw(st.sampled_from([1, 4])),
+                              t.det.buckets.maxlen * t.det._slots_per_bucket).tolist())
+    return t
+
 
 @st.composite
 def frozen_cases(draw):
     """Warmed twins with each method subset, frozen, then stretches, each
     started right after freeze(), right after rearm(), or after a few
     filter slots."""
-    t, _ = draw(scan_cases())
-    spb = t.det._slots_per_bucket
-    if draw(st.booleans()):
-        # enough Poisson slots to fill the buckets, so the baseline freezes
-        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-        t.monitor(rng.poisson(draw(st.sampled_from([1, 4])),
-                              t.det.buckets.maxlen * spb).tolist())
+    t = warmed_twins(draw)
     t.freeze()
     stretches = draw(st.lists(st.tuples(st.sampled_from(["none", "rearm", "observe"]),
                                         aggregate_feeds(4)), min_size=1, max_size=4))
@@ -634,7 +643,74 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
         assert det.stat_checks == 0
 
 
+def test_observe_needs_a_frozen_detector():
+    # one observed filter slot, on an unfrozen detector
+    det = Detector(make_cfg(), slot_dt=0.1)
+    with pytest.raises(RuntimeError):
+        det.run_frozen(np.full(1, 5, dtype=np.int64), np.zeros(1, dtype=bool))
+    assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
+
+
 def test_run_frozen_needs_a_frozen_detector():
+    # a measurement window, on an unfrozen detector
     det = Detector(make_cfg(), slot_dt=0.1)
     with pytest.raises(RuntimeError):
         det.run_frozen(np.zeros(5, dtype=np.int64))
+    assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
+
+
+# ---------------------------------------------------------------------------
+# frozen_stretch: an episode's measurement windows and filter slots
+# ---------------------------------------------------------------------------
+
+def monitor_state(mon):
+    return (list(mon._admitted.contents), mon._admitted.running_sum, mon._occ_ok)
+
+
+@st.composite
+def episode_cases(draw):
+    """Warmed twins, a restoration threshold from a tenth of a packet to
+    forty packets a slot, and the arrivals of up to eight stretches."""
+    t = warmed_twins(draw)
+    per_slot = draw(st.sampled_from([0.1, 1.0, 4.0, 40.0]))
+    return t, per_slot, draw(st.lists(aggregate_feeds(3, min_segments=1), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(episode_cases())
+def test_frozen_stretch_matches_reference(case):
+    # an episode as run_once runs it: freeze(); a measurement window of w_s
+    # slots, unwatched by restoration the first time; rearm() and filter
+    # stretches up to a fire, which opens another window; unfreeze() at
+    # restoration, or after the last stretch.  Each window and each filter
+    # phase is cut into stretches of the drawn lengths, so phases continue
+    # across stretches.  The reference runs the same slots one at a time
+    t, per_slot, feeds = case
+    ws, slot_dt = t.det.short.capacity, 1 / t.det._slots_per_bucket
+    mon = ref_mon = None
+    t.freeze()
+    phase, window_left = "measure", ws
+    for feed in feeds:
+        arrivals = feed[:window_left] if phase == "measure" else feed
+        got = frozen_stretch(t.det, t.buf, mon, np.array(arrivals, dtype=np.int64),
+                             t.service, phase == "filter")
+        assert got == reference_stretch(t.ref, t.ref_buf, ref_mon, arrivals, t.service,
+                                        phase == "filter")
+        t.assert_same()
+        ran, fired, restored = got
+        if restored:
+            break                       # the filter and its monitor are released
+        if mon is not None:
+            assert monitor_state(mon) == monitor_state(ref_mon)
+        if phase == "measure":
+            window_left -= ran
+            if window_left == 0:
+                if mon is None:
+                    args = (t.buf.l1, per_slot / slot_dt, t.det.cfg.r, ws * slot_dt, ws)
+                    mon, ref_mon = RestorationMonitor(*args), ReferenceRestorationMonitor(*args)
+                t.rearm()
+                phase = "filter"
+        elif fired is not None:
+            phase, window_left = "measure", ws
+    t.unfreeze()
+    t.assert_same()

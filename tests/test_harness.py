@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from ddossim import harness
 from ddossim.detector import Method
-from ddossim.harness import (RestorationMonitor, batch_seeds, run_batch, run_once,
-                             sweep_window)
+from ddossim.harness import batch_seeds, run_batch, run_once, sweep_window
 from ddossim.presets import PRESETS
 from ddossim.stats import sample_mean, sample_stddev
+from reference import ReferenceRestorationMonitor
 
 
 SIM2 = PRESETS["sim2"]
@@ -128,35 +128,59 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     ("sim2", {"slot_dt": 1.0}, 0),      # whole service, 8 packets a slot
 ])
 def test_packet_ledger_balances(monkeypatch, preset, overrides, seed, id_method=None):
-    # every generated packet is filtered, dropped, served or still queued
-    filtered, streams, buffers = [], [], []
-    apply_filter, traffic_stream, buffer_state = (harness.apply_filter, harness.TrafficStream,
-                                                  harness.BufferState)
-
-    def counted_filter(blocked, ids):
-        # the packets from blocked sources, counted apart from the filter
-        filtered.append(int(np.count_nonzero(blocked[ids])))
-        return apply_filter(blocked, ids)
+    # every generated packet is filtered, dropped, served or still queued;
+    # the filtered ones are counted from the split, apart from the filter:
+    # the blocked packets of every slot that a stretch took
+    taken, streams, buffers = [], [], []
+    block_set = [None]           # the sources blocked, as the episodes widen and release it
+    traffic_stream, buffer_state = harness.TrafficStream, harness.BufferState
 
     def kept_stream(*args):
-        streams.append(traffic_stream(*args))
-        return streams[-1]
+        stream = traffic_stream(*args)
+        slots, rewind = stream.slots, stream.rewind
+
+        def taken_slots(lo, hi):
+            ids, bounds = slots(lo, hi)
+            taken.append([block_set[0], ids, bounds, lo, hi])
+            return ids, bounds
+
+        def handed_back(i):
+            taken[-1][4] = i
+            rewind(i)
+
+        stream.slots, stream.rewind = taken_slots, handed_back
+        streams.append(stream)
+        return stream
 
     def kept_buffer(*args):
         buffers.append(buffer_state(*args))
         return buffers[-1]
 
-    monkeypatch.setattr(harness, "apply_filter", counted_filter)
+    def widening(identify):
+        def identified(*args):
+            suspects = identify(*args)
+            block_set[0] = suspects if block_set[0] is None else block_set[0] | suspects
+            return suspects
+        return identified
+
+    unfreeze = harness.Detector.unfreeze
+
+    def released(det):
+        block_set[0] = None
+        unfreeze(det)
+
     monkeypatch.setattr(harness, "TrafficStream", kept_stream)
     monkeypatch.setattr(harness, "BufferState", kept_buffer)
+    for name in ("identify_greedy", "identify_by_history"):
+        monkeypatch.setattr(harness, name, widening(getattr(harness, name)))
+    monkeypatch.setattr(harness.Detector, "unfreeze", released)
     p = PRESETS[preset]
     scenario = dataclasses.replace(p.scenario, **overrides)
     m = run_once(scenario, p.detector, id_method or p.id_method, seed=seed)
     (stream,), (buf,) = streams, buffers
-    # generated: the packets of every slot, split again after the run (the
-    # split RNG has moved on, but a slot's packet count is its pre-drawn total)
-    generated = sum(len(stream.slot(i)) for i in range(scenario.n_slots))
-    assert int(stream.totals.sum()) == generated
+    filtered = [int(np.count_nonzero(blocked[ids[:bounds[hi - lo]]]))
+                for blocked, ids, bounds, lo, hi in taken if blocked is not None]
+    generated = int(stream.totals.sum())
     assert buf._slot == scenario.n_slots
     if scenario.n_attack:
         assert sum(filtered) > 0
@@ -196,8 +220,8 @@ def test_detection_never_precedes_attack_when_no_false_alarm():
 
 def test_restoration_monitor_degenerate_overblocking():
     # admitted 0 and an empty buffer is still "restored": service load is normal
-    mon = RestorationMonitor(l1=40, baseline_rate=100.0, r=0.6, w_s=1.0,
-                             ws_slots=10)
+    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=100.0, r=0.6, w_s=1.0,
+                                      ws_slots=10)
     hit = False
     for _ in range(10):
         hit = mon.update(0, 0)
@@ -205,8 +229,8 @@ def test_restoration_monitor_degenerate_overblocking():
 
 
 def test_restoration_requires_sustained_low_occupancy():
-    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
-                             ws_slots=10)
+    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
+                                      ws_slots=10)
     for _ in range(9):
         assert not mon.update(0, 1)
     mon.update(50, 1)          # backlog spike resets the streak
@@ -216,8 +240,8 @@ def test_restoration_requires_sustained_low_occupancy():
 
 
 def test_restoration_requires_admitted_near_baseline():
-    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
-                             ws_slots=10)
+    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
+                                      ws_slots=10)
     # threshold sum is (1+0.6)*10*1 = 16 over the window; 2/slot = 20 > 16
     for _ in range(50):
         assert not mon.update(0, 2)
@@ -228,8 +252,8 @@ def test_restoration_requires_admitted_near_baseline():
 
 def test_declare_restored_times_first_instant():
     def first_restored_slot(backlogs):
-        mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
-                                 ws_slots=10)
+        mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0,
+                                          ws_slots=10)
         return next((i + 1 for i, b in enumerate(backlogs) if mon.update(b, 0)), None)
 
     # 10 bad slots + 10-slot clean streak: restored 2.0 s in
@@ -257,32 +281,40 @@ def updated_to_restoration(mon, backlogs, admitted):
        st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                           st.integers(min_value=0, max_value=8)), max_size=60))
 def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots):
-    mon = RestorationMonitor(l1=l1, baseline_rate=baseline_rate, r=0.6, w_s=ws_slots * 0.1,
-                             ws_slots=ws_slots)
+    mon = ReferenceRestorationMonitor(l1=l1, baseline_rate=baseline_rate, r=0.6,
+                                      w_s=ws_slots * 0.1, ws_slots=ws_slots)
     for backlog, count in warm:     # a streak and a window carried in
         mon.update(backlog, count)
     reference = copy.deepcopy(mon)
     backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
-    assert (mon.first_restored(np.array(backlogs, dtype=np.int64),
-                               np.array(admitted, dtype=np.int64))
-            == updated_to_restoration(reference, backlogs, admitted))
-    # left as update() up to the restoring slot, or over every slot, leaves it
+    warm_state = monitor_state(mon)
+    at = mon.first_restored(np.array(backlogs, dtype=np.int64),
+                            np.array(admitted, dtype=np.int64))
+    assert at == updated_to_restoration(reference, backlogs, admitted)
+    # the search leaves the monitor alone; advance() over the slots up to
+    # the restoring one, or over every slot, leaves it as update() does
+    assert monitor_state(mon) == warm_state
+    ran = len(slots) if at is None else at + 1
+    mon.advance(np.array(backlogs[:ran], dtype=np.int64),
+                np.array(admitted[:ran], dtype=np.int64))
     assert monitor_state(mon) == monitor_state(reference)
     assert type(mon._admitted.running_sum) is int and type(mon._occ_ok) is int
 
 
 def test_first_restored_on_the_last_slot():
     # a 10-slot streak that completes on the stretch's last slot
-    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
     backlogs, admitted = np.array([100] * 10 + [0] * 10), np.ones(20, dtype=np.int64)
     assert mon.first_restored(backlogs, admitted) == 19
-    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
     assert mon.first_restored(backlogs[:-1], admitted[:-1]) is None
+    mon.advance(backlogs[:-1], admitted[:-1])
     assert mon.update(0, 1)
     # and after a restoring slot nothing more is taken in
-    mon = RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
     assert mon.first_restored(np.concatenate((backlogs, [100] * 5)),
                               np.concatenate((admitted, [7] * 5))) == 19
+    mon.advance(backlogs, admitted)
     assert monitor_state(mon) == ([1] * 10, 10, 10)
 
 

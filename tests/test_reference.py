@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddossim import get_preset, run_once
-from ddossim.detector import ALL_METHODS, DetectorConfig
+from ddossim.detector import ALL_METHODS, DetectorConfig, Method
 from ddossim.harness import check_configs
 from ddossim.traffic import ScenarioConfig
 from reference import reference_run
@@ -70,9 +70,13 @@ def assert_run_once_matches_reference(scenario, cfg, id_method, seed):
 
 CASE1, SIM2 = get_preset("case1"), get_preset("sim2")
 # case1 greedy seed 7 restores inside a re-measurement window; sim2 at
-# 1 s slots serves a whole 8 packets a slot
+# 1 s slots serves a whole 8 packets a slot; sim2 with the ratio rule
+# alone has filter phases of 321, 100, 100 and 591 slots, longer than
+# the 100-slot w_s, so a phase runs on over several frozen stretches
 EXAMPLES = [(CASE1.scenario, CASE1.detector, "greedy", 7),
-            (dataclasses.replace(SIM2.scenario, slot_dt=1.0), SIM2.detector, SIM2.id_method, 0)]
+            (dataclasses.replace(SIM2.scenario, slot_dt=1.0), SIM2.detector, SIM2.id_method, 0),
+            (SIM2.scenario, dataclasses.replace(SIM2.detector, methods=(Method.RATIO,)),
+             SIM2.id_method, 0)]
 
 
 def with_examples(test):

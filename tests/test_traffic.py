@@ -4,6 +4,7 @@ moments, per-source attribution, activity windows, determinism."""
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def legal_only(cfg, seed=0):
     return stream_of(dataclasses.replace(cfg, n_attack=0), seed)
 
 
+def one_slot(stream, i):
+    """Slot i's packet source ids: slots() over that slot alone."""
+    return stream.slots(i, i + 1)[0]
+
+
 def counts_of(ids, n):
     """Packet counts by source id of a slot's packet ids, as a length-n vector."""
     return np.bincount(ids, minlength=n)
@@ -57,7 +63,7 @@ def active_ids(stream, slots):
     """Ids of the sources that sent at least one packet over the slots."""
     sent = np.zeros(stream.n_sources, dtype=bool)
     for i in slots:
-        sent |= counts_of(stream.slot(i), stream.n_sources) > 0
+        sent |= counts_of(one_slot(stream, i), stream.n_sources) > 0
     return sent
 
 
@@ -72,7 +78,7 @@ def test_build_sources_large_population():
     legal, attack = slice(0, 10_000), slice(10_000, 15_000)
     # legal sources are active over the whole run, attackers over [100, 200)
     for i in (0, 999, 1000, 1999, 2000, 2999):
-        ids = stream.slot(i)
+        ids = one_slot(stream, i)
         per_source = counts_of(ids, 15_000)
         legal_aggregate = legal_stream.totals[i]
         attack_aggregate = len(ids) - legal_aggregate
@@ -99,7 +105,7 @@ def test_build_sources_no_attackers():
     assert stream.n_sources == 50
     # every packet is the legal share of the same-seed stream with attackers
     full = stream_of(small_config())
-    assert all(stream.totals[i] == counts_of(full.slot(i), 100)[:50].sum()
+    assert all(stream.totals[i] == counts_of(one_slot(full, i), 100)[:50].sum()
                for i in range(cfg.n_slots))
 
 
@@ -191,7 +197,7 @@ def test_stream_bit_exact_determinism():
         ss = np.random.SeedSequence(seed)
         r1, r2 = (np.random.default_rng(s) for s in ss.spawn(2))
         stream = TrafficStream(cfg, r1, r2)
-        return stream.totals, [stream.slot(i) for i in range(cfg.n_slots)]
+        return stream.totals, [one_slot(stream, i) for i in range(cfg.n_slots)]
 
     (totals_a, a), (totals_b, b) = trace(99), trace(99)
     assert np.array_equal(totals_a, totals_b)
@@ -231,7 +237,7 @@ def test_per_source_counts_sum_to_aggregate():
     cfg = small_config()
     stream, legal_stream = stream_of(cfg, 5, 6), legal_only(cfg, 5)
     for i in range(0, cfg.n_slots, 13):
-        ids = stream.slot(i)
+        ids = one_slot(stream, i)
         assert ids.dtype == np.int64
         per_source = counts_of(ids, cfg.n_legal + cfg.n_attack)
         assert len(per_source) == cfg.n_legal + cfg.n_attack
@@ -245,7 +251,7 @@ def test_no_attack_packets_outside_window():
     stream, legal_stream = stream_of(cfg, 7, 8), legal_only(cfg, 7)
     for i in range(cfg.n_slots):
         t = i * cfg.slot_dt
-        ids = stream.slot(i)
+        ids = one_slot(stream, i)
         if not (cfg.t_star <= t < cfg.attack_end):
             assert len(ids) == legal_stream.totals[i]
             assert not counts_of(ids, cfg.n_legal + cfg.n_attack)[attackers].any()
@@ -257,7 +263,7 @@ def test_split_proportions_follow_rates():
     stream = stream_of(cfg, 9)
     total = np.zeros(4, dtype=np.int64)
     for i in range(cfg.n_slots):
-        total += counts_of(stream.slot(i), 4)
+        total += counts_of(one_slot(stream, i), 4)
     n = int(total.sum())
     # binomial 3-sigma band around 0.25 for each source
     assert np.all(np.abs(total / n - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n))
@@ -357,14 +363,14 @@ def test_split_matches_count_vector_reference(cfg):
     # a slot nobody asks for consumes nothing of the split stream
     for i in range(ASKED[0], cfg.n_slots):
         if i in asked:
-            ids = stream.slot(i)
+            ids = one_slot(stream, i)
             aggregate, per_source = ref.slot(i)
             assert len(ids) == stream.totals[i] == aggregate
             assert np.array_equal(counts_of(ids, n), per_source)
         assert queue_matches_reference(stream, split_rng, ref_split_rng), i
     # past the run there is no slot, and nothing is split or drawn
-    with pytest.raises(ValueError, match="no slot 3000"):
-        stream.slot(cfg.n_slots)
+    with pytest.raises(ValueError, match=re.escape("no slot range [3000, 3001)")):
+        stream.slots(cfg.n_slots, cfg.n_slots + 1)
     assert queue_matches_reference(stream, split_rng, ref_split_rng)
 
 
@@ -374,8 +380,8 @@ def test_stream_slot_inactive_population():
     stream = TrafficStream(cfg, np.random.default_rng(0), split_rng)
     # a slot beyond every activity window, and one before the run
     for i in (cfg.n_slots, cfg.n_slots + 10, -1):
-        with pytest.raises(ValueError, match=f"no slot {i} "):
-            stream.slot(i)
+        with pytest.raises(ValueError, match=re.escape(f"no slot range [{i}, {i + 1})")):
+            stream.slots(i, i + 1)
     assert len(stream._queued()) == 0
     assert split_rng.bit_generator.state == untouched.bit_generator.state
 
@@ -417,9 +423,9 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
             got = [ids[bounds[j]:bounds[j + 1]] for j in range(at - lo)]
         else:
             at = hi
-            got = [stream.slot(i) for i in range(lo, hi)]
+            got = [one_slot(stream, i) for i in range(lo, hi)]
         for i, slot_ids in zip(range(lo, at), got):
-            assert np.array_equal(slot_ids, twin.slot(i))
+            assert np.array_equal(slot_ids, one_slot(twin, i))
             assert np.array_equal(counts_of(slot_ids, n), ref.slot(i)[1])
         # the uniforms of the slots after the cut are queued, not consumed
         assert queue_matches_reference(stream, split_rng, ref_split_rng), (lo, at)

@@ -3,24 +3,28 @@
 Approximate methods: buffer-full (the normal-operation tier l1 is at
 capacity) and the ratio rule (short-time average exceeds (1+r) times the
 extended-time average).  Accurate method: a hypothesis-testing pipeline on
-per-second packet arrival rates -- an upper-confidence-bound gate on the
+per-second packet arrival counts -- an upper-confidence-bound gate on the
 current mean, then a pooled t-test and Levene's test against the lagged
-baseline, flagging if either rejects.
+baseline, flagging if either rejects.  The counts are ints, so each check
+is decided exactly on integer moments: t^2 and Levene's W against one
+critical value q^2, because F(1, nu) is t(nu)^2.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .buffer import BufferState, commit, run_ahead
-from .stats import (SummaryStats, levene_test, sample_mean, t_test_pooled,
-                    upper_conf_bound)
+from .stats import normal_upper_quantile, student_t_quantile
 from .traffic import require_finite, slots_in
 
 __all__ = [
@@ -139,26 +143,67 @@ def detect_ratio(short_avg, long_avg, r: float):
     return (long_avg > 0) & (short_avg > (1.0 + r) * long_avg)
 
 
+def _moments(xs: Sequence[int]) -> tuple[int, int]:
+    """S = sum(xs) and D = n * sum(x^2) - S^2, n^2 times the sum of squares
+    about the mean: exact on ints."""
+    s = sum(xs)
+    return s, len(xs) * sum(map(mul, xs, xs)) - s * s
+
+
+# z(MPAR_ALPHA)^2, the gate's squared critical value, as an exact ratio
+_GATE_Z2 = Fraction(normal_upper_quantile(MPAR_ALPHA)) ** 2
+
+
+@functools.lru_cache(maxsize=64)
+def _t_critical_square(alpha: float, df: int) -> Fraction:
+    """q^2 for q = t(1 - alpha/2, df), as an exact ratio: F(1, df) is
+    t(df)^2, so both tests reject above it."""
+    return Fraction(student_t_quantile(1.0 - alpha / 2.0, df)) ** 2
+
+
 def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
                        alpha: float) -> bool:
     """Hypothesis-testing detection on packet-arrival-rate samples.
 
-    Gates on the upper confidence bound of the baseline mean (MPAR,
-    alpha = 0.025), then runs the pooled t-test and Levene's test; the
-    attack flag is raised if either rejects at the given alpha (Levene
-    runs only when the t-test does not).
+    Gates on the upper confidence bound of the baseline mean (MPAR, at
+    z = z(0.025)), then runs the pooled t-test and, when it does not
+    reject, Levene's mean-centered test; the attack flag is raised if
+    either rejects at the given alpha.  With nu = n_b + n_c - 2 degrees
+    and q = t(1 - alpha/2, nu), the t-test rejects iff t^2 > q^2, and
+    Levene iff W > q^2, because W is referred to F(1, nu) = t(nu)^2.
+
+    The decision is exact on int counts: the sums S, the D = n * sum(x^2)
+    - S^2 and Levene's deviations |n*x - S| are ints, z^2 and q^2 exact
+    ratios of ints, and every comparison cross-multiplies.  A baseline of
+    equal counts (D_b = 0) fires iff the current mean is above its mean.
     """
-    if len(baseline_par) < 8 or len(current_par) < 2:
+    n_b, n_c = len(baseline_par), len(current_par)
+    if n_b < 8 or n_c < 2:
         raise ValueError("statistical detection needs >= 8 baseline and >= 2 current samples")
-    base = SummaryStats.from_sample(baseline_par)
-    cur_mean = sample_mean(current_par)
-    if base.stddev == 0.0:
-        # degenerate baseline: only the threshold comparison is meaningful
-        return cur_mean > base.mean
-    if cur_mean <= upper_conf_bound(base, MPAR_ALPHA):
+    s_b, d_b = _moments(baseline_par)
+    s_c, d_c = _moments(current_par)
+    num = s_c * n_b - s_b * n_c              # n_b * n_c times the mean difference
+    if num <= 0:
         return False
-    return (t_test_pooled(base, SummaryStats.from_sample(current_par)).p_value < alpha
-            or levene_test(baseline_par, current_par).p_value < alpha)
+    if d_b == 0:
+        return True
+    # the gate: mean difference > z * sqrt(D_b / (n_b^2 (n_b - 1)))
+    z2 = _GATE_Z2
+    if num * num * (n_b - 1) * z2.denominator <= z2.numerator * d_b * n_c * n_c:
+        return False
+    nu = n_b + n_c - 2
+    q2 = _t_critical_square(alpha, nu)
+    # t^2 = num^2 nu / ((n_b + n_c)(D_b n_c + D_c n_b))
+    if num * num * nu * q2.denominator > q2.numerator * (n_b + n_c) * (d_b * n_c + d_c * n_b):
+        return True
+    # W = nu M^2 / ((n_b + n_c)(E_b n_c^3 + E_c n_b^3)) on each group's T and
+    # E, the S and D of its deviations; 0 when the deviations within each
+    # group are all equal
+    t_b, e_b = _moments([abs(n_b * x - s_b) for x in baseline_par])
+    t_c, e_c = _moments([abs(n_c * x - s_c) for x in current_par])
+    m = t_b * n_c * n_c - t_c * n_b * n_b
+    spread = e_b * n_c ** 3 + e_c * n_b ** 3
+    return spread > 0 and m * m * nu * q2.denominator > q2.numerator * (n_b + n_c) * spread
 
 
 class Detector:
@@ -265,14 +310,6 @@ class Detector:
             return None
         return list(islice(self.buckets, self.cfg.baseline_len))
 
-    def _stat_check(self, baseline: Sequence[int], current: Sequence[int]) -> bool:
-        """One counted statistical check of the current buckets against baseline."""
-        self.stat_checks += 1
-        if detect_statistical(baseline, current, self.cfg.alpha):
-            self.stat_positives += 1
-            return True
-        return False
-
     def scan(self, arrivals: np.ndarray, buffer: BufferState,
              service_per_slot: float) -> tuple[int, Optional[Method]]:
         """The unfrozen detector over arrivals up to the first fire.
@@ -310,29 +347,14 @@ class Detector:
             if len(hits):
                 full_at = last = int(hits[0])
 
-        spb, fill = self._slots_per_bucket, self._bucket_fill
         slot_counts, new = self._bucket_sums(arrivals)
-        held = len(self.buckets)
-        buckets = list(self.buckets) + new
         maxlen, base_len = self.buckets.maxlen, cfg.baseline_len
-
-        # new bucket j completes at slot (j + 1) * spb - fill - 1; it is
-        # tested once the deque is full, up to the last reachable slot
-        fired: Optional[Method] = None
-        done = last + 1
-        if Method.STATISTICAL in cfg.methods:
-            for j in range(max(0, maxlen - held - 1), (last + fill + 1) // spb):
-                top = held + j + 1          # buckets[top - maxlen:top] are in the deque
-                if self._stat_check(buckets[top - maxlen:top - maxlen + base_len],
-                                    buckets[top - self._ws_buckets:top]):
-                    fired = Method.STATISTICAL
-                    done = (j + 1) * spb - fill
-                    break
-        if fired is None:
-            if last == ratio_at:
-                fired = Method.RATIO
-            elif last == full_at:
-                fired = Method.BUFFER_FULL
+        # the check at each new bucket is due once the deque is full, against
+        # its oldest baseline_len buckets
+        done, fired = self._first_fire(
+            new, max(0, maxlen - len(self.buckets) - 1),
+            lambda buckets, top: buckets[top - maxlen:top - maxlen + base_len],
+            ratio_at, full_at, last, True)
         commit(buffer, stretch, done)
 
         # the state the per-slot rules leave after `done` slots
@@ -373,27 +395,13 @@ class Detector:
             if len(hits):
                 full_at = last = int(hits[0])
 
-        spb, fill, ws = self._slots_per_bucket, self._bucket_fill, self._ws_buckets
         slot_counts, new = self._bucket_sums(arrivals)
-        fired: Optional[Method] = None
-        done = last + 1
-        # new bucket j completes at slot (j + 1) * spb - fill - 1 and is the
-        # (fresh + j + 1)-th fresh one
-        due = range(max(0, ws - self._fresh_buckets - 1), (last + fill + 1) // spb)
-        if Method.STATISTICAL in cfg.methods and self._frozen_baseline is not None and due:
-            held = len(self.buckets)
-            buckets = list(self.buckets) + new
-            for j in due:
-                top = held + j + 1
-                if self._stat_check(self._frozen_baseline, buckets[top - ws:top]) and watch:
-                    fired = Method.STATISTICAL
-                    done = (j + 1) * spb - fill
-                    break
-        if fired is None and watch:
-            if last == ratio_at:
-                fired = Method.RATIO
-            elif last == full_at:
-                fired = Method.BUFFER_FULL
+        pinned = self._frozen_baseline
+        # new bucket j is the (fresh + j + 1)-th fresh one; with no pinned
+        # baseline no check is due
+        first = len(new) if pinned is None else max(0, self._ws_buckets - self._fresh_buckets - 1)
+        done, fired = self._first_fire(new, first, lambda buckets, top: pinned,
+                                       ratio_at, full_at, last, watch)
 
         # the state the per-slot rules leave after `done` slots
         self.short.extend(arrivals[:done])
@@ -402,6 +410,42 @@ class Detector:
         self._fresh_buckets += completed
         self._frozen_appended += completed
         return done, fired
+
+    def _first_fire(self, new: list[int], first: int,
+                    baseline: Callable[[list[int], int], Sequence[int]],
+                    ratio_at: int, full_at: int, last: int,
+                    watch: bool) -> tuple[int, Optional[Method]]:
+        """The fire that ends a stretch, and the slots it consumes.
+
+        new are the buckets the stretch's arrivals complete; new bucket j
+        completes at slot (j + 1) * spb - fill - 1.  From bucket `first`
+        on, a statistical check of the last ws_buckets buckets against
+        baseline(buckets, top) -- buckets the deque then its new ones,
+        top one past the checked bucket -- is due at each boundary up to
+        `last`, the last slot the stretch may reach.  Every due check
+        counts; with watch, the first positive fires.  Otherwise the
+        ratio rule fires if its first hit is at `last`, then buffer-full
+        if its first hit is; ratio_at and full_at are past `last` for no
+        hit.
+        """
+        spb, fill, ws = self._slots_per_bucket, self._bucket_fill, self._ws_buckets
+        due = range(first, (last + fill + 1) // spb)
+        if Method.STATISTICAL in self.cfg.methods and due:
+            held = len(self.buckets)
+            buckets = list(self.buckets) + new
+            for j in due:
+                top = held + j + 1
+                self.stat_checks += 1
+                if detect_statistical(baseline(buckets, top), buckets[top - ws:top],
+                                      self.cfg.alpha):
+                    self.stat_positives += 1
+                    if watch:
+                        return (j + 1) * spb - fill, Method.STATISTICAL
+        if last == ratio_at:
+            return last + 1, Method.RATIO
+        if last == full_at:
+            return last + 1, Method.BUFFER_FULL
+        return last + 1, None
 
     def _bucket_sums(self, arrivals: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The partial bucket's count, then arrivals, one per slot; and the

@@ -12,19 +12,17 @@ import time
 
 import numpy as np
 import pytest
-import scipy.special
 
 from ddossim.buffer import BufferState
 from ddossim.cli import main
-from ddossim.detector import Method
+from ddossim.detector import Method, detect_statistical
 from ddossim.harness import run_batch, sweep_window
 from ddossim.identifier import identify_greedy, PerSourceMeasurement
 from ddossim.presets import get_preset
-from ddossim.stats import (SummaryStats, levene_test, pooled_variance,
-                           sample_mean, sample_stddev, t_test_pooled,
-                           upper_conf_bound)
+from ddossim.stats import normal_upper_quantile, sample_mean, sample_stddev
 from ddossim.traffic import TrafficStream
 from reference import ReferenceWindow, step
+from test_detector import scipy_decision
 
 ACCEPTANCE_SEED = 2026
 
@@ -140,37 +138,25 @@ def test_criterion_6_statistics_kernel_oracles():
             moments_ok = False
         if not math.isclose(sample_stddev(xs), ref_sd, rel_tol=1e-12, abs_tol=1e-12):
             moments_ok = False
-    # pooled variance vs the closed form on 100 fixtures
-    pooled_ok = True
+    # the exact decision vs scipy.stats (gate, ttest_ind, levene) on 100
+    # fixtures of integer samples, away from ties
+    decide_ok, positives, ties = True, 0, 0
     for _ in range(100):
-        s1 = SummaryStats(0.0, float(rng.uniform(0.1, 5)), int(rng.integers(2, 40)))
-        s2 = SummaryStats(0.0, float(rng.uniform(0.1, 5)), int(rng.integers(2, 40)))
-        ref = (((s1.n - 1) * s1.stddev ** 2 + (s2.n - 1) * s2.stddev ** 2)
-               / (s1.n + s2.n - 2))
-        if not math.isclose(pooled_variance(s1, s2), ref, rel_tol=1e-12):
-            pooled_ok = False
-    # t / Levene p-values vs independent incomplete-beta evaluations
-    p_ok = True
-    for _ in range(100):
-        a = rng.normal(0, 1, int(rng.integers(2, 30))).tolist()
-        b = rng.normal(0.5, 2, int(rng.integers(2, 30))).tolist()
-        t_res = t_test_pooled(SummaryStats.from_sample(a), SummaryStats.from_sample(b))
-        df = len(a) + len(b) - 2
-        t_ref = scipy.special.betainc(df / 2, 0.5,
-                                      df / (df + t_res.statistic ** 2))
-        lev = levene_test(a, b)
-        n_tot = len(a) + len(b)
-        lev_ref = scipy.special.betainc((n_tot - 2) / 2, 0.5,
-                                        (n_tot - 2) / (n_tot - 2 + lev.statistic)) \
-            if lev.statistic > 0 else 1.0
-        if abs(t_res.p_value - t_ref) > 1e-9 or abs(lev.p_value - lev_ref) > 1e-9:
-            p_ok = False
-    # upper-confidence-bound fixture
-    t_x = upper_conf_bound(SummaryStats(10.0, 2.0, 100), 0.025)
+        a = np.rint(10 * rng.normal(0, 1, int(rng.integers(8, 30)))).astype(int).tolist()
+        b = np.rint(10 * rng.normal(0.5, 2, int(rng.integers(2, 30)))).astype(int).tolist()
+        expected = scipy_decision(a, b, 0.05)
+        if expected is None:
+            ties += 1
+            continue
+        positives += expected
+        if detect_statistical(a, b, 0.05) != expected:
+            decide_ok = False
+    # upper-confidence-bound fixture: z(0.025) * 2 / sqrt(100) + 10
+    t_x = normal_upper_quantile(0.025) * 2.0 / math.sqrt(100) + 10.0
     ucb_ok = abs(t_x - 10.3920) <= 1e-4
-    ok = moments_ok and pooled_ok and p_ok and ucb_ok
-    verdict(6, ok, f"moments {moments_ok}, pooled variance {pooled_ok}, "
-                   f"p-values vs incomplete beta {p_ok}, "
+    ok = moments_ok and decide_ok and ucb_ok
+    verdict(6, ok, f"moments {moments_ok}, exact decision vs scipy {decide_ok} "
+                   f"({positives} positive, {ties} ties skipped), "
                    f"confidence bound {t_x:.4f} (need 10.3920 +- 1e-4)")
 
 

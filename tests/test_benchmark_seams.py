@@ -8,7 +8,11 @@ instead turn every traced run into a failed one.  perfbench/ is only read.
 The seams of the per-slot functions that frozen stretches replaced
 (traffic.slot, buffer.step, detector.observe, harness.restoration_update)
 are not found, and the stretch code has no seam of its own yet, so its
-time is billed to run_once itself.
+time is billed to run_once itself.  The statistical check is one seam,
+detector.detect_statistical: it decides on exact integer moments and
+calls into stats for nothing but its cached critical value, so the
+stats.* seams (t_test_pooled, levene_test, upper_conf_bound,
+sample_mean, from_sample) are not found either.
 """
 
 import importlib.util
@@ -23,10 +27,7 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 SPLIT_TO_FILTER = {
     "traffic.stream_init", "identifier.measure_per_source", "identifier.apply_filter",
 }
-STATISTICAL = {
-    "detector.detect_statistical", "stats.t_test_pooled", "stats.levene_test",
-    "stats.upper_conf_bound", "stats.sample_mean", "stats.from_sample",
-}
+STATISTICAL = {"detector.detect_statistical"}
 SEAMS = (SPLIT_TO_FILTER | STATISTICAL
          | {"identifier.identify_greedy", "identifier.identify_by_history"})
 
@@ -42,7 +43,7 @@ def test_every_seam_is_found():
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracing.layer_patches(tracer, harness, detector)
-    assert len(tracer.names) == len(SEAMS) == 11
+    assert len(tracer.names) == len(SEAMS) == 6
     assert set(tracer.names) == SEAMS
 
 

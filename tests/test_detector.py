@@ -4,17 +4,19 @@ baseline during episodes, and the end-to-end fire logic."""
 import copy
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddossim.buffer import BufferState
-from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method,
+from ddossim.detector import (ALL_METHODS, MPAR_ALPHA, Detector, DetectorConfig, Method,
                               SlidingWindow, detect_ratio, detect_statistical)
 from ddossim.harness import RestorationMonitor, frozen_stretch
+from ddossim.stats import normal_upper_quantile, student_t_quantile
 from reference import ReferenceDetector, ReferenceRestorationMonitor, ReferenceWindow, step
 
 
@@ -121,7 +123,7 @@ def test_detect_buffer_thresholds():
 
 def test_statistical_same_data_not_detected():
     rng = np.random.default_rng(34)
-    baseline = rng.poisson(5, 30).astype(float).tolist()
+    baseline = rng.poisson(5, 30).tolist()
     assert not detect_statistical(baseline, list(baseline[-10:]), 0.05)
 
 
@@ -130,8 +132,8 @@ def test_statistical_attack_regime_always_detected():
     rng = np.random.default_rng(35)
     hits = 0
     for _ in range(1000):
-        baseline = rng.poisson(5, 30).astype(float).tolist()
-        current = rng.poisson(15, 10).astype(float).tolist()
+        baseline = rng.poisson(5, 30).tolist()
+        current = rng.poisson(15, 10).tolist()
         hits += detect_statistical(baseline, current, 0.05)
     assert hits == 1000
 
@@ -140,8 +142,8 @@ def test_statistical_null_false_alarm_rate():
     rng = np.random.default_rng(36)
     hits = 0
     for _ in range(1000):
-        baseline = rng.poisson(5, 30).astype(float).tolist()
-        current = rng.poisson(5, 10).astype(float).tolist()
+        baseline = rng.poisson(5, 30).tolist()
+        current = rng.poisson(5, 10).tolist()
         hits += detect_statistical(baseline, current, 0.05)
     assert hits / 1000 <= 0.05 + 0.02
 
@@ -149,26 +151,26 @@ def test_statistical_null_false_alarm_rate():
 def test_statistical_scale_consistency():
     rng = np.random.default_rng(37)
     for _ in range(50):
-        baseline = rng.poisson(5, 30).astype(float).tolist()
-        current = rng.poisson(9, 10).astype(float).tolist()
+        baseline = rng.poisson(5, 30).tolist()
+        current = rng.poisson(9, 10).tolist()
         hit1 = detect_statistical(baseline, current, 0.05)
-        scale = 7.3
+        scale = Fraction(73, 10)
         hit2 = detect_statistical([scale * x for x in baseline],
                                   [scale * x for x in current], 0.05)
         assert hit1 == hit2
 
 
 def test_statistical_degenerate_baseline_falls_back_to_threshold():
-    baseline = [5.0] * 30
-    assert detect_statistical(baseline, [6.0, 6.0], 0.05) is True
-    assert detect_statistical(baseline, [5.0, 5.0], 0.05) is False
+    baseline = [5] * 30
+    assert detect_statistical(baseline, [6, 6], 0.05) is True
+    assert detect_statistical(baseline, [5, 5], 0.05) is False
 
 
 def test_statistical_input_validation():
     with pytest.raises(ValueError):
-        detect_statistical([1.0] * 7, [1.0, 2.0], 0.05)
+        detect_statistical([1] * 7, [1, 2], 0.05)
     with pytest.raises(ValueError):
-        detect_statistical([1.0] * 10, [1.0], 0.05)
+        detect_statistical([1] * 10, [1], 0.05)
 
 
 def scipy_decision(baseline, current, alpha):
@@ -199,16 +201,83 @@ def scipy_decision(baseline, current, alpha):
     return bool(t_p < alpha or lev_p < alpha)
 
 
+DECISIONS = dict(
+    baseline=st.lists(st.integers(0, 60), min_size=8, max_size=40),
+    # a raised floor lifts the current mean past the gate more often
+    current=st.integers(0, 60).flatmap(
+        lambda floor: st.lists(st.integers(floor, 60), min_size=2, max_size=15)),
+    alpha=st.sampled_from([0.01, 0.05, 0.2]))
+
+
 @settings(max_examples=400, deadline=None)
-@given(baseline=st.lists(st.integers(0, 60), min_size=8, max_size=40),
-       # a raised floor lifts the current mean past the gate more often
-       current=st.integers(0, 60).flatmap(
-           lambda floor: st.lists(st.integers(floor, 60), min_size=2, max_size=15)),
-       alpha=st.sampled_from([0.01, 0.05, 0.2]))
+@given(**DECISIONS)
 def test_statistical_decision_matches_scipy(baseline, current, alpha):
     expected = scipy_decision(baseline, current, alpha)
     assume(expected is not None)
     assert detect_statistical(baseline, current, alpha) == expected
+
+
+def fraction_decision(baseline, current, alpha):
+    """The statistical rule in textbook form on Fractions: the gate on the
+    baseline mean's upper confidence bound, then the pooled t-test or
+    mean-centered Levene, each against the same float critical values."""
+    b, c = [Fraction(x) for x in baseline], [Fraction(x) for x in current]
+    n_b, n_c, nu = len(b), len(c), len(b) + len(c) - 2
+
+    def mean(xs):
+        return sum(xs) / len(xs)
+
+    def ss(xs):
+        m = mean(xs)
+        return sum((x - m) ** 2 for x in xs)
+
+    diff = mean(c) - mean(b)
+    if ss(b) == 0:
+        return diff > 0
+    z = Fraction(normal_upper_quantile(MPAR_ALPHA))
+    if diff <= 0 or diff ** 2 <= z ** 2 * ss(b) / (n_b - 1) / n_b:
+        return False
+    q2 = Fraction(student_t_quantile(1.0 - alpha / 2.0, nu)) ** 2
+    t2 = diff ** 2 / ((ss(b) + ss(c)) / nu * (Fraction(1, n_b) + Fraction(1, n_c)))
+    devs = [[abs(x - m) for x in g] for g, m in ((b, mean(b)), (c, mean(c)))]
+    grand = mean(devs[0] + devs[1])
+    within = sum(ss(d) for d in devs)
+    w = (nu * sum(len(d) * (mean(d) - grand) ** 2 for d in devs) / within
+         if within else 0)
+    return t2 > q2 or w > q2
+
+
+BIG = 10 ** 12                  # counts whose squares pass 2**53
+
+
+def with_decision_examples(test):
+    for args in [([0, 1, 2, 3, 4, 5, 6, 7], [20, 20], 0.05),    # constant current, D_c = 0
+                 ([0, 2] * 4, [2, 2], 0.05),                    # Levene's 0/0
+                 ([5] * 8, [5, 6], 0.05),                       # degenerate baseline
+                 # near 10**12: the t-test fires; Levene fires; neither does
+                 ([BIG + i % 5 for i in range(30)], [BIG + 3, BIG + 7, BIG + 4], 0.05),
+                 ([BIG + i % 3 for i in range(30)], [BIG + x for x in [0, 6] + [1] * 7 + [6]],
+                  0.05),
+                 ([BIG + i % 3 for i in range(30)], [BIG + x for x in [1] * 8 + [6, 0]], 0.05)]:
+        test = example(*args)(test)
+    return test
+
+
+@with_decision_examples
+@settings(max_examples=300, deadline=None)
+@given(**DECISIONS)
+def test_statistical_decision_matches_fraction_oracle(baseline, current, alpha):
+    assert detect_statistical(baseline, current, alpha) == fraction_decision(
+        baseline, current, alpha)
+
+
+@pytest.mark.slow
+@with_decision_examples
+@settings(max_examples=5000, deadline=None)
+@given(**DECISIONS)
+def test_statistical_decision_matches_fraction_oracle_many(baseline, current, alpha):
+    assert detect_statistical(baseline, current, alpha) == fraction_decision(
+        baseline, current, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Sliding-window traffic monitoring and the three attack detectors.
+"""Sliding-window traffic monitoring, the three attack detectors and the
+restoration check.
 
 Approximate methods: buffer-full (the normal-operation tier l1 is at
 capacity) and the ratio rule (short-time average exceeds (1+r) times the
@@ -8,6 +9,11 @@ current mean, then a pooled t-test and Levene's test against the lagged
 baseline, flagging if either rejects.  The counts are ints, so each check
 is decided exactly on integer moments: t^2 and Levene's W against one
 critical value q^2, because F(1, nu) is t(nu)^2.
+
+Detector.run takes every stretch of slots, between episodes and during
+them: it runs the detector, the buffer and, while a filter is in place,
+the RestorationMonitor ahead to the first event, then commits each of them
+up to it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +37,7 @@ __all__ = [
     "Method",
     "DetectorConfig",
     "SlidingWindow",
+    "RestorationMonitor",
     "MPAR_ALPHA",
     "detect_ratio",
     "detect_statistical",
@@ -137,6 +144,51 @@ class SlidingWindow:
         return len(self.contents)
 
 
+class RestorationMonitor:
+    """Tracks the sustained restoration condition during a filtering episode.
+
+    Restored once the buffer backlog (net of each slot's service) has
+    stayed below l1 for ws_slots consecutive slots (w_s seconds) while the
+    traffic admitted over those slots is at most (1+r) times the frozen
+    baseline rate over w_s.  Backlog rather than raw occupancy, for the
+    same reason the buffer-full detector uses it: at coarse slot sizes one
+    slot's arrival batch can exceed l1 on its own under normal load.
+    tests/reference.py holds the rule one slot at a time.
+    """
+
+    def __init__(self, l1: int, baseline_rate: float, r: float,
+                 w_s: float, ws_slots: int):
+        self.l1 = l1
+        self.ws_slots = ws_slots
+        self.threshold_sum = (1.0 + r) * baseline_rate * w_s
+        self._admitted = SlidingWindow(ws_slots)
+        self._occ_ok = 0
+
+    def first_restored(self, backlogs: np.ndarray, admitted: np.ndarray) -> Optional[int]:
+        """The first slot of a stretch's int64 backlogs and admitted counts
+        at which restoration holds, or None; the monitor is unchanged.  The
+        low-backlog run comes from the last slot at or above l1, the
+        admitted window sums from prefix sums."""
+        n = len(admitted)
+        if self._occ_ok + n < self.ws_slots:
+            return None                         # too short a run of low backlogs
+        sums = self._admitted.pushed_sums(admitted)
+        slot = np.arange(n)
+        last_high = np.maximum.accumulate(np.where(backlogs >= self.l1, slot, -1))
+        low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
+        # a window not yet full has a NaN sum, which compares False
+        hits = ((low_run >= self.ws_slots) & (sums <= self.threshold_sum)).nonzero()[0]
+        return int(hits[0]) if len(hits) else None
+
+    def advance(self, backlogs: np.ndarray, admitted: np.ndarray) -> None:
+        """Take in the slots of a stretch that ran, as the per-slot rule
+        over each in turn would."""
+        self._admitted.extend(admitted)
+        high = (backlogs >= self.l1).nonzero()[0]
+        n = len(backlogs)
+        self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
+
+
 def detect_ratio(short_avg, long_avg, r: float):
     """Ratio rule on floats, or elementwise on arrays: short-time average strictly
     above (1+r) * long-time average; a NaN long average (not yet full) never fires."""
@@ -209,18 +261,18 @@ def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
 class Detector:
     """Per-run detection state machine over a slotted traffic feed.
 
-    Each entry point serves one phase, and each runs a stretch of slots
-    ahead.  Unfrozen, between episodes, scan() runs to the next fire.  A
-    fire freeze()s the detector: monitoring continues, but against
-    baselines pinned at the fire, so attack traffic cannot poison the
-    reference level.  Frozen, run_frozen() takes a measurement window,
-    whose fires the episode ignores, or filter slots up to the next fire;
-    unfreeze() resumes normal rotation at restoration.  The first enabled
-    method to fire is reported (priority statistical > ratio >
-    buffer-full within a slot).  The statistical method is re-evaluated
-    whenever a one-second arrival bucket completes; its baseline is the
-    block of buckets ending c seconds in the past.  tests/reference.py
-    holds the same rules one slot at a time, for both phases.
+    run() takes each stretch of slots ahead to its first event.  Unfrozen,
+    between episodes, it watches against a sliding reference: the long
+    window for the ratio rule and the block of buckets ending c seconds in
+    the past for the statistical method.  A fire freeze()s the detector:
+    monitoring continues, but against baselines pinned at the fire, so
+    attack traffic cannot poison the reference level; a measurement window
+    runs frozen with its fires ignored.  unfreeze() resumes normal
+    rotation at restoration.  The first enabled method to fire is reported
+    (priority statistical > ratio > buffer-full within a slot).  The
+    statistical method is re-evaluated whenever a one-second arrival
+    bucket completes.  tests/reference.py holds the same rules one slot at
+    a time, for both phases.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
@@ -310,142 +362,104 @@ class Detector:
             return None
         return list(islice(self.buckets, self.cfg.baseline_len))
 
-    def scan(self, arrivals: np.ndarray, buffer: BufferState,
-             service_per_slot: float) -> tuple[int, Optional[Method]]:
-        """The unfrozen detector over arrivals up to the first fire.
+    def run(self, arrivals: np.ndarray, buffer: BufferState, service_per_slot: float,
+            restoration: Optional[RestorationMonitor] = None,
+            watch: bool = True) -> tuple[int, Optional[Method], bool]:
+        """The detector, the buffer and the restoration monitor, if any,
+        over a stretch's int64 arrivals, one per slot, up to the first
+        event; each searches, then each commits up to that slot.
 
-        arrivals are the int64 aggregates of the slots from here on; the
-        buffer runs through the same slots (run_ahead, then commit).
-        Returns the slots consumed and the method that fired in the last
-        of them, or None if none fired and every slot was consumed.  The
-        ratio rule is found from whole-array prefix sums, the buffer-full
-        slot from the stretch's backlogs, and the one-second buckets from a
-        reshape-sum; the statistical method is evaluated in order at each
-        bucket boundary up to the first of those fires.  The detector and
-        the buffer are left as the per-slot rules over those slots leave
-        them.
+        In order: the first ratio hit, from whole-array prefix sums,
+        against the long window unfrozen or the pinned lambda-bar frozen;
+        the buffer run up to that slot and no further (run_ahead); the
+        first slot at which restoration holds; the first backlog at or
+        above l1 (buffer-full); then the statistical check of the last
+        ws_buckets buckets at each bucket boundary up to the earliest of
+        these, against the oldest baseline_len buckets once the deque is
+        full unfrozen, or the pinned baseline from the ws_buckets-th fresh
+        bucket on frozen.  Within a slot, statistical beats ratio, which
+        beats buffer-full, and restoration beats a fire, whose due check
+        still counts.  Without watch, in a measurement window, no fire is
+        searched for and every due check is counted; that needs a frozen
+        detector (RuntimeError otherwise).
+
+        Returns the slots run, the method that fired in the last of them
+        or None, and whether restoration held there.  The detector, the
+        buffer and the monitor are left as the per-slot rules over those
+        slots leave them.
         """
-        if self._frozen:
-            raise RuntimeError("scan runs only on an unfrozen detector")
+        frozen = self._frozen
+        if not (frozen or watch):
+            raise RuntimeError("a measurement window runs only on a frozen detector")
         cfg = self.cfg
-        n = len(arrivals)
-        if n == 0:
-            return 0, None
-        # the averages as average() rounds them: int / int and float64
-        # division agree below 2**53
-        short_avg = self.short.pushed_sums(arrivals) / self.short.capacity
-        long_avg = self.long.pushed_sums(arrivals) / self.long.capacity
-        last = n - 1                        # the last slot the scan may reach
-        ratio_at = full_at = n
-        if Method.RATIO in cfg.methods:
-            hits = detect_ratio(short_avg, long_avg, cfg.r).nonzero()[0]
+        last = len(arrivals) - 1            # the last slot the stretch may reach
+        ratio_at = full_at = len(arrivals)
+        if not frozen:
+            # the averages as average() rounds them: int / int and float64
+            # division agree below 2**53
+            long_avg = self.long.pushed_sums(arrivals) / self.long.capacity
+        if watch and Method.RATIO in cfg.methods:
+            short_avg = self.short.pushed_sums(arrivals) / self.short.capacity
+            hits = detect_ratio(short_avg, self._frozen_lambda_bar if frozen else long_avg,
+                                cfg.r).nonzero()[0]
             if len(hits):
                 ratio_at = last = int(hits[0])
         stretch = run_ahead(buffer, arrivals[:last + 1], service_per_slot)
-        if Method.BUFFER_FULL in cfg.methods:
-            hits = (stretch.backlog >= buffer.l1).nonzero()[0]
-            if len(hits):
-                full_at = last = int(hits[0])
-
-        slot_counts, new = self._bucket_sums(arrivals)
-        maxlen, base_len = self.buckets.maxlen, cfg.baseline_len
-        # the check at each new bucket is due once the deque is full, against
-        # its oldest baseline_len buckets
-        done, fired = self._first_fire(
-            new, max(0, maxlen - len(self.buckets) - 1),
-            lambda buckets, top: buckets[top - maxlen:top - maxlen + base_len],
-            ratio_at, full_at, last, True)
-        commit(buffer, stretch, done)
-
-        # the state the per-slot rules leave after `done` slots
-        self.short.extend(arrivals[:done])
-        self.long.extend(arrivals[:done])
-        ring = long_avg[:done]
-        self._lambda_bar_ring.extend(ring[~np.isnan(ring)][-self._lambda_bar_ring.maxlen:]
-                                     .tolist())
-        completed = self._hold_partial(slot_counts, done)
-        self.buckets.extend(new[max(0, completed - maxlen):completed])
-        return done, fired
-
-    def run_frozen(self, arrivals: np.ndarray,
-                   backlogged: Optional[np.ndarray] = None) -> tuple[int, Optional[Method]]:
-        """The frozen detector over a stretch's int64 arrivals, one per slot.
-
-        Filter slots come with backlogged, each slot's backlog at or above
-        l1, and run to the first fire as scan() does, against the pinned
-        lambda-bar and baseline, the statistical method from the
-        ws_buckets-th fresh bucket on.  A measurement window comes without:
-        its fires are ignored and every due check counted.  Returns the
-        slots consumed and the method that fired in the last, or None;
-        the detector is left as the per-slot rules over them leave it.
-        """
-        if not self._frozen:
-            raise RuntimeError("run_frozen runs only on a frozen detector")
-        cfg = self.cfg
-        watch = backlogged is not None
-        last = len(arrivals) - 1            # the last slot the stretch may reach
-        ratio_at = full_at = len(arrivals)
-        if watch and Method.RATIO in cfg.methods:
-            short_avg = self.short.pushed_sums(arrivals) / self.short.capacity
-            hits = detect_ratio(short_avg, self._frozen_lambda_bar, cfg.r).nonzero()[0]
-            if len(hits):
-                ratio_at = last = int(hits[0])
+        at = None if restoration is None else restoration.first_restored(stretch.backlog,
+                                                                         stretch.admitted)
+        if at is not None:
+            last = at
         if watch and Method.BUFFER_FULL in cfg.methods:
-            hits = backlogged[:last + 1].nonzero()[0]
+            # the backlog net of each slot's service, so that one coarse
+            # slot's arrival batch cannot trip it under normal load
+            hits = (stretch.backlog[:last + 1] >= buffer.l1).nonzero()[0]
             if len(hits):
                 full_at = last = int(hits[0])
 
-        slot_counts, new = self._bucket_sums(arrivals)
-        pinned = self._frozen_baseline
-        # new bucket j is the (fresh + j + 1)-th fresh one; with no pinned
-        # baseline no check is due
-        first = len(new) if pinned is None else max(0, self._ws_buckets - self._fresh_buckets - 1)
-        done, fired = self._first_fire(new, first, lambda buckets, top: pinned,
-                                       ratio_at, full_at, last, watch)
-
-        # the state the per-slot rules leave after `done` slots
-        self.short.extend(arrivals[:done])
-        completed = self._hold_partial(slot_counts, done)
-        self.buckets.extend(new[:completed])
-        self._fresh_buckets += completed
-        self._frozen_appended += completed
-        return done, fired
-
-    def _first_fire(self, new: list[int], first: int,
-                    baseline: Callable[[list[int], int], Sequence[int]],
-                    ratio_at: int, full_at: int, last: int,
-                    watch: bool) -> tuple[int, Optional[Method]]:
-        """The fire that ends a stretch, and the slots it consumes.
-
-        new are the buckets the stretch's arrivals complete; new bucket j
-        completes at slot (j + 1) * spb - fill - 1.  From bucket `first`
-        on, a statistical check of the last ws_buckets buckets against
-        baseline(buckets, top) -- buckets the deque then its new ones,
-        top one past the checked bucket -- is due at each boundary up to
-        `last`, the last slot the stretch may reach.  Every due check
-        counts; with watch, the first positive fires.  Otherwise the
-        ratio rule fires if its first hit is at `last`, then buffer-full
-        if its first hit is; ratio_at and full_at are past `last` for no
-        hit.
-        """
+        done = last + 1
+        fired = (Method.RATIO if last == ratio_at else
+                 Method.BUFFER_FULL if last == full_at else None)
+        # new bucket j completes at slot (j + 1) * spb - fill - 1
+        slot_counts, new = self._bucket_sums(arrivals[:done])
         spb, fill, ws = self._slots_per_bucket, self._bucket_fill, self._ws_buckets
-        due = range(first, (last + fill + 1) // spb)
-        if Method.STATISTICAL in self.cfg.methods and due:
-            held = len(self.buckets)
+        held, maxlen, base_len = len(self.buckets), self.buckets.maxlen, cfg.baseline_len
+        pinned = self._frozen_baseline
+        if not frozen:
+            first = max(0, maxlen - held - 1)   # the first new bucket that fills the deque
+        elif pinned is None:
+            first = len(new)                    # no baseline was pinned: nothing is due
+        else:
+            first = max(0, ws - self._fresh_buckets - 1)
+        due = range(first, len(new))
+        if Method.STATISTICAL in cfg.methods and due:
             buckets = list(self.buckets) + new
             for j in due:
-                top = held + j + 1
+                top = held + j + 1              # one past the checked bucket
+                baseline = pinned if frozen else buckets[top - maxlen:top - maxlen + base_len]
                 self.stat_checks += 1
-                if detect_statistical(baseline(buckets, top), buckets[top - ws:top],
-                                      self.cfg.alpha):
+                if detect_statistical(baseline, buckets[top - ws:top], cfg.alpha):
                     self.stat_positives += 1
                     if watch:
-                        return (j + 1) * spb - fill, Method.STATISTICAL
-        if last == ratio_at:
-            return last + 1, Method.RATIO
-        if last == full_at:
-            return last + 1, Method.BUFFER_FULL
-        return last + 1, None
+                        done, fired = (j + 1) * spb - fill, Method.STATISTICAL
+                        break
+        restored = at == done - 1
+
+        commit(buffer, stretch, done)
+        if restoration is not None and not restored:
+            restoration.advance(stretch.backlog[:done], stretch.admitted[:done])
+        # the state the per-slot rules leave after `done` slots
+        self.short.extend(arrivals[:done])
+        completed = self._hold_partial(slot_counts, done)
+        self.buckets.extend(new[max(0, completed - maxlen):completed])
+        if frozen:
+            self._fresh_buckets += completed
+            self._frozen_appended += completed
+        else:
+            self.long.extend(arrivals[:done])
+            ring = long_avg[:done]
+            self._lambda_bar_ring.extend(ring[~np.isnan(ring)][-self._lambda_bar_ring.maxlen:]
+                                         .tolist())
+        return done, fired, restored
 
     def _bucket_sums(self, arrivals: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The partial bucket's count, then arrivals, one per slot; and the

@@ -1,17 +1,16 @@
 """End-to-end scenario execution and batch aggregation.
 
-run_once drives the whole pipeline for one seed as a loop over two kinds
-of stretch, each run ahead to its next event.  Between episodes the
-buffer and the detector run on the slot totals to the next fire
-(Detector.scan).  A fire freezes the detector, and every slot from then
-to restoration runs in frozen stretches (frozen_stretch): a measurement
-window of w_s, whose fires are ignored and whose traffic is then
-classified and filtered, and filter slots up to the next fire.  That
-fire means the residual traffic still looks abnormal, so the pipeline
-re-measures and widens the block set; a false alarm just before the
-attack cannot blind the run, and a partial first classification is
-progressively repaired.  Restoration releases the filter and resumes
-normal baseline rotation.
+run_once drives the whole pipeline for one seed as a loop over stretches
+of slots, each run ahead to its next event by Detector.run.  Between
+episodes the buffer and the detector run on the slot totals to the next
+fire.  A fire freezes the detector, and every slot from then to
+restoration runs frozen: a measurement window of w_s, whose fires are
+ignored and whose traffic is then classified and filtered, and filter
+slots up to the next fire.  That fire means the residual traffic still
+looks abnormal, so the pipeline re-measures and widens the block set; a
+false alarm just before the attack cannot blind the run, and a partial
+first classification is progressively repaired.  Restoration releases
+the filter and resumes normal baseline rotation.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .buffer import BufferState, commit, run_ahead
-from .detector import Detector, DetectorConfig, Method, SlidingWindow
+from .buffer import BufferState
+from .detector import Detector, DetectorConfig, Method, RestorationMonitor
 from .identifier import (apply_filter, estimate_attack_rate, identify_by_history,
                          identify_greedy, measure_per_source)
 from .stats import sample_mean, sample_stddev, student_t_quantile
@@ -37,8 +36,6 @@ __all__ = [
     "run_once",
     "run_batch",
     "sweep_window",
-    "RestorationMonitor",
-    "frozen_stretch",
 ]
 
 # numeric RunMetrics fields aggregated by run_batch
@@ -84,51 +81,6 @@ class BatchStats:
     metrics: dict[str, MetricSummary]
 
 
-class RestorationMonitor:
-    """Tracks the sustained restoration condition during a filtering episode.
-
-    Restored once the buffer backlog (net of each slot's service) has
-    stayed below l1 for ws_slots consecutive slots (w_s seconds) while the
-    traffic admitted over those slots is at most (1+r) times the frozen
-    baseline rate over w_s.  Backlog rather than raw occupancy, for the
-    same reason the buffer-full detector uses it: at coarse slot sizes one
-    slot's arrival batch can exceed l1 on its own under normal load.
-    tests/reference.py holds the rule one slot at a time.
-    """
-
-    def __init__(self, l1: int, baseline_rate: float, r: float,
-                 w_s: float, ws_slots: int):
-        self.l1 = l1
-        self.ws_slots = ws_slots
-        self.threshold_sum = (1.0 + r) * baseline_rate * w_s
-        self._admitted = SlidingWindow(ws_slots)
-        self._occ_ok = 0
-
-    def first_restored(self, backlogs: np.ndarray, admitted: np.ndarray) -> Optional[int]:
-        """The first slot of a stretch's int64 backlogs and admitted counts
-        at which restoration holds, or None; the monitor is unchanged.  The
-        low-backlog run comes from the last slot at or above l1, the
-        admitted window sums from prefix sums."""
-        n = len(admitted)
-        if self._occ_ok + n < self.ws_slots:
-            return None                         # too short a run of low backlogs
-        sums = self._admitted.pushed_sums(admitted)
-        slot = np.arange(n)
-        last_high = np.maximum.accumulate(np.where(backlogs >= self.l1, slot, -1))
-        low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
-        # a window not yet full has a NaN sum, which compares False
-        hits = ((low_run >= self.ws_slots) & (sums <= self.threshold_sum)).nonzero()[0]
-        return int(hits[0]) if len(hits) else None
-
-    def advance(self, backlogs: np.ndarray, admitted: np.ndarray) -> None:
-        """Take in the slots of a stretch that ran, as the per-slot rule
-        over each in turn would."""
-        self._admitted.extend(admitted)
-        high = (backlogs >= self.l1).nonzero()[0]
-        n = len(backlogs)
-        self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
-
-
 def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
     """Reject a scenario and detector pair that cannot run as specified."""
     scenario.validate()
@@ -140,29 +92,6 @@ def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
         warmup = cfg.c + cfg.baseline_len
         if warmup >= scenario.t_star:
             raise ValueError("statistical baseline warm-up must finish before t_star")
-
-
-def frozen_stretch(det: Detector, buf: BufferState,
-                   restoration: Optional[RestorationMonitor], arrivals: np.ndarray,
-                   service_per_slot: float, filtering: bool) -> tuple[int, Optional[Method], bool]:
-    """The frozen detector, the buffer and the restoration monitor, if any,
-    over int64 arrivals, one per slot, up to restoration or, when
-    filtering, a fire: each searches, then commits up to that slot.
-    Restoration beats a fire in its slot, whose due check still counts.
-    Returns the slots run, what fired in the last, and if it restored."""
-    stretch = run_ahead(buf, arrivals, service_per_slot)
-    at = None if restoration is None else restoration.first_restored(stretch.backlog,
-                                                                     stretch.admitted)
-    end = len(arrivals) if at is None else at + 1
-    # buffer-full watches the backlog net of each slot's service, so that
-    # one coarse slot's arrival batch cannot trip it under normal load
-    ran, fired = det.run_frozen(arrivals[:end],
-                                stretch.backlog[:end] >= buf.l1 if filtering else None)
-    commit(buf, stretch, ran)
-    restored = at == ran - 1
-    if restoration is not None and not restored:
-        restoration.advance(stretch.backlog[:ran], stretch.admitted[:ran])
-    return ran, fired, restored
 
 
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
@@ -206,35 +135,32 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     n_slots = scenario.n_slots
     elapsed = 0                                # slots done
     while elapsed < n_slots:
+        # one stretch: between episodes to the next fire or the end of the
+        # run, a window to its end, filter slots w_s ahead and on while
+        # nothing happens; a slot serves under service + 1 packets, so
+        # buffer-full ends the phase on the next one at this occupancy
         if phase == "monitor":
-            # nothing is split or filtered between episodes: run ahead on
-            # the slot totals to the next fire, or to the end of the run
-            ran, fired = det.scan(stream.totals[elapsed:], buf, service)
-            elapsed += ran
-            restored = False
+            stop = n_slots
+        elif phase == "measure":
+            stop = min(window_end, n_slots)
+        elif Method.BUFFER_FULL in detector_cfg.methods and buf.occupancy - service >= buf.l1:
+            stop = elapsed + 1
         else:
-            # a window runs to its end, filter slots w_s ahead and on while
-            # nothing happens; a slot serves under service + 1 packets, so
-            # buffer-full ends the phase on the next one at this occupancy
-            if phase == "measure":
-                stop = min(window_end, n_slots)
-            elif Method.BUFFER_FULL in detector_cfg.methods and buf.occupancy - service >= buf.l1:
-                stop = elapsed + 1
-            else:
-                stop = min(elapsed + ws_slots, n_slots)
-            if blocked is None:
-                # the first window of an episode, unfiltered
-                arrivals = stream.totals[elapsed:stop]
-            else:
-                ids, bounds = stream.slots(elapsed, stop)
-                # each slot's unblocked packets: the packets before each of
-                # its bounds less the blocked ones, counted by one search
-                arrivals = np.diff(bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds))
-            ran, fired, restored = frozen_stretch(det, buf, restoration, arrivals, service,
-                                                  phase == "filter")
-            elapsed += ran
-            if elapsed < stop:
-                stream.rewind(elapsed)
+            stop = min(elapsed + ws_slots, n_slots)
+        if blocked is None:
+            # nothing is split or filtered between episodes, nor in the
+            # first window of an episode
+            arrivals = stream.totals[elapsed:stop]
+        else:
+            ids, bounds = stream.slots(elapsed, stop)
+            # each slot's unblocked packets: the packets before each of
+            # its bounds less the blocked ones, counted by one search
+            arrivals = np.diff(bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds))
+        ran, fired, restored = det.run(arrivals, buf, service, restoration,
+                                       watch=phase != "measure")
+        elapsed += ran
+        if blocked is not None and elapsed < stop:
+            stream.rewind(elapsed)
 
         if restored:
             # sustained-normal condition met: release the filter

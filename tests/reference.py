@@ -3,8 +3,8 @@
 reference_run() runs a scenario one slot at a time, with the paper's
 rules as straight-line code: no run-ahead, no blocks of slots, no prefix
 sums.  tests/test_reference.py diffs run_once against it on every
-RunMetrics field, and tests/test_detector.py diffs Detector.scan,
-Detector.run_frozen and frozen_stretch against ReferenceDetector.
+RunMetrics field, and tests/test_detector.py diffs Detector.run, the one
+stretch of every phase, against ReferenceDetector, step() and update().
 
 The traffic is CountVectorSplit: the Poisson totals drawn as
 TrafficStream draws them, and a slot's per-source counts from one split
@@ -25,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from ddossim.buffer import BufferState
-from ddossim.detector import (DetectorConfig, Method, SlidingWindow, detect_ratio,
-                              detect_statistical)
-from ddossim.harness import RestorationMonitor, RunMetrics, check_configs
+from ddossim.detector import (DetectorConfig, Method, RestorationMonitor, SlidingWindow,
+                              detect_ratio, detect_statistical)
+from ddossim.harness import RunMetrics, check_configs
 from ddossim.identifier import (estimate_attack_rate, identify_by_history, identify_greedy,
                                 measure_per_source)
 from ddossim.traffic import ScenarioConfig, slots_in

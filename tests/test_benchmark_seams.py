@@ -5,10 +5,10 @@ skips any call site it cannot find, so a refactor that renames or moves
 one would quietly zero that layer's metrics; a changed signature would
 instead turn every traced run into a failed one.  perfbench/ is only read.
 
-The seams of the per-slot functions that frozen stretches replaced
+The seams of the per-slot functions that stretches replaced
 (traffic.slot, buffer.step, detector.observe, harness.restoration_update)
-are not found, and the stretch code has no seam of its own yet, so its
-time is billed to run_once itself.  The statistical check is one seam,
+are not found, and the stretch, Detector.run, has no seam of its own yet,
+so its time is billed to run_once itself.  The statistical check is one seam,
 detector.detect_statistical: it decides on exact integer moments and
 calls into stats for nothing but its cached critical value, so the
 stats.* seams (t_test_pooled, levene_test, upper_conf_bound,

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from ddossim.buffer import BufferState
 from ddossim.detector import (ALL_METHODS, MPAR_ALPHA, Detector, DetectorConfig, Method,
-                              SlidingWindow, detect_ratio, detect_statistical)
-from ddossim.harness import RestorationMonitor, frozen_stretch
+                              RestorationMonitor, SlidingWindow, detect_ratio,
+                              detect_statistical)
 from ddossim.stats import normal_upper_quantile, student_t_quantile
 from reference import ReferenceDetector, ReferenceRestorationMonitor, ReferenceWindow, step
 
@@ -75,7 +75,7 @@ def test_ratio_boundary_is_strict():
     assert detect_ratio(1601, 1000, 0.6)
     assert not detect_ratio(1600, 1000, 0.6)
     assert not detect_ratio(100, 0, 0.6)     # warm-up guard
-    # the array form scan() uses: the same cases elementwise, plus a NaN
+    # the array form run() uses: the same cases elementwise, plus a NaN
     # long average, a window not yet full
     short = np.array([1601.0, 1600.0, 100.0, 100.0])
     long = np.array([1000.0, 1000.0, 0.0, np.nan])
@@ -109,10 +109,10 @@ def test_detect_buffer_thresholds():
     assert buf.post_service_occupancy == 30_040
     # no buffer state given: the method cannot fire
     assert ref.observe(0) is None
-    # scan() stops at the first of those fires; frozen, a filter stretch
+    # run() stops at the first of those fires; frozen, a filter stretch
     # fires on each slot after it
     det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=30_000)
-    assert det.scan(np.array([a for a, _ in feed]), buf, 0.0) == (3, Method.BUFFER_FULL)
+    assert det.run(np.array([a for a, _ in feed]), buf, 0.0) == (3, Method.BUFFER_FULL, False)
     det.freeze()
     assert filter_slots(det, buf, 0.0, [a for a, _ in feed[3:]]) == [Method.BUFFER_FULL] * 2
 
@@ -306,7 +306,7 @@ def buffer_fields(buf):
 
 def observed(det, buf, service, arrivals):
     """The reference's observe() loop, each slot stepped through buf first:
-    (slots consumed, method) at the first fire, as scan() returns it."""
+    (slots consumed, method) at the first fire, as run() returns them."""
     for n, v in enumerate(arrivals, 1):
         step(buf, v, service)
         fired = det.observe(v, buf)
@@ -316,12 +316,12 @@ def observed(det, buf, service, arrivals):
 
 
 def scanned(det, buf, service, arrivals):
-    """scan() the unfrozen detector over all of arrivals, fires and all,
-    starting a new scan after each fire: the method of each fire."""
+    """run() the unfrozen detector over all of arrivals, fires and all,
+    starting a new stretch after each fire: the method of each fire."""
     rest = np.asarray(arrivals, dtype=np.int64)
     fires = []
     while len(rest):
-        n, fired = det.scan(rest, buf, service)
+        n, fired, _ = det.run(rest, buf, service)
         rest = rest[n:]
         if fired is not None:
             fires.append(fired)
@@ -329,20 +329,19 @@ def scanned(det, buf, service, arrivals):
 
 
 def filter_slots(det, buf, service, arrivals):
-    """The frozen Detector over filter slots, a one-slot frozen stretch
-    each, buf run through it: what each slot fired."""
-    return [frozen_stretch(det, buf, None, np.array([v], dtype=np.int64), service, True)[1]
-            for v in arrivals]
+    """The frozen Detector over filter slots, a one-slot stretch each, buf
+    run through it: what each slot fired."""
+    return [det.run(np.array([v], dtype=np.int64), buf, service)[1] for v in arrivals]
 
 
-def reference_stretch(ref, buf, mon, arrivals, service, filtering):
-    """frozen_stretch() one slot at a time: step, observe() and the
-    restoration monitor's update(), up to restoration or, when filtering,
-    a fire; (slots run, what fired in the last, whether restored)."""
+def reference_stretch(ref, buf, mon, arrivals, service, watch):
+    """run() one slot at a time: step, observe() and the restoration
+    monitor's update(), up to restoration or, when watched, a fire; (slots
+    run, what fired in the last, whether restored)."""
     for n, v in enumerate(arrivals, 1):
         admitted = step(buf, v, service)
         fired = ref.observe(v, buf)
-        if not filtering:
+        if not watch:
             fired = None                # a measurement window ignores its fires
         if mon is not None and mon.update(buf.post_service_occupancy, admitted):
             return n, fired, True
@@ -353,7 +352,7 @@ def reference_stretch(ref, buf, mon, arrivals, service, filtering):
 
 class Twins:
     """A Detector and a ReferenceDetector fed the same slots, each with its
-    own copy of a buffer: the detector through the stretch of its phase,
+    own copy of a buffer: the detector a stretch at a time through run(),
     the reference one observe() at a time."""
 
     def __init__(self, cfg, slot_dt, buf, service):
@@ -362,7 +361,7 @@ class Twins:
         self.service = service
 
     def monitor(self, arrivals):
-        """Unfrozen slots: scan() to the end of them, and observe() each."""
+        """Unfrozen slots: run() to the end of them, and observe() each."""
         scanned(self.det, self.buf, self.service, arrivals)
         for v in arrivals:
             step(self.ref_buf, v, self.service)
@@ -370,8 +369,8 @@ class Twins:
 
     def measure(self, arrivals):
         """A frozen stretch whose fires are ignored, and observe() each slot."""
-        assert frozen_stretch(self.det, self.buf, None, np.array(arrivals, dtype=np.int64),
-                              self.service, False) == (len(arrivals), None, False)
+        assert self.det.run(np.array(arrivals, dtype=np.int64), self.buf, self.service,
+                            watch=False) == (len(arrivals), None, False)
         reference_stretch(self.ref, self.ref_buf, None, arrivals, self.service, False)
 
     def filter_slot(self, v):
@@ -398,17 +397,17 @@ class Twins:
 
 def first_fire(cfg, aggregates, buf=None, service=0.0):
     """(slots elapsed, method) at the first fire of a fresh detector, or
-    (None, None): scan() over the aggregates, which the reference's
+    (None, None): run() over the aggregates, which the reference's
     observe() loop must agree with.  buf, when given, runs through the
     same slots; without it the buffer-full method cannot fire."""
     if buf is None:
         # served faster than any slot fills it, a buffer is never backlogged
         buf, service = BufferState(l1=40, l2=160), float(max(aggregates)) + 1.0
     t = Twins(cfg, 0.1, buf, service)
-    got = t.det.scan(np.array(aggregates, dtype=np.int64), t.buf, service)
-    assert got == observed(t.ref, t.ref_buf, service, aggregates)
+    ran, fired, restored = t.det.run(np.array(aggregates, dtype=np.int64), t.buf, service)
+    assert (ran, fired) == observed(t.ref, t.ref_buf, service, aggregates) and not restored
     t.assert_same()
-    return got if got[1] is not None else (None, None)
+    return (ran, fired) if fired is not None else (None, None)
 
 
 def test_config_validation():
@@ -550,15 +549,17 @@ def test_freeze_and_unfreeze_need_the_other_phase():
 
 
 # ---------------------------------------------------------------------------
-# scan: the unfrozen detector run ahead to the next fire
+# run, unfrozen: the monitor stretch run ahead to the next fire
 # ---------------------------------------------------------------------------
 
 def assert_scan_matches_observe(t, arrivals):
-    """Scan the twins' detector; compare with the reference's observe() slot
-    by slot, then through a freeze() and a few filter slots."""
+    """Run the twins' unfrozen detector over a stretch; compare with the
+    reference's observe() slot by slot, then through a freeze() and a few
+    filter slots."""
     t.assert_same()
-    got = t.det.scan(np.array(arrivals, dtype=np.int64), t.buf, t.service)
-    assert got == observed(t.ref, t.ref_buf, t.service, arrivals)
+    ran, fired, restored = t.det.run(np.array(arrivals, dtype=np.int64), t.buf, t.service)
+    got = ran, fired
+    assert got == observed(t.ref, t.ref_buf, t.service, arrivals) and not restored
     t.assert_same()
     t.freeze()
     t.assert_same()
@@ -638,15 +639,8 @@ def test_scan_ratio_boundary_is_strict():
     assert got == (5, Method.RATIO)
 
 
-def test_scan_needs_an_unfrozen_detector():
-    det = Detector(make_cfg(), slot_dt=0.1)
-    det.freeze()
-    with pytest.raises(RuntimeError):
-        det.scan(np.zeros(5, dtype=np.int64), BufferState(l1=40, l2=160), 8.0)
-
-
 # ---------------------------------------------------------------------------
-# run_frozen: measurement stretches on the frozen detector
+# run, frozen: measurement stretches on the frozen detector
 # ---------------------------------------------------------------------------
 
 def warmed_twins(draw):
@@ -712,24 +706,17 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
         assert det.stat_checks == 0
 
 
-def test_observe_needs_a_frozen_detector():
-    # one observed filter slot, on an unfrozen detector
-    det = Detector(make_cfg(), slot_dt=0.1)
-    with pytest.raises(RuntimeError):
-        det.run_frozen(np.full(1, 5, dtype=np.int64), np.zeros(1, dtype=bool))
-    assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
-
-
 def test_run_frozen_needs_a_frozen_detector():
     # a measurement window, on an unfrozen detector
-    det = Detector(make_cfg(), slot_dt=0.1)
+    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160)
     with pytest.raises(RuntimeError):
-        det.run_frozen(np.zeros(5, dtype=np.int64))
+        det.run(np.zeros(5, dtype=np.int64), buf, 8.0, watch=False)
     assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
+    assert buffer_fields(buf) == buffer_fields(BufferState(l1=40, l2=160))
 
 
 # ---------------------------------------------------------------------------
-# frozen_stretch: an episode's measurement windows and filter slots
+# run through an episode: monitor, measurement windows, filter slots, monitor
 # ---------------------------------------------------------------------------
 
 def monitor_state(mon):
@@ -739,30 +726,54 @@ def monitor_state(mon):
 @st.composite
 def episode_cases(draw):
     """Warmed twins, a restoration threshold from a tenth of a packet to
-    forty packets a slot, and the arrivals of up to eight stretches."""
+    forty packets a slot, the arrivals of up to eight stretches, and a
+    monitor stretch after the episode."""
     t = warmed_twins(draw)
     per_slot = draw(st.sampled_from([0.1, 1.0, 4.0, 40.0]))
-    return t, per_slot, draw(st.lists(aggregate_feeds(3, min_segments=1), min_size=1, max_size=8))
+    feeds = draw(st.lists(aggregate_feeds(3, min_segments=1), min_size=1, max_size=8))
+    return t, per_slot, feeds, draw(aggregate_feeds(3, min_segments=1))
 
 
+def episode_example(per_slot, feeds):
+    """An episode case on 1-slot buckets: w_s 2, the ratio rule against a
+    pinned lambda-bar of 2 (a ratio hit at a short sum above 6.4), and a
+    statistical baseline of alternating 0 and 4, against which a current
+    mean of 4 or 5 passes the gate but neither test.  The monitor stretch
+    after it ends at a ratio fire against the long window."""
+    t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8), 1.0,
+              BufferState(l1=10, l2=30), 8.0)
+    t.monitor([0, 4] * 10)
+    return t, per_slot, feeds, [0, 0, 9, 9, 0]
+
+
+@example(episode_example(
+    # after the window, the ratio hits on the filter stretch's second slot,
+    # whose admitted sum 10 is above the threshold sum 3.2; restoration
+    # would hold on its fourth: the stretch ends, unrestored, at the ratio
+    1.0, [[4, 4], [5, 5, 0, 0, 0]]))
+@example(episode_example(
+    # the ratio hit and restoration (admitted sum 8 under 12.8) on the same
+    # slot, where the statistical check of [4, 4] is due: restoration wins
+    4.0, [[4, 4], [4, 4, 4]]))
 @settings(max_examples=300, deadline=None)
 @given(episode_cases())
 def test_frozen_stretch_matches_reference(case):
     # an episode as run_once runs it: freeze(); a measurement window of w_s
     # slots, unwatched by restoration the first time; rearm() and filter
     # stretches up to a fire, which opens another window; unfreeze() at
-    # restoration, or after the last stretch.  Each window and each filter
-    # phase is cut into stretches of the drawn lengths, so phases continue
-    # across stretches.  The reference runs the same slots one at a time
-    t, per_slot, feeds = case
+    # restoration, or after the last stretch; then a monitor stretch.  Each
+    # window and each filter phase is cut into stretches of the drawn
+    # lengths, so phases continue across stretches.  The reference runs the
+    # same slots one at a time
+    t, per_slot, feeds, after = case
     ws, slot_dt = t.det.short.capacity, 1 / t.det._slots_per_bucket
     mon = ref_mon = None
     t.freeze()
     phase, window_left = "measure", ws
     for feed in feeds:
         arrivals = feed[:window_left] if phase == "measure" else feed
-        got = frozen_stretch(t.det, t.buf, mon, np.array(arrivals, dtype=np.int64),
-                             t.service, phase == "filter")
+        got = t.det.run(np.array(arrivals, dtype=np.int64), t.buf, t.service, mon,
+                        watch=phase == "filter")
         assert got == reference_stretch(t.ref, t.ref_buf, ref_mon, arrivals, t.service,
                                         phase == "filter")
         t.assert_same()
@@ -782,4 +793,7 @@ def test_frozen_stretch_matches_reference(case):
         elif fired is not None:
             phase, window_left = "measure", ws
     t.unfreeze()
+    t.assert_same()
+    assert t.det.run(np.array(after, dtype=np.int64), t.buf, t.service) == reference_stretch(
+        t.ref, t.ref_buf, None, after, t.service, True)
     t.assert_same()

@@ -9,8 +9,11 @@ ignored and whose traffic is then classified and filtered, and filter
 slots up to the next fire.  That fire means the residual traffic still
 looks abnormal, so the pipeline re-measures and widens the block set; a
 false alarm just before the attack cannot blind the run, and a partial
-first classification is progressively repaired.  Restoration releases
-the filter and resumes normal baseline rotation.
+first classification is progressively repaired.  When a classification
+leaves the occupancy a slot's service above l1, buffer-full fires on the
+next slot and nothing can fire first, so that fire is recorded at once
+and its slot runs in one stretch with the window it opens.  Restoration
+releases the filter and resumes normal baseline rotation.
 """
 
 from __future__ import annotations
@@ -135,24 +138,22 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     n_slots = scenario.n_slots
     elapsed = 0                                # slots done
     while elapsed < n_slots:
-        # one stretch: between episodes to the next fire or the end of the
-        # run, a window to its end, filter slots w_s ahead and on while
-        # nothing happens; a slot serves under service + 1 packets, so
-        # buffer-full ends the phase on the next one at this occupancy
+        # one stretch from slot lo: between episodes to the next fire or
+        # the end of the run, a window to its end, filter slots w_s ahead
+        # and on while nothing happens
+        lo = elapsed
         if phase == "monitor":
             stop = n_slots
         elif phase == "measure":
             stop = min(window_end, n_slots)
-        elif Method.BUFFER_FULL in detector_cfg.methods and buf.occupancy - service >= buf.l1:
-            stop = elapsed + 1
         else:
-            stop = min(elapsed + ws_slots, n_slots)
+            stop = min(lo + ws_slots, n_slots)
         if blocked is None:
             # nothing is split or filtered between episodes, nor in the
             # first window of an episode
-            arrivals = stream.totals[elapsed:stop]
+            arrivals = stream.totals[lo:stop]
         else:
-            ids, bounds = stream.slots(elapsed, stop)
+            ids, bounds = stream.slots(lo, stop)
             # each slot's unblocked packets: the packets before each of
             # its bounds less the blocked ones, counted by one search
             arrivals = np.diff(bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds))
@@ -173,49 +174,62 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             phase = "monitor"
             continue
 
-        if phase == "measure":
-            if elapsed == window_end:
-                # a window runs as one stretch from the fire, and only one
-                # that is classified has its packets split or filtered
-                window = (stream.slots(fire, window_end)[0] if blocked is None
-                          else apply_filter(blocked, ids))
-                m = measure_per_source(np.bincount(window, minlength=stream.n_sources),
-                                       detector_cfg.w_s)
-                total_rate = len(window) / detector_cfg.w_s
-                budget = estimate_attack_rate(total_rate, baseline_rate)
-                if id_method == "history":
-                    # legal sources are active from slot 0, attackers from
-                    # the onset; exempt those active c before the fire
-                    active_from = np.where(truth_attackers, onset, 0)
-                    pre_active = active_from <= fire - c_slots
-                    suspects = identify_by_history(m, pre_active, budget)
-                else:
-                    suspects = identify_greedy(m, budget)
-                if blocked is None:
-                    blocked = suspects
-                    restoration = RestorationMonitor(scenario.l1, baseline_rate,
-                                                     detector_cfg.r,
-                                                     detector_cfg.w_s, ws_slots)
-                else:
-                    # re-measurement of residual traffic: widen the block set
-                    blocked = blocked | suspects
-                if episode_primary and first_blocked is None:
-                    first_blocked = blocked
-                det.rearm()
-                phase = "filter"
-        elif fired is not None:
+        fired_at = elapsed                     # slots elapsed at a fire
+        if phase == "measure" and elapsed == window_end:
+            # a window runs to its end in one stretch, from the fire or
+            # from a forced fire's slot, and only one that is classified
+            # has its packets split or filtered
+            window = (stream.slots(fire, window_end)[0] if blocked is None
+                      else apply_filter(blocked, ids[bounds[fire - lo]:]))
+            m = measure_per_source(np.bincount(window, minlength=stream.n_sources),
+                                   detector_cfg.w_s)
+            total_rate = len(window) / detector_cfg.w_s
+            budget = estimate_attack_rate(total_rate, baseline_rate)
+            if id_method == "history":
+                # legal sources are active from slot 0, attackers from
+                # the onset; exempt those active c before the fire
+                active_from = np.where(truth_attackers, onset, 0)
+                pre_active = active_from <= fire - c_slots
+                suspects = identify_by_history(m, pre_active, budget)
+            else:
+                suspects = identify_greedy(m, budget)
+            if blocked is None:
+                blocked = suspects
+                restoration = RestorationMonitor(scenario.l1, baseline_rate,
+                                                 detector_cfg.r,
+                                                 detector_cfg.w_s, ws_slots)
+            else:
+                # re-measurement of residual traffic: widen the block set
+                blocked = blocked | suspects
+            if episode_primary and first_blocked is None:
+                first_blocked = blocked
+            det.rearm()
+            phase = "filter"
+            # a slot serves fewer than service + 1 packets, so with the
+            # occupancy service or more above l1 the next slot's backlog is
+            # at least l1: restoration cannot hold there and buffer-full
+            # fires.  Nothing fires before it: rearm emptied the short
+            # window, which one slot refills only when w_s is one slot, and
+            # restarted the fresh buckets, of which a statistical check
+            # needs at least two.  That slot and the window it opens run
+            # as one stretch.
+            if (elapsed < n_slots and Method.BUFFER_FULL in detector_cfg.methods
+                    and buf.occupancy - buf.l1 >= service
+                    and (ws_slots > 1 or Method.RATIO not in detector_cfg.methods)):
+                fired, fired_at = Method.BUFFER_FULL, elapsed + 1
+        if fired is not None:
             # a fire in the monitor phase opens an episode; one during
             # filtering means the residual still looks abnormal, so measure
             # again and extend the block set
             if phase == "monitor":
                 det.freeze()
                 baseline_rate = det.baseline_lambda_bar() / dt
-                if elapsed < onset:
+                if fired_at < onset:
                     false_alarms += 1
             if fired is Method.RATIO:
                 ratio_fires += 1
-            if elapsed >= onset and detection_time is None:
-                latency = elapsed - onset
+            if fired_at >= onset and detection_time is None:
+                latency = fired_at - onset
                 if fired is Method.STATISTICAL:
                     # a statistical fire is raised when its one-second
                     # arrival sample completes; latency counts from the
@@ -224,8 +238,8 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 detection_time = latency / per_second
                 detection_method = fired.value
                 episode_primary = True
-            fire = elapsed
-            window_end = elapsed + ws_slots
+            fire = fired_at
+            window_end = fired_at + ws_slots
             phase = "measure"
 
     correct = wrong = 0

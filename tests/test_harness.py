@@ -120,6 +120,27 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     assert durations and all(d == det.w_s for d in durations)
 
 
+def test_forced_refire_shares_the_window_stretch(monkeypatch):
+    # a classification that leaves the occupancy a slot's service above l1
+    # is followed by a buffer-full fire on the next slot: that slot runs in
+    # one unwatched stretch with the window it opens, never as a watched
+    # one-slot stretch under the restoration monitor
+    scenario, det, idm = small_run()
+    ws_slots = det.window_slots(scenario.slot_dt)[0]
+    untraced = [run_once(scenario, det, idm, seed=s) for s in range(4)]
+    stretches = []
+    detector_run = harness.Detector.run
+
+    def counted(self, arrivals, buffer, service_per_slot, restoration=None, watch=True):
+        stretches.append((len(arrivals), watch, restoration is not None))
+        return detector_run(self, arrivals, buffer, service_per_slot, restoration, watch)
+
+    monkeypatch.setattr(harness.Detector, "run", counted)
+    assert [run_once(scenario, det, idm, seed=s) for s in range(4)] == untraced
+    assert (1, True, True) not in stretches
+    assert (1 + ws_slots, False, True) in stretches
+
+
 @pytest.mark.parametrize("preset, overrides, seed", [
     ("sim2", {}, 0),                    # history identification
     ("sim1", {}, 500),                  # greedy over 15 000 sources

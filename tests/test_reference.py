@@ -29,12 +29,15 @@ def small_runs(draw):
     """(scenario, detector config, identification method, seed) of a run of
     a few hundred to a few thousand slots: 1-30 legal and 0-30 attacking
     sources, each method subset, windows, look-back and baseline sized so
-    the warm-up ends before the onset."""
+    the warm-up ends before the onset.  Without the statistical method w_s
+    may be one slot, where the ratio rule can fire on the first slot after
+    a classification."""
     slot_dt = draw(st.sampled_from([0.1, 0.5, 1.0]))
     n_legal = draw(st.integers(1, 30))
     lambda_n = draw(st.sampled_from([0.1, 0.3, 1.0]))
     methods = draw(st.sets(st.sampled_from(ALL_METHODS), min_size=1))
-    w_s = draw(st.sampled_from([2.0, 3.0, 5.0, 10.0]))
+    one_slot = [] if Method.STATISTICAL in methods else [slot_dt]
+    w_s = draw(st.sampled_from([2.0, 3.0, 5.0, 10.0] + one_slot))
     cfg = DetectorConfig(w_s=w_s, w_l=w_s + draw(st.integers(1, 15)),
                          c=w_s + draw(st.integers(0, 10)),
                          r=draw(st.sampled_from([0.3, 0.6])),
@@ -72,10 +75,17 @@ CASE1, SIM2 = get_preset("case1"), get_preset("sim2")
 # case1 greedy seed 7 restores inside a re-measurement window; sim2 at
 # 1 s slots serves a whole 8 packets a slot; sim2 with the ratio rule
 # alone has filter phases of 321, 100, 100 and 591 slots, longer than
-# the 100-slot w_s, so a phase runs on over several frozen stretches
+# the 100-slot w_s, so a phase runs on over several frozen stretches; sim2
+# with the ratio rule and buffer-full at a one-slot w_s of 1 s, where the
+# short window refills on the first slot after a classification, so the
+# ratio rule can fire there before buffer-full
 EXAMPLES = [(CASE1.scenario, CASE1.detector, "greedy", 7),
             (dataclasses.replace(SIM2.scenario, slot_dt=1.0), SIM2.detector, SIM2.id_method, 0),
             (SIM2.scenario, dataclasses.replace(SIM2.detector, methods=(Method.RATIO,)),
+             SIM2.id_method, 0),
+            (dataclasses.replace(SIM2.scenario, slot_dt=1.0),
+             dataclasses.replace(SIM2.detector, w_s=1.0,
+                                 methods=(Method.RATIO, Method.BUFFER_FULL)),
              SIM2.id_method, 0)]
 
 

@@ -13,7 +13,11 @@ critical value q^2, because F(1, nu) is t(nu)^2.
 Detector.run takes every stretch of slots, between episodes and during
 them: it runs the detector, the buffer and, while a filter is in place,
 the RestorationMonitor ahead to the first event, then commits each of them
-up to it.
+up to it.  The history each keeps is an int64 tail of its slots: the short
+window since it was last cleared, the unfrozen slots the long window and
+its lagged level lambda-bar come from, the admitted counts restoration
+sums, and the unfinished one-second bucket.  window_sums() reads every
+window off a tail and a stretch's arrivals, from int64 prefix sums.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .traffic import require_finite, slots_in
 __all__ = [
     "Method",
     "DetectorConfig",
-    "SlidingWindow",
+    "window_sums",
     "RestorationMonitor",
     "MPAR_ALPHA",
     "detect_ratio",
@@ -99,49 +103,19 @@ class DetectorConfig:
         return ws, wl, c
 
 
-class SlidingWindow:
-    """Fixed-capacity window over per-slot aggregates with an incremental sum."""
-
-    __slots__ = ("capacity", "contents", "running_sum")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self.capacity = capacity
-        self.contents: deque[int] = deque(maxlen=capacity)
-        self.running_sum = 0
-
-    def average(self) -> float:
-        if not self.contents:
-            raise ValueError("window not warmed up")
-        return self.running_sum / len(self.contents)
-
-    def clear(self) -> None:
-        self.contents.clear()
-        self.running_sum = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        """Push each of the int64 values in turn."""
-        self.contents.extend(values[-self.capacity:].tolist())
-        self.running_sum = sum(self.contents)
-
-    def pushed_sums(self, values: np.ndarray) -> np.ndarray:
-        """running_sum after each of the int64 values is pushed in turn:
-        NaN while the window is not full, then the sum from exact int64
-        prefix sums as a float64, exact below 2**53.  The window is
-        unchanged."""
-        held, cap = len(self.contents), self.capacity
-        sums = np.full(len(values), np.nan)
-        first = max(0, cap - held - 1)         # the first value that fills the window
-        if first < len(sums):
-            values = np.concatenate((np.fromiter(self.contents, np.int64, held), values))
-            prefix = np.zeros(len(values) + 1, dtype=np.int64)
-            np.cumsum(values, out=prefix[1:])
-            sums[first:] = prefix[held + first + 1:] - prefix[held + first + 1 - cap:-cap]
-        return sums
-
-    def __len__(self) -> int:
-        return len(self.contents)
+def window_sums(tail: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """The sum of the newest `width` slots after each of the int64 values is
+    appended to the int64 tail in turn: NaN while fewer than `width` slots
+    are held, then the sum from exact int64 prefix sums as a float64, exact
+    below 2**53."""
+    held = len(tail)
+    sums = np.full(len(values), np.nan)
+    first = max(0, width - held - 1)       # the first value that fills the window
+    if first < len(sums):
+        prefix = np.zeros(held + len(values) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate((tail, values)), out=prefix[1:])
+        sums[first:] = prefix[held + first + 1:] - prefix[held + first + 1 - width:-width]
+    return sums
 
 
 class RestorationMonitor:
@@ -161,7 +135,7 @@ class RestorationMonitor:
         self.l1 = l1
         self.ws_slots = ws_slots
         self.threshold_sum = (1.0 + r) * baseline_rate * w_s
-        self._admitted = SlidingWindow(ws_slots)
+        self._admitted = np.zeros(0, dtype=np.int64)     # the last ws_slots admitted counts
         self._occ_ok = 0
 
     def first_restored(self, backlogs: np.ndarray, admitted: np.ndarray) -> Optional[int]:
@@ -172,7 +146,7 @@ class RestorationMonitor:
         n = len(admitted)
         if self._occ_ok + n < self.ws_slots:
             return None                         # too short a run of low backlogs
-        sums = self._admitted.pushed_sums(admitted)
+        sums = window_sums(self._admitted, admitted, self.ws_slots)
         slot = np.arange(n)
         last_high = np.maximum.accumulate(np.where(backlogs >= self.l1, slot, -1))
         low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
@@ -183,7 +157,7 @@ class RestorationMonitor:
     def advance(self, backlogs: np.ndarray, admitted: np.ndarray) -> None:
         """Take in the slots of a stretch that ran, as the per-slot rule
         over each in turn would."""
-        self._admitted.extend(admitted)
+        self._admitted = np.concatenate((self._admitted, admitted))[-self.ws_slots:]
         high = (backlogs >= self.l1).nonzero()[0]
         n = len(backlogs)
         self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
@@ -279,16 +253,16 @@ class Detector:
         cfg.validate()
         self.cfg = cfg
         ws, wl, c = cfg.window_slots(slot_dt)
-        self.short = SlidingWindow(ws)
-        self.long = SlidingWindow(wl)
+        self._ws_slots, self._wl_slots, self._long_slots = ws, wl, wl + c - 1
+        # the slots since the short window was last cleared, at most ws;
+        # the last wl + c - 1 unfrozen slots, of which the long window is
+        # the newest wl and lambda-bar the oldest wl; the unfinished bucket
+        self.short = self.long = self._partial = np.zeros(0, dtype=np.int64)
         self._slots_per_bucket = slots_in(1.0, slot_dt, "one second")
-        self._bucket_acc = 0
-        self._bucket_fill = 0
         # exact bucket counts whenever the statistical method is on
         self._ws_buckets = ws // self._slots_per_bucket
         self.buckets: deque[int] = deque(
             maxlen=c // self._slots_per_bucket + cfg.baseline_len)
-        self._lambda_bar_ring: deque[float] = deque(maxlen=c)
         self.stat_checks = 0
         self.stat_positives = 0
         self._frozen = False
@@ -298,18 +272,18 @@ class Detector:
         self._frozen_appended = 0
 
     def baseline_lambda_bar(self) -> float:
-        """Long-window average from c seconds back, in packets per slot.
+        """The long window as it stood c - 1 unfrozen slots ago, in packets
+        per slot: the average of the oldest wl slots of the long tail.
+        Before wl + c - 1 unfrozen slots have run, that is the first wl of
+        them, or all of them while fewer than wl; 0.0 before any.
 
         While frozen this is the value snapshotted at freeze time, so the
         attack cannot poison the reference level.
         """
         if self._frozen:
             return self._frozen_lambda_bar
-        if self._lambda_bar_ring:
-            return self._lambda_bar_ring[0]
-        if len(self.long):
-            return self.long.average()
-        return 0.0
+        oldest = self.long[:self._wl_slots]
+        return int(oldest.sum()) / len(oldest) if len(oldest) else 0.0
 
     def freeze(self) -> None:
         """Pin the baseline at its current value when an episode starts.
@@ -342,9 +316,8 @@ class Detector:
         for _ in range(min(self._frozen_appended + self._ws_buckets, len(self.buckets))):
             self.buckets.pop()
         self._frozen_appended = 0
-        self.short.clear()
-        self._bucket_acc = 0
-        self._bucket_fill = 0
+        self.short = self.short[:0]
+        self._partial = self._partial[:0]
 
     def rearm(self) -> None:
         """Require fresh post-filter traffic before the next fire.
@@ -353,8 +326,24 @@ class Detector:
         restarts the fresh-bucket count, so the excursion that caused the
         fire cannot immediately re-trigger the ratio or statistical method.
         """
-        self.short.clear()
+        self.short = self.short[:0]
         self._fresh_buckets = 0
+
+    def must_fire_next(self, buffer: BufferState, service_per_slot: float) -> bool:
+        """Whether buffer-full must fire on the next slot, right after
+        rearm(), and nothing before it.
+
+        A slot serves fewer than service_per_slot + 1 packets, so with the
+        occupancy service_per_slot or more above l1 (an exact int-to-float
+        comparison) the next slot's backlog is at least l1: restoration
+        cannot hold there and buffer-full fires.  Nothing fires first:
+        rearm() emptied the short window, which one slot refills only when
+        w_s is one slot, and restarted the fresh buckets, of which a
+        statistical check needs at least two.
+        """
+        return (Method.BUFFER_FULL in self.cfg.methods
+                and buffer.occupancy - buffer.l1 >= service_per_slot
+                and (self._ws_slots > 1 or Method.RATIO not in self.cfg.methods))
 
     def _baseline(self) -> Optional[list[int]]:
         """The oldest baseline_len buckets once the deque is full, else None."""
@@ -394,14 +383,13 @@ class Detector:
         cfg = self.cfg
         last = len(arrivals) - 1            # the last slot the stretch may reach
         ratio_at = full_at = len(arrivals)
-        if not frozen:
-            # the averages as average() rounds them: int / int and float64
-            # division agree below 2**53
-            long_avg = self.long.pushed_sums(arrivals) / self.long.capacity
         if watch and Method.RATIO in cfg.methods:
-            short_avg = self.short.pushed_sums(arrivals) / self.short.capacity
-            hits = detect_ratio(short_avg, self._frozen_lambda_bar if frozen else long_avg,
-                                cfg.r).nonzero()[0]
+            # the averages as int / int rounds them: float64 division agrees
+            # below 2**53
+            short_avg = window_sums(self.short, arrivals, self._ws_slots) / self._ws_slots
+            long_avg = (self._frozen_lambda_bar if frozen
+                        else window_sums(self.long, arrivals, self._wl_slots) / self._wl_slots)
+            hits = detect_ratio(short_avg, long_avg, cfg.r).nonzero()[0]
             if len(hits):
                 ratio_at = last = int(hits[0])
         stretch = run_ahead(buffer, arrivals[:last + 1], service_per_slot)
@@ -419,9 +407,11 @@ class Detector:
         done = last + 1
         fired = (Method.RATIO if last == ratio_at else
                  Method.BUFFER_FULL if last == full_at else None)
-        # new bucket j completes at slot (j + 1) * spb - fill - 1
-        slot_counts, new = self._bucket_sums(arrivals[:done])
-        spb, fill, ws = self._slots_per_bucket, self._bucket_fill, self._ws_buckets
+        # the unfinished bucket's slots, then the stretch's: new bucket j
+        # completes at slot (j + 1) * spb - fill - 1
+        spb, fill, ws = self._slots_per_bucket, len(self._partial), self._ws_buckets
+        slot_counts = np.concatenate((self._partial, arrivals[:done]))
+        new = slot_counts[:len(slot_counts) // spb * spb].reshape(-1, spb).sum(axis=1).tolist()
         held, maxlen, base_len = len(self.buckets), self.buckets.maxlen, cfg.baseline_len
         pinned = self._frozen_baseline
         if not frozen:
@@ -448,36 +438,13 @@ class Detector:
         if restoration is not None and not restored:
             restoration.advance(stretch.backlog[:done], stretch.admitted[:done])
         # the state the per-slot rules leave after `done` slots
-        self.short.extend(arrivals[:done])
-        completed = self._hold_partial(slot_counts, done)
+        self.short = np.concatenate((self.short, arrivals[:done]))[-self._ws_slots:]
+        completed = (fill + done) // spb
+        self._partial = slot_counts[completed * spb:fill + done]
         self.buckets.extend(new[max(0, completed - maxlen):completed])
         if frozen:
             self._fresh_buckets += completed
             self._frozen_appended += completed
         else:
-            self.long.extend(arrivals[:done])
-            ring = long_avg[:done]
-            self._lambda_bar_ring.extend(ring[~np.isnan(ring)][-self._lambda_bar_ring.maxlen:]
-                                         .tolist())
+            self.long = np.concatenate((self.long, arrivals[:done]))[-self._long_slots:]
         return done, fired, restored
-
-    def _bucket_sums(self, arrivals: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """The partial bucket's count, then arrivals, one per slot; and the
-        count of each one-second bucket that they complete, from a
-        reshape-sum."""
-        spb, fill = self._slots_per_bucket, self._bucket_fill
-        head = np.zeros(fill, dtype=np.int64)
-        if fill:
-            head[0] = self._bucket_acc
-        slot_counts = np.concatenate((head, arrivals))
-        return (slot_counts,
-                slot_counts[:len(slot_counts) // spb * spb].reshape(-1, spb).sum(axis=1).tolist())
-
-    def _hold_partial(self, slot_counts: np.ndarray, done: int) -> int:
-        """Hold the partial bucket after the first `done` arrivals of
-        _bucket_sums(); the buckets those arrivals complete."""
-        spb, fill = self._slots_per_bucket, self._bucket_fill
-        completed = (fill + done) // spb
-        self._bucket_acc = int(slot_counts[completed * spb:fill + done].sum())
-        self._bucket_fill = fill + done - completed * spb
-        return completed

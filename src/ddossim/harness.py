@@ -9,9 +9,9 @@ ignored and whose traffic is then classified and filtered, and filter
 slots up to the next fire.  That fire means the residual traffic still
 looks abnormal, so the pipeline re-measures and widens the block set; a
 false alarm just before the attack cannot blind the run, and a partial
-first classification is progressively repaired.  When a classification
-leaves the occupancy a slot's service above l1, buffer-full fires on the
-next slot and nothing can fire first, so that fire is recorded at once
+first classification is progressively repaired.  When, after a
+classification, Detector.must_fire_next finds that buffer-full fires on
+the next slot and nothing can fire first, that fire is recorded at once
 and its slot runs in one stretch with the window it opens.  Restoration
 releases the filter and resumes normal baseline rotation.
 """
@@ -205,17 +205,9 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 first_blocked = blocked
             det.rearm()
             phase = "filter"
-            # a slot serves fewer than service + 1 packets, so with the
-            # occupancy service or more above l1 the next slot's backlog is
-            # at least l1: restoration cannot hold there and buffer-full
-            # fires.  Nothing fires before it: rearm emptied the short
-            # window, which one slot refills only when w_s is one slot, and
-            # restarted the fresh buckets, of which a statistical check
-            # needs at least two.  That slot and the window it opens run
-            # as one stretch.
-            if (elapsed < n_slots and Method.BUFFER_FULL in detector_cfg.methods
-                    and buf.occupancy - buf.l1 >= service
-                    and (ws_slots > 1 or Method.RATIO not in detector_cfg.methods)):
+            # a fire certain on the next slot is recorded now, so that slot
+            # and the window it opens run as one stretch
+            if elapsed < n_slots and det.must_fire_next(buf, service):
                 fired, fired_at = Method.BUFFER_FULL, elapsed + 1
         if fired is not None:
             # a fire in the monitor phase opens an episode; one during

@@ -59,6 +59,9 @@ CASES = [
     case("sim2-ratio+buffer-ws10.5", "sim2", [0, 1, 2],
          detector={"w_s": 10.5, "methods": [R, B]}),
     *(case(f"sim2-dt{dt:g}", "sim2", FEW, scenario={"slot_dt": dt}) for dt in (0.5, 1.0)),
+    # buffer-full false-alarms before the long window fills, so lambda-bar
+    # comes from a long window that is not yet full
+    case("sim2-mu2", "sim2", FEW, scenario={"mu": 2.0}),
     case("sim1", "sim1", [0]),
     case("case3", "case3", [0]),
     case("sim1-more", "sim1", list(range(1, 9)), slow=True),

@@ -13,7 +13,9 @@ the order it runs.  Slots between episodes are not split, and uniforms
 drawn for slots past a restoration are never drawn here, so every split
 slot gets the uniforms TrafficStream's queue gives it.  step(), push()
 and update() are the per-slot rules the package runs a stretch at a
-time; the identifier and decision functions are the package's own.
+time, and ReferenceWindow and the lambda-bar ring hold as deques the
+history that the package keeps as int64 tails of its slots; the
+identifier and decision functions are the package's own.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ddossim.buffer import BufferState
-from ddossim.detector import (DetectorConfig, Method, RestorationMonitor, SlidingWindow,
-                              detect_ratio, detect_statistical)
+from ddossim.detector import DetectorConfig, Method, detect_ratio, detect_statistical
 from ddossim.harness import RunMetrics, check_configs
 from ddossim.identifier import (estimate_attack_rate, identify_by_history, identify_greedy,
                                 measure_per_source)
@@ -68,8 +69,16 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
     return admitted
 
 
-class ReferenceWindow(SlidingWindow):
-    """SlidingWindow one value at a time."""
+class ReferenceWindow:
+    """Fixed-capacity window over per-slot values, pushed one at a time,
+    with an incremental sum."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("window capacity must be >= 1")
+        self.capacity = capacity
+        self.contents: deque[int] = deque()
+        self.running_sum = 0
 
     def push(self, value: int) -> None:
         if len(self.contents) == self.capacity:
@@ -77,17 +86,32 @@ class ReferenceWindow(SlidingWindow):
         self.contents.append(value)
         self.running_sum += value
 
+    def average(self) -> float:
+        if not self.contents:
+            raise ValueError("window not warmed up")
+        return self.running_sum / len(self.contents)
+
+    def clear(self) -> None:
+        self.contents.clear()
+        self.running_sum = 0
+
     @property
     def is_full(self) -> bool:
         return len(self.contents) == self.capacity
 
+    def __len__(self) -> int:
+        return len(self.contents)
 
-class ReferenceRestorationMonitor(RestorationMonitor):
+
+class ReferenceRestorationMonitor:
     """RestorationMonitor one slot at a time: whether restoration holds."""
 
     def __init__(self, l1: int, baseline_rate: float, r: float, w_s: float, ws_slots: int):
-        super().__init__(l1, baseline_rate, r, w_s, ws_slots)
+        self.l1 = l1
+        self.ws_slots = ws_slots
+        self.threshold_sum = (1.0 + r) * baseline_rate * w_s
         self._admitted = ReferenceWindow(ws_slots)
+        self._occ_ok = 0
 
     def update(self, backlog: int, admitted: int) -> bool:
         self._admitted.push(admitted)
@@ -146,13 +170,16 @@ class CountVectorSplit:
 class ReferenceDetector:
     """The detector's rules one slot at a time, unfrozen and frozen.
 
-    Attribute names and meanings are Detector's, so a test can compare
-    the two field by field.  observe() takes one slot: the statistical
-    check when a one-second bucket completes (unfrozen against the oldest
-    baseline_len buckets once the deque is full, frozen against the
-    baseline pinned at freeze() from the ws_buckets-th fresh bucket on),
-    then the ratio rule (unfrozen against the full long window, frozen
-    against the pinned lambda-bar), then buffer-full.
+    Attribute names are Detector's where the two hold the same state;
+    tests/test_detector.py projects both onto one typed form, the short
+    and long windows and the partial bucket from Detector's int64 tails
+    and the lambda-bar ring from the wl-slices of its long tail.  observe()
+    takes one slot: the statistical check when a one-second bucket
+    completes (unfrozen against the oldest baseline_len buckets once the
+    deque is full, frozen against the baseline pinned at freeze() from the
+    ws_buckets-th fresh bucket on), then the ratio rule (unfrozen against
+    the full long window, frozen against the pinned lambda-bar), then
+    buffer-full.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):

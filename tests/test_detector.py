@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from ddossim.buffer import BufferState
 from ddossim.detector import (ALL_METHODS, MPAR_ALPHA, Detector, DetectorConfig, Method,
-                              RestorationMonitor, SlidingWindow, detect_ratio,
-                              detect_statistical)
+                              RestorationMonitor, detect_ratio, detect_statistical,
+                              window_sums)
 from ddossim.stats import normal_upper_quantile, student_t_quantile
 from reference import ReferenceDetector, ReferenceRestorationMonitor, ReferenceWindow, step
 
@@ -62,9 +62,34 @@ def test_window_average_matches_mean_at_every_step():
 
 def test_window_errors():
     with pytest.raises(ValueError):
-        SlidingWindow(0)
+        ReferenceWindow(0)
     with pytest.raises(ValueError, match="warmed up"):
-        SlidingWindow(3).average()
+        ReferenceWindow(3).average()
+
+
+@example(width=5, tail=[1, 2], values=[3, 4, 5, 6])      # shorter than width - 1
+@example(width=5, tail=[1, 2, 3, 4], values=[5, 6])      # width - 1: full at once
+@example(width=5, tail=list(range(9)), values=[9, 10])   # longer than width
+@example(width=5, tail=[1, 2, 3], values=[])
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(min_value=1, max_value=12),
+       tail=st.lists(st.integers(min_value=0, max_value=50), max_size=36),
+       values=st.lists(st.integers(min_value=0, max_value=50), max_size=20))
+def test_window_sums_match_pushes(width, tail, values):
+    # the tail pushed into a window, then each value: NaN until the window
+    # is full, then its running sum
+    win = ReferenceWindow(width)
+    for v in tail:
+        win.push(v)
+    full, running = [], []
+    for v in values:
+        win.push(v)
+        full.append(win.is_full)
+        running.append(win.running_sum)
+    got = window_sums(np.array(tail, dtype=np.int64), np.array(values, dtype=np.int64), width)
+    assert got.dtype == np.float64 and len(got) == len(values)
+    assert (~np.isnan(got)).tolist() == full
+    assert [s for s, f in zip(got.tolist(), full) if f] == [s for s, f in zip(running, full) if f]
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +309,34 @@ def test_statistical_decision_matches_fraction_oracle_many(baseline, current, al
 # detector state machine
 # ---------------------------------------------------------------------------
 
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
 def detector_state(det):
-    """Every field of a detector, with the type of each value."""
-    def typed(values):
-        return [(type(v), v) for v in values]
+    """A Detector or a ReferenceDetector in one form, with the type of each
+    value: the short window's slots; the long window's; the lambda-bar
+    averages the reference's ring holds, which for a Detector are the means
+    of the wl-slices of its long tail; the partial bucket's (sum, length);
+    and every other field."""
+    if isinstance(det, ReferenceDetector):
+        short, long = list(det.short.contents), list(det.long.contents)
+        ring = list(det._lambda_bar_ring)
+        partial = [det._bucket_acc, det._bucket_fill]
+    else:
+        wl, tail = det._wl_slots, det.long.tolist()
+        short, long = det.short.tolist(), tail[-wl:]
+        ring = [sum(tail[i:i + wl]) / wl for i in range(len(tail) - wl + 1)]
+        partial = [sum(det._partial.tolist()), len(det._partial)]
     return {
-        "short": (typed(det.short.contents), typed([det.short.running_sum])),
-        "long": (typed(det.long.contents), typed([det.long.running_sum])),
-        "ring": (typed(det._lambda_bar_ring), det._lambda_bar_ring.maxlen),
+        "short": typed(short),
+        "long": typed(long),
+        "ring": typed(ring),
         "buckets": (typed(det.buckets), det.buckets.maxlen),
-        "partial": typed([det._bucket_acc, det._bucket_fill]),
-        "stat": (det.stat_checks, det.stat_positives),
-        "frozen": (det._frozen, det._frozen_baseline, det._frozen_lambda_bar,
-                   det._fresh_buckets, det._frozen_appended),
+        "partial": typed(partial),
+        "stat": typed([det.stat_checks, det.stat_positives]),
+        "frozen": typed([det._frozen, det._frozen_baseline, det._frozen_lambda_bar,
+                         det._fresh_buckets, det._frozen_appended]),
     }
 
 
@@ -434,10 +474,12 @@ def test_config_rejects_non_finite_numbers(field, value):
 
 def test_window_sizes_are_exact_slot_counts():
     det = Detector(make_cfg(), slot_dt=0.1)
-    # 10 s and 45 s windows; 45 look-back buckets plus a 30-bucket baseline
-    assert (det.short.capacity, det.long.capacity, det.buckets.maxlen) == (100, 450, 75)
+    # 10 s and 45 s windows, a long tail of w_l + c less one slot; 45
+    # look-back buckets plus a 30-bucket baseline
+    assert ((det._ws_slots, det._wl_slots, det._long_slots, det.buckets.maxlen)
+            == (100, 450, 899, 75))
     ratio_only = Detector(make_cfg(w_s=10.5, c=45.5, methods=(Method.RATIO,)), slot_dt=0.1)
-    assert ratio_only.short.capacity == 105
+    assert ratio_only._ws_slots == 105
     # with the statistical method on, w_s and c size one-second buckets
     with pytest.raises(ValueError, match="whole seconds"):
         Detector(make_cfg(w_s=10.5, c=45.5), slot_dt=0.1)
@@ -495,6 +537,31 @@ def test_frozen_lambda_bar_is_pinned():
     assert not det._frozen
 
 
+@pytest.mark.parametrize("before, episode, after", [
+    (0, 0, 0), (3, 0, 0),                  # fewer than w_l unfrozen slots
+    (5, 0, 0), (6, 0, 0),                  # from w_l to w_l + c - 1
+    (7, 0, 0), (8, 0, 0), (20, 0, 0),      # w_l + c - 1 and more
+    (3, 4, 1), (6, 4, 3), (20, 4, 2),      # across an episode
+])
+def test_lambda_bar_at_freeze_matches_reference(before, episode, after):
+    # 5-slot long window, 3-slot look-back: the long tail holds 7 slots.
+    # An episode's slots never enter it
+    rng = np.random.default_rng(before * 100 + episode * 10 + after)
+    t = Twins(make_cfg(w_s=2.0, w_l=5.0, c=3.0, baseline_len=8), 1.0,
+              BufferState(l1=40, l2=160), 8.0)
+    t.monitor(rng.integers(0, 20, before).tolist())
+    if episode:
+        t.freeze()
+        t.measure(rng.integers(20, 40, episode).tolist())
+        t.unfreeze()
+        t.monitor(rng.integers(0, 20, after).tolist())
+    t.freeze()
+    t.assert_same()
+    lambda_bar = t.det.baseline_lambda_bar()
+    assert type(lambda_bar) is float and lambda_bar == t.ref.baseline_lambda_bar()
+    assert len(t.det.long) == min(before + after, 7)
+
+
 def test_frozen_ratio_fires_against_pinned_baseline():
     det, buf = warm_ratio_detector()
     det.freeze()
@@ -511,6 +578,26 @@ def test_rearm_requires_fresh_short_window():
     # immediately after rearm the short window is empty: no fire on a
     # normal-level slot even though the previous contents were attack-level
     assert filter_slots(det, buf, 8.0, [10]) == [None]
+
+
+@pytest.mark.parametrize("methods, w_s, slot_dt, service, above, expected", [
+    (ALL_METHODS, 10.0, 0.1, 3.0, 3, True),     # the occupancy service above l1
+    (ALL_METHODS, 10.0, 0.1, 3.0, 2, False),
+    # a service just above 3, 3.0000000000000004: the occupancy 3 above l1
+    # is below it (30 * 0.1 itself rounds to exactly 3.0)
+    (ALL_METHODS, 10.0, 0.1, math.nextafter(3.0, math.inf), 3, False),
+    # a one-slot short window, which one slot refills, with the ratio rule on
+    ((Method.RATIO, Method.BUFFER_FULL), 1.0, 1.0, 3.0, 10, False),
+    ((Method.BUFFER_FULL,), 1.0, 1.0, 3.0, 10, True),
+    ((Method.STATISTICAL, Method.RATIO), 10.0, 0.1, 3.0, 10, False),  # buffer-full off
+])
+def test_must_fire_next(methods, w_s, slot_dt, service, above, expected):
+    det = Detector(make_cfg(w_s=w_s, methods=methods), slot_dt)
+    buf = BufferState(l1=40, l2=160)
+    buf.occupancy = buf.l1 + above
+    det.freeze()
+    det.rearm()
+    assert det.must_fire_next(buf, service) is expected
 
 
 def test_unfreeze_discards_excursion_buckets():
@@ -720,7 +807,11 @@ def test_run_frozen_needs_a_frozen_detector():
 # ---------------------------------------------------------------------------
 
 def monitor_state(mon):
-    return (list(mon._admitted.contents), mon._admitted.running_sum, mon._occ_ok)
+    """A RestorationMonitor or its reference in one form, typed: the admitted
+    tail, then the low-backlog run."""
+    admitted = mon._admitted
+    tail = admitted.tolist() if isinstance(admitted, np.ndarray) else list(admitted.contents)
+    return typed(tail + [mon._occ_ok])
 
 
 @st.composite
@@ -766,7 +857,7 @@ def test_frozen_stretch_matches_reference(case):
     # lengths, so phases continue across stretches.  The reference runs the
     # same slots one at a time
     t, per_slot, feeds, after = case
-    ws, slot_dt = t.det.short.capacity, 1 / t.det._slots_per_bucket
+    ws, slot_dt = t.det._ws_slots, 1 / t.det._slots_per_bucket
     mon = ref_mon = None
     t.freeze()
     phase, window_left = "measure", ws

@@ -1,7 +1,6 @@
 """End-to-end harness tests: determinism, metric consistency, restoration,
 batch aggregation, and the window sweep."""
 
-import copy
 import dataclasses
 import math
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddossim import harness
-from ddossim.detector import Method
+from ddossim.detector import Method, RestorationMonitor
 from ddossim.harness import batch_seeds, run_batch, run_once, sweep_window
 from ddossim.presets import PRESETS
 from ddossim.stats import sample_mean, sample_stddev
@@ -283,7 +282,11 @@ def test_declare_restored_times_first_instant():
 
 
 def monitor_state(mon):
-    return (list(mon._admitted.contents), mon._admitted.running_sum, mon._occ_ok)
+    """A RestorationMonitor or its reference in one form, typed: the admitted
+    tail, then the low-backlog run."""
+    admitted = mon._admitted
+    tail = admitted.tolist() if isinstance(admitted, np.ndarray) else list(admitted.contents)
+    return [(type(v), v) for v in tail + [mon._occ_ok]]
 
 
 def updated_to_restoration(mon, backlogs, admitted):
@@ -302,11 +305,16 @@ def updated_to_restoration(mon, backlogs, admitted):
        st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                           st.integers(min_value=0, max_value=8)), max_size=60))
 def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots):
-    mon = ReferenceRestorationMonitor(l1=l1, baseline_rate=baseline_rate, r=0.6,
-                                      w_s=ws_slots * 0.1, ws_slots=ws_slots)
-    for backlog, count in warm:     # a streak and a window carried in
-        mon.update(backlog, count)
-    reference = copy.deepcopy(mon)
+    args = dict(l1=l1, baseline_rate=baseline_rate, r=0.6, w_s=ws_slots * 0.1,
+                ws_slots=ws_slots)
+    mon, reference = RestorationMonitor(**args), ReferenceRestorationMonitor(**args)
+    # a streak and a window carried in: advance() over the warm slots
+    # leaves the monitor as update() over each does
+    mon.advance(np.array([b for b, _ in warm], dtype=np.int64),
+                np.array([a for _, a in warm], dtype=np.int64))
+    for backlog, count in warm:
+        reference.update(backlog, count)
+    assert monitor_state(mon) == monitor_state(reference)
     backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
     warm_state = monitor_state(mon)
     at = mon.first_restored(np.array(backlogs, dtype=np.int64),
@@ -319,24 +327,24 @@ def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots)
     mon.advance(np.array(backlogs[:ran], dtype=np.int64),
                 np.array(admitted[:ran], dtype=np.int64))
     assert monitor_state(mon) == monitor_state(reference)
-    assert type(mon._admitted.running_sum) is int and type(mon._occ_ok) is int
 
 
 def test_first_restored_on_the_last_slot():
     # a 10-slot streak that completes on the stretch's last slot
-    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    def monitor():
+        return RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
     backlogs, admitted = np.array([100] * 10 + [0] * 10), np.ones(20, dtype=np.int64)
-    assert mon.first_restored(backlogs, admitted) == 19
-    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    assert monitor().first_restored(backlogs, admitted) == 19
+    mon = monitor()
     assert mon.first_restored(backlogs[:-1], admitted[:-1]) is None
     mon.advance(backlogs[:-1], admitted[:-1])
-    assert mon.update(0, 1)
+    assert mon.first_restored(backlogs[-1:], admitted[-1:]) == 0
     # and after a restoring slot nothing more is taken in
-    mon = ReferenceRestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
+    mon = monitor()
     assert mon.first_restored(np.concatenate((backlogs, [100] * 5)),
                               np.concatenate((admitted, [7] * 5))) == 19
     mon.advance(backlogs, admitted)
-    assert monitor_state(mon) == ([1] * 10, 10, 10)
+    assert monitor_state(mon) == [(int, 1)] * 10 + [(int, 10)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ up to it.  The history each keeps is an int64 tail of its slots: the short
 window since it was last cleared, the unfrozen slots the long window and
 its lagged level lambda-bar come from, the admitted counts restoration
 sums, and the unfinished one-second bucket.  window_sums() reads every
-window off a tail and a stretch's arrivals, from int64 prefix sums.
+window off a tail and a stretch's arrivals, from int64 prefix sums.  An
+episode pins nothing: its slots and buckets stay out of the histories the
+references come from, and its own buckets are a list of their own.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import mul
 from typing import Optional, Sequence
 
@@ -238,15 +238,16 @@ class Detector:
     run() takes each stretch of slots ahead to its first event.  Unfrozen,
     between episodes, it watches against a sliding reference: the long
     window for the ratio rule and the block of buckets ending c seconds in
-    the past for the statistical method.  A fire freeze()s the detector:
-    monitoring continues, but against baselines pinned at the fire, so
-    attack traffic cannot poison the reference level; a measurement window
-    runs frozen with its fires ignored.  unfreeze() resumes normal
-    rotation at restoration.  The first enabled method to fire is reported
-    (priority statistical > ratio > buffer-full within a slot).  The
-    statistical method is re-evaluated whenever a one-second arrival
-    bucket completes.  tests/reference.py holds the same rules one slot at
-    a time, for both phases.
+    the past for the statistical method.  A fire freeze()s the detector
+    into an episode, whose slots and buckets enter neither history, so
+    monitoring continues against the references as they stood at the fire
+    and attack traffic cannot poison them; a measurement window runs
+    frozen with its fires ignored.  unfreeze() drops the episode and
+    resumes normal rotation at restoration.  The first enabled method to
+    fire is reported (priority statistical > ratio > buffer-full within a
+    slot).  The statistical method is re-evaluated whenever a one-second
+    arrival bucket completes.  tests/reference.py holds the same rules one
+    slot at a time, for both phases.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
@@ -261,15 +262,15 @@ class Detector:
         self._slots_per_bucket = slots_in(1.0, slot_dt, "one second")
         # exact bucket counts whenever the statistical method is on
         self._ws_buckets = ws // self._slots_per_bucket
-        self.buckets: deque[int] = deque(
-            maxlen=c // self._slots_per_bucket + cfg.baseline_len)
+        # the last c + baseline_len buckets from before any episode; the
+        # buckets of the episode under way, None between episodes, and how
+        # many of them came before the last rearm()
+        self._buckets_max = c // self._slots_per_bucket + cfg.baseline_len
+        self.buckets: list[int] = []
+        self._episode: Optional[list[int]] = None
+        self._rearmed_at = 0
         self.stat_checks = 0
         self.stat_positives = 0
-        self._frozen = False
-        self._frozen_baseline: Optional[list[int]] = None
-        self._frozen_lambda_bar = 0.0
-        self._fresh_buckets = 0
-        self._frozen_appended = 0
 
     def baseline_lambda_bar(self) -> float:
         """The long window as it stood c - 1 unfrozen slots ago, in packets
@@ -277,57 +278,57 @@ class Detector:
         Before wl + c - 1 unfrozen slots have run, that is the first wl of
         them, or all of them while fewer than wl; 0.0 before any.
 
-        While frozen this is the value snapshotted at freeze time, so the
-        attack cannot poison the reference level.
+        No frozen slot enters the long tail, so while frozen this is the
+        value it had at the fire: the attack cannot poison the reference
+        level.
         """
-        if self._frozen:
-            return self._frozen_lambda_bar
         oldest = self.long[:self._wl_slots]
         return int(oldest.sum()) / len(oldest) if len(oldest) else 0.0
 
     def freeze(self) -> None:
-        """Pin the baseline at its current value when an episode starts.
-
-        Monitoring continues against the pinned long-window average and
-        the pinned statistical baseline; the long window itself stops
-        updating until unfreeze().
+        """Start an episode: its slots enter neither the long tail nor the
+        buckets, so monitoring continues against lambda-bar and the
+        statistical baseline as they stood at the fire.  The episode's
+        buckets collect apart, for the current samples its checks test.
         """
-        if self._frozen:
+        if self._episode is not None:
             raise RuntimeError("freeze needs an unfrozen detector")
-        self._frozen_lambda_bar = self.baseline_lambda_bar()
-        self._frozen = True
-        self._frozen_baseline = self._baseline()
-        self._fresh_buckets = 0
+        self._episode = []
+        self._rearmed_at = 0
 
     def unfreeze(self) -> None:
         """Resume normal monitoring after restoration.
 
-        All buckets collected during the episode are discarded, and so are
-        the trailing w_s buckets before it -- the excursion that triggered
-        the fire -- so the baseline picks up exactly where it left off and
-        attack-era buckets never rotate into it.  The short window is
-        cleared too, so the same data cannot re-fire instantly; the
-        statistical method re-arms once fresh buckets refill the gap.
+        The episode's buckets are discarded, and so are the trailing w_s
+        buckets before it -- the excursion that triggered the fire -- so
+        attack-era buckets never rotate into the baseline.  What is left
+        is what a history of c + baseline_len buckets would hold had the
+        episode's buckets pushed its oldest out and then been dropped with
+        those w_s.  The short window is cleared too, so the same data
+        cannot re-fire instantly; the statistical method re-arms once
+        fresh buckets refill the gap.
         """
-        if not self._frozen:
+        if self._episode is None:
             raise RuntimeError("unfreeze needs a frozen detector")
-        self._frozen = False
-        self._frozen_baseline = None
-        for _ in range(min(self._frozen_appended + self._ws_buckets, len(self.buckets))):
-            self.buckets.pop()
-        self._frozen_appended = 0
+        held = len(self.buckets)
+        self.buckets = self.buckets[max(0, held + len(self._episode) - self._buckets_max):
+                                    max(0, held - self._ws_buckets)]
+        self._episode = None
         self.short = self.short[:0]
         self._partial = self._partial[:0]
 
     def rearm(self) -> None:
         """Require fresh post-filter traffic before the next fire.
 
-        Called when a filter is (re)activated: clears the short window and
-        restarts the fresh-bucket count, so the excursion that caused the
-        fire cannot immediately re-trigger the ratio or statistical method.
+        Called when a filter is (re)activated in an episode: clears the
+        short window and marks the episode's buckets so far as stale, so
+        the excursion that caused the fire cannot immediately re-trigger
+        the ratio or statistical method.
         """
+        if self._episode is None:
+            raise RuntimeError("rearm needs a frozen detector")
         self.short = self.short[:0]
-        self._fresh_buckets = 0
+        self._rearmed_at = len(self._episode)
 
     def must_fire_next(self, buffer: BufferState, service_per_slot: float) -> bool:
         """Whether buffer-full must fire on the next slot, right after
@@ -345,12 +346,6 @@ class Detector:
                 and buffer.occupancy - buffer.l1 >= service_per_slot
                 and (self._ws_slots > 1 or Method.RATIO not in self.cfg.methods))
 
-    def _baseline(self) -> Optional[list[int]]:
-        """The oldest baseline_len buckets once the deque is full, else None."""
-        if len(self.buckets) < self.buckets.maxlen:
-            return None
-        return list(islice(self.buckets, self.cfg.baseline_len))
-
     def run(self, arrivals: np.ndarray, buffer: BufferState, service_per_slot: float,
             restoration: Optional[RestorationMonitor] = None,
             watch: bool = True) -> tuple[int, Optional[Method], bool]:
@@ -359,26 +354,28 @@ class Detector:
         event; each searches, then each commits up to that slot.
 
         In order: the first ratio hit, from whole-array prefix sums,
-        against the long window unfrozen or the pinned lambda-bar frozen;
+        against the long window between episodes or lambda-bar in one;
         the buffer run up to that slot and no further (run_ahead); the
         first slot at which restoration holds; the first backlog at or
         above l1 (buffer-full); then the statistical check of the last
         ws_buckets buckets at each bucket boundary up to the earliest of
-        these, against the oldest baseline_len buckets once the deque is
-        full unfrozen, or the pinned baseline from the ws_buckets-th fresh
-        bucket on frozen.  Within a slot, statistical beats ratio, which
-        beats buffer-full, and restoration beats a fire, whose due check
-        still counts.  Without watch, in a measurement window, no fire is
-        searched for and every due check is counted; that needs a frozen
-        detector (RuntimeError otherwise).
+        these.  Between episodes it tests against the oldest baseline_len
+        of the last c + baseline_len buckets, once that many are held; in
+        an episode, against the oldest baseline_len of the buckets held at
+        the fire, if they were full, from the ws_buckets-th bucket after
+        the freeze or the last rearm on.  Within a slot, statistical beats
+        ratio, which beats buffer-full, and restoration beats a fire,
+        whose due check still counts.  Without watch, in a measurement
+        window, no fire is searched for and every due check is counted;
+        that needs a frozen detector (RuntimeError otherwise).
 
         Returns the slots run, the method that fired in the last of them
         or None, and whether restoration held there.  The detector, the
         buffer and the monitor are left as the per-slot rules over those
         slots leave them.
         """
-        frozen = self._frozen
-        if not (frozen or watch):
+        episode = self._episode
+        if episode is None and not watch:
             raise RuntimeError("a measurement window runs only on a frozen detector")
         cfg = self.cfg
         last = len(arrivals) - 1            # the last slot the stretch may reach
@@ -387,8 +384,8 @@ class Detector:
             # the averages as int / int rounds them: float64 division agrees
             # below 2**53
             short_avg = window_sums(self.short, arrivals, self._ws_slots) / self._ws_slots
-            long_avg = (self._frozen_lambda_bar if frozen
-                        else window_sums(self.long, arrivals, self._wl_slots) / self._wl_slots)
+            long_avg = (window_sums(self.long, arrivals, self._wl_slots) / self._wl_slots
+                        if episode is None else self.baseline_lambda_bar())
             hits = detect_ratio(short_avg, long_avg, cfg.r).nonzero()[0]
             if len(hits):
                 ratio_at = last = int(hits[0])
@@ -412,22 +409,24 @@ class Detector:
         spb, fill, ws = self._slots_per_bucket, len(self._partial), self._ws_buckets
         slot_counts = np.concatenate((self._partial, arrivals[:done]))
         new = slot_counts[:len(slot_counts) // spb * spb].reshape(-1, spb).sum(axis=1).tolist()
-        held, maxlen, base_len = len(self.buckets), self.buckets.maxlen, cfg.baseline_len
-        pinned = self._frozen_baseline
-        if not frozen:
-            first = max(0, maxlen - held - 1)   # the first new bucket that fills the deque
-        elif pinned is None:
-            first = len(new)                    # no baseline was pinned: nothing is due
+        most, base_len = self._buckets_max, cfg.baseline_len
+        if episode is None:
+            first = max(0, most - len(self.buckets) - 1)    # the first that fills the history
+        elif len(self.buckets) == most:
+            # the first with ws buckets since the freeze or the last rearm
+            first = max(0, ws - (len(episode) - self._rearmed_at) - 1)
         else:
-            first = max(0, ws - self._fresh_buckets - 1)
+            first = len(new)                    # no baseline was pinned: nothing is due
         due = range(first, len(new))
         if Method.STATISTICAL in cfg.methods and due:
-            buckets = list(self.buckets) + new
+            buckets = self.buckets + (episode or []) + new
             for j in due:
-                top = held + j + 1              # one past the checked bucket
-                baseline = pinned if frozen else buckets[top - maxlen:top - maxlen + base_len]
+                top = len(buckets) - len(new) + j + 1    # one past the checked bucket
+                # sliding, or the oldest baseline_len held at the fire
+                start = top - most if episode is None else 0
                 self.stat_checks += 1
-                if detect_statistical(baseline, buckets[top - ws:top], cfg.alpha):
+                if detect_statistical(buckets[start:start + base_len], buckets[top - ws:top],
+                                      cfg.alpha):
                     self.stat_positives += 1
                     if watch:
                         done, fired = (j + 1) * spb - fill, Method.STATISTICAL
@@ -441,10 +440,9 @@ class Detector:
         self.short = np.concatenate((self.short, arrivals[:done]))[-self._ws_slots:]
         completed = (fill + done) // spb
         self._partial = slot_counts[completed * spb:fill + done]
-        self.buckets.extend(new[max(0, completed - maxlen):completed])
-        if frozen:
-            self._fresh_buckets += completed
-            self._frozen_appended += completed
-        else:
+        if episode is None:
+            self.buckets = (self.buckets + new[:completed])[-most:]
             self.long = np.concatenate((self.long, arrivals[:done]))[-self._long_slots:]
+        else:
+            episode += new[:completed]
         return done, fired, restored

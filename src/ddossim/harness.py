@@ -124,8 +124,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     blocked: Optional[np.ndarray] = None       # sources the active filter drops
     restoration: Optional[RestorationMonitor] = None
     episode_primary = False
-    fire = 0                                   # slots elapsed at the episode's fire
-    window_end = 0                             # slots elapsed when the measurement ends
+    fire = 0                                   # slots elapsed at the last fire
     baseline_rate = 0.0
 
     detection_time: Optional[float] = None
@@ -145,7 +144,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         if phase == "monitor":
             stop = n_slots
         elif phase == "measure":
-            stop = min(window_end, n_slots)
+            stop = min(fire + ws_slots, n_slots)
         else:
             stop = min(lo + ws_slots, n_slots)
         if blocked is None:
@@ -175,11 +174,11 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             continue
 
         fired_at = elapsed                     # slots elapsed at a fire
-        if phase == "measure" and elapsed == window_end:
+        if phase == "measure" and elapsed == fire + ws_slots:
             # a window runs to its end in one stretch, from the fire or
             # from a forced fire's slot, and only one that is classified
             # has its packets split or filtered
-            window = (stream.slots(fire, window_end)[0] if blocked is None
+            window = (stream.slots(fire, elapsed)[0] if blocked is None
                       else apply_filter(blocked, ids[bounds[fire - lo]:]))
             m = measure_per_source(np.bincount(window, minlength=stream.n_sources),
                                    detector_cfg.w_s)
@@ -231,7 +230,6 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 detection_method = fired.value
                 episode_primary = True
             fire = fired_at
-            window_end = fired_at + ws_slots
             phase = "measure"
 
     correct = wrong = 0

@@ -13,9 +13,12 @@ the order it runs.  Slots between episodes are not split, and uniforms
 drawn for slots past a restoration are never drawn here, so every split
 slot gets the uniforms TrafficStream's queue gives it.  step(), push()
 and update() are the per-slot rules the package runs a stretch at a
-time, and ReferenceWindow and the lambda-bar ring hold as deques the
-history that the package keeps as int64 tails of its slots; the
-identifier and decision functions are the package's own.
+time.  ReferenceWindow and the lambda-bar ring hold as deques the
+history that the package keeps as int64 tails of its slots, and
+ReferenceDetector's rotating bucket deque and the copies it pins at a
+freeze hold what the package keeps as its buckets from before an episode
+and the episode's own list; the identifier and decision functions are
+the package's own.
 """
 
 from __future__ import annotations
@@ -172,14 +175,17 @@ class ReferenceDetector:
 
     Attribute names are Detector's where the two hold the same state;
     tests/test_detector.py projects both onto one typed form, the short
-    and long windows and the partial bucket from Detector's int64 tails
-    and the lambda-bar ring from the wl-slices of its long tail.  observe()
-    takes one slot: the statistical check when a one-second bucket
-    completes (unfrozen against the oldest baseline_len buckets once the
-    deque is full, frozen against the baseline pinned at freeze() from the
-    ws_buckets-th fresh bucket on), then the ratio rule (unfrozen against
-    the full long window, frozen against the pinned lambda-bar), then
-    buffer-full.
+    and long windows and the partial bucket from Detector's int64 tails,
+    the lambda-bar ring from the wl-slices of its long tail, and the
+    bucket deque and the pinned baseline, fresh-bucket and episode counts
+    from its buckets, its episode list and the mark rearm() leaves in it.
+    The episode's buckets rotate through the deque, and unfreeze() pops
+    them and the ws_buckets before them.  observe() takes one slot: the
+    statistical check when a one-second bucket completes (unfrozen
+    against the oldest baseline_len buckets once the deque is full, frozen
+    against the baseline pinned at freeze() from the ws_buckets-th fresh
+    bucket on), then the ratio rule (unfrozen against the full long
+    window, frozen against the pinned lambda-bar), then buffer-full.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):

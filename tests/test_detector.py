@@ -318,25 +318,41 @@ def detector_state(det):
     value: the short window's slots; the long window's; the lambda-bar
     averages the reference's ring holds, which for a Detector are the means
     of the wl-slices of its long tail; the partial bucket's (sum, length);
-    and every other field."""
+    the buckets as the reference's deque holds them, with its length bound,
+    which for a Detector are the newest of its buckets and its episode's;
+    lambda-bar; the check counts; and, in an episode, the pinned baseline,
+    the fresh buckets since the freeze or the last rearm, and the buckets
+    since the freeze."""
     if isinstance(det, ReferenceDetector):
         short, long = list(det.short.contents), list(det.long.contents)
         ring = list(det._lambda_bar_ring)
         partial = [det._bucket_acc, det._bucket_fill]
+        most, buckets = det.buckets.maxlen, list(det.buckets)
+        episode = (None if not det._frozen else
+                   (det._frozen_baseline, det._fresh_buckets, det._frozen_appended))
     else:
         wl, tail = det._wl_slots, det.long.tolist()
         short, long = det.short.tolist(), tail[-wl:]
         ring = [sum(tail[i:i + wl]) / wl for i in range(len(tail) - wl + 1)]
         partial = [sum(det._partial.tolist()), len(det._partial)]
+        most, held = det._buckets_max, det.buckets
+        buckets = (held + (det._episode or []))[-most:]
+        episode = None
+        if det._episode is not None:
+            pinned = held[:det.cfg.baseline_len] if len(held) == most else None
+            episode = (pinned, len(det._episode) - det._rearmed_at, len(det._episode))
+    if episode is not None:
+        pinned, fresh, appended = episode
+        episode = (None if pinned is None else typed(pinned), typed([fresh, appended]))
     return {
         "short": typed(short),
         "long": typed(long),
         "ring": typed(ring),
-        "buckets": (typed(det.buckets), det.buckets.maxlen),
+        "buckets": (typed(buckets), most),
         "partial": typed(partial),
+        "lambda_bar": typed([det.baseline_lambda_bar()]),
         "stat": typed([det.stat_checks, det.stat_positives]),
-        "frozen": typed([det._frozen, det._frozen_baseline, det._frozen_lambda_bar,
-                         det._fresh_buckets, det._frozen_appended]),
+        "episode": episode,
     }
 
 
@@ -476,7 +492,7 @@ def test_window_sizes_are_exact_slot_counts():
     det = Detector(make_cfg(), slot_dt=0.1)
     # 10 s and 45 s windows, a long tail of w_l + c less one slot; 45
     # look-back buckets plus a 30-bucket baseline
-    assert ((det._ws_slots, det._wl_slots, det._long_slots, det.buckets.maxlen)
+    assert ((det._ws_slots, det._wl_slots, det._long_slots, det._buckets_max)
             == (100, 450, 899, 75))
     ratio_only = Detector(make_cfg(w_s=10.5, c=45.5, methods=(Method.RATIO,)), slot_dt=0.1)
     assert ratio_only._ws_slots == 105
@@ -534,7 +550,7 @@ def test_frozen_lambda_bar_is_pinned():
     filter_slots(det, buf, 8.0, [100] * 500)      # attack-level traffic while frozen
     assert det.baseline_lambda_bar() == before
     det.unfreeze()
-    assert not det._frozen
+    assert det._episode is None
 
 
 @pytest.mark.parametrize("before, episode, after", [
@@ -608,7 +624,7 @@ def test_unfreeze_discards_excursion_buckets():
     det.freeze()
     # attack-level traffic while frozen: bucket sums around 50 vs normal 5
     filter_slots(det, buf, 8.0, rng.poisson(5.0, 300).tolist())
-    assert max(det.buckets) > 30
+    assert max(det._episode) > 30
     det.unfreeze()
     # every episode bucket is discarded; only pre-episode normal ones remain
     assert all(b < 30 for b in det.buckets)
@@ -620,13 +636,17 @@ def test_unfreeze_discards_excursion_buckets():
 
 
 def test_freeze_and_unfreeze_need_the_other_phase():
-    # a warm default detector: its 75-bucket deque is full
+    # a warm default detector: its 75 buckets are full, and so is its short
+    # window, which a rearm would empty
     det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160)
     scanned(det, buf, 8.0, np.random.default_rng(42).poisson(1, 1000))
     warm = detector_state(det)
-    assert len(det.buckets) == 75
+    assert len(det.buckets) == 75 and len(det.short) == 100
     with pytest.raises(RuntimeError):
         det.unfreeze()
+    assert detector_state(det) == warm
+    with pytest.raises(RuntimeError):
+        det.rearm()
     assert detector_state(det) == warm
     det.freeze()
     frozen = detector_state(det)
@@ -737,7 +757,7 @@ def warmed_twins(draw):
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
         t.monitor(rng.poisson(draw(st.sampled_from([1, 4])),
-                              t.det.buckets.maxlen * t.det._slots_per_bucket).tolist())
+                              t.det._buckets_max * t.det._slots_per_bucket).tolist())
     return t
 
 
@@ -888,3 +908,81 @@ def test_frozen_stretch_matches_reference(case):
     assert t.det.run(np.array(after, dtype=np.int64), t.buf, t.service) == reference_stretch(
         t.ref, t.ref_buf, None, after, t.service, True)
     t.assert_same()
+
+
+# ---------------------------------------------------------------------------
+# unfreeze: the buckets held at the fire, less the episode's share
+# ---------------------------------------------------------------------------
+
+UNFREEZE_CASES = dict(
+    slots_per_second=st.sampled_from([1, 2]),
+    w_s=st.sampled_from([2, 3, 4]),
+    extra_c=st.integers(min_value=0, max_value=2),
+    others=st.sets(st.sampled_from([Method.RATIO, Method.BUFFER_FULL])),
+    # buckets run before the freeze, of at most 14 held, and the slots of
+    # the episode: a 1-slot bucket's episode of 30 holds more than 14
+    held=st.integers(min_value=0, max_value=16),
+    lead=st.integers(min_value=0, max_value=1),
+    episode=st.integers(min_value=0, max_value=30),
+    rearm_after=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def with_unfreeze_examples(test):
+    # 1-slot buckets and w_s = c = 2: 10 buckets held at most, 2 of them
+    # the excursion
+    for held, episode, rearm_after in [
+            (6, 0, None), (6, 3, None), (6, 7, None),       # fewer than 10 held: no
+            (6, 10, None), (6, 13, None),                   # episode, one within the
+            (10, 0, None), (10, 5, None), (10, 10, None),   # room left, one past it,
+            (14, 12, None),                                 # 10 or more; then full
+            (0, 0, None), (1, 0, None), (1, 3, None),       # fewer than w_s held
+            (10, 8, 3), (6, 9, 5)]:                         # a rearm part-way
+        test = example(slots_per_second=1, w_s=2, extra_c=0, others=set(), held=held,
+                       lead=0, episode=episode, rearm_after=rearm_after, seed=held)(test)
+    # w_s = c = 3 and 2 held: a slice to held - w_s, not to 0, keeps one
+    return example(slots_per_second=1, w_s=3, extra_c=0, others=set(), held=2, lead=0,
+                   episode=0, rearm_after=None, seed=2)(test)
+
+
+def assert_unfreeze_matches_reference(slots_per_second, w_s, extra_c, others, held, lead,
+                                      episode, rearm_after, seed):
+    """Twins on the statistical method, and the drawn others, run `held`
+    buckets and `lead` slots of Poisson 1s, freeze, then an episode of 20s
+    (rearmed part-way when drawn) and unfreeze: the state after each step,
+    and a monitor stretch long enough to refill the buckets after it."""
+    cfg = make_cfg(w_s=float(w_s), w_l=w_s + 1.0, c=float(w_s + extra_c), baseline_len=8,
+                   methods=tuple(m for m in ALL_METHODS
+                                 if m is Method.STATISTICAL or m in others))
+    spb = slots_per_second
+    t = Twins(cfg, 1 / spb, BufferState(l1=40, l2=160), 50.0)
+    rng = np.random.default_rng(seed)
+    t.monitor(rng.poisson(1, held * spb + lead % spb).tolist())
+    t.freeze()
+    t.assert_same()
+    feed = rng.poisson(20, episode).tolist()
+    cut = len(feed) if rearm_after is None else min(rearm_after, len(feed))
+    t.measure(feed[:cut])
+    if rearm_after is not None:
+        t.rearm()
+        t.assert_same()
+        t.measure(feed[cut:])
+    t.assert_same()
+    t.unfreeze()
+    t.assert_same()
+    assert_scan_matches_observe(t, rng.poisson(1, (t.det._buckets_max + 4) * spb).tolist())
+
+
+@with_unfreeze_examples
+@settings(max_examples=300, deadline=None)
+@given(**UNFREEZE_CASES)
+def test_unfreeze_slice_matches_reference(**case):
+    assert_unfreeze_matches_reference(**case)
+
+
+@pytest.mark.slow
+@with_unfreeze_examples
+@settings(max_examples=2000, deadline=None)
+@given(**UNFREEZE_CASES)
+def test_unfreeze_slice_matches_reference_many(**case):
+    assert_unfreeze_matches_reference(**case)

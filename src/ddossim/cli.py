@@ -50,6 +50,8 @@ class ExperimentSpec:
             raise ConfigError("batch mode needs runs >= 2")
         if self.mode == "sweep" and not self.sweep_ws:
             raise ConfigError("sweep mode needs a non-empty sweep_ws list")
+        if self.mode != "sweep" and self.sweep_ws:
+            raise ConfigError(f"sweep_ws is only read in sweep mode, not {self.mode}")
         if self.mode == "sweep" and self.runs < 1:
             raise ConfigError("sweep mode needs runs >= 1")
         if self.seed is not None and self.seed < 0:

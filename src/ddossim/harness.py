@@ -26,8 +26,7 @@ import numpy as np
 
 from .buffer import BufferState
 from .detector import Detector, DetectorConfig, Method, RestorationMonitor
-from .identifier import (apply_filter, estimate_attack_rate, identify_by_history,
-                         identify_greedy, measure_per_source)
+from .identifier import apply_filter, identify
 from .stats import sample_mean, sample_stddev, student_t_quantile
 from .traffic import ScenarioConfig, TrafficStream, slots_in
 
@@ -125,7 +124,6 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     restoration: Optional[RestorationMonitor] = None
     episode_primary = False
     fire = 0                                   # slots elapsed at the last fire
-    baseline_rate = 0.0
 
     detection_time: Optional[float] = None
     detection_method: Optional[str] = None
@@ -180,18 +178,15 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # has its packets split or filtered
             window = (stream.slots(fire, elapsed)[0] if blocked is None
                       else apply_filter(blocked, ids[bounds[fire - lo]:]))
-            m = measure_per_source(np.bincount(window, minlength=stream.n_sources),
-                                   detector_cfg.w_s)
-            total_rate = len(window) / detector_cfg.w_s
-            budget = estimate_attack_rate(total_rate, baseline_rate)
-            if id_method == "history":
-                # legal sources are active from slot 0, attackers from
-                # the onset; exempt those active c before the fire
-                active_from = np.where(truth_attackers, onset, 0)
-                pre_active = active_from <= fire - c_slots
-                suspects = identify_by_history(m, pre_active, budget)
-            else:
-                suspects = identify_greedy(m, budget)
+            # the budget's baseline is lambda-bar as it stood at the
+            # episode's fire: no frozen slot has entered the long tail
+            baseline_rate = det.baseline_lambda_bar() / dt
+            # legal sources are active from slot 0, attackers from the
+            # onset; the history method exempts those active c before the fire
+            exempt = (np.where(truth_attackers, onset, 0) <= fire - c_slots
+                      if id_method == "history" else None)
+            suspects = identify(np.bincount(window, minlength=stream.n_sources),
+                                detector_cfg.w_s, baseline_rate, exempt)
             if blocked is None:
                 blocked = suspects
                 restoration = RestorationMonitor(scenario.l1, baseline_rate,
@@ -214,7 +209,6 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # again and extend the block set
             if phase == "monitor":
                 det.freeze()
-                baseline_rate = det.baseline_lambda_bar() / dt
                 if fired_at < onset:
                     false_alarms += 1
             if fired is Method.RATIO:

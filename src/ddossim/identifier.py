@@ -1,10 +1,11 @@
 """Attack-source identification and per-source filtering.
 
-After detection, per-source traffic is measured over the analysis window;
-the aggregate attack rate is estimated as measured total minus the lagged
-baseline, and the suspected-attacker set is the descending-rate prefix
-whose rate sum stays within that budget.  The history variant first
-exempts every source that was already active before the attack.
+After detection, identify() reads one measurement window: each source's
+rate is its packet count over w_s, the aggregate attack rate is estimated
+as the window's total rate minus the lagged baseline, and the
+suspected-attacker set is the descending-rate prefix whose rate sum stays
+within that budget.  The history variant first exempts every source that
+was already active before the attack.
 
 A slot carries the source id of each packet; a measurement window counts
 them by source once, when it closes, with one bincount.  Per-source
@@ -15,38 +16,11 @@ exemptions, ground truth) are boolean masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "PerSourceMeasurement",
-    "measure_per_source",
-    "estimate_attack_rate",
-    "identify_greedy",
-    "identify_by_history",
-    "apply_filter",
-]
-
-
-@dataclass(frozen=True)
-class PerSourceMeasurement:
-    rates: np.ndarray               # packets/sec by source id
-
-
-def measure_per_source(counts: np.ndarray, duration: float) -> PerSourceMeasurement:
-    """Per-source rates in packets/sec from the int64 packet counts by
-    source id over a window of duration seconds; silent sources get 0."""
-    if duration <= 0:
-        raise ValueError("empty measurement window")
-    return PerSourceMeasurement(rates=counts / duration)
-
-
-def estimate_attack_rate(total_rate: float, baseline_rate: float) -> float:
-    """Aggregate attack-rate estimate: measured total minus baseline, clamped at 0."""
-    if total_rate < 0 or baseline_rate < 0:
-        raise ValueError("rates must be >= 0")
-    return max(0.0, total_rate - baseline_rate)
+__all__ = ["identify", "apply_filter"]
 
 
 def _greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndarray:
@@ -72,23 +46,19 @@ def _greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndar
     return picked
 
 
-def identify_greedy(measurement: PerSourceMeasurement,
-                    attack_rate_budget: float) -> np.ndarray:
-    """Mask of suspected attack sources; every other source is legal."""
-    if attack_rate_budget < 0:
-        raise ValueError("budget must be >= 0")
-    rates = measurement.rates
-    return _greedy_prefix(rates, np.arange(len(rates)), attack_rate_budget)
+def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
+             exempt: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of suspected attack sources in a window of w_s seconds, from its
+    int64 packet counts by source id; every other source is legal.
 
-
-def identify_by_history(measurement: PerSourceMeasurement,
-                        pre_attack_active: np.ndarray,
-                        attack_rate_budget: float) -> np.ndarray:
-    """Greedy identification restricted to sources with no pre-attack history."""
-    if attack_rate_budget < 0:
-        raise ValueError("budget must be >= 0")
-    return _greedy_prefix(measurement.rates, np.flatnonzero(~pre_attack_active),
-                          attack_rate_budget)
+    The rates are counts / w_s, and the budget is the window's total rate
+    less baseline_rate (packets/sec), clamped at 0.  The candidates are
+    every source, or those outside the exempt mask when one is given.
+    """
+    rates = counts / w_s
+    budget = max(0.0, int(counts.sum()) / w_s - baseline_rate)
+    candidates = np.arange(len(counts)) if exempt is None else np.flatnonzero(~exempt)
+    return _greedy_prefix(rates, candidates, budget)
 
 
 def apply_filter(blocked: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ history that the package keeps as int64 tails of its slots, and
 ReferenceDetector's rotating bucket deque and the copies it pins at a
 freeze hold what the package keeps as its buckets from before an episode
 and the episode's own list; the identifier and decision functions are
-the package's own.
+the package's own.  The identifier's baseline is lambda-bar read once,
+at the fire, where run_once reads it at each classification.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 from ddossim.buffer import BufferState
 from ddossim.detector import DetectorConfig, Method, detect_ratio, detect_statistical
 from ddossim.harness import RunMetrics, check_configs
-from ddossim.identifier import (estimate_attack_rate, identify_by_history, identify_greedy,
-                                measure_per_source)
+from ddossim.identifier import identify
 from ddossim.traffic import ScenarioConfig, slots_in
 
 
@@ -374,15 +374,11 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
         if phase == "measure":
             if elapsed < window_end:
                 continue
-            m = measure_per_source(window, cfg.w_s)
-            budget = estimate_attack_rate(int(window.sum()) / cfg.w_s, baseline_rate)
-            if id_method == "history":
-                # legal sources are active from slot 0, attackers from the
-                # onset; exempt those active c before the fire
-                pre_active = np.where(attackers, onset, 0) <= fire - c_slots
-                suspects = identify_by_history(m, pre_active, budget)
-            else:
-                suspects = identify_greedy(m, budget)
+            # legal sources are active from slot 0, attackers from the
+            # onset; the history method exempts those active c before the fire
+            exempt = (np.where(attackers, onset, 0) <= fire - c_slots
+                      if id_method == "history" else None)
+            suspects = identify(window, cfg.w_s, baseline_rate, exempt)
             if blocked is None:
                 blocked = suspects
                 restoration = ReferenceRestorationMonitor(scenario.l1, baseline_rate, cfg.r,

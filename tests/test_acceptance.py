@@ -17,7 +17,7 @@ from ddossim.buffer import BufferState
 from ddossim.cli import main
 from ddossim.detector import Method, detect_statistical
 from ddossim.harness import run_batch, sweep_window
-from ddossim.identifier import identify_greedy, PerSourceMeasurement
+from ddossim.identifier import _greedy_prefix
 from ddossim.presets import get_preset
 from ddossim.stats import normal_upper_quantile, sample_mean, sample_stddev
 from ddossim.traffic import TrafficStream
@@ -183,9 +183,8 @@ def test_criterion_7_structural_invariants():
         rates = {int(i): float(r) for i, r in
                  enumerate(rng.uniform(0, 10, n))}
         budget = float(rng.uniform(0, 12 * n / 2))
-        mask = identify_greedy(
-            PerSourceMeasurement(np.array([rates[i] for i in range(n)])),
-            budget)
+        mask = _greedy_prefix(np.array([rates[i] for i in range(n)]), np.arange(n),
+                              budget)
         attackers = {int(i) for i in np.flatnonzero(mask)}
         legal = {int(i) for i in np.flatnonzero(~mask)}
         if attackers & legal or attackers | legal != set(rates):

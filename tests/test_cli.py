@@ -297,3 +297,20 @@ def test_main_exit_codes(tmp_path, capsys):
     # runtime errors -> 2
     assert main(["--preset", "sim2", "--mode", "once",
                  "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--preset", "sim2", "--sweep-ws", "5,10"], None),
+    ([], "[experiment]\npreset = sim2\nmode = batch\nsweep_ws = 5,10\n"),
+])
+def test_sweep_list_outside_sweep_mode_rejected(tmp_path, capsys, argv, config):
+    # a sweep list would otherwise be dropped without a word after one run
+    if config is not None:
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sweep_ws" in err
+    assert not out.exists()

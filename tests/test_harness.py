@@ -107,14 +107,14 @@ def test_measurement_divides_by_the_window_length(monkeypatch):
     # the fire slot never enters the denominator: (t + w_s) - t is not
     # w_s for 200 of the 3000 fire slots of sim2
     durations = []
-    measure_per_source = harness.measure_per_source
+    identify = harness.identify
 
-    def measure(counts, duration):
-        durations.append(duration)
-        return measure_per_source(counts, duration)
+    def measure(counts, w_s, baseline_rate, exempt=None):
+        durations.append(w_s)
+        return identify(counts, w_s, baseline_rate, exempt)
 
     scenario, det, idm = small_run()
-    monkeypatch.setattr(harness, "measure_per_source", measure)
+    monkeypatch.setattr(harness, "identify", measure)
     run_once(scenario, det, idm, seed=0)
     assert durations and all(d == det.w_s for d in durations)
 
@@ -191,8 +191,7 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed, id_method=
 
     monkeypatch.setattr(harness, "TrafficStream", kept_stream)
     monkeypatch.setattr(harness, "BufferState", kept_buffer)
-    for name in ("identify_greedy", "identify_by_history"):
-        monkeypatch.setattr(harness, name, widening(getattr(harness, name)))
+    monkeypatch.setattr(harness, "identify", widening(harness.identify))
     monkeypatch.setattr(harness.Detector, "unfreeze", released)
     p = PRESETS[preset]
     scenario = dataclasses.replace(p.scenario, **overrides)

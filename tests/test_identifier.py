@@ -3,13 +3,11 @@ attack-rate budget, the greedy prefix rule (with a brute-force oracle),
 the history variant, and filter application."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddossim.identifier import (PerSourceMeasurement, apply_filter,
-                                estimate_attack_rate, identify_by_history,
-                                identify_greedy, measure_per_source)
+from ddossim import identifier
+from ddossim.identifier import _greedy_prefix, apply_filter, identify
 
 
 def counts_of(per_source, n):
@@ -39,119 +37,127 @@ def slot_counts(ids, n):
     return np.bincount(ids, minlength=n)
 
 
-def measured(slots, duration, n):
-    """The measurement of a window of slots, counted as run_once counts it:
-    one bincount of the window's packet ids."""
+def ranked(monkeypatch, counts, w_s, baseline_rate, exempt=None):
+    """(rates, candidate ids, budget) that identify hands to the prefix rule."""
+    seen = []
+
+    def spy(rates, ids, budget):
+        seen.append((rates, ids, budget))
+        return _greedy_prefix(rates, ids, budget)
+
+    monkeypatch.setattr(identifier, "_greedy_prefix", spy)
+    identify(counts, w_s, baseline_rate, exempt)
+    (got,) = seen
+    return got
+
+
+def measured(monkeypatch, slots, duration, n):
+    """The rates of a window of slots, counted as run_once counts it: one
+    bincount of the window's packet ids, then identify."""
     ids = np.concatenate([np.empty(0, dtype=np.int64), *slots])
     counts = np.bincount(ids, minlength=n)
     assert counts.sum() == sum(len(ids) for ids in slots)
-    return measure_per_source(counts, duration)
+    return ranked(monkeypatch, counts, duration, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
 
-def test_measure_single_source_rate():
+def test_measure_single_source_rate(monkeypatch):
     slots = [slot_of({7: 3}) for _ in range(10)]
-    m = measured(slots, 10.0, 8)
-    assert m.rates[7] == 3.0
-    assert ids_of(m.rates) == {7}
+    rates = measured(monkeypatch, slots, 10.0, 8)
+    assert rates[7] == 3.0
+    assert ids_of(rates) == {7}
 
 
-def test_measure_rates_are_counts_over_window_length():
+def test_measure_rates_are_counts_over_window_length(monkeypatch):
     # the window length itself is the denominator: a window placed at a
     # fire time t has (t + w_s) - t != w_s for many t, e.g. 6.1 + 10.0
     rng = np.random.default_rng(43)
     slots = [slot_of(dict(enumerate(rng.integers(0, 9, 20).tolist()))) for _ in range(100)]
     counts = sum(slot_counts(slot, 20) for slot in slots)
     assert (6.1 + 10.0) - 6.1 != 10.0
-    assert np.array_equal(measured(slots, 10.0, 20).rates, counts / 10.0)
+    assert np.array_equal(measured(monkeypatch, slots, 10.0, 20), counts / 10.0)
 
 
-def test_measure_absent_source_gets_zero():
+def test_measure_absent_source_gets_zero(monkeypatch):
     slots = [slot_of({1: 5})]
-    m = measured(slots, 1.0, 3)
-    assert m.rates[2] == 0.0
-
-
-def test_measure_empty_window_rejected():
-    # a window of no slots lasts no time
-    with pytest.raises(ValueError, match="empty measurement window"):
-        measured([], 0.0, 3)
-    with pytest.raises(ValueError, match="empty measurement window"):
-        measured([slot_of({})], 0.0, 3)
+    rates = measured(monkeypatch, slots, 1.0, 3)
+    assert rates[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
 # attack-rate budget
 # ---------------------------------------------------------------------------
 
-def test_estimate_attack_rate():
-    assert estimate_attack_rate(3000.0, 1000.0) == 2000.0
-    assert estimate_attack_rate(1000.0, 1000.0) == 0.0
-    assert estimate_attack_rate(500.0, 1000.0) == 0.0     # clamped
-    with pytest.raises(ValueError):
-        estimate_attack_rate(-1.0, 0.0)
+def test_estimate_attack_rate(monkeypatch):
+    # the budget is the window's total rate less the baseline, clamped at 0
+    cases = [({0: 2000, 1: 1000}, 2000.0, {0}),
+             ({0: 600, 1: 400}, 0.0, set()),
+             ({0: 300, 1: 200}, 0.0, set())]     # clamped
+    for per_source, budget, suspects in cases:
+        counts = counts_of(per_source, 2)
+        assert ranked(monkeypatch, counts, 1.0, 1000.0)[2] == budget
+        assert ids_of(identify(counts, 1.0, 1000.0)) == suspects
 
 
 # ---------------------------------------------------------------------------
 # greedy identification
 # ---------------------------------------------------------------------------
 
-def measurement_of(rates):
-    """Rates keyed by source id, as a dense vector over ids 0..len(rates)-1."""
-    assert set(rates) == set(range(len(rates)))
-    return PerSourceMeasurement(np.array([rates[i] for i in range(len(rates))],
-                                         dtype=float))
-
-
-def classify(identify, rates, budget, *exempt):
-    """(attacker ids, legal ids) for rates keyed by arbitrary distinct ids.
+def classify(counts, baseline_rate, *exempt):
+    """(attacker ids, legal ids) from identify over one second, for packet
+    counts keyed by arbitrary distinct ids; the budget is their total less
+    baseline_rate.
 
     The ids are mapped in ascending order onto vector positions, which keeps
     the tie-break by ascending id; the legal set is the complement of the
     returned attacker mask.
     """
-    ids = sorted(rates)
+    ids = sorted(counts)
     slot = {sid: j for j, sid in enumerate(ids)}
-    m = measurement_of({slot[sid]: r for sid, r in rates.items()})
-    mask = identify(m, *[mask_of([slot[s] for s in e], len(ids)) for e in exempt],
-                    budget)
+    vector = counts_of({slot[sid]: c for sid, c in counts.items()}, len(ids))
+    mask = identify(vector, 1.0, baseline_rate,
+                    *[mask_of([slot[s] for s in e], len(ids)) for e in exempt])
     assert mask.dtype == bool and len(mask) == len(ids)
     return ({ids[j] for j in np.flatnonzero(mask)},
             {ids[j] for j in np.flatnonzero(~mask)})
 
 
+def prefix_of(rates, budget, exempt=()):
+    """The attacker ids of the prefix rule itself over float rates keyed by
+    arbitrary distinct ids, for a budget no window total need give."""
+    ids = sorted(rates)
+    vector = np.array([rates[sid] for sid in ids], dtype=float)
+    candidates = np.array([j for j, sid in enumerate(ids) if sid not in exempt],
+                          dtype=np.int64)
+    return {ids[j] for j in np.flatnonzero(_greedy_prefix(vector, candidates, budget))}
+
+
 def test_greedy_prefix_example():
-    attackers, legal = classify(identify_greedy,
-                                {0: 5.0, 1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0}, 12.0)
-    assert attackers == {0, 1, 2}        # 5+4+3 = 12 <= 12; +2 exceeds
+    attackers, legal = classify({0: 5, 1: 4, 2: 3, 3: 2, 4: 1}, 3.0)
+    assert attackers == {0, 1, 2}        # 5+4+3 = 12 <= 15 - 3; +2 exceeds
     assert legal == {3, 4}
 
 
 def test_greedy_zero_budget():
-    attackers, legal = classify(identify_greedy, {0: 5.0, 1: 1.0}, 0.0)
+    attackers, legal = classify({0: 5, 1: 1}, 6.0)
     assert attackers == set()
     assert legal == {0, 1}
 
 
 def test_greedy_unbounded_budget_takes_all():
-    attackers, _ = classify(identify_greedy, {0: 5.0, 1: 1.0, 2: 0.0}, 100.0)
+    attackers, _ = classify({0: 5, 1: 1, 2: 0}, 0.0)
     assert attackers == {0, 1, 2}
+    assert prefix_of({0: 5.0, 1: 1.0, 2: 0.0}, 100.0) == {0, 1, 2}
 
 
 def test_greedy_tie_break_by_ascending_id():
-    attackers, _ = classify(identify_greedy, {9: 2.0, 3: 2.0, 5: 2.0}, 4.0)
+    attackers, _ = classify({9: 2, 3: 2, 5: 2}, 2.0)
     assert attackers == {3, 5}
     # the same ids in a dense vector with silent sources between them
-    m = PerSourceMeasurement(counts_of({9: 2, 3: 2, 5: 2}, 10) * 1.0)
-    assert ids_of(identify_greedy(m, 4.0)) == {3, 5}
-
-
-def test_greedy_negative_budget_rejected():
-    with pytest.raises(ValueError):
-        identify_greedy(measurement_of({0: 1.0}), -1.0)
+    assert ids_of(identify(counts_of({9: 2, 3: 2, 5: 2}, 10), 1.0, 2.0)) == {3, 5}
 
 
 def brute_force_prefix(rates, budget):
@@ -176,18 +182,18 @@ def brute_force_prefix(rates, budget):
        st.sets(st.integers(0, 100)))
 def test_greedy_matches_brute_force_oracle(rates, budget, counts, w_s, budget_packets,
                                            history):
-    # tie-heavy: small packet counts over w_s, as measure_per_source makes
-    # rates, so the cut mostly falls inside a run of equal rates; greedy
-    # over every source, and the history variant over those without history
+    # tie-heavy: small packet counts over w_s, as identify makes rates, so
+    # the cut mostly falls inside a run of equal rates; greedy over every
+    # source, and the history variant over those without history
     tied = {sid: c / w_s for sid, c in counts.items()}
     exempt = history & set(tied)
     tied_budget = budget_packets / w_s
-    assert classify(identify_greedy, tied, tied_budget)[0] == brute_force_prefix(
-        tied, tied_budget)
-    assert classify(identify_by_history, tied, tied_budget, exempt)[0] == brute_force_prefix(
+    assert prefix_of(tied, tied_budget) == brute_force_prefix(tied, tied_budget)
+    assert prefix_of(tied, tied_budget, exempt) == brute_force_prefix(
         {sid: r for sid, r in tied.items() if sid not in exempt}, tied_budget)
 
-    attackers, legal = classify(identify_greedy, rates, budget)
+    attackers = prefix_of(rates, budget)
+    legal = set(rates) - attackers
     assert attackers == brute_force_prefix(rates, budget)
     # partition invariant
     assert attackers | legal == set(rates)
@@ -202,12 +208,33 @@ def test_greedy_matches_brute_force_oracle(rates, budget, counts, w_s, budget_pa
         assert total + rates[best] > budget - 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=40),
+       st.sampled_from([1.0, 10.0, 10.5]),
+       st.floats(0.0, 10.0, allow_nan=False),
+       st.none() | st.lists(st.booleans(), min_size=40, max_size=40))
+@example(counts=[3, 1, 2], w_s=1.0, baseline_rate=0.0, exempt=[True] * 40)
+@example(counts=[2, 2, 1, 0], w_s=10.0, baseline_rate=0.5, exempt=None)
+@example(counts=[0, 0, 0], w_s=10.5, baseline_rate=0.0, exempt=None)
+def test_identify_matches_brute_force_prefix(counts, w_s, baseline_rate, exempt):
+    # small counts tie often; the oracle walks the candidates' rates against
+    # the window's total rate less the baseline, clamped at 0
+    counts = np.array(counts, dtype=np.int64)
+    mask = None if exempt is None else np.array(exempt[:len(counts)], dtype=bool)
+    rates = {sid: int(c) / w_s for sid, c in enumerate(counts)
+             if mask is None or not mask[sid]}
+    budget = max(0.0, int(counts.sum()) / w_s - baseline_rate)
+    suspects = identify(counts, w_s, baseline_rate, mask)
+    assert suspects.dtype == bool and len(suspects) == len(counts)
+    assert ids_of(suspects) == brute_force_prefix(rates, budget)
+
+
 # ---------------------------------------------------------------------------
 # history identification
 # ---------------------------------------------------------------------------
 
 def test_history_all_pre_active_blocks_nothing():
-    attackers, legal = classify(identify_by_history, {0: 5.0, 1: 4.0}, 100.0, {0, 1})
+    attackers, legal = classify({0: 5, 1: 4}, 0.0, {0, 1})
     assert attackers == set()
     assert legal == {0, 1}
 
@@ -215,16 +242,15 @@ def test_history_all_pre_active_blocks_nothing():
 def test_history_empty_exemption_equals_greedy():
     rng = np.random.default_rng(41)
     for _ in range(50):
-        rates = {int(i): float(r) for i, r in
-                 enumerate(rng.uniform(0, 10, rng.integers(1, 15)))}
-        budget = float(rng.uniform(0, 30))
+        counts = rng.integers(0, 10, rng.integers(1, 15))
+        baseline_rate = float(rng.uniform(0, 30))
         assert np.array_equal(
-            identify_by_history(measurement_of(rates), mask_of([], len(rates)), budget),
-            identify_greedy(measurement_of(rates), budget))
+            identify(counts, 1.0, baseline_rate, mask_of([], len(counts))),
+            identify(counts, 1.0, baseline_rate))
 
 
 def test_history_exempt_sources_never_blocked():
-    attackers, _ = classify(identify_by_history, {0: 50.0, 1: 4.0, 2: 3.0}, 10.0, {0})
+    attackers, _ = classify({0: 50, 1: 4, 2: 3}, 47.0, {0})
     assert 0 not in attackers
     assert attackers == {1, 2}
 

@@ -8,7 +8,10 @@ per-second packet arrival counts -- an upper-confidence-bound gate on the
 current mean, then a pooled t-test and Levene's test against the lagged
 baseline, flagging if either rejects.  The counts are ints, so each check
 is decided exactly on integer moments: t^2 and Levene's W against one
-critical value q^2, because F(1, nu) is t(nu)^2.
+critical value q^2, because F(1, nu) is t(nu)^2.  A stretch reads every
+check's sums and sums of squares off Python-int prefix sums of its
+buckets, built once, so a check costs O(1) until Levene's test needs the
+windows themselves.
 
 Detector.run takes every stretch of slots, between episodes and during
 them: it runs the detector, the buffer and, while a filter is in place,
@@ -28,6 +31,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
@@ -169,26 +173,24 @@ def detect_ratio(short_avg, long_avg, r: float):
     return (long_avg > 0) & (short_avg > (1.0 + r) * long_avg)
 
 
-def _moments(xs: Sequence[int]) -> tuple[int, int]:
-    """S = sum(xs) and D = n * sum(x^2) - S^2, n^2 times the sum of squares
-    about the mean: exact on ints."""
-    s = sum(xs)
-    return s, len(xs) * sum(map(mul, xs, xs)) - s * s
-
-
-# z(MPAR_ALPHA)^2, the gate's squared critical value, as an exact ratio
-_GATE_Z2 = Fraction(normal_upper_quantile(MPAR_ALPHA)) ** 2
+# z(MPAR_ALPHA)^2, the gate's squared critical value, as an exact ratio of ints
+_GATE_Z2_NUM, _GATE_Z2_DEN = (Fraction(normal_upper_quantile(MPAR_ALPHA)) ** 2).as_integer_ratio()
 
 
 @functools.lru_cache(maxsize=64)
-def _t_critical_square(alpha: float, df: int) -> Fraction:
-    """q^2 for q = t(1 - alpha/2, df), as an exact ratio: F(1, df) is
-    t(df)^2, so both tests reject above it."""
-    return Fraction(student_t_quantile(1.0 - alpha / 2.0, df)) ** 2
+def _t_critical_square(alpha: float, df: int) -> tuple[int, int]:
+    """q^2 for q = t(1 - alpha/2, df), as an exact ratio of ints: F(1, df)
+    is t(df)^2, so both tests reject above it."""
+    return (Fraction(student_t_quantile(1.0 - alpha / 2.0, df)) ** 2).as_integer_ratio()
 
 
-def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
-                       alpha: float) -> bool:
+# a window of a list of counts: (list, start, stop) for list[start:stop]
+_Window = tuple[Sequence[int], int, int]
+
+
+def detect_statistical(baseline_par: Sequence[int] | _Window,
+                       current_par: Sequence[int] | _Window, alpha: float,
+                       sums: Optional[tuple[int, int, int, int]] = None) -> bool:
     """Hypothesis-testing detection on packet-arrival-rate samples.
 
     Gates on the upper confidence bound of the baseline mean (MPAR, at
@@ -198,38 +200,53 @@ def detect_statistical(baseline_par: Sequence[int], current_par: Sequence[int],
     and q = t(1 - alpha/2, nu), the t-test rejects iff t^2 > q^2, and
     Levene iff W > q^2, because W is referred to F(1, nu) = t(nu)^2.
 
-    The decision is exact on int counts: the sums S, the D = n * sum(x^2)
-    - S^2 and Levene's deviations |n*x - S| are ints, z^2 and q^2 exact
-    ratios of ints, and every comparison cross-multiplies.  A baseline of
-    equal counts (D_b = 0) fires iff the current mean is above its mean.
+    The decision is exact on int counts: the sums S and Q = sum(x^2), the
+    D = n * Q - S^2 and Levene's deviations |n*x - S| are ints, z^2 and
+    q^2 exact ratios of ints, and every comparison cross-multiplies.  A
+    baseline of equal counts (D_b = 0) fires iff the current mean is above
+    its mean.  Each step needs only what it compares: the sign of the mean
+    difference needs no square, and only Levene reads the samples.
+
+    The samples are lists of int counts.  A stretch passes instead each as
+    a (list, start, stop) window of its buckets, list[start:stop], with
+    sums = (S_b, Q_b, S_c, Q_c) read off its prefix sums; a window is cut
+    only if Levene's test is reached.
     """
-    n_b, n_c = len(baseline_par), len(current_par)
+    if sums is None:
+        b, c = baseline_par, current_par
+        sums = sum(b), sum(map(mul, b, b)), sum(c), sum(map(mul, c, c))
+        baseline_par, current_par = (b, 0, len(b)), (c, 0, len(c))
+    (base, b0, b1), (cur, c0, c1) = baseline_par, current_par
+    n_b, n_c = b1 - b0, c1 - c0
     if n_b < 8 or n_c < 2:
         raise ValueError("statistical detection needs >= 8 baseline and >= 2 current samples")
-    s_b, d_b = _moments(baseline_par)
-    s_c, d_c = _moments(current_par)
+    s_b, q_b, s_c, q_c = sums
     num = s_c * n_b - s_b * n_c              # n_b * n_c times the mean difference
     if num <= 0:
         return False
+    d_b = n_b * q_b - s_b * s_b
     if d_b == 0:
         return True
     # the gate: mean difference > z * sqrt(D_b / (n_b^2 (n_b - 1)))
-    z2 = _GATE_Z2
-    if num * num * (n_b - 1) * z2.denominator <= z2.numerator * d_b * n_c * n_c:
+    if num * num * (n_b - 1) * _GATE_Z2_DEN <= _GATE_Z2_NUM * d_b * n_c * n_c:
         return False
     nu = n_b + n_c - 2
-    q2 = _t_critical_square(alpha, nu)
+    q2_num, q2_den = _t_critical_square(alpha, nu)
+    d_c = n_c * q_c - s_c * s_c
     # t^2 = num^2 nu / ((n_b + n_c)(D_b n_c + D_c n_b))
-    if num * num * nu * q2.denominator > q2.numerator * (n_b + n_c) * (d_b * n_c + d_c * n_b):
+    if num * num * nu * q2_den > q2_num * (n_b + n_c) * (d_b * n_c + d_c * n_b):
         return True
     # W = nu M^2 / ((n_b + n_c)(E_b n_c^3 + E_c n_b^3)) on each group's T and
-    # E, the S and D of its deviations; 0 when the deviations within each
-    # group are all equal
-    t_b, e_b = _moments([abs(n_b * x - s_b) for x in baseline_par])
-    t_c, e_c = _moments([abs(n_c * x - s_c) for x in current_par])
+    # E, the S and D of its deviations |n*x - S|; 0 when the deviations
+    # within each group are all equal.  The signed deviations sum to 0, so
+    # T is twice the sum of those above the mean, and their squares sum to
+    # n * D, so E = n^2 D - T^2
+    t_b = 2 * sum(n_b * x - s_b for x in base[b0:b1] if n_b * x > s_b)
+    t_c = 2 * sum(n_c * x - s_c for x in cur[c0:c1] if n_c * x > s_c)
+    e_b, e_c = n_b * n_b * d_b - t_b * t_b, n_c * n_c * d_c - t_c * t_c
     m = t_b * n_c * n_c - t_c * n_b * n_b
     spread = e_b * n_c ** 3 + e_c * n_b ** 3
-    return spread > 0 and m * m * nu * q2.denominator > q2.numerator * (n_b + n_c) * spread
+    return spread > 0 and m * m * nu * q2_den > q2_num * (n_b + n_c) * spread
 
 
 class Detector:
@@ -363,7 +380,11 @@ class Detector:
         of the last c + baseline_len buckets, once that many are held; in
         an episode, against the oldest baseline_len of the buckets held at
         the fire, if they were full, from the ws_buckets-th bucket after
-        the freeze or the last rearm on.  Within a slot, statistical beats
+        the freeze or the last rearm on.  Each check is one
+        detect_statistical call on its two windows, with their sums and
+        sums of squares read off Python-int prefix sums of the buckets,
+        built once a stretch; it cuts the windows only for Levene's test.
+        Within a slot, statistical beats
         ratio, which beats buffer-full, and restoration beats a fire,
         whose due check still counts.  Without watch, in a measurement
         window, no fire is searched for and every due check is counted;
@@ -419,14 +440,22 @@ class Detector:
             first = len(new)                    # no baseline was pinned: nothing is due
         due = range(first, len(new))
         if Method.STATISTICAL in cfg.methods and due:
-            buckets = self.buckets + (episode or []) + new
+            # an episode tests against the oldest base_len held at the fire,
+            # and its current windows lie within its own buckets
+            buckets = (self.buckets if episode is None else
+                       self.buckets[:base_len] + episode) + new
+            p1 = [0, *accumulate(buckets)]
+            p2 = [0, *accumulate(map(mul, buckets, buckets))]
+            held = len(buckets) - len(new)
             for j in due:
-                top = len(buckets) - len(new) + j + 1    # one past the checked bucket
+                top = held + j + 1                  # one past the checked bucket
                 # sliding, or the oldest baseline_len held at the fire
                 start = top - most if episode is None else 0
+                stop, cur = start + base_len, top - ws
                 self.stat_checks += 1
-                if detect_statistical(buckets[start:start + base_len], buckets[top - ws:top],
-                                      cfg.alpha):
+                if detect_statistical((buckets, start, stop), (buckets, cur, top), cfg.alpha,
+                                      (p1[stop] - p1[start], p2[stop] - p2[start],
+                                       p1[top] - p1[cur], p2[top] - p2[cur])):
                     self.stat_positives += 1
                     if watch:
                         done, fired = (j + 1) * spb - fill, Method.STATISTICAL

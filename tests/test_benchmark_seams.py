@@ -24,9 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from ddossim import detector, get_preset, harness
+from ddossim import cli, detector, get_preset, harness
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 SPLIT_TO_FILTER = {"traffic.stream_init", "identifier.apply_filter"}
 STATISTICAL = {"detector.detect_statistical"}
@@ -48,17 +49,31 @@ def test_every_seam_is_found():
     assert set(tracer.names) == SEAMS
 
 
-@pytest.mark.parametrize("preset, called", [
+def configs(workload):
+    """(scenario, detector_cfg, id_method) of a preset, or of the benchmark's
+    sim2-quiet workload, read from its config file."""
+    if workload == "sim2-quiet":
+        scenario, detector_cfg, spec = cli.load_config(str(PERFBENCH / "sim2-quiet.ini"))
+        return scenario, detector_cfg, spec.id_method
+    p = get_preset(workload)
+    return p.scenario, p.detector, p.id_method
+
+
+@pytest.mark.parametrize("workload, called", [
     ("sim2", SPLIT_TO_FILTER | STATISTICAL),
     ("sim1", SPLIT_TO_FILTER),
+    # the false-alarm study, where measurement windows count every due
+    # check; at this seed no filter phase re-fires into a second window,
+    # the only kind apply_filter runs on
+    ("sim2-quiet", {"traffic.stream_init"} | STATISTICAL),
 ])
-def test_traced_run_matches_untraced(preset, called):
-    p = get_preset(preset)
+def test_traced_run_matches_untraced(workload, called):
+    args = configs(workload)
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    untraced = harness.run_once(p.scenario, p.detector, p.id_method, seed=3).as_row()
+    untraced = harness.run_once(*args, seed=3).as_row()
     with tracing.patched(tracing.layer_patches(tracer, harness, detector)):
-        traced = harness.run_once(p.scenario, p.detector, p.id_method, seed=3).as_row()
+        traced = harness.run_once(*args, seed=3).as_row()
     assert traced == untraced
     totals = tracer.totals()
     assert {name for name, (calls, _, _) in totals.items() if calls} == called

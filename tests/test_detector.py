@@ -5,6 +5,8 @@ import copy
 import math
 import warnings
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -272,18 +274,21 @@ def fraction_decision(baseline, current, alpha):
     return t2 > q2 or w > q2
 
 
-BIG = 10 ** 12                  # counts whose squares pass 2**53
+BIG = 10 ** 12                  # counts whose squares pass 2**63
+
+
+DECISION_EXAMPLES = [
+    ([0, 1, 2, 3, 4, 5, 6, 7], [20, 20], 0.05),     # constant current, D_c = 0
+    ([0, 2] * 4, [2, 2], 0.05),                     # Levene's 0/0
+    ([5] * 8, [5, 6], 0.05),                        # degenerate baseline
+    # near 10**12: the t-test fires; Levene fires; neither does
+    ([BIG + i % 5 for i in range(30)], [BIG + 3, BIG + 7, BIG + 4], 0.05),
+    ([BIG + i % 3 for i in range(30)], [BIG + x for x in [0, 6] + [1] * 7 + [6]], 0.05),
+    ([BIG + i % 3 for i in range(30)], [BIG + x for x in [1] * 8 + [6, 0]], 0.05)]
 
 
 def with_decision_examples(test):
-    for args in [([0, 1, 2, 3, 4, 5, 6, 7], [20, 20], 0.05),    # constant current, D_c = 0
-                 ([0, 2] * 4, [2, 2], 0.05),                    # Levene's 0/0
-                 ([5] * 8, [5, 6], 0.05),                       # degenerate baseline
-                 # near 10**12: the t-test fires; Levene fires; neither does
-                 ([BIG + i % 5 for i in range(30)], [BIG + 3, BIG + 7, BIG + 4], 0.05),
-                 ([BIG + i % 3 for i in range(30)], [BIG + x for x in [0, 6] + [1] * 7 + [6]],
-                  0.05),
-                 ([BIG + i % 3 for i in range(30)], [BIG + x for x in [1] * 8 + [6, 0]], 0.05)]:
+    for args in DECISION_EXAMPLES:
         test = example(*args)(test)
     return test
 
@@ -303,6 +308,71 @@ def test_statistical_decision_matches_fraction_oracle(baseline, current, alpha):
 def test_statistical_decision_matches_fraction_oracle_many(baseline, current, alpha):
     assert detect_statistical(baseline, current, alpha) == fraction_decision(
         baseline, current, alpha)
+
+
+@st.composite
+def prefix_cases(draw):
+    """One due check on a bucket series, as Detector.run makes it: a
+    baseline of 8 or more buckets, a look-back gap, a current window of 2
+    or more ending at top, and buckets before and after.  The baseline
+    slides (start = top - most, with most = base_len + gap + ws), or it is
+    the oldest base_len held at a fire (start = 0)."""
+    pinned = draw(st.booleans())
+    lead = [] if pinned else draw(st.lists(st.integers(0, 60), max_size=10))
+    baseline = draw(DECISIONS["baseline"])
+    gap = draw(st.lists(st.integers(0, 60), max_size=10))
+    current = draw(DECISIONS["current"])
+    tail = draw(st.lists(st.integers(0, 60), max_size=5))
+    return prefix_case(pinned, lead, baseline, gap, current, tail, draw(DECISIONS["alpha"]))
+
+
+def prefix_case(pinned, lead, baseline, gap, current, tail, alpha):
+    """(series, base_len, ws, most, top, pinned, alpha)."""
+    most = len(baseline) + len(gap) + len(current)
+    return (lead + baseline + gap + current + tail, len(baseline), len(current), most,
+            len(lead) + most, pinned, alpha)
+
+
+def with_prefix_examples(test):
+    # each decision example, near 10**12 too, with buckets before, between
+    # and after its windows, on a sliding and on a pinned baseline
+    for baseline, current, alpha in DECISION_EXAMPLES:
+        x = baseline[0]
+        test = example(prefix_case(False, [x + 1] * 3, baseline, [x + 2] * 2, current, [x] * 4,
+                                   alpha))(test)
+        test = example(prefix_case(True, [], baseline, [x + 5] * 6, current, [x + 1], alpha))(test)
+    return test
+
+
+def assert_prefix_decision(series, base_len, ws, most, top, pinned, alpha):
+    """Detector.run's check of the windows ending at top, on the series'
+    prefix sums, against detect_statistical on the two slices and the
+    Fraction oracle."""
+    p1 = [0, *accumulate(series)]
+    p2 = [0, *accumulate(map(mul, series, series))]
+    start = 0 if pinned else top - most
+    stop, cur = start + base_len, top - ws
+    got = detect_statistical((series, start, stop), (series, cur, top), alpha,
+                             (p1[stop] - p1[start], p2[stop] - p2[start],
+                              p1[top] - p1[cur], p2[top] - p2[cur]))
+    baseline, current = series[start:stop], series[cur:top]
+    assert got == detect_statistical(baseline, current, alpha) == fraction_decision(
+        baseline, current, alpha)
+
+
+@with_prefix_examples
+@settings(max_examples=300, deadline=None)
+@given(prefix_cases())
+def test_prefix_sum_decision_matches_slices(case):
+    assert_prefix_decision(*case)
+
+
+@pytest.mark.slow
+@with_prefix_examples
+@settings(max_examples=5000, deadline=None)
+@given(prefix_cases())
+def test_prefix_sum_decision_matches_slices_many(case):
+    assert_prefix_decision(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +881,31 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
         assert (det.stat_checks - checks, det.stat_positives - positives) == (2, 2)
     else:
         assert det.stat_checks == 0
+
+
+def test_run_checks_exactly_at_huge_counts():
+    # aggregates near 10**11 a slot on one-slot buckets, whose squares pass
+    # 2**63: a stretch's prefix sums must stay Python ints, where an int64
+    # cumsum of the squares would wrap silently.  Monitor stretches up to
+    # each fire, then an episode's measurement windows, against the
+    # reference's checks on the lists
+    big = 10 ** 11
+    rng = np.random.default_rng(43)
+    t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.STATISTICAL,)),
+              1.0, BufferState(l1=40, l2=160), float(2 * big))
+    t.monitor((big + rng.poisson(4, 40)).tolist())
+    t.assert_same()
+    checks, positives = t.det.stat_checks, t.det.stat_positives
+    assert_scan_matches_observe(t, (big + rng.poisson(12, 20)).tolist())
+    for level in (12, 4):
+        t.rearm()
+        t.measure((big + rng.poisson(level, 6)).tolist())
+        t.assert_same()
+    t.unfreeze()
+    t.monitor((big + rng.poisson(4, 40)).tolist())
+    t.assert_same()
+    checks, positives = t.det.stat_checks - checks, t.det.stat_positives - positives
+    assert checks > 20 and 0 < positives < checks
 
 
 def test_run_frozen_needs_a_frozen_detector():

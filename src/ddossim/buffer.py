@@ -2,9 +2,10 @@
 
 The buffer has a normal-operation tier of size l1 and an excess tier of
 size l2; occupancy at or above l1 is the overload signal the buffer-full
-detector watches.  Within a slot, service happens before admission, and a
-fractional service credit keeps the long-run served rate equal to
-mu * slot_dt even when that product is not an integer.
+detector watches.  A buffer serves at one rate, service_per_slot = mu *
+slot_dt, fixed when it is built.  Within a slot, service happens before
+admission, and a fractional service credit keeps the long-run served rate
+equal to that rate even when it is not an integer.
 
 run_ahead() runs a stretch of slots at once and commit() leaves the state
 as the per-slot rules (tests/reference.py's step) over any prefix of them
@@ -13,8 +14,9 @@ leave it.  Two facts make the stretch exact in int64:
 - Service does not depend on arrivals.  A slot's whole capacity is
   int(credit), and the credit keeps only its fractional part whether or
   not the buffer empties (when it does not, exactly int(credit) was
-  served).  So the capacity of every slot follows from service_per_slot
-  and the slot index alone, one cached sequence per service rate.
+  served).  So the capacity of every slot follows from the rate and the
+  slot index alone: one read-only table is cached per rate, and a
+  stretch is a slice of it at the state's slot.
 - Between the two walls the backlog is a Lindley recursion (Lindley 1952)
   on prefix sums.  With S_k = occupancy + sum(a[:k]) - sum(w[:k + 1]) for
   arrivals a and capacities w, the backlog after slot k's service is
@@ -28,35 +30,37 @@ leave it.  Two facts make the stretch exact in int64:
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["BufferState", "Stretch", "run_ahead", "commit"]
 
-# the shortest service sequence cached for a rate: a preset run's 3000 slots
+# the shortest capacity table cached for a rate: a preset run's 3000 slots
 _TABLE_SLOTS = 4096
 
 
 class BufferState:
-    __slots__ = ("l1", "l2", "occupancy", "post_service_occupancy",
+    __slots__ = ("l1", "l2", "service_per_slot", "occupancy",
                  "cumulative_offered", "cumulative_served",
-                 "cumulative_dropped", "peak_occupancy", "peak_slot",
-                 "_service_credit", "_slot")
+                 "cumulative_dropped", "peak_occupancy", "peak_slot", "_slot")
 
-    def __init__(self, l1: int, l2: int):
+    def __init__(self, l1: int, l2: int, service_per_slot: float):
         if l1 <= 0 or l2 < 0:
             raise ValueError("buffer tiers must satisfy l1 > 0 and l2 >= 0")
+        if not 0 <= service_per_slot < math.inf:
+            raise ValueError(f"service_per_slot must be finite and >= 0, "
+                             f"got {service_per_slot!r}")
         self.l1 = l1
         self.l2 = l2
+        self.service_per_slot = float(service_per_slot)
         self.occupancy = 0
-        self.post_service_occupancy = 0
         self.cumulative_offered = 0
         self.cumulative_served = 0
         self.cumulative_dropped = 0
         self.peak_occupancy = 0
         self.peak_slot = 0
-        self._service_credit = 0.0
         self._slot = 0
 
     @property
@@ -74,51 +78,28 @@ class Stretch(NamedTuple):
     arrivals: np.ndarray     # int64 packets offered
     backlog: np.ndarray      # int64 occupancy net of the slot's service
     occupancy: np.ndarray    # int64 occupancy after the slot's admission
-    credit: np.ndarray       # float64 service credit after the slot
 
     @property
     def admitted(self) -> np.ndarray:
         return self.occupancy - self.backlog
 
 
-def _service_sequence(credit: float, service_per_slot: float,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each of n slots' whole service capacity from this credit on, and the
-    credit after it: the per-slot rule's float arithmetic, slot by slot."""
-    whole, after = [], []
+@functools.lru_cache(maxsize=8)
+def _service_table(service_per_slot: float, n: int) -> np.ndarray:
+    """The whole service capacity of each of a buffer's first n slots,
+    read-only: the per-slot rule's float credit from 0.0, slot by slot."""
+    whole, credit = [], 0.0
     for _ in range(n):
         credit += service_per_slot
         w = int(credit)
         credit -= w
         whole.append(w)
-        after.append(credit)
-    return np.array(whole, dtype=np.int64), np.array(after, dtype=np.float64)
-
-
-@functools.lru_cache(maxsize=8)
-def _service_table(service_per_slot: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_service_sequence() of a fresh buffer's first n slots, read-only."""
-    table = _service_sequence(0.0, service_per_slot, n)
-    for column in table:
-        column.flags.writeable = False
+    table = np.array(whole, dtype=np.int64)
+    table.flags.writeable = False
     return table
 
 
-def _service(state: BufferState, service_per_slot: float,
-             n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The capacities and credits of the state's next n slots: a slice of the
-    rate's table when the state's credit is the table's at its slot, as
-    it is for a state only ever stepped at this rate."""
-    lo, hi = state._slot, state._slot + n
-    size = max(_TABLE_SLOTS, 1 << (hi - 1).bit_length())
-    whole, credit = _service_table(service_per_slot, size)
-    if state._service_credit == (credit[lo - 1] if lo else 0.0):
-        return whole[lo:hi], credit[lo:hi]
-    return _service_sequence(state._service_credit, service_per_slot, n)
-
-
-def run_ahead(state: BufferState, arrivals: np.ndarray,
-              service_per_slot: float) -> Stretch:
+def run_ahead(state: BufferState, arrivals: np.ndarray) -> Stretch:
     """Each count of arrivals run through the per-slot rules in turn, as
     arrays; state unchanged.
 
@@ -130,10 +111,10 @@ def run_ahead(state: BufferState, arrivals: np.ndarray,
     n = len(arrivals)
     if n and arrivals.min() < 0:
         raise ValueError("arrivals must be >= 0")
-    if service_per_slot < 0:
-        raise ValueError("service_per_slot must be >= 0")
 
-    whole, credit = _service(state, service_per_slot, n)
+    lo, hi = state._slot, state._slot + n
+    size = max(_TABLE_SLOTS, 1 << (hi - 1).bit_length())
+    whole = _service_table(state.service_per_slot, size)[lo:hi]
     cap = state.capacity
     backlog = np.empty(n, dtype=np.int64)
     occupancy = np.empty(n, dtype=np.int64)
@@ -168,7 +149,7 @@ def run_ahead(state: BufferState, arrivals: np.ndarray,
         if m:
             occ = int(full[m - 1])
         k += m
-    return Stretch(arrivals, backlog, occupancy, credit)
+    return Stretch(arrivals, backlog, occupancy)
 
 
 def commit(state: BufferState, stretch: Stretch, k: int) -> None:
@@ -190,6 +171,4 @@ def commit(state: BufferState, stretch: Stretch, k: int) -> None:
         state.peak_occupancy = int(occupancy[top])
         state.peak_slot = state._slot + top
     state.occupancy = after
-    state.post_service_occupancy = int(stretch.backlog[k - 1])
-    state._service_credit = float(stretch.credit[k - 1])
     state._slot += k

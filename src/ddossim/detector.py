@@ -39,7 +39,7 @@ import numpy as np
 
 from .buffer import BufferState, commit, run_ahead
 from .stats import normal_upper_quantile, student_t_quantile
-from .traffic import require_finite, slots_in
+from .traffic import require_finite, require_integers, slots_in
 
 __all__ = [
     "Method",
@@ -77,6 +77,7 @@ class DetectorConfig:
 
     def validate(self) -> None:
         require_finite(self)
+        require_integers(self)
         if not 0 < self.w_s < self.w_l:
             raise ValueError("need 0 < w_s < w_l")
         if self.r <= 0:
@@ -347,48 +348,48 @@ class Detector:
         self.short = self.short[:0]
         self._rearmed_at = len(self._episode)
 
-    def must_fire_next(self, buffer: BufferState, service_per_slot: float) -> bool:
+    def must_fire_next(self, buffer: BufferState) -> bool:
         """Whether buffer-full must fire on the next slot, right after
         rearm(), and nothing before it.
 
-        A slot serves fewer than service_per_slot + 1 packets, so with the
-        occupancy service_per_slot or more above l1 (an exact int-to-float
-        comparison) the next slot's backlog is at least l1: restoration
-        cannot hold there and buffer-full fires.  Nothing fires first:
-        rearm() emptied the short window, which one slot refills only when
-        w_s is one slot, and restarted the fresh buckets, of which a
-        statistical check needs at least two.
+        A slot serves fewer than the buffer's service_per_slot + 1 packets,
+        so with the occupancy service_per_slot or more above l1 (an exact
+        int-to-float comparison) the next slot's backlog is at least l1:
+        restoration cannot hold there and buffer-full fires.  Nothing fires
+        first: rearm() emptied the short window, which one slot refills
+        only when w_s is one slot, and restarted the fresh buckets, of
+        which a statistical check needs at least two.
         """
         return (Method.BUFFER_FULL in self.cfg.methods
-                and buffer.occupancy - buffer.l1 >= service_per_slot
+                and buffer.occupancy - buffer.l1 >= buffer.service_per_slot
                 and (self._ws_slots > 1 or Method.RATIO not in self.cfg.methods))
 
-    def run(self, arrivals: np.ndarray, buffer: BufferState, service_per_slot: float,
+    def run(self, arrivals: np.ndarray, buffer: BufferState,
             restoration: Optional[RestorationMonitor] = None,
             watch: bool = True) -> tuple[int, Optional[Method], bool]:
         """The detector, the buffer and the restoration monitor, if any,
         over a stretch's int64 arrivals, one per slot, up to the first
         event; each searches, then each commits up to that slot.
 
-        In order: the first ratio hit, from whole-array prefix sums,
-        against the long window between episodes or lambda-bar in one;
-        the buffer run up to that slot and no further (run_ahead); the
-        first slot at which restoration holds; the first backlog at or
-        above l1 (buffer-full); then the statistical check of the last
-        ws_buckets buckets at each bucket boundary up to the earliest of
-        these.  Between episodes it tests against the oldest baseline_len
-        of the last c + baseline_len buckets, once that many are held; in
-        an episode, against the oldest baseline_len of the buckets held at
-        the fire, if they were full, from the ws_buckets-th bucket after
-        the freeze or the last rearm on.  Each check is one
-        detect_statistical call on its two windows, with their sums and
-        sums of squares read off Python-int prefix sums of the buckets,
-        built once a stretch; it cuts the windows only for Levene's test.
-        Within a slot, statistical beats
-        ratio, which beats buffer-full, and restoration beats a fire,
-        whose due check still counts.  Without watch, in a measurement
-        window, no fire is searched for and every due check is counted;
-        that needs a frozen detector (RuntimeError otherwise).
+        In order: the first ratio hit, from whole-array prefix sums, against
+        the long window between episodes or lambda-bar in one; the buffer
+        run up to that slot and no further, at the rate it was built with
+        (run_ahead); the first slot at which restoration holds; the first
+        backlog at or above l1 (buffer-full); then the statistical check of
+        the last ws_buckets buckets at each bucket boundary up to the
+        earliest of these.  Between episodes it tests against the oldest
+        baseline_len of the last c + baseline_len buckets, once that many
+        are held; in an episode, against the oldest baseline_len of the
+        buckets held at the fire, if they were full, from the ws_buckets-th
+        bucket after the freeze or the last rearm on.  Each check is one
+        detect_statistical call on its two windows, with their sums and sums
+        of squares read off Python-int prefix sums of the buckets, built
+        once a stretch; it cuts the windows only for Levene's test.  Within
+        a slot, statistical beats ratio, which beats buffer-full, and
+        restoration beats a fire, whose due check still counts.  Without
+        watch, in a measurement window, no fire is searched for and every
+        due check is counted; that needs a frozen detector (RuntimeError
+        otherwise).
 
         Returns the slots run, the method that fired in the last of them
         or None, and whether restoration held there.  The detector, the
@@ -410,7 +411,7 @@ class Detector:
             hits = detect_ratio(short_avg, long_avg, cfg.r).nonzero()[0]
             if len(hits):
                 ratio_at = last = int(hits[0])
-        stretch = run_ahead(buffer, arrivals[:last + 1], service_per_slot)
+        stretch = run_ahead(buffer, arrivals[:last + 1])
         at = None if restoration is None else restoration.first_restored(stretch.backlog,
                                                                          stretch.admitted)
         if at is not None:

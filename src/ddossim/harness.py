@@ -98,7 +98,10 @@ def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
 
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
              id_method: str = "greedy", seed: Optional[int] = None) -> RunMetrics:
-    """Execute one complete scenario and collect its metrics."""
+    """Execute one complete scenario and collect its metrics.
+
+    The buffer is built with the scenario's service rate, mu * slot_dt,
+    and serves at it for the whole run."""
     check_configs(scenario, detector_cfg)
     if id_method not in ("greedy", "history"):
         raise ValueError(f"unknown identification method {id_method!r}")
@@ -108,11 +111,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     ss = np.random.SeedSequence(seed)
     rng_traffic, rng_split = (np.random.default_rng(s) for s in ss.spawn(2))
     stream = TrafficStream(scenario, rng_traffic, rng_split)
-    buf = BufferState(scenario.l1, scenario.l2)
-    det = Detector(detector_cfg, scenario.slot_dt)
-
     dt = scenario.slot_dt
-    service = scenario.mu * dt
+    buf = BufferState(scenario.l1, scenario.l2, scenario.mu * dt)
+    det = Detector(detector_cfg, dt)
+
     ws_slots, _, c_slots = detector_cfg.window_slots(dt)
     # reported times are whole slot counts over slots per second
     per_second = scenario.slots_per_second
@@ -154,8 +156,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # each slot's unblocked packets: the packets before each of
             # its bounds less the blocked ones, counted by one search
             arrivals = np.diff(bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds))
-        ran, fired, restored = det.run(arrivals, buf, service, restoration,
-                                       watch=phase != "measure")
+        ran, fired, restored = det.run(arrivals, buf, restoration, watch=phase != "measure")
         elapsed += ran
         if blocked is not None and elapsed < stop:
             stream.rewind(elapsed)
@@ -201,7 +202,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             phase = "filter"
             # a fire certain on the next slot is recorded now, so that slot
             # and the window it opens run as one stretch
-            if elapsed < n_slots and det.must_fire_next(buf, service):
+            if elapsed < n_slots and det.must_fire_next(buf):
                 fired, fired_at = Method.BUFFER_FULL, elapsed + 1
         if fired is not None:
             # a fire in the monitor phase opens an episode; one during

@@ -13,6 +13,7 @@ sources.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "ScenarioConfig",
     "TrafficStream",
     "require_finite",
+    "require_integers",
     "slots_in",
 ]
 
@@ -53,6 +55,15 @@ def require_finite(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def require_integers(config) -> None:
+    """Reject a value that is neither a Python nor a numpy integer in any
+    int field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in (int, "int") and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for one simulated scenario."""
@@ -72,6 +83,7 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.n_legal < 0 or self.n_attack < 0:
             raise ValueError("source counts must be >= 0")
         if self.lambda_n <= 0:

@@ -62,6 +62,8 @@ CASES = [
     # buffer-full false-alarms before the long window fills, so lambda-bar
     # comes from a long window that is not yet full
     case("sim2-mu2", "sim2", FEW, scenario={"mu": 2.0}),
+    # 6000 slots: stretches run past the buffer's cached service table
+    case("sim2-long", "sim2", FEW, scenario={"total_duration": 600.0}),
     case("sim1", "sim1", [0]),
     case("case3", "case3", [0]),
     case("sim1-more", "sim1", list(range(1, 9)), slow=True),

@@ -13,13 +13,17 @@ the order it runs.  Slots between episodes are not split, and uniforms
 drawn for slots past a restoration are never drawn here, so every split
 slot gets the uniforms TrafficStream's queue gives it.  step(), push()
 and update() are the per-slot rules the package runs a stretch at a
-time.  ReferenceWindow and the lambda-bar ring hold as deques the
-history that the package keeps as int64 tails of its slots, and
-ReferenceDetector's rotating bucket deque and the copies it pins at a
-freeze hold what the package keeps as its buckets from before an episode
-and the episode's own list; the identifier and decision functions are
-the package's own.  The identifier's baseline is lambda-bar read once,
-at the fire, where run_once reads it at each classification.
+time.  step() runs a ReferenceBuffer, a BufferState that also keeps the
+float service credit and the backlog the last slot's service left; it
+computes each slot's capacity from that credit and never reads the
+package's capacity table.  ReferenceWindow and the lambda-bar ring hold
+as deques the history that the package keeps as int64 tails of its
+slots, and ReferenceDetector's rotating bucket deque and the copies it
+pins at a freeze hold what the package keeps as its buckets from before
+an episode and the episode's own list; the identifier and decision
+functions are the package's own.  The identifier's baseline is
+lambda-bar read once, at the fire, where run_once reads it at each
+classification.
 """
 
 from __future__ import annotations
@@ -37,16 +41,27 @@ from ddossim.identifier import identify
 from ddossim.traffic import ScenarioConfig, slots_in
 
 
-def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
-    """Advance the buffer by one slot: serve, then admit, then account;
-    the packets admitted.  The cumulative counters carry served and
-    dropped."""
+class ReferenceBuffer(BufferState):
+    """A BufferState with the two fields the per-slot rule keeps: the float
+    service credit carried into the next slot, and the occupancy net of
+    the last slot's service, which buffer-full and restoration read."""
+
+    __slots__ = ("service_credit", "post_service_occupancy")
+
+    def __init__(self, l1: int, l2: int, service_per_slot: float):
+        super().__init__(l1, l2, service_per_slot)
+        self.service_credit = 0.0
+        self.post_service_occupancy = 0
+
+
+def step(state: ReferenceBuffer, arrivals: int) -> int:
+    """Advance the buffer by one slot at the rate it was built with: serve,
+    then admit, then account; the packets admitted.  The cumulative
+    counters carry served and dropped."""
     if arrivals < 0:
         raise ValueError("arrivals must be >= 0")
-    if service_per_slot < 0:
-        raise ValueError("service_per_slot must be >= 0")
 
-    credit = state._service_credit + service_per_slot
+    credit = state.service_credit + state.service_per_slot
     served = min(state.occupancy, int(credit))
     state.occupancy -= served
     if state.occupancy == 0:
@@ -54,7 +69,7 @@ def step(state: BufferState, arrivals: int, service_per_slot: float) -> int:
         credit -= int(credit)
     else:
         credit -= served
-    state._service_credit = credit
+    state.service_credit = credit
     state.post_service_occupancy = state.occupancy
 
     room = state.capacity - state.occupancy
@@ -267,7 +282,7 @@ class ReferenceDetector:
         return False
 
     def observe(self, aggregate: int,
-                buffer: Optional[BufferState] = None) -> Optional[Method]:
+                buffer: Optional[ReferenceBuffer] = None) -> Optional[Method]:
         """Feed one slot's aggregate; the method that fired, if any.  buffer
         is the state after this slot's step; without it buffer-full cannot
         fire."""
@@ -324,10 +339,9 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
     rng_traffic, rng_split = (np.random.default_rng(s)
                               for s in np.random.SeedSequence(seed).spawn(2))
     traffic = CountVectorSplit(scenario, rng_traffic, rng_split)
-    buf = BufferState(scenario.l1, scenario.l2)
+    buf = ReferenceBuffer(scenario.l1, scenario.l2, scenario.mu * scenario.slot_dt)
     det = ReferenceDetector(cfg, scenario.slot_dt)
 
-    service = scenario.mu * scenario.slot_dt
     ws_slots, _, c_slots = cfg.window_slots(scenario.slot_dt)
     per_second = scenario.slots_per_second
     onset = slots_in(scenario.t_star, scenario.slot_dt, "t_star")
@@ -357,7 +371,7 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
             arrivals = int(per_source.sum())
             if phase == "measure":
                 window += per_source
-        admitted = step(buf, arrivals, service)
+        admitted = step(buf, arrivals)
         fired = det.observe(arrivals, buf)
 
         # restoration is watched only while a filter is in place

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from ddossim.buffer import BufferState
 from ddossim.cli import main
 from ddossim.detector import Method, detect_statistical
 from ddossim.harness import run_batch, sweep_window
@@ -21,7 +20,7 @@ from ddossim.identifier import _greedy_prefix
 from ddossim.presets import get_preset
 from ddossim.stats import normal_upper_quantile, sample_mean, sample_stddev
 from ddossim.traffic import TrafficStream
-from reference import ReferenceWindow, step
+from reference import ReferenceBuffer, ReferenceWindow, step
 from test_detector import scipy_decision
 
 ACCEPTANCE_SEED = 2026
@@ -92,11 +91,10 @@ def test_criterion_4_fluid_fill_time():
         ss = np.random.SeedSequence(ACCEPTANCE_SEED + seed)
         rng_t, rng_s = (np.random.default_rng(s) for s in ss.spawn(2))
         stream = TrafficStream(sc, rng_t, rng_s)
-        buf = BufferState(sc.l1, sc.l2)
-        service = sc.mu * sc.slot_dt
+        buf = ReferenceBuffer(sc.l1, sc.l2, sc.mu * sc.slot_dt)
         fill = None
         for i, arrivals in enumerate(stream.totals.tolist()):
-            step(buf, arrivals, service)
+            step(buf, arrivals)
             t = (i + 1) * sc.slot_dt
             if t > sc.t_star and buf.occupancy >= buf.l1:
                 fill = t - sc.t_star
@@ -163,11 +161,11 @@ def test_criterion_6_statistics_kernel_oracles():
 def test_criterion_7_structural_invariants():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     # buffer conservation under 1e5 random arrivals
-    buf = BufferState(l1=17, l2=55)
+    buf = ReferenceBuffer(l1=17, l2=55, service_per_slot=6.5)
     conserve_ok = True
     for a in rng.integers(0, 25, size=100_000):
         before, served = buf.occupancy, buf.cumulative_served
-        admitted = step(buf, int(a), 6.5)
+        admitted = step(buf, int(a))
         if buf.occupancy != before - (buf.cumulative_served - served) + admitted:
             conserve_ok = False
         if not 0 <= buf.occupancy <= buf.capacity:

@@ -1,7 +1,6 @@
 """Detector tests: sliding windows, the three detection rules, the frozen
 baseline during episodes, and the end-to-end fire logic."""
 
-import copy
 import math
 import warnings
 from fractions import Fraction
@@ -19,7 +18,8 @@ from ddossim.detector import (ALL_METHODS, MPAR_ALPHA, Detector, DetectorConfig,
                               RestorationMonitor, detect_ratio, detect_statistical,
                               window_sums)
 from ddossim.stats import normal_upper_quantile, student_t_quantile
-from reference import ReferenceDetector, ReferenceRestorationMonitor, ReferenceWindow, step
+from reference import (ReferenceBuffer, ReferenceDetector, ReferenceRestorationMonitor,
+                       ReferenceWindow, step)
 
 
 def make_cfg(**overrides) -> DetectorConfig:
@@ -128,20 +128,20 @@ def test_detect_buffer_thresholds():
     # service reaches l1, and keeps firing while it stays there
     cfg = make_cfg(methods=(Method.BUFFER_FULL,))
     ref = ReferenceDetector(cfg, slot_dt=0.1)
-    buf = BufferState(l1=40, l2=30_000)
+    buf = ReferenceBuffer(l1=40, l2=30_000, service_per_slot=0)
     feed = ((39, False), (1, False), (0, True), (30_000, True), (0, True))
     for arrivals, fires in feed:
-        step(buf, arrivals, 0)
+        step(buf, arrivals)
         assert (ref.observe(arrivals, buf) is Method.BUFFER_FULL) == fires
     assert buf.post_service_occupancy == 30_040
     # no buffer state given: the method cannot fire
     assert ref.observe(0) is None
     # run() stops at the first of those fires; frozen, a filter stretch
     # fires on each slot after it
-    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=30_000)
-    assert det.run(np.array([a for a, _ in feed]), buf, 0.0) == (3, Method.BUFFER_FULL, False)
+    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=30_000, service_per_slot=0)
+    assert det.run(np.array([a for a, _ in feed]), buf) == (3, Method.BUFFER_FULL, False)
     det.freeze()
-    assert filter_slots(det, buf, 0.0, [a for a, _ in feed[3:]]) == [Method.BUFFER_FULL] * 2
+    assert filter_slots(det, buf, [a for a, _ in feed[3:]]) == [Method.BUFFER_FULL] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -430,42 +430,42 @@ def buffer_fields(buf):
     return {name: getattr(buf, name) for name in BufferState.__slots__}
 
 
-def observed(det, buf, service, arrivals):
+def observed(det, buf, arrivals):
     """The reference's observe() loop, each slot stepped through buf first:
     (slots consumed, method) at the first fire, as run() returns them."""
     for n, v in enumerate(arrivals, 1):
-        step(buf, v, service)
+        step(buf, v)
         fired = det.observe(v, buf)
         if fired is not None:
             return n, fired
     return len(arrivals), None
 
 
-def scanned(det, buf, service, arrivals):
+def scanned(det, buf, arrivals):
     """run() the unfrozen detector over all of arrivals, fires and all,
     starting a new stretch after each fire: the method of each fire."""
     rest = np.asarray(arrivals, dtype=np.int64)
     fires = []
     while len(rest):
-        n, fired, _ = det.run(rest, buf, service)
+        n, fired, _ = det.run(rest, buf)
         rest = rest[n:]
         if fired is not None:
             fires.append(fired)
     return fires
 
 
-def filter_slots(det, buf, service, arrivals):
+def filter_slots(det, buf, arrivals):
     """The frozen Detector over filter slots, a one-slot stretch each, buf
     run through it: what each slot fired."""
-    return [det.run(np.array([v], dtype=np.int64), buf, service)[1] for v in arrivals]
+    return [det.run(np.array([v], dtype=np.int64), buf)[1] for v in arrivals]
 
 
-def reference_stretch(ref, buf, mon, arrivals, service, watch):
+def reference_stretch(ref, buf, mon, arrivals, watch):
     """run() one slot at a time: step, observe() and the restoration
     monitor's update(), up to restoration or, when watched, a fire; (slots
     run, what fired in the last, whether restored)."""
     for n, v in enumerate(arrivals, 1):
-        admitted = step(buf, v, service)
+        admitted = step(buf, v)
         fired = ref.observe(v, buf)
         if not watch:
             fired = None                # a measurement window ignores its fires
@@ -478,31 +478,32 @@ def reference_stretch(ref, buf, mon, arrivals, service, watch):
 
 class Twins:
     """A Detector and a ReferenceDetector fed the same slots, each with its
-    own copy of a buffer: the detector a stretch at a time through run(),
-    the reference one observe() at a time."""
+    own buffer at the same rate, from a fresh one: the detector a stretch at
+    a time through run(), the reference one observe() at a time."""
 
-    def __init__(self, cfg, slot_dt, buf, service):
+    def __init__(self, cfg, slot_dt, buf):
         self.det, self.ref = Detector(cfg, slot_dt), ReferenceDetector(cfg, slot_dt)
-        self.buf, self.ref_buf = buf, copy.deepcopy(buf)
-        self.service = service
+        self.buf = buf
+        self.ref_buf = ReferenceBuffer(buf.l1, buf.l2, buf.service_per_slot)
+        assert buffer_fields(buf) == buffer_fields(self.ref_buf)
 
     def monitor(self, arrivals):
         """Unfrozen slots: run() to the end of them, and observe() each."""
-        scanned(self.det, self.buf, self.service, arrivals)
+        scanned(self.det, self.buf, arrivals)
         for v in arrivals:
-            step(self.ref_buf, v, self.service)
+            step(self.ref_buf, v)
             self.ref.observe(v, self.ref_buf)
 
     def measure(self, arrivals):
         """A frozen stretch whose fires are ignored, and observe() each slot."""
-        assert self.det.run(np.array(arrivals, dtype=np.int64), self.buf, self.service,
+        assert self.det.run(np.array(arrivals, dtype=np.int64), self.buf,
                             watch=False) == (len(arrivals), None, False)
-        reference_stretch(self.ref, self.ref_buf, None, arrivals, self.service, False)
+        reference_stretch(self.ref, self.ref_buf, None, arrivals, False)
 
     def filter_slot(self, v):
         """One frozen filter slot: what each detector fired."""
-        return (filter_slots(self.det, self.buf, self.service, [v])[0],
-                reference_stretch(self.ref, self.ref_buf, None, [v], self.service, True)[1])
+        return (filter_slots(self.det, self.buf, [v])[0],
+                reference_stretch(self.ref, self.ref_buf, None, [v], True)[1])
 
     def freeze(self):
         self.det.freeze()
@@ -521,17 +522,17 @@ class Twins:
         assert buffer_fields(self.buf) == buffer_fields(self.ref_buf)
 
 
-def first_fire(cfg, aggregates, buf=None, service=0.0):
+def first_fire(cfg, aggregates, buf=None):
     """(slots elapsed, method) at the first fire of a fresh detector, or
     (None, None): run() over the aggregates, which the reference's
-    observe() loop must agree with.  buf, when given, runs through the
-    same slots; without it the buffer-full method cannot fire."""
+    observe() loop must agree with.  buf, a fresh buffer when given, runs
+    through the same slots; without it the buffer-full method cannot fire."""
     if buf is None:
         # served faster than any slot fills it, a buffer is never backlogged
-        buf, service = BufferState(l1=40, l2=160), float(max(aggregates)) + 1.0
-    t = Twins(cfg, 0.1, buf, service)
-    ran, fired, restored = t.det.run(np.array(aggregates, dtype=np.int64), t.buf, service)
-    assert (ran, fired) == observed(t.ref, t.ref_buf, service, aggregates) and not restored
+        buf = BufferState(l1=40, l2=160, service_per_slot=float(max(aggregates)) + 1.0)
+    t = Twins(cfg, 0.1, buf)
+    ran, fired, restored = t.det.run(np.array(aggregates, dtype=np.int64), t.buf)
+    assert (ran, fired) == observed(t.ref, t.ref_buf, aggregates) and not restored
     t.assert_same()
     return (ran, fired) if fired is not None else (None, None)
 
@@ -556,6 +557,13 @@ def test_config_validation():
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make_cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("value", [30.0, 30.5, np.float64(30.0)])
+def test_config_rejects_a_non_integer_baseline_len(value):
+    with pytest.raises(ValueError, match="baseline_len must be an integer"):
+        make_cfg(baseline_len=value).validate()
+    make_cfg(baseline_len=np.int64(30)).validate()
 
 
 def test_window_sizes_are_exact_slot_counts():
@@ -589,8 +597,8 @@ def test_run_detection_step_change_fires_ratio():
 
 def test_run_detection_with_buffer_feed():
     cfg = make_cfg(methods=(Method.BUFFER_FULL,))
-    buf = BufferState(l1=40, l2=160)
-    elapsed, method = first_fire(cfg, [5] * 500 + [30] * 200, buf, service=10.0)
+    buf = BufferState(l1=40, l2=160, service_per_slot=10.0)
+    elapsed, method = first_fire(cfg, [5] * 500 + [30] * 200, buf)
     assert method is Method.BUFFER_FULL
     assert elapsed > 500
 
@@ -608,8 +616,8 @@ def test_statistical_priority_over_ratio():
 
 def warm_ratio_detector():
     """A ratio-only detector and its buffer after 1000 slots of 10."""
-    det, buf = Detector(make_cfg(methods=(Method.RATIO,)), slot_dt=0.1), BufferState(40, 160)
-    assert scanned(det, buf, 8.0, [10] * 1_000) == []
+    det, buf = Detector(make_cfg(methods=(Method.RATIO,)), slot_dt=0.1), BufferState(40, 160, 8.0)
+    assert scanned(det, buf, [10] * 1_000) == []
     return det, buf
 
 
@@ -617,7 +625,7 @@ def test_frozen_lambda_bar_is_pinned():
     det, buf = warm_ratio_detector()
     before = det.baseline_lambda_bar()
     det.freeze()
-    filter_slots(det, buf, 8.0, [100] * 500)      # attack-level traffic while frozen
+    filter_slots(det, buf, [100] * 500)      # attack-level traffic while frozen
     assert det.baseline_lambda_bar() == before
     det.unfreeze()
     assert det._episode is None
@@ -634,7 +642,7 @@ def test_lambda_bar_at_freeze_matches_reference(before, episode, after):
     # An episode's slots never enter it
     rng = np.random.default_rng(before * 100 + episode * 10 + after)
     t = Twins(make_cfg(w_s=2.0, w_l=5.0, c=3.0, baseline_len=8), 1.0,
-              BufferState(l1=40, l2=160), 8.0)
+              BufferState(l1=40, l2=160, service_per_slot=8.0))
     t.monitor(rng.integers(0, 20, before).tolist())
     if episode:
         t.freeze()
@@ -652,18 +660,18 @@ def test_frozen_ratio_fires_against_pinned_baseline():
     det, buf = warm_ratio_detector()
     det.freeze()
     det.rearm()
-    fires = filter_slots(det, buf, 8.0, [100] * 200)
+    fires = filter_slots(det, buf, [100] * 200)
     assert next(f for f in fires if f) is Method.RATIO
 
 
 def test_rearm_requires_fresh_short_window():
     det, buf = warm_ratio_detector()
     det.freeze()
-    filter_slots(det, buf, 8.0, [100] * 200)
+    filter_slots(det, buf, [100] * 200)
     det.rearm()
     # immediately after rearm the short window is empty: no fire on a
     # normal-level slot even though the previous contents were attack-level
-    assert filter_slots(det, buf, 8.0, [10]) == [None]
+    assert filter_slots(det, buf, [10]) == [None]
 
 
 @pytest.mark.parametrize("methods, w_s, slot_dt, service, above, expected", [
@@ -679,28 +687,28 @@ def test_rearm_requires_fresh_short_window():
 ])
 def test_must_fire_next(methods, w_s, slot_dt, service, above, expected):
     det = Detector(make_cfg(w_s=w_s, methods=methods), slot_dt)
-    buf = BufferState(l1=40, l2=160)
+    buf = BufferState(l1=40, l2=160, service_per_slot=service)
     buf.occupancy = buf.l1 + above
     det.freeze()
     det.rearm()
-    assert det.must_fire_next(buf, service) is expected
+    assert det.must_fire_next(buf) is expected
 
 
 def test_unfreeze_discards_excursion_buckets():
     cfg = make_cfg()
-    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=160)
+    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8.0)
     rng = np.random.default_rng(39)
-    scanned(det, buf, 8.0, rng.poisson(0.5, 10_000))
+    scanned(det, buf, rng.poisson(0.5, 10_000))
     det.freeze()
     # attack-level traffic while frozen: bucket sums around 50 vs normal 5
-    filter_slots(det, buf, 8.0, rng.poisson(5.0, 300).tolist())
+    filter_slots(det, buf, rng.poisson(5.0, 300).tolist())
     assert max(det._episode) > 30
     det.unfreeze()
     # every episode bucket is discarded; only pre-episode normal ones remain
     assert all(b < 30 for b in det.buckets)
     # resumed monitoring on normal traffic fires only at the null rate
     checks_before = det.stat_checks
-    fires = scanned(det, buf, 8.0, rng.poisson(0.5, 30_000)).count(Method.STATISTICAL)
+    fires = scanned(det, buf, rng.poisson(0.5, 30_000)).count(Method.STATISTICAL)
     assert det.stat_checks > checks_before
     assert fires / (det.stat_checks - checks_before) <= 0.05 + 0.03
 
@@ -708,8 +716,8 @@ def test_unfreeze_discards_excursion_buckets():
 def test_freeze_and_unfreeze_need_the_other_phase():
     # a warm default detector: its 75 buckets are full, and so is its short
     # window, which a rearm would empty
-    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160)
-    scanned(det, buf, 8.0, np.random.default_rng(42).poisson(1, 1000))
+    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8.0)
+    scanned(det, buf, np.random.default_rng(42).poisson(1, 1000))
     warm = detector_state(det)
     assert len(det.buckets) == 75 and len(det.short) == 100
     with pytest.raises(RuntimeError):
@@ -734,9 +742,9 @@ def assert_scan_matches_observe(t, arrivals):
     reference's observe() slot by slot, then through a freeze() and a few
     filter slots."""
     t.assert_same()
-    ran, fired, restored = t.det.run(np.array(arrivals, dtype=np.int64), t.buf, t.service)
+    ran, fired, restored = t.det.run(np.array(arrivals, dtype=np.int64), t.buf)
     got = ran, fired
-    assert got == observed(t.ref, t.ref_buf, t.service, arrivals) and not restored
+    assert got == observed(t.ref, t.ref_buf, arrivals) and not restored
     t.assert_same()
     t.freeze()
     t.assert_same()
@@ -769,9 +777,9 @@ def scan_cases(draw):
                    c=w_s + draw(st.integers(min_value=0, max_value=3)),
                    r=draw(st.sampled_from([0.3, 0.6])), baseline_len=8,
                    methods=tuple(m for m in ALL_METHODS if m in methods))
-    buf = BufferState(l1=draw(st.sampled_from([3, 10, 40])), l2=draw(st.sampled_from([0, 30])))
-    service = draw(st.sampled_from([0.4, 0.8, 8.0, 150.0]))
-    t = Twins(cfg, 1 / slots_per_second, buf, service)
+    l1, l2 = draw(st.sampled_from([3, 10, 40])), draw(st.sampled_from([0, 30]))
+    buf = BufferState(l1, l2, service_per_slot=draw(st.sampled_from([0.4, 0.8, 8.0, 150.0])))
+    t = Twins(cfg, 1 / slots_per_second, buf)
     # warm and carried-over state: the long window, the lambda-bar ring and
     # the buckets from before, optionally across an episode, which leaves
     # the long window non-contiguous and the short window empty
@@ -801,7 +809,7 @@ def test_scan_fires_as_observe_does(methods, expected):
     # a fresh sim2-sized detector: warm-up, baseline, then a tenfold step
     rng = np.random.default_rng(40)
     arrivals = rng.poisson(1, 1000).tolist() + rng.poisson(10, 400).tolist()
-    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160), 8.0)
+    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160, service_per_slot=8.0))
     _, fired = assert_scan_matches_observe(t, arrivals)
     assert fired is expected
 
@@ -810,7 +818,7 @@ def test_scan_ratio_boundary_is_strict():
     # 2-slot and 4-slot windows: after [1, 1, 4, 4] the short average 4 equals
     # 1.6 times the long average 2.5 exactly, which is not a fire
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), 1.0,
-              BufferState(l1=40, l2=160), 8.0)
+              BufferState(l1=40, l2=160, service_per_slot=8.0))
     assert (1.0 + t.det.cfg.r) * 2.5 == 4.0
     got = assert_scan_matches_observe(t, [1, 1, 4, 4, 20])
     assert got == (5, Method.RATIO)
@@ -867,7 +875,7 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
     # a sim2-sized detector frozen at a tenfold step, then a 100-slot window
     # and a rearmed second one: every check is counted, none stops the run
     rng = np.random.default_rng(41)
-    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160), 8.0)
+    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160, service_per_slot=8.0))
     t.monitor(rng.poisson(1, 1000).tolist())
     t.freeze()
     det = t.det
@@ -892,7 +900,7 @@ def test_run_checks_exactly_at_huge_counts():
     big = 10 ** 11
     rng = np.random.default_rng(43)
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.STATISTICAL,)),
-              1.0, BufferState(l1=40, l2=160), float(2 * big))
+              1.0, BufferState(l1=40, l2=160, service_per_slot=float(2 * big)))
     t.monitor((big + rng.poisson(4, 40)).tolist())
     t.assert_same()
     checks, positives = t.det.stat_checks, t.det.stat_positives
@@ -910,11 +918,11 @@ def test_run_checks_exactly_at_huge_counts():
 
 def test_run_frozen_needs_a_frozen_detector():
     # a measurement window, on an unfrozen detector
-    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160)
+    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8.0)
     with pytest.raises(RuntimeError):
-        det.run(np.zeros(5, dtype=np.int64), buf, 8.0, watch=False)
+        det.run(np.zeros(5, dtype=np.int64), buf, watch=False)
     assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
-    assert buffer_fields(buf) == buffer_fields(BufferState(l1=40, l2=160))
+    assert buffer_fields(buf) == buffer_fields(BufferState(l1=40, l2=160, service_per_slot=8.0))
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +955,7 @@ def episode_example(per_slot, feeds):
     mean of 4 or 5 passes the gate but neither test.  The monitor stretch
     after it ends at a ratio fire against the long window."""
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8), 1.0,
-              BufferState(l1=10, l2=30), 8.0)
+              BufferState(l1=10, l2=30, service_per_slot=8.0))
     t.monitor([0, 4] * 10)
     return t, per_slot, feeds, [0, 0, 9, 9, 0]
 
@@ -978,10 +986,9 @@ def test_frozen_stretch_matches_reference(case):
     phase, window_left = "measure", ws
     for feed in feeds:
         arrivals = feed[:window_left] if phase == "measure" else feed
-        got = t.det.run(np.array(arrivals, dtype=np.int64), t.buf, t.service, mon,
+        got = t.det.run(np.array(arrivals, dtype=np.int64), t.buf, mon,
                         watch=phase == "filter")
-        assert got == reference_stretch(t.ref, t.ref_buf, ref_mon, arrivals, t.service,
-                                        phase == "filter")
+        assert got == reference_stretch(t.ref, t.ref_buf, ref_mon, arrivals, phase == "filter")
         t.assert_same()
         ran, fired, restored = got
         if restored:
@@ -1000,8 +1007,8 @@ def test_frozen_stretch_matches_reference(case):
             phase, window_left = "measure", ws
     t.unfreeze()
     t.assert_same()
-    assert t.det.run(np.array(after, dtype=np.int64), t.buf, t.service) == reference_stretch(
-        t.ref, t.ref_buf, None, after, t.service, True)
+    assert t.det.run(np.array(after, dtype=np.int64), t.buf) == reference_stretch(
+        t.ref, t.ref_buf, None, after, True)
     t.assert_same()
 
 
@@ -1050,7 +1057,7 @@ def assert_unfreeze_matches_reference(slots_per_second, w_s, extra_c, others, he
                    methods=tuple(m for m in ALL_METHODS
                                  if m is Method.STATISTICAL or m in others))
     spb = slots_per_second
-    t = Twins(cfg, 1 / spb, BufferState(l1=40, l2=160), 50.0)
+    t = Twins(cfg, 1 / spb, BufferState(l1=40, l2=160, service_per_slot=50.0))
     rng = np.random.default_rng(seed)
     t.monitor(rng.poisson(1, held * spb + lead % spb).tolist())
     t.freeze()

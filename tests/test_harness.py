@@ -130,9 +130,9 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
     stretches = []
     detector_run = harness.Detector.run
 
-    def counted(self, arrivals, buffer, service_per_slot, restoration=None, watch=True):
+    def counted(self, arrivals, buffer, restoration=None, watch=True):
         stretches.append((len(arrivals), watch, restoration is not None))
-        return detector_run(self, arrivals, buffer, service_per_slot, restoration, watch)
+        return detector_run(self, arrivals, buffer, restoration, watch)
 
     monkeypatch.setattr(harness.Detector, "run", counted)
     assert [run_once(scenario, det, idm, seed=s) for s in range(4)] == untraced

@@ -40,6 +40,11 @@ __all__ = ["BufferState", "Stretch", "run_ahead", "commit"]
 # the shortest capacity table cached for a rate: a preset run's 3000 slots
 _TABLE_SLOTS = 4096
 
+# the most packets a stretch may serve, slots times service_per_slot: half
+# the int64 range, so that its prefix sums, with the arrivals and the
+# occupancy added, stay exact
+SERVICE_SUM_LIMIT = 2.0 ** 62
+
 
 class BufferState:
     __slots__ = ("l1", "l2", "service_per_slot", "occupancy",
@@ -105,12 +110,17 @@ def run_ahead(state: BufferState, arrivals: np.ndarray) -> Stretch:
 
     Exact in int64: the empty-floored and the full regime of the module
     docstring, alternated at each switch.  commit() then leaves the state
-    as the rules over any prefix of the slots would.
+    as the rules over any prefix of the slots would.  A stretch that would
+    serve SERVICE_SUM_LIMIT packets or more raises OverflowError rather
+    than wrap.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
     n = len(arrivals)
     if n and arrivals.min() < 0:
         raise ValueError("arrivals must be >= 0")
+    if n * state.service_per_slot >= SERVICE_SUM_LIMIT:
+        raise OverflowError(f"{n} slots at {state.service_per_slot} packets a slot pass "
+                            "the int64 range of a stretch's prefix sums")
 
     lo, hi = state._slot, state._slot + n
     size = max(_TABLE_SLOTS, 1 << (hi - 1).bit_length())

@@ -147,13 +147,23 @@ class RestorationMonitor:
         """The first slot of a stretch's int64 backlogs and admitted counts
         at which restoration holds, or None; the monitor is unchanged.  The
         low-backlog run comes from the last slot at or above l1, the
-        admitted window sums from prefix sums."""
+        admitted window sums from prefix sums.
+
+        No window sum is taken unless the stretch can hold a run of ws_slots
+        low backlogs: the longest it can hold is the run before its first
+        high slot, with the run carried in, the longest between two high
+        slots, or the run after the last.  A stretch of a measurement window
+        forced by a fire mostly starts high, and stops there."""
         n = len(admitted)
-        if self._occ_ok + n < self.ws_slots:
-            return None                         # too short a run of low backlogs
+        is_high = backlogs >= self.l1
+        high = is_high.nonzero()[0]
+        longest = (max(self._occ_ok + int(high[0]), int(np.diff(high).max(initial=1)) - 1,
+                       n - 1 - int(high[-1])) if len(high) else self._occ_ok + n)
+        if longest < self.ws_slots:
+            return None
         sums = window_sums(self._admitted, admitted, self.ws_slots)
         slot = np.arange(n)
-        last_high = np.maximum.accumulate(np.where(backlogs >= self.l1, slot, -1))
+        last_high = np.maximum.accumulate(np.where(is_high, slot, -1))
         low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
         # a window not yet full has a NaN sum, which compares False
         hits = ((low_run >= self.ws_slots) & (sums <= self.threshold_sum)).nonzero()[0]
@@ -442,9 +452,10 @@ class Detector:
         due = range(first, len(new))
         if Method.STATISTICAL in cfg.methods and due:
             # an episode tests against the oldest base_len held at the fire,
-            # and its current windows lie within its own buckets
+            # and its current windows, each ending at a new bucket, lie
+            # within its last ws - 1 buckets and the new ones
             buckets = (self.buckets if episode is None else
-                       self.buckets[:base_len] + episode) + new
+                       self.buckets[:base_len] + episode[max(0, len(episode) + 1 - ws):]) + new
             p1 = [0, *accumulate(buckets)]
             p2 = [0, *accumulate(map(mul, buckets, buckets))]
             held = len(buckets) - len(new)

@@ -32,9 +32,14 @@ def _greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndar
     to right, and rates are >= 0, so the running sum never falls.  Tied
     rates are equal values, so the sorted values fix the prefix length and
     its last rate, the cut: the prefix is every source above the cut and
-    the lowest ids at it.
+    the lowest ids at it.  A zero budget, common at classification, takes
+    every candidate if all are silent and none otherwise, with no sort.
     """
     values = rates[ids]
+    if budget == 0.0:
+        picked = np.zeros(len(rates), dtype=bool)
+        picked[ids] = not values.any()
+        return picked
     descending = np.sort(values)[::-1]
     n_picked = int(np.searchsorted(np.cumsum(descending), budget, side="right"))
     picked = np.zeros(len(rates), dtype=bool)

@@ -7,7 +7,8 @@ per slot; a slot's packets are attributed to sources by a conditional
 multinomial split proportional to the member rates, which is exact for
 superposed independent Poisson sources.  A slot is the source id of each
 of its packets, so its cost follows the packets, not the number of
-sources.
+sources, and slots are split in blocks sized in packets, so that a short
+ask costs no fresh split of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .buffer import SERVICE_SUM_LIMIT
 
 __all__ = [
     "ScenarioConfig",
@@ -29,8 +32,9 @@ __all__ = [
 # how far a span in slots may sit from a whole number, relative to its size
 _GRID_TOL = 1e-9
 
-# slots a TrafficStream splits at once, with one split RNG draw
-_BLOCK_SLOTS = 64
+# packets a TrafficStream splits at once at the least, with one split RNG
+# draw, unless the run ends first
+_BLOCK_KEYS = 4096
 
 
 def slots_in(seconds: float, slot_dt: float, name: str) -> int:
@@ -105,6 +109,11 @@ class ScenarioConfig:
         slots_in(1.0, self.slot_dt, "one second")
         for name in ("t_star", "attack_end", "total_duration"):
             slots_in(getattr(self, name), self.slot_dt, name)
+        # the buffer serves mu * slot_dt a slot, and a stretch may run to
+        # the end of the run: its capacity prefix sums must stay in int64
+        if self.n_slots * (self.mu * self.slot_dt) >= SERVICE_SUM_LIMIT:
+            raise ValueError(f"mu={self.mu} serves too many packets over total_duration="
+                             f"{self.total_duration} for int64 capacity prefix sums")
 
     @property
     def slots_per_second(self) -> int:
@@ -126,13 +135,14 @@ class TrafficStream:
 
     A slot is split as part of a block.  Asking for a range of slots whose
     packets do not lead the queue of uniforms splits it and the slots
-    after it, _BLOCK_SLOTS at least, at once: one split RNG draw for the
-    keys the queue lacks, in slot-then-class order, and one exact index
-    pass over them; the next slots, asked for in order, are slices of the
-    block.  Uniforms of block slots nobody asks for, or that rewind()
-    hands back, stay queued and are the next ones consumed, so each slot
-    gets the split that one draw per slot, in the order asked, would give
-    it.
+    after it, on until the block holds _BLOCK_KEYS packets or the run
+    ends, at once: one split RNG draw for the keys the queue lacks, in
+    slot-then-class order, and one exact index pass over them; the next
+    slots, asked for in order, are slices of the block.  A block's end and
+    its slots' bounds are read off one prefix sum of totals.  Uniforms of
+    block slots nobody asks for, or that rewind() hands back, stay queued
+    and are the next ones consumed, so each slot gets the split that one
+    draw per slot, in the order asked, would give it.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -156,11 +166,14 @@ class TrafficStream:
             total = float(np.full(n, rate).sum())
             self._cells[lo:hi, c] = rng.poisson(total * config.slot_dt, size=hi - lo)
         self.totals = self._cells.sum(axis=1)
-        # each cell's class size and first member id (read-only views)
-        self._size = np.broadcast_to(np.array([n for n, *_ in classes], dtype=np.float64),
-                                     self._cells.shape)
-        self._first = np.broadcast_to(np.array([first for _, _, first, _, _ in classes],
-                                               dtype=np.int64), self._cells.shape)
+        # the packets before each slot, and the run's
+        self._prefix = np.zeros(n_slots + 1, dtype=np.int64)
+        np.cumsum(self.totals, out=self._prefix[1:])
+        # each cell's class size and first member id, contiguous: np.repeat
+        # of a broadcast view is several times slower
+        self._size = np.tile(np.array([n for n, *_ in classes], dtype=np.float64), (n_slots, 1))
+        self._first = np.tile(np.array([first for _, _, first, _, _ in classes],
+                                       dtype=np.int64), (n_slots, 1))
         self._cum_probs, self._below = split_tables([(n, rate) for n, rate, *_ in classes])
         # the block: its first slot, the slot whose packets lead the queue,
         # its end, each slot's offset into the queue, and the block's ids
@@ -193,15 +206,16 @@ class TrafficStream:
         self._next = i
 
     def _split_block(self, i: int, hi: int) -> None:
-        """Split slots i..hi-1, and the slots after them up to _BLOCK_SLOTS
-        in all, on the queued uniforms and as many fresh ones as the block
-        lacks.  Slots from i on that the current block already split, when
-        slot i leads the queue, keep their ids."""
+        """Split slots i..hi-1, and the slots after them until the block
+        holds _BLOCK_KEYS packets or the run ends, on the queued uniforms
+        and as many fresh ones as the block lacks.  Slots from i on that the
+        current block already split, when slot i leads the queue, keep their
+        ids."""
         kept = self._end - i if i == self._next and i < self._end else 0
         queued = self._queued()
-        end = min(max(hi, i + _BLOCK_SLOTS), len(self.totals))
-        bounds = np.zeros(end - i + 1, dtype=np.int64)
-        np.cumsum(self.totals[i:end], out=bounds[1:])
+        prefix = self._prefix
+        end = min(max(hi, int(prefix.searchsorted(prefix[i] + _BLOCK_KEYS))), len(self.totals))
+        bounds = prefix[i:end + 1] - prefix[i]
         n_keys = int(bounds[-1])
         if len(queued) < n_keys:
             queued = np.concatenate((queued, self._split_rng.random(n_keys - len(queued))))

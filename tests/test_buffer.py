@@ -321,3 +321,16 @@ def test_run_ahead_input_validation():
         with pytest.raises(ValueError):
             commit(buf, stretch, k)
     assert buffer_fields(buf) == buffer_fields(BufferState(10, 10, 1.0))
+
+
+def test_run_ahead_raises_rather_than_wraps():
+    # 100 slots at 1e17 packets a slot serve 1e19, past int64: the stretch's
+    # prefix sums would wrap, and the buffer admit -9.1e18 packets
+    buf = BufferState(10, 10, 1e17)
+    with pytest.raises(OverflowError, match="int64"):
+        run_ahead(buf, np.full(100, 5))
+    assert buffer_fields(buf) == buffer_fields(BufferState(10, 10, 1e17))
+    # 40 slots serve 4e18, within SERVICE_SUM_LIMIT: exact, slot by slot
+    assert 40 * 1e17 < buffer.SERVICE_SUM_LIMIT < 100 * 1e17
+    stretch = assert_stretch_matches_step(buf, ReferenceBuffer(10, 10, 1e17), [5] * 40)
+    assert stretch.admitted.tolist() == [5] * 40 and not stretch.backlog.any()

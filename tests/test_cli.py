@@ -314,3 +314,16 @@ def test_sweep_list_outside_sweep_mode_rejected(tmp_path, capsys, argv, config):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "sweep_ws" in err
     assert not out.exists()
+
+
+def test_service_past_int64_rejected(tmp_path, capsys):
+    # mu = 1e20 serves 1e19 packets a slot: the buffer's int64 capacity
+    # prefix sums would overflow, so the config is rejected before --out
+    # is opened
+    cfg = tmp_path / "mu.ini"
+    cfg.write_text("[experiment]\npreset = sim2\n\n[scenario]\nmu = 1e20\n")
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(cfg), "--seed", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "int64" in err
+    assert not out.exists()

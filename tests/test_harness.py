@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddossim import harness
@@ -303,6 +303,16 @@ def updated_to_restoration(mon, backlogs, admitted):
                           st.integers(min_value=0, max_value=8)), max_size=30),
        st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                           st.integers(min_value=0, max_value=8)), max_size=60))
+# the longest run of low backlogs a stretch holds at exactly ws_slots - 1,
+# where no window is summed, and at exactly ws_slots: before the first high
+# slot, counting the 2 low slots carried in, between two high slots, and
+# after the last
+@example(5, 5, 1.0, [(10, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (10, 0), (0, 0)])
+@example(5, 5, 1.0, [(10, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (0, 0), (10, 0)])
+@example(5, 5, 1.0, [], [(10, 0), *[(0, 0)] * 4, (10, 0), (0, 0)])
+@example(5, 5, 1.0, [], [(10, 0), *[(0, 0)] * 5, (10, 0)])
+@example(5, 5, 1.0, [(10, 0)], [(0, 0), (10, 0), *[(0, 0)] * 4])
+@example(5, 5, 1.0, [(10, 0)], [(0, 0), (10, 0), *[(0, 0)] * 5])
 def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots):
     args = dict(l1=l1, baseline_rate=baseline_rate, r=0.6, w_s=ws_slots * 0.1,
                 ws_slots=ws_slots)

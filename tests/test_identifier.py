@@ -180,6 +180,13 @@ def brute_force_prefix(rates, budget):
        st.sampled_from([1.0, 2.0, 10.0, 10.5]),
        st.integers(0, 60),
        st.sets(st.integers(0, 100)))
+# a zero budget with every candidate silent under the exemption, which
+# takes them all, and a negative tied budget drawn directly, which takes
+# none, silent or not
+@example(rates={0: 0.0, 1: 0.0, 2: 3.0}, budget=0.0, counts={0: 3, 1: 0, 2: 0}, w_s=1.0,
+         budget_packets=0, history={0})
+@example(rates={0: 0.0, 1: 0.0}, budget=0.0, counts={0: 0, 1: 0, 2: 1}, w_s=1.0,
+         budget_packets=-1, history={2})
 def test_greedy_matches_brute_force_oracle(rates, budget, counts, w_s, budget_packets,
                                            history):
     # tie-heavy: small packet counts over w_s, as identify makes rates, so

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ddossim import buffer, traffic
+from ddossim.buffer import BufferState, run_ahead
 from ddossim.harness import run_once
 from ddossim.presets import get_preset
 from ddossim.traffic import (ScenarioConfig, TrafficStream, equal_rate_index, slots_in,
@@ -134,6 +136,24 @@ def test_config_rejects_non_integers(field, value):
     # a float count or seed would pass every range check and fail deep in numpy
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         small_config(**{field: value}).validate()
+
+
+def test_config_rejects_a_service_past_int64():
+    # a stretch may run to the end of the run, so the run's service, n_slots
+    # slots of mu * slot_dt, must keep the buffer's capacity prefix sums in
+    # int64; at mu = 1e20 one slot's capacity alone passes it
+    with pytest.raises(ValueError, match="int64 capacity prefix sums"):
+        small_config(mu=1e20).validate()
+    most = buffer.SERVICE_SUM_LIMIT / 300.0       # packets/sec over a 300 s run
+    with pytest.raises(ValueError, match="int64 capacity prefix sums"):
+        small_config(mu=most * 1.000001).validate()
+    cfg = small_config(mu=most * 0.999999)
+    cfg.validate()
+    # and the whole run in one stretch at that rate does not wrap
+    buf = BufferState(cfg.l1, cfg.l2, cfg.mu * cfg.slot_dt)
+    stretch = run_ahead(buf, stream_of(cfg).totals)
+    assert np.array_equal(stretch.admitted, stream_of(cfg).totals)
+    assert not stretch.backlog.any()
 
 
 def test_config_accepts_numpy_integers():
@@ -358,7 +378,8 @@ def queue_matches_reference(stream, split_rng, ref_split_rng):
 # runs across block ends and across the onset at slot 1000, an episode end
 # mid-block (1010) with a miss further into the same block (1020), every
 # third slot skipped, a re-entry after a gap longer than a block, and the
-# run's last block, which ends at slot 2999
+# run's last block, which ends at slot 2999; a 10000-5000 block of 4096
+# packets spans 14 to 41 slots, and a 50-50 block runs to the end of the run
 ASKED = [*range(900, 1011), *range(1020, 1040),
          *(i for i in range(1100, 1300) if i % 3), *range(1500, 1530),
          *range(1700, 1800), *range(2930, 3000)]
@@ -441,6 +462,48 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
             assert np.array_equal(counts_of(slot_ids, n), ref.slot(i)[1])
         # the uniforms of the slots after the cut are queued, not consumed
         assert queue_matches_reference(stream, split_rng, ref_split_rng), (lo, at)
+
+
+@pytest.mark.parametrize("cfg", [small_config(), small_config(n_legal=300, lambda_a=1.0)],
+                         ids=["50-50", "300-50"])
+def test_block_holds_its_packets(cfg, monkeypatch):
+    # an ask splits a block from its first slot to at least its last, then
+    # on until the block holds _BLOCK_KEYS packets or the run ends, and no
+    # further; the asks that follow inside the block, in order and after a
+    # rewind, as run_once makes them, split nothing
+    calls = []
+    split_block = TrafficStream._split_block
+
+    def spy(stream, i, hi):
+        calls.append((i, hi))
+        split_block(stream, i, hi)
+
+    monkeypatch.setattr(TrafficStream, "_split_block", spy)
+    stream = stream_of(cfg, 3)
+    prefix = np.concatenate(([0], np.cumsum(stream.totals)))
+    lo, hi = 900, 1000
+    stream.slots(lo, hi)
+    end = stream._end
+    assert calls == [(lo, hi)]
+    assert end == cfg.n_slots or prefix[end] - prefix[lo] >= traffic._BLOCK_KEYS
+    assert end == hi or prefix[end - 1] - prefix[lo] < traffic._BLOCK_KEYS
+    at = hi
+    while at < end:
+        stop = min(at + 100, end)
+        ids, bounds = stream.slots(at, stop)
+        assert np.array_equal(np.diff(bounds), stream.totals[at:stop])
+        at = min(at + 37, stop)
+        if at < stop:
+            stream.rewind(at)
+    assert calls == [(lo, hi)]
+    if end < cfg.n_slots:
+        stream.slots(end, end + 1)
+        assert calls == [(lo, hi), (end, end + 1)]
+    # an ask that holds _BLOCK_KEYS packets or more is one block, and ends
+    # with it: the 300-50 config's first 2000 slots hold some 11 000
+    stream.slots(0, 2000)
+    assert stream._start == 0
+    assert stream._end == 2000 or prefix[2000] < traffic._BLOCK_KEYS
 
 
 def test_slot_range_bounds_checked():

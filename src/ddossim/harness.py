@@ -5,8 +5,11 @@ of slots, each run ahead to its next event by Detector.run.  Between
 episodes the buffer and the detector run on the slot totals to the next
 fire.  A fire freezes the detector, and every slot from then to
 restoration runs frozen: a measurement window of w_s, whose fires are
-ignored and whose traffic is then classified and filtered, and filter
-slots up to the next fire.  That fire means the residual traffic still
+ignored and whose traffic is then classified, and filter slots, which
+drop the blocked sources' packets, up to the next fire.  A stretch that
+filters counts each slot's unblocked packets without building them, and
+a window classified under the filter counts its packets by source and
+zeroes the blocked ones.  That fire means the residual traffic still
 looks abnormal, so the pipeline re-measures and widens the block set; a
 false alarm just before the attack cannot blind the run, and a partial
 first classification is progressively repaired.  When, after a
@@ -26,7 +29,7 @@ import numpy as np
 
 from .buffer import BufferState
 from .detector import Detector, DetectorConfig, Method, RestorationMonitor
-from .identifier import apply_filter, identify
+from .identifier import identify
 from .stats import sample_mean, sample_stddev, student_t_quantile
 from .traffic import ScenarioConfig, TrafficStream, slots_in
 
@@ -176,9 +179,13 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         if phase == "measure" and elapsed == fire + ws_slots:
             # a window runs to its end in one stretch, from the fire or
             # from a forced fire's slot, and only one that is classified
-            # has its packets split or filtered
-            window = (stream.slots(fire, elapsed)[0] if blocked is None
-                      else apply_filter(blocked, ids[bounds[fire - lo]:]))
+            # has its packets split; under the filter it is counted whole,
+            # and its blocked sources count zero
+            if blocked is None:
+                counts = np.bincount(stream.slots(fire, elapsed)[0], minlength=stream.n_sources)
+            else:
+                counts = np.bincount(ids[bounds[fire - lo]:], minlength=stream.n_sources)
+                counts[blocked] = 0
             # the budget's baseline is lambda-bar as it stood at the
             # episode's fire: no frozen slot has entered the long tail
             baseline_rate = det.baseline_lambda_bar() / dt
@@ -186,8 +193,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # onset; the history method exempts those active c before the fire
             exempt = (np.where(truth_attackers, onset, 0) <= fire - c_slots
                       if id_method == "history" else None)
-            suspects = identify(np.bincount(window, minlength=stream.n_sources),
-                                detector_cfg.w_s, baseline_rate, exempt)
+            suspects = identify(counts, detector_cfg.w_s, baseline_rate, exempt)
             if blocked is None:
                 blocked = suspects
                 restoration = RestorationMonitor(scenario.l1, baseline_rate,

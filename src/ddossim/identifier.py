@@ -1,4 +1,4 @@
-"""Attack-source identification and per-source filtering.
+"""Attack-source identification.
 
 After detection, identify() reads one measurement window: each source's
 rate is its packet count over w_s, the aggregate attack rate is estimated
@@ -8,10 +8,10 @@ within that budget.  The history variant first exempts every source that
 was already active before the attack.
 
 A slot carries the source id of each packet; a measurement window counts
-them by source once, when it closes, with one bincount.  Per-source
-quantities are numpy vectors indexed by source id: counts are int64,
-rates float64, and source sets (suspected attackers, blocked sources,
-exemptions, ground truth) are boolean masks.
+them by source once, when it closes, with one bincount, and a source the
+filter blocks counts zero.  Per-source quantities are numpy vectors
+indexed by source id: counts are int64, and source sets (suspected
+attackers, blocked sources, exemptions, ground truth) are boolean masks.
 """
 
 from __future__ import annotations
@@ -20,35 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["identify", "apply_filter"]
-
-
-def _greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndarray:
-    """Mask of the longest descending-rate prefix of ids (ascending) whose
-    rate sum stays within budget.
-
-    Ties on rate break by ascending source id; the prefix ends before the
-    first source that would push the sum past the budget.  cumsum adds left
-    to right, and rates are >= 0, so the running sum never falls.  Tied
-    rates are equal values, so the sorted values fix the prefix length and
-    its last rate, the cut: the prefix is every source above the cut and
-    the lowest ids at it.  A zero budget, common at classification, takes
-    every candidate if all are silent and none otherwise, with no sort.
-    """
-    values = rates[ids]
-    if budget == 0.0:
-        picked = np.zeros(len(rates), dtype=bool)
-        picked[ids] = not values.any()
-        return picked
-    descending = np.sort(values)[::-1]
-    n_picked = int(np.searchsorted(np.cumsum(descending), budget, side="right"))
-    picked = np.zeros(len(rates), dtype=bool)
-    if n_picked:
-        cut = descending[n_picked - 1]
-        above = values > cut
-        picked[ids[above]] = True
-        picked[ids[values == cut][:n_picked - np.count_nonzero(above)]] = True
-    return picked
+__all__ = ["identify"]
 
 
 def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
@@ -56,17 +28,34 @@ def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
     """Mask of suspected attack sources in a window of w_s seconds, from its
     int64 packet counts by source id; every other source is legal.
 
-    The rates are counts / w_s, and the budget is the window's total rate
-    less baseline_rate (packets/sec), clamped at 0.  The candidates are
-    every source, or those outside the exempt mask when one is given.
+    The candidates are every source, or those outside the exempt mask when
+    one is given.  The suspects are the longest prefix of the candidates,
+    by descending rate counts / w_s and then ascending id, whose rate sum
+    stays within the budget: the window's total rate less baseline_rate
+    (packets/sec), clamped at 0.  cumsum adds left to right, and rates are
+    >= 0, so the running sum never falls.
+
+    The candidates' counts are ranked as ints.  Dividing the descending
+    counts by w_s gives the very floats of the descending rates, and equal
+    counts are equal rates and unequal ones unequal, because division by
+    a positive w_s is strictly increasing on ints below 2**52, far above
+    any window count a config that validates can expect.  So the prefix
+    length is read off the float rate sums, and its last count is the cut:
+    the suspects are the candidates above the cut and the lowest ids at
+    it.  A zero budget, common at classification, takes every candidate
+    if all are silent and none otherwise, with no sort.
     """
-    rates = counts / w_s
     budget = max(0.0, int(counts.sum()) / w_s - baseline_rate)
-    candidates = np.arange(len(counts)) if exempt is None else np.flatnonzero(~exempt)
-    return _greedy_prefix(rates, candidates, budget)
-
-
-def apply_filter(blocked: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The packet source ids of a slot that the blocked sources (a mask) do
-    not own, before buffer admission."""
-    return ids[~blocked[ids]]
+    # an exempt source ranks at -1, below every candidate and every cut
+    values = counts if exempt is None else np.where(exempt, -1, counts)
+    picked = np.zeros(len(counts), dtype=bool)
+    if budget == 0.0:
+        return values == 0 if values.max(initial=0) <= 0 else picked
+    n_candidates = len(counts) if exempt is None else len(counts) - np.count_nonzero(exempt)
+    descending = np.sort(values)[::-1][:n_candidates]
+    n_picked = int(np.searchsorted(np.cumsum(descending / w_s), budget, side="right"))
+    if n_picked:
+        cut = descending[n_picked - 1]
+        picked = values > cut
+        picked[np.flatnonzero(values == cut)[:n_picked - np.count_nonzero(picked)]] = True
+    return picked

@@ -5,10 +5,13 @@ active for the whole run, and attackers with the ids that follow, active
 over [t_star, attack_end).  Each class is sampled as one Poisson aggregate
 per slot; a slot's packets are attributed to sources by a conditional
 multinomial split proportional to the member rates, which is exact for
-superposed independent Poisson sources.  A slot is the source id of each
-of its packets, so its cost follows the packets, not the number of
-sources, and slots are split in blocks sized in packets, so that a short
-ask costs no fresh split of its own.
+superposed independent Poisson sources.  The members of a class share one
+rate, so a packet's member is uniform over its class: a uniform key u in
+[0, 1) goes to member floor(u * n) of a class of n, and u * n rounds below
+n for every u < 1, so each key stays in its class.  A slot is the source
+id of each of its packets, so its cost follows the packets, not the number
+of sources, and slots are split in blocks sized in packets, so that a
+short ask costs no fresh split of its own.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ _GRID_TOL = 1e-9
 # packets a TrafficStream splits at once at the least, with one split RNG
 # draw, unless the run ends first
 _BLOCK_KEYS = 4096
+
+# the most packets a run may expect: a window's split holds some 40 bytes a
+# packet, and window counts stay far below the 2**52 that identify's exact
+# integer ranking needs; case3, the largest preset, expects 800 000
+RUN_PACKETS_LIMIT = 1e8
 
 
 def slots_in(seconds: float, slot_dt: float, name: str) -> int:
@@ -114,6 +122,15 @@ class ScenarioConfig:
         if self.n_slots * (self.mu * self.slot_dt) >= SERVICE_SUM_LIMIT:
             raise ValueError(f"mu={self.mu} serves too many packets over total_duration="
                              f"{self.total_duration} for int64 capacity prefix sums")
+        # each class sends n * lambda packets a second while it is active
+        expected = (self.n_legal * self.lambda_n * self.total_duration
+                    + self.n_attack * self.lambda_a * (self.attack_end - self.t_star))
+        if expected > RUN_PACKETS_LIMIT:
+            raise ValueError(
+                f"n_legal={self.n_legal} at lambda_n={self.lambda_n} over total_duration="
+                f"{self.total_duration} and n_attack={self.n_attack} at lambda_a="
+                f"{self.lambda_a} over [t_star, attack_end) expect {expected:.4g} packets, "
+                f"more than the {RUN_PACKETS_LIMIT:.0e} a run may hold")
 
     @property
     def slots_per_second(self) -> int:
@@ -137,7 +154,8 @@ class TrafficStream:
     packets do not lead the queue of uniforms splits it and the slots
     after it, on until the block holds _BLOCK_KEYS packets or the run
     ends, at once: one split RNG draw for the keys the queue lacks, in
-    slot-then-class order, and one exact index pass over them; the next
+    slot-then-class order, and one pass that sends each key u of a class
+    of n members to its first id plus floor(u * n); the next
     slots, asked for in order, are slices of the block.  A block's end and
     its slots' bounds are read off one prefix sum of totals.  Uniforms of
     block slots nobody asks for, or that rewind() hands back, stay queued
@@ -174,7 +192,6 @@ class TrafficStream:
         self._size = np.tile(np.array([n for n, *_ in classes], dtype=np.float64), (n_slots, 1))
         self._first = np.tile(np.array([first for _, _, first, _, _ in classes],
                                        dtype=np.int64), (n_slots, 1))
-        self._cum_probs, self._below = split_tables([(n, rate) for n, rate, *_ in classes])
         # the block: its first slot, the slot whose packets lead the queue,
         # its end, each slot's offset into the queue, and the block's ids
         self._start = self._next = self._end = 0
@@ -219,13 +236,13 @@ class TrafficStream:
         n_keys = int(bounds[-1])
         if len(queued) < n_keys:
             queued = np.concatenate((queued, self._split_rng.random(n_keys - len(queued))))
-        # each key attributes one packet of its class aggregate to a member;
-        # the keys run slot by slot, and within a slot class by class
+        # each key attributes one packet of its class aggregate to member
+        # floor(key * size) of its class; the keys run slot by slot, and
+        # within a slot class by class
         cells = self._cells[i + kept:end].ravel()
-        size = np.repeat(self._size[i + kept:end], cells)
-        first = np.repeat(self._first[i + kept:end], cells)
-        ids = equal_rate_index(queued[bounds[kept]:n_keys], size, first,
-                               self._cum_probs, self._below)
+        ids = (queued[bounds[kept]:n_keys] * np.repeat(self._size[i + kept:end], cells)
+               ).astype(np.int64)
+        ids += np.repeat(self._first[i + kept:end], cells)
         if kept:
             ids = np.concatenate((self._ids[self._bounds[i - self._start]:], ids))
         self._ids = ids
@@ -234,41 +251,3 @@ class TrafficStream:
     def _queued(self) -> np.ndarray:
         """The split uniforms drawn and not yet consumed, in draw order."""
         return self._queue[self._bounds[self._next - self._start]:]
-
-
-def split_tables(classes: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """The split tables of classes of (members, rate), end to end in id order.
-
-    cum_probs[j] is the cumulative share of its class rate up to and
-    including source j, exactly 1.0 for a class's last member, above every
-    uniform key; below[j] is the entry before it in its class, -inf for a
-    class's first member.
-    """
-    tables, below = [np.empty(0)], [np.empty(0)]
-    for n, rate in classes:
-        rates = np.full(n, rate)
-        cum_probs = np.cumsum(rates) / float(rates.sum())
-        cum_probs[-1] = 1.0
-        tables.append(cum_probs)
-        below.append(np.concatenate(([-np.inf], cum_probs[:-1])))
-    return np.concatenate(tables), np.concatenate(below)
-
-
-def equal_rate_index(keys: np.ndarray, size, first,
-                     cum_probs: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """The source id of each uniform key in [0, 1): first plus the index
-    that searchsorted(key, side="left") finds in the split table of its
-    class, whose members share one rate, and whose size and first member
-    id come per key (or as scalars).
-
-    Entry k of such a table is (k+1)/size to within far less than 1/size,
-    so floor(key*size) is that index or one off it, and one step each way
-    against the table itself makes it exact.  A key below 1 times a whole
-    size rounds to less than the size, so the first guess stays in the
-    class.
-    """
-    idx = (keys * size).astype(np.int64)
-    idx += first
-    idx -= below[idx] >= keys
-    idx += cum_probs[idx] < keys
-    return idx

@@ -20,10 +20,11 @@ package's capacity table.  ReferenceWindow and the lambda-bar ring hold
 as deques the history that the package keeps as int64 tails of its
 slots, and ReferenceDetector's rotating bucket deque and the copies it
 pins at a freeze hold what the package keeps as its buckets from before
-an episode and the episode's own list; the identifier and decision
-functions are the package's own.  The identifier's baseline is
-lambda-bar read once, at the fire, where run_once reads it at each
-classification.
+an episode and the episode's own list; the decision functions are the
+package's own.  The identifier is reference_identify: the float prefix
+rule over rates counts / w_s, which identify's integer ranking must
+reproduce exactly.  The identifier's baseline is lambda-bar read once, at
+the fire, where run_once reads it at each classification.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 from ddossim.buffer import BufferState
 from ddossim.detector import DetectorConfig, Method, detect_ratio, detect_statistical
 from ddossim.harness import RunMetrics, check_configs
-from ddossim.identifier import identify
 from ddossim.traffic import ScenarioConfig, slots_in
 
 
@@ -142,10 +142,11 @@ class ReferenceRestorationMonitor:
 class CountVectorSplit:
     """Reference split: one count vector over every source per slot.
 
-    Classes, Poisson draws and split tables are built as TrafficStream
-    builds them; totals holds each slot's packets.  A slot's uniforms are
-    one draw, in class order; each class's share is looked up in its
-    cumulative table and counted into its id range of a zeros vector.
+    Classes and Poisson draws are built as TrafficStream builds them;
+    totals holds each slot's packets.  A slot's uniforms are one draw, in
+    class order; each class's share is looked up in its cumulative rate
+    table by searchsorted, the rule TrafficStream's floor(u * n) must
+    match, and counted into its id range of a zeros vector.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator,
@@ -183,6 +184,44 @@ class CountVectorSplit:
             idx = cum_probs.searchsorted(u, side="left")
             per_source[ids] = np.bincount(idx, minlength=len(cum_probs))
         return aggregate, per_source
+
+
+def greedy_prefix(rates: np.ndarray, ids: np.ndarray, budget: float) -> np.ndarray:
+    """Mask of the longest descending-rate prefix of ids (ascending) whose
+    float rate sum stays within budget.
+
+    Ties on rate break by ascending source id; the prefix ends before the
+    first source that would push the sum past the budget.  cumsum adds left
+    to right, and rates are >= 0, so the running sum never falls.  Tied
+    rates are equal values, so the sorted values fix the prefix length and
+    its last rate, the cut: the prefix is every source above the cut and
+    the lowest ids at it.  A zero budget takes every candidate if all are
+    silent and none otherwise.
+    """
+    values = rates[ids]
+    if budget == 0.0:
+        picked = np.zeros(len(rates), dtype=bool)
+        picked[ids] = not values.any()
+        return picked
+    descending = np.sort(values)[::-1]
+    n_picked = int(np.searchsorted(np.cumsum(descending), budget, side="right"))
+    picked = np.zeros(len(rates), dtype=bool)
+    if n_picked:
+        cut = descending[n_picked - 1]
+        above = values > cut
+        picked[ids[above]] = True
+        picked[ids[values == cut][:n_picked - np.count_nonzero(above)]] = True
+    return picked
+
+
+def reference_identify(counts: np.ndarray, w_s: float, baseline_rate: float,
+                       exempt: Optional[np.ndarray] = None) -> np.ndarray:
+    """identify's suspects by the float rule: greedy_prefix over the rates
+    counts / w_s of the sources outside exempt, against the window's total
+    rate less baseline_rate, clamped at 0."""
+    budget = max(0.0, int(counts.sum()) / w_s - baseline_rate)
+    candidates = np.arange(len(counts)) if exempt is None else np.flatnonzero(~exempt)
+    return greedy_prefix(counts / w_s, candidates, budget)
 
 
 class ReferenceDetector:
@@ -392,7 +431,7 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
             # onset; the history method exempts those active c before the fire
             exempt = (np.where(attackers, onset, 0) <= fire - c_slots
                       if id_method == "history" else None)
-            suspects = identify(window, cfg.w_s, baseline_rate, exempt)
+            suspects = reference_identify(window, cfg.w_s, baseline_rate, exempt)
             if blocked is None:
                 blocked = suspects
                 restoration = ReferenceRestorationMonitor(scenario.l1, baseline_rate, cfg.r,

@@ -16,7 +16,7 @@ import pytest
 from ddossim.cli import main
 from ddossim.detector import Method, detect_statistical
 from ddossim.harness import run_batch, sweep_window
-from ddossim.identifier import _greedy_prefix
+from ddossim.identifier import identify
 from ddossim.presets import get_preset
 from ddossim.stats import normal_upper_quantile, sample_mean, sample_stddev
 from ddossim.traffic import TrafficStream
@@ -174,15 +174,16 @@ def test_criterion_7_structural_invariants():
                                   + buf.cumulative_dropped + buf.occupancy):
         conserve_ok = False
     # classification partition + greedy feasibility/maximality vs the
-    # brute-force prefix walk, source counts <= 20
+    # brute-force prefix walk over the rates counts / w_s, source counts <= 20
     greedy_ok = True
     for _ in range(500):
         n = int(rng.integers(1, 21))
-        rates = {int(i): float(r) for i, r in
-                 enumerate(rng.uniform(0, 10, n))}
-        budget = float(rng.uniform(0, 12 * n / 2))
-        mask = _greedy_prefix(np.array([rates[i] for i in range(n)]), np.arange(n),
-                              budget)
+        counts = rng.integers(0, 100, n)
+        w_s = 10.0
+        rates = {int(i): int(c) / w_s for i, c in enumerate(counts)}
+        baseline_rate = float(rng.uniform(0, 12 * n / 2))
+        budget = max(0.0, int(counts.sum()) / w_s - baseline_rate)
+        mask = identify(counts, w_s, baseline_rate)
         attackers = {int(i) for i in np.flatnonzero(mask)}
         legal = {int(i) for i in np.flatnonzero(~mask)}
         if attackers & legal or attackers | legal != set(rates):

@@ -216,6 +216,58 @@ def test_packet_ledger_balances_when_restored_mid_window(monkeypatch):
     test_packet_ledger_balances(monkeypatch, "case1", {}, 7, id_method="greedy")
 
 
+@pytest.mark.parametrize("preset", ["sim1", "case3"])
+def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
+    # a window classified under the filter is counted whole, without
+    # filtering its packets: its counts must be a bincount of the window's
+    # unblocked packet ids, and zero on every blocked source
+    p = PRESETS[preset]
+    ws_slots = p.detector.window_slots(p.scenario.slot_dt)[0]
+    taken = []
+    block_set = [None]           # the sources blocked, as the episodes widen and release it
+    remeasured = []
+    traffic_stream, identify = harness.TrafficStream, harness.identify
+
+    def kept_stream(*args):
+        stream = traffic_stream(*args)
+        slots = stream.slots
+
+        def taken_slots(lo, hi):
+            taken.append(slots(lo, hi))
+            return taken[-1]
+
+        stream.slots = taken_slots
+        return stream
+
+    def identified(counts, *args):
+        blocked = block_set[0]
+        if blocked is not None:
+            # the window is the last ws_slots slots of the stretch it ends
+            ids, bounds = taken[-1]
+            window = ids[bounds[len(bounds) - 1 - ws_slots]:]
+            assert np.array_equal(counts, np.bincount(window[~blocked[window]],
+                                                      minlength=len(counts)))
+            assert not counts[blocked].any()
+            remeasured.append(int(np.count_nonzero(blocked[window])))
+        suspects = identify(counts, *args)
+        block_set[0] = suspects if blocked is None else blocked | suspects
+        return suspects
+
+    unfreeze = harness.Detector.unfreeze
+
+    def released(det):
+        block_set[0] = None
+        unfreeze(det)
+
+    monkeypatch.setattr(harness, "TrafficStream", kept_stream)
+    monkeypatch.setattr(harness, "identify", identified)
+    monkeypatch.setattr(harness.Detector, "unfreeze", released)
+    for seed in range(3):
+        run_once(p.scenario, p.detector, p.id_method, seed=seed)
+    # some 10 re-measurements a run, each window holding blocked packets
+    assert len(remeasured) > 10 and all(remeasured)
+
+
 def test_reported_times_are_exact_decimals():
     # times are slot counts divided by slots per second, so they carry no
     # float residue from multiplying by slot_dt

@@ -1,13 +1,14 @@
-"""Identification and filtering tests: per-source measurement, the
-attack-rate budget, the greedy prefix rule (with a brute-force oracle),
-the history variant, and filter application."""
+"""Identification tests: per-source window counts, the attack-rate budget,
+the greedy prefix rule on integer counts (against a brute-force walk and
+the float rule it ranks by), and the history variant."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddossim import identifier
-from ddossim.identifier import _greedy_prefix, apply_filter, identify
+from ddossim.identifier import identify
+from reference import reference_identify
 
 
 def counts_of(per_source, n):
@@ -32,84 +33,90 @@ def slot_of(per_source):
                      np.array(list(per_source.values()), dtype=np.int64))
 
 
-def slot_counts(ids, n):
-    """Packet counts by source id of a slot's packet ids, as a length-n vector."""
-    return np.bincount(ids, minlength=n)
-
-
-def ranked(monkeypatch, counts, w_s, baseline_rate, exempt=None):
-    """(rates, candidate ids, budget) that identify hands to the prefix rule."""
-    seen = []
-
-    def spy(rates, ids, budget):
-        seen.append((rates, ids, budget))
-        return _greedy_prefix(rates, ids, budget)
-
-    monkeypatch.setattr(identifier, "_greedy_prefix", spy)
-    identify(counts, w_s, baseline_rate, exempt)
-    (got,) = seen
-    return got
-
-
-def measured(monkeypatch, slots, duration, n):
-    """The rates of a window of slots, counted as run_once counts it: one
-    bincount of the window's packet ids, then identify."""
+def window_counts(slots, n):
+    """A window of slots counted as run_once counts it for identify: one
+    bincount of the window's packet ids."""
     ids = np.concatenate([np.empty(0, dtype=np.int64), *slots])
     counts = np.bincount(ids, minlength=n)
-    assert counts.sum() == sum(len(ids) for ids in slots)
-    return ranked(monkeypatch, counts, duration, 0.0)[0]
+    assert counts.dtype == np.int64 and counts.sum() == len(ids)
+    return counts
+
+
+def brute_force_prefix(rates, budget):
+    """Reference: walk the sorted order, stop at the first violation."""
+    order = sorted(rates, key=lambda sid: (-rates[sid], sid))
+    picked, total = set(), 0.0
+    for sid in order:
+        if total + rates[sid] > budget:
+            break
+        total += rates[sid]
+        picked.add(sid)
+    return picked
 
 
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
 
-def test_measure_single_source_rate(monkeypatch):
-    slots = [slot_of({7: 3}) for _ in range(10)]
-    rates = measured(monkeypatch, slots, 10.0, 8)
-    assert rates[7] == 3.0
-    assert ids_of(rates) == {7}
+def test_measure_single_source_rate():
+    counts = window_counts([slot_of({7: 3}) for _ in range(10)], 8)
+    assert counts[7] == 30
+    assert ids_of(counts) == {7}
+    # over 10 s its rate is exactly 3.0: within a budget of 3.0, which
+    # then takes the silent sources too, and past one a hair below it
+    assert ids_of(identify(counts, 10.0, 0.0)) == set(range(8))
+    assert ids_of(identify(counts, 10.0, 1e-9)) == set()
 
 
-def test_measure_rates_are_counts_over_window_length(monkeypatch):
+def test_measure_rates_are_counts_over_window_length():
     # the window length itself is the denominator: a window placed at a
     # fire time t has (t + w_s) - t != w_s for many t, e.g. 6.1 + 10.0
     rng = np.random.default_rng(43)
     slots = [slot_of(dict(enumerate(rng.integers(0, 9, 20).tolist()))) for _ in range(100)]
-    counts = sum(slot_counts(slot, 20) for slot in slots)
+    counts = window_counts(slots, 20)
     assert (6.1 + 10.0) - 6.1 != 10.0
-    assert np.array_equal(measured(monkeypatch, slots, 10.0, 20), counts / 10.0)
+    rates = {sid: int(c) / 10.0 for sid, c in enumerate(counts)}
+    total = int(counts.sum()) / 10.0
+    for baseline_rate in rng.uniform(0.0, total, 50):
+        assert ids_of(identify(counts, 10.0, baseline_rate)) == brute_force_prefix(
+            rates, total - baseline_rate)
 
 
-def test_measure_absent_source_gets_zero(monkeypatch):
-    slots = [slot_of({1: 5})]
-    rates = measured(monkeypatch, slots, 1.0, 3)
-    assert rates[2] == 0.0
+def test_measure_absent_source_gets_zero():
+    counts = window_counts([slot_of({1: 5})], 3)
+    assert counts[2] == 0
 
 
 # ---------------------------------------------------------------------------
 # attack-rate budget
 # ---------------------------------------------------------------------------
 
-def test_estimate_attack_rate(monkeypatch):
-    # the budget is the window's total rate less the baseline, clamped at 0
-    cases = [({0: 2000, 1: 1000}, 2000.0, {0}),
-             ({0: 600, 1: 400}, 0.0, set()),
-             ({0: 300, 1: 200}, 0.0, set())]     # clamped
-    for per_source, budget, suspects in cases:
-        counts = counts_of(per_source, 2)
-        assert ranked(monkeypatch, counts, 1.0, 1000.0)[2] == budget
-        assert ids_of(identify(counts, 1.0, 1000.0)) == suspects
+def test_estimate_attack_rate():
+    cases = [
+        # the budget is the window's total rate less the baseline: 2000
+        # takes the first source, and 1999.5 not even that
+        ({0: 2000, 1: 1000}, 1.0, 1000.0, {0}),
+        ({0: 2000, 1: 1000}, 1.0, 1000.5, set()),
+        # over 10 s: 3.0 - 1.0 = 2.0, the first source's rate
+        ({0: 20, 1: 10}, 10.0, 1.0, {0}),
+        # a zero budget, and one clamped at 0, take no source that sent...
+        ({0: 600, 1: 400}, 1.0, 1000.0, set()),
+        ({0: 300, 1: 200}, 1.0, 1000.0, set()),
+        # ...and every source when all are silent
+        ({0: 0, 1: 0}, 1.0, 1000.0, {0, 1}),
+    ]
+    for per_source, w_s, baseline_rate, suspects in cases:
+        assert ids_of(identify(counts_of(per_source, 2), w_s, baseline_rate)) == suspects
 
 
 # ---------------------------------------------------------------------------
 # greedy identification
 # ---------------------------------------------------------------------------
 
-def classify(counts, baseline_rate, *exempt):
-    """(attacker ids, legal ids) from identify over one second, for packet
-    counts keyed by arbitrary distinct ids; the budget is their total less
-    baseline_rate.
+def classify(counts, baseline_rate, exempt=None, w_s=1.0):
+    """(attacker ids, legal ids) from identify over w_s seconds, for packet
+    counts keyed by arbitrary distinct ids; the budget is their total rate
+    less baseline_rate.
 
     The ids are mapped in ascending order onto vector positions, which keeps
     the tie-break by ascending id; the legal set is the complement of the
@@ -118,21 +125,11 @@ def classify(counts, baseline_rate, *exempt):
     ids = sorted(counts)
     slot = {sid: j for j, sid in enumerate(ids)}
     vector = counts_of({slot[sid]: c for sid, c in counts.items()}, len(ids))
-    mask = identify(vector, 1.0, baseline_rate,
-                    *[mask_of([slot[s] for s in e], len(ids)) for e in exempt])
+    mask = identify(vector, w_s, baseline_rate,
+                    None if exempt is None else mask_of([slot[s] for s in exempt], len(ids)))
     assert mask.dtype == bool and len(mask) == len(ids)
     return ({ids[j] for j in np.flatnonzero(mask)},
             {ids[j] for j in np.flatnonzero(~mask)})
-
-
-def prefix_of(rates, budget, exempt=()):
-    """The attacker ids of the prefix rule itself over float rates keyed by
-    arbitrary distinct ids, for a budget no window total need give."""
-    ids = sorted(rates)
-    vector = np.array([rates[sid] for sid in ids], dtype=float)
-    candidates = np.array([j for j, sid in enumerate(ids) if sid not in exempt],
-                          dtype=np.int64)
-    return {ids[j] for j in np.flatnonzero(_greedy_prefix(vector, candidates, budget))}
 
 
 def test_greedy_prefix_example():
@@ -150,7 +147,10 @@ def test_greedy_zero_budget():
 def test_greedy_unbounded_budget_takes_all():
     attackers, _ = classify({0: 5, 1: 1, 2: 0}, 0.0)
     assert attackers == {0, 1, 2}
-    assert prefix_of({0: 5.0, 1: 1.0, 2: 0.0}, 100.0) == {0, 1, 2}
+    # an exempt source's packets count in the budget, so the candidates'
+    # sum, 6, sits far inside it
+    attackers, _ = classify({0: 5, 1: 1, 2: 0, 3: 100}, 0.0, {3})
+    assert attackers == {0, 1, 2}
 
 
 def test_greedy_tie_break_by_ascending_id():
@@ -160,47 +160,37 @@ def test_greedy_tie_break_by_ascending_id():
     assert ids_of(identify(counts_of({9: 2, 3: 2, 5: 2}, 10), 1.0, 2.0)) == {3, 5}
 
 
-def brute_force_prefix(rates, budget):
-    """Reference: walk the sorted order, stop at the first violation."""
-    order = sorted(rates, key=lambda sid: (-rates[sid], sid))
-    picked, total = set(), 0.0
-    for sid in order:
-        if total + rates[sid] > budget:
-            break
-        total += rates[sid]
-        picked.add(sid)
-    return picked
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.integers(0, 100),
-                       st.floats(0.0, 50.0, allow_nan=False), max_size=20),
+@given(st.dictionaries(st.integers(0, 100), st.integers(0, 500), max_size=20),
        st.floats(0.0, 200.0, allow_nan=False),
        st.dictionaries(st.integers(0, 100), st.integers(0, 4), max_size=40),
        st.sampled_from([1.0, 2.0, 10.0, 10.5]),
        st.integers(0, 60),
        st.sets(st.integers(0, 100)))
 # a zero budget with every candidate silent under the exemption, which
-# takes them all, and a negative tied budget drawn directly, which takes
-# none, silent or not
-@example(rates={0: 0.0, 1: 0.0, 2: 3.0}, budget=0.0, counts={0: 3, 1: 0, 2: 0}, w_s=1.0,
+# takes them all, and one with a candidate that sent, which takes none
+@example(counts={0: 0, 1: 0, 2: 3}, baseline_rate=3.0, tied={0: 3, 1: 0, 2: 0}, w_s=1.0,
          budget_packets=0, history={0})
-@example(rates={0: 0.0, 1: 0.0}, budget=0.0, counts={0: 0, 1: 0, 2: 1}, w_s=1.0,
-         budget_packets=-1, history={2})
-def test_greedy_matches_brute_force_oracle(rates, budget, counts, w_s, budget_packets,
+@example(counts={0: 0, 1: 1}, baseline_rate=1.0, tied={0: 0, 1: 0, 2: 1}, w_s=1.0,
+         budget_packets=0, history={0})
+def test_greedy_matches_brute_force_oracle(counts, baseline_rate, tied, w_s, budget_packets,
                                            history):
-    # tie-heavy: small packet counts over w_s, as identify makes rates, so
-    # the cut mostly falls inside a run of equal rates; greedy over every
-    # source, and the history variant over those without history
-    tied = {sid: c / w_s for sid, c in counts.items()}
+    # tie-heavy: small packet counts, with a baseline that leaves a budget
+    # of about budget_packets over w_s, so the cut mostly falls inside a
+    # run of equal rates; greedy over every source, and the history
+    # variant over those without history
+    tied_baseline = (sum(tied.values()) - budget_packets) / w_s
+    tied_budget = max(0.0, sum(tied.values()) / w_s - tied_baseline)
+    tied_rates = {sid: c / w_s for sid, c in tied.items()}
     exempt = history & set(tied)
-    tied_budget = budget_packets / w_s
-    assert prefix_of(tied, tied_budget) == brute_force_prefix(tied, tied_budget)
-    assert prefix_of(tied, tied_budget, exempt) == brute_force_prefix(
-        {sid: r for sid, r in tied.items() if sid not in exempt}, tied_budget)
+    assert classify(tied, tied_baseline, w_s=w_s)[0] == brute_force_prefix(
+        tied_rates, tied_budget)
+    assert classify(tied, tied_baseline, exempt, w_s=w_s)[0] == brute_force_prefix(
+        {sid: r for sid, r in tied_rates.items() if sid not in exempt}, tied_budget)
 
-    attackers = prefix_of(rates, budget)
-    legal = set(rates) - attackers
+    rates = {sid: c / w_s for sid, c in counts.items()}
+    budget = max(0.0, sum(counts.values()) / w_s - baseline_rate)
+    attackers, legal = classify(counts, baseline_rate, w_s=w_s)
     assert attackers == brute_force_prefix(rates, budget)
     # partition invariant
     assert attackers | legal == set(rates)
@@ -236,6 +226,56 @@ def test_identify_matches_brute_force_prefix(counts, w_s, baseline_rate, exempt)
     assert ids_of(suspects) == brute_force_prefix(rates, budget)
 
 
+# identify ranks ints where the float rule ranks counts / w_s, so each
+# w_s is one that rounds those quotients: 0.1 and 1/3 are inexact, 45
+# divides few counts evenly
+FLOAT_RULE_CASES = dict(
+    counts=st.lists(st.integers(0, 4), max_size=60),
+    scale=st.sampled_from([1, 7, 2**33]),
+    w_s=st.sampled_from([0.1, 1 / 3, 1.0, 10.0, 45.0]),
+    budget_packets=st.integers(-5, 80),
+    exempt=st.none() | st.lists(st.booleans(), min_size=60, max_size=60),
+)
+
+
+def with_float_rule_examples(test):
+    # a budget on a run of tied counts, one on a rate sum that 0.1 rounds,
+    # every candidate exempt, and silent candidates under a zero budget
+    for case in (dict(counts=[2, 2, 2, 1, 1], scale=1, w_s=0.1, budget_packets=5,
+                      exempt=None),
+                 dict(counts=[3, 3, 3, 3], scale=1, w_s=0.1, budget_packets=9, exempt=None),
+                 dict(counts=[4, 1], scale=1, w_s=45.0, budget_packets=3, exempt=[True] * 60),
+                 dict(counts=[4, 0, 0, 2], scale=1, w_s=1 / 3, budget_packets=0,
+                      exempt=[True] + [False] * 2 + [True] * 57)):
+        test = example(**case)(test)
+    return test
+
+
+def assert_float_rule(counts, scale, w_s, budget_packets, exempt):
+    counts = np.array(counts, dtype=np.int64) * scale
+    mask = None if exempt is None else np.array(exempt[:len(counts)], dtype=bool)
+    baseline_rate = (int(counts.sum()) - budget_packets * scale) / w_s
+    assert np.array_equal(identify(counts, w_s, baseline_rate, mask),
+                          reference_identify(counts, w_s, baseline_rate, mask))
+
+
+@with_float_rule_examples
+@settings(max_examples=300, deadline=None)
+@given(**FLOAT_RULE_CASES)
+def test_identify_matches_float_rule(counts, scale, w_s, budget_packets, exempt):
+    # integer ranking picks the very suspects of the float prefix rule over
+    # counts / w_s, with and without an exemption
+    assert_float_rule(counts, scale, w_s, budget_packets, exempt)
+
+
+@pytest.mark.slow
+@with_float_rule_examples
+@settings(max_examples=5000, deadline=None)
+@given(**FLOAT_RULE_CASES)
+def test_identify_matches_float_rule_many(counts, scale, w_s, budget_packets, exempt):
+    assert_float_rule(counts, scale, w_s, budget_packets, exempt)
+
+
 # ---------------------------------------------------------------------------
 # history identification
 # ---------------------------------------------------------------------------
@@ -260,38 +300,3 @@ def test_history_exempt_sources_never_blocked():
     attackers, _ = classify({0: 50, 1: 4, 2: 3}, 47.0, {0})
     assert 0 not in attackers
     assert attackers == {1, 2}
-
-
-# ---------------------------------------------------------------------------
-# filtering
-# ---------------------------------------------------------------------------
-
-def test_filter_empty_blocked_is_identity():
-    ids = slot_of({1: 2, 2: 5})
-    out = apply_filter(mask_of([], 3), ids)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, ids)
-
-
-def test_filter_all_blocked_zeroes_aggregate():
-    ids = slot_of({1: 2, 2: 5})
-    out = apply_filter(mask_of({1, 2}, 3), ids)
-    assert len(ids) - len(out) == 7
-    assert len(out) == 0
-    assert not slot_counts(out, 3).any()
-
-
-def test_filter_never_touches_unblocked_sources():
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        per_source = {int(i): int(c) for i, c in
-                      enumerate(rng.integers(0, 10, 12))}
-        blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
-        out = apply_filter(mask_of(blocked, 12), slot_of(per_source))
-        out_counts = slot_counts(out, 12)
-        for sid, c in per_source.items():
-            if sid in blocked:
-                assert out_counts[sid] == 0
-            else:
-                assert out_counts[sid] == c
-        assert len(out) == out_counts.sum()

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from ddossim import buffer, traffic
 from ddossim.buffer import BufferState, run_ahead
 from ddossim.harness import run_once
-from ddossim.presets import get_preset
-from ddossim.traffic import (ScenarioConfig, TrafficStream, equal_rate_index, slots_in,
-                             split_tables)
+from ddossim.presets import PRESETS, get_preset
+from ddossim.traffic import ScenarioConfig, TrafficStream, slots_in
 from reference import CountVectorSplit
 
 
@@ -154,6 +153,25 @@ def test_config_rejects_a_service_past_int64():
     stretch = run_ahead(buf, stream_of(cfg).totals)
     assert np.array_equal(stretch.admitted, stream_of(cfg).totals)
     assert not stretch.backlog.any()
+
+
+def test_config_rejects_traffic_past_the_packet_limit():
+    # sim2's classes at lambda_n = 1e7 expect 1.5e11 packets, which the
+    # split could not hold; the error names the fields
+    with pytest.raises(ValueError, match=re.escape("n_legal=50 at lambda_n=10000000.0")):
+        small_config(lambda_n=1e7).validate()
+    # each class counts over its own active seconds: 1500 legal packets
+    # over 300 s, and 50 attackers over the 100 s of [t_star, attack_end)
+    most = (traffic.RUN_PACKETS_LIMIT - 1500) / (50 * 100.0)
+    with pytest.raises(ValueError, match="lambda_a=.* over \\[t_star, attack_end\\)"):
+        small_config(lambda_a=most * 1.000001).validate()
+    small_config(lambda_a=most * 0.999999).validate()
+    # and at the largest preset, case3, which expects 800 000, a run is
+    # far inside the bound
+    expected = [p.scenario.n_legal * p.scenario.lambda_n * p.scenario.total_duration
+                + p.scenario.n_attack * p.scenario.lambda_a
+                * (p.scenario.attack_end - p.scenario.t_star) for p in PRESETS.values()]
+    assert max(expected) == 800_000 < traffic.RUN_PACKETS_LIMIT / 100
 
 
 def test_config_accepts_numpy_integers():
@@ -301,53 +319,38 @@ def test_split_proportions_follow_rates():
     assert np.all(np.abs(total / n - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n))
 
 
-def table_keys(cum_probs, rng):
-    """Uniform keys, plus every entry of a split table with its two float
-    neighbours, the ones in [0, 1)."""
-    keys = np.concatenate((rng.random(2000), [0.0], cum_probs,
-                           np.nextafter(cum_probs, -np.inf), np.nextafter(cum_probs, np.inf)))
-    return keys[(keys >= 0.0) & (keys < 1.0)]
+def test_floor_rule_keeps_the_last_key_in_its_class():
+    # the key just below 1 goes to a class's last member, so u * n rounds
+    # below n for every key u < 1: for each class size up to 20 000, and
+    # for sizes near powers of two up to 2**40, where the spacing of the
+    # floats below n halves
+    near = [2.0 ** k + d for k in range(41) for d in (-2, -1, 0, 1, 2) if 2.0 ** k + d >= 1]
+    n = np.concatenate((np.arange(1, 20_001, dtype=np.float64), near))
+    assert np.array_equal((np.nextafter(1.0, 0.0) * n).astype(np.int64), n.astype(np.int64) - 1)
 
 
-def preset_classes(name):
-    s = get_preset(name).scenario
-    return [(s.n_legal, s.lambda_n), (s.n_attack, s.lambda_a)]
-
-
-# sim1 and case3: 10 000 legal at 0.1 pkt/s, 5 000 attackers at 0.4 and 1.0
-@example(preset_classes("sim1"), 0)
-@example(preset_classes("case3"), 0)
-@example(preset_classes("sim2"), 0)
-@example(preset_classes("case1"), 0)
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 20_000),
-                                    st.sampled_from([5_000, 10_000])),
-                          st.one_of(st.sampled_from([0.1, 0.2, 0.4, 1.0]),
-                                    st.floats(1e-3, 1e3))),
-                min_size=1, max_size=3),
-       st.integers(0, 2**32 - 1))
-def test_equal_rate_index_matches_searchsorted(classes, seed):
-    # against searchsorted(side="left") on each class's own split table: one
-    # class at a time with scalar size and first id, and all classes at once
-    # with per-key ones, keys shuffled across classes
-    rng = np.random.default_rng(seed)
-    cum_probs, below = split_tables(classes)
-    keys, size, first, want = [], [], [], []
-    start = 0
-    for n, _ in classes:
-        table = cum_probs[start:start + n]
-        k = table_keys(table, rng)
-        expected = start + table.searchsorted(k, side="left")
-        got = equal_rate_index(k, float(n), start, cum_probs, below)
-        assert np.array_equal(got, expected), (n, k[got != expected])
-        keys.append(k)
-        size.append(np.full(len(k), float(n)))
-        first.append(np.full(len(k), start))
-        want.append(expected)
-        start += n
-    order = rng.permutation(sum(len(k) for k in keys))
-    keys, size, first, want = (np.concatenate(a)[order] for a in (keys, size, first, want))
-    assert np.array_equal(equal_rate_index(keys, size, first, cum_probs, below), want)
+# sim1's and case3's classes: 10 000 legal and 5 000 attackers
+@example(10_000, 5_000, 0)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20_000), st.integers(0, 5_000), st.integers(0, 2**32 - 1))
+def test_split_ids_rise_with_the_key_inside_their_class(n_legal, n_attack, seed):
+    # a packet's id is its class's first id plus floor(key * n): within a
+    # class, ids never fall as the key rises, and they stay in
+    # [first, first + n); a run asked for whole is one block, whose keys
+    # are one draw of the split RNG, in slot-then-class order
+    cfg = small_config(n_legal=n_legal, n_attack=n_attack, t_star=5.0, attack_end=10.0,
+                       total_duration=20.0)
+    stream = stream_of(cfg, seed)
+    ids, _ = stream.slots(0, cfg.n_slots)
+    keys = np.random.default_rng(seed + 1).random(len(ids))
+    legal = legal_only(cfg, seed).totals
+    attack = np.repeat(np.tile([False, True], cfg.n_slots),
+                       np.column_stack((legal, stream.totals - legal)).ravel())
+    first = np.where(attack, n_legal, 0)
+    assert np.all(ids >= first)
+    assert np.all(ids < first + np.where(attack, n_attack, n_legal))
+    for members in (~attack, attack):
+        assert np.all(np.diff(ids[members][np.argsort(keys[members], kind="stable")]) >= 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .buffer import BufferState
 from .detector import Detector, DetectorConfig, Method, RestorationMonitor
-from .identifier import identify
+from .identifier import count_window, identify
 from .stats import sample_mean, sample_stddev, student_t_quantile
 from .traffic import ScenarioConfig, TrafficStream, slots_in
 
@@ -181,11 +181,9 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # from a forced fire's slot, and only one that is classified
             # has its packets split; under the filter it is counted whole,
             # and its blocked sources count zero
-            if blocked is None:
-                counts = np.bincount(stream.slots(fire, elapsed)[0], minlength=stream.n_sources)
-            else:
-                counts = np.bincount(ids[bounds[fire - lo]:], minlength=stream.n_sources)
-                counts[blocked] = 0
+            window = (stream.slots(fire, elapsed)[0] if blocked is None
+                      else ids[bounds[fire - lo]:])
+            counts = count_window(window, stream.n_sources, blocked)
             # the budget's baseline is lambda-bar as it stood at the
             # episode's fire: no frozen slot has entered the long tail
             baseline_rate = det.baseline_lambda_bar() / dt

@@ -20,7 +20,19 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["identify"]
+__all__ = ["count_window", "identify"]
+
+
+def count_window(ids: np.ndarray, n_sources: int,
+                 blocked: Optional[np.ndarray] = None) -> np.ndarray:
+    """A window's int64 packet counts by source id, from its packet source
+    ids, with one bincount.  A source in the blocked mask counts zero, as
+    the filter drops its packets: the same vector as a bincount of the
+    unblocked ids, with no gather, mask or copy over the packets."""
+    counts = np.bincount(ids, minlength=n_sources)
+    if blocked is not None:
+        counts[blocked] = 0
+    return counts
 
 
 def identify(counts: np.ndarray, w_s: float, baseline_rate: float,

@@ -1,13 +1,14 @@
 """Identification tests: per-source window counts, the attack-rate budget,
 the greedy prefix rule on integer counts (against a brute-force walk and
-the float rule it ranks by), and the history variant."""
+the float rule it ranks by), the history variant, and the counts of a
+window under the filter."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddossim.identifier import identify
+from ddossim.identifier import count_window, identify
 from reference import reference_identify
 
 
@@ -300,3 +301,41 @@ def test_history_exempt_sources_never_blocked():
     attackers, _ = classify({0: 50, 1: 4, 2: 3}, 47.0, {0})
     assert 0 not in attackers
     assert attackers == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# filtering
+# ---------------------------------------------------------------------------
+
+def test_filter_empty_blocked_is_identity():
+    ids = slot_of({1: 2, 2: 5})
+    out = count_window(ids, 3, mask_of([], 3))
+    assert out.dtype == np.int64
+    assert np.array_equal(out, np.bincount(ids, minlength=3))
+    assert np.array_equal(out, count_window(ids, 3))
+
+
+def test_filter_all_blocked_zeroes_aggregate():
+    ids = slot_of({1: 2, 2: 5})
+    out = count_window(ids, 3, mask_of({1, 2}, 3))
+    assert len(ids) == 7
+    assert out.sum() == 0
+    assert not out.any()
+
+
+def test_filter_never_touches_unblocked_sources():
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        per_source = {int(i): int(c) for i, c in
+                      enumerate(rng.integers(0, 10, 12))}
+        blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
+        ids = slot_of(per_source)
+        out = count_window(ids, 12, mask_of(blocked, 12))
+        for sid, c in per_source.items():
+            if sid in blocked:
+                assert out[sid] == 0
+            else:
+                assert out[sid] == c
+        # the same vector as a bincount of the ids the filter lets through
+        kept = ids[~mask_of(blocked, 12)[ids]]
+        assert np.array_equal(out, np.bincount(kept, minlength=12))

@@ -17,6 +17,14 @@ classification, Detector.must_fire_next finds that buffer-full fires on
 the next slot and nothing can fire first, that fire is recorded at once
 and its slot runs in one stretch with the window it opens.  Restoration
 releases the filter and resumes normal baseline rotation.
+
+Under the history method a run is settled at the first fire whose exempt
+mask covers every source.  The mask only grows with the fire slot, so no
+later classification can pick anyone: none splits, counts or ranks its
+window.  A block set that has members keeps filtering to restoration, and
+one that has none is dropped, so a stretch without a member to block is
+never split.  Every split left comes before the first one skipped, and
+gets the uniforms it always had.
 """
 
 from __future__ import annotations
@@ -123,6 +131,11 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     per_second = scenario.slots_per_second
     onset = slots_in(scenario.t_star, dt, "t_star")
     truth_attackers = np.arange(stream.n_sources) >= scenario.n_legal
+    # legal sources are active from slot 0, attackers from the onset; the
+    # history method exempts those active c before the episode's fire
+    active_from = np.where(truth_attackers, onset, 0) if id_method == "history" else None
+    exempt: Optional[np.ndarray] = None
+    settled = False                            # every source is exempt
 
     phase = "monitor"
     blocked: Optional[np.ndarray] = None       # sources the active filter drops
@@ -152,7 +165,8 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             stop = min(lo + ws_slots, n_slots)
         if blocked is None:
             # nothing is split or filtered between episodes, nor in the
-            # first window of an episode
+            # first window of an episode, nor once the run is settled
+            # without a member to block
             arrivals = stream.totals[lo:stop]
         else:
             ids, bounds = stream.slots(lo, stop)
@@ -180,26 +194,23 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # a window runs to its end in one stretch, from the fire or
             # from a forced fire's slot, and only one that is classified
             # has its packets split; under the filter it is counted whole,
-            # and its blocked sources count zero
-            window = (stream.slots(fire, elapsed)[0] if blocked is None
-                      else ids[bounds[fire - lo]:])
-            counts = count_window(window, stream.n_sources, blocked)
+            # and its blocked sources count zero.  Once the run is settled
+            # nobody can be picked: the window is neither split nor
+            # counted, and the block set stays as it is
             # the budget's baseline is lambda-bar as it stood at the
             # episode's fire: no frozen slot has entered the long tail
             baseline_rate = det.baseline_lambda_bar() / dt
-            # legal sources are active from slot 0, attackers from the
-            # onset; the history method exempts those active c before the fire
-            exempt = (np.where(truth_attackers, onset, 0) <= fire - c_slots
-                      if id_method == "history" else None)
-            suspects = identify(counts, detector_cfg.w_s, baseline_rate, exempt)
-            if blocked is None:
-                blocked = suspects
+            if not settled:
+                window = (stream.slots(fire, elapsed)[0] if blocked is None
+                          else ids[bounds[fire - lo]:])
+                counts = count_window(window, stream.n_sources, blocked)
+                suspects = identify(counts, detector_cfg.w_s, baseline_rate, exempt)
+                # re-measurement of residual traffic widens the block set
+                blocked = suspects if blocked is None else blocked | suspects
+            if restoration is None:
                 restoration = RestorationMonitor(scenario.l1, baseline_rate,
                                                  detector_cfg.r,
                                                  detector_cfg.w_s, ws_slots)
-            else:
-                # re-measurement of residual traffic: widen the block set
-                blocked = blocked | suspects
             if episode_primary and first_blocked is None:
                 first_blocked = blocked
             det.rearm()
@@ -230,6 +241,14 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 episode_primary = True
             fire = fired_at
             phase = "measure"
+            if active_from is not None and not settled:
+                exempt = active_from <= fire - c_slots
+                # the mask only grows with the fire slot: once it covers
+                # every source the run stays settled, no block set can gain
+                # a member, and one that has none filters nothing
+                settled = bool(exempt.all())
+                if settled and blocked is not None and not blocked.any():
+                    blocked = None
 
     correct = wrong = 0
     if first_blocked is not None:

@@ -175,15 +175,17 @@ class TrafficStream:
             (config.n_attack, config.lambda_a, config.n_legal,
              slots_in(config.t_star, config.slot_dt, "t_star"),
              slots_in(config.attack_end, config.slot_dt, "attack_end"))) if c[0]]
-        # packets of each class in each slot, and their sum per slot
-        self._cells = np.zeros((n_slots, len(classes)), dtype=np.int64)
+        # packets of each class in each slot, one row a class, and their
+        # sum per slot: a sum over the short class axis of slot-major cells
+        # costs some 15 times the adds of whole rows
+        self._cells = np.zeros((len(classes), n_slots), dtype=np.int64)
         for c, (n, rate, _, lo, hi) in enumerate(classes):
             # the class rate is the numpy sum of the member rates; n * rate
             # differs in the last bit (999.9999999999999 vs 1000.0 on sim1)
             # and would change every Poisson draw of a seed
             total = float(np.full(n, rate).sum())
-            self._cells[lo:hi, c] = rng.poisson(total * config.slot_dt, size=hi - lo)
-        self.totals = self._cells.sum(axis=1)
+            self._cells[c, lo:hi] = rng.poisson(total * config.slot_dt, size=hi - lo)
+        self.totals = self._cells.sum(axis=0)
         # the packets before each slot, and the run's
         self._prefix = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(self.totals, out=self._prefix[1:])
@@ -225,10 +227,9 @@ class TrafficStream:
     def _split_block(self, i: int, hi: int) -> None:
         """Split slots i..hi-1, and the slots after them until the block
         holds _BLOCK_KEYS packets or the run ends, on the queued uniforms
-        and as many fresh ones as the block lacks.  Slots from i on that the
-        current block already split, when slot i leads the queue, keep their
-        ids."""
-        kept = self._end - i if i == self._next and i < self._end else 0
+        and as many fresh ones as the block lacks.  A slot the current
+        block already split, when it leads the queue, is split again on
+        the same uniforms, so it keeps its ids."""
         queued = self._queued()
         prefix = self._prefix
         end = min(max(hi, int(prefix.searchsorted(prefix[i] + _BLOCK_KEYS))), len(self.totals))
@@ -239,13 +240,9 @@ class TrafficStream:
         # each key attributes one packet of its class aggregate to member
         # floor(key * size) of its class; the keys run slot by slot, and
         # within a slot class by class
-        cells = self._cells[i + kept:end].ravel()
-        ids = (queued[bounds[kept]:n_keys] * np.repeat(self._size[i + kept:end], cells)
-               ).astype(np.int64)
-        ids += np.repeat(self._first[i + kept:end], cells)
-        if kept:
-            ids = np.concatenate((self._ids[self._bounds[i - self._start]:], ids))
-        self._ids = ids
+        cells = self._cells[:, i:end].T.ravel()
+        self._ids = (queued[:n_keys] * np.repeat(self._size[i:end], cells)).astype(np.int64)
+        self._ids += np.repeat(self._first[i:end], cells)
         self._start, self._end, self._bounds, self._queue = i, end, bounds, queued
 
     def _queued(self) -> np.ndarray:

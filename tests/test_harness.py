@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddossim import harness
-from ddossim.detector import Method, RestorationMonitor
+from ddossim.detector import DetectorConfig, Method, RestorationMonitor
 from ddossim.harness import batch_seeds, run_batch, run_once, sweep_window
 from ddossim.presets import PRESETS
 from ddossim.stats import sample_mean, sample_stddev
-from reference import ReferenceRestorationMonitor
+from ddossim.traffic import ScenarioConfig, slots_in
+from reference import ReferenceRestorationMonitor, reference_run
 
 
 SIM2 = PRESETS["sim2"]
@@ -266,6 +267,145 @@ def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
         run_once(p.scenario, p.detector, p.id_method, seed=seed)
     # some 10 re-measurements a run, each window holding blocked packets
     assert len(remeasured) > 10 and all(remeasured)
+
+
+def logged_runs(monkeypatch, scenario, det, id_method, seeds):
+    """Each seed's run_once as a list of (event, value), in call order: a
+    stretch ("run", slots elapsed after it), a split ("slots", its first
+    slot), a window counted ("count", None), a window ranked ("identify",
+    the suspects), a classification ("rearm", slots elapsed), an episode's
+    start ("freeze", None) and end ("unfreeze", None)."""
+    log, elapsed = [], [0]
+    detector, stream = harness.Detector, harness.TrafficStream
+    run, slots = detector.run, stream.slots
+    count_window, identify = harness.count_window, harness.identify
+
+    def ran(self, arrivals, *args, **kwargs):
+        out = run(self, arrivals, *args, **kwargs)
+        elapsed[0] += out[0]
+        log.append(("run", elapsed[0]))
+        return out
+
+    def marked(name):
+        method = getattr(detector, name)
+
+        def spy(self):
+            log.append((name, elapsed[0] if name == "rearm" else None))
+            method(self)
+        return spy
+
+    def taken(self, lo, hi):
+        log.append(("slots", lo))
+        return slots(self, lo, hi)
+
+    def counted(*args):
+        log.append(("count", None))
+        return count_window(*args)
+
+    def ranked(*args):
+        log.append(("identify", identify(*args)))
+        return log[-1][1]
+
+    monkeypatch.setattr(detector, "run", ran)
+    for name in ("freeze", "unfreeze", "rearm"):
+        monkeypatch.setattr(detector, name, marked(name))
+    monkeypatch.setattr(stream, "slots", taken)
+    monkeypatch.setattr(harness, "count_window", counted)
+    monkeypatch.setattr(harness, "identify", ranked)
+    runs = []
+    for seed in seeds:
+        log.clear()
+        elapsed[0] = 0
+        runs.append((run_once(scenario, det, id_method, seed=seed), list(log)))
+    return runs
+
+
+def replay_settling(log, settles_at):
+    """Check one run's events against the settling rule.  Returns how the
+    block set stood at the run's first settled classification ("members",
+    "empty", or "first" for an episode's first classification; None if none
+    settled) and how many episode stretches and windows went unsplit after
+    it.
+
+    A classification at settles_at slots or later (None: never) ranks a
+    window whose fire is c past every source's activation, so every source
+    is exempt.  From the first one on, no window is split, counted or
+    ranked, a stretch is split only while the block set has a member, and
+    once it has none the stream is never split again.  Before it, every
+    classification counts and ranks its window once."""
+    settled = spent = members = in_episode = False
+    first_of_episode, shape, unsplit, since = True, None, 0, []
+    for event, value in log:
+        if event == "freeze":
+            in_episode = first_of_episode = True
+        elif event == "unfreeze":
+            in_episode = members = False
+            spent = settled
+        elif event == "run":
+            if since:
+                # the stretch's own split
+                assert [e for e, _ in since] == ["slots"]
+                assert not spent and (members or not settled)
+            elif in_episode and spent:
+                unsplit += 1
+            since = []
+        elif event == "rearm":
+            if settles_at is not None and value >= settles_at and not settled:
+                settled = True
+                shape = "members" if members else "first" if first_of_episode else "empty"
+            if settled:
+                assert since == []
+                spent = spent or not members
+                unsplit += spent
+            else:
+                assert [e for e, _ in since if e != "slots"] == ["count", "identify"]
+                members = members or bool(since[-1][1].any())
+            first_of_episode, since = False, []
+        else:
+            since.append((event, value))
+    return shape, unsplit
+
+
+# five quiet sources whose first classification, before c has passed,
+# picks nobody, so the run settles at a re-measurement with an empty block set
+FIVE_QUIET = (ScenarioConfig(n_legal=5, n_attack=0, lambda_n=1.0, lambda_a=0.2, mu=4.5,
+                             l1=5, l2=0, t_star=12.0, attack_end=17.0, total_duration=17.0),
+              DetectorConfig(w_s=2.0, w_l=3.0, r=0.3, c=3.0, baseline_len=8))
+
+
+@pytest.mark.parametrize("scenario, det, shape", [
+    (SIM2.scenario, SIM2.detector, "members"),     # settles mid-episode, under a block set
+    (PRESETS["case1"].scenario, PRESETS["case1"].detector, "members"),
+    # settled at its episode's first window
+    (dataclasses.replace(SIM2.scenario, n_attack=0), SIM2.detector, "first"),
+    (*FIVE_QUIET, "empty"),
+], ids=["sim2", "case1", "sim2-quiet", "five-quiet"])
+def test_settled_run_splits_and_ranks_nothing(monkeypatch, scenario, det, shape):
+    # under the history method every source is exempt once a fire is c
+    # past the last class's activation, so no later classification can
+    # pick anyone: from the first such classification on, nothing is
+    # counted or ranked, and the stream is split only for a block set that
+    # gained members before; every row is still the per-slot reference's
+    ws_slots, _, c_slots = det.window_slots(scenario.slot_dt)
+    last_active = slots_in(scenario.t_star, scenario.slot_dt, "t_star") if scenario.n_attack else 0
+    seeds = range(6)
+    expected = [reference_run(scenario, det, "history", seed=s) for s in seeds]
+    runs = logged_runs(monkeypatch, scenario, det, "history", seeds)
+    assert [m for m, _ in runs] == expected
+    replays = [replay_settling(log, last_active + c_slots + ws_slots) for _, log in runs]
+    assert shape in [s for s, _ in replays]
+    assert sum(unsplit for _, unsplit in replays) > 0
+
+
+def test_greedy_run_ranks_every_window(monkeypatch):
+    # greedy identification exempts nobody, so it never settles: every
+    # classification counts and ranks its window, as sim1 shows
+    p = PRESETS["sim1"]
+    assert p.id_method == "greedy"
+    runs = logged_runs(monkeypatch, p.scenario, p.detector, p.id_method, range(3))
+    for _, log in runs:
+        assert replay_settling(log, None) == (None, 0)
+        assert sum(e == "rearm" for e, _ in log) == sum(e == "identify" for e, _ in log) > 0
 
 
 def test_reported_times_are_exact_decimals():

@@ -10,8 +10,7 @@ rate, so a packet's member is uniform over its class: a uniform key u in
 [0, 1) goes to member floor(u * n) of a class of n, and u * n rounds below
 n for every u < 1, so each key stays in its class.  A slot is the source
 id of each of its packets, so its cost follows the packets, not the number
-of sources, and slots are split in blocks sized in packets, so that a
-short ask costs no fresh split of its own.
+of sources, and a stream splits exactly the slots it is asked for.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ __all__ = [
 
 # how far a span in slots may sit from a whole number, relative to its size
 _GRID_TOL = 1e-9
-
-# packets a TrafficStream splits at once at the least, with one split RNG
-# draw, unless the run ends first
-_BLOCK_KEYS = 4096
 
 # the most packets a run may expect: a window's split holds some 40 bytes a
 # packet, and window counts stay far below the 2**52 that identify's exact
@@ -150,17 +145,14 @@ class TrafficStream:
     the caller asks for.  A separate split RNG keeps the aggregate sequence
     independent of which slots are split.
 
-    A slot is split as part of a block.  Asking for a range of slots whose
-    packets do not lead the queue of uniforms splits it and the slots
-    after it, on until the block holds _BLOCK_KEYS packets or the run
-    ends, at once: one split RNG draw for the keys the queue lacks, in
-    slot-then-class order, and one pass that sends each key u of a class
-    of n members to its first id plus floor(u * n); the next
-    slots, asked for in order, are slices of the block.  A block's end and
-    its slots' bounds are read off one prefix sum of totals.  Uniforms of
-    block slots nobody asks for, or that rewind() hands back, stay queued
-    and are the next ones consumed, so each slot gets the split that one
-    draw per slot, in the order asked, would give it.
+    An ask for slots lo..hi-1 takes the next uniform keys for their
+    packets, in slot-then-class order: the queued ones first, then one
+    split RNG draw for any the queue lacks; one pass sends each key u of a
+    class of n members to its first id plus floor(u * n).  rewind() puts
+    the keys of the slots it hands back at the head of the queue, so the
+    k-th key drawn goes to the k-th packet handed out and not handed back,
+    and each slot gets the split that one draw per slot, in the order
+    asked, would give it.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -194,12 +186,10 @@ class TrafficStream:
         self._size = np.tile(np.array([n for n, *_ in classes], dtype=np.float64), (n_slots, 1))
         self._first = np.tile(np.array([first for _, _, first, _, _ in classes],
                                        dtype=np.int64), (n_slots, 1))
-        # the block: its first slot, the slot whose packets lead the queue,
-        # its end, each slot's offset into the queue, and the block's ids
-        self._start = self._next = self._end = 0
-        self._bounds = np.zeros(1, dtype=np.int64)
-        self._queue = np.empty(0)
-        self._ids = np.empty(0, dtype=np.int64)
+        # the slots [lo, hi) of the last ask and the keys it took, and the
+        # keys drawn and not yet taken
+        self._lo = self._hi = 0
+        self._keys = self._queue = np.empty(0)
 
     def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The packet source ids of slots lo..hi-1, end to end, and each
@@ -210,41 +200,25 @@ class TrafficStream:
         """
         if not 0 <= lo < hi <= len(self.totals):
             raise ValueError(f"no slot range [{lo}, {hi}) in a run of {len(self.totals)} slots")
-        if lo != self._next or hi > self._end:
-            self._split_block(lo, hi)
-        self._next = hi
-        j = lo - self._start
-        bounds = self._bounds[j:j + hi - lo + 1]
-        return self._ids[bounds[0]:bounds[-1]], bounds - bounds[0]
-
-    def rewind(self, i: int) -> None:
-        """Hand the uniforms of the slots from i on, which the last slots()
-        call took, back to the queue; slot i is the next one consumed."""
-        if not self._start <= i <= self._next:
-            raise ValueError(f"slot {i} is not in the slots last taken")
-        self._next = i
-
-    def _split_block(self, i: int, hi: int) -> None:
-        """Split slots i..hi-1, and the slots after them until the block
-        holds _BLOCK_KEYS packets or the run ends, on the queued uniforms
-        and as many fresh ones as the block lacks.  A slot the current
-        block already split, when it leads the queue, is split again on
-        the same uniforms, so it keeps its ids."""
-        queued = self._queued()
-        prefix = self._prefix
-        end = min(max(hi, int(prefix.searchsorted(prefix[i] + _BLOCK_KEYS))), len(self.totals))
-        bounds = prefix[i:end + 1] - prefix[i]
+        bounds = self._prefix[lo:hi + 1] - self._prefix[lo]
         n_keys = int(bounds[-1])
-        if len(queued) < n_keys:
-            queued = np.concatenate((queued, self._split_rng.random(n_keys - len(queued))))
+        keys, self._queue = self._queue[:n_keys], self._queue[n_keys:]
+        if len(keys) < n_keys:
+            keys = np.concatenate((keys, self._split_rng.random(n_keys - len(keys))))
         # each key attributes one packet of its class aggregate to member
         # floor(key * size) of its class; the keys run slot by slot, and
         # within a slot class by class
-        cells = self._cells[:, i:end].T.ravel()
-        self._ids = (queued[:n_keys] * np.repeat(self._size[i:end], cells)).astype(np.int64)
-        self._ids += np.repeat(self._first[i:end], cells)
-        self._start, self._end, self._bounds, self._queue = i, end, bounds, queued
+        cells = self._cells[:, lo:hi].T.ravel()
+        ids = (keys * np.repeat(self._size[lo:hi], cells)).astype(np.int64)
+        ids += np.repeat(self._first[lo:hi], cells)
+        self._lo, self._hi, self._keys = lo, hi, keys
+        return ids, bounds
 
-    def _queued(self) -> np.ndarray:
-        """The split uniforms drawn and not yet consumed, in draw order."""
-        return self._queue[self._bounds[self._next - self._start]:]
+    def rewind(self, i: int) -> None:
+        """Hand the keys of slots i..hi-1 of the last slots() call back to
+        the head of the queue, to be the first the next ask takes."""
+        if not self._lo <= i <= self._hi:
+            raise ValueError(f"slot {i} is not in the slots last taken")
+        kept = int(self._prefix[i] - self._prefix[self._lo])
+        self._queue = np.concatenate((self._keys[kept:], self._queue))
+        self._keys, self._hi = self._keys[:kept], i

@@ -1,8 +1,8 @@
 """Per-slot reference simulator of the whole pipeline.
 
 reference_run() runs a scenario one slot at a time, with the paper's
-rules as straight-line code: no run-ahead, no blocks of slots, no prefix
-sums.  tests/test_reference.py diffs run_once against it on every
+rules as straight-line code: no run-ahead, no ranges of slots split at
+once, no prefix sums.  tests/test_reference.py diffs run_once against it on every
 RunMetrics field, and tests/test_detector.py diffs Detector.run, the one
 stretch of every phase, against ReferenceDetector, step() and update().
 

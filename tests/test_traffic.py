@@ -1,5 +1,6 @@
 """Traffic generator tests: population layout, config validation, Poisson
-moments, per-source attribution, activity windows, determinism."""
+moments, per-source attribution, activity windows, determinism, and the
+split's uniformity and the slot totals' dispersion against scipy."""
 
 import copy
 import dataclasses
@@ -8,6 +9,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -336,8 +338,8 @@ def test_floor_rule_keeps_the_last_key_in_its_class():
 def test_split_ids_rise_with_the_key_inside_their_class(n_legal, n_attack, seed):
     # a packet's id is its class's first id plus floor(key * n): within a
     # class, ids never fall as the key rises, and they stay in
-    # [first, first + n); a run asked for whole is one block, whose keys
-    # are one draw of the split RNG, in slot-then-class order
+    # [first, first + n); a run asked for whole takes its keys in one draw
+    # of the split RNG, in slot-then-class order
     cfg = small_config(n_legal=n_legal, n_attack=n_attack, t_star=5.0, attack_end=10.0,
                        total_duration=20.0)
     stream = stream_of(cfg, seed)
@@ -356,9 +358,10 @@ def test_split_ids_rise_with_the_key_inside_their_class(n_legal, n_attack, seed)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 700), max_size=12), st.integers(0, 2**32 - 1))
 def test_random_in_chunks_equals_one_draw(chunks, seed):
-    # a block draws its keys at once where one draw per slot and class
-    # drew them in pieces; the split stream is unchanged only while numpy's
-    # Generator.random consumes the bit stream the same way for both
+    # an ask draws the keys of all its slots at once where one draw per
+    # slot and class drew them in pieces; the split stream is unchanged
+    # only while numpy's Generator.random consumes the bit stream the same
+    # way for both
     whole, pieces = np.random.default_rng(seed), np.random.default_rng(seed)
     drawn = [pieces.random(k) for k in chunks]
     assert np.array_equal(whole.random(sum(chunks)),
@@ -371,18 +374,16 @@ def queue_matches_reference(stream, split_rng, ref_split_rng):
     draws, and drawing them leaves a copy of it in the stream's generator
     state: the stream drew exactly what the reference consumed, plus its
     queue, and nothing else."""
-    queued = stream._queued()
+    queued = stream._queue
     ahead = copy.deepcopy(ref_split_rng)
     return (np.array_equal(queued, ahead.random(len(queued)))
             and split_rng.bit_generator.state == ahead.bit_generator.state)
 
 
 # slots asked for in order, as run_once asks for episode slots: contiguous
-# runs across block ends and across the onset at slot 1000, an episode end
-# mid-block (1010) with a miss further into the same block (1020), every
-# third slot skipped, a re-entry after a gap longer than a block, and the
-# run's last block, which ends at slot 2999; a 10000-5000 block of 4096
-# packets spans 14 to 41 slots, and a 50-50 block runs to the end of the run
+# runs across the onset at slot 1000, an episode end (1010) with a miss
+# ten slots on (1020), every third slot skipped, re-entries after gaps of
+# 60 to 1130 slots, and the run's last slots, to slot 2999
 ASKED = [*range(900, 1011), *range(1020, 1040),
          *(i for i in range(1100, 1300) if i % 3), *range(1500, 1530),
          *range(1700, 1800), *range(2930, 3000)]
@@ -418,7 +419,7 @@ def test_stream_slot_inactive_population():
     for i in (cfg.n_slots, cfg.n_slots + 10, -1):
         with pytest.raises(ValueError, match=re.escape(f"no slot range [{i}, {i + 1})")):
             stream.slots(i, i + 1)
-    assert len(stream._queued()) == 0
+    assert len(stream._queue) == 0
     assert split_rng.bit_generator.state == untouched.bit_generator.state
 
 
@@ -467,46 +468,72 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
         assert queue_matches_reference(stream, split_rng, ref_split_rng), (lo, at)
 
 
+class CountingRNG:
+    """A split generator that records the size of each draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, n):
+        self.draws.append(n)
+        return self.rng.random(n)
+
+
 @pytest.mark.parametrize("cfg", [small_config(), small_config(n_legal=300, lambda_a=1.0)],
                          ids=["50-50", "300-50"])
-def test_block_holds_its_packets(cfg, monkeypatch):
-    # an ask splits a block from its first slot to at least its last, then
-    # on until the block holds _BLOCK_KEYS packets or the run ends, and no
-    # further; the asks that follow inside the block, in order and after a
-    # rewind, as run_once makes them, split nothing
-    calls = []
-    split_block = TrafficStream._split_block
-
-    def spy(stream, i, hi):
-        calls.append((i, hi))
-        split_block(stream, i, hi)
-
-    monkeypatch.setattr(TrafficStream, "_split_block", spy)
-    stream = stream_of(cfg, 3)
+def test_ask_draws_only_what_the_queue_lacks(cfg):
+    # an ask takes its keys from the head of the queue and draws, in one
+    # call, only the ones the queue lacks; rewind puts the keys of the
+    # slots it hands back at the head of the queue.  The queue is always
+    # the keys drawn and not handed out, in draw order: empty after an ask
+    # that took it all, and exactly the handed-back keys after a rewind
+    # that follows it
+    split = CountingRNG(4)
+    stream = TrafficStream(cfg, np.random.default_rng(3), split)
     prefix = np.concatenate(([0], np.cumsum(stream.totals)))
-    lo, hi = 900, 1000
-    stream.slots(lo, hi)
-    end = stream._end
-    assert calls == [(lo, hi)]
-    assert end == cfg.n_slots or prefix[end] - prefix[lo] >= traffic._BLOCK_KEYS
-    assert end == hi or prefix[end - 1] - prefix[lo] < traffic._BLOCK_KEYS
-    at = hi
-    while at < end:
-        stop = min(at + 100, end)
-        ids, bounds = stream.slots(at, stop)
-        assert np.array_equal(np.diff(bounds), stream.totals[at:stop])
-        at = min(at + 37, stop)
-        if at < stop:
-            stream.rewind(at)
-    assert calls == [(lo, hi)]
-    if end < cfg.n_slots:
-        stream.slots(end, end + 1)
-        assert calls == [(lo, hi), (end, end + 1)]
-    # an ask that holds _BLOCK_KEYS packets or more is one block, and ends
-    # with it: the 300-50 config's first 2000 slots hold some 11 000
-    stream.slots(0, 2000)
-    assert stream._start == 0
-    assert stream._end == 2000 or prefix[2000] < traffic._BLOCK_KEYS
+    keys = np.random.default_rng(4).random(2 * prefix[-1])
+    consumed = 0                 # keys handed out and not handed back
+
+    def ask(lo, hi):
+        nonlocal consumed
+        queued, draws = len(stream._queue), len(split.draws)
+        packets = prefix[hi] - prefix[lo]
+        stream.slots(lo, hi)
+        assert split.draws[draws:] == ([packets - queued] if packets > queued else [])
+        assert len(stream._queue) == max(0, queued - packets)
+        consumed += packets
+
+    def rewind(i, hi):
+        nonlocal consumed
+        queued = len(stream._queue)
+        stream.rewind(i)
+        assert len(stream._queue) == queued + prefix[hi] - prefix[i]
+        consumed -= prefix[hi] - prefix[i]
+
+    # asks as run_once makes them: a window, filter stretches cut short
+    # and resumed at the cut, a restoration followed by a gap and a short
+    # window that takes part of the queue, and two rewinds into one ask
+    ask(900, 1000)
+    assert len(stream._queue) == 0
+    ask(1000, 1100)
+    rewind(1037, 1100)
+    assert np.array_equal(stream._queue, keys[consumed:sum(split.draws)])
+    ask(1037, 1137)
+    assert len(stream._queue) == 0
+    ask(1137, 1237)
+    rewind(1140, 1237)
+    ask(1300, 1301)
+    assert len(stream._queue) > 0
+    ask(1301, 1400)
+    ask(1500, 1600)
+    rewind(1550, 1600)
+    rewind(1520, 1550)
+    assert len(stream._queue) == prefix[1600] - prefix[1520]
+    assert np.array_equal(stream._queue, keys[consumed:sum(split.draws)])
+    ask(1520, 1620)
+    assert len(stream._queue) == 0
+    assert consumed == sum(split.draws)
 
 
 def test_slot_range_bounds_checked():
@@ -518,3 +545,81 @@ def test_slot_range_bounds_checked():
     stream.slots(10, 20)
     with pytest.raises(ValueError):
         stream.rewind(21)
+    with pytest.raises(ValueError):
+        stream.rewind(9)
+    # a rewind reaches only into the last ask, and after a rewind only up
+    # to the slot it handed back: slots 950-999 went out in the first ask
+    stream.slots(900, 1000)
+    stream.slots(1000, 1010)
+    with pytest.raises(ValueError, match="slot 950 is not in the slots last taken"):
+        stream.rewind(950)
+    stream.rewind(1005)
+    with pytest.raises(ValueError):
+        stream.rewind(1007)
+    stream.rewind(1000)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: scipy is the oracle, the seeds are fixed, and a test fails
+# on correct code with probability 1e-4, shared evenly by its p-values
+# ---------------------------------------------------------------------------
+
+FALSE_FAILURE = 1e-4
+
+
+def preset_stream(scenario, seed):
+    """The stream run_once builds for a scenario at a seed."""
+    rng_traffic, rng_split = (np.random.default_rng(s)
+                              for s in np.random.SeedSequence(seed).spawn(2))
+    return TrafficStream(scenario, rng_traffic, rng_split)
+
+
+@pytest.mark.parametrize("name, seeds", [("sim1", range(3)), ("sim2", range(40))],
+                         ids=["sim1", "sim2"])
+def test_split_is_uniform_within_each_class(name, seeds):
+    # given its class total, a class's per-source counts are uniform
+    # multinomial: pooled over the slots used of 100-slot windows, asked
+    # after random gaps and half of them cut short by a rewind, as run_once
+    # cuts a stretch at a fire or a restoration, each class's counts fit a
+    # uniform split by chi-square, with at least 5 packets expected a source
+    scenario = get_preset(name).scenario
+    asks = np.random.default_rng(29)
+    counts = np.zeros(scenario.n_legal + scenario.n_attack, dtype=np.int64)
+    for seed in seeds:
+        stream = preset_stream(scenario, seed)
+        at = int(asks.integers(0, 100))
+        while at < scenario.n_slots:
+            hi = min(at + 100, scenario.n_slots)
+            ids, bounds = stream.slots(at, hi)
+            cut = int(asks.integers(at + 1, hi + 1)) if asks.random() < 0.5 else hi
+            if cut < hi:
+                stream.rewind(cut)
+            counts += np.bincount(ids[:bounds[cut - at]], minlength=len(counts))
+            at = cut + int(asks.integers(0, 200))
+    classes = (counts[:scenario.n_legal], counts[scenario.n_legal:])
+    for members in classes:
+        assert members.sum() >= 5 * len(members)
+        assert scipy.stats.chisquare(members).pvalue > FALSE_FAILURE / len(classes)
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim2"])
+def test_slot_totals_are_poisson_dispersed(name):
+    # a class's slot totals over its active slots are independent Poisson
+    # draws: their dispersion index, sum((x - mean)**2) / mean over n
+    # slots, is chi-square with n - 1 degrees of freedom, and its sum over
+    # seeds with the summed degrees; two-sided, so totals too even fail as
+    # well as totals too spread
+    scenario = get_preset(name).scenario
+    active = (slice(0, scenario.n_slots),
+              slice(slots_in(scenario.t_star, scenario.slot_dt, "t_star"),
+                    slots_in(scenario.attack_end, scenario.slot_dt, "attack_end")))
+    index, dof = np.zeros(2), np.zeros(2)
+    for seed in range(20):
+        stream = preset_stream(scenario, seed)
+        for c, slots in enumerate(active):
+            x = stream._cells[c, slots]
+            index[c] += ((x - x.mean()) ** 2).sum() / x.mean()
+            dof[c] += len(x) - 1
+    for d, k in zip(index, dof):
+        chi2 = scipy.stats.chi2(k)
+        assert 2 * min(chi2.cdf(d), chi2.sf(d)) > FALSE_FAILURE / len(index)

@@ -126,25 +126,27 @@ def run_ahead(state: BufferState, arrivals: np.ndarray) -> Stretch:
     size = max(_TABLE_SLOTS, 1 << (hi - 1).bit_length())
     whole = _service_table(state.service_per_slot, size)[lo:hi]
     cap = state.capacity
-    backlog = np.empty(n, dtype=np.int64)
-    occupancy = np.empty(n, dtype=np.int64)
+    # each regime's slots: almost every stretch is one empty-floored pass
+    # that never reaches capacity, and its arrays are the stretch's
+    backlogs, occupancies = [], []
     occ, k = state.occupancy, 0
-    while k < n:
+    while True:
         # empty-floored: every arrival admitted, up to the first slot that
         # would pass capacity, which admits what fits
         a = arrivals[k:]
         s = occ + np.add.accumulate(a - whole[k:]) - a
         post = s - np.minimum(np.minimum.accumulate(s), 0)
-        over = (post + a > cap).nonzero()[0]
-        m = int(over[0]) if len(over) else n - k
-        backlog[k:k + m] = post[:m]
-        occupancy[k:k + m] = post[:m] + a[:m]
-        k += m
-        if k == n:
+        level = post + a
+        over = (level > cap).nonzero()[0]
+        if not len(over):
+            backlogs.append(post)
+            occupancies.append(level)
             break
-        backlog[k] = post[m]
-        occupancy[k] = occ = cap
-        k += 1
+        m = int(over[0]) + 1
+        level[m - 1] = occ = cap
+        backlogs.append(post[:m])
+        occupancies.append(level[:m])
+        k += m
         if k == n:
             break
         # full: each slot serves its whole capacity, up to the first that
@@ -154,12 +156,16 @@ def run_ahead(state: BufferState, arrivals: np.ndarray) -> Stretch:
         post = np.concatenate(([occ], full[:-1])) - whole[k:]
         short = (post < 0).nonzero()[0]
         m = int(short[0]) if len(short) else n - k
-        backlog[k:k + m] = post[:m]
-        occupancy[k:k + m] = full[:m]
+        backlogs.append(post[:m])
+        occupancies.append(full[:m])
         if m:
             occ = int(full[m - 1])
         k += m
-    return Stretch(arrivals, backlog, occupancy)
+        if k == n:
+            break
+    if len(backlogs) == 1:
+        return Stretch(arrivals, backlogs[0], occupancies[0])
+    return Stretch(arrivals, np.concatenate(backlogs), np.concatenate(occupancies))
 
 
 def commit(state: BufferState, stretch: Stretch, k: int) -> None:
@@ -170,15 +176,19 @@ def commit(state: BufferState, stretch: Stretch, k: int) -> None:
     if k == 0:
         return
     occupancy = stretch.occupancy[:k]
-    admitted = int(occupancy.sum() - stretch.backlog[:k].sum())
     offered = int(stretch.arrivals[:k].sum())
+    top = int(occupancy.argmax())
+    peak = int(occupancy[top])
+    # a slot drops packets only when its admission fills the buffer, so
+    # below capacity every packet offered was admitted
+    admitted = (offered if peak < state.capacity
+                else int(occupancy.sum() - stretch.backlog[:k].sum()))
     after = int(occupancy[-1])
     state.cumulative_offered += offered
     state.cumulative_served += state.occupancy + admitted - after
     state.cumulative_dropped += offered - admitted
-    top = int(occupancy.argmax())
-    if occupancy[top] > state.peak_occupancy:
-        state.peak_occupancy = int(occupancy[top])
+    if peak > state.peak_occupancy:
+        state.peak_occupancy = peak
         state.peak_slot = state._slot + top
     state.occupancy = after
     state._slot += k

@@ -19,10 +19,12 @@ the RestorationMonitor ahead to the first event, then commits each of them
 up to it.  The history each keeps is an int64 tail of its slots: the short
 window since it was last cleared, the unfrozen slots the long window and
 its lagged level lambda-bar come from, the admitted counts restoration
-sums, and the unfinished one-second bucket.  window_sums() reads every
+sums, and the unfinished one-second bucket; a stretch whose own slots fill
+a tail leaves a slice of them as the tail.  window_sums() reads every
 window off a tail and a stretch's arrivals, from int64 prefix sums.  An
-episode pins nothing: its slots and buckets stay out of the histories the
-references come from, and its own buckets are a list of their own.
+episode copies no history: its slots and buckets stay out of the histories
+the references come from, and its own buckets are a list of their own.
+Only lambda-bar, which no frozen slot can move, is kept at the fire.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ class DetectorConfig:
             raise ValueError("look-back c must be >= w_s")
         if not 0 < self.alpha < 0.5:
             raise ValueError("alpha must be in (0, 0.5)")
+        # the tests' critical value is the t quantile at 1 - alpha/2
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise ValueError(f"alpha={self.alpha} is too small: 1 - alpha/2 rounds to 1.0")
         if self.baseline_len < 8:
             raise ValueError("baseline_len must be >= 8")
         if not self.methods:
@@ -114,13 +119,22 @@ def window_sums(tail: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
     are held, then the sum from exact int64 prefix sums as a float64, exact
     below 2**53."""
     held = len(tail)
-    sums = np.full(len(values), np.nan)
     first = max(0, width - held - 1)       # the first value that fills the window
+    sums = np.empty(len(values))
+    sums[:first] = np.nan
     if first < len(sums):
         prefix = np.zeros(held + len(values) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate((tail, values)), out=prefix[1:])
+        np.add.accumulate(np.concatenate((tail, values)), out=prefix[1:])
         sums[first:] = prefix[held + first + 1:] - prefix[held + first + 1 - width:-width]
     return sums
+
+
+def _newest(tail: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """The newest `width` slots of the tail with the values appended: the
+    values' own last slots when they alone fill the width."""
+    if len(values) >= width:
+        return values[len(values) - width:]
+    return np.concatenate((tail, values))[-width:]
 
 
 class RestorationMonitor:
@@ -157,7 +171,8 @@ class RestorationMonitor:
         n = len(admitted)
         is_high = backlogs >= self.l1
         high = is_high.nonzero()[0]
-        longest = (max(self._occ_ok + int(high[0]), int(np.diff(high).max(initial=1)) - 1,
+        longest = (max(self._occ_ok + int(high[0]),
+                       int((high[1:] - high[:-1]).max(initial=1)) - 1,
                        n - 1 - int(high[-1])) if len(high) else self._occ_ok + n)
         if longest < self.ws_slots:
             return None
@@ -171,8 +186,8 @@ class RestorationMonitor:
 
     def advance(self, backlogs: np.ndarray, admitted: np.ndarray) -> None:
         """Take in the slots of a stretch that ran, as the per-slot rule
-        over each in turn would."""
-        self._admitted = np.concatenate((self._admitted, admitted))[-self.ws_slots:]
+        over each in turn would; the monitor may keep a slice of admitted."""
+        self._admitted = _newest(self._admitted, admitted, self.ws_slots)
         high = (backlogs >= self.l1).nonzero()[0]
         n = len(backlogs)
         self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
@@ -251,9 +266,12 @@ def detect_statistical(baseline_par: Sequence[int] | _Window,
     # E, the S and D of its deviations |n*x - S|; 0 when the deviations
     # within each group are all equal.  The signed deviations sum to 0, so
     # T is twice the sum of those above the mean, and their squares sum to
-    # n * D, so E = n^2 D - T^2
-    t_b = 2 * sum(n_b * x - s_b for x in base[b0:b1] if n_b * x > s_b)
-    t_c = 2 * sum(n_c * x - s_c for x in cur[c0:c1] if n_c * x > s_c)
+    # n * D, so E = n^2 D - T^2.  For an int x, n*x > S exactly when x > S // n
+    floor_b, floor_c = s_b // n_b, s_c // n_c
+    above_b = [x for x in base[b0:b1] if x > floor_b]
+    above_c = [x for x in cur[c0:c1] if x > floor_c]
+    t_b = 2 * (n_b * sum(above_b) - s_b * len(above_b))
+    t_c = 2 * (n_c * sum(above_c) - s_c * len(above_c))
     e_b, e_c = n_b * n_b * d_b - t_b * t_b, n_c * n_c * d_c - t_c * t_c
     m = t_b * n_c * n_c - t_c * n_b * n_b
     spread = e_b * n_c ** 3 + e_c * n_b ** 3
@@ -281,7 +299,8 @@ class Detector:
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
         cfg.validate()
         self.cfg = cfg
-        ws, wl, c = cfg.window_slots(slot_dt)
+        # (w_s, w_l, c) in slots, which the run loop reads too
+        self.window_slots = ws, wl, c = cfg.window_slots(slot_dt)
         self._ws_slots, self._wl_slots, self._long_slots = ws, wl, wl + c - 1
         # the slots since the short window was last cleared, at most ws;
         # the last wl + c - 1 unfrozen slots, of which the long window is
@@ -297,6 +316,7 @@ class Detector:
         self.buckets: list[int] = []
         self._episode: Optional[list[int]] = None
         self._rearmed_at = 0
+        self._lambda_bar = 0.0                  # baseline_lambda_bar() at the last freeze()
         self.stat_checks = 0
         self.stat_positives = 0
 
@@ -307,9 +327,11 @@ class Detector:
         them, or all of them while fewer than wl; 0.0 before any.
 
         No frozen slot enters the long tail, so while frozen this is the
-        value it had at the fire: the attack cannot poison the reference
-        level.
+        value it had at the fire, which freeze() keeps: the attack cannot
+        poison the reference level.
         """
+        if self._episode is not None:
+            return self._lambda_bar
         oldest = self.long[:self._wl_slots]
         return int(oldest.sum()) / len(oldest) if len(oldest) else 0.0
 
@@ -321,6 +343,7 @@ class Detector:
         """
         if self._episode is not None:
             raise RuntimeError("freeze needs an unfrozen detector")
+        self._lambda_bar = self.baseline_lambda_bar()
         self._episode = []
         self._rearmed_at = 0
 
@@ -401,6 +424,9 @@ class Detector:
         due check is counted; that needs a frozen detector (RuntimeError
         otherwise).
 
+        The detector's tails may be slices of arrivals, which the caller
+        leaves unchanged.
+
         Returns the slots run, the method that fired in the last of them
         or None, and whether restoration held there.  The detector, the
         buffer and the monitor are left as the per-slot rules over those
@@ -422,8 +448,11 @@ class Detector:
             if len(hits):
                 ratio_at = last = int(hits[0])
         stretch = run_ahead(buffer, arrivals[:last + 1])
-        at = None if restoration is None else restoration.first_restored(stretch.backlog,
-                                                                         stretch.admitted)
+        if restoration is None:
+            at = None
+        else:
+            admitted = stretch.admitted         # for the search and the advance
+            at = restoration.first_restored(stretch.backlog, admitted)
         if at is not None:
             last = at
         if watch and Method.BUFFER_FULL in cfg.methods:
@@ -476,14 +505,14 @@ class Detector:
 
         commit(buffer, stretch, done)
         if restoration is not None and not restored:
-            restoration.advance(stretch.backlog[:done], stretch.admitted[:done])
+            restoration.advance(stretch.backlog[:done], admitted[:done])
         # the state the per-slot rules leave after `done` slots
-        self.short = np.concatenate((self.short, arrivals[:done]))[-self._ws_slots:]
+        self.short = _newest(self.short, arrivals[:done], self._ws_slots)
         completed = (fill + done) // spb
         self._partial = slot_counts[completed * spb:fill + done]
         if episode is None:
             self.buckets = (self.buckets + new[:completed])[-most:]
-            self.long = np.concatenate((self.long, arrivals[:done]))[-self._long_slots:]
+            self.long = _newest(self.long, arrivals[:done], self._long_slots)
         else:
             episode += new[:completed]
         return done, fired, restored

@@ -99,6 +99,12 @@ def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
     scenario.validate()
     cfg.validate()
     cfg.window_slots(scenario.slot_dt)
+    _check_pair(scenario, cfg)
+
+
+def _check_pair(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
+    """Reject a pair of configs, each valid on its own, whose detector
+    cannot warm up before the attack."""
     if cfg.w_l >= scenario.t_star:
         raise ValueError("long window w_l must warm up before the attack onset t_star")
     if Method.STATISTICAL in cfg.methods:
@@ -107,26 +113,39 @@ def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
             raise ValueError("statistical baseline warm-up must finish before t_star")
 
 
+def _check_id_method(id_method: str) -> None:
+    if id_method not in ("greedy", "history"):
+        raise ValueError(f"unknown identification method {id_method!r}")
+
+
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
              id_method: str = "greedy", seed: Optional[int] = None) -> RunMetrics:
     """Execute one complete scenario and collect its metrics.
 
     The buffer is built with the scenario's service rate, mu * slot_dt,
-    and serves at it for the whole run."""
-    check_configs(scenario, detector_cfg)
-    if id_method not in ("greedy", "history"):
-        raise ValueError(f"unknown identification method {id_method!r}")
+    and serves at it for the whole run.
+
+    Each config is checked once, with check_configs' precedence: the
+    stream validates the scenario, the detector its config and windows,
+    and then the pair and the identification method are checked.  A seed
+    that numpy rejects is reported after all of these."""
     if seed is None:
         seed = scenario.seed
-
-    ss = np.random.SeedSequence(seed)
+    try:
+        ss = np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        check_configs(scenario, detector_cfg)
+        _check_id_method(id_method)
+        raise
     rng_traffic, rng_split = (np.random.default_rng(s) for s in ss.spawn(2))
     stream = TrafficStream(scenario, rng_traffic, rng_split)
     dt = scenario.slot_dt
     buf = BufferState(scenario.l1, scenario.l2, scenario.mu * dt)
     det = Detector(detector_cfg, dt)
+    _check_pair(scenario, detector_cfg)
+    _check_id_method(id_method)
 
-    ws_slots, _, c_slots = detector_cfg.window_slots(dt)
+    ws_slots, _, c_slots = det.window_slots
     # reported times are whole slot counts over slots per second
     per_second = scenario.slots_per_second
     onset = slots_in(scenario.t_star, dt, "t_star")
@@ -172,7 +191,8 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             ids, bounds = stream.slots(lo, stop)
             # each slot's unblocked packets: the packets before each of
             # its bounds less the blocked ones, counted by one search
-            arrivals = np.diff(bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds))
+            kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
+            arrivals = kept[1:] - kept[:-1]
         ran, fired, restored = det.run(arrivals, buf, restoration, watch=phase != "measure")
         elapsed += ran
         if blocked is not None and elapsed < stop:

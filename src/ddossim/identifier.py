@@ -35,6 +35,12 @@ def count_window(ids: np.ndarray, n_sources: int,
     return counts
 
 
+def _fitting(descending: np.ndarray, w_s: float, budget: float) -> int:
+    """How many of the descending counts the float running sum of their
+    rates, counts / w_s, keeps within the budget."""
+    return int(np.searchsorted(np.cumsum(descending / w_s), budget, side="right"))
+
+
 def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
              exempt: Optional[np.ndarray] = None) -> np.ndarray:
     """Mask of suspected attack sources in a window of w_s seconds, from its
@@ -65,7 +71,13 @@ def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
         return values == 0 if values.max(initial=0) <= 0 else picked
     n_candidates = len(counts) if exempt is None else len(counts) - np.count_nonzero(exempt)
     descending = np.sort(values)[::-1][:n_candidates]
-    n_picked = int(np.searchsorted(np.cumsum(descending / w_s), budget, side="right"))
+    # every candidate ranked above the silent ones sent a packet, so the
+    # running sum passes the budget within its first budget * w_s + 2
+    # candidates unless all that sent fit; then it takes the whole sum
+    reach = int(budget * w_s) + 2
+    n_picked = _fitting(descending[:reach], w_s, budget)
+    if n_picked == reach < n_candidates:
+        n_picked = _fitting(descending, w_s, budget)
     if n_picked:
         cut = descending[n_picked - 1]
         picked = values > cut

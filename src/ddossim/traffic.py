@@ -204,7 +204,8 @@ class TrafficStream:
         n_keys = int(bounds[-1])
         keys, self._queue = self._queue[:n_keys], self._queue[n_keys:]
         if len(keys) < n_keys:
-            keys = np.concatenate((keys, self._split_rng.random(n_keys - len(keys))))
+            draw = self._split_rng.random(n_keys - len(keys))
+            keys = np.concatenate((keys, draw)) if len(keys) else draw
         # each key attributes one packet of its class aggregate to member
         # floor(key * size) of its class; the keys run slot by slot, and
         # within a slot class by class

@@ -284,7 +284,13 @@ DECISION_EXAMPLES = [
     # near 10**12: the t-test fires; Levene fires; neither does
     ([BIG + i % 5 for i in range(30)], [BIG + 3, BIG + 7, BIG + 4], 0.05),
     ([BIG + i % 3 for i in range(30)], [BIG + x for x in [0, 6] + [1] * 7 + [6]], 0.05),
-    ([BIG + i % 3 for i in range(30)], [BIG + x for x in [1] * 8 + [6, 0]], 0.05)]
+    ([BIG + i % 3 for i in range(30)], [BIG + x for x in [1] * 8 + [6, 0]], 0.05),
+    # Levene's test reached with a count exactly at each group's mean
+    # (n*x == S), which adds nothing to T: it fires; it does not
+    ([5, 10, 5, 2, 2, 8, 2, 4, 7], [13, 14, 0, 15, 3, 9], 0.05),
+    ([1, 11, 13, 5, 16, 16, 5, 5, 8, 0], [13, 28, 3, 8], 0.05),
+    # baseline counts at S // n = 5, below the mean 5.25, which T leaves out
+    ([7, 5, 1, 7, 5, 0, 10, 7], [19, 7], 0.05)]
 
 
 def with_decision_examples(test):
@@ -546,6 +552,11 @@ def test_config_validation():
         make_cfg(c=5.0).validate()             # c < w_s
     with pytest.raises(ValueError):
         make_cfg(alpha=0.7).validate()
+    # in (0, 0.5), but the t quantile at 1 - alpha/2 = 1.0 does not exist;
+    # at 2**-52 it is about 218 on 8 degrees
+    with pytest.raises(ValueError, match="alpha=1e-17 is too small"):
+        make_cfg(alpha=1e-17).validate()
+    make_cfg(alpha=2.0 ** -52).validate()
     with pytest.raises(ValueError):
         make_cfg(baseline_len=4).validate()
     with pytest.raises(ValueError):
@@ -629,6 +640,27 @@ def test_frozen_lambda_bar_is_pinned():
     assert det.baseline_lambda_bar() == before
     det.unfreeze()
     assert det._episode is None
+
+
+def test_lambda_bar_pinned_through_an_episode():
+    # freeze() pins lambda-bar: filter stretches and measurement windows,
+    # each with a restoration monitor, leave it as it stood at the fire
+    det, buf = warm_ratio_detector()
+    wl = det._wl_slots
+    before = det.baseline_lambda_bar()
+    det.freeze()
+    mon = RestorationMonitor(l1=40, baseline_rate=before / 0.1, r=0.6, w_s=10.0, ws_slots=100)
+    for arrivals, watch in (([30] * 100, False), ([25] * 40, True), ([12] * 100, False),
+                            ([9] * 7, True), ([100] * 3, True)):
+        det.rearm()
+        det.run(np.array(arrivals, dtype=np.int64), buf, mon, watch=watch)
+        assert det.baseline_lambda_bar() == before
+    # unpinned again: after a monitor stretch, the mean of the oldest wl
+    # slots of the long tail, which now holds slots of the new level
+    det.unfreeze()
+    assert det.run(np.full(700, 4, dtype=np.int64), buf) == (700, None, False)
+    assert det.long.tolist() == [10] * (det._long_slots - 700) + [4] * 700
+    assert det.baseline_lambda_bar() == sum(det.long[:wl].tolist()) / wl != before
 
 
 @pytest.mark.parametrize("before, episode, after", [

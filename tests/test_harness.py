@@ -76,6 +76,28 @@ def test_run_once_config_errors():
         run_once(scenario, det, "nonsense", seed=1)
 
 
+@pytest.mark.parametrize("seed", [1, -1])
+@pytest.mark.parametrize("scenario, detector, id_method, match", [
+    (dict(mu=-1.0), dict(r=0.0), "nonsense", "mu must be > 0"),
+    ({}, dict(r=0.0), "nonsense", "r must be > 0"),
+    ({}, dict(w_s=10.5), "nonsense", "whole seconds"),
+    ({}, dict(w_l=150.0), "nonsense", "w_l must warm up"),
+    ({}, {}, "nonsense", "unknown identification method"),
+])
+def test_run_once_reports_the_first_error_in_check_order(scenario, detector, id_method, match,
+                                                         seed):
+    # the scenario, the detector config and its windows, the pair, the
+    # identification method, and last the seed, which numpy checks
+    with pytest.raises(ValueError, match=match):
+        run_once(dataclasses.replace(SIM2.scenario, **scenario),
+                 dataclasses.replace(SIM2.detector, **detector), id_method, seed=seed)
+
+
+def test_run_once_checks_the_seed_last():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_once(SIM2.scenario, SIM2.detector, SIM2.id_method, seed=-1)
+
+
 @pytest.mark.parametrize("overrides, match", [
     # the statistical method would test 10 one-second buckets against a
     # 10.5 s ratio window

@@ -152,6 +152,11 @@ def test_greedy_unbounded_budget_takes_all():
     # sum, 6, sits far inside it
     attackers, _ = classify({0: 5, 1: 1, 2: 0, 3: 100}, 0.0, {3})
     assert attackers == {0, 1, 2}
+    # the running sum is first taken over the budget * w_s + 2 candidates
+    # it can reach; here both that sent and the two silent ones after them
+    # fit, so the silent ones past that prefix fit too
+    attackers, _ = classify({0: 1, 1: 1, **dict.fromkeys(range(2, 8), 0)}, 0.0)
+    assert attackers == set(range(8))
 
 
 def test_greedy_tie_break_by_ascending_id():
@@ -241,13 +246,18 @@ FLOAT_RULE_CASES = dict(
 
 def with_float_rule_examples(test):
     # a budget on a run of tied counts, one on a rate sum that 0.1 rounds,
-    # every candidate exempt, and silent candidates under a zero budget
+    # every candidate exempt, silent candidates under a zero budget, and
+    # silent candidates past the prefix the running sum first covers
     for case in (dict(counts=[2, 2, 2, 1, 1], scale=1, w_s=0.1, budget_packets=5,
                       exempt=None),
                  dict(counts=[3, 3, 3, 3], scale=1, w_s=0.1, budget_packets=9, exempt=None),
                  dict(counts=[4, 1], scale=1, w_s=45.0, budget_packets=3, exempt=[True] * 60),
                  dict(counts=[4, 0, 0, 2], scale=1, w_s=1 / 3, budget_packets=0,
-                      exempt=[True] + [False] * 2 + [True] * 57)):
+                      exempt=[True] + [False] * 2 + [True] * 57),
+                 # every candidate that sent fits, and silent ones lie past
+                 # the budget * w_s + 2 that the running sum first covers
+                 dict(counts=[1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0], scale=1, w_s=0.1,
+                      budget_packets=4, exempt=None)):
         test = example(**case)(test)
     return test
 

@@ -18,6 +18,12 @@ the next slot and nothing can fire first, that fire is recorded at once
 and its slot runs in one stretch with the window it opens.  Restoration
 releases the filter and resumes normal baseline rotation.
 
+The loop keeps only the state it cannot derive.  The slot of the
+episode's last fire is None between episodes, and a stretch that starts
+less than w_s after it is a measurement window.  The attack is detected
+once, and the first restoration after that ends the primary episode,
+whose first block set is the one reported.
+
 Under the history method a run is settled at the first fire whose exempt
 mask covers every source.  The mask only grows with the fire slot, so no
 later classification can pick anyone: none splits, counts or ranks its
@@ -95,27 +101,18 @@ class BatchStats:
 
 
 def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
-    """Reject a scenario and detector pair that cannot run as specified."""
+    """Reject a scenario and detector pair that cannot run as specified:
+    each config on its own, then a detector that cannot warm up before
+    the attack."""
     scenario.validate()
     cfg.validate()
     cfg.window_slots(scenario.slot_dt)
-    _check_pair(scenario, cfg)
-
-
-def _check_pair(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
-    """Reject a pair of configs, each valid on its own, whose detector
-    cannot warm up before the attack."""
     if cfg.w_l >= scenario.t_star:
         raise ValueError("long window w_l must warm up before the attack onset t_star")
     if Method.STATISTICAL in cfg.methods:
         warmup = cfg.c + cfg.baseline_len
         if warmup >= scenario.t_star:
             raise ValueError("statistical baseline warm-up must finish before t_star")
-
-
-def _check_id_method(id_method: str) -> None:
-    if id_method not in ("greedy", "history"):
-        raise ValueError(f"unknown identification method {id_method!r}")
 
 
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
@@ -125,25 +122,20 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     The buffer is built with the scenario's service rate, mu * slot_dt,
     and serves at it for the whole run.
 
-    Each config is checked once, with check_configs' precedence: the
-    stream validates the scenario, the detector its config and windows,
-    and then the pair and the identification method are checked.  A seed
-    that numpy rejects is reported after all of these."""
+    check_configs runs first, then the identification method is checked,
+    and a seed that numpy rejects is reported last.  The stream and the
+    detector then validate their own configs a second time."""
+    check_configs(scenario, detector_cfg)
+    if id_method not in ("greedy", "history"):
+        raise ValueError(f"unknown identification method {id_method!r}")
     if seed is None:
         seed = scenario.seed
-    try:
-        ss = np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
-        check_configs(scenario, detector_cfg)
-        _check_id_method(id_method)
-        raise
+    ss = np.random.SeedSequence(seed)
     rng_traffic, rng_split = (np.random.default_rng(s) for s in ss.spawn(2))
     stream = TrafficStream(scenario, rng_traffic, rng_split)
     dt = scenario.slot_dt
     buf = BufferState(scenario.l1, scenario.l2, scenario.mu * dt)
     det = Detector(detector_cfg, dt)
-    _check_pair(scenario, detector_cfg)
-    _check_id_method(id_method)
 
     ws_slots, _, c_slots = det.window_slots
     # reported times are whole slot counts over slots per second
@@ -156,12 +148,12 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     exempt: Optional[np.ndarray] = None
     settled = False                            # every source is exempt
 
-    phase = "monitor"
+    fire: Optional[int] = None                 # slots elapsed at the episode's last fire
     blocked: Optional[np.ndarray] = None       # sources the active filter drops
     restoration: Optional[RestorationMonitor] = None
-    episode_primary = False
-    fire = 0                                   # slots elapsed at the last fire
 
+    # detection is set once, and the restoration that follows ends the
+    # primary episode: it is in progress while one is set and not the other
     detection_time: Optional[float] = None
     detection_method: Optional[str] = None
     restore_time: Optional[float] = None
@@ -176,12 +168,8 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         # the end of the run, a window to its end, filter slots w_s ahead
         # and on while nothing happens
         lo = elapsed
-        if phase == "monitor":
-            stop = n_slots
-        elif phase == "measure":
-            stop = min(fire + ws_slots, n_slots)
-        else:
-            stop = min(lo + ws_slots, n_slots)
+        measuring = fire is not None and lo < fire + ws_slots
+        stop = n_slots if fire is None else min((fire if measuring else lo) + ws_slots, n_slots)
         if blocked is None:
             # nothing is split or filtered between episodes, nor in the
             # first window of an episode, nor once the run is settled
@@ -193,24 +181,21 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # its bounds less the blocked ones, counted by one search
             kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
             arrivals = kept[1:] - kept[:-1]
-        ran, fired, restored = det.run(arrivals, buf, restoration, watch=phase != "measure")
+        ran, fired, restored = det.run(arrivals, buf, restoration, watch=not measuring)
         elapsed += ran
         if blocked is not None and elapsed < stop:
             stream.rewind(elapsed)
 
         if restored:
             # sustained-normal condition met: release the filter
-            if episode_primary and restore_time is None:
+            if detection_time is not None and restore_time is None:
                 restore_time = (elapsed - onset) / per_second
-            blocked = None
-            restoration = None
-            episode_primary = False
+            fire = blocked = restoration = None
             det.unfreeze()
-            phase = "monitor"
             continue
 
         fired_at = elapsed                     # slots elapsed at a fire
-        if phase == "measure" and elapsed == fire + ws_slots:
+        if measuring and elapsed == fire + ws_slots:
             # a window runs to its end in one stretch, from the fire or
             # from a forced fire's slot, and only one that is classified
             # has its packets split; under the filter it is counted whole,
@@ -231,19 +216,18 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                 restoration = RestorationMonitor(scenario.l1, baseline_rate,
                                                  detector_cfg.r,
                                                  detector_cfg.w_s, ws_slots)
-            if episode_primary and first_blocked is None:
+            if first_blocked is None and detection_time is not None and restore_time is None:
                 first_blocked = blocked
             det.rearm()
-            phase = "filter"
             # a fire certain on the next slot is recorded now, so that slot
             # and the window it opens run as one stretch
             if elapsed < n_slots and det.must_fire_next(buf):
                 fired, fired_at = Method.BUFFER_FULL, elapsed + 1
         if fired is not None:
-            # a fire in the monitor phase opens an episode; one during
-            # filtering means the residual still looks abnormal, so measure
-            # again and extend the block set
-            if phase == "monitor":
+            # a fire between episodes opens one; one during filtering
+            # means the residual still looks abnormal, so measure again
+            # and extend the block set
+            if fire is None:
                 det.freeze()
                 if fired_at < onset:
                     false_alarms += 1
@@ -258,9 +242,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
                     latency = max(0, latency - per_second)
                 detection_time = latency / per_second
                 detection_method = fired.value
-                episode_primary = True
             fire = fired_at
-            phase = "measure"
             if active_from is not None and not settled:
                 exempt = active_from <= fire - c_slots
                 # the mask only grows with the fire slot: once it covers

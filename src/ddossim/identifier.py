@@ -35,12 +35,6 @@ def count_window(ids: np.ndarray, n_sources: int,
     return counts
 
 
-def _fitting(descending: np.ndarray, w_s: float, budget: float) -> int:
-    """How many of the descending counts the float running sum of their
-    rates, counts / w_s, keeps within the budget."""
-    return int(np.searchsorted(np.cumsum(descending / w_s), budget, side="right"))
-
-
 def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
              exempt: Optional[np.ndarray] = None) -> np.ndarray:
     """Mask of suspected attack sources in a window of w_s seconds, from its
@@ -73,11 +67,13 @@ def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
     descending = np.sort(values)[::-1][:n_candidates]
     # every candidate ranked above the silent ones sent a packet, so the
     # running sum passes the budget within its first budget * w_s + 2
-    # candidates unless all that sent fit; then it takes the whole sum
+    # candidates unless all that sent fit; a prefix that fits whole then
+    # ends on a silent candidate, every one after it is silent too, and
+    # adding their zero rates leaves the sum within the budget
     reach = int(budget * w_s) + 2
-    n_picked = _fitting(descending[:reach], w_s, budget)
+    n_picked = int(np.searchsorted(np.cumsum(descending[:reach] / w_s), budget, side="right"))
     if n_picked == reach < n_candidates:
-        n_picked = _fitting(descending, w_s, budget)
+        n_picked = n_candidates
     if n_picked:
         cut = descending[n_picked - 1]
         picked = values > cut

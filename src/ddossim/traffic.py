@@ -39,6 +39,12 @@ _GRID_TOL = 1e-9
 # integer ranking needs; case3, the largest preset, expects 800 000
 RUN_PACKETS_LIMIT = 1e8
 
+# the most slots a run may hold: a stream keeps some 60 bytes a slot, and
+# a stretch that runs to the end of the run builds int64 arrays of its
+# length; sim2 over 10**6 slots peaks at about 150 MB, and the presets run
+# 3000 slots
+RUN_SLOTS_LIMIT = 10 ** 6
+
 
 def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     """Whole slots of slot_dt in a span of seconds.
@@ -112,6 +118,10 @@ class ScenarioConfig:
         slots_in(1.0, self.slot_dt, "one second")
         for name in ("t_star", "attack_end", "total_duration"):
             slots_in(getattr(self, name), self.slot_dt, name)
+        if self.n_slots > RUN_SLOTS_LIMIT:
+            raise ValueError(f"total_duration={self.total_duration} at slot_dt={self.slot_dt} "
+                             f"is {self.n_slots} slots, more than the {RUN_SLOTS_LIMIT:.0e} "
+                             "a run may hold")
         # the buffer serves mu * slot_dt a slot, and a stretch may run to
         # the end of the run: its capacity prefix sums must stay in int64
         if self.n_slots * (self.mu * self.slot_dt) >= SERVICE_SUM_LIMIT:

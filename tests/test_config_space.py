@@ -9,7 +9,8 @@ Either check_configs rejects the pair with a ValueError that names a
 field, and run_once raises the very same error, or run_once returns a
 row that passes the benchmark's row invariants and a buffer whose packets
 are conserved.  Rates whose runs would expect more than RUN_PACKETS_LIMIT
-packets are drawn apart and must be rejected before a single draw.
+packets, and runs of more than RUN_SLOTS_LIMIT slots, are drawn apart and
+must be rejected before a single draw.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from ddossim.buffer import BufferState
 from ddossim.detector import ALL_METHODS, DetectorConfig, Method
 from ddossim.harness import check_configs, run_once
 from ddossim.presets import PRESETS
-from ddossim.traffic import RUN_PACKETS_LIMIT, ScenarioConfig, TrafficStream
+from ddossim.traffic import RUN_PACKETS_LIMIT, RUN_SLOTS_LIMIT, ScenarioConfig, TrafficStream
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from golden import invariant_errors, normalize  # noqa: E402
@@ -177,6 +178,21 @@ class Undrawn(TrafficStream):
         super().__init__(config, NoDraws(), NoDraws())
 
 
+def assert_rejected_unrun(scenario, detector, id_method):
+    """check_configs rejects the pair, and a stream and run_once raise the
+    same error with generators that fail the test if drawn from; return
+    the error's message."""
+    with pytest.raises(ValueError) as err:
+        check_configs(scenario, detector)
+    with pytest.raises(ValueError) as got:
+        Undrawn(scenario, None, None)
+    assert str(got.value) == str(err.value)
+    with mock.patch.object(harness, "TrafficStream", Undrawn), pytest.raises(ValueError) as got:
+        run_once(scenario, detector, id_method)
+    assert str(got.value) == str(err.value)
+    return str(err.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(rate=st.sampled_from(["lambda_n", "lambda_a"]), n_legal=st.integers(1, 200),
        n_attack=st.integers(1, 200), excess=st.floats(1.001, 1e250))
@@ -191,13 +207,20 @@ def test_traffic_past_the_packet_limit_is_rejected_unrun(rate, n_legal, n_attack
     scenario = dataclasses.replace(s, **(
         {"lambda_n": (target - attack) / (n_legal * s.total_duration)} if rate == "lambda_n"
         else {"lambda_a": (target - legal) / (n_attack * (s.attack_end - s.t_star))}))
-    with pytest.raises(ValueError) as err:
-        check_configs(scenario, p.detector)
-    assert f"{rate}={getattr(scenario, rate)}" in str(err.value)
-    assert f"{RUN_PACKETS_LIMIT:.0e} a run may hold" in str(err.value)
-    with pytest.raises(ValueError) as got:
-        Undrawn(scenario, None, None)
-    assert str(got.value) == str(err.value)
-    with mock.patch.object(harness, "TrafficStream", Undrawn), pytest.raises(ValueError) as got:
-        run_once(scenario, p.detector, p.id_method)
-    assert str(got.value) == str(err.value)
+    err = assert_rejected_unrun(scenario, p.detector, p.id_method)
+    assert f"{rate}={getattr(scenario, rate)}" in err
+    assert f"{RUN_PACKETS_LIMIT:.0e} a run may hold" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_dt=st.sampled_from(SLOT_DTS + [1e-3, 1e-6]), excess=st.integers(1, 10 ** 12))
+def test_slots_past_the_limit_are_rejected_unrun(slot_dt, excess):
+    # sim2 at 1e-3 pkt/s a source, `excess` slots past RUN_SLOTS_LIMIT and
+    # never shorter than its 300 s, which at a microsecond slot are 3e8
+    p = SIM2
+    n_slots = max(RUN_SLOTS_LIMIT + excess, round(p.scenario.total_duration / slot_dt))
+    scenario = dataclasses.replace(p.scenario, lambda_n=1e-3, lambda_a=1e-3, mu=1.0,
+                                   slot_dt=slot_dt, total_duration=n_slots * slot_dt)
+    err = assert_rejected_unrun(scenario, p.detector, p.id_method)
+    assert f"total_duration={scenario.total_duration} at slot_dt={slot_dt}" in err
+    assert f"{RUN_SLOTS_LIMIT:.0e} a run may hold" in err

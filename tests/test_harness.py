@@ -52,6 +52,20 @@ def test_run_once_detects_and_restores():
     assert m.packets_dropped >= 0
 
 
+@pytest.mark.parametrize("seed", [27, 39, 40])
+def test_primary_episode_restored_before_classifying(seed):
+    # a false alarm's episode is filtering when the attack fires it again:
+    # that fire is the detection, and restoration ends the episode in the
+    # re-measurement window the fire opened, before it is classified.  So
+    # the primary episode has no block set, and no later episode's may be
+    # reported in its place
+    p = PRESETS["case1"]
+    m = run_once(p.scenario, p.detector, "history", seed=seed)
+    assert m == reference_run(p.scenario, p.detector, "history", seed=seed)
+    assert m.detected and m.false_alarms > 0 and m.restore_time is not None
+    assert (m.correctly_identified_attackers, m.legal_filtered) == (0, 0)
+
+
 def test_run_once_no_attack_baseline():
     # approximate detectors only: at this scale neither fires without attack
     scenario, _, idm = small_run(n_attack=0)

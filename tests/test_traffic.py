@@ -176,6 +176,25 @@ def test_config_rejects_traffic_past_the_packet_limit():
     assert max(expected) == 800_000 < traffic.RUN_PACKETS_LIMIT / 100
 
 
+def test_config_rejects_runs_past_the_slot_limit():
+    # sim2 at 1e-3 pkt/s a source over 1e9 s expects 5e7 packets, inside
+    # RUN_PACKETS_LIMIT, but no stream could hold its 10**10 slots
+    slow = dict(lambda_n=1e-3, lambda_a=1e-3, mu=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "total_duration=1000000000.0 at slot_dt=0.1 is 10000000000 slots")):
+        small_config(total_duration=1e9, **slow).validate()
+    # or a slot of a microsecond: 3e8 slots over sim2's 300 s
+    with pytest.raises(ValueError, match="slot_dt=1e-06 .* more than the 1e\\+06 a run may hold"):
+        small_config(slot_dt=1e-6, **slow).validate()
+    # the bound itself is a run, one slot more is not
+    small_config(total_duration=traffic.RUN_SLOTS_LIMIT * 0.1, **slow).validate()
+    with pytest.raises(ValueError, match="is 1000001 slots"):
+        small_config(total_duration=(traffic.RUN_SLOTS_LIMIT + 1) * 0.1, **slow).validate()
+    # the presets, and the CI's longest run at 6000 slots, are far inside it
+    assert max(p.scenario.n_slots for p in PRESETS.values()) == 3000
+    assert 6000 < traffic.RUN_SLOTS_LIMIT / 100
+
+
 def test_config_accepts_numpy_integers():
     small_config(n_legal=np.int64(50), l1=np.int32(40), seed=np.uint8(3)).validate()
 

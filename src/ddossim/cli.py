@@ -33,19 +33,27 @@ class ConfigError(Exception):
     pass
 
 
+# the values of each experiment setting with a fixed set of them, which the
+# flags offer and validate() accepts
+_CHOICES = {"mode": ("once", "batch", "sweep"), "format": ("csv", "jsonl"),
+            "id_method": ("greedy", "history")}
+
+
 @dataclass
 class ExperimentSpec:
-    mode: str = "once"                 # once | batch | sweep
+    mode: str = "once"
     runs: int = 2
     sweep_ws: list[float] = field(default_factory=list)
-    seed: Optional[int] = None
+    seed: int = 0
     out: Optional[str] = None
-    format: str = "csv"                # csv | jsonl
+    format: str = "csv"
     id_method: str = "greedy"
 
     def validate(self) -> None:
-        if self.mode not in ("once", "batch", "sweep"):
-            raise ConfigError(f"mode must be once|batch|sweep, got {self.mode!r}")
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {value!r}")
         if self.mode == "batch" and self.runs < 2:
             raise ConfigError("batch mode needs runs >= 2")
         if self.mode == "sweep" and not self.sweep_ws:
@@ -54,12 +62,8 @@ class ExperimentSpec:
             raise ConfigError(f"sweep_ws is only read in sweep mode, not {self.mode}")
         if self.mode == "sweep" and self.runs < 1:
             raise ConfigError("sweep mode needs runs >= 1")
-        if self.seed is not None and self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.format not in ("csv", "jsonl"):
-            raise ConfigError(f"format must be csv|jsonl, got {self.format!r}")
-        if self.id_method not in ("greedy", "history"):
-            raise ConfigError(f"id_method must be greedy|history, got {self.id_method!r}")
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
@@ -88,7 +92,7 @@ def _parse_ws_list(text: str) -> list[float]:
 _SCENARIO_KEYS = {
     "n_legal": int, "n_attack": int, "lambda_n": float, "lambda_a": float,
     "mu": float, "l1": int, "l2": int, "t_star": float, "attack_end": float,
-    "total_duration": float, "slot_dt": float, "seed": int,
+    "total_duration": float, "slot_dt": float,
 }
 _DETECTOR_KEYS = {
     "w_s": float, "w_l": float, "tolerance_r": float, "c": float,
@@ -146,8 +150,7 @@ def _build(path: Optional[str], flags: dict) -> tuple[ScenarioConfig, DetectorCo
             detector = dataclasses.replace(preset.detector, **det_kwargs)
             exp_kwargs = {"id_method": preset.id_method, **exp_kwargs}
         else:
-            missing = [k for k in _SCENARIO_KEYS if k not in scen_kwargs
-                       and k not in ("seed", "slot_dt")]
+            missing = [k for k in _SCENARIO_KEYS if k not in scen_kwargs and k != "slot_dt"]
             if missing:
                 raise ConfigError(f"no preset given and [scenario] is missing: {missing}")
             scenario = ScenarioConfig(**scen_kwargs)
@@ -188,7 +191,7 @@ def dump_config(scenario: ScenarioConfig, detector: DetectorConfig,
         "sweep_ws": ",".join(repr(v) for v in spec.sweep_ws),
         "format": spec.format,
         "id_method": spec.id_method,
-        **({"seed": str(spec.seed)} if spec.seed is not None else {}),
+        "seed": str(spec.seed),
     }
     parser.write(out)
 
@@ -243,13 +246,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="built-in scenario preset")
     p.add_argument("--config", help="INI config file (overrides preset values)")
-    p.add_argument("--mode", choices=["once", "batch", "sweep"])
+    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--runs", type=int, help="runs per batch (or per sweep value)")
     p.add_argument("--sweep-ws", help="comma-separated short-window sizes, e.g. 5,10,20,30,40")
     p.add_argument("--seed", type=int)
-    p.add_argument("--id-method", choices=["greedy", "history"])
+    p.add_argument("--id-method", choices=_CHOICES["id_method"])
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=_CHOICES["format"])
     p.add_argument("--dump-config", action="store_true",
                    help="print the resolved configuration and exit")
     return p
@@ -257,18 +260,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _execute(scenario: ScenarioConfig, detector: DetectorConfig,
              spec: ExperimentSpec, out: TextIO) -> None:
-    seed = spec.seed if spec.seed is not None else scenario.seed
     summary = None
     if spec.mode == "once":
-        rows = _run_rows([run_once(scenario, detector, spec.id_method, seed=seed)])
+        rows = _run_rows([run_once(scenario, detector, spec.id_method, seed=spec.seed)])
     elif spec.mode == "batch":
-        stats, runs = run_batch(scenario, detector, spec.id_method,
-                                spec.runs, base_seed=seed)
+        stats, runs = run_batch(scenario, detector, spec.id_method, spec.runs,
+                                base_seed=spec.seed)
         rows, summary = _run_rows(runs), _summary_dict(stats)
     else:
         rows = [row for w_s, runs in sweep_window(scenario, detector, spec.id_method,
                                                   spec.sweep_ws, runs_per_value=spec.runs,
-                                                  base_seed=seed)
+                                                  base_seed=spec.seed)
                 for row in _run_rows(runs, {"w_s": w_s})]
     emit_results(rows, spec.format, out, summary=summary)
 

@@ -16,11 +16,14 @@ windows themselves.
 Detector.run takes every stretch of slots, between episodes and during
 them: it runs the detector, the buffer and, while a filter is in place,
 the RestorationMonitor ahead to the first event, then commits each of them
-up to it.  The history each keeps is an int64 tail of its slots: the short
-window since it was last cleared, the unfrozen slots the long window and
-its lagged level lambda-bar come from, the admitted counts restoration
-sums, and the unfinished one-second bucket; a stretch whose own slots fill
-a tail leaves a slice of them as the tail.  window_sums() reads every
+up to it.  The detector owns that monitor: an episode's first
+classification (rearm) builds it from lambda-bar at the fire, and
+restoration (unfreeze) drops it, so the run loop never holds it.  The
+history each keeps is an int64 tail of its slots: the short window since
+it was last cleared, the unfrozen slots the long window and its lagged
+level lambda-bar come from, the admitted counts restoration sums, and the
+unfinished one-second bucket; a stretch whose own slots fill a tail
+leaves a slice of them as the tail.  window_sums() reads every
 window off a tail and a stretch's arrivals, from int64 prefix sums.  An
 episode copies no history: its slots and buckets stay out of the histories
 the references come from, and its own buckets are a list of their own.
@@ -288,12 +291,14 @@ class Detector:
     into an episode, whose slots and buckets enter neither history, so
     monitoring continues against the references as they stood at the fire
     and attack traffic cannot poison them; a measurement window runs
-    frozen with its fires ignored.  unfreeze() drops the episode and
-    resumes normal rotation at restoration.  The first enabled method to
-    fire is reported (priority statistical > ratio > buffer-full within a
-    slot).  The statistical method is re-evaluated whenever a one-second
-    arrival bucket completes.  tests/reference.py holds the same rules one
-    slot at a time, for both phases.
+    frozen with its fires ignored.  Each classification rearm()s it, and
+    the first builds the episode's RestorationMonitor, which every later
+    stretch of the episode runs ahead.  unfreeze() drops the episode and
+    its monitor and resumes normal rotation at restoration.  The first
+    enabled method to fire is reported (priority statistical > ratio >
+    buffer-full within a slot).  The statistical method is re-evaluated
+    whenever a one-second arrival bucket completes.  tests/reference.py
+    holds the same rules one slot at a time, for both phases.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
@@ -317,6 +322,9 @@ class Detector:
         self._episode: Optional[list[int]] = None
         self._rearmed_at = 0
         self._lambda_bar = 0.0                  # baseline_lambda_bar() at the last freeze()
+        self._slot_dt = slot_dt
+        # the episode's restoration watch, from its first rearm() on
+        self.restoration: Optional[RestorationMonitor] = None
         self.stat_checks = 0
         self.stat_positives = 0
 
@@ -357,7 +365,8 @@ class Detector:
         episode's buckets pushed its oldest out and then been dropped with
         those w_s.  The short window is cleared too, so the same data
         cannot re-fire instantly; the statistical method re-arms once
-        fresh buckets refill the gap.
+        fresh buckets refill the gap.  The episode's restoration monitor
+        is dropped with the filter it watched.
         """
         if self._episode is None:
             raise RuntimeError("unfreeze needs a frozen detector")
@@ -365,44 +374,48 @@ class Detector:
         self.buckets = self.buckets[max(0, held + len(self._episode) - self._buckets_max):
                                     max(0, held - self._ws_buckets)]
         self._episode = None
+        self.restoration = None
         self.short = self.short[:0]
         self._partial = self._partial[:0]
 
-    def rearm(self) -> None:
-        """Require fresh post-filter traffic before the next fire.
+    def rearm(self, buffer: BufferState) -> bool:
+        """Require fresh post-filter traffic before the next fire, and watch
+        for restoration from then to the end of the episode.
 
         Called when a filter is (re)activated in an episode: clears the
         short window and marks the episode's buckets so far as stale, so
         the excursion that caused the fire cannot immediately re-trigger
-        the ratio or statistical method.
+        the ratio or statistical method.  The episode's first call builds
+        its RestorationMonitor on the buffer's l1 and on lambda-bar as it
+        stood at the fire; later calls keep it.
+
+        Returns whether buffer-full must fire on the next slot, and nothing
+        before it.  A slot serves fewer than the buffer's service_per_slot
+        + 1 packets, so with the occupancy service_per_slot or more above
+        l1 (an exact int-to-float comparison) the next slot's backlog is at
+        least l1: restoration cannot hold there and buffer-full fires.
+        Nothing fires first: the short window, just emptied, refills in one
+        slot only when w_s is one slot, and a statistical check needs at
+        least two of the fresh buckets, just restarted.
         """
         if self._episode is None:
             raise RuntimeError("rearm needs a frozen detector")
         self.short = self.short[:0]
         self._rearmed_at = len(self._episode)
-
-    def must_fire_next(self, buffer: BufferState) -> bool:
-        """Whether buffer-full must fire on the next slot, right after
-        rearm(), and nothing before it.
-
-        A slot serves fewer than the buffer's service_per_slot + 1 packets,
-        so with the occupancy service_per_slot or more above l1 (an exact
-        int-to-float comparison) the next slot's backlog is at least l1:
-        restoration cannot hold there and buffer-full fires.  Nothing fires
-        first: rearm() emptied the short window, which one slot refills
-        only when w_s is one slot, and restarted the fresh buckets, of
-        which a statistical check needs at least two.
-        """
-        return (Method.BUFFER_FULL in self.cfg.methods
+        cfg = self.cfg
+        if self.restoration is None:
+            self.restoration = RestorationMonitor(buffer.l1, self._lambda_bar / self._slot_dt,
+                                                  cfg.r, cfg.w_s, self._ws_slots)
+        return (Method.BUFFER_FULL in cfg.methods
                 and buffer.occupancy - buffer.l1 >= buffer.service_per_slot
-                and (self._ws_slots > 1 or Method.RATIO not in self.cfg.methods))
+                and (self._ws_slots > 1 or Method.RATIO not in cfg.methods))
 
     def run(self, arrivals: np.ndarray, buffer: BufferState,
-            restoration: Optional[RestorationMonitor] = None,
             watch: bool = True) -> tuple[int, Optional[Method], bool]:
-        """The detector, the buffer and the restoration monitor, if any,
-        over a stretch's int64 arrivals, one per slot, up to the first
-        event; each searches, then each commits up to that slot.
+        """The detector, the buffer and the episode's restoration monitor,
+        once a rearm() has built it, over a stretch's int64 arrivals, one
+        per slot, up to the first event; each searches, then each commits
+        up to that slot.
 
         In order: the first ratio hit, from whole-array prefix sums, against
         the long window between episodes or lambda-bar in one; the buffer
@@ -432,7 +445,7 @@ class Detector:
         buffer and the monitor are left as the per-slot rules over those
         slots leave them.
         """
-        episode = self._episode
+        episode, restoration = self._episode, self.restoration
         if episode is None and not watch:
             raise RuntimeError("a measurement window runs only on a frozen detector")
         cfg = self.cfg

@@ -12,11 +12,12 @@ a window classified under the filter counts its packets by source and
 zeroes the blocked ones.  That fire means the residual traffic still
 looks abnormal, so the pipeline re-measures and widens the block set; a
 false alarm just before the attack cannot blind the run, and a partial
-first classification is progressively repaired.  When, after a
-classification, Detector.must_fire_next finds that buffer-full fires on
-the next slot and nothing can fire first, that fire is recorded at once
-and its slot runs in one stretch with the window it opens.  Restoration
-releases the filter and resumes normal baseline rotation.
+first classification is progressively repaired.  When Detector.rearm,
+at a classification, finds that buffer-full fires on the next slot and
+nothing can fire first, that fire is recorded at once and its slot runs
+in one stretch with the window it opens.  Restoration, which the
+detector watches from the episode's first classification on, releases
+the filter and resumes normal baseline rotation.
 
 The loop keeps only the state it cannot derive.  The slot of the
 episode's last fire is None between episodes, and a stretch that starts
@@ -42,7 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .buffer import BufferState
-from .detector import Detector, DetectorConfig, Method, RestorationMonitor
+# unused here: perfbench/tracing.py looks RestorationMonitor up on this module
+from .detector import Detector, DetectorConfig, Method, RestorationMonitor  # noqa: F401
 from .identifier import count_window, identify
 from .stats import sample_mean, sample_stddev, student_t_quantile
 from .traffic import ScenarioConfig, TrafficStream, slots_in
@@ -116,7 +118,7 @@ def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
 
 
 def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
-             id_method: str = "greedy", seed: Optional[int] = None) -> RunMetrics:
+             id_method: str = "greedy", seed: int = 0) -> RunMetrics:
     """Execute one complete scenario and collect its metrics.
 
     The buffer is built with the scenario's service rate, mu * slot_dt,
@@ -124,12 +126,12 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
     check_configs runs first, then the identification method is checked,
     and a seed that numpy rejects is reported last.  The stream and the
-    detector then validate their own configs a second time."""
+    detector then validate their own configs a second time.  The detector
+    holds each episode's restoration monitor, so the loop never builds
+    one."""
     check_configs(scenario, detector_cfg)
     if id_method not in ("greedy", "history"):
         raise ValueError(f"unknown identification method {id_method!r}")
-    if seed is None:
-        seed = scenario.seed
     ss = np.random.SeedSequence(seed)
     rng_traffic, rng_split = (np.random.default_rng(s) for s in ss.spawn(2))
     stream = TrafficStream(scenario, rng_traffic, rng_split)
@@ -150,7 +152,6 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
     fire: Optional[int] = None                 # slots elapsed at the episode's last fire
     blocked: Optional[np.ndarray] = None       # sources the active filter drops
-    restoration: Optional[RestorationMonitor] = None
 
     # detection is set once, and the restoration that follows ends the
     # primary episode: it is in progress while one is set and not the other
@@ -181,7 +182,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # its bounds less the blocked ones, counted by one search
             kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
             arrivals = kept[1:] - kept[:-1]
-        ran, fired, restored = det.run(arrivals, buf, restoration, watch=not measuring)
+        ran, fired, restored = det.run(arrivals, buf, watch=not measuring)
         elapsed += ran
         if blocked is not None and elapsed < stop:
             stream.rewind(elapsed)
@@ -190,7 +191,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # sustained-normal condition met: release the filter
             if detection_time is not None and restore_time is None:
                 restore_time = (elapsed - onset) / per_second
-            fire = blocked = restoration = None
+            fire = blocked = None
             det.unfreeze()
             continue
 
@@ -202,26 +203,22 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # and its blocked sources count zero.  Once the run is settled
             # nobody can be picked: the window is neither split nor
             # counted, and the block set stays as it is
-            # the budget's baseline is lambda-bar as it stood at the
-            # episode's fire: no frozen slot has entered the long tail
-            baseline_rate = det.baseline_lambda_bar() / dt
             if not settled:
                 window = (stream.slots(fire, elapsed)[0] if blocked is None
                           else ids[bounds[fire - lo]:])
                 counts = count_window(window, stream.n_sources, blocked)
-                suspects = identify(counts, detector_cfg.w_s, baseline_rate, exempt)
+                # the budget's baseline is lambda-bar as it stood at the
+                # episode's fire: no frozen slot has entered the long tail
+                suspects = identify(counts, detector_cfg.w_s, det.baseline_lambda_bar() / dt,
+                                    exempt)
                 # re-measurement of residual traffic widens the block set
                 blocked = suspects if blocked is None else blocked | suspects
-            if restoration is None:
-                restoration = RestorationMonitor(scenario.l1, baseline_rate,
-                                                 detector_cfg.r,
-                                                 detector_cfg.w_s, ws_slots)
             if first_blocked is None and detection_time is not None and restore_time is None:
                 first_blocked = blocked
-            det.rearm()
-            # a fire certain on the next slot is recorded now, so that slot
-            # and the window it opens run as one stretch
-            if elapsed < n_slots and det.must_fire_next(buf):
+            # rearming starts the episode's restoration watch on its first
+            # classification; a fire certain on the next slot is recorded
+            # now, so that slot and the window it opens run as one stretch
+            if det.rearm(buf) and elapsed < n_slots:
                 fired, fired_at = Method.BUFFER_FULL, elapsed + 1
         if fired is not None:
             # a fire between episodes opens one; one during filtering

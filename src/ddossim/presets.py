@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .detector import ALL_METHODS, DetectorConfig, Method
+from .detector import DetectorConfig, Method
 from .traffic import ScenarioConfig
 
 __all__ = ["Preset", "PRESETS", "get_preset"]
@@ -26,10 +26,9 @@ class Preset:
     id_method: str
 
 
-_COMMON = dict(t_star=100.0, attack_end=200.0, total_duration=300.0, slot_dt=0.1)
-
-_DETECTOR_DEFAULTS = dict(w_s=10.0, w_l=45.0, r=0.6, c=45.0, alpha=0.05,
-                          baseline_len=30)
+# every preset runs 3000 slots of the default slot_dt, and its detector
+# differs from DetectorConfig's defaults in its methods at most
+_COMMON = dict(t_star=100.0, attack_end=200.0, total_duration=300.0)
 
 # read-only, so no caller can change what a preset name runs in this process
 PRESETS: Mapping[str, Preset] = MappingProxyType({
@@ -39,8 +38,7 @@ PRESETS: Mapping[str, Preset] = MappingProxyType({
         scenario=ScenarioConfig(n_legal=10000, n_attack=5000, lambda_n=0.1,
                                 lambda_a=0.4, mu=1500.0, l1=40, l2=30000,
                                 **_COMMON),
-        detector=DetectorConfig(methods=(Method.RATIO, Method.BUFFER_FULL),
-                                **_DETECTOR_DEFAULTS),
+        detector=DetectorConfig(methods=(Method.RATIO, Method.BUFFER_FULL)),
         id_method="greedy",
     ),
     # medium server: 50 vs 50 sources, small buffers, all three detectors
@@ -49,7 +47,7 @@ PRESETS: Mapping[str, Preset] = MappingProxyType({
         scenario=ScenarioConfig(n_legal=50, n_attack=50, lambda_n=0.1,
                                 lambda_a=0.2, mu=8.0, l1=40, l2=160,
                                 **_COMMON),
-        detector=DetectorConfig(methods=ALL_METHODS, **_DETECTOR_DEFAULTS),
+        detector=DetectorConfig(),
         id_method="history",
     ),
     # small corporate server: few legal clients, many attackers
@@ -57,7 +55,7 @@ PRESETS: Mapping[str, Preset] = MappingProxyType({
         scenario=ScenarioConfig(n_legal=5, n_attack=40, lambda_n=0.1,
                                 lambda_a=0.4, mu=4.0, l1=40, l2=160,
                                 **_COMMON),
-        detector=DetectorConfig(methods=ALL_METHODS, **_DETECTOR_DEFAULTS),
+        detector=DetectorConfig(),
         id_method="history",
     ),
     # global portal with a 10x per-source attack rate
@@ -65,8 +63,7 @@ PRESETS: Mapping[str, Preset] = MappingProxyType({
         scenario=ScenarioConfig(n_legal=10000, n_attack=5000, lambda_n=0.1,
                                 lambda_a=1.0, mu=1500.0, l1=40, l2=30000,
                                 **_COMMON),
-        detector=DetectorConfig(methods=(Method.RATIO, Method.BUFFER_FULL),
-                                **_DETECTOR_DEFAULTS),
+        detector=DetectorConfig(methods=(Method.RATIO, Method.BUFFER_FULL)),
         id_method="greedy",
     ),
 })

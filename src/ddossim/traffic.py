@@ -92,7 +92,6 @@ class ScenarioConfig:
     attack_end: float
     total_duration: float
     slot_dt: float = 0.1
-    seed: int = 0
 
     def validate(self) -> None:
         require_finite(self)
@@ -111,8 +110,6 @@ class ScenarioConfig:
             raise ValueError("need 0 < t_star < attack_end <= total_duration")
         if self.slot_dt <= 0:
             raise ValueError("slot_dt must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         # one-second arrival buckets and times reported in seconds are
         # whole numbers of slots
         slots_in(1.0, self.slot_dt, "one second")

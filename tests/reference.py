@@ -354,7 +354,7 @@ class ReferenceDetector:
 
 
 def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
-                  id_method: str = "greedy", seed: Optional[int] = None) -> RunMetrics:
+                  id_method: str = "greedy", seed: int = 0) -> RunMetrics:
     """run_once, one slot at a time.
 
     Every slot is stepped through the buffer and observed by the
@@ -373,8 +373,6 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
     check_configs(scenario, cfg)
     if id_method not in ("greedy", "history"):
         raise ValueError(f"unknown identification method {id_method!r}")
-    if seed is None:
-        seed = scenario.seed
     rng_traffic, rng_split = (np.random.default_rng(s)
                               for s in np.random.SeedSequence(seed).spawn(2))
     traffic = CountVectorSplit(scenario, rng_traffic, rng_split)

@@ -2,6 +2,7 @@
 and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -134,6 +135,23 @@ def test_load_config_bad_method_rejected(tmp_path):
         load_config(str(cfg))
 
 
+@pytest.mark.parametrize("key, values", [
+    ("mode", ["once", "batch", "sweep"]),
+    ("format", ["csv", "jsonl"]),
+    ("id_method", ["greedy", "history"]),
+])
+def test_experiment_choices_are_the_flags_choices(tmp_path, key, values):
+    # a file may set what the flag offers and nothing else, with the
+    # message that names the allowed values
+    flag = next(a for a in build_arg_parser()._actions if a.dest == key)
+    assert tuple(flag.choices) == tuple(values)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\npreset = sim2\n{key} = twice\n")
+    message = f"{key} must be {'|'.join(values)}, got 'twice'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(cfg))
+
+
 def test_dump_config_round_trip(tmp_path):
     p = get_preset("sim2")
     spec = ExperimentSpec(mode="batch", runs=3, seed=9, id_method="history")
@@ -239,10 +257,16 @@ def test_main_dump_config_round_trip(tmp_path):
     dumped = tmp_path / "resolved.ini"
     rc = main(["--preset", "sim2", "--dump-config", "--out", str(dumped)])
     assert rc == 0
-    scenario, detector, _ = load_config(str(dumped))
+    scenario, detector, spec = load_config(str(dumped))
     p = get_preset("sim2")
     assert scenario == p.scenario
     assert detector == p.detector
+    # the seed, 0 unless given, is dumped under [experiment], so the dump
+    # of a dump is the same bytes
+    assert spec.seed == 0 and "seed = 0" in dumped.read_text().split("[experiment]")[1]
+    again = tmp_path / "again.ini"
+    assert main(["--config", str(dumped), "--dump-config", "--out", str(again)]) == 0
+    assert again.read_bytes() == dumped.read_bytes()
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -275,9 +299,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,50"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "w_s=50" in err
-    # a negative seed, as a flag or in [scenario], before --out is opened
+    # a negative seed, as a flag or in a file, before --out is opened
     out = tmp_path / "r.csv"
-    bad.write_text("[experiment]\npreset = sim2\n\n[scenario]\nseed = -3\n")
+    bad.write_text("[experiment]\npreset = sim2\nseed = -3\n")
     for argv in (["--preset", "sim2", "--seed", "-1"], ["--config", str(bad)]):
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 1

@@ -63,7 +63,7 @@ BROKEN = {
 @st.composite
 def config_pairs(draw):
     """A pair that runs, in at most 1000 slots, or that pair with one
-    field drawn from BROKEN, and an identification method."""
+    field drawn from BROKEN, an identification method and a run seed."""
     slot_dt = draw(st.sampled_from(SLOT_DTS))
     per_second = round(1 / slot_dt)
     methods = draw(st.sets(st.sampled_from(ALL_METHODS), min_size=1))
@@ -85,8 +85,7 @@ def config_pairs(draw):
         mu=draw(st.floats(0.5, 1000.0)),
         l1=draw(st.integers(1, 100)), l2=draw(st.integers(0, 200)),
         t_star=t_star * slot_dt, attack_end=attack_end * slot_dt,
-        total_duration=n_slots * slot_dt, slot_dt=slot_dt,
-        seed=draw(st.integers(0, 2 ** 32)))
+        total_duration=n_slots * slot_dt, slot_dt=slot_dt)
     detector = DetectorConfig(
         w_s=ws * slot_dt, w_l=wl * slot_dt, r=draw(st.floats(0.05, 2.0)), c=c * slot_dt,
         alpha=draw(st.sampled_from([0.01, 0.05, 0.2])), baseline_len=baseline_len,
@@ -98,17 +97,18 @@ def config_pairs(draw):
             scenario = dataclasses.replace(scenario, **{broken: value})
         else:
             detector = dataclasses.replace(detector, **{broken: value})
-    return scenario, detector, draw(st.sampled_from(["greedy", "history"]))
+    return (scenario, detector, draw(st.sampled_from(["greedy", "history"])),
+            draw(st.integers(0, 2 ** 32)))
 
 
-def assert_runs_or_is_rejected(scenario, detector, id_method):
+def assert_runs_or_is_rejected(scenario, detector, id_method, seed):
     try:
         check_configs(scenario, detector)
     except ValueError as err:
         event("rejected")
         assert NAMES_A_FIELD.search(str(err)), f"no field named in {err}"
         with pytest.raises(ValueError) as got:
-            run_once(scenario, detector, id_method)
+            run_once(scenario, detector, id_method, seed)
         assert str(got.value) == str(err)
         return
     event("runs")
@@ -126,8 +126,8 @@ def assert_runs_or_is_rejected(scenario, detector, id_method):
 
     with mock.patch.object(harness, "TrafficStream", KeptStream), \
             mock.patch.object(harness, "BufferState", KeptBuffer):
-        m = run_once(scenario, detector, id_method)
-    assert invariant_errors(normalize(m.as_row()), scenario.seed) == []
+        m = run_once(scenario, detector, id_method, seed)
+    assert invariant_errors(normalize(m.as_row()), seed) == []
     (stream,), (buf,) = streams, buffers
     assert buf._slot == scenario.n_slots
     # the filter only drops packets, and every packet offered was served,
@@ -146,7 +146,7 @@ def with_pair_examples(test):
     # sim2 with a long window, and with a statistical warm-up, that ends
     # at the onset: each config is valid alone, and the pair is not
     for detector in (dict(w_l=100.0), dict(baseline_len=55)):
-        pair = SIM2.scenario, dataclasses.replace(SIM2.detector, **detector), SIM2.id_method
+        pair = SIM2.scenario, dataclasses.replace(SIM2.detector, **detector), SIM2.id_method, 0
         test = example(pair)(test)
     return test
 

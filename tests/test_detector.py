@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from ddossim.buffer import BufferState
 from ddossim.detector import (ALL_METHODS, MPAR_ALPHA, Detector, DetectorConfig, Method,
-                              RestorationMonitor, detect_ratio, detect_statistical,
-                              window_sums)
+                              detect_ratio, detect_statistical, window_sums)
 from ddossim.stats import normal_upper_quantile, student_t_quantile
 from reference import (ReferenceBuffer, ReferenceDetector, ReferenceRestorationMonitor,
                        ReferenceWindow, step)
@@ -432,6 +431,17 @@ def detector_state(det):
     }
 
 
+def monitor_state(mon):
+    """A RestorationMonitor or its reference in one form, typed: the
+    threshold sum, the admitted tail, then the low-backlog run; None for
+    no monitor."""
+    if mon is None:
+        return None
+    admitted = mon._admitted
+    tail = admitted.tolist() if isinstance(admitted, np.ndarray) else list(admitted.contents)
+    return typed([mon.threshold_sum] + tail + [mon._occ_ok])
+
+
 def buffer_fields(buf):
     return {name: getattr(buf, name) for name in BufferState.__slots__}
 
@@ -485,12 +495,18 @@ def reference_stretch(ref, buf, mon, arrivals, watch):
 class Twins:
     """A Detector and a ReferenceDetector fed the same slots, each with its
     own buffer at the same rate, from a fresh one: the detector a stretch at
-    a time through run(), the reference one observe() at a time."""
+    a time through run(), the reference one observe() at a time.  In an
+    episode they follow run_once's lifecycle: the first rearm() builds the
+    detector's restoration monitor and the reference's, each from its own
+    lambda-bar, every later frozen stretch is watched by both, and a
+    stretch that restores unfreezes both, which drops the monitors."""
 
     def __init__(self, cfg, slot_dt, buf):
         self.det, self.ref = Detector(cfg, slot_dt), ReferenceDetector(cfg, slot_dt)
+        self.slot_dt = slot_dt
         self.buf = buf
         self.ref_buf = ReferenceBuffer(buf.l1, buf.l2, buf.service_per_slot)
+        self.ref_mon = None
         assert buffer_fields(buf) == buffer_fields(self.ref_buf)
 
     def monitor(self, arrivals):
@@ -500,16 +516,23 @@ class Twins:
             step(self.ref_buf, v)
             self.ref.observe(v, self.ref_buf)
 
+    def stretch(self, arrivals, watch):
+        """A frozen stretch through run(), and the reference over the same
+        slots with its monitor: (slots run, what fired, whether restored),
+        on which both agree.  Restoration unfreezes both."""
+        got = self.det.run(np.array(arrivals, dtype=np.int64), self.buf, watch=watch)
+        assert got == reference_stretch(self.ref, self.ref_buf, self.ref_mon, arrivals, watch)
+        if got[2]:
+            self.unfreeze()
+        return got
+
     def measure(self, arrivals):
-        """A frozen stretch whose fires are ignored, and observe() each slot."""
-        assert self.det.run(np.array(arrivals, dtype=np.int64), self.buf,
-                            watch=False) == (len(arrivals), None, False)
-        reference_stretch(self.ref, self.ref_buf, None, arrivals, False)
+        """A measurement window's stretch, whose fires are ignored."""
+        return self.stretch(arrivals, False)
 
     def filter_slot(self, v):
-        """One frozen filter slot: what each detector fired."""
-        return (filter_slots(self.det, self.buf, [v])[0],
-                reference_stretch(self.ref, self.ref_buf, None, [v], True)[1])
+        """One frozen filter slot: what fired."""
+        return self.stretch([v], True)[1]
 
     def freeze(self):
         self.det.freeze()
@@ -518,13 +541,21 @@ class Twins:
     def unfreeze(self):
         self.det.unfreeze()
         self.ref.unfreeze()
+        self.ref_mon = None
 
     def rearm(self):
-        self.det.rearm()
+        """A classification: whether the detector's buffer-full must fire
+        on the next slot."""
+        if self.ref_mon is None:
+            self.ref_mon = ReferenceRestorationMonitor(
+                self.ref_buf.l1, self.ref.baseline_lambda_bar() / self.slot_dt,
+                self.ref.cfg.r, self.ref.cfg.w_s, self.ref.short.capacity)
         self.ref.rearm()
+        return self.det.rearm(self.buf)
 
     def assert_same(self):
         assert detector_state(self.det) == detector_state(self.ref)
+        assert monitor_state(self.det.restoration) == monitor_state(self.ref_mon)
         assert buffer_fields(self.buf) == buffer_fields(self.ref_buf)
 
 
@@ -644,16 +675,17 @@ def test_frozen_lambda_bar_is_pinned():
 
 def test_lambda_bar_pinned_through_an_episode():
     # freeze() pins lambda-bar: filter stretches and measurement windows,
-    # each with a restoration monitor, leave it as it stood at the fire
+    # each watched by the restoration monitor the first rearm() built on
+    # it, leave it as it stood at the fire
     det, buf = warm_ratio_detector()
     wl = det._wl_slots
     before = det.baseline_lambda_bar()
     det.freeze()
-    mon = RestorationMonitor(l1=40, baseline_rate=before / 0.1, r=0.6, w_s=10.0, ws_slots=100)
     for arrivals, watch in (([30] * 100, False), ([25] * 40, True), ([12] * 100, False),
                             ([9] * 7, True), ([100] * 3, True)):
-        det.rearm()
-        det.run(np.array(arrivals, dtype=np.int64), buf, mon, watch=watch)
+        det.rearm(buf)
+        assert det.restoration.threshold_sum == (1.0 + 0.6) * (before / 0.1) * 10.0
+        det.run(np.array(arrivals, dtype=np.int64), buf, watch=watch)
         assert det.baseline_lambda_bar() == before
     # unpinned again: after a monitor stretch, the mean of the oldest wl
     # slots of the long tail, which now holds slots of the new level
@@ -691,7 +723,7 @@ def test_lambda_bar_at_freeze_matches_reference(before, episode, after):
 def test_frozen_ratio_fires_against_pinned_baseline():
     det, buf = warm_ratio_detector()
     det.freeze()
-    det.rearm()
+    det.rearm(buf)
     fires = filter_slots(det, buf, [100] * 200)
     assert next(f for f in fires if f) is Method.RATIO
 
@@ -700,7 +732,7 @@ def test_rearm_requires_fresh_short_window():
     det, buf = warm_ratio_detector()
     det.freeze()
     filter_slots(det, buf, [100] * 200)
-    det.rearm()
+    det.rearm(buf)
     # immediately after rearm the short window is empty: no fire on a
     # normal-level slot even though the previous contents were attack-level
     assert filter_slots(det, buf, [10]) == [None]
@@ -718,12 +750,39 @@ def test_rearm_requires_fresh_short_window():
     ((Method.STATISTICAL, Method.RATIO), 10.0, 0.1, 3.0, 10, False),  # buffer-full off
 ])
 def test_must_fire_next(methods, w_s, slot_dt, service, above, expected):
+    # rearm() returns whether buffer-full must fire on the next slot, and
+    # nothing before it, whether or not it is the episode's first
     det = Detector(make_cfg(w_s=w_s, methods=methods), slot_dt)
     buf = BufferState(l1=40, l2=160, service_per_slot=service)
     buf.occupancy = buf.l1 + above
     det.freeze()
-    det.rearm()
-    assert det.must_fire_next(buf) is expected
+    assert det.rearm(buf) is expected
+    assert det.rearm(buf) is expected
+
+
+def test_restoration_is_watched_from_the_first_rearm_to_unfreeze():
+    # the detector's restoration monitor follows run_once's episodes: none
+    # through the first measurement window, one built by the first rearm()
+    # on lambda-bar at the fire and kept, low-backlog run and all, through
+    # each later rearm(), and none once unfreeze() has dropped it.  Quiet
+    # slots restore any watched run of w_s of them
+    det = Detector(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), 1.0)
+    buf = BufferState(l1=10, l2=30, service_per_slot=8.0)
+    quiet = np.zeros(2, dtype=np.int64)
+    for _ in range(2):
+        assert det.run(np.full(10, 2, dtype=np.int64), buf) == (10, None, False)
+        det.freeze()
+        assert det.restoration is None
+        assert det.run(quiet, buf, watch=False) == (2, None, False)
+        det.rearm(buf)
+        watch = det.restoration
+        assert watch.threshold_sum == (1.0 + 0.6) * 2.0 * 2.0
+        assert det.run(quiet[:1], buf) == (1, None, False)
+        det.rearm(buf)
+        assert det.restoration is watch
+        assert det.run(quiet[:1], buf) == (1, None, True)
+        det.unfreeze()
+        assert det.restoration is None
 
 
 def test_unfreeze_discards_excursion_buckets():
@@ -756,8 +815,8 @@ def test_freeze_and_unfreeze_need_the_other_phase():
         det.unfreeze()
     assert detector_state(det) == warm
     with pytest.raises(RuntimeError):
-        det.rearm()
-    assert detector_state(det) == warm
+        det.rearm(buf)
+    assert detector_state(det) == warm and det.restoration is None
     det.freeze()
     frozen = detector_state(det)
     with pytest.raises(RuntimeError):
@@ -781,8 +840,7 @@ def assert_scan_matches_observe(t, arrivals):
     t.freeze()
     t.assert_same()
     for v in arrivals[:40]:
-        fired, expected = t.filter_slot(v)
-        assert fired == expected
+        t.filter_slot(v)
     t.assert_same()
     return got
 
@@ -875,7 +933,7 @@ def warmed_twins(draw):
 def frozen_cases(draw):
     """Warmed twins with each method subset, frozen, then stretches, each
     started right after freeze(), right after rearm(), or after a few
-    filter slots."""
+    filter slots.  From the first rearm() on, restoration is watched."""
     t = warmed_twins(draw)
     t.freeze()
     stretches = draw(st.lists(st.tuples(st.sampled_from(["none", "rearm", "observe"]),
@@ -893,10 +951,12 @@ def test_run_frozen_matches_observe(case):
             t.rearm()
         elif before == "observe":
             for v in arrivals[:3]:
-                fired, expected = t.filter_slot(v)
-                assert fired == expected
-        t.measure(arrivals)             # its fires are ignored, its checks counted
+                t.filter_slot(v)
+        if t.det._episode is not None:
+            t.measure(arrivals)         # its fires are ignored, its checks counted
         t.assert_same()
+        if t.det._episode is None:
+            return                      # restored, so the twins are unfrozen
     t.unfreeze()
     t.assert_same()
 
@@ -913,7 +973,8 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
     det = t.det
     checks, positives = det.stat_checks, det.stat_positives
     for _ in range(2):
-        t.measure(rng.poisson(10, 100).tolist())
+        # the backlog climbs past l1, so restoration never holds
+        assert t.measure(rng.poisson(10, 100).tolist()) == (100, None, False)
         t.assert_same()
         t.rearm()
     if Method.STATISTICAL in methods:
@@ -928,18 +989,20 @@ def test_run_checks_exactly_at_huge_counts():
     # 2**63: a stretch's prefix sums must stay Python ints, where an int64
     # cumsum of the squares would wrap silently.  Monitor stretches up to
     # each fire, then an episode's measurement windows, against the
-    # reference's checks on the lists
+    # reference's checks on the lists.  The buffer serves big a slot and
+    # holds 2 * big, so its backlog passes l1 in some ten slots and
+    # restoration never holds
     big = 10 ** 11
     rng = np.random.default_rng(43)
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.STATISTICAL,)),
-              1.0, BufferState(l1=40, l2=160, service_per_slot=float(2 * big)))
+              1.0, BufferState(l1=40, l2=2 * big, service_per_slot=float(big)))
     t.monitor((big + rng.poisson(4, 40)).tolist())
     t.assert_same()
     checks, positives = t.det.stat_checks, t.det.stat_positives
     assert_scan_matches_observe(t, (big + rng.poisson(12, 20)).tolist())
     for level in (12, 4):
         t.rearm()
-        t.measure((big + rng.poisson(level, 6)).tolist())
+        assert t.measure((big + rng.poisson(level, 6)).tolist()) == (6, None, False)
         t.assert_same()
     t.unfreeze()
     t.monitor((big + rng.poisson(4, 40)).tolist())
@@ -961,83 +1024,69 @@ def test_run_frozen_needs_a_frozen_detector():
 # run through an episode: monitor, measurement windows, filter slots, monitor
 # ---------------------------------------------------------------------------
 
-def monitor_state(mon):
-    """A RestorationMonitor or its reference in one form, typed: the admitted
-    tail, then the low-backlog run."""
-    admitted = mon._admitted
-    tail = admitted.tolist() if isinstance(admitted, np.ndarray) else list(admitted.contents)
-    return typed(tail + [mon._occ_ok])
-
-
 @st.composite
 def episode_cases(draw):
-    """Warmed twins, a restoration threshold from a tenth of a packet to
-    forty packets a slot, the arrivals of up to eight stretches, and a
-    monitor stretch after the episode."""
+    """Warmed twins, whose lambda-bar at the fire sets the restoration
+    threshold, the arrivals of up to eight stretches, and a monitor stretch
+    after the episode."""
     t = warmed_twins(draw)
-    per_slot = draw(st.sampled_from([0.1, 1.0, 4.0, 40.0]))
     feeds = draw(st.lists(aggregate_feeds(3, min_segments=1), min_size=1, max_size=8))
-    return t, per_slot, feeds, draw(aggregate_feeds(3, min_segments=1))
+    return t, feeds, draw(aggregate_feeds(3, min_segments=1))
 
 
-def episode_example(per_slot, feeds):
-    """An episode case on 1-slot buckets: w_s 2, the ratio rule against a
-    pinned lambda-bar of 2 (a ratio hit at a short sum above 6.4), and a
-    statistical baseline of alternating 0 and 4, against which a current
-    mean of 4 or 5 passes the gate but neither test.  The monitor stretch
-    after it ends at a ratio fire against the long window."""
+def episode_example(feeds, l2=30, service=8.0):
+    """An episode case on 1-slot buckets: w_s 2, a pinned lambda-bar of 2,
+    so a ratio hit at a short sum above 6.4 and restoration at an admitted
+    sum of 6.4 at most, and a statistical baseline of alternating 0 and 4,
+    against which a current mean of 4 or 5 passes the gate but neither
+    test.  The buffer's l1 is 10.  The monitor stretch after it ends at a
+    ratio fire against the long window."""
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8), 1.0,
-              BufferState(l1=10, l2=30, service_per_slot=8.0))
+              BufferState(l1=10, l2=l2, service_per_slot=service))
     t.monitor([0, 4] * 10)
-    return t, per_slot, feeds, [0, 0, 9, 9, 0]
+    return t, feeds, [0, 0, 9, 9, 0]
 
 
 @example(episode_example(
     # after the window, the ratio hits on the filter stretch's second slot,
-    # whose admitted sum 10 is above the threshold sum 3.2; restoration
+    # whose admitted sum 10 is above the threshold sum 6.4; restoration
     # would hold on its fourth: the stretch ends, unrestored, at the ratio
-    1.0, [[4, 4], [5, 5, 0, 0, 0]]))
+    [[4, 4], [5, 5, 0, 0, 0]]))
 @example(episode_example(
-    # the ratio hit and restoration (admitted sum 8 under 12.8) on the same
-    # slot, where the statistical check of [4, 4] is due: restoration wins
-    4.0, [[4, 4], [4, 4, 4]]))
+    # a full buffer of l1 that serves 3 a slot: each filter slot's backlog
+    # is 7 and it admits 3 of its 9.  So on the second, the ratio hit on 18
+    # arrivals, a statistical fire and restoration on an admitted sum of 6
+    # coincide: restoration wins
+    [[9, 9], [9, 9, 9]], l2=0, service=3.0))
 @settings(max_examples=300, deadline=None)
 @given(episode_cases())
 def test_frozen_stretch_matches_reference(case):
     # an episode as run_once runs it: freeze(); a measurement window of w_s
-    # slots, unwatched by restoration the first time; rearm() and filter
-    # stretches up to a fire, which opens another window; unfreeze() at
-    # restoration, or after the last stretch; then a monitor stretch.  Each
-    # window and each filter phase is cut into stretches of the drawn
-    # lengths, so phases continue across stretches.  The reference runs the
-    # same slots one at a time
-    t, per_slot, feeds, after = case
-    ws, slot_dt = t.det._ws_slots, 1 / t.det._slots_per_bucket
-    mon = ref_mon = None
+    # slots, unwatched by restoration; rearm(), whose first call starts the
+    # restoration watch, and filter stretches up to a fire, which opens a
+    # watched window; restoration, which unfreezes, or unfreeze() after the
+    # last stretch; then a monitor stretch.  Each window and each filter
+    # phase is cut into stretches of the drawn lengths, so phases continue
+    # across stretches.  The reference runs the same slots one at a time
+    t, feeds, after = case
+    ws = t.det._ws_slots
     t.freeze()
     phase, window_left = "measure", ws
     for feed in feeds:
         arrivals = feed[:window_left] if phase == "measure" else feed
-        got = t.det.run(np.array(arrivals, dtype=np.int64), t.buf, mon,
-                        watch=phase == "filter")
-        assert got == reference_stretch(t.ref, t.ref_buf, ref_mon, arrivals, phase == "filter")
+        ran, fired, restored = t.stretch(arrivals, watch=phase == "filter")
         t.assert_same()
-        ran, fired, restored = got
         if restored:
             break                       # the filter and its monitor are released
-        if mon is not None:
-            assert monitor_state(mon) == monitor_state(ref_mon)
         if phase == "measure":
             window_left -= ran
             if window_left == 0:
-                if mon is None:
-                    args = (t.buf.l1, per_slot / slot_dt, t.det.cfg.r, ws * slot_dt, ws)
-                    mon, ref_mon = RestorationMonitor(*args), ReferenceRestorationMonitor(*args)
                 t.rearm()
                 phase = "filter"
         elif fired is not None:
             phase, window_left = "measure", ws
-    t.unfreeze()
+    else:
+        t.unfreeze()
     t.assert_same()
     assert t.det.run(np.array(after, dtype=np.int64), t.buf) == reference_stretch(
         t.ref, t.ref_buf, None, after, True)
@@ -1083,7 +1132,8 @@ def assert_unfreeze_matches_reference(slots_per_second, w_s, extra_c, others, he
                                       episode, rearm_after, seed):
     """Twins on the statistical method, and the drawn others, run `held`
     buckets and `lead` slots of Poisson 1s, freeze, then an episode of 20s
-    (rearmed part-way when drawn) and unfreeze: the state after each step,
+    (rearmed part-way when drawn, which starts the restoration watch) and
+    unfreeze: the state after each step,
     and a monitor stretch long enough to refill the buckets after it."""
     cfg = make_cfg(w_s=float(w_s), w_l=w_s + 1.0, c=float(w_s + extra_c), baseline_len=8,
                    methods=tuple(m for m in ALL_METHODS
@@ -1100,7 +1150,9 @@ def assert_unfreeze_matches_reference(slots_per_second, w_s, extra_c, others, he
     if rearm_after is not None:
         t.rearm()
         t.assert_same()
-        t.measure(feed[cut:])
+        # the 20s are far above the restoration threshold of 1.6 times
+        # lambda-bar a slot: the episode runs on
+        assert t.measure(feed[cut:]) == (len(feed) - cut, None, False)
     t.assert_same()
     t.unfreeze()
     t.assert_same()

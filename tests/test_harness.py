@@ -160,16 +160,16 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
     # a classification that leaves the occupancy a slot's service above l1
     # is followed by a buffer-full fire on the next slot: that slot runs in
     # one unwatched stretch with the window it opens, never as a watched
-    # one-slot stretch under the restoration monitor
+    # one-slot stretch under the detector's restoration monitor
     scenario, det, idm = small_run()
     ws_slots = det.window_slots(scenario.slot_dt)[0]
     untraced = [run_once(scenario, det, idm, seed=s) for s in range(4)]
     stretches = []
     detector_run = harness.Detector.run
 
-    def counted(self, arrivals, buffer, restoration=None, watch=True):
-        stretches.append((len(arrivals), watch, restoration is not None))
-        return detector_run(self, arrivals, buffer, restoration, watch)
+    def counted(self, arrivals, buffer, watch=True):
+        stretches.append((len(arrivals), watch, self.restoration is not None))
+        return detector_run(self, arrivals, buffer, watch)
 
     monkeypatch.setattr(harness.Detector, "run", counted)
     assert [run_once(scenario, det, idm, seed=s) for s in range(4)] == untraced
@@ -325,9 +325,9 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     def marked(name):
         method = getattr(detector, name)
 
-        def spy(self):
+        def spy(self, *args):
             log.append((name, elapsed[0] if name == "rearm" else None))
-            method(self)
+            return method(self, *args)
         return spy
 
     def taken(self, lo, hi):

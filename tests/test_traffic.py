@@ -131,10 +131,10 @@ def test_config_rejects_non_finite_numbers(field, value):
         small_config(**{field: value}).validate()
 
 
-@pytest.mark.parametrize("field", ["n_legal", "n_attack", "l1", "l2", "seed"])
+@pytest.mark.parametrize("field", ["n_legal", "n_attack", "l1", "l2"])
 @pytest.mark.parametrize("value", [50.0, 1.5, np.float64(50.0)])
 def test_config_rejects_non_integers(field, value):
-    # a float count or seed would pass every range check and fail deep in numpy
+    # a float count would pass every range check and fail deep in numpy
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         small_config(**{field: value}).validate()
 
@@ -196,7 +196,7 @@ def test_config_rejects_runs_past_the_slot_limit():
 
 
 def test_config_accepts_numpy_integers():
-    small_config(n_legal=np.int64(50), l1=np.int32(40), seed=np.uint8(3)).validate()
+    small_config(n_legal=np.int64(50), l1=np.int32(40)).validate()
 
 
 def test_config_derived_values():

@@ -4,8 +4,10 @@ machine-readable results.
 A configuration is built in one order: the preset's defaults, then the
 config file's values, then the flags, and it is validated once at the end.
 The config file is INI-style with [scenario], [detector] and [experiment]
-sections; every key maps one-to-one onto the dataclass fields (the
-ratio-rule tolerance is spelled tolerance_r).
+sections. Each section's keys, and how each value is parsed, are read off
+the fields of ScenarioConfig, DetectorConfig and ExperimentSpec: a key is
+its field's name, except that the ratio-rule tolerance r is spelled
+tolerance_r, and [experiment] also takes the preset key.
 """
 
 from __future__ import annotations
@@ -13,15 +15,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Optional, Sequence, TextIO
 
 from .detector import DetectorConfig, Method
-from .harness import (BatchStats, RunMetrics, check_configs, run_batch, run_once,
-                      sweep_window)
+from .harness import RunMetrics, check_configs, run_batch, run_once, sweep_window
 from .presets import PRESETS, get_preset
 from .traffic import ScenarioConfig
 
@@ -89,21 +91,22 @@ def _parse_ws_list(text: str) -> list[float]:
         raise ConfigError(f"bad sweep_ws list {text!r}: {e}") from None
 
 
-_SCENARIO_KEYS = {
-    "n_legal": int, "n_attack": int, "lambda_n": float, "lambda_a": float,
-    "mu": float, "l1": int, "l2": int, "t_star": float, "attack_end": float,
-    "total_duration": float, "slot_dt": float,
-}
-_DETECTOR_KEYS = {
-    "w_s": float, "w_l": float, "tolerance_r": float, "c": float,
-    "alpha": float, "baseline_len": int, "methods": _parse_methods,
-}
-_EXPERIMENT_KEYS = {
-    "preset": str, "mode": str, "runs": int, "sweep_ws": _parse_ws_list, "seed": int,
-    "out": str, "format": str, "id_method": str,
-}
-_SECTIONS = {"scenario": _SCENARIO_KEYS, "detector": _DETECTOR_KEYS,
-             "experiment": _EXPERIMENT_KEYS}
+# the parser of each config field's annotation
+_PARSERS = {"int": int, "float": float, "str": str, "Optional[str]": str,
+            "list[float]": _parse_ws_list, "tuple[Method, ...]": _parse_methods}
+
+
+def _keys(config_class, **spelled: str) -> dict:
+    """Each INI key of a config dataclass, mapped to its field's name and
+    parser; spelled gives the key of a field whose key is not its name."""
+    return {spelled.get(f.name, f.name): (f.name, _PARSERS[f.type])
+            for f in dataclasses.fields(config_class)}
+
+
+# each section's INI key -> (field name, parser)
+_SECTIONS = {"scenario": _keys(ScenarioConfig),
+             "detector": _keys(DetectorConfig, r="tolerance_r"),
+             "experiment": {"preset": ("preset", str), **_keys(ExperimentSpec)}}
 
 
 def _read_file(path: str) -> tuple[dict, dict, dict]:
@@ -117,6 +120,8 @@ def _read_file(path: str) -> tuple[dict, dict, dict]:
     except configparser.Error as e:
         raise ConfigError(f"parse error in {path}: {e}") from None
 
+    if parser.defaults():
+        raise ConfigError(f"unknown section [DEFAULT] in {path}")
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
@@ -127,12 +132,11 @@ def _read_file(path: str) -> tuple[dict, dict, dict]:
         for key in section:
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            field_name, parse = keys[key]
             try:
-                kwargs[name][key] = keys[key](section[key])
+                kwargs[name][field_name] = parse(section[key])
             except ValueError as e:
                 raise ConfigError(f"bad value for {name}.{key}: {e}") from None
-    if "tolerance_r" in kwargs["detector"]:
-        kwargs["detector"]["r"] = kwargs["detector"].pop("tolerance_r")
     return kwargs["scenario"], kwargs["detector"], kwargs["experiment"]
 
 
@@ -150,7 +154,8 @@ def _build(path: Optional[str], flags: dict) -> tuple[ScenarioConfig, DetectorCo
             detector = dataclasses.replace(preset.detector, **det_kwargs)
             exp_kwargs = {"id_method": preset.id_method, **exp_kwargs}
         else:
-            missing = [k for k in _SCENARIO_KEYS if k not in scen_kwargs and k != "slot_dt"]
+            missing = [f.name for f in dataclasses.fields(ScenarioConfig)
+                       if f.default is MISSING and f.name not in scen_kwargs]
             if missing:
                 raise ConfigError(f"no preset given and [scenario] is missing: {missing}")
             scenario = ScenarioConfig(**scen_kwargs)
@@ -175,49 +180,43 @@ def load_config(path: str) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSp
     return _build(path, {})
 
 
+def _format(value) -> str:
+    """A config value as the INI text its field's parser reads back."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(_format(v) for v in value)
+    if isinstance(value, Method):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def dump_config(scenario: ScenarioConfig, detector: DetectorConfig,
                 spec: ExperimentSpec, out: TextIO) -> None:
-    """Write the fully resolved configuration in the loadable INI format."""
+    """Write the fully resolved configuration in the loadable INI format:
+    every field, in field order, except out."""
     parser = configparser.ConfigParser()
-    parser["scenario"] = {k: repr(getattr(scenario, k)) for k in _SCENARIO_KEYS}
-    det = {k: repr(getattr(detector, k)) for k in _DETECTOR_KEYS
-           if k not in ("tolerance_r", "methods")}
-    det["tolerance_r"] = repr(detector.r)
-    det["methods"] = ",".join(m.value for m in detector.methods)
-    parser["detector"] = det
-    parser["experiment"] = {
-        "mode": spec.mode,
-        "runs": str(spec.runs),
-        "sweep_ws": ",".join(repr(v) for v in spec.sweep_ws),
-        "format": spec.format,
-        "id_method": spec.id_method,
-        "seed": str(spec.seed),
-    }
+    for (name, keys), config in zip(_SECTIONS.items(), (scenario, detector, spec)):
+        # the preset is already folded into the values; out is where this
+        # dump itself goes, so running the dump must not write over it
+        parser[name] = {key: _format(getattr(config, field_name))
+                        for key, (field_name, _) in keys.items()
+                        if key not in ("preset", "out")}
     parser.write(out)
-
-
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def emit_results(rows: list[dict], fmt: str, out: TextIO,
                  summary: Optional[dict] = None) -> None:
     """Write result rows as CSV (fixed header) or JSON Lines.
 
-    JSONL output appends the summary record when one is given; CSV output
-    carries data rows only.
+    CSV writes None as an empty cell and a float as its repr, and carries
+    data rows only; JSONL output appends the summary record when one is
+    given.
     """
     if not rows:
         raise ValueError("no results to emit")
     if fmt == "csv":
-        header = list(rows[0].keys())
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_format_cell(row[k]) for k in header) + "\n")
+        writer = csv.DictWriter(out, rows[0].keys(), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     elif fmt == "jsonl":
         for row in rows:
             out.write(json.dumps({"type": "run", **row}) + "\n")
@@ -225,14 +224,6 @@ def emit_results(rows: list[dict], fmt: str, out: TextIO,
             out.write(json.dumps({"type": "summary", **summary}) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def _summary_dict(stats: BatchStats) -> dict:
-    d: dict = {"n_runs": stats.n_runs, "detected_rate": stats.detected_rate}
-    for name, s in stats.metrics.items():
-        d[name] = {"min": s.min, "avg": s.avg, "ci95_halfwidth": s.ci95_halfwidth,
-                   "n": s.n}
-    return d
 
 
 def _run_rows(runs: list[RunMetrics], extra: Optional[dict] = None) -> list[dict]:
@@ -266,7 +257,8 @@ def _execute(scenario: ScenarioConfig, detector: DetectorConfig,
     elif spec.mode == "batch":
         stats, runs = run_batch(scenario, detector, spec.id_method, spec.runs,
                                 base_seed=spec.seed)
-        rows, summary = _run_rows(runs), _summary_dict(stats)
+        rows, summary = _run_rows(runs), dataclasses.asdict(stats)
+        summary.update(summary.pop("metrics"))
     else:
         rows = [row for w_s, runs in sweep_window(scenario, detector, spec.id_method,
                                                   spec.sweep_ws, runs_per_value=spec.runs,
@@ -285,8 +277,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError("either --preset or --config is required")
         # flags convert like the file's [experiment] keys; --preset, like a
         # file's preset key, supplies the defaults the rest override
-        flags = {k: conv(getattr(args, k)) for k, conv in _EXPERIMENT_KEYS.items()
-                 if getattr(args, k) is not None}
+        flags = {field_name: parse(getattr(args, key))
+                 for key, (field_name, parse) in _SECTIONS["experiment"].items()
+                 if getattr(args, key) is not None}
         scenario, detector, spec = _build(args.config, flags)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

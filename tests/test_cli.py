@@ -1,16 +1,20 @@
 """CLI tests: preset resolution, config file round-trips, output formats,
 and exit codes."""
 
+import dataclasses
 import json
 import re
+from dataclasses import MISSING
 
 import pytest
 
 import ddossim
 from ddossim.cli import (ConfigError, ExperimentSpec, build_arg_parser, dump_config,
                          emit_results, load_config, main)
-from ddossim.detector import Method
+from ddossim.detector import DetectorConfig, Method
+from ddossim.harness import BATCH_FIELDS
 from ddossim.presets import PRESETS, get_preset
+from ddossim.traffic import ScenarioConfig
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,11 @@ def test_load_config_unknown_section_rejected(tmp_path):
     cfg.write_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
         load_config(str(cfg))
+    # configparser copies [DEFAULT]'s keys into every section, where they
+    # would be blamed on a section the file does not set them in
+    cfg.write_text("[DEFAULT]\nmu = 2.0\n\n[experiment]\npreset = sim2\n")
+    with pytest.raises(ConfigError, match=re.escape("unknown section [DEFAULT]")):
+        load_config(str(cfg))
 
 
 def test_load_config_missing_scenario_rejected(tmp_path):
@@ -163,6 +172,30 @@ def test_dump_config_round_trip(tmp_path):
     assert detector == p.detector
     assert (spec2.mode, spec2.runs, spec2.seed, spec2.id_method) == \
         ("batch", 3, 9, "history")
+
+
+def test_dump_config_round_trip_covers_every_field(tmp_path):
+    # every field of the three configs away from its default, so a dump
+    # that left out any one key would load back a different config, or
+    # none: the dump names no preset to fill a gap
+    scenario = ScenarioConfig(n_legal=40, n_attack=30, lambda_n=0.15, lambda_a=0.3,
+                              mu=7.5, l1=35, l2=150, t_star=110.0, attack_end=210.0,
+                              total_duration=320.0, slot_dt=0.5)
+    detector = DetectorConfig(w_s=5.0, w_l=40.0, r=0.7, c=40.0, alpha=0.01,
+                              baseline_len=25,
+                              methods=(Method.BUFFER_FULL, Method.STATISTICAL, Method.RATIO))
+    spec = ExperimentSpec(mode="sweep", runs=4, sweep_ws=[5.0, 8.0], seed=11,
+                          out="sweep.jsonl", format="jsonl", id_method="history")
+    for config in (scenario, detector, spec):
+        for f in dataclasses.fields(config):
+            if f.default is not MISSING or f.default_factory is not MISSING:
+                default = f.default if f.default is not MISSING else f.default_factory()
+                assert getattr(config, f.name) != default, f.name
+    dumped = tmp_path / "resolved.ini"
+    with open(dumped, "w") as fh:
+        dump_config(scenario, detector, spec, fh)
+    assert load_config(str(dumped)) == (scenario, detector,
+                                        dataclasses.replace(spec, out=None))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +245,25 @@ def test_emit_results_rejects_empty():
     import io
     with pytest.raises(ValueError):
         emit_results([], "csv", io.StringIO())
+
+
+def test_emit_results_csv_cells(tmp_path):
+    # None is an empty cell, a float its repr, anything else its str
+    out = tmp_path / "r.csv"
+    with open(out, "w", newline="") as fh:
+        emit_results([{"a": None, "b": 0.1 + 0.2, "c": True, "d": 3, "e": "ratio"}],
+                     "csv", fh)
+    assert out.read_bytes() == b"a,b,c,d,e\n,0.30000000000000004,True,3,ratio\n"
+
+
+def test_main_batch_jsonl_summary_keys(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert main(["--preset", "sim2", "--mode", "batch", "--runs", "2", "--seed", "1",
+                 "--format", "jsonl", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text().splitlines()[-1])
+    assert list(summary) == ["type", "n_runs", "detected_rate", *BATCH_FIELDS]
+    for name in BATCH_FIELDS:
+        assert list(summary[name]) == ["min", "avg", "ci95_halfwidth", "n"], name
 
 
 def test_main_once_csv(tmp_path):

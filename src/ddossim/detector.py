@@ -16,7 +16,10 @@ windows themselves.
 Detector.run takes every stretch of slots, between episodes and during
 them: it runs the detector, the buffer and, while a filter is in place,
 the RestorationMonitor ahead to the first event, then commits each of them
-up to it.  The detector owns that monitor: an episode's first
+up to it.  Each input the rules share is found once a stretch: the slots
+whose backlog is at or above l1, which buffer-full and restoration both
+read, and the buckets' prefix sums, which every statistical check reads.
+The detector owns the monitor: an episode's first
 classification (rearm) builds it from lambda-bar at the fire, and
 restoration (unfreeze) drops it, so the run loop never holds it.  The
 history each keeps is an int64 tail of its slots: the short window since
@@ -145,26 +148,27 @@ class RestorationMonitor:
 
     Restored once the buffer backlog (net of each slot's service) has
     stayed below l1 for ws_slots consecutive slots (w_s seconds) while the
-    traffic admitted over those slots is at most (1+r) times the frozen
-    baseline rate over w_s.  Backlog rather than raw occupancy, for the
-    same reason the buffer-full detector uses it: at coarse slot sizes one
-    slot's arrival batch can exceed l1 on its own under normal load.
-    tests/reference.py holds the rule one slot at a time.
+    traffic admitted over those slots sums to at most threshold_sum, (1+r)
+    times the frozen baseline rate over w_s.  Backlog rather than raw
+    occupancy, for the same reason the buffer-full detector uses it: at
+    coarse slot sizes one slot's arrival batch can exceed l1 on its own
+    under normal load.  The monitor holds no l1: it takes a stretch as its
+    high slots, those whose backlog is at or above l1, which Detector.run
+    finds once for buffer-full and restoration alike, and its int64
+    admitted counts.  tests/reference.py holds the rule one slot at a time.
     """
 
-    def __init__(self, l1: int, baseline_rate: float, r: float,
-                 w_s: float, ws_slots: int):
-        self.l1 = l1
+    def __init__(self, threshold_sum: float, ws_slots: int):
+        self.threshold_sum = threshold_sum
         self.ws_slots = ws_slots
-        self.threshold_sum = (1.0 + r) * baseline_rate * w_s
         self._admitted = np.zeros(0, dtype=np.int64)     # the last ws_slots admitted counts
         self._occ_ok = 0
 
-    def first_restored(self, backlogs: np.ndarray, admitted: np.ndarray) -> Optional[int]:
-        """The first slot of a stretch's int64 backlogs and admitted counts
-        at which restoration holds, or None; the monitor is unchanged.  The
-        low-backlog run comes from the last slot at or above l1, the
-        admitted window sums from prefix sums.
+    def first_restored(self, high: np.ndarray, admitted: np.ndarray) -> Optional[int]:
+        """The first slot of a stretch at which restoration holds, or None,
+        given its high slots in ascending order and its int64 admitted
+        counts; the monitor is unchanged.  The low-backlog run comes from
+        the last high slot, the admitted window sums from prefix sums.
 
         No window sum is taken unless the stretch can hold a run of ws_slots
         low backlogs: the longest it can hold is the run before its first
@@ -172,8 +176,6 @@ class RestorationMonitor:
         slots, or the run after the last.  A stretch of a measurement window
         forced by a fire mostly starts high, and stops there."""
         n = len(admitted)
-        is_high = backlogs >= self.l1
-        high = is_high.nonzero()[0]
         longest = (max(self._occ_ok + int(high[0]),
                        int((high[1:] - high[:-1]).max(initial=1)) - 1,
                        n - 1 - int(high[-1])) if len(high) else self._occ_ok + n)
@@ -181,18 +183,19 @@ class RestorationMonitor:
             return None
         sums = window_sums(self._admitted, admitted, self.ws_slots)
         slot = np.arange(n)
-        last_high = np.maximum.accumulate(np.where(is_high, slot, -1))
+        # the last high slot at or before each slot, -1 before the first
+        last_high = np.append(-1, high)[high.searchsorted(slot, side="right")]
         low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
         # a window not yet full has a NaN sum, which compares False
         hits = ((low_run >= self.ws_slots) & (sums <= self.threshold_sum)).nonzero()[0]
         return int(hits[0]) if len(hits) else None
 
-    def advance(self, backlogs: np.ndarray, admitted: np.ndarray) -> None:
-        """Take in the slots of a stretch that ran, as the per-slot rule
-        over each in turn would; the monitor may keep a slice of admitted."""
+    def advance(self, high: np.ndarray, admitted: np.ndarray) -> None:
+        """Take in the slots of a stretch that ran, given as first_restored
+        takes them, as the per-slot rule over each in turn would; the
+        monitor may keep a slice of admitted."""
         self._admitted = _newest(self._admitted, admitted, self.ws_slots)
-        high = (backlogs >= self.l1).nonzero()[0]
-        n = len(backlogs)
+        n = len(admitted)
         self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
 
 
@@ -213,14 +216,10 @@ def _t_critical_square(alpha: float, df: int) -> tuple[int, int]:
     return (Fraction(student_t_quantile(1.0 - alpha / 2.0, df)) ** 2).as_integer_ratio()
 
 
-# a window of a list of counts: (list, start, stop) for list[start:stop]
-_Window = tuple[Sequence[int], int, int]
-
-
-def detect_statistical(baseline_par: Sequence[int] | _Window,
-                       current_par: Sequence[int] | _Window, alpha: float,
-                       sums: Optional[tuple[int, int, int, int]] = None) -> bool:
-    """Hypothesis-testing detection on packet-arrival-rate samples.
+def detect_statistical(buckets: Sequence[int], p1: Sequence[int], p2: Sequence[int],
+                       b0: int, b1: int, c0: int, c1: int, alpha: float) -> bool:
+    """Hypothesis-testing detection on packet-arrival-rate samples: the
+    baseline buckets[b0:b1] against the current buckets[c0:c1].
 
     Gates on the upper confidence bound of the baseline mean (MPAR, at
     z = z(0.025)), then runs the pooled t-test and, when it does not
@@ -236,24 +235,18 @@ def detect_statistical(baseline_par: Sequence[int] | _Window,
     its mean.  Each step needs only what it compares: the sign of the mean
     difference needs no square, and only Levene reads the samples.
 
-    The samples are lists of int counts.  A stretch passes instead each as
-    a (list, start, stop) window of its buckets, list[start:stop], with
-    sums = (S_b, Q_b, S_c, Q_c) read off its prefix sums; a window is cut
-    only if Levene's test is reached.
+    p1 and p2 are the prefix sums of the buckets and of their squares,
+    with a leading 0, so each window's S and Q are two differences; a
+    window is cut from the buckets only if Levene's test is reached.
     """
-    if sums is None:
-        b, c = baseline_par, current_par
-        sums = sum(b), sum(map(mul, b, b)), sum(c), sum(map(mul, c, c))
-        baseline_par, current_par = (b, 0, len(b)), (c, 0, len(c))
-    (base, b0, b1), (cur, c0, c1) = baseline_par, current_par
     n_b, n_c = b1 - b0, c1 - c0
     if n_b < 8 or n_c < 2:
         raise ValueError("statistical detection needs >= 8 baseline and >= 2 current samples")
-    s_b, q_b, s_c, q_c = sums
+    s_b, s_c = p1[b1] - p1[b0], p1[c1] - p1[c0]
     num = s_c * n_b - s_b * n_c              # n_b * n_c times the mean difference
     if num <= 0:
         return False
-    d_b = n_b * q_b - s_b * s_b
+    d_b = n_b * (p2[b1] - p2[b0]) - s_b * s_b
     if d_b == 0:
         return True
     # the gate: mean difference > z * sqrt(D_b / (n_b^2 (n_b - 1)))
@@ -261,7 +254,7 @@ def detect_statistical(baseline_par: Sequence[int] | _Window,
         return False
     nu = n_b + n_c - 2
     q2_num, q2_den = _t_critical_square(alpha, nu)
-    d_c = n_c * q_c - s_c * s_c
+    d_c = n_c * (p2[c1] - p2[c0]) - s_c * s_c
     # t^2 = num^2 nu / ((n_b + n_c)(D_b n_c + D_c n_b))
     if num * num * nu * q2_den > q2_num * (n_b + n_c) * (d_b * n_c + d_c * n_b):
         return True
@@ -271,8 +264,8 @@ def detect_statistical(baseline_par: Sequence[int] | _Window,
     # T is twice the sum of those above the mean, and their squares sum to
     # n * D, so E = n^2 D - T^2.  For an int x, n*x > S exactly when x > S // n
     floor_b, floor_c = s_b // n_b, s_c // n_c
-    above_b = [x for x in base[b0:b1] if x > floor_b]
-    above_c = [x for x in cur[c0:c1] if x > floor_c]
+    above_b = [x for x in buckets[b0:b1] if x > floor_b]
+    above_c = [x for x in buckets[c0:c1] if x > floor_c]
     t_b = 2 * (n_b * sum(above_b) - s_b * len(above_b))
     t_c = 2 * (n_c * sum(above_c) - s_c * len(above_c))
     e_b, e_c = n_b * n_b * d_b - t_b * t_b, n_c * n_c * d_c - t_c * t_c
@@ -386,8 +379,8 @@ class Detector:
         short window and marks the episode's buckets so far as stale, so
         the excursion that caused the fire cannot immediately re-trigger
         the ratio or statistical method.  The episode's first call builds
-        its RestorationMonitor on the buffer's l1 and on lambda-bar as it
-        stood at the fire; later calls keep it.
+        its RestorationMonitor on the threshold sum (1+r) times lambda-bar,
+        as it stood at the fire, over w_s; later calls keep it.
 
         Returns whether buffer-full must fire on the next slot, and nothing
         before it.  A slot serves fewer than the buffer's service_per_slot
@@ -404,8 +397,8 @@ class Detector:
         self._rearmed_at = len(self._episode)
         cfg = self.cfg
         if self.restoration is None:
-            self.restoration = RestorationMonitor(buffer.l1, self._lambda_bar / self._slot_dt,
-                                                  cfg.r, cfg.w_s, self._ws_slots)
+            self.restoration = RestorationMonitor(
+                (1.0 + cfg.r) * (self._lambda_bar / self._slot_dt) * cfg.w_s, self._ws_slots)
         return (Method.BUFFER_FULL in cfg.methods
                 and buffer.occupancy - buffer.l1 >= buffer.service_per_slot
                 and (self._ws_slots > 1 or Method.RATIO not in cfg.methods))
@@ -423,14 +416,17 @@ class Detector:
         (run_ahead); the first slot at which restoration holds; the first
         backlog at or above l1 (buffer-full); then the statistical check of
         the last ws_buckets buckets at each bucket boundary up to the
-        earliest of these.  Between episodes it tests against the oldest
-        baseline_len of the last c + baseline_len buckets, once that many
-        are held; in an episode, against the oldest baseline_len of the
+        earliest of these.  The high slots, those whose backlog is at or
+        above l1, are found once, after run_ahead: buffer-full fires at the
+        first if it is not past the slots left, and the monitor searches
+        them and takes in those that ran.  Between episodes the check tests
+        against the oldest baseline_len of the last c + baseline_len
+        buckets, once that many are held; in an episode, against the oldest baseline_len of the
         buckets held at the fire, if they were full, from the ws_buckets-th
         bucket after the freeze or the last rearm on.  Each check is one
-        detect_statistical call on its two windows, with their sums and sums
-        of squares read off Python-int prefix sums of the buckets, built
-        once a stretch; it cuts the windows only for Levene's test.  Within
+        detect_statistical call on the buckets, their Python-int prefix sums
+        and sums of squares, built once a stretch, and the bounds of its two
+        windows; it cuts the windows only for Levene's test.  Within
         a slot, statistical beats ratio, which beats buffer-full, and
         restoration beats a fire, whose due check still counts.  Without
         watch, in a measurement window, no fire is searched for and every
@@ -461,19 +457,18 @@ class Detector:
             if len(hits):
                 ratio_at = last = int(hits[0])
         stretch = run_ahead(buffer, arrivals[:last + 1])
-        if restoration is None:
-            at = None
-        else:
+        # the backlog net of each slot's service, so that one coarse slot's
+        # arrival batch cannot trip buffer-full or end restoration's low run
+        # under normal load
+        high = (stretch.backlog >= buffer.l1).nonzero()[0]
+        at = None
+        if restoration is not None:
             admitted = stretch.admitted         # for the search and the advance
-            at = restoration.first_restored(stretch.backlog, admitted)
-        if at is not None:
-            last = at
-        if watch and Method.BUFFER_FULL in cfg.methods:
-            # the backlog net of each slot's service, so that one coarse
-            # slot's arrival batch cannot trip it under normal load
-            hits = (stretch.backlog[:last + 1] >= buffer.l1).nonzero()[0]
-            if len(hits):
-                full_at = last = int(hits[0])
+            at = restoration.first_restored(high, admitted)
+            if at is not None:
+                last = at
+        if watch and Method.BUFFER_FULL in cfg.methods and len(high) and high[0] <= last:
+            full_at = last = int(high[0])
 
         done = last + 1
         fired = (Method.RATIO if last == ratio_at else
@@ -507,9 +502,7 @@ class Detector:
                 start = top - most if episode is None else 0
                 stop, cur = start + base_len, top - ws
                 self.stat_checks += 1
-                if detect_statistical((buckets, start, stop), (buckets, cur, top), cfg.alpha,
-                                      (p1[stop] - p1[start], p2[stop] - p2[start],
-                                       p1[top] - p1[cur], p2[top] - p2[cur])):
+                if detect_statistical(buckets, p1, p2, start, stop, cur, top, cfg.alpha):
                     self.stat_positives += 1
                     if watch:
                         done, fired = (j + 1) * spb - fill, Method.STATISTICAL
@@ -518,7 +511,7 @@ class Detector:
 
         commit(buffer, stretch, done)
         if restoration is not None and not restored:
-            restoration.advance(stretch.backlog[:done], admitted[:done])
+            restoration.advance(high[:np.searchsorted(high, done)], admitted[:done])
         # the state the per-slot rules leave after `done` slots
         self.short = _newest(self.short, arrivals[:done], self._ws_slots)
         completed = (fill + done) // spb

@@ -45,6 +45,11 @@ RUN_PACKETS_LIMIT = 1e8
 # 3000 slots
 RUN_SLOTS_LIMIT = 10 ** 6
 
+# the most sources a run may hold: each classification builds int64 arrays
+# with one entry per source (the window's bincount, the ranking, its sort),
+# whatever the packets; sim1 and case3, the largest presets, have 15 000
+RUN_SOURCES_LIMIT = 10 ** 6
+
 
 def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     """Whole slots of slot_dt in a span of seconds.
@@ -98,6 +103,12 @@ class ScenarioConfig:
         require_integers(self)
         if self.n_legal < 0 or self.n_attack < 0:
             raise ValueError("source counts must be >= 0")
+        # as Python ints, which a sum of two numpy ones near 2**63 cannot wrap
+        sources = int(self.n_legal) + int(self.n_attack)
+        if sources > RUN_SOURCES_LIMIT:
+            raise ValueError(f"n_legal={self.n_legal} and n_attack={self.n_attack} are "
+                             f"{sources} sources, more than the {RUN_SOURCES_LIMIT:.0e} "
+                             "a run may hold")
         if self.lambda_n <= 0:
             raise ValueError("lambda_n must be > 0")
         if self.n_attack > 0 and self.lambda_a <= 0:

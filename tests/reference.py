@@ -20,8 +20,11 @@ package's capacity table.  ReferenceWindow and the lambda-bar ring hold
 as deques the history that the package keeps as int64 tails of its
 slots, and ReferenceDetector's rotating bucket deque and the copies it
 pins at a freeze hold what the package keeps as its buckets from before
-an episode and the episode's own list; the decision functions are the
-package's own.  The identifier is reference_identify: the float prefix
+an episode and the episode's own list.  The statistical rule is
+fraction_decision, the gate, the pooled t-test and Levene's test in
+textbook form on Fractions, not the package's integer-moment form; the
+ratio rule, detect_ratio, is the only decision function taken from the
+package.  The identifier is reference_identify: the float prefix
 rule over rates counts / w_s, which identify's integer ranking must
 reproduce exactly.  The identifier's baseline is lambda-bar read once, at
 the fire, where run_once reads it at each classification.
@@ -30,14 +33,16 @@ the fire, where run_once reads it at each classification.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from ddossim.buffer import BufferState
-from ddossim.detector import DetectorConfig, Method, detect_ratio, detect_statistical
+from ddossim.detector import MPAR_ALPHA, DetectorConfig, Method, detect_ratio
 from ddossim.harness import RunMetrics, check_configs
+from ddossim.stats import normal_upper_quantile, student_t_quantile
 from ddossim.traffic import ScenarioConfig, slots_in
 
 
@@ -137,6 +142,36 @@ class ReferenceRestorationMonitor:
         return (self._occ_ok >= self.ws_slots
                 and self._admitted.is_full
                 and self._admitted.running_sum <= self.threshold_sum)
+
+
+def fraction_decision(baseline, current, alpha):
+    """The statistical rule in textbook form on Fractions: the gate on the
+    baseline mean's upper confidence bound, then the pooled t-test or
+    mean-centered Levene, each against the same float critical values."""
+    b, c = [Fraction(x) for x in baseline], [Fraction(x) for x in current]
+    n_b, n_c, nu = len(b), len(c), len(b) + len(c) - 2
+
+    def mean(xs):
+        return sum(xs) / len(xs)
+
+    def ss(xs):
+        m = mean(xs)
+        return sum((x - m) ** 2 for x in xs)
+
+    diff = mean(c) - mean(b)
+    if ss(b) == 0:
+        return diff > 0
+    z = Fraction(normal_upper_quantile(MPAR_ALPHA))
+    if diff <= 0 or diff ** 2 <= z ** 2 * ss(b) / (n_b - 1) / n_b:
+        return False
+    q2 = Fraction(student_t_quantile(1.0 - alpha / 2.0, nu)) ** 2
+    t2 = diff ** 2 / ((ss(b) + ss(c)) / nu * (Fraction(1, n_b) + Fraction(1, n_c)))
+    devs = [[abs(x - m) for x in g] for g, m in ((b, mean(b)), (c, mean(c)))]
+    grand = mean(devs[0] + devs[1])
+    within = sum(ss(d) for d in devs)
+    w = (nu * sum(len(d) * (mean(d) - grand) ** 2 for d in devs) / within
+         if within else 0)
+    return t2 > q2 or w > q2
 
 
 class CountVectorSplit:
@@ -315,7 +350,7 @@ class ReferenceDetector:
             return False
         current = list(self.buckets)[-self._ws_buckets:]
         self.stat_checks += 1
-        if detect_statistical(baseline, current, self.cfg.alpha):
+        if fraction_decision(baseline, current, self.cfg.alpha):
             self.stat_positives += 1
             return True
         return False

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from ddossim.cli import main
-from ddossim.detector import Method, detect_statistical
+from ddossim.detector import Method
 from ddossim.harness import run_batch, sweep_window
 from ddossim.identifier import identify
 from ddossim.presets import get_preset
 from ddossim.stats import normal_upper_quantile, sample_mean, sample_stddev
 from ddossim.traffic import TrafficStream
 from reference import ReferenceBuffer, ReferenceWindow, step
-from test_detector import scipy_decision
+from test_detector import decide, scipy_decision
 
 ACCEPTANCE_SEED = 2026
 
@@ -147,7 +147,7 @@ def test_criterion_6_statistics_kernel_oracles():
             ties += 1
             continue
         positives += expected
-        if detect_statistical(a, b, 0.05) != expected:
+        if decide(a, b, 0.05) != expected:
             decide_ok = False
     # upper-confidence-bound fixture: z(0.025) * 2 / sqrt(100) + 10
     t_x = normal_upper_quantile(0.025) * 2.0 / math.sqrt(100) + 10.0

@@ -9,8 +9,9 @@ Either check_configs rejects the pair with a ValueError that names a
 field, and run_once raises the very same error, or run_once returns a
 row that passes the benchmark's row invariants and a buffer whose packets
 are conserved.  Rates whose runs would expect more than RUN_PACKETS_LIMIT
-packets, and runs of more than RUN_SLOTS_LIMIT slots, are drawn apart and
-must be rejected before a single draw.
+packets, runs of more than RUN_SLOTS_LIMIT slots, and more than
+RUN_SOURCES_LIMIT sources are drawn apart and must be rejected before a
+single draw.
 """
 
 import dataclasses
@@ -28,7 +29,8 @@ from ddossim.buffer import BufferState
 from ddossim.detector import ALL_METHODS, DetectorConfig, Method
 from ddossim.harness import check_configs, run_once
 from ddossim.presets import PRESETS
-from ddossim.traffic import RUN_PACKETS_LIMIT, RUN_SLOTS_LIMIT, ScenarioConfig, TrafficStream
+from ddossim.traffic import (RUN_PACKETS_LIMIT, RUN_SLOTS_LIMIT, RUN_SOURCES_LIMIT,
+                             ScenarioConfig, TrafficStream)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from golden import invariant_errors, normalize  # noqa: E402
@@ -224,3 +226,19 @@ def test_slots_past_the_limit_are_rejected_unrun(slot_dt, excess):
     err = assert_rejected_unrun(scenario, p.detector, p.id_method)
     assert f"total_duration={scenario.total_duration} at slot_dt={slot_dt}" in err
     assert f"{RUN_SLOTS_LIMIT:.0e} a run may hold" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(excess=st.integers(1, 10 ** 12), legal_share=st.floats(0.0, 1.0))
+def test_sources_past_the_limit_are_rejected_unrun(excess, legal_share):
+    # sim2 with `excess` sources past RUN_SOURCES_LIMIT, shared between the
+    # classes, each at 1e-9 pkt/s a source, so the run expects at most
+    # some 3e5 packets, inside RUN_PACKETS_LIMIT
+    p = SIM2
+    total = RUN_SOURCES_LIMIT + excess
+    n_legal = round(legal_share * total)
+    scenario = dataclasses.replace(p.scenario, n_legal=n_legal, n_attack=total - n_legal,
+                                   lambda_n=1e-9, lambda_a=1e-9)
+    err = assert_rejected_unrun(scenario, p.detector, p.id_method)
+    assert f"n_legal={n_legal} and n_attack={total - n_legal} are {total} sources" in err
+    assert f"{RUN_SOURCES_LIMIT:.0e} a run may hold" in err

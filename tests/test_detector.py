@@ -13,12 +13,11 @@ import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ddossim.buffer import BufferState
-from ddossim.detector import (ALL_METHODS, MPAR_ALPHA, Detector, DetectorConfig, Method,
-                              detect_ratio, detect_statistical, window_sums)
-from ddossim.stats import normal_upper_quantile, student_t_quantile
+from ddossim.buffer import BufferState, run_ahead
+from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method, detect_ratio,
+                              detect_statistical, window_sums)
 from reference import (ReferenceBuffer, ReferenceDetector, ReferenceRestorationMonitor,
-                       ReferenceWindow, step)
+                       ReferenceWindow, fraction_decision, step)
 
 
 def make_cfg(**overrides) -> DetectorConfig:
@@ -147,10 +146,17 @@ def test_detect_buffer_thresholds():
 # statistical rule
 # ---------------------------------------------------------------------------
 
+def decide(baseline, current, alpha):
+    """detect_statistical on two samples: one bucket list, baseline first."""
+    buckets, n_b = [*baseline, *current], len(baseline)
+    p1, p2 = [0, *accumulate(buckets)], [0, *accumulate(map(mul, buckets, buckets))]
+    return detect_statistical(buckets, p1, p2, 0, n_b, n_b, len(buckets), alpha)
+
+
 def test_statistical_same_data_not_detected():
     rng = np.random.default_rng(34)
     baseline = rng.poisson(5, 30).tolist()
-    assert not detect_statistical(baseline, list(baseline[-10:]), 0.05)
+    assert not decide(baseline, list(baseline[-10:]), 0.05)
 
 
 def test_statistical_attack_regime_always_detected():
@@ -160,7 +166,7 @@ def test_statistical_attack_regime_always_detected():
     for _ in range(1000):
         baseline = rng.poisson(5, 30).tolist()
         current = rng.poisson(15, 10).tolist()
-        hits += detect_statistical(baseline, current, 0.05)
+        hits += decide(baseline, current, 0.05)
     assert hits == 1000
 
 
@@ -170,7 +176,7 @@ def test_statistical_null_false_alarm_rate():
     for _ in range(1000):
         baseline = rng.poisson(5, 30).tolist()
         current = rng.poisson(5, 10).tolist()
-        hits += detect_statistical(baseline, current, 0.05)
+        hits += decide(baseline, current, 0.05)
     assert hits / 1000 <= 0.05 + 0.02
 
 
@@ -179,24 +185,23 @@ def test_statistical_scale_consistency():
     for _ in range(50):
         baseline = rng.poisson(5, 30).tolist()
         current = rng.poisson(9, 10).tolist()
-        hit1 = detect_statistical(baseline, current, 0.05)
+        hit1 = decide(baseline, current, 0.05)
         scale = Fraction(73, 10)
-        hit2 = detect_statistical([scale * x for x in baseline],
-                                  [scale * x for x in current], 0.05)
+        hit2 = decide([scale * x for x in baseline], [scale * x for x in current], 0.05)
         assert hit1 == hit2
 
 
 def test_statistical_degenerate_baseline_falls_back_to_threshold():
     baseline = [5] * 30
-    assert detect_statistical(baseline, [6, 6], 0.05) is True
-    assert detect_statistical(baseline, [5, 5], 0.05) is False
+    assert decide(baseline, [6, 6], 0.05) is True
+    assert decide(baseline, [5, 5], 0.05) is False
 
 
 def test_statistical_input_validation():
     with pytest.raises(ValueError):
-        detect_statistical([1] * 7, [1, 2], 0.05)
+        decide([1] * 7, [1, 2], 0.05)
     with pytest.raises(ValueError):
-        detect_statistical([1] * 10, [1], 0.05)
+        decide([1] * 10, [1], 0.05)
 
 
 def scipy_decision(baseline, current, alpha):
@@ -240,37 +245,7 @@ DECISIONS = dict(
 def test_statistical_decision_matches_scipy(baseline, current, alpha):
     expected = scipy_decision(baseline, current, alpha)
     assume(expected is not None)
-    assert detect_statistical(baseline, current, alpha) == expected
-
-
-def fraction_decision(baseline, current, alpha):
-    """The statistical rule in textbook form on Fractions: the gate on the
-    baseline mean's upper confidence bound, then the pooled t-test or
-    mean-centered Levene, each against the same float critical values."""
-    b, c = [Fraction(x) for x in baseline], [Fraction(x) for x in current]
-    n_b, n_c, nu = len(b), len(c), len(b) + len(c) - 2
-
-    def mean(xs):
-        return sum(xs) / len(xs)
-
-    def ss(xs):
-        m = mean(xs)
-        return sum((x - m) ** 2 for x in xs)
-
-    diff = mean(c) - mean(b)
-    if ss(b) == 0:
-        return diff > 0
-    z = Fraction(normal_upper_quantile(MPAR_ALPHA))
-    if diff <= 0 or diff ** 2 <= z ** 2 * ss(b) / (n_b - 1) / n_b:
-        return False
-    q2 = Fraction(student_t_quantile(1.0 - alpha / 2.0, nu)) ** 2
-    t2 = diff ** 2 / ((ss(b) + ss(c)) / nu * (Fraction(1, n_b) + Fraction(1, n_c)))
-    devs = [[abs(x - m) for x in g] for g, m in ((b, mean(b)), (c, mean(c)))]
-    grand = mean(devs[0] + devs[1])
-    within = sum(ss(d) for d in devs)
-    w = (nu * sum(len(d) * (mean(d) - grand) ** 2 for d in devs) / within
-         if within else 0)
-    return t2 > q2 or w > q2
+    assert decide(baseline, current, alpha) == expected
 
 
 BIG = 10 ** 12                  # counts whose squares pass 2**63
@@ -302,7 +277,7 @@ def with_decision_examples(test):
 @settings(max_examples=300, deadline=None)
 @given(**DECISIONS)
 def test_statistical_decision_matches_fraction_oracle(baseline, current, alpha):
-    assert detect_statistical(baseline, current, alpha) == fraction_decision(
+    assert decide(baseline, current, alpha) == fraction_decision(
         baseline, current, alpha)
 
 
@@ -311,7 +286,7 @@ def test_statistical_decision_matches_fraction_oracle(baseline, current, alpha):
 @settings(max_examples=5000, deadline=None)
 @given(**DECISIONS)
 def test_statistical_decision_matches_fraction_oracle_many(baseline, current, alpha):
-    assert detect_statistical(baseline, current, alpha) == fraction_decision(
+    assert decide(baseline, current, alpha) == fraction_decision(
         baseline, current, alpha)
 
 
@@ -351,17 +326,15 @@ def with_prefix_examples(test):
 
 def assert_prefix_decision(series, base_len, ws, most, top, pinned, alpha):
     """Detector.run's check of the windows ending at top, on the series'
-    prefix sums, against detect_statistical on the two slices and the
-    Fraction oracle."""
+    prefix sums, against decide() on the two slices and the Fraction
+    oracle."""
     p1 = [0, *accumulate(series)]
     p2 = [0, *accumulate(map(mul, series, series))]
     start = 0 if pinned else top - most
     stop, cur = start + base_len, top - ws
-    got = detect_statistical((series, start, stop), (series, cur, top), alpha,
-                             (p1[stop] - p1[start], p2[stop] - p2[start],
-                              p1[top] - p1[cur], p2[top] - p2[cur]))
+    got = detect_statistical(series, p1, p2, start, stop, cur, top, alpha)
     baseline, current = series[start:stop], series[cur:top]
-    assert got == detect_statistical(baseline, current, alpha) == fraction_decision(
+    assert got == decide(baseline, current, alpha) == fraction_decision(
         baseline, current, alpha)
 
 
@@ -783,6 +756,25 @@ def test_restoration_is_watched_from_the_first_rearm_to_unfreeze():
         assert det.run(quiet[:1], buf) == (1, None, True)
         det.unfreeze()
         assert det.restoration is None
+
+
+def test_restoration_ends_the_stretch_before_a_later_high_backlog():
+    # a watched filter stretch in which restoration holds at slot 1 and the
+    # backlog reaches l1 at slot 3: the stretch ends restored at slot 1, so
+    # buffer-full, which reads the same high slots, never fires.  Buffer-full
+    # alone, so that no ratio hit on the 30 cuts the stretch first
+    t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.BUFFER_FULL,)),
+              1.0, BufferState(l1=10, l2=30, service_per_slot=8.0))
+    t.monitor([2] * 10)
+    t.freeze()
+    assert t.measure([2, 2]) == (2, None, False)
+    t.rearm()
+    # lambda-bar 2 a slot: an admitted sum of 6.4 at most over 2 slots
+    assert t.det.restoration.threshold_sum == (1.0 + 0.6) * 2.0 * 2.0
+    arrivals = [2, 2, 30, 0]
+    assert (run_ahead(t.buf, np.array(arrivals)).backlog >= 10).nonzero()[0].tolist() == [3]
+    assert t.stretch(arrivals, watch=True) == (2, None, True)
+    t.assert_same()
 
 
 def test_unfreeze_discards_excursion_buckets():

@@ -516,6 +516,11 @@ def monitor_state(mon):
     return [(type(v), v) for v in tail + [mon._occ_ok]]
 
 
+def high_slots(backlogs, l1):
+    """The slots whose backlog is at or above l1, as Detector.run finds them."""
+    return (np.asarray(backlogs, dtype=np.int64) >= l1).nonzero()[0]
+
+
 def updated_to_restoration(mon, backlogs, admitted):
     """first_restored() as a loop of update()."""
     for i, (backlog, count) in enumerate(zip(backlogs, admitted)):
@@ -542,45 +547,44 @@ def updated_to_restoration(mon, backlogs, admitted):
 @example(5, 5, 1.0, [(10, 0)], [(0, 0), (10, 0), *[(0, 0)] * 4])
 @example(5, 5, 1.0, [(10, 0)], [(0, 0), (10, 0), *[(0, 0)] * 5])
 def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots):
-    args = dict(l1=l1, baseline_rate=baseline_rate, r=0.6, w_s=ws_slots * 0.1,
-                ws_slots=ws_slots)
-    mon, reference = RestorationMonitor(**args), ReferenceRestorationMonitor(**args)
+    reference = ReferenceRestorationMonitor(l1=l1, baseline_rate=baseline_rate, r=0.6,
+                                            w_s=ws_slots * 0.1, ws_slots=ws_slots)
+    mon = RestorationMonitor(reference.threshold_sum, ws_slots)
     # a streak and a window carried in: advance() over the warm slots
     # leaves the monitor as update() over each does
-    mon.advance(np.array([b for b, _ in warm], dtype=np.int64),
+    mon.advance(high_slots([b for b, _ in warm], l1),
                 np.array([a for _, a in warm], dtype=np.int64))
     for backlog, count in warm:
         reference.update(backlog, count)
     assert monitor_state(mon) == monitor_state(reference)
     backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
     warm_state = monitor_state(mon)
-    at = mon.first_restored(np.array(backlogs, dtype=np.int64),
-                            np.array(admitted, dtype=np.int64))
+    at = mon.first_restored(high_slots(backlogs, l1), np.array(admitted, dtype=np.int64))
     assert at == updated_to_restoration(reference, backlogs, admitted)
     # the search leaves the monitor alone; advance() over the slots up to
     # the restoring one, or over every slot, leaves it as update() does
     assert monitor_state(mon) == warm_state
     ran = len(slots) if at is None else at + 1
-    mon.advance(np.array(backlogs[:ran], dtype=np.int64),
-                np.array(admitted[:ran], dtype=np.int64))
+    mon.advance(high_slots(backlogs[:ran], l1), np.array(admitted[:ran], dtype=np.int64))
     assert monitor_state(mon) == monitor_state(reference)
 
 
 def test_first_restored_on_the_last_slot():
-    # a 10-slot streak that completes on the stretch's last slot
+    # a 10-slot streak that completes on the stretch's last slot: ten
+    # backlogs at or above l1, then ten below it, at a baseline of 10 a second
     def monitor():
-        return RestorationMonitor(l1=40, baseline_rate=10.0, r=0.6, w_s=1.0, ws_slots=10)
-    backlogs, admitted = np.array([100] * 10 + [0] * 10), np.ones(20, dtype=np.int64)
-    assert monitor().first_restored(backlogs, admitted) == 19
+        return RestorationMonitor((1.0 + 0.6) * 10.0 * 1.0, ws_slots=10)
+    high, admitted = high_slots([100] * 10 + [0] * 10, 40), np.ones(20, dtype=np.int64)
+    assert monitor().first_restored(high, admitted) == 19
     mon = monitor()
-    assert mon.first_restored(backlogs[:-1], admitted[:-1]) is None
-    mon.advance(backlogs[:-1], admitted[:-1])
-    assert mon.first_restored(backlogs[-1:], admitted[-1:]) == 0
+    assert mon.first_restored(high, admitted[:-1]) is None
+    mon.advance(high, admitted[:-1])
+    assert mon.first_restored(high[:0], admitted[-1:]) == 0
     # and after a restoring slot nothing more is taken in
     mon = monitor()
-    assert mon.first_restored(np.concatenate((backlogs, [100] * 5)),
+    assert mon.first_restored(np.concatenate((high, np.arange(20, 25))),
                               np.concatenate((admitted, [7] * 5))) == 19
-    mon.advance(backlogs, admitted)
+    mon.advance(high, admitted)
     assert monitor_state(mon) == [(int, 1)] * 10 + [(int, 10)]
 
 

@@ -195,6 +195,24 @@ def test_config_rejects_runs_past_the_slot_limit():
     assert 6000 < traffic.RUN_SLOTS_LIMIT / 100
 
 
+def test_config_rejects_sources_past_the_source_limit():
+    # sim2's legal class at 1e-9 pkt/s a source expects 3000 packets over
+    # 300 s at 10**10 sources, inside RUN_PACKETS_LIMIT, but each
+    # classification would build arrays of that length
+    with pytest.raises(ValueError, match=re.escape(
+            "n_legal=10000000000 and n_attack=50 are 10000000050 sources")):
+        small_config(n_legal=10 ** 10, lambda_n=1e-9).validate()
+    # the bound itself is a run, one source more is not, in either class
+    most = traffic.RUN_SOURCES_LIMIT
+    small_config(n_legal=most - 50, lambda_n=1e-3).validate()
+    for over in (dict(n_legal=most - 49), dict(n_attack=51)):
+        with pytest.raises(ValueError, match=f"are {most + 1} sources, more than the 1e\\+06"):
+            small_config(**{"n_legal": most - 50, "lambda_n": 1e-3, **over}).validate()
+    # the presets are far inside it
+    assert max(p.scenario.n_legal + p.scenario.n_attack for p in PRESETS.values()) == 15_000
+    assert 15_000 < most / 50
+
+
 def test_config_accepts_numpy_integers():
     small_config(n_legal=np.int64(50), l1=np.int32(40)).validate()
 

@@ -45,7 +45,7 @@ import numpy as np
 from .buffer import BufferState
 # unused here: perfbench/tracing.py looks RestorationMonitor up on this module
 from .detector import Detector, DetectorConfig, Method, RestorationMonitor  # noqa: F401
-from .identifier import count_window, identify
+from .identifier import identify
 from .stats import sample_mean, sample_stddev, student_t_quantile
 from .traffic import ScenarioConfig, TrafficStream, slots_in
 
@@ -177,11 +177,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
             # without a member to block
             arrivals = stream.totals[lo:stop]
         else:
-            ids, bounds = stream.slots(lo, stop)
-            # each slot's unblocked packets: the packets before each of
-            # its bounds less the blocked ones, counted by one search
-            kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
-            arrivals = kept[1:] - kept[:-1]
+            arrivals = stream.unblocked(lo, stop, blocked)
         ran, fired, restored = det.run(arrivals, buf, watch=not measuring)
         elapsed += ran
         if blocked is not None and elapsed < stop:
@@ -199,14 +195,12 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         if measuring and elapsed == fire + ws_slots:
             # a window runs to its end in one stretch, from the fire or
             # from a forced fire's slot, and only one that is classified
-            # has its packets split; under the filter it is counted whole,
-            # and its blocked sources count zero.  Once the run is settled
-            # nobody can be picked: the window is neither split nor
-            # counted, and the block set stays as it is
+            # has its packets split; under the filter it is counted whole
+            # off the stretch's split, and its blocked sources count zero.
+            # Once the run is settled nobody can be picked: the window is
+            # neither split nor counted, and the block set stays as it is
             if not settled:
-                window = (stream.slots(fire, elapsed)[0] if blocked is None
-                          else ids[bounds[fire - lo]:])
-                counts = count_window(window, stream.n_sources, blocked)
+                counts = stream.counts(fire, elapsed, blocked)
                 # the budget's baseline is lambda-bar as it stood at the
                 # episode's fire: no frozen slot has entered the long tail
                 suspects = identify(counts, detector_cfg.w_s, det.baseline_lambda_bar() / dt,

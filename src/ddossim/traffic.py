@@ -11,17 +11,27 @@ rate, so a packet's member is uniform over its class: a uniform key u in
 n for every u < 1, so each key stays in its class.  A slot is the source
 id of each of its packets, so its cost follows the packets, not the number
 of sources, and a stream splits exactly the slots it is asked for.
+
+A split writes its keys and ids into its thread's work arena, one float64
+and one int64 array held in a threading.local and grown to the largest
+split the thread has asked for, so the run loop allocates no packet-sized
+array per ask.  Arena memory stays inside TrafficStream: the run loop
+gets counts from it, and slots() hands out copies, which the caller owns.
+A split of more than SPLIT_ARENA_LIMIT packets gets arrays of its own.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
 from .buffer import SERVICE_SUM_LIMIT
+from .identifier import count_window
 
 __all__ = [
     "ScenarioConfig",
@@ -34,10 +44,19 @@ __all__ = [
 # how far a span in slots may sit from a whole number, relative to its size
 _GRID_TOL = 1e-9
 
-# the most packets a run may expect: a window's split holds some 40 bytes a
-# packet, and window counts stay far below the 2**52 that identify's exact
-# integer ranking needs; case3, the largest preset, expects 800 000
+# the most packets a run may expect: a window's split holds 16 bytes a
+# packet of keys and ids, and up to 9 more at once (a class column repeated
+# to its packets, or the blocked mask and the blocked packets' indices, or
+# the keys a rewind hands back), and window counts stay far below the 2**52
+# that identify's exact integer ranking needs; case3, the largest preset,
+# expects 800 000
 RUN_PACKETS_LIMIT = 1e8
+
+# the most packets a split may keep in its thread's work arena, which then
+# holds 4 MiB of keys and ids: case3's largest ask is some 60 000 packets,
+# and a larger ask gets arrays of its own, so that one huge run cannot pin
+# its memory for the rest of the process
+SPLIT_ARENA_LIMIT = 1 << 18
 
 # the most slots a run may hold: a stream keeps some 60 bytes a slot, and
 # a stretch that runs to the end of the run builds int64 arrays of its
@@ -154,6 +173,19 @@ class ScenarioConfig:
         return slots_in(self.total_duration, self.slot_dt, "total_duration")
 
 
+class _Arena(threading.local):
+    """One thread's split work arrays, reused from split to split, and the
+    number of splits the thread has made, which dates each stream's last."""
+
+    def __init__(self):
+        self.keys = np.empty(0)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.splits = 0
+
+
+_arena = _Arena()
+
+
 class TrafficStream:
     """Pre-drawn slot sequence for a whole run.
 
@@ -171,6 +203,14 @@ class TrafficStream:
     k-th key drawn goes to the k-th packet handed out and not handed back,
     and each slot gets the split that one draw per slot, in the order
     asked, would give it.
+
+    The keys and ids of an ask live in the calling thread's work arena
+    until the thread's next split, whichever stream makes it; only the
+    queue is the stream's own.  unblocked() and counts() read the arena
+    and return arrays of their own, slots() returns a copy of the ids, and
+    rewind() copies the keys it hands back into the queue.  A read of the
+    last split, rewind() included, raises RuntimeError once another split
+    has run on the thread since.  A stream is used on one thread.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -204,38 +244,93 @@ class TrafficStream:
         self._size = np.tile(np.array([n for n, *_ in classes], dtype=np.float64), (n_slots, 1))
         self._first = np.tile(np.array([first for _, _, first, _, _ in classes],
                                        dtype=np.int64), (n_slots, 1))
-        # the slots [lo, hi) of the last ask and the keys it took, and the
-        # keys drawn and not yet taken
+        # the slots [lo, hi) of the last split, its keys and ids, and the
+        # thread's split count when it ran; the keys drawn and not yet taken
         self._lo = self._hi = 0
-        self._keys = self._queue = np.empty(0)
+        self._keys = self._ids = self._split_no = None
+        self._queue = np.empty(0)
 
-    def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The packet source ids of slots lo..hi-1, end to end, and each
-        slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]].
-
-        The same split as asking for each of the slots in turn, one at a
-        time.
-        """
+    def _split(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Split slots lo..hi-1 into the arena, or past SPLIT_ARENA_LIMIT
+        packets into arrays of their own: their packet source ids, end to
+        end, and each slot's bounds in them, slot lo + j being
+        ids[bounds[j]:bounds[j + 1]]."""
         if not 0 <= lo < hi <= len(self.totals):
             raise ValueError(f"no slot range [{lo}, {hi}) in a run of {len(self.totals)} slots")
         bounds = self._prefix[lo:hi + 1] - self._prefix[lo]
         n_keys = int(bounds[-1])
-        keys, self._queue = self._queue[:n_keys], self._queue[n_keys:]
-        if len(keys) < n_keys:
-            draw = self._split_rng.random(n_keys - len(keys))
-            keys = np.concatenate((keys, draw)) if len(keys) else draw
+        arena = _arena
+        if n_keys > SPLIT_ARENA_LIMIT:
+            keys, ids = np.empty(n_keys), np.empty(n_keys, dtype=np.int64)
+        else:
+            if n_keys > len(arena.keys):
+                # the old arrays go before the new ones are made, so that
+                # the two are never held at once
+                self._keys = self._ids = arena.keys = arena.ids = None
+                arena.keys, arena.ids = np.empty(n_keys), np.empty(n_keys, dtype=np.int64)
+            keys, ids = arena.keys[:n_keys], arena.ids[:n_keys]
+        queued = min(n_keys, len(self._queue))
+        if queued:
+            keys[:queued], self._queue = self._queue[:queued], self._queue[queued:]
+        if queued < n_keys:
+            self._split_rng.random(n_keys - queued, out=keys[queued:])
         # each key attributes one packet of its class aggregate to member
         # floor(key * size) of its class; the keys run slot by slot, and
-        # within a slot class by class
+        # within a slot class by class.  The unsafe cast of the float
+        # product into the int64 ids truncates it, and it is >= 0
         cells = self._cells[:, lo:hi].T.ravel()
-        ids = (keys * np.repeat(self._size[lo:hi], cells)).astype(np.int64)
+        np.multiply(keys, np.repeat(self._size[lo:hi], cells), out=ids, casting="unsafe")
         ids += np.repeat(self._first[lo:hi], cells)
-        self._lo, self._hi, self._keys = lo, hi, keys
+        arena.splits += 1
+        self._lo, self._hi, self._keys, self._ids = lo, hi, keys, ids
+        self._split_no = arena.splits
         return ids, bounds
 
+    def _require_last(self) -> None:
+        """Raise unless the arena still holds this stream's last split."""
+        if self._split_no != _arena.splits:
+            raise RuntimeError("this stream's last split is gone: another split has run "
+                               "on this thread since")
+
+    def _taken(self, lo: int, hi: int) -> np.ndarray:
+        """The ids of slots lo..hi-1 in the last split, a view of the arena."""
+        self._require_last()
+        if not self._lo <= lo <= hi <= self._hi:
+            raise ValueError(f"slots [{lo}, {hi}) are not in the slots last taken")
+        first = self._prefix[self._lo]
+        return self._ids[self._prefix[lo] - first:self._prefix[hi] - first]
+
+    def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The packet source ids of slots lo..hi-1, end to end, and each
+        slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]].
+        Both are the caller's, and no later ask changes them.
+
+        The same split as asking for each of the slots in turn, one at a
+        time.
+        """
+        ids, bounds = self._split(lo, hi)
+        return ids.copy(), bounds
+
+    def unblocked(self, lo: int, hi: int, blocked: np.ndarray) -> np.ndarray:
+        """Split slots lo..hi-1 and count each slot's packets that the
+        blocked mask lets through."""
+        ids, bounds = self._split(lo, hi)
+        # the packets before each bound less the blocked ones, counted by
+        # one search of the blocked packets' positions
+        kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
+        return kept[1:] - kept[:-1]
+
+    def counts(self, lo: int, hi: int, blocked: Optional[np.ndarray]) -> np.ndarray:
+        """The int64 packet counts by source of slots lo..hi-1, zero on the
+        blocked sources: read off the last split when it ends at hi, as a
+        window that ends a filter stretch does, and split now otherwise."""
+        ids = self._taken(lo, hi) if self._hi == hi else self._split(lo, hi)[0]
+        return count_window(ids, self.n_sources, blocked)
+
     def rewind(self, i: int) -> None:
-        """Hand the keys of slots i..hi-1 of the last slots() call back to
-        the head of the queue, to be the first the next ask takes."""
+        """Hand the keys of slots i..hi-1 of the last split back to the
+        head of the queue, to be the first the next ask takes."""
+        self._require_last()
         if not self._lo <= i <= self._hi:
             raise ValueError(f"slot {i} is not in the slots last taken")
         kept = int(self._prefix[i] - self._prefix[self._lo])

@@ -3,6 +3,8 @@ batch aggregation, and the window sweep."""
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -177,6 +179,14 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
     assert (1 + ws_slots, False, True) in stretches
 
 
+def last_split(stream):
+    """A copy of the stream's last split, as slots() returns one: its packet
+    ids, end to end, and each slot's bounds in them.  Read right after the
+    split, it neither splits again nor moves the split RNG."""
+    lo, hi = stream._lo, stream._hi
+    return stream._taken(lo, hi).copy(), stream._prefix[lo:hi + 1] - stream._prefix[lo]
+
+
 @pytest.mark.parametrize("preset, overrides, seed", [
     ("sim2", {}, 0),                    # history identification
     ("sim1", {}, 500),                  # greedy over 15 000 sources
@@ -194,18 +204,18 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed, id_method=
 
     def kept_stream(*args):
         stream = traffic_stream(*args)
-        slots, rewind = stream.slots, stream.rewind
+        unblocked, rewind = stream.unblocked, stream.rewind
 
-        def taken_slots(lo, hi):
-            ids, bounds = slots(lo, hi)
-            taken.append([block_set[0], ids, bounds, lo, hi])
-            return ids, bounds
+        def taken_slots(lo, hi, blocked):
+            arrivals = unblocked(lo, hi, blocked)
+            taken.append([block_set[0], *last_split(stream), lo, hi])
+            return arrivals
 
         def handed_back(i):
             taken[-1][4] = i
             rewind(i)
 
-        stream.slots, stream.rewind = taken_slots, handed_back
+        stream.unblocked, stream.rewind = taken_slots, handed_back
         streams.append(stream)
         return stream
 
@@ -267,13 +277,14 @@ def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
 
     def kept_stream(*args):
         stream = traffic_stream(*args)
-        slots = stream.slots
+        unblocked = stream.unblocked
 
-        def taken_slots(lo, hi):
-            taken.append(slots(lo, hi))
-            return taken[-1]
+        def taken_slots(lo, hi, blocked):
+            arrivals = unblocked(lo, hi, blocked)
+            taken.append(last_split(stream))
+            return arrivals
 
-        stream.slots = taken_slots
+        stream.unblocked = taken_slots
         return stream
 
     def identified(counts, *args):
@@ -307,14 +318,15 @@ def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
 
 def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     """Each seed's run_once as a list of (event, value), in call order: a
-    stretch ("run", slots elapsed after it), a split ("slots", its first
-    slot), a window counted ("count", None), a window ranked ("identify",
+    stretch ("run", slots elapsed after it), a filter stretch's split
+    ("slots", its first slot), a window counted, split or not ("count",
+    None), a window ranked ("identify",
     the suspects), a classification ("rearm", slots elapsed), an episode's
     start ("freeze", None) and end ("unfreeze", None)."""
     log, elapsed = [], [0]
     detector, stream = harness.Detector, harness.TrafficStream
-    run, slots = detector.run, stream.slots
-    count_window, identify = harness.count_window, harness.identify
+    run, unblocked, counts = detector.run, stream.unblocked, stream.counts
+    identify = harness.identify
 
     def ran(self, arrivals, *args, **kwargs):
         out = run(self, arrivals, *args, **kwargs)
@@ -330,13 +342,13 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
             return method(self, *args)
         return spy
 
-    def taken(self, lo, hi):
+    def taken(self, lo, *args):
         log.append(("slots", lo))
-        return slots(self, lo, hi)
+        return unblocked(self, lo, *args)
 
-    def counted(*args):
+    def counted(self, *args):
         log.append(("count", None))
-        return count_window(*args)
+        return counts(self, *args)
 
     def ranked(*args):
         log.append(("identify", identify(*args)))
@@ -345,8 +357,8 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     monkeypatch.setattr(detector, "run", ran)
     for name in ("freeze", "unfreeze", "rearm"):
         monkeypatch.setattr(detector, name, marked(name))
-    monkeypatch.setattr(stream, "slots", taken)
-    monkeypatch.setattr(harness, "count_window", counted)
+    monkeypatch.setattr(stream, "unblocked", taken)
+    monkeypatch.setattr(stream, "counts", counted)
     monkeypatch.setattr(harness, "identify", ranked)
     runs = []
     for seed in seeds:
@@ -442,6 +454,42 @@ def test_greedy_run_ranks_every_window(monkeypatch):
     for _, log in runs:
         assert replay_settling(log, None) == (None, 0)
         assert sum(e == "rearm" for e, _ in log) == sum(e == "identify" for e, _ in log) > 0
+
+
+def test_threaded_runs_give_the_serial_rows():
+    # each thread splits into an arena of its own: two threads, each
+    # running sim1 and sim2 seeds, interleave their splits and must give
+    # the rows the same runs give one after another
+    sim1 = PRESETS["sim1"]
+    jobs = [[(sim1, 0), (SIM2, 0), (SIM2, 1), (sim1, 1)],
+            [(SIM2, 2), (sim1, 2), (SIM2, 3), (sim1, 3)]]
+
+    def rows(plan):
+        return [run_once(p.scenario, p.detector, p.id_method, seed=s) for p, s in plan]
+
+    serial = [rows(plan) for plan in jobs]
+    threaded, errors = [None, None], []
+
+    def work(k):
+        try:
+            threaded[k] = rows(jobs[k])
+        except Exception as e:          # reported below, on the test's thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    # a short switch interval interleaves the threads' splits more often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert threaded == serial
 
 
 def test_reported_times_are_exact_decimals():

@@ -512,9 +512,9 @@ class CountingRNG:
         self.rng = np.random.default_rng(seed)
         self.draws = []
 
-    def random(self, n):
+    def random(self, n, out=None):
         self.draws.append(n)
-        return self.rng.random(n)
+        return self.rng.random(n, out=out)
 
 
 @pytest.mark.parametrize("cfg", [small_config(), small_config(n_legal=300, lambda_a=1.0)],
@@ -594,6 +594,64 @@ def test_slot_range_bounds_checked():
     with pytest.raises(ValueError):
         stream.rewind(1007)
     stream.rewind(1000)
+
+
+def test_slots_hands_out_arrays_later_asks_leave_alone():
+    # slots() hands out ids and bounds of the caller's own: later asks on
+    # the same stream and on another one, which split into the same
+    # thread's arena, leave them as they were
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    stream, other = stream_of(cfg), stream_of(cfg, seed=5)
+    blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
+    ids, bounds = stream.slots(1000, 1100)
+    kept = ids.copy(), bounds.copy()
+    stream.unblocked(1100, 1200, blocked)
+    other.slots(1000, 1100)
+    other.counts(1000, 1100, blocked)
+    assert np.array_equal(ids, kept[0]) and np.array_equal(bounds, kept[1])
+
+
+def test_last_split_is_gone_once_another_stream_splits():
+    # a stream's last split lives in its thread's arena until the thread's
+    # next split: once another stream splits, rewinding it or counting a
+    # window off it raises rather than read the other stream's keys, and
+    # the stream's own next split reads again
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    stream, other = stream_of(cfg), stream_of(cfg, seed=5)
+    blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
+    stream.unblocked(1000, 1100, blocked)
+    other.slots(1000, 1010)
+    with pytest.raises(RuntimeError, match="another split has run on this thread since"):
+        stream.rewind(1050)
+    with pytest.raises(RuntimeError, match="another split has run on this thread since"):
+        stream.counts(1050, 1100, blocked)
+    stream.unblocked(1100, 1200, blocked)
+    stream.rewind(1150)
+    assert stream._hi == 1150
+
+
+def test_split_past_the_arena_cap_gets_arrays_of_its_own(monkeypatch):
+    # an ask of more packets than SPLIT_ARENA_LIMIT splits into arrays of
+    # its own and leaves the arena as it was; its ids, and a window counted
+    # off it, are those an arena split gives
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    n = cfg.n_legal + cfg.n_attack
+    blocked = np.arange(n) % 3 == 0
+    twin = stream_of(cfg)
+    ids, bounds = twin.slots(1000, 1100)
+    arrivals = stream_of(cfg).unblocked(1000, 1100, blocked)
+    monkeypatch.setattr(traffic, "SPLIT_ARENA_LIMIT", len(ids) // 2)
+    monkeypatch.setattr(traffic._arena, "keys", np.empty(10))
+    monkeypatch.setattr(traffic._arena, "ids", np.empty(10, dtype=np.int64))
+    got, got_bounds = stream_of(cfg).slots(1000, 1100)
+    assert len(traffic._arena.keys) == len(traffic._arena.ids) == 10
+    assert np.array_equal(got, ids) and np.array_equal(got_bounds, bounds)
+    stream = stream_of(cfg)
+    assert np.array_equal(stream.unblocked(1000, 1100, blocked), arrivals)
+    window = ids[bounds[40]:]
+    assert np.array_equal(stream.counts(1040, 1100, blocked),
+                          np.bincount(window[~blocked[window]], minlength=n))
+    assert len(traffic._arena.keys) == len(traffic._arena.ids) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,24 @@ episodes the buffer and the detector run on the slot totals to the next
 fire.  A fire freezes the detector, and every slot from then to
 restoration runs frozen: a measurement window of w_s, whose fires are
 ignored and whose traffic is then classified, and filter slots, which
-drop the blocked sources' packets, up to the next fire.  A stretch that
-filters counts each slot's unblocked packets without building them, and
-a window classified under the filter counts its packets by source and
-zeroes the blocked ones.  That fire means the residual traffic still
-looks abnormal, so the pipeline re-measures and widens the block set; a
-false alarm just before the attack cannot blind the run, and a partial
-first classification is progressively repaired.  When Detector.rearm,
-at a classification, finds that buffer-full fires on the next slot and
-nothing can fire first, that fire is recorded at once and its slot runs
-in one stretch with the window it opens.  Restoration, which the
-detector watches from the episode's first classification on, releases
-the filter and resumes normal baseline rotation.
+drop the blocked sources' packets, up to the next fire.  That fire
+means the residual traffic still looks abnormal, so the pipeline
+re-measures and widens the block set; a false alarm just before the
+attack cannot blind the run, and a partial first classification is
+progressively repaired.  When Detector.rearm, at a classification, finds
+that buffer-full fires on the next slot and nothing can fire first, that
+fire is recorded at once and its slot runs in one stretch with the
+window it opens.  Restoration, which the detector watches from the
+episode's first classification on, releases the filter and resumes
+normal baseline rotation.
+
+A stretch is split only if it filters or is a window that will be
+classified, and one call does both: it counts each slot's unblocked
+packets without building them, and the window's packets by source, zero
+on the blocked ones, so no split is read after the call that made it.
+A stretch cut short by an event hands its later slots back to the
+stream.  A window cut short by the end of the run is never classified,
+so an episode's first window is then not split.
 
 The loop keeps only the state it cannot derive.  The slot of the
 episode's last fire is None between episodes, and a stretch that starts
@@ -171,16 +177,21 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         lo = elapsed
         measuring = fire is not None and lo < fire + ws_slots
         stop = n_slots if fire is None else min((fire if measuring else lo) + ws_slots, n_slots)
-        if blocked is None:
-            # nothing is split or filtered between episodes, nor in the
-            # first window of an episode, nor once the run is settled
-            # without a member to block
-            arrivals = stream.totals[lo:stop]
+        # a stretch splits its packets only if it filters them, or if it
+        # is a window that will be classified: one that is not cut short
+        # by the end of the run, while the run is not settled.  Its window
+        # is counted in the same call, from the fire's slot, which is the
+        # stretch's second after a forced fire.  Nothing is split between
+        # episodes, nor once the run is settled without a member to block
+        window = fire if measuring and not settled and stop == fire + ws_slots else None
+        splits = blocked is not None or window is not None
+        if splits:
+            arrivals, counts = stream.unblocked(lo, stop, blocked, window)
         else:
-            arrivals = stream.unblocked(lo, stop, blocked)
+            arrivals = stream.totals[lo:stop]
         ran, fired, restored = det.run(arrivals, buf, watch=not measuring)
         elapsed += ran
-        if blocked is not None and elapsed < stop:
+        if splits and elapsed < stop:
             stream.rewind(elapsed)
 
         if restored:
@@ -194,13 +205,11 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         fired_at = elapsed                     # slots elapsed at a fire
         if measuring and elapsed == fire + ws_slots:
             # a window runs to its end in one stretch, from the fire or
-            # from a forced fire's slot, and only one that is classified
-            # has its packets split; under the filter it is counted whole
-            # off the stretch's split, and its blocked sources count zero.
-            # Once the run is settled nobody can be picked: the window is
-            # neither split nor counted, and the block set stays as it is
+            # from a forced fire's slot, and the stretch's split counted
+            # it, zero on the blocked sources.  Once the run is settled
+            # nobody can be picked: the window is neither split nor
+            # counted, and the block set stays as it is
             if not settled:
-                counts = stream.counts(fire, elapsed, blocked)
                 # the budget's baseline is lambda-bar as it stood at the
                 # episode's fire: no frozen slot has entered the long tail
                 suspects = identify(counts, detector_cfg.w_s, det.baseline_lambda_bar() / dt,

@@ -12,12 +12,16 @@ n for every u < 1, so each key stays in its class.  A slot is the source
 id of each of its packets, so its cost follows the packets, not the number
 of sources, and a stream splits exactly the slots it is asked for.
 
-A split writes its keys and ids into its thread's work arena, one float64
-and one int64 array held in a threading.local and grown to the largest
-split the thread has asked for, so the run loop allocates no packet-sized
-array per ask.  Arena memory stays inside TrafficStream: the run loop
-gets counts from it, and slots() hands out copies, which the caller owns.
-A split of more than SPLIT_ARENA_LIMIT packets gets arrays of its own.
+The split generator's position is a stream's only split state: it is
+the number of packets handed out and not handed back, and a rewind steps
+a PCG64 back over the packets it hands back in one jump.  A split writes
+its keys and ids into its thread's work arena, one float64 and one int64
+array held in a threading.local and grown to the largest split the
+thread has asked for, so the run loop allocates no packet-sized array
+per ask.  Arena memory stays inside the call that fills it: the run loop
+gets a stretch's arrivals and its window's counts from one call, and
+slots() hands out copies, which the caller owns.  A split of more than
+SPLIT_ARENA_LIMIT packets gets arrays of its own.
 """
 
 from __future__ import annotations
@@ -46,10 +50,9 @@ _GRID_TOL = 1e-9
 
 # the most packets a run may expect: a window's split holds 16 bytes a
 # packet of keys and ids, and up to 9 more at once (a class column repeated
-# to its packets, or the blocked mask and the blocked packets' indices, or
-# the keys a rewind hands back), and window counts stay far below the 2**52
-# that identify's exact integer ranking needs; case3, the largest preset,
-# expects 800 000
+# to its packets, or the blocked mask and the blocked packets' indices),
+# 25 in all, and window counts stay far below the 2**52 that identify's
+# exact integer ranking needs; case3, the largest preset, expects 800 000
 RUN_PACKETS_LIMIT = 1e8
 
 # the most packets a split may keep in its thread's work arena, which then
@@ -174,13 +177,11 @@ class ScenarioConfig:
 
 
 class _Arena(threading.local):
-    """One thread's split work arrays, reused from split to split, and the
-    number of splits the thread has made, which dates each stream's last."""
+    """One thread's split work arrays, reused from split to split."""
 
     def __init__(self):
         self.keys = np.empty(0)
         self.ids = np.empty(0, dtype=np.int64)
-        self.splits = 0
 
 
 _arena = _Arena()
@@ -195,27 +196,29 @@ class TrafficStream:
     the caller asks for.  A separate split RNG keeps the aggregate sequence
     independent of which slots are split.
 
-    An ask for slots lo..hi-1 takes the next uniform keys for their
-    packets, in slot-then-class order: the queued ones first, then one
-    split RNG draw for any the queue lacks; one pass sends each key u of a
-    class of n members to its first id plus floor(u * n).  rewind() puts
-    the keys of the slots it hands back at the head of the queue, so the
-    k-th key drawn goes to the k-th packet handed out and not handed back,
-    and each slot gets the split that one draw per slot, in the order
-    asked, would give it.
+    An ask for slots lo..hi-1 draws one uniform key for each of their
+    packets, in slot-then-class order, in one call of the split RNG, and
+    one pass sends each key u of a class of n members to its first id plus
+    floor(u * n).  rewind() steps the split RNG back over the packets of
+    the slots it hands back, so the generator's position is always the
+    number of packets handed out and not handed back: the k-th key drawn
+    goes to the k-th such packet, and each slot gets the split that one
+    draw per slot, in the order asked, would give it.  The position is the
+    stream's only split state, and stepping back needs the jump-ahead of
+    a PCG64 (numpy's default_rng), so no other bit generator is taken.
 
-    The keys and ids of an ask live in the calling thread's work arena
-    until the thread's next split, whichever stream makes it; only the
-    queue is the stream's own.  unblocked() and counts() read the arena
-    and return arrays of their own, slots() returns a copy of the ids, and
-    rewind() copies the keys it hands back into the queue.  A read of the
-    last split, rewind() included, raises RuntimeError once another split
-    has run on the thread since.  A stream is used on one thread.
+    The keys and ids of an ask live in the calling thread's work arena,
+    and no read of them outlives the call that made them: unblocked()
+    returns arrays of its own, and slots() returns a copy of the ids.  A
+    stream is used on one thread.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
                  split_rng: np.random.Generator):
         config.validate()
+        if not isinstance(getattr(split_rng, "bit_generator", None), np.random.PCG64):
+            raise ValueError("the split generator must run on a PCG64, which rewind() steps "
+                             "back; np.random.default_rng gives one")
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
         n_slots = config.n_slots
@@ -244,11 +247,8 @@ class TrafficStream:
         self._size = np.tile(np.array([n for n, *_ in classes], dtype=np.float64), (n_slots, 1))
         self._first = np.tile(np.array([first for _, _, first, _, _ in classes],
                                        dtype=np.int64), (n_slots, 1))
-        # the slots [lo, hi) of the last split, its keys and ids, and the
-        # thread's split count when it ran; the keys drawn and not yet taken
+        # the slots [lo, hi) handed out by the last split and not handed back
         self._lo = self._hi = 0
-        self._keys = self._ids = self._split_no = None
-        self._queue = np.empty(0)
 
     def _split(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Split slots lo..hi-1 into the arena, or past SPLIT_ARENA_LIMIT
@@ -259,21 +259,17 @@ class TrafficStream:
             raise ValueError(f"no slot range [{lo}, {hi}) in a run of {len(self.totals)} slots")
         bounds = self._prefix[lo:hi + 1] - self._prefix[lo]
         n_keys = int(bounds[-1])
-        arena = _arena
         if n_keys > SPLIT_ARENA_LIMIT:
             keys, ids = np.empty(n_keys), np.empty(n_keys, dtype=np.int64)
         else:
+            arena = _arena
             if n_keys > len(arena.keys):
                 # the old arrays go before the new ones are made, so that
                 # the two are never held at once
-                self._keys = self._ids = arena.keys = arena.ids = None
+                arena.keys = arena.ids = None
                 arena.keys, arena.ids = np.empty(n_keys), np.empty(n_keys, dtype=np.int64)
             keys, ids = arena.keys[:n_keys], arena.ids[:n_keys]
-        queued = min(n_keys, len(self._queue))
-        if queued:
-            keys[:queued], self._queue = self._queue[:queued], self._queue[queued:]
-        if queued < n_keys:
-            self._split_rng.random(n_keys - queued, out=keys[queued:])
+        self._split_rng.random(out=keys)
         # each key attributes one packet of its class aggregate to member
         # floor(key * size) of its class; the keys run slot by slot, and
         # within a slot class by class.  The unsafe cast of the float
@@ -281,24 +277,8 @@ class TrafficStream:
         cells = self._cells[:, lo:hi].T.ravel()
         np.multiply(keys, np.repeat(self._size[lo:hi], cells), out=ids, casting="unsafe")
         ids += np.repeat(self._first[lo:hi], cells)
-        arena.splits += 1
-        self._lo, self._hi, self._keys, self._ids = lo, hi, keys, ids
-        self._split_no = arena.splits
+        self._lo, self._hi = lo, hi
         return ids, bounds
-
-    def _require_last(self) -> None:
-        """Raise unless the arena still holds this stream's last split."""
-        if self._split_no != _arena.splits:
-            raise RuntimeError("this stream's last split is gone: another split has run "
-                               "on this thread since")
-
-    def _taken(self, lo: int, hi: int) -> np.ndarray:
-        """The ids of slots lo..hi-1 in the last split, a view of the arena."""
-        self._require_last()
-        if not self._lo <= lo <= hi <= self._hi:
-            raise ValueError(f"slots [{lo}, {hi}) are not in the slots last taken")
-        first = self._prefix[self._lo]
-        return self._ids[self._prefix[lo] - first:self._prefix[hi] - first]
 
     def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The packet source ids of slots lo..hi-1, end to end, and each
@@ -311,28 +291,31 @@ class TrafficStream:
         ids, bounds = self._split(lo, hi)
         return ids.copy(), bounds
 
-    def unblocked(self, lo: int, hi: int, blocked: np.ndarray) -> np.ndarray:
+    def unblocked(self, lo: int, hi: int, blocked: Optional[np.ndarray],
+                  window: Optional[int] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Split slots lo..hi-1 and count each slot's packets that the
-        blocked mask lets through."""
+        blocked mask lets through, every packet without a mask; given the
+        first slot of a measurement window that ends at hi, also the
+        window's int64 packet counts by source, zero on the blocked
+        sources, and None otherwise."""
+        if window is not None and not lo <= window < hi:
+            raise ValueError(f"window slot {window} is not in the slots [{lo}, {hi})")
         ids, bounds = self._split(lo, hi)
+        counts = (None if window is None else
+                  count_window(ids[bounds[window - lo]:], self.n_sources, blocked))
+        if blocked is None:
+            return self.totals[lo:hi], counts
         # the packets before each bound less the blocked ones, counted by
         # one search of the blocked packets' positions
         kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
-        return kept[1:] - kept[:-1]
-
-    def counts(self, lo: int, hi: int, blocked: Optional[np.ndarray]) -> np.ndarray:
-        """The int64 packet counts by source of slots lo..hi-1, zero on the
-        blocked sources: read off the last split when it ends at hi, as a
-        window that ends a filter stretch does, and split now otherwise."""
-        ids = self._taken(lo, hi) if self._hi == hi else self._split(lo, hi)[0]
-        return count_window(ids, self.n_sources, blocked)
+        return kept[1:] - kept[:-1], counts
 
     def rewind(self, i: int) -> None:
-        """Hand the keys of slots i..hi-1 of the last split back to the
-        head of the queue, to be the first the next ask takes."""
-        self._require_last()
+        """Hand slots i..hi-1 of the last split back: step the split RNG
+        back over their packets, so that the next ask draws their keys
+        again, first."""
         if not self._lo <= i <= self._hi:
             raise ValueError(f"slot {i} is not in the slots last taken")
-        kept = int(self._prefix[i] - self._prefix[self._lo])
-        self._queue = np.concatenate((self._keys[kept:], self._queue))
-        self._keys, self._hi = self._keys[:kept], i
+        back = int(self._prefix[self._hi] - self._prefix[i])
+        self._split_rng.bit_generator.advance(-back % 2 ** 128)
+        self._hi = i

@@ -181,10 +181,12 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
 
 def last_split(stream):
     """A copy of the stream's last split, as slots() returns one: its packet
-    ids, end to end, and each slot's bounds in them.  Read right after the
-    split, it neither splits again nor moves the split RNG."""
+    ids, end to end, and each slot's bounds in them.  The split is handed
+    back whole and asked for again, which draws the same keys and leaves
+    the split RNG where it stood."""
     lo, hi = stream._lo, stream._hi
-    return stream._taken(lo, hi).copy(), stream._prefix[lo:hi + 1] - stream._prefix[lo]
+    type(stream).rewind(stream, lo)
+    return stream.slots(lo, hi)
 
 
 @pytest.mark.parametrize("preset, overrides, seed", [
@@ -206,10 +208,10 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed, id_method=
         stream = traffic_stream(*args)
         unblocked, rewind = stream.unblocked, stream.rewind
 
-        def taken_slots(lo, hi, blocked):
-            arrivals = unblocked(lo, hi, blocked)
+        def taken_slots(lo, hi, blocked, window=None):
+            split = unblocked(lo, hi, blocked, window)
             taken.append([block_set[0], *last_split(stream), lo, hi])
-            return arrivals
+            return split
 
         def handed_back(i):
             taken[-1][4] = i
@@ -265,36 +267,39 @@ def test_packet_ledger_balances_when_restored_mid_window(monkeypatch):
 
 @pytest.mark.parametrize("preset", ["sim1", "case3"])
 def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
-    # a window classified under the filter is counted whole, without
-    # filtering its packets: its counts must be a bincount of the window's
-    # unblocked packet ids, and zero on every blocked source
+    # a classified window is counted in the split of the stretch it ends,
+    # without filtering its packets: its counts must be a bincount of the
+    # window's unblocked packet ids, and under the filter zero on every
+    # blocked source
     p = PRESETS[preset]
     ws_slots = p.detector.window_slots(p.scenario.slot_dt)[0]
     taken = []
     block_set = [None]           # the sources blocked, as the episodes widen and release it
-    remeasured = []
+    remeasured, forced = [], []
     traffic_stream, identify = harness.TrafficStream, harness.identify
 
     def kept_stream(*args):
         stream = traffic_stream(*args)
         unblocked = stream.unblocked
 
-        def taken_slots(lo, hi, blocked):
-            arrivals = unblocked(lo, hi, blocked)
+        def taken_slots(lo, hi, blocked, window=None):
+            split = unblocked(lo, hi, blocked, window)
             taken.append(last_split(stream))
-            return arrivals
+            return split
 
         stream.unblocked = taken_slots
         return stream
 
     def identified(counts, *args):
         blocked = block_set[0]
+        # the window is the last ws_slots slots of the stretch it ends,
+        # which starts a slot before it after a forced fire
+        ids, bounds = taken[-1]
+        window = ids[bounds[len(bounds) - 1 - ws_slots]:]
+        kept = window if blocked is None else window[~blocked[window]]
+        assert np.array_equal(counts, np.bincount(kept, minlength=len(counts)))
+        forced.append(len(bounds) - 1 - ws_slots)
         if blocked is not None:
-            # the window is the last ws_slots slots of the stretch it ends
-            ids, bounds = taken[-1]
-            window = ids[bounds[len(bounds) - 1 - ws_slots]:]
-            assert np.array_equal(counts, np.bincount(window[~blocked[window]],
-                                                      minlength=len(counts)))
             assert not counts[blocked].any()
             remeasured.append(int(np.count_nonzero(blocked[window])))
         suspects = identify(counts, *args)
@@ -312,20 +317,71 @@ def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
     monkeypatch.setattr(harness.Detector, "unfreeze", released)
     for seed in range(3):
         run_once(p.scenario, p.detector, p.id_method, seed=seed)
-    # some 10 re-measurements a run, each window holding blocked packets
+    # some 10 re-measurements a run, each window holding blocked packets;
+    # an episode's first window starts its stretch, and one opened by a
+    # forced fire starts a slot into it
     assert len(remeasured) > 10 and all(remeasured)
+    assert set(forced) == {0, 1}
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_first_window_cut_short_by_the_run_end_is_not_split(monkeypatch, seed):
+    # case1 under greedy identification fires between episodes less than
+    # w_s before the end of the run at these seeds: the episode's first
+    # window is cut short and never classified, so none of its slots is
+    # split, while the episodes before it split their windows and filter
+    # slots
+    p = PRESETS["case1"]
+    scenario, det = p.scenario, p.detector
+    ws_slots = det.window_slots(scenario.slot_dt)[0]
+    handed_out = np.zeros(scenario.n_slots, dtype=bool)   # and not handed back
+    buffers, fires = [], []
+    traffic_stream, buffer_state = harness.TrafficStream, harness.BufferState
+
+    def kept_stream(*args):
+        stream = traffic_stream(*args)
+        split, rewind = stream._split, stream.rewind
+
+        def taken(lo, hi):
+            handed_out[lo:hi] = True
+            return split(lo, hi)
+
+        def handed_back(i):
+            handed_out[i:stream._hi] = False
+            rewind(i)
+
+        stream._split, stream.rewind = taken, handed_back
+        return stream
+
+    def kept_buffer(*args):
+        buffers.append(buffer_state(*args))
+        return buffers[-1]
+
+    freeze = harness.Detector.freeze
+
+    def frozen(self):
+        fires.append(buffers[-1]._slot)
+        freeze(self)
+
+    monkeypatch.setattr(harness, "TrafficStream", kept_stream)
+    monkeypatch.setattr(harness, "BufferState", kept_buffer)
+    monkeypatch.setattr(harness.Detector, "freeze", frozen)
+    run_once(scenario, det, "greedy", seed=seed)
+    last = fires[-1]
+    assert scenario.n_slots - ws_slots < last < scenario.n_slots
+    assert handed_out[:last].any() and not handed_out[last:].any()
 
 
 def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     """Each seed's run_once as a list of (event, value), in call order: a
-    stretch ("run", slots elapsed after it), a filter stretch's split
-    ("slots", its first slot), a window counted, split or not ("count",
-    None), a window ranked ("identify",
-    the suspects), a classification ("rearm", slots elapsed), an episode's
-    start ("freeze", None) and end ("unfreeze", None)."""
+    stretch ("run", slots elapsed after it), a stretch's split ("slots",
+    its first slot), a window counted in that split ("count", None), a
+    window ranked ("identify", the suspects), a classification ("rearm",
+    slots elapsed), an episode's start ("freeze", None) and end
+    ("unfreeze", None)."""
     log, elapsed = [], [0]
     detector, stream = harness.Detector, harness.TrafficStream
-    run, unblocked, counts = detector.run, stream.unblocked, stream.counts
+    run, unblocked = detector.run, stream.unblocked
     identify = harness.identify
 
     def ran(self, arrivals, *args, **kwargs):
@@ -342,13 +398,11 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
             return method(self, *args)
         return spy
 
-    def taken(self, lo, *args):
+    def taken(self, lo, hi, blocked, window=None):
         log.append(("slots", lo))
-        return unblocked(self, lo, *args)
-
-    def counted(self, *args):
-        log.append(("count", None))
-        return counts(self, *args)
+        if window is not None:
+            log.append(("count", None))
+        return unblocked(self, lo, hi, blocked, window)
 
     def ranked(*args):
         log.append(("identify", identify(*args)))
@@ -358,7 +412,6 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     for name in ("freeze", "unfreeze", "rearm"):
         monkeypatch.setattr(detector, name, marked(name))
     monkeypatch.setattr(stream, "unblocked", taken)
-    monkeypatch.setattr(stream, "counts", counted)
     monkeypatch.setattr(harness, "identify", ranked)
     runs = []
     for seed in seeds:
@@ -380,8 +433,9 @@ def replay_settling(log, settles_at):
     is exempt.  From the first one on, no window is split, counted or
     ranked, a stretch is split only while the block set has a member, and
     once it has none the stream is never split again.  Before it, every
-    classification counts and ranks its window once."""
-    settled = spent = members = in_episode = False
+    classification ranks the window that the stretch before it split and
+    counted."""
+    settled = spent = members = in_episode = counted = False
     first_of_episode, shape, unsplit, since = True, None, 0, []
     for event, value in log:
         if event == "freeze":
@@ -390,23 +444,23 @@ def replay_settling(log, settles_at):
             in_episode = members = False
             spent = settled
         elif event == "run":
+            # the stretch's own split, and the window it counted
+            assert [e for e, _ in since] in ([], ["slots"], ["slots", "count"])
             if since:
-                # the stretch's own split
-                assert [e for e, _ in since] == ["slots"]
                 assert not spent and (members or not settled)
             elif in_episode and spent:
                 unsplit += 1
-            since = []
+            counted, since = len(since) == 2, []
         elif event == "rearm":
             if settles_at is not None and value >= settles_at and not settled:
                 settled = True
                 shape = "members" if members else "first" if first_of_episode else "empty"
             if settled:
-                assert since == []
+                assert since == [] and not counted
                 spent = spent or not members
                 unsplit += spent
             else:
-                assert [e for e, _ in since if e != "slots"] == ["count", "identify"]
+                assert counted and [e for e, _ in since] == ["identify"]
                 members = members or bool(since[-1][1].any())
             first_of_episode, since = False, []
         else:

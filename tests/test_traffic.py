@@ -406,15 +406,11 @@ def test_random_in_chunks_equals_one_draw(chunks, seed):
     assert whole.bit_generator.state == pieces.bit_generator.state
 
 
-def queue_matches_reference(stream, split_rng, ref_split_rng):
-    """The stream's queued uniforms are the reference split generator's next
-    draws, and drawing them leaves a copy of it in the stream's generator
-    state: the stream drew exactly what the reference consumed, plus its
-    queue, and nothing else."""
-    queued = stream._queue
-    ahead = copy.deepcopy(ref_split_rng)
-    return (np.array_equal(queued, ahead.random(len(queued)))
-            and split_rng.bit_generator.state == ahead.bit_generator.state)
+def same_position(split_rng, ref_split_rng):
+    """The stream's split generator stands where the reference's does: the
+    stream has drawn exactly the uniforms the reference consumed, net of
+    the ones it handed back."""
+    return split_rng.bit_generator.state == ref_split_rng.bit_generator.state
 
 
 # slots asked for in order, as run_once asks for episode slots: contiguous
@@ -441,11 +437,11 @@ def test_split_matches_count_vector_reference(cfg):
             aggregate, per_source = ref.slot(i)
             assert len(ids) == stream.totals[i] == aggregate
             assert np.array_equal(counts_of(ids, n), per_source)
-        assert queue_matches_reference(stream, split_rng, ref_split_rng), i
+        assert same_position(split_rng, ref_split_rng), i
     # past the run there is no slot, and nothing is split or drawn
     with pytest.raises(ValueError, match=re.escape("no slot range [3000, 3001)")):
         stream.slots(cfg.n_slots, cfg.n_slots + 1)
-    assert queue_matches_reference(stream, split_rng, ref_split_rng)
+    assert same_position(split_rng, ref_split_rng)
 
 
 def test_stream_slot_inactive_population():
@@ -456,7 +452,7 @@ def test_stream_slot_inactive_population():
     for i in (cfg.n_slots, cfg.n_slots + 10, -1):
         with pytest.raises(ValueError, match=re.escape(f"no slot range [{i}, {i + 1})")):
             stream.slots(i, i + 1)
-    assert len(stream._queue) == 0
+    assert (stream._lo, stream._hi) == (0, 0)
     assert split_rng.bit_generator.state == untouched.bit_generator.state
 
 
@@ -501,76 +497,131 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
         for i, slot_ids in zip(range(lo, at), got):
             assert np.array_equal(slot_ids, one_slot(twin, i))
             assert np.array_equal(counts_of(slot_ids, n), ref.slot(i)[1])
-        # the uniforms of the slots after the cut are queued, not consumed
-        assert queue_matches_reference(stream, split_rng, ref_split_rng), (lo, at)
+        # the split RNG stepped back over the slots after the cut: it
+        # stands where the reference's does, which consumed none of them
+        assert same_position(split_rng, ref_split_rng), (lo, at)
 
 
 class CountingRNG:
-    """A split generator that records the size of each draw."""
+    """A split generator that records the size of each draw, on the real
+    PCG64 bit generator, which rewind() steps back."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
         self.draws = []
 
-    def random(self, n, out=None):
-        self.draws.append(n)
-        return self.rng.random(n, out=out)
+    def random(self, size=None, out=None):
+        self.draws.append(len(out) if size is None else size)
+        return self.rng.random(size, out=out)
 
 
 @pytest.mark.parametrize("cfg", [small_config(), small_config(n_legal=300, lambda_a=1.0)],
                          ids=["50-50", "300-50"])
-def test_ask_draws_only_what_the_queue_lacks(cfg):
-    # an ask takes its keys from the head of the queue and draws, in one
-    # call, only the ones the queue lacks; rewind puts the keys of the
-    # slots it hands back at the head of the queue.  The queue is always
-    # the keys drawn and not handed out, in draw order: empty after an ask
-    # that took it all, and exactly the handed-back keys after a rewind
-    # that follows it
+def test_ask_draws_its_packets_and_rewind_steps_back_over_them(cfg):
+    # an ask draws the keys of exactly its packets, in one call, and a
+    # rewind draws nothing and steps the generator back over exactly the
+    # packets it hands back: the next key is always key k of the seed's
+    # stream, k being the packets handed out and not handed back, and the
+    # keys of the slots handed back are the next ones drawn, in draw order
     split = CountingRNG(4)
     stream = TrafficStream(cfg, np.random.default_rng(3), split)
     prefix = np.concatenate(([0], np.cumsum(stream.totals)))
-    keys = np.random.default_rng(4).random(2 * prefix[-1])
+    keys = np.random.default_rng(4).random(prefix[-1] + 1)
     consumed = 0                 # keys handed out and not handed back
+    stepped = 0                  # keys handed back
+
+    def coming(k):
+        """The next k keys the split generator gives, without drawing them."""
+        return copy.deepcopy(split.rng).random(k)
 
     def ask(lo, hi):
         nonlocal consumed
-        queued, draws = len(stream._queue), len(split.draws)
+        draws = len(split.draws)
         packets = prefix[hi] - prefix[lo]
         stream.slots(lo, hi)
-        assert split.draws[draws:] == ([packets - queued] if packets > queued else [])
-        assert len(stream._queue) == max(0, queued - packets)
+        assert split.draws[draws:] == [packets]
         consumed += packets
+        assert coming(1)[0] == keys[consumed]
 
     def rewind(i, hi):
-        nonlocal consumed
-        queued = len(stream._queue)
+        nonlocal consumed, stepped
+        draws = len(split.draws)
+        back = prefix[hi] - prefix[i]
         stream.rewind(i)
-        assert len(stream._queue) == queued + prefix[hi] - prefix[i]
-        consumed -= prefix[hi] - prefix[i]
+        assert len(split.draws) == draws
+        consumed -= back
+        stepped += back
+        assert np.array_equal(coming(back), keys[consumed:consumed + back])
 
     # asks as run_once makes them: a window, filter stretches cut short
     # and resumed at the cut, a restoration followed by a gap and a short
-    # window that takes part of the queue, and two rewinds into one ask
+    # window that takes part of the keys handed back, and two rewinds into
+    # one ask
     ask(900, 1000)
-    assert len(stream._queue) == 0
     ask(1000, 1100)
     rewind(1037, 1100)
-    assert np.array_equal(stream._queue, keys[consumed:sum(split.draws)])
     ask(1037, 1137)
-    assert len(stream._queue) == 0
     ask(1137, 1237)
     rewind(1140, 1237)
     ask(1300, 1301)
-    assert len(stream._queue) > 0
+    assert prefix[1301] - prefix[1300] < prefix[1237] - prefix[1140]
     ask(1301, 1400)
     ask(1500, 1600)
     rewind(1550, 1600)
     rewind(1520, 1550)
-    assert len(stream._queue) == prefix[1600] - prefix[1520]
-    assert np.array_equal(stream._queue, keys[consumed:sum(split.draws)])
+    assert np.array_equal(coming(prefix[1600] - prefix[1520]),
+                          keys[consumed:consumed + prefix[1600] - prefix[1520]])
     ask(1520, 1620)
-    assert len(stream._queue) == 0
-    assert consumed == sum(split.draws)
+    assert consumed == sum(split.draws) - stepped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=900, max_value=2950), episode_asks(), st.integers(0, 2**32 - 1))
+def test_split_rng_position_is_the_packets_kept(first, asks, seed):
+    # after every ask and every rewind, the split generator's state is
+    # that of a fresh PCG64 of the same seed after one draw of k uniforms,
+    # k being the packets handed out and not handed back; a cut stretch is
+    # sometimes handed back in two rewinds
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    stream = stream_of(cfg, split_seed=seed)
+    prefix = np.concatenate(([0], np.cumsum(stream.totals)))
+    kept = 0
+
+    def at_kept():
+        fresh = np.random.default_rng(seed)
+        fresh.random(kept)
+        return stream._split_rng.bit_generator.state == fresh.bit_generator.state
+
+    at = first
+    for gap, twice, length, cut in asks:
+        lo = at + gap
+        hi = min(lo + length, cfg.n_slots)
+        if lo >= hi:
+            break
+        stream.slots(lo, hi)
+        kept += prefix[hi] - prefix[lo]
+        assert at_kept(), (lo, hi)
+        at = min(lo + cut + 1, hi)
+        for i in sorted({at, (at + hi) // 2} if twice else {at}, reverse=True):
+            kept -= prefix[stream._hi] - prefix[i]
+            stream.rewind(i)
+            assert at_kept(), (lo, i)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+def test_split_generator_must_be_a_pcg64(bit_generator):
+    # a rewind steps the split generator back by a PCG64 jump; Philox's
+    # advance counts blocks of four outputs, and MT19937 has none, so a
+    # stream on either would hand out other keys or fail at its first
+    # rewind.  It is rejected before a slot is drawn
+    cfg = small_config()
+    rng = np.random.default_rng(0)
+    untouched = copy.deepcopy(rng.bit_generator.state)
+    with pytest.raises(ValueError, match="the split generator must run on a PCG64"):
+        TrafficStream(cfg, rng, np.random.Generator(bit_generator(1)))
+    assert rng.bit_generator.state == untouched
+    TrafficStream(cfg, rng, np.random.Generator(np.random.PCG64(1)))
 
 
 def test_slot_range_bounds_checked():
@@ -607,50 +658,71 @@ def test_slots_hands_out_arrays_later_asks_leave_alone():
     kept = ids.copy(), bounds.copy()
     stream.unblocked(1100, 1200, blocked)
     other.slots(1000, 1100)
-    other.counts(1000, 1100, blocked)
+    other.unblocked(1100, 1200, blocked, 1100)
     assert np.array_equal(ids, kept[0]) and np.array_equal(bounds, kept[1])
 
 
-def test_last_split_is_gone_once_another_stream_splits():
-    # a stream's last split lives in its thread's arena until the thread's
-    # next split: once another stream splits, rewinding it or counting a
-    # window off it raises rather than read the other stream's keys, and
-    # the stream's own next split reads again
+def test_rewind_after_another_stream_splits_hands_back_its_packets():
+    # a stream's split state is its generator's position alone: once
+    # another stream has split into the same thread's arena, a rewind
+    # still hands back exactly the packets of the slots after it, and the
+    # next ask gets the ids that one ask over both would have given them
     cfg = small_config(n_legal=300, lambda_a=1.0)
     stream, other = stream_of(cfg), stream_of(cfg, seed=5)
     blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
+    ids, bounds = stream_of(cfg).slots(1000, 1200)
     stream.unblocked(1000, 1100, blocked)
     other.slots(1000, 1010)
-    with pytest.raises(RuntimeError, match="another split has run on this thread since"):
-        stream.rewind(1050)
-    with pytest.raises(RuntimeError, match="another split has run on this thread since"):
-        stream.counts(1050, 1100, blocked)
-    stream.unblocked(1100, 1200, blocked)
-    stream.rewind(1150)
-    assert stream._hi == 1150
+    stream.rewind(1050)
+    assert stream._hi == 1050
+    again, _ = stream.slots(1050, 1200)
+    assert np.array_equal(again, ids[bounds[50]:])
+
+
+@pytest.mark.parametrize("window", [1000, 1001, 1099])
+def test_split_call_counts_the_window_it_is_given(window):
+    # the split call counts the window from its first slot to the end of
+    # the stretch: the whole stretch, all but its first slot, as after a
+    # forced fire, or its last slot; without a mask the arrivals are the
+    # slot totals and no source counts zero
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    n = cfg.n_legal + cfg.n_attack
+    ids, bounds = stream_of(cfg).slots(1000, 1100)
+    stream = stream_of(cfg)
+    arrivals, counts = stream.unblocked(1000, 1100, None, window)
+    assert np.array_equal(arrivals, stream.totals[1000:1100])
+    assert np.array_equal(counts, np.bincount(ids[bounds[window - 1000]:], minlength=n))
+    assert stream_of(cfg).unblocked(1000, 1100, None)[1] is None
+    # a window outside the stretch is rejected before anything is drawn
+    for outside in (999, 1100):
+        split_rng, untouched = np.random.default_rng(1), np.random.default_rng(1)
+        stream = TrafficStream(cfg, np.random.default_rng(0), split_rng)
+        with pytest.raises(ValueError, match=re.escape(
+                f"window slot {outside} is not in the slots [1000, 1100)")):
+            stream.unblocked(1000, 1100, None, outside)
+        assert split_rng.bit_generator.state == untouched.bit_generator.state
 
 
 def test_split_past_the_arena_cap_gets_arrays_of_its_own(monkeypatch):
     # an ask of more packets than SPLIT_ARENA_LIMIT splits into arrays of
     # its own and leaves the arena as it was; its ids, and a window counted
-    # off it, are those an arena split gives
+    # in the same call, are those an arena split gives
     cfg = small_config(n_legal=300, lambda_a=1.0)
     n = cfg.n_legal + cfg.n_attack
     blocked = np.arange(n) % 3 == 0
     twin = stream_of(cfg)
     ids, bounds = twin.slots(1000, 1100)
-    arrivals = stream_of(cfg).unblocked(1000, 1100, blocked)
+    arrivals, _ = stream_of(cfg).unblocked(1000, 1100, blocked)
     monkeypatch.setattr(traffic, "SPLIT_ARENA_LIMIT", len(ids) // 2)
     monkeypatch.setattr(traffic._arena, "keys", np.empty(10))
     monkeypatch.setattr(traffic._arena, "ids", np.empty(10, dtype=np.int64))
     got, got_bounds = stream_of(cfg).slots(1000, 1100)
     assert len(traffic._arena.keys) == len(traffic._arena.ids) == 10
     assert np.array_equal(got, ids) and np.array_equal(got_bounds, bounds)
-    stream = stream_of(cfg)
-    assert np.array_equal(stream.unblocked(1000, 1100, blocked), arrivals)
+    got_arrivals, counts = stream_of(cfg).unblocked(1000, 1100, blocked, 1040)
+    assert np.array_equal(got_arrivals, arrivals)
     window = ids[bounds[40]:]
-    assert np.array_equal(stream.counts(1040, 1100, blocked),
-                          np.bincount(window[~blocked[window]], minlength=n))
+    assert np.array_equal(counts, np.bincount(window[~blocked[window]], minlength=n))
     assert len(traffic._arena.keys) == len(traffic._arena.ids) == 10
 
 

@@ -1,69 +1,36 @@
-"""Bit-identity gate: replay recorded RunMetrics rows through run_once.
+"""The benchmark's golden rows agree with the exact fixture.
 
 perfbench/golden/<workload>.json holds RunMetrics.as_row() for the
-benchmark's workload seeds.  The first rows of each file are replayed
-in tier-1, and every row under `pytest -m slow`; ints, bools, strings
-and None must match exactly, floats within 1e-9.  The files are only
-read.
+benchmark's workload seeds, and perfbench/run.py checks every run
+against it under its own rule: ints, bools, strings and None exactly,
+floats within 1e-9.  tests/golden/runs.json holds the exact row of each
+of those seeds, and tests/test_corpus.py replays it.  So each golden row
+is replayed here through the fixture: it must agree with the fixture's
+row under the benchmark's rule, and a re-record of the fixture that the
+benchmark would refuse fails here.  The golden files are only read.
 """
 
 import json
-import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from ddossim import cli, get_preset, run_once
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+from record_corpus import FIELDS, RUNS  # noqa: E402
+from golden import golden_path, mismatches, read_rows  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-ROWS_PER_WORKLOAD = 5
-WORKLOADS = ["sim2-attack", "sim1-portal", "sim2-quiet"]
-
-
-def workload_configs(name):
-    """(scenario, detector_cfg, id_method) as the benchmark resolves them."""
-    if name == "sim2-quiet":
-        scenario, detector, spec = cli.load_config(str(PERFBENCH / "sim2-quiet.ini"))
-        return scenario, detector, spec.id_method
-    p = get_preset({"sim2-attack": "sim2", "sim1-portal": "sim1"}[name])
-    return p.scenario, p.detector, p.id_method
-
-
-def golden_rows(name, limit=None):
-    doc = json.loads((PERFBENCH / "golden" / f"{name}.json").read_text())
-    return [dict(zip(doc["fields"], values)) for values in doc["rows"][:limit]]
-
-
-def same_value(expected, got):
-    if type(expected) is not type(got):
-        return False
-    if isinstance(expected, float):
-        return math.isclose(expected, got, rel_tol=1e-9, abs_tol=1e-9)
-    return expected == got
-
-
-def replay(name, rows):
-    scenario, detector, id_method = workload_configs(name)
-    for expected in rows:
-        # the JSON round trip gives the row the types the CLI's output carries
-        got = json.loads(json.dumps(
-            run_once(scenario, detector, id_method, seed=expected["seed"]).as_row()))
-        assert got.keys() == expected.keys()
-        diff = {f: (expected[f], got[f]) for f in expected
-                if not same_value(expected[f], got[f])}
-        assert not diff, f"seed {expected['seed']}: {diff}"
+DOC = json.loads(RUNS.read_text())
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_golden_rows_replay(name):
-    rows = golden_rows(name, ROWS_PER_WORKLOAD)
-    assert len(rows) == ROWS_PER_WORKLOAD
-    replay(name, rows)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_golden_all_rows_replay(name):
-    rows = golden_rows(name)
-    assert len(rows) > ROWS_PER_WORKLOAD
-    replay(name, rows)
+    [case] = [c for c in DOC["cases"] if c.get("workload") == name]
+    exact = {r[FIELDS.index("seed")]: dict(zip(DOC["fields"], r)) for r in case["rows"]}
+    golden = read_rows(golden_path(name))
+    assert json.loads(golden_path(name).read_text())["fields"] == DOC["fields"]
+    assert sorted(golden) == sorted(exact)
+    diff = {seed: mismatches(golden[seed], exact[seed]) for seed in golden
+            if mismatches(golden[seed], exact[seed])}
+    assert not diff, diff

@@ -3,7 +3,8 @@
 run_once runs stretches of slots ahead to their next event; reference_run
 (tests/reference.py) runs the same rules one slot at a time.  Both must
 give equal RunMetrics, every field and every float exactly, on
-Hypothesis-drawn small scenarios and on one seed of every corpus config.
+Hypothesis-drawn small scenarios and on the first seed of every case of
+tests/golden/record_corpus.py.
 """
 
 import dataclasses

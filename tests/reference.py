@@ -24,11 +24,13 @@ pins at a freeze hold what the package keeps as its buckets from before
 an episode and the episode's own list.  The statistical rule is
 fraction_decision, the gate, the pooled t-test and Levene's test in
 textbook form on Fractions, not the package's integer-moment form; the
-ratio rule, detect_ratio, is the only decision function taken from the
-package.  The identifier is reference_identify: the float prefix
-rule over rates counts / w_s, which identify's integer ranking must
-reproduce exactly.  The identifier's baseline is lambda-bar read once, at
-the fire, where run_once reads it at each classification.
+ratio rule is written out too, on floats: the short average strictly
+above (1 + r) times a positive reference, so a NaN reference (the long
+window not yet full) or a zero one never fires.  The identifier is
+reference_identify: the float prefix rule over rates counts / w_s, which
+identify's integer ranking must reproduce exactly.  The identifier's
+baseline is lambda-bar read once, at the fire, where run_once reads it at
+each classification.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from ddossim.buffer import BufferState
-from ddossim.detector import MPAR_ALPHA, DetectorConfig, Method, detect_ratio
+from ddossim.detector import MPAR_ALPHA, DetectorConfig, Method
 from ddossim.harness import RunMetrics, check_configs
 from ddossim.stats import normal_upper_quantile, student_t_quantile
 from ddossim.traffic import ScenarioConfig, slots_in
@@ -381,7 +383,7 @@ class ReferenceDetector:
         if fired is None and Method.RATIO in cfg.methods and self.short.is_full:
             reference = (self._frozen_lambda_bar if self._frozen
                          else self.long.average() if self.long.is_full else np.nan)
-            if detect_ratio(self.short.average(), reference, cfg.r):
+            if reference > 0 and self.short.average() > (1.0 + cfg.r) * reference:
                 fired = Method.RATIO
         if (fired is None and Method.BUFFER_FULL in cfg.methods and buffer is not None
                 and buffer.post_service_occupancy >= buffer.l1):

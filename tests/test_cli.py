@@ -1,10 +1,12 @@
 """CLI tests: preset resolution, config file round-trips, output formats,
-and exit codes."""
+the runs the CLI makes and its exit codes."""
 
 import dataclasses
 import json
 import re
+import sys
 from dataclasses import MISSING
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,10 @@ from ddossim.cli import (ConfigError, ExperimentSpec, build_arg_parser, dump_con
 from ddossim.detector import DetectorConfig, Method
 from ddossim.harness import BATCH_FIELDS
 from ddossim.presets import PRESETS, get_preset
-from ddossim.traffic import ScenarioConfig
+from ddossim.traffic import SPLIT_ARENA_LIMIT, ScenarioConfig, TrafficStream
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+from record_corpus import FIELDS, RUNS, moves  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -266,35 +271,6 @@ def test_main_batch_jsonl_summary_keys(tmp_path):
         assert list(summary[name]) == ["min", "avg", "ci95_halfwidth", "n"], name
 
 
-def test_main_once_csv(tmp_path):
-    out = tmp_path / "r.csv"
-    rc = main(["--preset", "sim2", "--mode", "once", "--seed", "42",
-               "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("run,detected,detection_time")
-
-
-def test_main_csv_byte_identical_across_runs(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["--preset", "sim2", "--mode", "once", "--seed", "42",
-                 "--out", str(a)]) == 0
-    assert main(["--preset", "sim2", "--mode", "once", "--seed", "42",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_main_batch_jsonl_has_summary(tmp_path):
-    out = tmp_path / "r.jsonl"
-    rc = main(["--preset", "sim2", "--mode", "batch", "--runs", "3",
-               "--seed", "1", "--format", "jsonl", "--out", str(out)])
-    assert rc == 0
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["type"] for r in records] == ["run"] * 3 + ["summary"]
-    assert records[-1]["n_runs"] == 3
-
-
 def test_main_sweep_csv_rows(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,20",
@@ -305,101 +281,212 @@ def test_main_sweep_csv_rows(tmp_path):
     assert lines[0].startswith("run,w_s,")
 
 
-def test_main_dump_config_round_trip(tmp_path):
-    dumped = tmp_path / "resolved.ini"
-    rc = main(["--preset", "sim2", "--dump-config", "--out", str(dumped)])
-    assert rc == 0
-    scenario, detector, spec = load_config(str(dumped))
-    p = get_preset("sim2")
-    assert scenario == p.scenario
-    assert detector == p.detector
+# ---------------------------------------------------------------------------
+# the CLI's runs, one row each: exit 0, and a check of what --out holds
+# ---------------------------------------------------------------------------
+
+QUIET = str(Path(__file__).resolve().parents[1] / "perfbench" / "sim2-quiet.ini")
+ONCE = ["--mode", "once", "--seed", "0", "--format", "jsonl"]
+DOC = json.loads(RUNS.read_text())
+SEED0 = {c["name"]: [r for r in c["rows"] if r[DOC["fields"].index("seed")] == 0]
+         for c in DOC["cases"]}
+
+
+def sim2(text: str) -> str:
+    """A config file of the sim2 preset with the sections of text."""
+    return f"[experiment]\npreset = sim2\n\n{text}"
+
+
+def recorded(case: str):
+    """--out holds one JSONL run line, equal in type and value to the
+    seed-0 row of the runs.json case."""
+    def check(out, asks):
+        (line,) = out.read_text().splitlines()
+        run = json.loads(line)
+        assert list(run) == ["type", "run", *FIELDS]
+        assert (run["type"], run["run"]) == ("run", 0)
+        moved = moves(case, DOC["fields"], SEED0[case], [list(run.values())[2:]])
+        assert not moved, "\n".join(moved)
+    return check
+
+
+def dump_of_sim2(out, asks):
     # the seed, 0 unless given, is dumped under [experiment], so the dump
-    # of a dump is the same bytes
-    assert spec.seed == 0 and "seed = 0" in dumped.read_text().split("[experiment]")[1]
-    again = tmp_path / "again.ini"
-    assert main(["--config", str(dumped), "--dump-config", "--out", str(again)]) == 0
-    assert again.read_bytes() == dumped.read_bytes()
+    # of a dump is the same bytes; the dump runs to sim2's recorded row
+    scenario, detector, spec = load_config(str(out))
+    p = get_preset("sim2")
+    assert (scenario, detector, spec.seed) == (p.scenario, p.detector, 0)
+    assert "seed = 0" in out.read_text().split("[experiment]")[1]
+    assert main(["--config", str(out), "--dump-config", "--out", "again.ini"]) == 0
+    assert Path("again.ini").read_bytes() == out.read_bytes()
+    assert main(["--config", str(out), *ONCE, "--out", "run.jsonl"]) == 0
+    recorded("sim2")(Path("run.jsonl"), asks)
 
 
-def test_main_exit_codes(tmp_path, capsys):
-    # config errors -> 1
-    assert main([]) == 1
-    assert main(["--preset", "sim2", "--mode", "batch", "--runs", "1"]) == 1
-    assert main(["--preset", "sim2", "--mode", "sweep"]) == 1
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[scenario]\nbogus = 1\n")
-    assert main(["--config", str(bad)]) == 1
-    assert main(["--preset", "sim2", "--config", str(bad)]) == 1
+def same_csv_as_dump(out, asks):
+    # the dump carries every key the file sets, so it runs to the same bytes
+    assert main(["--config", "exp.ini", "--dump-config", "--out", "dump.ini"]) == 0
+    assert main(["--config", "dump.ini", "--mode", "once", "--seed", "0",
+                 "--out", "dump.csv"]) == 0
+    assert out.read_bytes() == Path("dump.csv").read_bytes()
+
+
+def batch(n: int):
+    """--out holds n JSONL run lines, then the summary of n runs."""
+    def check(out, asks):
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["type"] for r in records] == ["run"] * n + ["summary"]
+        assert records[-1]["n_runs"] == n
+    return check
+
+
+def one_csv_row(out, asks):
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("run,detected,detection_time")
+
+
+def split_past_arena(out, asks):
+    # an ask past the arena's cap gets arrays of its own
+    assert max(asks) > SPLIT_ARENA_LIMIT, max(asks)
+
+
+@pytest.mark.parametrize("ini, argv, check", [
+    pytest.param(None, ["--preset", "sim2", "--dump-config"], dump_of_sim2, id="sim2-dump"),
+    # the filter over 15 000 sources, under both identification methods,
+    # and with and without the history exemption at 100 sources
+    pytest.param(None, ["--preset", "sim1", *ONCE], recorded("sim1"), id="sim1"),
+    pytest.param(None, ["--preset", "sim1", "--id-method", "history", *ONCE],
+                 recorded("sim1-history"), id="sim1-history"),
+    pytest.param(None, ["--preset", "sim2", "--id-method", "greedy", *ONCE],
+                 recorded("sim2-greedy"), id="sim2-greedy"),
+    # attackers at 1.0 pkt/s: some 60 000 packets split for a 100-slot window
+    pytest.param(None, ["--preset", "case3", *ONCE], recorded("case3"), id="case3"),
+    # the history exemption covers every source by the first classification,
+    # so no packet is split; filter phases run the whole w_s and end by
+    # restoration
+    pytest.param(None, ["--config", QUIET, *ONCE], recorded("sim2-quiet"), id="sim2-quiet"),
+    # with the ratio rule alone, filter phases outlive w_s and run on over
+    # several stretches
+    pytest.param(sim2("[detector]\nmethods = ratio\n"), ONCE, recorded("sim2-ratio"),
+                 id="ratio"),
+    # buffer-full false-alarms and freezes before the long window fills, so
+    # lambda-bar comes from a partial long window
+    pytest.param(sim2("[scenario]\nmu = 2.0\n"), ONCE, recorded("sim2-mu2"), id="mu2"),
+    # 6000 slots: stretches run past the buffer's first capacity table of
+    # 4096 slots
+    pytest.param(sim2("[scenario]\ntotal_duration = 600\n"), ONCE, recorded("sim2-long"),
+                 id="long"),
+    # at slot_dt = w_s = 1.0 the slot after a classification can fire the
+    # ratio rule before buffer-full, so it runs as a stretch of its own
+    pytest.param(sim2("[scenario]\nslot_dt = 1.0\n\n[detector]\n"
+                      "methods = ratio, buffer_full\nw_s = 1.0\n"),
+                 ["--mode", "once", "--seed", "0"], same_csv_as_dump, id="refire"),
+    # the mode the benchmark times; at base seed 2 a run restores twice
+    # inside a re-measurement window, which ends that window's stretch early
+    pytest.param(None, ["--preset", "case1", "--mode", "batch", "--runs", "2", "--seed", "2",
+                        "--format", "jsonl"], batch(2), id="case1-batch"),
+    pytest.param(None, ["--config", QUIET, "--mode", "batch", "--runs", "2", "--seed", "3",
+                        "--format", "jsonl"], batch(2), id="sim2-quiet-batch"),
+    # two runs split their largest asks into one work arena in one process
+    pytest.param(None, ["--preset", "case3", "--mode", "batch", "--runs", "2", "--seed", "0",
+                        "--format", "jsonl"], batch(2), id="case3-batch"),
+    pytest.param(None, ["--preset", "sim2", "--mode", "batch", "--runs", "3", "--seed", "1",
+                        "--format", "jsonl"], batch(3), id="sim2-batch"),
+    pytest.param(None, ["--preset", "sim2", "--mode", "once", "--seed", "42"], one_csv_row,
+                 id="sim2-csv"),
+    # some 3000 packets a slot, so a 100-slot window splits some 300 000,
+    # while the run stays under the packets a run may expect
+    pytest.param(sim2("[scenario]\nlambda_n = 600\n"), ["--mode", "once", "--seed", "0"],
+                 split_past_arena, id="bigsplit"),
+])
+def test_main_runs(tmp_path, monkeypatch, ini, argv, check):
+    """A run exits 0 and passes its row's check of --out, which also sees
+    the packets of each split ask."""
+    monkeypatch.chdir(tmp_path)
+    asks, split = [], TrafficStream._split
+
+    def spy(self, lo, hi):
+        asks.append(int(self._prefix[hi] - self._prefix[lo]))
+        return split(self, lo, hi)
+
+    monkeypatch.setattr(TrafficStream, "_split", spy)
+    if ini is not None:
+        Path("exp.ini").write_text(ini)
+        argv = ["--config", "exp.ini", *argv]
+    assert main([*argv, "--out", "out"]) == 0
+    check(Path("out"), asks)
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 1 for a config problem, 2 for a runtime error, --out unopened
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, ini, code, err", [
+    pytest.param([], None, 1, "either --preset or --config", id="no-config"),
+    pytest.param(["--preset", "sim2"], "[scenario]\nbogus = 1\n", 1, "not both",
+                 id="preset-and-config"),
+    pytest.param([], "[scenario]\nbogus = 1\n", 1, "unknown key", id="unknown-key"),
+    pytest.param(["--preset", "sim2", "--mode", "batch", "--runs", "1"], None, 1, "runs >= 2",
+                 id="batch-of-one"),
+    pytest.param(["--preset", "sim2", "--mode", "sweep"], None, 1, "sweep_ws",
+                 id="sweep-without-list"),
+    pytest.param(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10", "--runs", "0"],
+                 None, 1, "runs >= 1", id="sweep-of-none"),
     # detector windows that do not fit the scenario: a long window that
     # outlasts the onset, and a statistical short window in half seconds
-    for window in ("w_l = 120", "w_s = 10.5"):
-        bad.write_text(f"[experiment]\npreset = sim2\n\n[detector]\n{window}\n")
-        capsys.readouterr()
-        assert main(["--config", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith("config error:")
-    # every swept w_s is checked before the first run or the output file
-    out = tmp_path / "sweep.csv"
-    capsys.readouterr()
-    assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,10.5",
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not out.exists()
-    assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10",
-                 "--runs", "0"]) == 1
-    # the message names the swept value that fails
-    capsys.readouterr()
-    assert main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,50"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "w_s=50" in err
-    # a negative seed, as a flag or in a file, before --out is opened
-    out = tmp_path / "r.csv"
-    bad.write_text("[experiment]\npreset = sim2\nseed = -3\n")
-    for argv in (["--preset", "sim2", "--seed", "-1"], ["--config", str(bad)]):
-        capsys.readouterr()
-        assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error:")
-        assert not out.exists()
-    # a NaN or infinite number, which no range check catches on its own,
-    # before --out is opened
-    for section, line in (("detector", "tolerance_r = nan"), ("detector", "w_l = inf"),
-                          ("detector", "c = inf"), ("scenario", "mu = nan"),
-                          ("scenario", "lambda_a = nan"), ("scenario", "lambda_n = inf"),
-                          ("scenario", "total_duration = inf"), ("scenario", "slot_dt = nan")):
-        bad.write_text(f"[experiment]\npreset = sim2\n\n[{section}]\n{line}\n")
-        capsys.readouterr()
-        assert main(["--config", str(bad), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error:")
-        assert not out.exists()
-    # runtime errors -> 2
-    assert main(["--preset", "sim2", "--mode", "once",
-                 "--out", str(tmp_path / "no" / "dir" / "r.csv")]) == 2
-
-
-@pytest.mark.parametrize("argv, config", [
-    (["--preset", "sim2", "--sweep-ws", "5,10"], None),
-    ([], "[experiment]\npreset = sim2\nmode = batch\nsweep_ws = 5,10\n"),
-])
-def test_sweep_list_outside_sweep_mode_rejected(tmp_path, capsys, argv, config):
+    pytest.param([], sim2("[detector]\nw_l = 120\n"), 1, "t_star", id="w_l-past-onset"),
+    pytest.param([], sim2("[detector]\nw_s = 10.5\n"), 1, "whole seconds",
+                 id="w_s-off-seconds"),
+    # every swept w_s is checked before the first run, and the message
+    # names the one that fails
+    pytest.param(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,10.5"], None, 1,
+                 "w_s=10.5", id="swept-w_s-off-seconds"),
+    pytest.param(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,50"], None, 1,
+                 "w_s=50", id="swept-w_s-past-onset"),
     # a sweep list would otherwise be dropped without a word after one run
-    if config is not None:
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(config)
-        argv = ["--config", str(cfg)]
-    out = tmp_path / "r.csv"
-    assert main(argv + ["--seed", "0", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "sweep_ws" in err
-    assert not out.exists()
-
-
-def test_service_past_int64_rejected(tmp_path, capsys):
-    # mu = 1e20 serves 1e19 packets a slot: the buffer's int64 capacity
-    # prefix sums would overflow, so the config is rejected before --out
-    # is opened
-    cfg = tmp_path / "mu.ini"
-    cfg.write_text("[experiment]\npreset = sim2\n\n[scenario]\nmu = 1e20\n")
-    out = tmp_path / "r.csv"
-    assert main(["--config", str(cfg), "--seed", "0", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "int64" in err
+    pytest.param(["--preset", "sim2", "--sweep-ws", "5,10", "--seed", "0"], None, 1,
+                 "sweep_ws", id="sweep-list-flag-outside-sweep"),
+    pytest.param(["--seed", "0"],
+                 "[experiment]\npreset = sim2\nmode = batch\nsweep_ws = 5,10\n", 1,
+                 "sweep_ws", id="sweep-list-key-outside-sweep"),
+    pytest.param(["--preset", "sim2", "--seed", "-1"], None, 1, "seed must be >= 0",
+                 id="seed-flag"),
+    pytest.param([], "[experiment]\npreset = sim2\nseed = -3\n", 1, "seed must be >= 0",
+                 id="seed-key"),
+    # a NaN or infinite number, which no range check catches on its own
+    *(pytest.param([], sim2(f"[{section}]\n{line}\n"), 1, "finite",
+                  id=line.replace(" ", ""))
+      for section, line in (("detector", "tolerance_r = nan"), ("detector", "w_l = inf"),
+                            ("detector", "c = inf"), ("scenario", "mu = nan"),
+                            ("scenario", "lambda_a = nan"), ("scenario", "lambda_n = inf"),
+                            ("scenario", "total_duration = inf"),
+                            ("scenario", "slot_dt = nan"))),
+    # runs too large to hold: the service of mu = 1e20 overflows the
+    # buffer's int64 capacity prefix sums; lambda_n = 1e7 expects too many
+    # packets; 1e10 slots; and 1e10 sources, which expect only 3000 packets
+    pytest.param(["--seed", "0"], sim2("[scenario]\nmu = 1e20\n"), 1, "int64", id="hugemu"),
+    pytest.param(["--seed", "0"], sim2("[scenario]\nlambda_n = 1e7\n"), 1,
+                 "packets, more than", id="hugelambda"),
+    pytest.param(["--seed", "0"], sim2("[scenario]\nlambda_n = 1e-3\nlambda_a = 1e-3\n"
+                                       "mu = 1.0\ntotal_duration = 1e9\n"), 1,
+                 "slots, more than", id="hugeslots"),
+    pytest.param(["--seed", "0"], sim2("[scenario]\nn_legal = 10000000000\n"
+                                       "lambda_n = 1e-9\n"), 1,
+                 "sources, more than", id="hugesources"),
+    pytest.param(["--preset", "sim2", "--mode", "once"], None, 2, "no/dir/r.csv",
+                 id="no-out-dir"),
+])
+def test_main_exit_codes(tmp_path, monkeypatch, capsys, argv, ini, code, err):
+    """A config problem exits 1 and a runtime error 2, each with its
+    message, and neither leaves an --out file."""
+    monkeypatch.chdir(tmp_path)
+    if ini is not None:
+        Path("exp.ini").write_text(ini)
+        argv = [*argv, "--config", "exp.ini"]
+    out = Path("no/dir/r.csv" if code == 2 else "r.csv")
+    assert main([*argv, "--out", str(out)]) == code
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("config error:" if code == 1 else "runtime error:"), stderr
+    assert err in stderr
     assert not out.exists()

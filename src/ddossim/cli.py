@@ -257,8 +257,11 @@ def _execute(scenario: ScenarioConfig, detector: DetectorConfig,
     elif spec.mode == "batch":
         stats, runs = run_batch(scenario, detector, spec.id_method, spec.runs,
                                 base_seed=spec.seed)
-        rows, summary = _run_rows(runs), dataclasses.asdict(stats)
-        summary.update(summary.pop("metrics"))
+        # plain dicts: every value is a scalar, which dataclasses.asdict
+        # would deep-copy
+        rows = _run_rows(runs)
+        summary = {"n_runs": stats.n_runs, "detected_rate": stats.detected_rate,
+                   **{name: dict(vars(m)) for name, m in stats.metrics.items()}}
     else:
         rows = [row for w_s, runs in sweep_window(scenario, detector, spec.id_method,
                                                   spec.sweep_ws, runs_per_value=spec.runs,

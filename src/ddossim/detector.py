@@ -47,7 +47,7 @@ import numpy as np
 
 from .buffer import BufferState, commit, run_ahead
 from .stats import normal_upper_quantile, student_t_quantile
-from .traffic import require_finite, require_integers, slots_in
+from .traffic import require_finite, require_integers, slots_in, validated_once
 
 __all__ = [
     "Method",
@@ -83,7 +83,11 @@ class DetectorConfig:
     baseline_len: int = 30     # per-second samples in the statistical baseline
     methods: tuple[Method, ...] = ALL_METHODS
 
+    @validated_once
     def validate(self) -> None:
+        """Raise ValueError on a config that cannot run as specified; once
+        it passes, a repeat of the same field values and types is a cache
+        hit."""
         require_finite(self)
         require_integers(self)
         if not 0 < self.w_s < self.w_l:
@@ -291,7 +295,9 @@ class Detector:
     enabled method to fire is reported (priority statistical > ratio >
     buffer-full within a slot).  The statistical method is re-evaluated
     whenever a one-second arrival bucket completes.  tests/reference.py
-    holds the same rules one slot at a time, for both phases.
+    holds the same rules one slot at a time, for both phases.  The config's
+    validate runs once for each exact config; a detector of one seen
+    before pays a cache hit.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):

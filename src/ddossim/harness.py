@@ -90,7 +90,11 @@ class RunMetrics:
     seed: int
 
     def as_row(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field holds a scalar, which dataclasses.asdict would deep-copy
+        return {name: getattr(self, name) for name in _ROW_KEYS}
+
+
+_ROW_KEYS = tuple(f.name for f in dataclasses.fields(RunMetrics))
 
 
 @dataclass(frozen=True)
@@ -132,9 +136,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
 
     check_configs runs first, then the identification method is checked,
     and a seed that numpy rejects is reported last.  The stream and the
-    detector then validate their own configs a second time.  The detector
-    holds each episode's restoration monitor, so the loop never builds
-    one."""
+    detector then validate their own configs a second time, but a
+    config's validate runs once for the same field values and types, and
+    later calls are cache hits.  The detector holds each episode's
+    restoration monitor, so the loop never builds one."""
     check_configs(scenario, detector_cfg)
     if id_method not in ("greedy", "history"):
         raise ValueError(f"unknown identification method {id_method!r}")

@@ -26,6 +26,7 @@ SPLIT_ARENA_LIMIT packets gets arrays of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -64,7 +65,8 @@ SPLIT_ARENA_LIMIT = 1 << 18
 # the most slots a run may hold: a stream keeps some 60 bytes a slot, and
 # a stretch that runs to the end of the run builds int64 arrays of its
 # length; sim2 over 10**6 slots peaks at about 150 MB, and the presets run
-# 3000 slots
+# 3000 slots.  The stream's split tables, 32 of its bytes a slot, stay
+# cached after the run until a run of another config replaces them
 RUN_SLOTS_LIMIT = 10 ** 6
 
 # the most sources a run may hold: each classification builds int64 arrays
@@ -85,6 +87,30 @@ def slots_in(seconds: float, slot_dt: float, name: str) -> int:
         raise ValueError(f"{name}={seconds} is not on the grid of slot_dt={slot_dt}: "
                          "it is not a whole number of slots")
     return whole
+
+
+def validated_once(validate):
+    """Cache a config's validate on its field values and their types.
+
+    A config equals its twin with a float where an int is due (50 ==
+    50.0, and their hashes agree), so a cache on the config alone would
+    let the twin skip require_integers.  With the types in the key,
+    validate runs the first time an exact config is seen, and again after
+    a field is changed in place.  A call that raises is not cached, so a
+    rejected config is checked on every call, and a config with a field
+    that cannot be hashed is never cached."""
+    passed = functools.lru_cache(maxsize=64)(lambda config, types: validate(config))
+
+    @functools.wraps(validate)
+    def call(config) -> None:
+        try:
+            hash(config)
+        except TypeError:
+            return validate(config)
+        return passed(config, tuple(map(type, vars(config).values())))
+
+    call.cache_info, call.cache_clear = passed.cache_info, passed.cache_clear
+    return call
 
 
 def require_finite(config) -> None:
@@ -120,7 +146,11 @@ class ScenarioConfig:
     total_duration: float
     slot_dt: float = 0.1
 
+    @validated_once
     def validate(self) -> None:
+        """Raise ValueError on a config that cannot run as specified; once
+        it passes, a repeat of the same field values and types is a cache
+        hit."""
         require_finite(self)
         require_integers(self)
         if self.n_legal < 0 or self.n_attack < 0:
@@ -176,6 +206,31 @@ class ScenarioConfig:
         return slots_in(self.total_duration, self.slot_dt, "total_duration")
 
 
+@functools.lru_cache(maxsize=1)
+def _class_tables(config: ScenarioConfig) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Each source class's Poisson mean a slot and active slots [lo, hi),
+    and the split's tables: each cell's class size and first member id,
+    one row a slot.  Built once for the last config run and shared,
+    read-only, by its streams."""
+    n_slots = config.n_slots
+    # per class: members, rate, first member id, active slots [lo, hi)
+    classes = [c for c in (
+        (config.n_legal, config.lambda_n, 0, 0, n_slots),
+        (config.n_attack, config.lambda_a, config.n_legal,
+         slots_in(config.t_star, config.slot_dt, "t_star"),
+         slots_in(config.attack_end, config.slot_dt, "attack_end"))) if c[0]]
+    # the class rate is the numpy sum of the member rates; n * rate
+    # differs in the last bit (999.9999999999999 vs 1000.0 on sim1) and
+    # would change every Poisson draw of a seed
+    means = tuple((float(np.full(n, rate).sum()) * config.slot_dt, lo, hi)
+                  for n, rate, _, lo, hi in classes)
+    # contiguous: np.repeat of a broadcast view is several times slower
+    size = np.tile(np.array([c[0] for c in classes], dtype=np.float64), (n_slots, 1))
+    first = np.tile(np.array([c[2] for c in classes], dtype=np.int64), (n_slots, 1))
+    size.flags.writeable = first.flags.writeable = False
+    return means, size, first
+
+
 class _Arena(threading.local):
     """One thread's split work arrays, reused from split to split."""
 
@@ -211,6 +266,11 @@ class TrafficStream:
     and no read of them outlives the call that made them: unblocked()
     returns arrays of its own, and slots() returns a copy of the ids.  A
     stream is used on one thread.
+
+    What depends on the config alone is worked out once: a stream of a
+    config seen before validates it with a cache hit, and a stream of the
+    last config run shares its class rates and the split's read-only
+    per-slot tables of class sizes and first ids.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
@@ -221,32 +281,18 @@ class TrafficStream:
                              "back; np.random.default_rng gives one")
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
-        n_slots = config.n_slots
-        # per class: members, rate, first member id, active slots [lo, hi)
-        classes = [c for c in (
-            (config.n_legal, config.lambda_n, 0, 0, n_slots),
-            (config.n_attack, config.lambda_a, config.n_legal,
-             slots_in(config.t_star, config.slot_dt, "t_star"),
-             slots_in(config.attack_end, config.slot_dt, "attack_end"))) if c[0]]
+        classes, self._size, self._first = _class_tables(config)
+        n_slots = len(self._size)
         # packets of each class in each slot, one row a class, and their
         # sum per slot: a sum over the short class axis of slot-major cells
         # costs some 15 times the adds of whole rows
         self._cells = np.zeros((len(classes), n_slots), dtype=np.int64)
-        for c, (n, rate, _, lo, hi) in enumerate(classes):
-            # the class rate is the numpy sum of the member rates; n * rate
-            # differs in the last bit (999.9999999999999 vs 1000.0 on sim1)
-            # and would change every Poisson draw of a seed
-            total = float(np.full(n, rate).sum())
-            self._cells[c, lo:hi] = rng.poisson(total * config.slot_dt, size=hi - lo)
+        for c, (mean, lo, hi) in enumerate(classes):
+            self._cells[c, lo:hi] = rng.poisson(mean, size=hi - lo)
         self.totals = self._cells.sum(axis=0)
         # the packets before each slot, and the run's
         self._prefix = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(self.totals, out=self._prefix[1:])
-        # each cell's class size and first member id, contiguous: np.repeat
-        # of a broadcast view is several times slower
-        self._size = np.tile(np.array([n for n, *_ in classes], dtype=np.float64), (n_slots, 1))
-        self._first = np.tile(np.array([first for _, _, first, _, _ in classes],
-                                       dtype=np.int64), (n_slots, 1))
         # the slots [lo, hi) handed out by the last split and not handed back
         self._lo = self._hi = 0
 

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import ddossim
+from ddossim import traffic
 from ddossim.cli import (ConfigError, ExperimentSpec, build_arg_parser, dump_config,
                          emit_results, load_config, main)
 from ddossim.detector import DetectorConfig, Method
-from ddossim.harness import BATCH_FIELDS
+from ddossim.harness import BATCH_FIELDS, run_once
 from ddossim.presets import PRESETS, get_preset
 from ddossim.traffic import SPLIT_ARENA_LIMIT, ScenarioConfig, TrafficStream
 
@@ -271,6 +272,16 @@ def test_main_batch_jsonl_summary_keys(tmp_path):
         assert list(summary[name]) == ["min", "avg", "ci95_halfwidth", "n"], name
 
 
+def test_run_row_is_every_metric_in_field_order():
+    # the CSV header is the first row's keys
+    p = get_preset("sim2")
+    m = run_once(p.scenario, p.detector, p.id_method, seed=1)
+    row = m.as_row()
+    assert list(row) == [f.name for f in dataclasses.fields(m)]
+    assert row == dataclasses.asdict(m)
+    assert list(map(type, row.values())) == list(map(type, dataclasses.asdict(m).values()))
+
+
 def test_main_sweep_csv_rows(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,20",
@@ -346,6 +357,23 @@ def one_csv_row(out, asks):
     assert lines[0].startswith("run,detected,detection_time")
 
 
+SHARED = ["--preset", "sim2", "--mode", "batch", "--runs", "2", "--seed", "1",
+          "--format", "jsonl"]
+
+
+def as_if_alone(out, asks):
+    # calls in one process share the config caches: a later call of
+    # another config, and the first call, each write what they write with
+    # the caches cleared
+    later = ["--config", QUIET, "--id-method", "greedy"]
+    assert main([*later, "--out", "later.csv"]) == 0
+    for argv, written in ((SHARED, out), (later, Path("later.csv"))):
+        for cache in (ScenarioConfig.validate, DetectorConfig.validate, traffic._class_tables):
+            cache.cache_clear()
+        assert main([*argv, "--out", "alone"]) == 0
+        assert Path("alone").read_bytes() == written.read_bytes()
+
+
 def split_past_arena(out, asks):
     # an ask past the arena's cap gets arrays of its own
     assert max(asks) > SPLIT_ARENA_LIMIT, max(asks)
@@ -395,6 +423,7 @@ def split_past_arena(out, asks):
                         "--format", "jsonl"], batch(3), id="sim2-batch"),
     pytest.param(None, ["--preset", "sim2", "--mode", "once", "--seed", "42"], one_csv_row,
                  id="sim2-csv"),
+    pytest.param(None, SHARED, as_if_alone, id="two-calls"),
     # some 3000 packets a slot, so a 100-slot window splits some 300 000,
     # while the run stays under the packets a run may expect
     pytest.param(sim2("[scenario]\nlambda_n = 600\n"), ["--mode", "once", "--seed", "0"],

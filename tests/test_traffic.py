@@ -662,6 +662,32 @@ def test_slots_hands_out_arrays_later_asks_leave_alone():
     assert np.array_equal(ids, kept[0]) and np.array_equal(bounds, kept[1])
 
 
+def test_streams_of_one_config_share_read_only_split_tables():
+    # each cell's class size and first member id are built once a config,
+    # and its streams share them, read-only
+    cfg = small_config()
+    stream, other = stream_of(cfg), stream_of(dataclasses.replace(cfg), seed=5)
+    for table in (stream._size, stream._first):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    assert stream._size is other._size and stream._first is other._first
+    # the tables are keyed on the config alone: a twin of equal values in
+    # other types passes validate and shares them, and the packets split
+    # from shared tables are those of tables of the stream's own
+    twin = small_config(t_star=100, attack_end=200, lambda_n=np.float64(0.1))
+    shared = stream_of(twin)
+    assert shared._size is stream._size and shared._first is stream._first
+    ids, bounds = shared.slots(1000, 1100)
+    for c in (cfg, twin):
+        traffic._class_tables.cache_clear()
+        fresh, fresh_bounds = stream_of(c).slots(1000, 1100)
+        assert np.array_equal(ids, fresh) and np.array_equal(bounds, fresh_bounds)
+    # a config one field away gets tables of its own
+    for changed in (small_config(mu=9.0), small_config(lambda_a=0.2 + 1e-12)):
+        stream, apart = stream_of(cfg), stream_of(changed)
+        assert apart._size is not stream._size and apart._first is not stream._first
+
+
 def test_rewind_after_another_stream_splits_hands_back_its_packets():
     # a stream's split state is its generator's position alone: once
     # another stream has split into the same thread's arena, a rewind

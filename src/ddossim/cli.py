@@ -2,7 +2,8 @@
 machine-readable results.
 
 A configuration is built in one order: the preset's defaults, then the
-config file's values, then the flags, and it is validated once at the end.
+config file's values, then the flags, and each config checks itself once,
+when it is made from them.
 The config file is INI-style with [scenario], [detector] and [experiment]
 sections. Each section's keys, and how each value is parsed, are read off
 the fields of ScenarioConfig, DetectorConfig and ExperimentSpec: a key is
@@ -36,12 +37,12 @@ class ConfigError(Exception):
 
 
 # the values of each experiment setting with a fixed set of them, which the
-# flags offer and validate() accepts
+# flags offer and an ExperimentSpec accepts
 _CHOICES = {"mode": ("once", "batch", "sweep"), "format": ("csv", "jsonl"),
             "id_method": ("greedy", "history")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     mode: str = "once"
     runs: int = 2
@@ -51,7 +52,7 @@ class ExperimentSpec:
     format: str = "csv"
     id_method: str = "greedy"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, allowed in _CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -142,26 +143,26 @@ def _read_file(path: str) -> tuple[dict, dict, dict]:
 
 def _build(path: Optional[str], flags: dict) -> tuple[ScenarioConfig, DetectorConfig,
                                                       ExperimentSpec]:
-    """Apply the preset's defaults, then the file's values, then the flags,
-    and validate the result once; in sweep mode every swept w_s is checked."""
+    """Apply the preset's defaults, then the file's values, then the flags.
+    Each config checks itself when it is made, the spec first, and then
+    the pair is checked; in sweep mode every swept w_s is."""
     scen_kwargs, det_kwargs, exp_kwargs = _read_file(path) if path else ({}, {}, {})
     exp_kwargs.update(flags)
     preset_name = exp_kwargs.pop("preset", None)
     try:
         if preset_name is not None:
             preset = get_preset(preset_name)
+            spec = ExperimentSpec(**{"id_method": preset.id_method, **exp_kwargs})
             scenario = dataclasses.replace(preset.scenario, **scen_kwargs)
             detector = dataclasses.replace(preset.detector, **det_kwargs)
-            exp_kwargs = {"id_method": preset.id_method, **exp_kwargs}
         else:
             missing = [f.name for f in dataclasses.fields(ScenarioConfig)
                        if f.default is MISSING and f.name not in scen_kwargs]
             if missing:
                 raise ConfigError(f"no preset given and [scenario] is missing: {missing}")
+            spec = ExperimentSpec(**exp_kwargs)
             scenario = ScenarioConfig(**scen_kwargs)
             detector = DetectorConfig(**det_kwargs)
-        spec = ExperimentSpec(**exp_kwargs)
-        spec.validate()
         if spec.mode == "sweep":
             for w_s in spec.sweep_ws:
                 try:
@@ -176,7 +177,7 @@ def _build(path: Optional[str], flags: dict) -> tuple[ScenarioConfig, DetectorCo
 
 
 def load_config(path: str) -> tuple[ScenarioConfig, DetectorConfig, ExperimentSpec]:
-    """Load and validate a config file, resolving any preset it names."""
+    """Load a config file, resolving any preset it names, and check the pair."""
     return _build(path, {})
 
 

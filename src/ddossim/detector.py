@@ -47,7 +47,7 @@ import numpy as np
 
 from .buffer import BufferState, commit, run_ahead
 from .stats import normal_upper_quantile, student_t_quantile
-from .traffic import require_finite, require_integers, slots_in, validated_once
+from .traffic import require_finite, require_integers, slots_in
 
 __all__ = [
     "Method",
@@ -83,11 +83,9 @@ class DetectorConfig:
     baseline_len: int = 30     # per-second samples in the statistical baseline
     methods: tuple[Method, ...] = ALL_METHODS
 
-    @validated_once
-    def validate(self) -> None:
-        """Raise ValueError on a config that cannot run as specified; once
-        it passes, a repeat of the same field values and types is a cache
-        hit."""
+    def __post_init__(self) -> None:
+        """Raise ValueError on a config that cannot run as specified, so
+        that every config that exists has passed these checks once."""
         require_finite(self)
         require_integers(self)
         if not 0 < self.w_s < self.w_l:
@@ -103,6 +101,12 @@ class DetectorConfig:
             raise ValueError(f"alpha={self.alpha} is too small: 1 - alpha/2 rounds to 1.0")
         if self.baseline_len < 8:
             raise ValueError("baseline_len must be >= 8")
+        # a methods entry that is not a Method would match no rule, and
+        # the run would silently detect nothing
+        if not isinstance(self.methods, (tuple, list)) or not all(
+                isinstance(m, Method) for m in self.methods):
+            raise ValueError(f"methods must be a tuple or list of Method members, "
+                             f"got {self.methods!r}")
         if not self.methods:
             raise ValueError("at least one detection method must be enabled")
 
@@ -295,13 +299,12 @@ class Detector:
     enabled method to fire is reported (priority statistical > ratio >
     buffer-full within a slot).  The statistical method is re-evaluated
     whenever a one-second arrival bucket completes.  tests/reference.py
-    holds the same rules one slot at a time, for both phases.  The config's
-    validate runs once for each exact config; a detector of one seen
-    before pays a cache hit.
+    holds the same rules one slot at a time, for both phases.  A config
+    is checked when it is made, so a detector only puts its windows on
+    the slot grid.
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
-        cfg.validate()
         self.cfg = cfg
         # (w_s, w_l, c) in slots, which the run loop reads too
         self.window_slots = ws, wl, c = cfg.window_slots(slot_dt)

@@ -114,10 +114,9 @@ class BatchStats:
 
 def check_configs(scenario: ScenarioConfig, cfg: DetectorConfig) -> None:
     """Reject a scenario and detector pair that cannot run as specified:
-    each config on its own, then a detector that cannot warm up before
-    the attack."""
-    scenario.validate()
-    cfg.validate()
+    detector windows off the scenario's slot grid, then a detector that
+    cannot warm up before the attack.  Each config checked itself when it
+    was made."""
     cfg.window_slots(scenario.slot_dt)
     if cfg.w_l >= scenario.t_star:
         raise ValueError("long window w_l must warm up before the attack onset t_star")
@@ -134,12 +133,10 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     The buffer is built with the scenario's service rate, mu * slot_dt,
     and serves at it for the whole run.
 
-    check_configs runs first, then the identification method is checked,
-    and a seed that numpy rejects is reported last.  The stream and the
-    detector then validate their own configs a second time, but a
-    config's validate runs once for the same field values and types, and
-    later calls are cache hits.  The detector holds each episode's
-    restoration monitor, so the loop never builds one."""
+    The configs checked themselves when they were made.  check_configs
+    runs first, then the identification method is checked, and a seed
+    that numpy rejects is reported last.  The detector holds each
+    episode's restoration monitor, so the loop never builds one."""
     check_configs(scenario, detector_cfg)
     if id_method not in ("greedy", "history"):
         raise ValueError(f"unknown identification method {id_method!r}")

@@ -51,7 +51,7 @@ def identify(counts: np.ndarray, w_s: float, baseline_rate: float,
     counts by w_s gives the very floats of the descending rates, and equal
     counts are equal rates and unequal ones unequal, because division by
     a positive w_s is strictly increasing on ints below 2**52, far above
-    any window count a config that validates can expect.  So the prefix
+    any window count a valid config can expect.  So the prefix
     length is read off the float rate sums, and its last count is the cut:
     the suspects are the candidates above the cut and the lowest ids at
     it.  A zero budget, common at classification, takes every candidate

@@ -89,30 +89,6 @@ def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     return whole
 
 
-def validated_once(validate):
-    """Cache a config's validate on its field values and their types.
-
-    A config equals its twin with a float where an int is due (50 ==
-    50.0, and their hashes agree), so a cache on the config alone would
-    let the twin skip require_integers.  With the types in the key,
-    validate runs the first time an exact config is seen, and again after
-    a field is changed in place.  A call that raises is not cached, so a
-    rejected config is checked on every call, and a config with a field
-    that cannot be hashed is never cached."""
-    passed = functools.lru_cache(maxsize=64)(lambda config, types: validate(config))
-
-    @functools.wraps(validate)
-    def call(config) -> None:
-        try:
-            hash(config)
-        except TypeError:
-            return validate(config)
-        return passed(config, tuple(map(type, vars(config).values())))
-
-    call.cache_info, call.cache_clear = passed.cache_info, passed.cache_clear
-    return call
-
-
 def require_finite(config) -> None:
     """Reject a NaN or infinite value in any float field of a config dataclass."""
     for f in fields(config):
@@ -146,11 +122,9 @@ class ScenarioConfig:
     total_duration: float
     slot_dt: float = 0.1
 
-    @validated_once
-    def validate(self) -> None:
-        """Raise ValueError on a config that cannot run as specified; once
-        it passes, a repeat of the same field values and types is a cache
-        hit."""
+    def __post_init__(self) -> None:
+        """Raise ValueError on a config that cannot run as specified, so
+        that every config that exists has passed these checks once."""
         require_finite(self)
         require_integers(self)
         if self.n_legal < 0 or self.n_attack < 0:
@@ -211,7 +185,9 @@ def _class_tables(config: ScenarioConfig) -> tuple[tuple, np.ndarray, np.ndarray
     """Each source class's Poisson mean a slot and active slots [lo, hi),
     and the split's tables: each cell's class size and first member id,
     one row a slot.  Built once for the last config run and shared,
-    read-only, by its streams."""
+    read-only, by its streams.  Keyed on the config alone: a config
+    passed its checks when it was made, and an equal one of other field
+    types (an np.int64 count, an np.float64 rate) builds the same tables."""
     n_slots = config.n_slots
     # per class: members, rate, first member id, active slots [lo, hi)
     classes = [c for c in (
@@ -267,15 +243,14 @@ class TrafficStream:
     returns arrays of its own, and slots() returns a copy of the ids.  A
     stream is used on one thread.
 
-    What depends on the config alone is worked out once: a stream of a
-    config seen before validates it with a cache hit, and a stream of the
-    last config run shares its class rates and the split's read-only
-    per-slot tables of class sizes and first ids.
+    A config is checked when it is made, so a stream checks only its
+    split generator.  A stream of the last config run shares its class
+    rates and the split's read-only per-slot tables of class sizes and
+    first ids.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
                  split_rng: np.random.Generator):
-        config.validate()
         if not isinstance(getattr(split_rng, "bit_generator", None), np.random.PCG64):
             raise ValueError("the split generator must run on a PCG64, which rewind() steps "
                              "back; np.random.default_rng gives one")

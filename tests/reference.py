@@ -281,7 +281,6 @@ class ReferenceDetector:
     """
 
     def __init__(self, cfg: DetectorConfig, slot_dt: float):
-        cfg.validate()
         self.cfg = cfg
         ws, wl, c = cfg.window_slots(slot_dt)
         self.short = ReferenceWindow(ws)

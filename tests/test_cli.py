@@ -150,6 +150,31 @@ def test_load_config_bad_method_rejected(tmp_path):
         load_config(str(cfg))
 
 
+# a config's faults in the order they are reported, after the [scenario]
+# keys that a config without a preset lacks: the spec, the scenario, the
+# detector, then the pair
+FAULTS = [("experiment", "mode = bogus", "mode must be"),
+          ("scenario", "mu = nan", "mu must be finite"),
+          ("detector", "tolerance_r = nan", "r must be finite"),
+          ("detector", "w_l = 120", "w_l must warm up")]
+
+
+@pytest.mark.parametrize("first", range(len(FAULTS) + 1))
+def test_load_config_reports_the_first_fault(tmp_path, first):
+    # the config holds the faults from the first on, and a preset unless
+    # the missing keys come first
+    sections = {"experiment": [] if first == 0 else ["preset = sim2"], "scenario": [],
+                "detector": []}
+    for section, line, _ in FAULTS[max(first - 1, 0):]:
+        sections[section].append(line)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                           for name, lines in sections.items()))
+    match = "is missing" if first == 0 else FAULTS[first - 1][2]
+    with pytest.raises(ConfigError, match=match):
+        load_config(str(cfg))
+
+
 @pytest.mark.parametrize("key, values", [
     ("mode", ["once", "batch", "sweep"]),
     ("format", ["csv", "jsonl"]),
@@ -362,14 +387,13 @@ SHARED = ["--preset", "sim2", "--mode", "batch", "--runs", "2", "--seed", "1",
 
 
 def as_if_alone(out, asks):
-    # calls in one process share the config caches: a later call of
+    # calls in one process share the split tables' cache: a later call of
     # another config, and the first call, each write what they write with
-    # the caches cleared
+    # the cache cleared
     later = ["--config", QUIET, "--id-method", "greedy"]
     assert main([*later, "--out", "later.csv"]) == 0
     for argv, written in ((SHARED, out), (later, Path("later.csv"))):
-        for cache in (ScenarioConfig.validate, DetectorConfig.validate, traffic._class_tables):
-            cache.cache_clear()
+        traffic._class_tables.cache_clear()
         assert main([*argv, "--out", "alone"]) == 0
         assert Path("alone").read_bytes() == written.read_bytes()
 

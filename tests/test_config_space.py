@@ -1,17 +1,18 @@
-"""A config that validates runs: run_once over drawn pairs of configs.
+"""A config that can be made runs: run_once over drawn pairs of configs.
 
 Hypothesis draws a scenario and a detector config over their fields:
 source counts 0-200 and their rates, a slot size that tiles a second with
 times and windows on its grid, every non-empty subset of the methods and
 both identification methods, in runs of at most 1000 slots; half the
-pairs then have one field redrawn, out of its range or off the grid.
-Either check_configs rejects the pair with a ValueError that names a
-field, and run_once raises the very same error, or run_once returns a
-row that passes the benchmark's row invariants and a buffer whose packets
-are conserved.  Rates whose runs would expect more than RUN_PACKETS_LIMIT
-packets, runs of more than RUN_SLOTS_LIMIT slots, and more than
-RUN_SOURCES_LIMIT sources are drawn apart and must be rejected before a
-single draw.
+pairs then have one field redrawn, out of its range or off the grid,
+which the test puts in.  Either the config cannot be made, with a
+ValueError that names a field; or check_configs rejects the pair with
+such an error, and run_once raises the very same error; or run_once
+returns a row that passes the benchmark's row invariants and a buffer
+whose packets are conserved.  Rates whose runs would expect more than
+RUN_PACKETS_LIMIT packets, runs of more than RUN_SLOTS_LIMIT slots, and
+more than RUN_SOURCES_LIMIT sources are drawn apart, and no config of
+them can be made.
 """
 
 import dataclasses
@@ -49,8 +50,9 @@ def seconds(hi):
 
 
 # a value for one field that may break the pair: out of range, off the
-# grid, too long for the warm-up to end before the onset, or a slot size
-# that does not tile a second
+# grid, too long for the warm-up to end before the onset, a slot size that
+# does not tile a second, or methods that are none or not Methods (a list
+# of Methods runs)
 BROKEN = {
     "w_s": seconds(20), "w_l": seconds(100), "c": seconds(100),
     "r": st.floats(-1.0, 1.0), "alpha": st.floats(0.0, 1.0),
@@ -59,13 +61,16 @@ BROKEN = {
     "lambda_n": st.floats(-1.0, 1.0), "lambda_a": st.floats(-1.0, 1.0),
     "mu": st.floats(-1.0, 1.0), "l1": st.integers(-2, 2), "l2": st.integers(-2, 2),
     "slot_dt": st.sampled_from([0.15, 0.3, 0.7, 2.0]),
+    "methods": st.one_of(st.sampled_from([(), Method.RATIO, "ratio", ("statistical", "ratio")]),
+                         st.lists(st.sampled_from(ALL_METHODS), min_size=1)),
 }
 
 
 @st.composite
 def config_pairs(draw):
-    """A pair that runs, in at most 1000 slots, or that pair with one
-    field drawn from BROKEN, an identification method and a run seed."""
+    """A pair that runs, in at most 1000 slots, the field of it to break
+    and its value from BROKEN, or None and None, an identification method
+    and a run seed."""
     slot_dt = draw(st.sampled_from(SLOT_DTS))
     per_second = round(1 / slot_dt)
     methods = draw(st.sets(st.sampled_from(ALL_METHODS), min_size=1))
@@ -93,17 +98,22 @@ def config_pairs(draw):
         alpha=draw(st.sampled_from([0.01, 0.05, 0.2])), baseline_len=baseline_len,
         methods=tuple(m for m in ALL_METHODS if m in methods))
     broken = draw(st.sampled_from([None] * len(BROKEN) + sorted(BROKEN)))
-    if broken is not None:
-        value = draw(BROKEN[broken])
-        if hasattr(scenario, broken):
-            scenario = dataclasses.replace(scenario, **{broken: value})
-        else:
-            detector = dataclasses.replace(detector, **{broken: value})
-    return (scenario, detector, draw(st.sampled_from(["greedy", "history"])),
+    value = None if broken is None else draw(BROKEN[broken])
+    return (scenario, detector, broken, value, draw(st.sampled_from(["greedy", "history"])),
             draw(st.integers(0, 2 ** 32)))
 
 
-def assert_runs_or_is_rejected(scenario, detector, id_method, seed):
+def assert_runs_or_is_rejected(scenario, detector, broken, value, id_method, seed):
+    if broken is not None:
+        try:
+            if hasattr(scenario, broken):
+                scenario = dataclasses.replace(scenario, **{broken: value})
+            else:
+                detector = dataclasses.replace(detector, **{broken: value})
+        except ValueError as err:
+            event("rejected when made")
+            assert NAMES_A_FIELD.search(str(err)), f"no field named in {err}"
+            return
     try:
         check_configs(scenario, detector)
     except ValueError as err:
@@ -148,7 +158,8 @@ def with_pair_examples(test):
     # sim2 with a long window, and with a statistical warm-up, that ends
     # at the onset: each config is valid alone, and the pair is not
     for detector in (dict(w_l=100.0), dict(baseline_len=55)):
-        pair = SIM2.scenario, dataclasses.replace(SIM2.detector, **detector), SIM2.id_method, 0
+        pair = (SIM2.scenario, dataclasses.replace(SIM2.detector, **detector), None, None,
+                SIM2.id_method, 0)
         test = example(pair)(test)
     return test
 
@@ -168,49 +179,22 @@ def test_config_space_runs_or_is_rejected_many(pair):
     assert_runs_or_is_rejected(*pair)
 
 
-class NoDraws:
-    """A generator that fails the test if anything is drawn from it."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"{name} called on the generator of a rejected config")
-
-
-class Undrawn(TrafficStream):
-    def __init__(self, config, rng, split_rng):
-        super().__init__(config, NoDraws(), NoDraws())
-
-
-def assert_rejected_unrun(scenario, detector, id_method):
-    """check_configs rejects the pair, and a stream and run_once raise the
-    same error with generators that fail the test if drawn from; return
-    the error's message."""
-    with pytest.raises(ValueError) as err:
-        check_configs(scenario, detector)
-    with pytest.raises(ValueError) as got:
-        Undrawn(scenario, None, None)
-    assert str(got.value) == str(err.value)
-    with mock.patch.object(harness, "TrafficStream", Undrawn), pytest.raises(ValueError) as got:
-        run_once(scenario, detector, id_method)
-    assert str(got.value) == str(err.value)
-    return str(err.value)
-
-
 @settings(max_examples=100, deadline=None)
 @given(rate=st.sampled_from(["lambda_n", "lambda_a"]), n_legal=st.integers(1, 200),
        n_attack=st.integers(1, 200), excess=st.floats(1.001, 1e250))
 def test_traffic_past_the_packet_limit_is_rejected_unrun(rate, n_legal, n_attack, excess):
     # sim2's times, with one class's rate raised until the run expects
     # `excess` times RUN_PACKETS_LIMIT packets, the other class as preset
-    p = SIM2
-    s = dataclasses.replace(p.scenario, n_legal=n_legal, n_attack=n_attack)
+    s = dataclasses.replace(SIM2.scenario, n_legal=n_legal, n_attack=n_attack)
     legal = n_legal * s.lambda_n * s.total_duration
     attack = n_attack * s.lambda_a * (s.attack_end - s.t_star)
     target = RUN_PACKETS_LIMIT * excess
-    scenario = dataclasses.replace(s, **(
-        {"lambda_n": (target - attack) / (n_legal * s.total_duration)} if rate == "lambda_n"
-        else {"lambda_a": (target - legal) / (n_attack * (s.attack_end - s.t_star))}))
-    err = assert_rejected_unrun(scenario, p.detector, p.id_method)
-    assert f"{rate}={getattr(scenario, rate)}" in err
+    value = ((target - attack) / (n_legal * s.total_duration) if rate == "lambda_n"
+             else (target - legal) / (n_attack * (s.attack_end - s.t_star)))
+    with pytest.raises(ValueError) as got:
+        dataclasses.replace(s, **{rate: value})
+    err = str(got.value)
+    assert f"{rate}={value}" in err
     assert f"{RUN_PACKETS_LIMIT:.0e} a run may hold" in err
 
 
@@ -219,12 +203,12 @@ def test_traffic_past_the_packet_limit_is_rejected_unrun(rate, n_legal, n_attack
 def test_slots_past_the_limit_are_rejected_unrun(slot_dt, excess):
     # sim2 at 1e-3 pkt/s a source, `excess` slots past RUN_SLOTS_LIMIT and
     # never shorter than its 300 s, which at a microsecond slot are 3e8
-    p = SIM2
-    n_slots = max(RUN_SLOTS_LIMIT + excess, round(p.scenario.total_duration / slot_dt))
-    scenario = dataclasses.replace(p.scenario, lambda_n=1e-3, lambda_a=1e-3, mu=1.0,
-                                   slot_dt=slot_dt, total_duration=n_slots * slot_dt)
-    err = assert_rejected_unrun(scenario, p.detector, p.id_method)
-    assert f"total_duration={scenario.total_duration} at slot_dt={slot_dt}" in err
+    n_slots = max(RUN_SLOTS_LIMIT + excess, round(SIM2.scenario.total_duration / slot_dt))
+    with pytest.raises(ValueError) as got:
+        dataclasses.replace(SIM2.scenario, lambda_n=1e-3, lambda_a=1e-3, mu=1.0,
+                            slot_dt=slot_dt, total_duration=n_slots * slot_dt)
+    err = str(got.value)
+    assert f"total_duration={n_slots * slot_dt} at slot_dt={slot_dt}" in err
     assert f"{RUN_SLOTS_LIMIT:.0e} a run may hold" in err
 
 
@@ -234,11 +218,11 @@ def test_sources_past_the_limit_are_rejected_unrun(excess, legal_share):
     # sim2 with `excess` sources past RUN_SOURCES_LIMIT, shared between the
     # classes, each at 1e-9 pkt/s a source, so the run expects at most
     # some 3e5 packets, inside RUN_PACKETS_LIMIT
-    p = SIM2
     total = RUN_SOURCES_LIMIT + excess
     n_legal = round(legal_share * total)
-    scenario = dataclasses.replace(p.scenario, n_legal=n_legal, n_attack=total - n_legal,
-                                   lambda_n=1e-9, lambda_a=1e-9)
-    err = assert_rejected_unrun(scenario, p.detector, p.id_method)
+    with pytest.raises(ValueError) as got:
+        dataclasses.replace(SIM2.scenario, n_legal=n_legal, n_attack=total - n_legal,
+                            lambda_n=1e-9, lambda_a=1e-9)
+    err = str(got.value)
     assert f"n_legal={n_legal} and n_attack={total - n_legal} are {total} sources" in err
     assert f"{RUN_SOURCES_LIMIT:.0e} a run may hold" in err

@@ -549,36 +549,46 @@ def first_fire(cfg, aggregates, buf=None):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        make_cfg(w_s=50.0).validate()          # w_s >= w_l
+        make_cfg(w_s=50.0)      # w_s >= w_l
     with pytest.raises(ValueError):
-        make_cfg(r=0.0).validate()
+        make_cfg(r=0.0)
     with pytest.raises(ValueError):
-        make_cfg(c=5.0).validate()             # c < w_s
+        make_cfg(c=5.0)         # c < w_s
     with pytest.raises(ValueError):
-        make_cfg(alpha=0.7).validate()
+        make_cfg(alpha=0.7)
     # in (0, 0.5), but the t quantile at 1 - alpha/2 = 1.0 does not exist;
     # at 2**-52 it is about 218 on 8 degrees
     with pytest.raises(ValueError, match="alpha=1e-17 is too small"):
-        make_cfg(alpha=1e-17).validate()
-    make_cfg(alpha=2.0 ** -52).validate()
+        make_cfg(alpha=1e-17)
+    make_cfg(alpha=2.0 ** -52)
     with pytest.raises(ValueError):
-        make_cfg(baseline_len=4).validate()
+        make_cfg(baseline_len=4)
     with pytest.raises(ValueError):
-        make_cfg(methods=()).validate()
+        make_cfg(methods=())
+
+
+@pytest.mark.parametrize("methods", [("statistical",), ("statistical", "ratio"),
+                                     (Method.RATIO, "buffer_full"), Method.RATIO, "ratio",
+                                     None])
+def test_config_rejects_methods_that_are_not_methods(methods):
+    # a name in place of a Method matches no rule, so its run would detect
+    # nothing, and a bare Method is no collection of them
+    with pytest.raises(ValueError, match="methods must be a tuple or list of Method members"):
+        make_cfg(methods=methods)
 
 
 @pytest.mark.parametrize("field", ["w_s", "w_l", "r", "c", "alpha"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        make_cfg(**{field: value}).validate()
+        make_cfg(**{field: value})
 
 
 @pytest.mark.parametrize("value", [30.0, 30.5, np.float64(30.0)])
 def test_config_rejects_a_non_integer_baseline_len(value):
     with pytest.raises(ValueError, match="baseline_len must be an integer"):
-        make_cfg(baseline_len=value).validate()
-    make_cfg(baseline_len=np.int64(30)).validate()
+        make_cfg(baseline_len=value)
+    make_cfg(baseline_len=np.int64(30))
 
 
 def test_window_sizes_are_exact_slot_counts():

@@ -114,13 +114,13 @@ def test_build_sources_no_attackers():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        small_config(lambda_n=0.0).validate()
+        small_config(lambda_n=0.0)
     with pytest.raises(ValueError):
-        small_config(mu=-1.0).validate()
+        small_config(mu=-1.0)
     with pytest.raises(ValueError):
-        small_config(t_star=250.0, attack_end=200.0).validate()
+        small_config(t_star=250.0, attack_end=200.0)
     with pytest.raises(ValueError):
-        small_config(slot_dt=0.0).validate()
+        small_config(slot_dt=0.0)
 
 
 @pytest.mark.parametrize("field", ["lambda_n", "lambda_a", "mu", "t_star", "attack_end",
@@ -128,7 +128,7 @@ def test_config_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        small_config(**{field: value}).validate()
+        small_config(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["n_legal", "n_attack", "l1", "l2"])
@@ -136,7 +136,7 @@ def test_config_rejects_non_finite_numbers(field, value):
 def test_config_rejects_non_integers(field, value):
     # a float count would pass every range check and fail deep in numpy
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        small_config(**{field: value}).validate()
+        small_config(**{field: value})
 
 
 def test_config_rejects_a_service_past_int64():
@@ -144,12 +144,11 @@ def test_config_rejects_a_service_past_int64():
     # slots of mu * slot_dt, must keep the buffer's capacity prefix sums in
     # int64; at mu = 1e20 one slot's capacity alone passes it
     with pytest.raises(ValueError, match="int64 capacity prefix sums"):
-        small_config(mu=1e20).validate()
+        small_config(mu=1e20)
     most = buffer.SERVICE_SUM_LIMIT / 300.0       # packets/sec over a 300 s run
     with pytest.raises(ValueError, match="int64 capacity prefix sums"):
-        small_config(mu=most * 1.000001).validate()
+        small_config(mu=most * 1.000001)
     cfg = small_config(mu=most * 0.999999)
-    cfg.validate()
     # and the whole run in one stretch at that rate does not wrap
     buf = BufferState(cfg.l1, cfg.l2, cfg.mu * cfg.slot_dt)
     stretch = run_ahead(buf, stream_of(cfg).totals)
@@ -161,13 +160,13 @@ def test_config_rejects_traffic_past_the_packet_limit():
     # sim2's classes at lambda_n = 1e7 expect 1.5e11 packets, which the
     # split could not hold; the error names the fields
     with pytest.raises(ValueError, match=re.escape("n_legal=50 at lambda_n=10000000.0")):
-        small_config(lambda_n=1e7).validate()
+        small_config(lambda_n=1e7)
     # each class counts over its own active seconds: 1500 legal packets
     # over 300 s, and 50 attackers over the 100 s of [t_star, attack_end)
     most = (traffic.RUN_PACKETS_LIMIT - 1500) / (50 * 100.0)
     with pytest.raises(ValueError, match="lambda_a=.* over \\[t_star, attack_end\\)"):
-        small_config(lambda_a=most * 1.000001).validate()
-    small_config(lambda_a=most * 0.999999).validate()
+        small_config(lambda_a=most * 1.000001)
+    small_config(lambda_a=most * 0.999999)
     # and at the largest preset, case3, which expects 800 000, a run is
     # far inside the bound
     expected = [p.scenario.n_legal * p.scenario.lambda_n * p.scenario.total_duration
@@ -182,14 +181,14 @@ def test_config_rejects_runs_past_the_slot_limit():
     slow = dict(lambda_n=1e-3, lambda_a=1e-3, mu=1.0)
     with pytest.raises(ValueError, match=re.escape(
             "total_duration=1000000000.0 at slot_dt=0.1 is 10000000000 slots")):
-        small_config(total_duration=1e9, **slow).validate()
+        small_config(total_duration=1e9, **slow)
     # or a slot of a microsecond: 3e8 slots over sim2's 300 s
     with pytest.raises(ValueError, match="slot_dt=1e-06 .* more than the 1e\\+06 a run may hold"):
-        small_config(slot_dt=1e-6, **slow).validate()
+        small_config(slot_dt=1e-6, **slow)
     # the bound itself is a run, one slot more is not
-    small_config(total_duration=traffic.RUN_SLOTS_LIMIT * 0.1, **slow).validate()
+    small_config(total_duration=traffic.RUN_SLOTS_LIMIT * 0.1, **slow)
     with pytest.raises(ValueError, match="is 1000001 slots"):
-        small_config(total_duration=(traffic.RUN_SLOTS_LIMIT + 1) * 0.1, **slow).validate()
+        small_config(total_duration=(traffic.RUN_SLOTS_LIMIT + 1) * 0.1, **slow)
     # the presets, and the CI's longest run at 6000 slots, are far inside it
     assert max(p.scenario.n_slots for p in PRESETS.values()) == 3000
     assert 6000 < traffic.RUN_SLOTS_LIMIT / 100
@@ -201,20 +200,20 @@ def test_config_rejects_sources_past_the_source_limit():
     # classification would build arrays of that length
     with pytest.raises(ValueError, match=re.escape(
             "n_legal=10000000000 and n_attack=50 are 10000000050 sources")):
-        small_config(n_legal=10 ** 10, lambda_n=1e-9).validate()
+        small_config(n_legal=10 ** 10, lambda_n=1e-9)
     # the bound itself is a run, one source more is not, in either class
     most = traffic.RUN_SOURCES_LIMIT
-    small_config(n_legal=most - 50, lambda_n=1e-3).validate()
+    small_config(n_legal=most - 50, lambda_n=1e-3)
     for over in (dict(n_legal=most - 49), dict(n_attack=51)):
         with pytest.raises(ValueError, match=f"are {most + 1} sources, more than the 1e\\+06"):
-            small_config(**{"n_legal": most - 50, "lambda_n": 1e-3, **over}).validate()
+            small_config(**{"n_legal": most - 50, "lambda_n": 1e-3, **over})
     # the presets are far inside it
     assert max(p.scenario.n_legal + p.scenario.n_attack for p in PRESETS.values()) == 15_000
     assert 15_000 < most / 50
 
 
 def test_config_accepts_numpy_integers():
-    small_config(n_legal=np.int64(50), l1=np.int32(40)).validate()
+    small_config(n_legal=np.int64(50), l1=np.int32(40))
 
 
 def test_config_derived_values():
@@ -223,7 +222,6 @@ def test_config_derived_values():
     assert cfg.slots_per_second == 10
     assert slots_in(cfg.t_star, cfg.slot_dt, "t_star") == 1000
     fine = small_config(slot_dt=0.002, t_star=5.0, attack_end=6.0, total_duration=6.0)
-    fine.validate()
     assert (fine.slots_per_second, fine.n_slots) == (500, 3000)
 
 
@@ -231,7 +229,7 @@ def test_slot_longer_than_a_second_rejected():
     # one-second buckets cannot be built from 2 s slots, so the statistical
     # method would never run
     with pytest.raises(ValueError, match="whole number of slots"):
-        small_config(slot_dt=2.0).validate()
+        small_config(slot_dt=2.0)
     sim2 = get_preset("sim2")
     with pytest.raises(ValueError, match="whole number of slots"):
         run_once(dataclasses.replace(sim2.scenario, slot_dt=2.0), sim2.detector,
@@ -241,18 +239,18 @@ def test_slot_longer_than_a_second_rejected():
 def test_slot_not_tiling_a_second_rejected():
     # three 0.3 s slots make a 0.9 s "one-second" bucket
     with pytest.raises(ValueError, match="whole number of slots"):
-        small_config(slot_dt=0.3).validate()
+        small_config(slot_dt=0.3)
 
 
 def test_times_off_the_slot_grid_rejected():
     # an onset between slots would skew every latency against it
     with pytest.raises(ValueError, match="t_star=100.05 is not on the grid"):
-        small_config(t_star=100.05).validate()
+        small_config(t_star=100.05)
     with pytest.raises(ValueError, match="attack_end"):
-        small_config(attack_end=200.01).validate()
+        small_config(attack_end=200.01)
     with pytest.raises(ValueError, match="total_duration"):
-        small_config(total_duration=300.04).validate()
-    small_config(slot_dt=0.5, t_star=100.5, attack_end=200.0).validate()
+        small_config(total_duration=300.04)
+    small_config(slot_dt=0.5, t_star=100.5, attack_end=200.0)
 
 
 def test_slots_in_rejects_spans_off_the_grid():
@@ -672,7 +670,7 @@ def test_streams_of_one_config_share_read_only_split_tables():
             table[0, 0] = 0
     assert stream._size is other._size and stream._first is other._first
     # the tables are keyed on the config alone: a twin of equal values in
-    # other types passes validate and shares them, and the packets split
+    # other types passes its checks and shares them, and the packets split
     # from shared tables are those of tables of the stream's own
     twin = small_config(t_star=100, attack_end=200, lambda_n=np.float64(0.1))
     shared = stream_of(twin)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["BufferState", "Stretch", "run_ahead", "commit"]
+__all__ = ["BufferState", "run_ahead", "commit"]
 
 # the shortest capacity table cached for a rate: a preset run's 3000 slots
 _TABLE_SLOTS = 4096

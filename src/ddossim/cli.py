@@ -80,8 +80,6 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
         except ValueError:
             valid = ", ".join(m.value for m in Method)
             raise ConfigError(f"unknown detection method {part!r}; valid: {valid}") from None
-    if not methods:
-        raise ConfigError("methods list is empty")
     return tuple(methods)
 
 

@@ -41,20 +41,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .buffer import BufferState, commit, run_ahead
-from .stats import normal_upper_quantile, student_t_quantile
-from .traffic import require_finite, require_integers, slots_in
+from .stats import student_t_quantile
+from .traffic import require_numbers, slots_in
 
 __all__ = [
     "Method",
     "DetectorConfig",
-    "window_sums",
     "RestorationMonitor",
-    "MPAR_ALPHA",
     "detect_ratio",
     "detect_statistical",
     "Detector",
@@ -86,8 +85,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         """Raise ValueError on a config that cannot run as specified, so
         that every config that exists has passed these checks once."""
-        require_finite(self)
-        require_integers(self)
+        require_numbers(self)
         if not 0 < self.w_s < self.w_l:
             raise ValueError("need 0 < w_s < w_l")
         if self.r <= 0:
@@ -108,7 +106,7 @@ class DetectorConfig:
             raise ValueError(f"methods must be a tuple or list of Method members, "
                              f"got {self.methods!r}")
         if not self.methods:
-            raise ValueError("at least one detection method must be enabled")
+            raise ValueError("methods must enable at least one detection method")
 
     def window_slots(self, slot_dt: float) -> tuple[int, int, int]:
         """(w_s, w_l, c) in whole slots of slot_dt.
@@ -213,8 +211,10 @@ def detect_ratio(short_avg, long_avg, r: float):
     return (long_avg > 0) & (short_avg > (1.0 + r) * long_avg)
 
 
-# z(MPAR_ALPHA)^2, the gate's squared critical value, as an exact ratio of ints
-_GATE_Z2_NUM, _GATE_Z2_DEN = (Fraction(normal_upper_quantile(MPAR_ALPHA)) ** 2).as_integer_ratio()
+# z(MPAR_ALPHA)^2, the gate's squared critical value, as an exact ratio of
+# ints: z is the standard normal's upper MPAR_ALPHA quantile
+_GATE_Z2_NUM, _GATE_Z2_DEN = (
+    Fraction(NormalDist().inv_cdf(1.0 - MPAR_ALPHA)) ** 2).as_integer_ratio()
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,26 +2,24 @@
 
 Sample moments for batch summaries, the regularized incomplete beta, and
 the Student t quantile it gives: the critical value of the statistical
-detector's tests and the half-width of a batch interval.  The standard
-normal's upper quantile comes from the standard library's
-statistics.NormalDist, so numpy stays the only runtime dependency; the
-rest is pure Python on the math module, so the whole path can be audited
-and cross-checked against independent oracles.
+detector's tests and the half-width of a batch interval.  It is pure
+Python on the math module, so numpy stays the only runtime dependency and
+the whole path can be audited and cross-checked against independent
+oracles.  The gate's z, the standard normal's upper MPAR_ALPHA quantile,
+is not here: the detector takes it from the standard library's
+statistics.NormalDist.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from statistics import NormalDist
 from typing import Sequence
 
 __all__ = [
     "sample_mean",
     "sample_stddev",
-    "betainc_reg",
     "student_t_quantile",
-    "normal_upper_quantile",
 ]
 
 
@@ -138,10 +136,3 @@ def student_t_quantile(p: float, df: int) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def normal_upper_quantile(alpha: float) -> float:
-    """z(alpha), the standard normal's upper alpha quantile."""
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
-    return NormalDist().inv_cdf(1.0 - alpha)

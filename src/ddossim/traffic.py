@@ -18,10 +18,11 @@ a PCG64 back over the packets it hands back in one jump.  A split writes
 its keys and ids into its thread's work arena, one float64 and one int64
 array held in a threading.local and grown to the largest split the
 thread has asked for, so the run loop allocates no packet-sized array
-per ask.  Arena memory stays inside the call that fills it: the run loop
-gets a stretch's arrivals and its window's counts from one call, and
-slots() hands out copies, which the caller owns.  A split of more than
-SPLIT_ARENA_LIMIT packets gets arrays of its own.
+per ask.  Arena memory stays inside the call that fills it: the run
+loop's one split call, unblocked(), returns a stretch's arrivals and its
+window's counts in arrays that no later ask changes, and rewind() hands
+the slots after a cut back.  A split of more than SPLIT_ARENA_LIMIT
+packets gets arrays of its own.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .identifier import count_window
 __all__ = [
     "ScenarioConfig",
     "TrafficStream",
-    "require_finite",
-    "require_integers",
+    "require_numbers",
     "slots_in",
 ]
 
@@ -89,20 +89,16 @@ def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     return whole
 
 
-def require_finite(config) -> None:
-    """Reject a NaN or infinite value in any float field of a config dataclass."""
+def require_numbers(config) -> None:
+    """Reject, field by field, a NaN or infinite float in any field of a
+    config dataclass, and in an int field a value that is not a Python or
+    numpy integer, a bool included: the first faulty field is named."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
-
-
-def require_integers(config) -> None:
-    """Reject a value that is neither a Python nor a numpy integer in any
-    int field of a config dataclass."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type in (int, "int") and not isinstance(value, numbers.Integral):
+        if f.type in (int, "int") and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
@@ -125,8 +121,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         """Raise ValueError on a config that cannot run as specified, so
         that every config that exists has passed these checks once."""
-        require_finite(self)
-        require_integers(self)
+        require_numbers(self)
         if self.n_legal < 0 or self.n_attack < 0:
             raise ValueError("source counts must be >= 0")
         # as Python ints, which a sum of two numpy ones near 2**63 cannot wrap
@@ -227,21 +222,22 @@ class TrafficStream:
     the caller asks for.  A separate split RNG keeps the aggregate sequence
     independent of which slots are split.
 
-    An ask for slots lo..hi-1 draws one uniform key for each of their
-    packets, in slot-then-class order, in one call of the split RNG, and
-    one pass sends each key u of a class of n members to its first id plus
-    floor(u * n).  rewind() steps the split RNG back over the packets of
-    the slots it hands back, so the generator's position is always the
-    number of packets handed out and not handed back: the k-th key drawn
-    goes to the k-th such packet, and each slot gets the split that one
-    draw per slot, in the order asked, would give it.  The position is the
-    stream's only split state, and stepping back needs the jump-ahead of
-    a PCG64 (numpy's default_rng), so no other bit generator is taken.
+    An ask, unblocked(lo, hi, ...), draws one uniform key for each packet
+    of slots lo..hi-1, in slot-then-class order, in one call of the split
+    RNG, and one pass sends each key u of a class of n members to its
+    first id plus floor(u * n).  rewind() steps the split RNG back over
+    the packets of the slots it hands back, so the generator's position
+    is always the number of packets handed out and not handed back: the
+    k-th key drawn goes to the k-th such packet, and each slot gets the
+    split that one draw per slot, in the order asked, would give it.  The
+    position is the stream's only split state, and stepping back needs the
+    jump-ahead of a PCG64 (numpy's default_rng), so no other bit generator
+    is taken.
 
     The keys and ids of an ask live in the calling thread's work arena,
     and no read of them outlives the call that made them: unblocked()
-    returns arrays of its own, and slots() returns a copy of the ids.  A
-    stream is used on one thread.
+    returns the slots' unblocked arrivals and the window's counts in
+    arrays that no later ask changes.  A stream is used on one thread.
 
     A config is checked when it is made, so a stream checks only its
     split generator.  A stream of the last config run shares its class
@@ -300,17 +296,6 @@ class TrafficStream:
         ids += np.repeat(self._first[lo:hi], cells)
         self._lo, self._hi = lo, hi
         return ids, bounds
-
-    def slots(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The packet source ids of slots lo..hi-1, end to end, and each
-        slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]].
-        Both are the caller's, and no later ask changes them.
-
-        The same split as asking for each of the slots in turn, one at a
-        time.
-        """
-        ids, bounds = self._split(lo, hi)
-        return ids.copy(), bounds
 
     def unblocked(self, lo: int, hi: int, blocked: Optional[np.ndarray],
                   window: Optional[int] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:

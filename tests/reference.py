@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import islice
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from ddossim.buffer import BufferState
 from ddossim.detector import MPAR_ALPHA, DetectorConfig, Method
 from ddossim.harness import RunMetrics, check_configs
-from ddossim.stats import normal_upper_quantile, student_t_quantile
+from ddossim.stats import student_t_quantile
 from ddossim.traffic import ScenarioConfig, slots_in
 
 
@@ -164,7 +165,7 @@ def fraction_decision(baseline, current, alpha):
     diff = mean(c) - mean(b)
     if ss(b) == 0:
         return diff > 0
-    z = Fraction(normal_upper_quantile(MPAR_ALPHA))
+    z = Fraction(NormalDist().inv_cdf(1.0 - MPAR_ALPHA))
     if diff <= 0 or diff ** 2 <= z ** 2 * ss(b) / (n_b - 1) / n_b:
         return False
     q2 = Fraction(student_t_quantile(1.0 - alpha / 2.0, nu)) ** 2

@@ -18,7 +18,7 @@ from ddossim.detector import Method
 from ddossim.harness import run_batch, sweep_window
 from ddossim.identifier import identify
 from ddossim.presets import get_preset
-from ddossim.stats import normal_upper_quantile, sample_mean, sample_stddev
+from ddossim.stats import sample_mean, sample_stddev
 from ddossim.traffic import TrafficStream
 from reference import ReferenceBuffer, ReferenceWindow, step
 from test_detector import decide, scipy_decision
@@ -150,7 +150,7 @@ def test_criterion_6_statistics_kernel_oracles():
         if decide(a, b, 0.05) != expected:
             decide_ok = False
     # upper-confidence-bound fixture: z(0.025) * 2 / sqrt(100) + 10
-    t_x = normal_upper_quantile(0.025) * 2.0 / math.sqrt(100) + 10.0
+    t_x = statistics.NormalDist().inv_cdf(1.0 - 0.025) * 2.0 / math.sqrt(100) + 10.0
     ucb_ok = abs(t_x - 10.3920) <= 1e-4
     ok = moments_ok and decide_ok and ucb_ok
     verdict(6, ok, f"moments {moments_ok}, exact decision vs scipy {decide_ok} "

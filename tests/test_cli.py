@@ -491,6 +491,8 @@ def test_main_runs(tmp_path, monkeypatch, ini, argv, check):
     pytest.param([], sim2("[detector]\nw_l = 120\n"), 1, "t_star", id="w_l-past-onset"),
     pytest.param([], sim2("[detector]\nw_s = 10.5\n"), 1, "whole seconds",
                  id="w_s-off-seconds"),
+    # an empty methods list reaches DetectorConfig, which names the field
+    pytest.param([], sim2("[detector]\nmethods =\n"), 1, "methods", id="methods-empty"),
     # every swept w_s is checked before the first run, and the message
     # names the one that fails
     pytest.param(["--preset", "sim2", "--mode", "sweep", "--sweep-ws", "10,10.5"], None, 1,

@@ -4,15 +4,15 @@ Hypothesis draws a scenario and a detector config over their fields:
 source counts 0-200 and their rates, a slot size that tiles a second with
 times and windows on its grid, every non-empty subset of the methods and
 both identification methods, in runs of at most 1000 slots; half the
-pairs then have one field redrawn, out of its range or off the grid,
-which the test puts in.  Either the config cannot be made, with a
-ValueError that names a field; or check_configs rejects the pair with
-such an error, and run_once raises the very same error; or run_once
-returns a row that passes the benchmark's row invariants and a buffer
-whose packets are conserved.  Rates whose runs would expect more than
-RUN_PACKETS_LIMIT packets, runs of more than RUN_SLOTS_LIMIT slots, and
-more than RUN_SOURCES_LIMIT sources are drawn apart, and no config of
-them can be made.
+pairs then have one field redrawn, out of its range, off the grid or of
+the wrong type, which the test puts in.  Either the config cannot be
+made, with a ValueError that names a field; or check_configs rejects the
+pair with such an error, and run_once raises the very same error; or
+run_once returns a row that passes the benchmark's row invariants and a
+buffer whose packets are conserved.  Rates whose runs would expect more
+than RUN_PACKETS_LIMIT packets, runs of more than RUN_SLOTS_LIMIT slots,
+and more than RUN_SOURCES_LIMIT sources are drawn apart, and no config
+of them can be made.
 """
 
 import dataclasses
@@ -49,19 +49,27 @@ def seconds(hi):
     return st.one_of(st.integers(0, hi).map(float), st.floats(0.0, hi))
 
 
+def count(lo, hi):
+    """A count in [lo, hi], or True, a bool, which is no count."""
+    return st.one_of(st.integers(lo, hi), st.just(True))
+
+
+# methods that are none or not Methods
+NOT_METHODS = [(), Method.RATIO, "ratio", ("statistical", "ratio")]
+
 # a value for one field that may break the pair: out of range, off the
 # grid, too long for the warm-up to end before the onset, a slot size that
-# does not tile a second, or methods that are none or not Methods (a list
-# of Methods runs)
+# does not tile a second, a bool in an int field, or methods from
+# NOT_METHODS (a list of Methods runs)
 BROKEN = {
     "w_s": seconds(20), "w_l": seconds(100), "c": seconds(100),
     "r": st.floats(-1.0, 1.0), "alpha": st.floats(0.0, 1.0),
-    "baseline_len": st.integers(0, 60),
+    "baseline_len": count(0, 60),
     "t_star": seconds(30), "attack_end": seconds(100),
     "lambda_n": st.floats(-1.0, 1.0), "lambda_a": st.floats(-1.0, 1.0),
-    "mu": st.floats(-1.0, 1.0), "l1": st.integers(-2, 2), "l2": st.integers(-2, 2),
+    "mu": st.floats(-1.0, 1.0), "l1": count(-2, 2), "l2": count(-2, 2),
     "slot_dt": st.sampled_from([0.15, 0.3, 0.7, 2.0]),
-    "methods": st.one_of(st.sampled_from([(), Method.RATIO, "ratio", ("statistical", "ratio")]),
+    "methods": st.one_of(st.sampled_from(NOT_METHODS),
                          st.lists(st.sampled_from(ALL_METHODS), min_size=1)),
 }
 
@@ -161,6 +169,11 @@ def with_pair_examples(test):
         pair = (SIM2.scenario, dataclasses.replace(SIM2.detector, **detector), None, None,
                 SIM2.id_method, 0)
         test = example(pair)(test)
+    # sim2 with each broken value that a seed's draws may miss: every value
+    # of NOT_METHODS, and a bool as a count
+    for broken, value in [*(("methods", m) for m in NOT_METHODS),
+                          ("n_attack", True), ("l1", True), ("baseline_len", True)]:
+        test = example((SIM2.scenario, SIM2.detector, broken, value, SIM2.id_method, 0))(test)
     return test
 
 

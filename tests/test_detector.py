@@ -584,7 +584,7 @@ def test_config_rejects_non_finite_numbers(field, value):
         make_cfg(**{field: value})
 
 
-@pytest.mark.parametrize("value", [30.0, 30.5, np.float64(30.0)])
+@pytest.mark.parametrize("value", [30.0, 30.5, np.float64(30.0), True])
 def test_config_rejects_a_non_integer_baseline_len(value):
     with pytest.raises(ValueError, match="baseline_len must be an integer"):
         make_cfg(baseline_len=value)

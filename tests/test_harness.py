@@ -208,13 +208,14 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
 
 
 def last_split(stream):
-    """A copy of the stream's last split, as slots() returns one: its packet
-    ids, end to end, and each slot's bounds in them.  The split is handed
-    back whole and asked for again, which draws the same keys and leaves
-    the split RNG where it stood."""
+    """A copy of the stream's last split: its packet ids, end to end, and
+    each slot's bounds in them.  The split is handed back whole and asked
+    for again, which draws the same keys and leaves the split RNG where it
+    stood."""
     lo, hi = stream._lo, stream._hi
     type(stream).rewind(stream, lo)
-    return stream.slots(lo, hi)
+    ids, bounds = stream._split(lo, hi)
+    return ids.copy(), bounds
 
 
 @pytest.mark.parametrize("preset, overrides, seed", [

@@ -13,8 +13,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from ddossim.stats import (betainc_reg, normal_upper_quantile, sample_mean, sample_stddev,
-                           student_t_quantile)
+from ddossim.detector import _GATE_Z2_DEN, _GATE_Z2_NUM, MPAR_ALPHA
+from ddossim.stats import betainc_reg, sample_mean, sample_stddev, student_t_quantile
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +127,13 @@ def test_student_t_quantile_matches_scipy():
 # ---------------------------------------------------------------------------
 
 def test_ucb_quantile_matches_scipy():
-    for alpha in np.concatenate([np.geomspace(1e-6, 0.5, 120), [0.025, 0.05, 0.5]]):
-        assert normal_upper_quantile(float(alpha)) == pytest.approx(
-            scipy.special.ndtri(1.0 - alpha), abs=1e-12)
+    # the gate's squared critical value, an exact ratio of ints, is the
+    # square of z(MPAR_ALPHA), the standard normal's upper quantile
+    z2 = _GATE_Z2_NUM / _GATE_Z2_DEN
+    assert z2 == pytest.approx(scipy.special.ndtri(1.0 - MPAR_ALPHA) ** 2, rel=1e-12)
 
 
 def test_ucb_reference_value():
-    assert 10.0 + normal_upper_quantile(0.025) * 2.0 / math.sqrt(100) == pytest.approx(
-        10.3920, abs=1e-4)
-
-
-def test_ucb_degenerate_cases():
-    # at alpha = 0.5 the bound is the mean; a baseline of equal counts is
-    # test_detector's degenerate-baseline test
-    assert normal_upper_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ucb_validation():
-    with pytest.raises(ValueError):
-        normal_upper_quantile(0.6)
-    with pytest.raises(ValueError):
-        normal_upper_quantile(0.0)
+    # the bound over 100 samples of mean 10 and deviation 2 is 10.392
+    z = math.sqrt(_GATE_Z2_NUM / _GATE_Z2_DEN)
+    assert 10.0 + z * 2.0 / math.sqrt(100) == pytest.approx(10.3920, abs=1e-4)

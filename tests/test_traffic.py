@@ -52,9 +52,16 @@ def legal_only(cfg, seed=0):
     return stream_of(dataclasses.replace(cfg, n_attack=0), seed)
 
 
+def split_copy(stream, lo, hi):
+    """A copy of the packet source ids of slots lo..hi-1, end to end, and
+    each slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]]."""
+    ids, bounds = stream._split(lo, hi)
+    return ids.copy(), bounds
+
+
 def one_slot(stream, i):
-    """Slot i's packet source ids: slots() over that slot alone."""
-    return stream.slots(i, i + 1)[0]
+    """Slot i's packet source ids: split_copy() over that slot alone."""
+    return split_copy(stream, i, i + 1)[0]
 
 
 def counts_of(ids, n):
@@ -132,9 +139,10 @@ def test_config_rejects_non_finite_numbers(field, value):
 
 
 @pytest.mark.parametrize("field", ["n_legal", "n_attack", "l1", "l2"])
-@pytest.mark.parametrize("value", [50.0, 1.5, np.float64(50.0)])
+@pytest.mark.parametrize("value", [50.0, 1.5, np.float64(50.0), True])
 def test_config_rejects_non_integers(field, value):
-    # a float count would pass every range check and fail deep in numpy
+    # a float count, or a bool, which is an Integral, would pass every
+    # range check and fail deep in numpy
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         small_config(**{field: value})
 
@@ -378,7 +386,7 @@ def test_split_ids_rise_with_the_key_inside_their_class(n_legal, n_attack, seed)
     cfg = small_config(n_legal=n_legal, n_attack=n_attack, t_star=5.0, attack_end=10.0,
                        total_duration=20.0)
     stream = stream_of(cfg, seed)
-    ids, _ = stream.slots(0, cfg.n_slots)
+    ids, _ = split_copy(stream, 0, cfg.n_slots)
     keys = np.random.default_rng(seed + 1).random(len(ids))
     legal = legal_only(cfg, seed).totals
     attack = np.repeat(np.tile([False, True], cfg.n_slots),
@@ -438,7 +446,7 @@ def test_split_matches_count_vector_reference(cfg):
         assert same_position(split_rng, ref_split_rng), i
     # past the run there is no slot, and nothing is split or drawn
     with pytest.raises(ValueError, match=re.escape("no slot range [3000, 3001)")):
-        stream.slots(cfg.n_slots, cfg.n_slots + 1)
+        split_copy(stream, cfg.n_slots, cfg.n_slots + 1)
     assert same_position(split_rng, ref_split_rng)
 
 
@@ -449,7 +457,7 @@ def test_stream_slot_inactive_population():
     # a slot beyond every activity window, and one before the run
     for i in (cfg.n_slots, cfg.n_slots + 10, -1):
         with pytest.raises(ValueError, match=re.escape(f"no slot range [{i}, {i + 1})")):
-            stream.slots(i, i + 1)
+            split_copy(stream, i, i + 1)
     assert (stream._lo, stream._hi) == (0, 0)
     assert split_rng.bit_generator.state == untouched.bit_generator.state
 
@@ -482,7 +490,7 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
         if lo >= hi:
             break
         if ranged:
-            ids, bounds = stream.slots(lo, hi)
+            ids, bounds = split_copy(stream, lo, hi)
             assert bounds[0] == 0 and bounds[-1] == len(ids)
             assert np.array_equal(np.diff(bounds), stream.totals[lo:hi])
             at = min(lo + cut + 1, hi)      # the stretch stops after slot at - 1
@@ -537,7 +545,7 @@ def test_ask_draws_its_packets_and_rewind_steps_back_over_them(cfg):
         nonlocal consumed
         draws = len(split.draws)
         packets = prefix[hi] - prefix[lo]
-        stream.slots(lo, hi)
+        split_copy(stream, lo, hi)
         assert split.draws[draws:] == [packets]
         consumed += packets
         assert coming(1)[0] == keys[consumed]
@@ -597,7 +605,7 @@ def test_split_rng_position_is_the_packets_kept(first, asks, seed):
         hi = min(lo + length, cfg.n_slots)
         if lo >= hi:
             break
-        stream.slots(lo, hi)
+        split_copy(stream, lo, hi)
         kept += prefix[hi] - prefix[lo]
         assert at_kept(), (lo, hi)
         at = min(lo + cut + 1, hi)
@@ -625,18 +633,18 @@ def test_split_generator_must_be_a_pcg64(bit_generator):
 def test_slot_range_bounds_checked():
     stream = stream_of(small_config())
     with pytest.raises(ValueError):
-        stream.slots(5, 5)
+        split_copy(stream, 5, 5)
     with pytest.raises(ValueError):
-        stream.slots(2990, 3001)
-    stream.slots(10, 20)
+        split_copy(stream, 2990, 3001)
+    split_copy(stream, 10, 20)
     with pytest.raises(ValueError):
         stream.rewind(21)
     with pytest.raises(ValueError):
         stream.rewind(9)
     # a rewind reaches only into the last ask, and after a rewind only up
     # to the slot it handed back: slots 950-999 went out in the first ask
-    stream.slots(900, 1000)
-    stream.slots(1000, 1010)
+    split_copy(stream, 900, 1000)
+    split_copy(stream, 1000, 1010)
     with pytest.raises(ValueError, match="slot 950 is not in the slots last taken"):
         stream.rewind(950)
     stream.rewind(1005)
@@ -645,19 +653,23 @@ def test_slot_range_bounds_checked():
     stream.rewind(1000)
 
 
-def test_slots_hands_out_arrays_later_asks_leave_alone():
-    # slots() hands out ids and bounds of the caller's own: later asks on
-    # the same stream and on another one, which split into the same
-    # thread's arena, leave them as they were
+def test_unblocked_hands_out_arrays_later_asks_leave_alone():
+    # unblocked() hands out arrivals and window counts of the caller's
+    # own, with a mask and without one: later asks on the same stream and
+    # on another one, which split into the same thread's arena, leave them
+    # as they were
     cfg = small_config(n_legal=300, lambda_a=1.0)
     stream, other = stream_of(cfg), stream_of(cfg, seed=5)
     blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
-    ids, bounds = stream.slots(1000, 1100)
-    kept = ids.copy(), bounds.copy()
-    stream.unblocked(1100, 1200, blocked)
-    other.slots(1000, 1100)
-    other.unblocked(1100, 1200, blocked, 1100)
-    assert np.array_equal(ids, kept[0]) and np.array_equal(bounds, kept[1])
+    handed = [stream.unblocked(1000, 1100, blocked, 1050)]
+    stream.rewind(1000)
+    handed.append(stream.unblocked(1000, 1100, None, 1050))
+    kept = [(arrivals.copy(), counts.copy()) for arrivals, counts in handed]
+    stream.unblocked(1100, 1200, blocked, 1100)
+    other.unblocked(1000, 1100, None, 1000)
+    other.unblocked(1100, 1200, blocked, 1150)
+    for (arrivals, counts), (arrivals_then, counts_then) in zip(handed, kept):
+        assert np.array_equal(arrivals, arrivals_then) and np.array_equal(counts, counts_then)
 
 
 def test_streams_of_one_config_share_read_only_split_tables():
@@ -675,10 +687,10 @@ def test_streams_of_one_config_share_read_only_split_tables():
     twin = small_config(t_star=100, attack_end=200, lambda_n=np.float64(0.1))
     shared = stream_of(twin)
     assert shared._size is stream._size and shared._first is stream._first
-    ids, bounds = shared.slots(1000, 1100)
+    ids, bounds = split_copy(shared, 1000, 1100)
     for c in (cfg, twin):
         traffic._class_tables.cache_clear()
-        fresh, fresh_bounds = stream_of(c).slots(1000, 1100)
+        fresh, fresh_bounds = split_copy(stream_of(c), 1000, 1100)
         assert np.array_equal(ids, fresh) and np.array_equal(bounds, fresh_bounds)
     # a config one field away gets tables of its own
     for changed in (small_config(mu=9.0), small_config(lambda_a=0.2 + 1e-12)):
@@ -694,12 +706,12 @@ def test_rewind_after_another_stream_splits_hands_back_its_packets():
     cfg = small_config(n_legal=300, lambda_a=1.0)
     stream, other = stream_of(cfg), stream_of(cfg, seed=5)
     blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
-    ids, bounds = stream_of(cfg).slots(1000, 1200)
+    ids, bounds = split_copy(stream_of(cfg), 1000, 1200)
     stream.unblocked(1000, 1100, blocked)
-    other.slots(1000, 1010)
+    split_copy(other, 1000, 1010)
     stream.rewind(1050)
     assert stream._hi == 1050
-    again, _ = stream.slots(1050, 1200)
+    again, _ = split_copy(stream, 1050, 1200)
     assert np.array_equal(again, ids[bounds[50]:])
 
 
@@ -711,7 +723,7 @@ def test_split_call_counts_the_window_it_is_given(window):
     # slot totals and no source counts zero
     cfg = small_config(n_legal=300, lambda_a=1.0)
     n = cfg.n_legal + cfg.n_attack
-    ids, bounds = stream_of(cfg).slots(1000, 1100)
+    ids, bounds = split_copy(stream_of(cfg), 1000, 1100)
     stream = stream_of(cfg)
     arrivals, counts = stream.unblocked(1000, 1100, None, window)
     assert np.array_equal(arrivals, stream.totals[1000:1100])
@@ -735,12 +747,12 @@ def test_split_past_the_arena_cap_gets_arrays_of_its_own(monkeypatch):
     n = cfg.n_legal + cfg.n_attack
     blocked = np.arange(n) % 3 == 0
     twin = stream_of(cfg)
-    ids, bounds = twin.slots(1000, 1100)
+    ids, bounds = split_copy(twin, 1000, 1100)
     arrivals, _ = stream_of(cfg).unblocked(1000, 1100, blocked)
     monkeypatch.setattr(traffic, "SPLIT_ARENA_LIMIT", len(ids) // 2)
     monkeypatch.setattr(traffic._arena, "keys", np.empty(10))
     monkeypatch.setattr(traffic._arena, "ids", np.empty(10, dtype=np.int64))
-    got, got_bounds = stream_of(cfg).slots(1000, 1100)
+    got, got_bounds = split_copy(stream_of(cfg), 1000, 1100)
     assert len(traffic._arena.keys) == len(traffic._arena.ids) == 10
     assert np.array_equal(got, ids) and np.array_equal(got_bounds, bounds)
     got_arrivals, counts = stream_of(cfg).unblocked(1000, 1100, blocked, 1040)
@@ -781,7 +793,7 @@ def test_split_is_uniform_within_each_class(name, seeds):
         at = int(asks.integers(0, 100))
         while at < scenario.n_slots:
             hi = min(at + 100, scenario.n_slots)
-            ids, bounds = stream.slots(at, hi)
+            ids, bounds = split_copy(stream, at, hi)
             cut = int(asks.integers(at + 1, hi + 1)) if asks.random() < 0.5 else hi
             if cut < hi:
                 stream.rewind(cut)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, TextIO
 from .detector import DetectorConfig, Method
 from .harness import RunMetrics, check_configs, run_batch, run_once, sweep_window
 from .presets import PRESETS, get_preset
-from .traffic import ScenarioConfig
+from .traffic import ScenarioConfig, require_numbers
 
 __all__ = ["ConfigError", "ExperimentSpec", "load_config", "dump_config",
            "emit_results", "main"]
@@ -53,6 +53,10 @@ class ExperimentSpec:
     id_method: str = "greedy"
 
     def __post_init__(self) -> None:
+        try:
+            require_numbers(self)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         for name, allowed in _CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:

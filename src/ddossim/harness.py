@@ -17,13 +17,14 @@ window it opens.  Restoration, which the detector watches from the
 episode's first classification on, releases the filter and resumes
 normal baseline rotation.
 
-A stretch is split only if it filters or is a window that will be
-classified, and one call does both: it counts each slot's unblocked
-packets without building them, and the window's packets by source, zero
-on the blocked ones, so no split is read after the call that made it.
-A stretch cut short by an event hands its later slots back to the
-stream.  A window cut short by the end of the run is never classified,
-so an episode's first window is then not split.
+Each stretch is one ask of the stream, which splits it only if it
+filters or is a window that will be classified.  The ask counts each
+slot's unblocked packets without building them, and the window's
+packets by source, zero on the blocked ones, so no split is read after
+the call that made it.  The next ask takes back the slots that a split
+stretch cut short by an event did not run.  A window cut short by the
+end of the run is never classified, so an episode's first window is
+then not split.
 
 The loop keeps only the state it cannot derive.  The slot of the
 episode's last fire is None between episodes, and a stretch that starts
@@ -179,22 +180,17 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
         lo = elapsed
         measuring = fire is not None and lo < fire + ws_slots
         stop = n_slots if fire is None else min((fire if measuring else lo) + ws_slots, n_slots)
-        # a stretch splits its packets only if it filters them, or if it
-        # is a window that will be classified: one that is not cut short
-        # by the end of the run, while the run is not settled.  Its window
-        # is counted in the same call, from the fire's slot, which is the
-        # stretch's second after a forced fire.  Nothing is split between
-        # episodes, nor once the run is settled without a member to block
+        # the stream splits a stretch's packets only if it filters them,
+        # or if it is a window that will be classified: one that is not
+        # cut short by the end of the run, while the run is not settled.
+        # Its window is counted in the same call, from the fire's slot,
+        # which is the stretch's second after a forced fire.  Nothing is
+        # split between episodes, nor once the run is settled without a
+        # member to block
         window = fire if measuring and not settled and stop == fire + ws_slots else None
-        splits = blocked is not None or window is not None
-        if splits:
-            arrivals, counts = stream.unblocked(lo, stop, blocked, window)
-        else:
-            arrivals = stream.totals[lo:stop]
+        arrivals, counts = stream.unblocked(lo, stop, blocked, window)
         ran, fired, restored = det.run(arrivals, buf, watch=not measuring)
         elapsed += ran
-        if splits and elapsed < stop:
-            stream.rewind(elapsed)
 
         if restored:
             # sustained-normal condition met: release the filter

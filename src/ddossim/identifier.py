@@ -7,9 +7,9 @@ suspected-attacker set is the descending-rate prefix whose rate sum stays
 within that budget.  The history variant first exempts every source that
 was already active before the attack.
 
-A slot carries the source id of each packet; a measurement window counts
-them by source once, when it closes, with one bincount, and a source the
-filter blocks counts zero.  Per-source quantities are numpy vectors
+A window's counts come from the traffic stream's split, which counts
+each source's packets once, when the window closes, and counts zero for
+a source the filter blocks.  Per-source quantities are numpy vectors
 indexed by source id: counts are int64, and source sets (suspected
 attackers, blocked sources, exemptions, ground truth) are boolean masks.
 """
@@ -20,19 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["count_window", "identify"]
-
-
-def count_window(ids: np.ndarray, n_sources: int,
-                 blocked: Optional[np.ndarray] = None) -> np.ndarray:
-    """A window's int64 packet counts by source id, from its packet source
-    ids, with one bincount.  A source in the blocked mask counts zero, as
-    the filter drops its packets: the same vector as a bincount of the
-    unblocked ids, with no gather, mask or copy over the packets."""
-    counts = np.bincount(ids, minlength=n_sources)
-    if blocked is not None:
-        counts[blocked] = 0
-    return counts
+__all__ = ["identify"]
 
 
 def identify(counts: np.ndarray, w_s: float, baseline_rate: float,

@@ -10,19 +10,22 @@ rate, so a packet's member is uniform over its class: a uniform key u in
 [0, 1) goes to member floor(u * n) of a class of n, and u * n rounds below
 n for every u < 1, so each key stays in its class.  A slot is the source
 id of each of its packets, so its cost follows the packets, not the number
-of sources, and a stream splits exactly the slots it is asked for.
+of sources, and a stream splits exactly the slots of the asks that
+filter them or count a window.
 
 The split generator's position is a stream's only split state: it is
-the number of packets handed out and not handed back, and a rewind steps
-a PCG64 back over the packets it hands back in one jump.  A split writes
-its keys and ids into its thread's work arena, one float64 and one int64
-array held in a threading.local and grown to the largest split the
-thread has asked for, so the run loop allocates no packet-sized array
-per ask.  Arena memory stays inside the call that fills it: the run
-loop's one split call, unblocked(), returns a stretch's arrivals and its
-window's counts in arrays that no later ask changes, and rewind() hands
-the slots after a cut back.  A split of more than SPLIT_ARENA_LIMIT
-packets gets arrays of its own.
+the number of packets handed out and not taken back.  unblocked() is the
+run loop's one traffic call a stretch, and it decides what to split: an
+ask with neither a blocked mask nor a window splits nothing, and every
+ask first takes back the slots from its start on that the last split
+handed out, stepping a PCG64 back over their packets in one jump.  A
+split writes its keys and ids into its thread's work arena, one float64
+and one int64 array held in a threading.local and grown to the largest
+split the thread has asked for, so the run loop allocates no
+packet-sized array per ask.  Arena memory stays inside the call that
+fills it: unblocked() returns a stretch's arrivals and its window's
+counts in arrays that no later ask changes.  A split of more than
+SPLIT_ARENA_LIMIT packets gets arrays of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import Optional
 import numpy as np
 
 from .buffer import SERVICE_SUM_LIMIT
-from .identifier import count_window
 
 __all__ = [
     "ScenarioConfig",
@@ -89,17 +91,24 @@ def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     return whole
 
 
+# the numbers an int and a float field take, as a fault names them; the
+# config modules' annotations are strings
+_NUMBER_FIELDS = {"int": (numbers.Integral, "an integer"),
+                  "float": (numbers.Real, "a real number")}
+
+
 def require_numbers(config) -> None:
-    """Reject, field by field, a NaN or infinite float in any field of a
-    config dataclass, and in an int field a value that is not a Python or
-    numpy integer, a bool included: the first faulty field is named."""
+    """Reject, field by field, a value of a config dataclass's int field
+    that is not a Python or numpy integer, and one of a float field that
+    is not a real number or is NaN or infinite; a bool is neither.  The
+    first faulty field is named."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        kind, name = _NUMBER_FIELDS.get(f.type, (None, None))
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{f.name} must be {name}, got {value!r}")
+        if kind is numbers.Real and not -math.inf < value < math.inf:
             raise ValueError(f"{f.name} must be finite, got {value}")
-        if f.type in (int, "int") and (isinstance(value, bool)
-                                       or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -219,20 +228,22 @@ class TrafficStream:
     Class aggregates for every slot are drawn up front (vectorized), and
     totals holds their sum per slot, the run's arrivals as one int64 array;
     the multinomial per-source split is done lazily, only for the slots
-    the caller asks for.  A separate split RNG keeps the aggregate sequence
-    independent of which slots are split.
+    of an ask that filters them or counts a window.  A separate split RNG
+    keeps the aggregate sequence independent of which slots are split.
 
-    An ask, unblocked(lo, hi, ...), draws one uniform key for each packet
-    of slots lo..hi-1, in slot-then-class order, in one call of the split
-    RNG, and one pass sends each key u of a class of n members to its
-    first id plus floor(u * n).  rewind() steps the split RNG back over
-    the packets of the slots it hands back, so the generator's position
-    is always the number of packets handed out and not handed back: the
-    k-th key drawn goes to the k-th such packet, and each slot gets the
-    split that one draw per slot, in the order asked, would give it.  The
-    position is the stream's only split state, and stepping back needs the
-    jump-ahead of a PCG64 (numpy's default_rng), so no other bit generator
-    is taken.
+    An ask, unblocked(lo, hi, ...), that filters or counts a window
+    draws one uniform key for each packet of slots lo..hi-1, in
+    slot-then-class order, in one call of the split RNG, and one pass
+    sends each key u of a class of n members to its first id plus
+    floor(u * n).  Every ask first steps the split RNG back over the
+    packets of the slots from lo on that the last split handed out, so
+    the generator's position is always the number of packets handed out
+    and not taken back: the k-th key drawn goes to the k-th such packet,
+    and each slot gets the split that one draw per slot, in the order
+    asked, would give it.  An ask may not start before the last one did.
+    The position is the stream's only split state, and stepping back
+    needs the jump-ahead of a PCG64 (numpy's default_rng), so no other
+    bit generator is taken.
 
     The keys and ids of an ask live in the calling thread's work arena,
     and no read of them outlives the call that made them: unblocked()
@@ -248,7 +259,7 @@ class TrafficStream:
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator,
                  split_rng: np.random.Generator):
         if not isinstance(getattr(split_rng, "bit_generator", None), np.random.PCG64):
-            raise ValueError("the split generator must run on a PCG64, which rewind() steps "
+            raise ValueError("the split generator must run on a PCG64, which an ask steps "
                              "back; np.random.default_rng gives one")
         self.n_sources = config.n_legal + config.n_attack
         self._split_rng = split_rng
@@ -264,7 +275,8 @@ class TrafficStream:
         # the packets before each slot, and the run's
         self._prefix = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(self.totals, out=self._prefix[1:])
-        # the slots [lo, hi) handed out by the last split and not handed back
+        # the last ask's first slot, and the end of the slots the last
+        # split handed out and no ask has taken back
         self._lo = self._hi = 0
 
     def _split(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,8 +284,6 @@ class TrafficStream:
         packets into arrays of their own: their packet source ids, end to
         end, and each slot's bounds in them, slot lo + j being
         ids[bounds[j]:bounds[j + 1]]."""
-        if not 0 <= lo < hi <= len(self.totals):
-            raise ValueError(f"no slot range [{lo}, {hi}) in a run of {len(self.totals)} slots")
         bounds = self._prefix[lo:hi + 1] - self._prefix[lo]
         n_keys = int(bounds[-1])
         if n_keys > SPLIT_ARENA_LIMIT:
@@ -294,34 +304,45 @@ class TrafficStream:
         cells = self._cells[:, lo:hi].T.ravel()
         np.multiply(keys, np.repeat(self._size[lo:hi], cells), out=ids, casting="unsafe")
         ids += np.repeat(self._first[lo:hi], cells)
-        self._lo, self._hi = lo, hi
+        self._hi = hi
         return ids, bounds
 
     def unblocked(self, lo: int, hi: int, blocked: Optional[np.ndarray],
                   window: Optional[int] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Split slots lo..hi-1 and count each slot's packets that the
-        blocked mask lets through, every packet without a mask; given the
-        first slot of a measurement window that ends at hi, also the
-        window's int64 packet counts by source, zero on the blocked
-        sources, and None otherwise."""
+        """The packets of each of slots lo..hi-1 that the blocked mask lets
+        through, every packet without a mask; given the first slot of a
+        measurement window that ends at hi, also the window's int64 packet
+        counts by source, zero on the blocked sources, and None otherwise.
+
+        The ask first takes back the slots from lo on that the last split
+        handed out, and then splits its slots only for a mask or a window.
+        It is checked before the split RNG moves: slots in the run, lo not
+        before the last ask's first slot, and a window in the slots."""
+        n_slots = len(self.totals)
+        if not 0 <= lo < hi <= n_slots:
+            raise ValueError(f"no slot range [{lo}, {hi}) in a run of {n_slots} slots")
+        if lo < self._lo:
+            raise ValueError(f"slot {lo} is before slot {self._lo}, where the last ask started")
         if window is not None and not lo <= window < hi:
             raise ValueError(f"window slot {window} is not in the slots [{lo}, {hi})")
+        if lo < self._hi:
+            back = int(self._prefix[self._hi] - self._prefix[lo])
+            self._split_rng.bit_generator.advance(-back % 2 ** 128)
+        self._lo, self._hi = lo, min(lo, self._hi)
+        if blocked is None and window is None:
+            return self.totals[lo:hi], None
         ids, bounds = self._split(lo, hi)
-        counts = (None if window is None else
-                  count_window(ids[bounds[window - lo]:], self.n_sources, blocked))
+        counts = None
+        if window is not None:
+            # one bincount of the window's packets; a blocked source counts
+            # zero, as the filter drops its packets, with no gather, mask
+            # or copy over them
+            counts = np.bincount(ids[bounds[window - lo]:], minlength=self.n_sources)
+            if blocked is not None:
+                counts[blocked] = 0
         if blocked is None:
             return self.totals[lo:hi], counts
         # the packets before each bound less the blocked ones, counted by
         # one search of the blocked packets' positions
         kept = bounds - np.searchsorted(blocked[ids].nonzero()[0], bounds)
         return kept[1:] - kept[:-1], counts
-
-    def rewind(self, i: int) -> None:
-        """Hand slots i..hi-1 of the last split back: step the split RNG
-        back over their packets, so that the next ask draws their keys
-        again, first."""
-        if not self._lo <= i <= self._hi:
-            raise ValueError(f"slot {i} is not in the slots last taken")
-        back = int(self._prefix[self._hi] - self._prefix[i])
-        self._split_rng.bit_generator.advance(-back % 2 ** 128)
-        self._hi = i

@@ -11,7 +11,7 @@ TrafficStream draws them, and a slot's per-source counts from one split
 draw of its totals[i] uniforms, for each measurement or filter slot in
 the order it runs.  Slots between episodes are not split, and uniforms
 drawn for slots past a restoration are never drawn here, so every split
-slot gets the uniforms TrafficStream gives it once its rewinds have
+slot gets the uniforms TrafficStream gives it once its next ask has
 stepped its generator back over them.  step(), push()
 and update() are the per-slot rules the package runs a stretch at a
 time.  step() runs a ReferenceBuffer, a BufferState that also keeps the

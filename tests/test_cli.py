@@ -8,6 +8,7 @@ import sys
 from dataclasses import MISSING
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ddossim
@@ -173,6 +174,21 @@ def test_load_config_reports_the_first_fault(tmp_path, first):
     match = "is missing" if first == 0 else FAULTS[first - 1][2]
     with pytest.raises(ConfigError, match=match):
         load_config(str(cfg))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(mode="batch", runs=2.5), "runs must be an integer, got 2.5"),
+    (dict(runs="2"), "runs must be an integer, got '2'"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed=True), "seed must be an integer, got True"),
+    (dict(seed=None), "seed must be an integer, got None"),
+])
+def test_experiment_spec_rejects_counts_that_are_not_integers(kwargs, message):
+    # a float run count would fail inside numpy's seed derivation, and a
+    # float seed would run as some other seed
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentSpec(**kwargs)
+    assert ExperimentSpec(mode="batch", runs=np.int64(3), seed=np.int64(9)).runs == 3
 
 
 @pytest.mark.parametrize("key, values", [

@@ -54,20 +54,29 @@ def count(lo, hi):
     return st.one_of(st.integers(lo, hi), st.just(True))
 
 
+# values of a float field that are no real numbers: a string, None and a bool
+NOT_REALS = ["8", None, True]
+
+
+def real(values):
+    """A value of a float field drawn from values, or one of NOT_REALS."""
+    return st.one_of(values, st.sampled_from(NOT_REALS))
+
+
 # methods that are none or not Methods
 NOT_METHODS = [(), Method.RATIO, "ratio", ("statistical", "ratio")]
 
 # a value for one field that may break the pair: out of range, off the
 # grid, too long for the warm-up to end before the onset, a slot size that
-# does not tile a second, a bool in an int field, or methods from
-# NOT_METHODS (a list of Methods runs)
+# does not tile a second, a bool in an int field, one of NOT_REALS in a
+# float field, or methods from NOT_METHODS (a list of Methods runs)
 BROKEN = {
-    "w_s": seconds(20), "w_l": seconds(100), "c": seconds(100),
-    "r": st.floats(-1.0, 1.0), "alpha": st.floats(0.0, 1.0),
+    "w_s": real(seconds(20)), "w_l": real(seconds(100)), "c": real(seconds(100)),
+    "r": real(st.floats(-1.0, 1.0)), "alpha": real(st.floats(0.0, 1.0)),
     "baseline_len": count(0, 60),
-    "t_star": seconds(30), "attack_end": seconds(100),
-    "lambda_n": st.floats(-1.0, 1.0), "lambda_a": st.floats(-1.0, 1.0),
-    "mu": st.floats(-1.0, 1.0), "l1": count(-2, 2), "l2": count(-2, 2),
+    "t_star": real(seconds(30)), "attack_end": real(seconds(100)),
+    "lambda_n": real(st.floats(-1.0, 1.0)), "lambda_a": real(st.floats(-1.0, 1.0)),
+    "mu": real(st.floats(-1.0, 1.0)), "l1": count(-2, 2), "l2": count(-2, 2),
     "slot_dt": st.sampled_from([0.15, 0.3, 0.7, 2.0]),
     "methods": st.one_of(st.sampled_from(NOT_METHODS),
                          st.lists(st.sampled_from(ALL_METHODS), min_size=1)),
@@ -170,9 +179,11 @@ def with_pair_examples(test):
                 SIM2.id_method, 0)
         test = example(pair)(test)
     # sim2 with each broken value that a seed's draws may miss: every value
-    # of NOT_METHODS, and a bool as a count
+    # of NOT_METHODS, a bool as a count, and a string, None or a bool as a
+    # real number
     for broken, value in [*(("methods", m) for m in NOT_METHODS),
-                          ("n_attack", True), ("l1", True), ("baseline_len", True)]:
+                          ("n_attack", True), ("l1", True), ("baseline_len", True),
+                          ("mu", "8"), ("lambda_n", None), ("lambda_n", True), ("r", "0.6")]:
         test = example((SIM2.scenario, SIM2.detector, broken, value, SIM2.id_method, 0))(test)
     return test
 

@@ -578,10 +578,19 @@ def test_config_rejects_methods_that_are_not_methods(methods):
 
 
 @pytest.mark.parametrize("field", ["w_s", "w_l", "r", "c", "alpha"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.nan),
+                                   np.float32(math.inf)])
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["w_s", "w_l", "r", "c", "alpha"])
+@pytest.mark.parametrize("value", ["0.6", None, True])
+def test_config_rejects_values_that_are_not_real_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
+        make_cfg(**{field: value})
+    make_cfg(r=1, alpha=np.float64(0.05))
 
 
 @pytest.mark.parametrize("value", [30.0, 30.5, np.float64(30.0), True])

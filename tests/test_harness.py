@@ -207,15 +207,17 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
     assert (1 + ws_slots, False, True) in stretches
 
 
-def last_split(stream):
-    """A copy of the stream's last split: its packet ids, end to end, and
-    each slot's bounds in them.  The split is handed back whole and asked
-    for again, which draws the same keys and leaves the split RNG where it
-    stood."""
-    lo, hi = stream._lo, stream._hi
-    type(stream).rewind(stream, lo)
-    ids, bounds = stream._split(lo, hi)
-    return ids.copy(), bounds
+def copied_splits(stream, kept):
+    """Have each split of the stream call kept(lo, hi, ids, bounds) with a
+    copy of its packet ids, end to end, and each slot's bounds in them."""
+    split = stream._split
+
+    def copied(lo, hi):
+        ids, bounds = split(lo, hi)
+        kept(lo, hi, ids.copy(), bounds)
+        return ids, bounds
+
+    stream._split = copied
 
 
 @pytest.mark.parametrize("preset, overrides, seed", [
@@ -235,18 +237,17 @@ def test_packet_ledger_balances(monkeypatch, preset, overrides, seed, id_method=
 
     def kept_stream(*args):
         stream = traffic_stream(*args)
-        unblocked, rewind = stream.unblocked, stream.rewind
+        unblocked = stream.unblocked
 
-        def taken_slots(lo, hi, blocked, window=None):
-            split = unblocked(lo, hi, blocked, window)
-            taken.append([block_set[0], *last_split(stream), lo, hi])
-            return split
+        def taken_slots(lo, hi, *args):
+            # the ask takes back the slots from lo on of the last split
+            if taken:
+                taken[-1][4] = min(taken[-1][4], lo)
+            return unblocked(lo, hi, *args)
 
-        def handed_back(i):
-            taken[-1][4] = i
-            rewind(i)
-
-        stream.unblocked, stream.rewind = taken_slots, handed_back
+        copied_splits(stream, lambda lo, hi, ids, bounds:
+                      taken.append([block_set[0], ids, bounds, lo, hi]))
+        stream.unblocked = taken_slots
         streams.append(stream)
         return stream
 
@@ -309,14 +310,7 @@ def test_remeasured_window_counts_only_unblocked_packets(monkeypatch, preset):
 
     def kept_stream(*args):
         stream = traffic_stream(*args)
-        unblocked = stream.unblocked
-
-        def taken_slots(lo, hi, blocked, window=None):
-            split = unblocked(lo, hi, blocked, window)
-            taken.append(last_split(stream))
-            return split
-
-        stream.unblocked = taken_slots
+        copied_splits(stream, lambda lo, hi, ids, bounds: taken.append((ids, bounds)))
         return stream
 
     def identified(counts, *args):
@@ -369,17 +363,18 @@ def test_first_window_cut_short_by_the_run_end_is_not_split(monkeypatch, seed):
 
     def kept_stream(*args):
         stream = traffic_stream(*args)
-        split, rewind = stream._split, stream.rewind
+        split, unblocked = stream._split, stream.unblocked
 
         def taken(lo, hi):
             handed_out[lo:hi] = True
             return split(lo, hi)
 
-        def handed_back(i):
-            handed_out[i:stream._hi] = False
-            rewind(i)
+        def asked(lo, *args):
+            # every ask takes back the slots from lo on that were handed out
+            handed_out[lo:] = False
+            return unblocked(lo, *args)
 
-        stream._split, stream.rewind = taken, handed_back
+        stream._split, stream.unblocked = taken, asked
         return stream
 
     def kept_buffer(*args):
@@ -410,7 +405,7 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     ("unfreeze", None)."""
     log, elapsed = [], [0]
     detector, stream = harness.Detector, harness.TrafficStream
-    run, unblocked = detector.run, stream.unblocked
+    run, split, unblocked = detector.run, stream._split, stream.unblocked
     identify = harness.identify
 
     def ran(self, arrivals, *args, **kwargs):
@@ -427,11 +422,15 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
             return method(self, *args)
         return spy
 
-    def taken(self, lo, hi, blocked, window=None):
+    def taken(self, lo, hi):
         log.append(("slots", lo))
-        if window is not None:
+        return split(self, lo, hi)
+
+    def asked(self, lo, hi, blocked, window=None):
+        out = unblocked(self, lo, hi, blocked, window)
+        if out[1] is not None:
             log.append(("count", None))
-        return unblocked(self, lo, hi, blocked, window)
+        return out
 
     def ranked(*args):
         log.append(("identify", identify(*args)))
@@ -440,7 +439,8 @@ def logged_runs(monkeypatch, scenario, det, id_method, seeds):
     monkeypatch.setattr(detector, "run", ran)
     for name in ("freeze", "unfreeze", "rearm"):
         monkeypatch.setattr(detector, name, marked(name))
-    monkeypatch.setattr(stream, "unblocked", taken)
+    monkeypatch.setattr(stream, "_split", taken)
+    monkeypatch.setattr(stream, "unblocked", asked)
     monkeypatch.setattr(harness, "identify", ranked)
     runs = []
     for seed in seeds:

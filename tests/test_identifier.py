@@ -1,14 +1,15 @@
 """Identification tests: per-source window counts, the attack-rate budget,
 the greedy prefix rule on integer counts (against a brute-force walk and
 the float rule it ranks by), the history variant, and the counts of a
-window under the filter."""
+window under the filter, as the traffic stream's split counts them."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddossim.identifier import count_window, identify
+from ddossim.identifier import identify
+from ddossim.traffic import ScenarioConfig, TrafficStream
 from reference import reference_identify
 
 
@@ -317,31 +318,49 @@ def test_history_exempt_sources_never_blocked():
 # filtering
 # ---------------------------------------------------------------------------
 
+# twelve sources whose attackers send over slots 100-199
+TWELVE = ScenarioConfig(n_legal=8, n_attack=4, lambda_n=2.0, lambda_a=5.0, mu=100.0, l1=40,
+                        l2=160, t_star=10.0, attack_end=20.0, total_duration=30.0)
+
+
+def counted_window(blocked, seed=0):
+    """A copy of the packet ids of a window of slots 100-199 of a stream of
+    TWELVE, and its counts by source as the stream's split counts them for
+    identify under the blocked mask."""
+    stream = TrafficStream(TWELVE, np.random.default_rng(seed), np.random.default_rng(seed + 1))
+    split, got = stream._split, []
+
+    def copied(lo, hi):
+        ids, bounds = split(lo, hi)
+        got.append(ids.copy())
+        return ids, bounds
+
+    stream._split = copied
+    _, counts = stream.unblocked(100, 200, blocked, 100)
+    return got[0], counts
+
+
 def test_filter_empty_blocked_is_identity():
-    ids = slot_of({1: 2, 2: 5})
-    out = count_window(ids, 3, mask_of([], 3))
+    ids, out = counted_window(mask_of([], 12))
     assert out.dtype == np.int64
-    assert np.array_equal(out, np.bincount(ids, minlength=3))
-    assert np.array_equal(out, count_window(ids, 3))
+    assert np.array_equal(out, np.bincount(ids, minlength=12))
+    assert np.array_equal(out, counted_window(None)[1])
 
 
 def test_filter_all_blocked_zeroes_aggregate():
-    ids = slot_of({1: 2, 2: 5})
-    out = count_window(ids, 3, mask_of({1, 2}, 3))
-    assert len(ids) == 7
+    ids, out = counted_window(mask_of(range(12), 12))
+    assert len(ids) > 0
     assert out.sum() == 0
     assert not out.any()
 
 
 def test_filter_never_touches_unblocked_sources():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        per_source = {int(i): int(c) for i, c in
-                      enumerate(rng.integers(0, 10, 12))}
+    for seed in range(100):
         blocked = frozenset(int(i) for i in rng.choice(12, 4, replace=False))
-        ids = slot_of(per_source)
-        out = count_window(ids, 12, mask_of(blocked, 12))
-        for sid, c in per_source.items():
+        ids, out = counted_window(mask_of(blocked, 12), seed)
+        per_source = np.bincount(ids, minlength=12)
+        for sid, c in enumerate(per_source):
             if sid in blocked:
                 assert out[sid] == 0
             else:

@@ -53,8 +53,12 @@ def legal_only(cfg, seed=0):
 
 
 def split_copy(stream, lo, hi):
-    """A copy of the packet source ids of slots lo..hi-1, end to end, and
-    each slot's bounds in them: slot lo + j is ids[bounds[j]:bounds[j + 1]]."""
+    """Ask for slots lo..hi-1 and split them: a copy of their packet source
+    ids, end to end, and each slot's bounds in them, slot lo + j being
+    ids[bounds[j]:bounds[j + 1]].  The unsplit ask checks the range and
+    takes back what the last split handed out from lo on, as a split ask
+    does before it splits."""
+    stream.unblocked(lo, hi, None)
     ids, bounds = stream._split(lo, hi)
     return ids.copy(), bounds
 
@@ -132,7 +136,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field", ["lambda_n", "lambda_a", "mu", "t_star", "attack_end",
                                    "total_duration", "slot_dt"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.nan),
+                                   np.float32(math.inf)])
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         small_config(**{field: value})
@@ -145,6 +150,20 @@ def test_config_rejects_non_integers(field, value):
     # range check and fail deep in numpy
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         small_config(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["lambda_n", "lambda_a", "mu", "t_star", "attack_end",
+                                   "total_duration", "slot_dt"])
+@pytest.mark.parametrize("value", ["8", None, True])
+def test_config_rejects_values_that_are_not_real_numbers(field, value):
+    # a string or None would fail a range check with a TypeError that
+    # names no field, and a bool would run as 0.0 or 1.0
+    with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
+        small_config(**{field: value})
+
+
+def test_config_accepts_ints_and_numpy_floats_as_real_numbers():
+    assert small_config(mu=8, lambda_n=np.float64(0.1)) == small_config()
 
 
 def test_config_rejects_a_service_past_int64():
@@ -495,7 +514,8 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
             assert np.array_equal(np.diff(bounds), stream.totals[lo:hi])
             at = min(lo + cut + 1, hi)      # the stretch stops after slot at - 1
             if at < hi:
-                stream.rewind(at)
+                # an unsplit ask from the cut takes the slots after it back
+                stream.unblocked(at, hi, None)
             got = [ids[bounds[j]:bounds[j + 1]] for j in range(at - lo)]
         else:
             at = hi
@@ -509,118 +529,219 @@ def test_slot_ranges_match_slot_by_slot(first, asks, seed):
 
 
 class CountingRNG:
-    """A split generator that records the size of each draw, on the real
-    PCG64 bit generator, which rewind() steps back."""
+    """A split generator that records each draw, on the real PCG64 bit
+    generator, which an ask steps back."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.bit_generator = self.rng.bit_generator
         self.draws = []
+        self.drawn = []
 
     def random(self, size=None, out=None):
         self.draws.append(len(out) if size is None else size)
-        return self.rng.random(size, out=out)
+        drawn = self.rng.random(size, out=out)
+        self.drawn.append(drawn.copy())
+        return drawn
 
 
 @pytest.mark.parametrize("cfg", [small_config(), small_config(n_legal=300, lambda_a=1.0)],
                          ids=["50-50", "300-50"])
-def test_ask_draws_its_packets_and_rewind_steps_back_over_them(cfg):
-    # an ask draws the keys of exactly its packets, in one call, and a
-    # rewind draws nothing and steps the generator back over exactly the
-    # packets it hands back: the next key is always key k of the seed's
-    # stream, k being the packets handed out and not handed back, and the
-    # keys of the slots handed back are the next ones drawn, in draw order
+def test_ask_draws_its_packets_and_the_next_ask_takes_back_the_rest(cfg):
+    # a split ask draws the keys of exactly its packets, in one call, and
+    # every ask first steps the generator back over exactly the packets of
+    # its slots that the last split handed out, drawing nothing for that:
+    # the next key is always key k of the seed's stream, k being the
+    # packets handed out and not taken back, and the keys of the slots
+    # taken back are the next ones drawn, in draw order
     split = CountingRNG(4)
     stream = TrafficStream(cfg, np.random.default_rng(3), split)
     prefix = np.concatenate(([0], np.cumsum(stream.totals)))
     keys = np.random.default_rng(4).random(prefix[-1] + 1)
-    consumed = 0                 # keys handed out and not handed back
-    stepped = 0                  # keys handed back
+    consumed = 0                 # keys handed out and not taken back
+    stepped = 0                  # keys taken back
+    out = 0                      # the end of the slots handed out and not taken back
 
     def coming(k):
         """The next k keys the split generator gives, without drawing them."""
         return copy.deepcopy(split.rng).random(k)
 
-    def ask(lo, hi):
-        nonlocal consumed
+    def ask(lo, hi, splits=True):
+        nonlocal consumed, stepped, out
         draws = len(split.draws)
-        packets = prefix[hi] - prefix[lo]
-        split_copy(stream, lo, hi)
-        assert split.draws[draws:] == [packets]
-        consumed += packets
-        assert coming(1)[0] == keys[consumed]
-
-    def rewind(i, hi):
-        nonlocal consumed, stepped
-        draws = len(split.draws)
-        back = prefix[hi] - prefix[i]
-        stream.rewind(i)
-        assert len(split.draws) == draws
+        back = prefix[out] - prefix[lo] if lo < out else 0
+        stream.unblocked(lo, hi, None, lo if splits else None)
         consumed -= back
         stepped += back
-        assert np.array_equal(coming(back), keys[consumed:consumed + back])
+        if splits:
+            packets = prefix[hi] - prefix[lo]
+            assert split.draws[draws:] == [packets]
+            assert np.array_equal(split.drawn[-1], keys[consumed:consumed + packets])
+            consumed += packets
+            out = hi
+        else:
+            assert len(split.draws) == draws
+            assert np.array_equal(coming(back), keys[consumed:consumed + back])
+            out = min(out, lo)
+        assert coming(1)[0] == keys[consumed]
 
     # asks as run_once makes them: a window, filter stretches cut short
-    # and resumed at the cut, a restoration followed by a gap and a short
-    # window that takes part of the keys handed back, and two rewinds into
-    # one ask
+    # and resumed at the cut, a restoration whose unsplit stretch takes
+    # the rest back, then a gap and a short window that takes part of the
+    # keys taken back, and two unsplit asks after one split, the second
+    # of which has nothing left to take back
     ask(900, 1000)
     ask(1000, 1100)
-    rewind(1037, 1100)
     ask(1037, 1137)
     ask(1137, 1237)
-    rewind(1140, 1237)
+    ask(1140, 1300, splits=False)
     ask(1300, 1301)
     assert prefix[1301] - prefix[1300] < prefix[1237] - prefix[1140]
     ask(1301, 1400)
     ask(1500, 1600)
-    rewind(1550, 1600)
-    rewind(1520, 1550)
+    ask(1520, 1530, splits=False)
+    ask(1550, 1560, splits=False)
     assert np.array_equal(coming(prefix[1600] - prefix[1520]),
                           keys[consumed:consumed + prefix[1600] - prefix[1520]])
-    ask(1520, 1620)
+    ask(1550, 1620)
     assert consumed == sum(split.draws) - stepped
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=900, max_value=2950), episode_asks(), st.integers(0, 2**32 - 1))
 def test_split_rng_position_is_the_packets_kept(first, asks, seed):
-    # after every ask and every rewind, the split generator's state is
-    # that of a fresh PCG64 of the same seed after one draw of k uniforms,
-    # k being the packets handed out and not handed back; a cut stretch is
-    # sometimes handed back in two rewinds
+    # after every ask, the split generator's state is that of a fresh
+    # PCG64 of the same seed after one draw of k uniforms, k being the
+    # packets handed out and not taken back; a cut stretch is taken back
+    # by the next split ask, or first by an unsplit ask from the cut
     cfg = small_config(n_legal=300, lambda_a=1.0)
     stream = stream_of(cfg, split_seed=seed)
     prefix = np.concatenate(([0], np.cumsum(stream.totals)))
     kept = 0
+    out = 0
 
     def at_kept():
         fresh = np.random.default_rng(seed)
         fresh.random(kept)
         return stream._split_rng.bit_generator.state == fresh.bit_generator.state
 
+    def take_back(lo):
+        nonlocal kept, out
+        if lo < out:
+            kept -= prefix[out] - prefix[lo]
+            out = lo
+
     at = first
-    for gap, twice, length, cut in asks:
+    for gap, unsplit, length, cut in asks:
         lo = at + gap
         hi = min(lo + length, cfg.n_slots)
         if lo >= hi:
             break
+        take_back(lo)
         split_copy(stream, lo, hi)
         kept += prefix[hi] - prefix[lo]
+        out = hi
         assert at_kept(), (lo, hi)
         at = min(lo + cut + 1, hi)
-        for i in sorted({at, (at + hi) // 2} if twice else {at}, reverse=True):
-            kept -= prefix[stream._hi] - prefix[i]
-            stream.rewind(i)
-            assert at_kept(), (lo, i)
+        if unsplit and at < hi:
+            take_back(at)
+            stream.unblocked(at, hi, None)
+            assert at_kept(), (lo, at)
+
+
+def fresh_position(seed, packets):
+    """The state of a fresh PCG64 of seed after a draw of that many uniforms."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(int(packets))
+    return bit_generator.state
+
+
+@st.composite
+def forward_asks(draw):
+    """Asks of two streams as run_once makes them of one, interleaved:
+    each (stream, gap, length, mask, window offset, slots used, bad ask).
+    A mask of None or a blocked share; a window offset of None or its
+    first slot's place in the ask; the slots used before the next ask of
+    the stream starts, at least one; and a bad ask of None or the fault
+    of an ask made first, from the cut, which must fail."""
+    return draw(st.lists(st.tuples(
+        st.integers(0, 1), st.integers(0, 40), st.integers(1, 120),
+        st.one_of(st.none(), st.floats(0.0, 1.0)),
+        st.one_of(st.none(), st.integers(0, 119)), st.integers(1, 120),
+        st.sampled_from([None, "before", "past", "window"])), min_size=1, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=900, max_value=2900), forward_asks(), st.integers(0, 2**32 - 1))
+def test_every_ask_takes_back_what_the_last_split_did_not_use(first, asks, seed):
+    # before each split the split generator stands where a fresh PCG64 of
+    # its seed stands after the packets handed out and kept; an ask with
+    # no mask and no window draws nothing; a bad ask fails before the
+    # generator moves, and leaves the next ask's hand-back as it was; and
+    # two streams on one thread keep a hand-back each
+    cfg = small_config(n_legal=300, lambda_a=1.0)
+    n = cfg.n_legal + cfg.n_attack
+    streams = [stream_of(cfg, split_seed=seed), stream_of(cfg, seed=5, split_seed=seed + 1)]
+    prefixes = [np.concatenate(([0], np.cumsum(stream.totals))) for stream in streams]
+    seeds = [seed, seed + 1]
+    kept = [0, 0]                # packets handed out and kept, each stream
+    out = [0, 0]                 # the end of its slots handed out and not taken back
+    at = [first, first]          # the first slot of its next ask
+    last = [0, 0]                # its last ask's first slot
+    splits = []
+
+    for k, stream in enumerate(streams):
+        def spied(lo, hi, k=k, split=stream._split):
+            splits.append(k)
+            assert streams[k]._split_rng.bit_generator.state == fresh_position(seeds[k], kept[k])
+            return split(lo, hi)
+        stream._split = spied
+
+    for k, gap, length, share, offset, used, bad in asks:
+        stream, prefix = streams[k], prefixes[k]
+        lo = at[k] + gap
+        hi = min(lo + length, cfg.n_slots)
+        if lo >= hi:
+            continue
+        before = stream._split_rng.bit_generator.state
+        if bad is not None:
+            # each fault from a slot that the last split handed out, so
+            # that a hand-back made before the check would show
+            if bad == "before" and last[k] > 0:
+                bad_ask = (last[k] - 1, hi, None, None)
+            elif bad == "window":
+                bad_ask = (lo, hi, None, hi)
+            else:
+                bad_ask = (lo, cfg.n_slots + 1, None, None)
+            with pytest.raises(ValueError):
+                stream.unblocked(*bad_ask)
+            assert stream._split_rng.bit_generator.state == before
+        blocked = None if share is None else np.random.default_rng(lo).random(n) < share
+        window = None if offset is None else lo + offset % (hi - lo)
+        if lo < out[k]:
+            kept[k] -= prefix[out[k]] - prefix[lo]
+            out[k] = lo
+        count = len(splits)
+        arrivals, counts = stream.unblocked(lo, hi, blocked, window)
+        last[k] = lo
+        assert (counts is None) == (window is None)
+        if blocked is None and window is None:
+            assert len(splits) == count
+            assert np.array_equal(arrivals, stream.totals[lo:hi])
+        else:
+            assert splits[count:] == [k]
+            kept[k] += prefix[hi] - prefix[lo]
+            out[k] = hi
+        assert stream._split_rng.bit_generator.state == fresh_position(seeds[k], kept[k])
+        at[k] = min(lo + used, hi)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
 def test_split_generator_must_be_a_pcg64(bit_generator):
-    # a rewind steps the split generator back by a PCG64 jump; Philox's
+    # an ask steps the split generator back by a PCG64 jump; Philox's
     # advance counts blocks of four outputs, and MT19937 has none, so a
     # stream on either would hand out other keys or fail at its first
-    # rewind.  It is rejected before a slot is drawn
+    # hand-back.  It is rejected before a slot is drawn
     cfg = small_config()
     rng = np.random.default_rng(0)
     untouched = copy.deepcopy(rng.bit_generator.state)
@@ -637,20 +758,21 @@ def test_slot_range_bounds_checked():
     with pytest.raises(ValueError):
         split_copy(stream, 2990, 3001)
     split_copy(stream, 10, 20)
-    with pytest.raises(ValueError):
-        stream.rewind(21)
-    with pytest.raises(ValueError):
-        stream.rewind(9)
-    # a rewind reaches only into the last ask, and after a rewind only up
-    # to the slot it handed back: slots 950-999 went out in the first ask
+    # an ask reaches back only to the last ask's first slot: the slots
+    # before it are the caller's.  It may start past the last split's end,
+    # and again where the last ask started
+    with pytest.raises(ValueError, match="slot 9 is before slot 10, where the last ask started"):
+        stream.unblocked(9, 20, None)
+    split_copy(stream, 21, 30)
     split_copy(stream, 900, 1000)
     split_copy(stream, 1000, 1010)
-    with pytest.raises(ValueError, match="slot 950 is not in the slots last taken"):
-        stream.rewind(950)
-    stream.rewind(1005)
+    with pytest.raises(ValueError, match="slot 950 is before slot 1000"):
+        stream.unblocked(950, 1010, None)
+    stream.unblocked(1005, 1010, None)
     with pytest.raises(ValueError):
-        stream.rewind(1007)
-    stream.rewind(1000)
+        split_copy(stream, 1000, 1010)
+    split_copy(stream, 1005, 1010)
+    stream.unblocked(1005, 1010, None)
 
 
 def test_unblocked_hands_out_arrays_later_asks_leave_alone():
@@ -662,7 +784,6 @@ def test_unblocked_hands_out_arrays_later_asks_leave_alone():
     stream, other = stream_of(cfg), stream_of(cfg, seed=5)
     blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
     handed = [stream.unblocked(1000, 1100, blocked, 1050)]
-    stream.rewind(1000)
     handed.append(stream.unblocked(1000, 1100, None, 1050))
     kept = [(arrivals.copy(), counts.copy()) for arrivals, counts in handed]
     stream.unblocked(1100, 1200, blocked, 1100)
@@ -698,20 +819,19 @@ def test_streams_of_one_config_share_read_only_split_tables():
         assert apart._size is not stream._size and apart._first is not stream._first
 
 
-def test_rewind_after_another_stream_splits_hands_back_its_packets():
+def test_hand_back_after_another_stream_splits_returns_its_packets():
     # a stream's split state is its generator's position alone: once
-    # another stream has split into the same thread's arena, a rewind
-    # still hands back exactly the packets of the slots after it, and the
-    # next ask gets the ids that one ask over both would have given them
+    # another stream has split into the same thread's arena, an ask still
+    # takes back exactly the packets of the slots from its start on, and
+    # gets the ids that one ask over both would have given them
     cfg = small_config(n_legal=300, lambda_a=1.0)
     stream, other = stream_of(cfg), stream_of(cfg, seed=5)
     blocked = np.arange(cfg.n_legal + cfg.n_attack) % 3 == 0
     ids, bounds = split_copy(stream_of(cfg), 1000, 1200)
     stream.unblocked(1000, 1100, blocked)
     split_copy(other, 1000, 1010)
-    stream.rewind(1050)
-    assert stream._hi == 1050
     again, _ = split_copy(stream, 1050, 1200)
+    assert stream._hi == 1200
     assert np.array_equal(again, ids[bounds[50]:])
 
 
@@ -782,9 +902,10 @@ def preset_stream(scenario, seed):
 def test_split_is_uniform_within_each_class(name, seeds):
     # given its class total, a class's per-source counts are uniform
     # multinomial: pooled over the slots used of 100-slot windows, asked
-    # after random gaps and half of them cut short by a rewind, as run_once
-    # cuts a stretch at a fire or a restoration, each class's counts fit a
-    # uniform split by chi-square, with at least 5 packets expected a source
+    # after random gaps and half of them cut short, their rest taken back
+    # by an unsplit ask from the cut, as run_once cuts a stretch at a fire
+    # or a restoration, each class's counts fit a uniform split by
+    # chi-square, with at least 5 packets expected a source
     scenario = get_preset(name).scenario
     asks = np.random.default_rng(29)
     counts = np.zeros(scenario.n_legal + scenario.n_attack, dtype=np.int64)
@@ -796,7 +917,7 @@ def test_split_is_uniform_within_each_class(name, seeds):
             ids, bounds = split_copy(stream, at, hi)
             cut = int(asks.integers(at + 1, hi + 1)) if asks.random() < 0.5 else hi
             if cut < hi:
-                stream.rewind(cut)
+                stream.unblocked(cut, hi, None)
             counts += np.bincount(ids[:bounds[cut - at]], minlength=len(counts))
             at = cut + int(asks.integers(0, 200))
     classes = (counts[:scenario.n_legal], counts[scenario.n_legal:])

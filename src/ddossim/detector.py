@@ -16,18 +16,19 @@ windows themselves.
 Detector.run takes every stretch of slots, between episodes and during
 them: it runs the detector, the buffer and, while a filter is in place,
 the RestorationMonitor ahead to the first event, then commits each of them
-up to it.  Each input the rules share is found once a stretch: the slots
-whose backlog is at or above l1, which buffer-full and restoration both
-read, and the buckets' prefix sums, which every statistical check reads.
+up to it.  Each input the rules share is found once a stretch: the high
+mask, true where the backlog is at or above l1, which buffer-full and
+restoration both read, and the buckets' prefix sums, which every
+statistical check reads.
 The detector owns the monitor: an episode's first
 classification (rearm) builds it from lambda-bar at the fire, and
 restoration (unfreeze) drops it, so the run loop never holds it.  The
-history each keeps is an int64 tail of its slots: the short window since
-it was last cleared, the unfrozen slots the long window and its lagged
-level lambda-bar come from, the admitted counts restoration sums, and the
-unfinished one-second bucket; a stretch whose own slots fill a tail
-leaves a slice of them as the tail.  window_sums() reads every
-window off a tail and a stretch's arrivals, from int64 prefix sums.  An
+history each keeps is a tail of its slots: the short window since it was
+last cleared, the unfrozen slots the long window and its lagged level
+lambda-bar come from, the high flags and admitted counts of restoration's
+window, and the unfinished one-second bucket; a stretch whose own slots
+fill a tail leaves a slice of them as the tail.  window_sums() reads every
+window off a tail and a stretch's values, from int64 prefix sums.  An
 episode copies no history: its slots and buckets stay out of the histories
 the references come from, and its own buckets are a list of their own.
 Only lambda-bar, which no frozen slot can move, is kept at the fire.
@@ -126,10 +127,10 @@ class DetectorConfig:
 
 
 def window_sums(tail: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    """The sum of the newest `width` slots after each of the int64 values is
-    appended to the int64 tail in turn: NaN while fewer than `width` slots
-    are held, then the sum from exact int64 prefix sums as a float64, exact
-    below 2**53."""
+    """The sum of the newest `width` slots after each of the int64 or bool
+    values is appended to the tail of the same kind in turn: NaN while
+    fewer than `width` slots are held, then the sum from exact int64 prefix
+    sums as a float64, exact below 2**53."""
     held = len(tail)
     first = max(0, width - held - 1)       # the first value that fills the window
     sums = np.empty(len(values))
@@ -159,50 +160,45 @@ class RestorationMonitor:
     occupancy, for the same reason the buffer-full detector uses it: at
     coarse slot sizes one slot's arrival batch can exceed l1 on its own
     under normal load.  The monitor holds no l1: it takes a stretch as its
-    high slots, those whose backlog is at or above l1, which Detector.run
-    finds once for buffer-full and restoration alike, and its int64
-    admitted counts.  tests/reference.py holds the rule one slot at a time.
+    high mask, true where the backlog is at or above l1, which Detector.run
+    computes once for buffer-full and restoration alike, and its int64
+    admitted counts.  It keeps two tails of the last ws_slots slots, their
+    high flags and their admitted counts, and reads both windows off them
+    with window_sums, as the ratio rule reads its own.  tests/reference.py
+    holds the rule one slot at a time, with a count of low backlogs.
     """
 
     def __init__(self, threshold_sum: float, ws_slots: int):
         self.threshold_sum = threshold_sum
         self.ws_slots = ws_slots
-        self._admitted = np.zeros(0, dtype=np.int64)     # the last ws_slots admitted counts
-        self._occ_ok = 0
+        # the last ws_slots high flags and admitted counts
+        self._high = np.zeros(0, dtype=bool)
+        self._admitted = np.zeros(0, dtype=np.int64)
 
     def first_restored(self, high: np.ndarray, admitted: np.ndarray) -> Optional[int]:
-        """The first slot of a stretch at which restoration holds, or None,
-        given its high slots in ascending order and its int64 admitted
-        counts; the monitor is unchanged.  The low-backlog run comes from
-        the last high slot, the admitted window sums from prefix sums.
-
-        No window sum is taken unless the stretch can hold a run of ws_slots
-        low backlogs: the longest it can hold is the run before its first
-        high slot, with the run carried in, the longest between two high
-        slots, or the run after the last.  A stretch of a measurement window
-        forced by a fire mostly starts high, and stops there."""
-        n = len(admitted)
-        longest = (max(self._occ_ok + int(high[0]),
-                       int((high[1:] - high[:-1]).max(initial=1)) - 1,
-                       n - 1 - int(high[-1])) if len(high) else self._occ_ok + n)
-        if longest < self.ws_slots:
+        """The first slot of a stretch whose window of ws_slots holds no high
+        flag and admits at most threshold_sum, or None, given the stretch's
+        high mask and int64 admitted counts; the monitor is unchanged.  No
+        window is summed when every slot is high, as in most measurement
+        windows forced by a fire: each window holds its own last slot.  No
+        admitted count is summed unless some window holds no high flag."""
+        if high.all():
+            return None
+        # the windows that hold no high flag; one not yet full has a NaN
+        # sum, which is no 0
+        free = (window_sums(self._high, high, self.ws_slots) == 0).nonzero()[0]
+        if not free.size:
             return None
         sums = window_sums(self._admitted, admitted, self.ws_slots)
-        slot = np.arange(n)
-        # the last high slot at or before each slot, -1 before the first
-        last_high = np.append(-1, high)[high.searchsorted(slot, side="right")]
-        low_run = np.where(last_high >= 0, slot - last_high, self._occ_ok + slot + 1)
-        # a window not yet full has a NaN sum, which compares False
-        hits = ((low_run >= self.ws_slots) & (sums <= self.threshold_sum)).nonzero()[0]
-        return int(hits[0]) if len(hits) else None
+        hits = free[sums[free] <= self.threshold_sum]
+        return int(hits[0]) if hits.size else None
 
     def advance(self, high: np.ndarray, admitted: np.ndarray) -> None:
         """Take in the slots of a stretch that ran, given as first_restored
         takes them, as the per-slot rule over each in turn would; the
-        monitor may keep a slice of admitted."""
+        monitor may keep slices of them."""
+        self._high = _newest(self._high, high, self.ws_slots)
         self._admitted = _newest(self._admitted, admitted, self.ws_slots)
-        n = len(admitted)
-        self._occ_ok = n - 1 - int(high[-1]) if len(high) else self._occ_ok + n
 
 
 def detect_ratio(short_avg, long_avg, r: float):
@@ -425,22 +421,22 @@ class Detector:
         (run_ahead); the first slot at which restoration holds; the first
         backlog at or above l1 (buffer-full); then the statistical check of
         the last ws_buckets buckets at each bucket boundary up to the
-        earliest of these.  The high slots, those whose backlog is at or
-        above l1, are found once, after run_ahead: buffer-full fires at the
-        first if it is not past the slots left, and the monitor searches
-        them and takes in those that ran.  Between episodes the check tests
-        against the oldest baseline_len of the last c + baseline_len
-        buckets, once that many are held; in an episode, against the oldest baseline_len of the
-        buckets held at the fire, if they were full, from the ws_buckets-th
-        bucket after the freeze or the last rearm on.  Each check is one
-        detect_statistical call on the buckets, their Python-int prefix sums
-        and sums of squares, built once a stretch, and the bounds of its two
-        windows; it cuts the windows only for Levene's test.  Within
-        a slot, statistical beats ratio, which beats buffer-full, and
-        restoration beats a fire, whose due check still counts.  Without
-        watch, in a measurement window, no fire is searched for and every
-        due check is counted; that needs a frozen detector (RuntimeError
-        otherwise).
+        earliest of these.  The high mask, true where the backlog is at or
+        above l1, is computed once, after run_ahead: buffer-full fires at
+        its first true slot if that is not past the slots left, and the
+        monitor searches the mask and takes in the slots of it that ran.
+        Between episodes the check tests against the oldest baseline_len of
+        the last c + baseline_len buckets, once that many are held; in an
+        episode, against the oldest baseline_len of the buckets held at the
+        fire, if they were full, from the ws_buckets-th bucket after the
+        freeze or the last rearm on.  Each check is one detect_statistical
+        call on the buckets, their Python-int prefix sums and sums of
+        squares, built once a stretch, and the bounds of its two windows; it
+        cuts the windows only for Levene's test.  Within a slot, statistical
+        beats ratio, which beats buffer-full, and restoration beats a fire,
+        whose due check still counts.  Without watch, in a measurement
+        window, no fire is searched for and every due check is counted; that
+        needs a frozen detector (RuntimeError otherwise).
 
         The detector's tails may be slices of arrivals, which the caller
         leaves unchanged.
@@ -469,15 +465,17 @@ class Detector:
         # the backlog net of each slot's service, so that one coarse slot's
         # arrival batch cannot trip buffer-full or end restoration's low run
         # under normal load
-        high = (stretch.backlog >= buffer.l1).nonzero()[0]
+        high = stretch.backlog >= buffer.l1
         at = None
         if restoration is not None:
             admitted = stretch.admitted         # for the search and the advance
             at = restoration.first_restored(high, admitted)
             if at is not None:
                 last = at
-        if watch and Method.BUFFER_FULL in cfg.methods and len(high) and high[0] <= last:
-            full_at = last = int(high[0])
+        if watch and Method.BUFFER_FULL in cfg.methods:
+            hits = high[:last + 1].nonzero()[0]
+            if hits.size:
+                full_at = last = int(hits[0])
 
         done = last + 1
         fired = (Method.RATIO if last == ratio_at else
@@ -520,7 +518,7 @@ class Detector:
 
         commit(buffer, stretch, done)
         if restoration is not None and not restored:
-            restoration.advance(high[:np.searchsorted(high, done)], admitted[:done])
+            restoration.advance(high[:done], admitted[:done])
         # the state the per-slot rules leave after `done` slots
         self.short = _newest(self.short, arrivals[:done], self._ws_slots)
         completed = (fill + done) // spb

@@ -91,24 +91,33 @@ def slots_in(seconds: float, slot_dt: float, name: str) -> int:
     return whole
 
 
-# the numbers an int and a float field take, as a fault names them; the
-# config modules' annotations are strings
-_NUMBER_FIELDS = {"int": (numbers.Integral, "an integer"),
-                  "float": (numbers.Real, "a real number")}
+# the numbers an int and a float field take, the exact types that need no
+# ABC check, and the name a fault gives them; the config modules'
+# annotations are strings
+_NUMBER_FIELDS = {"int": (numbers.Integral, (int,), "an integer"),
+                  "float": (numbers.Real, (float, int), "a real number")}
 
 
 def require_numbers(config) -> None:
     """Reject, field by field, a value of a config dataclass's int field
     that is not a Python or numpy integer, and one of a float field that
-    is not a real number or is NaN or infinite; a bool is neither.  The
-    first faulty field is named."""
+    is not a real number or has no finite float value: NaN, an infinity,
+    or an int too large for a float.  A bool is neither.  The first faulty
+    field is named."""
     for f in fields(config):
         value = getattr(config, f.name)
-        kind, name = _NUMBER_FIELDS.get(f.type, (None, None))
-        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        kind, exact, name = _NUMBER_FIELDS.get(f.type, (None, (), None))
+        if kind is not None and type(value) not in exact and (
+                isinstance(value, bool) or not isinstance(value, kind)):
             raise ValueError(f"{f.name} must be {name}, got {value!r}")
-        if kind is numbers.Real and not -math.inf < value < math.inf:
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind is numbers.Real:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:           # an int past the float range, not printed
+                raise ValueError(f"{f.name} must be finite, got an int too large "
+                                 f"for a float") from None
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

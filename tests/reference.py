@@ -148,6 +148,23 @@ class ReferenceRestorationMonitor:
                 and self._admitted.running_sum <= self.threshold_sum)
 
 
+def monitor_state(mon):
+    """A RestorationMonitor or its reference in one form, each value with
+    its type: the threshold sum, the admitted tail, then the number of
+    trailing low-backlog slots, capped at the tail's length; None for no
+    monitor.  The package counts the trailing lows in its tail of high
+    flags, the reference caps its streak count, so each checks the other."""
+    if mon is None:
+        return None
+    if isinstance(mon, ReferenceRestorationMonitor):
+        tail = list(mon._admitted.contents)
+        low = min(mon._occ_ok, len(tail))
+    else:
+        tail, flags = mon._admitted.tolist(), mon._high.tolist()
+        low = next((i for i, high in enumerate(reversed(flags)) if high), len(flags))
+    return [(type(v), v) for v in [mon.threshold_sum, *tail, low]]
+
+
 def fraction_decision(baseline, current, alpha):
     """The statistical rule in textbook form on Fractions: the gate on the
     baseline mean's upper confidence bound, then the pooled t-test or

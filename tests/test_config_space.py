@@ -179,11 +179,13 @@ def with_pair_examples(test):
                 SIM2.id_method, 0)
         test = example(pair)(test)
     # sim2 with each broken value that a seed's draws may miss: every value
-    # of NOT_METHODS, a bool as a count, and a string, None or a bool as a
-    # real number
+    # of NOT_METHODS, a bool as a count, a string, None or a bool as a real
+    # number, and an int past the float range, which has no finite float
+    # value, in a scenario and a detector field
     for broken, value in [*(("methods", m) for m in NOT_METHODS),
                           ("n_attack", True), ("l1", True), ("baseline_len", True),
-                          ("mu", "8"), ("lambda_n", None), ("lambda_n", True), ("r", "0.6")]:
+                          ("mu", "8"), ("lambda_n", None), ("lambda_n", True), ("r", "0.6"),
+                          ("mu", 10 ** 400), ("r", 10 ** 400)]:
         test = example((SIM2.scenario, SIM2.detector, broken, value, SIM2.id_method, 0))(test)
     return test
 

@@ -17,7 +17,7 @@ from ddossim.buffer import BufferState, run_ahead
 from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method, detect_ratio,
                               detect_statistical, window_sums)
 from reference import (ReferenceBuffer, ReferenceDetector, ReferenceRestorationMonitor,
-                       ReferenceWindow, fraction_decision, step)
+                       ReferenceWindow, fraction_decision, monitor_state, step)
 
 
 def make_cfg(**overrides) -> DetectorConfig:
@@ -404,17 +404,6 @@ def detector_state(det):
     }
 
 
-def monitor_state(mon):
-    """A RestorationMonitor or its reference in one form, typed: the
-    threshold sum, the admitted tail, then the low-backlog run; None for
-    no monitor."""
-    if mon is None:
-        return None
-    admitted = mon._admitted
-    tail = admitted.tolist() if isinstance(admitted, np.ndarray) else list(admitted.contents)
-    return typed([mon.threshold_sum] + tail + [mon._occ_ok])
-
-
 def buffer_fields(buf):
     return {name: getattr(buf, name) for name in BufferState.__slots__}
 
@@ -579,8 +568,13 @@ def test_config_rejects_methods_that_are_not_methods(methods):
 
 @pytest.mark.parametrize("field", ["w_s", "w_l", "r", "c", "alpha"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.nan),
-                                   np.float32(math.inf)])
+                                   np.float32(math.inf),
+                                   pytest.param(10 ** 400, id="10**400"),
+                                   pytest.param(-10 ** 400, id="-10**400")])
 def test_config_rejects_non_finite_numbers(field, value):
+    # an int past the float range has no finite float value: it would pass
+    # the range checks and overflow in the first one that mixes it with a
+    # float
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make_cfg(**{field: value})
 
@@ -780,7 +774,7 @@ def test_restoration_is_watched_from_the_first_rearm_to_unfreeze():
 def test_restoration_ends_the_stretch_before_a_later_high_backlog():
     # a watched filter stretch in which restoration holds at slot 1 and the
     # backlog reaches l1 at slot 3: the stretch ends restored at slot 1, so
-    # buffer-full, which reads the same high slots, never fires.  Buffer-full
+    # buffer-full, which reads the same high mask, never fires.  Buffer-full
     # alone, so that no ratio hit on the 30 cuts the stretch first
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.BUFFER_FULL,)),
               1.0, BufferState(l1=10, l2=30, service_per_slot=8.0))

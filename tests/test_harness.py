@@ -2,6 +2,7 @@
 batch aggregation, and the window sweep."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -18,7 +19,7 @@ from ddossim.harness import batch_seeds, run_batch, run_once, sweep_window
 from ddossim.presets import PRESETS
 from ddossim.stats import sample_mean, sample_stddev
 from ddossim.traffic import ScenarioConfig, slots_in
-from reference import ReferenceRestorationMonitor, reference_run
+from reference import ReferenceRestorationMonitor, monitor_state, reference_run
 
 
 SIM2 = PRESETS["sim2"]
@@ -205,6 +206,34 @@ def test_forced_refire_shares_the_window_stretch(monkeypatch):
     assert [run_once(scenario, det, idm, seed=s) for s in range(4)] == untraced
     assert (1, True, True) not in stretches
     assert (1 + ws_slots, False, True) in stretches
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cutting_watched_stretches_changes_no_row(monkeypatch, name, k):
+    # every watched stretch stops after k slots, between episodes and under
+    # a filter, so the next ask starts where it stopped; a window stays
+    # whole, because the ask that splits it counts it.  Filter stretches
+    # cut this way take the restoration monitor's advance() at every cut
+    preset = PRESETS[name]
+
+    def rows():
+        return [run_once(preset.scenario, preset.detector, preset.id_method, seed=s)
+                for s in (0, 1)]
+
+    whole = rows()
+    monitored = []
+    detector_run = harness.Detector.run
+
+    def cut(self, arrivals, buffer, watch=True):
+        if watch:
+            arrivals = arrivals[:k]
+            monitored.append(self.restoration is not None)
+        return detector_run(self, arrivals, buffer, watch)
+
+    monkeypatch.setattr(harness.Detector, "run", cut)
+    assert rows() == whole
+    assert sum(monitored) > 2
 
 
 def copied_splits(stream, kept):
@@ -639,17 +668,10 @@ def test_declare_restored_times_first_instant():
     assert first_restored_slot([100] * 20) is None
 
 
-def monitor_state(mon):
-    """A RestorationMonitor or its reference in one form, typed: the admitted
-    tail, then the low-backlog run."""
-    admitted = mon._admitted
-    tail = admitted.tolist() if isinstance(admitted, np.ndarray) else list(admitted.contents)
-    return [(type(v), v) for v in tail + [mon._occ_ok]]
-
-
-def high_slots(backlogs, l1):
-    """The slots whose backlog is at or above l1, as Detector.run finds them."""
-    return (np.asarray(backlogs, dtype=np.int64) >= l1).nonzero()[0]
+def high_flags(backlogs, l1):
+    """The high mask of the backlogs, true at or above l1, as Detector.run
+    computes it."""
+    return np.asarray(backlogs, dtype=np.int64) >= l1
 
 
 def updated_to_restoration(mon, backlogs, admitted):
@@ -660,6 +682,32 @@ def updated_to_restoration(mon, backlogs, admitted):
     return None
 
 
+def assert_monitor_matches_update(reference, warm, slots):
+    """A RestorationMonitor on the reference's threshold sum and window,
+    against the reference: advance() over the warm (backlog, admitted)
+    slots, then first_restored() over the other slots, then advance() over
+    those that ran, each as update() over every slot in turn."""
+    l1 = reference.l1
+    mon = RestorationMonitor(reference.threshold_sum, reference.ws_slots)
+    # a streak and a window carried in: advance() over the warm slots
+    # leaves the monitor as update() over each does
+    mon.advance(high_flags([b for b, _ in warm], l1),
+                np.array([a for _, a in warm], dtype=np.int64))
+    for backlog, count in warm:
+        reference.update(backlog, count)
+    assert monitor_state(mon) == monitor_state(reference)
+    backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
+    warm_state = monitor_state(mon)
+    at = mon.first_restored(high_flags(backlogs, l1), np.array(admitted, dtype=np.int64))
+    assert at == updated_to_restoration(reference, backlogs, admitted)
+    # the search leaves the monitor alone; advance() over the slots up to
+    # the restoring one, or over every slot, leaves it as update() does
+    assert monitor_state(mon) == warm_state
+    ran = len(slots) if at is None else at + 1
+    mon.advance(high_flags(backlogs[:ran], l1), np.array(admitted[:ran], dtype=np.int64))
+    assert monitor_state(mon) == monitor_state(reference)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.sampled_from([2, 5, 40]),
        st.sampled_from([0.5, 1.0, 3.0, 10.0]),
@@ -668,9 +716,10 @@ def updated_to_restoration(mon, backlogs, admitted):
        st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                           st.integers(min_value=0, max_value=8)), max_size=60))
 # the longest run of low backlogs a stretch holds at exactly ws_slots - 1,
-# where no window is summed, and at exactly ws_slots: before the first high
-# slot, counting the 2 low slots carried in, between two high slots, and
-# after the last
+# where every window holds a high flag and no admitted count is summed,
+# and at exactly ws_slots, where one window holds none: before the first
+# high slot, counting the 2 low slots carried in, between two high slots,
+# and after the last
 @example(5, 5, 1.0, [(10, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (10, 0), (0, 0)])
 @example(5, 5, 1.0, [(10, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (0, 0), (10, 0)])
 @example(5, 5, 1.0, [], [(10, 0), *[(0, 0)] * 4, (10, 0), (0, 0)])
@@ -680,24 +729,39 @@ def updated_to_restoration(mon, backlogs, admitted):
 def test_first_restored_matches_update(ws_slots, l1, baseline_rate, warm, slots):
     reference = ReferenceRestorationMonitor(l1=l1, baseline_rate=baseline_rate, r=0.6,
                                             w_s=ws_slots * 0.1, ws_slots=ws_slots)
-    mon = RestorationMonitor(reference.threshold_sum, ws_slots)
-    # a streak and a window carried in: advance() over the warm slots
-    # leaves the monitor as update() over each does
-    mon.advance(high_slots([b for b, _ in warm], l1),
-                np.array([a for _, a in warm], dtype=np.int64))
-    for backlog, count in warm:
-        reference.update(backlog, count)
-    assert monitor_state(mon) == monitor_state(reference)
-    backlogs, admitted = [b for b, _ in slots], [a for _, a in slots]
-    warm_state = monitor_state(mon)
-    at = mon.first_restored(high_slots(backlogs, l1), np.array(admitted, dtype=np.int64))
-    assert at == updated_to_restoration(reference, backlogs, admitted)
-    # the search leaves the monitor alone; advance() over the slots up to
-    # the restoring one, or over every slot, leaves it as update() does
-    assert monitor_state(mon) == warm_state
-    ran = len(slots) if at is None else at + 1
-    mon.advance(high_slots(backlogs[:ran], l1), np.array(admitted[:ran], dtype=np.int64))
-    assert monitor_state(mon) == monitor_state(reference)
+    assert_monitor_matches_update(reference, warm, slots)
+
+
+# a slot is low (backlog 0) or high (backlog 1, at l1 = 1), with 0-2
+# packets admitted
+MONITOR_SLOTS = [(backlog, count) for backlog in (0, 1) for count in range(3)]
+
+
+def assert_every_monitor_sequence_matches_update(ws_slots, longest):
+    """Every sequence of MONITOR_SLOTS up to `longest` slots, cut at every
+    point into the slots advance() takes and those first_restored()
+    searches, against update(), at every threshold sum a window of
+    ws_slots can reach exactly."""
+    for threshold in range(2 * ws_slots + 1):
+        for n in range(longest + 1):
+            for slots in itertools.product(MONITOR_SLOTS, repeat=n):
+                for cut in range(n + 1):
+                    # (1 + r) * baseline_rate * w_s is exactly the threshold
+                    reference = ReferenceRestorationMonitor(
+                        l1=1, baseline_rate=threshold / 2, r=1.0, w_s=1.0, ws_slots=ws_slots)
+                    assert reference.threshold_sum == threshold
+                    assert_monitor_matches_update(reference, slots[:cut], slots[cut:])
+
+
+@pytest.mark.parametrize("ws_slots", [1, 2, 3])
+def test_every_short_monitor_sequence_matches_update(ws_slots):
+    assert_every_monitor_sequence_matches_update(ws_slots, 3)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ws_slots", [1, 2, 3])
+def test_every_monitor_sequence_of_five_matches_update(ws_slots):
+    assert_every_monitor_sequence_matches_update(ws_slots, 5)
 
 
 def test_first_restored_on_the_last_slot():
@@ -705,18 +769,18 @@ def test_first_restored_on_the_last_slot():
     # backlogs at or above l1, then ten below it, at a baseline of 10 a second
     def monitor():
         return RestorationMonitor((1.0 + 0.6) * 10.0 * 1.0, ws_slots=10)
-    high, admitted = high_slots([100] * 10 + [0] * 10, 40), np.ones(20, dtype=np.int64)
+    high, admitted = high_flags([100] * 10 + [0] * 10, 40), np.ones(20, dtype=np.int64)
     assert monitor().first_restored(high, admitted) == 19
     mon = monitor()
-    assert mon.first_restored(high, admitted[:-1]) is None
-    mon.advance(high, admitted[:-1])
-    assert mon.first_restored(high[:0], admitted[-1:]) == 0
+    assert mon.first_restored(high[:-1], admitted[:-1]) is None
+    mon.advance(high[:-1], admitted[:-1])
+    assert mon.first_restored(high[-1:], admitted[-1:]) == 0
     # and after a restoring slot nothing more is taken in
     mon = monitor()
-    assert mon.first_restored(np.concatenate((high, np.arange(20, 25))),
+    assert mon.first_restored(np.concatenate((high, np.ones(5, dtype=bool))),
                               np.concatenate((admitted, [7] * 5))) == 19
     mon.advance(high, admitted)
-    assert monitor_state(mon) == [(int, 1)] * 10 + [(int, 10)]
+    assert monitor_state(mon) == [(float, 16.0)] + [(int, 1)] * 10 + [(int, 10)]
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,13 @@ def test_config_validation():
 @pytest.mark.parametrize("field", ["lambda_n", "lambda_a", "mu", "t_star", "attack_end",
                                    "total_duration", "slot_dt"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.nan),
-                                   np.float32(math.inf)])
+                                   np.float32(math.inf),
+                                   pytest.param(10 ** 400, id="10**400"),
+                                   pytest.param(-10 ** 400, id="-10**400")])
 def test_config_rejects_non_finite_numbers(field, value):
+    # an int past the float range has no finite float value: it would pass
+    # the range checks and overflow in the first one that mixes it with a
+    # float
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         small_config(**{field: value})
 

@@ -2,21 +2,21 @@
 
 The buffer has a normal-operation tier of size l1 and an excess tier of
 size l2; occupancy at or above l1 is the overload signal the buffer-full
-detector watches.  A buffer serves at one rate, service_per_slot = mu *
-slot_dt, fixed when it is built.  Within a slot, service happens before
-admission, and a fractional service credit keeps the long-run served rate
-equal to that rate even when it is not an integer.
+detector watches.  A buffer serves at one rate, service_per_slot = p/q
+packets, an exact fraction fixed when it is built: a scenario's mu *
+slot_dt as written.  Within a slot, service happens before admission, and
+slot k may serve floor((k + 1) p/q) - floor(k p/q) packets, so the first k
+slots may serve floor(k p/q): the rate as written, to the packet.
 
 run_ahead() runs a stretch of slots at once and commit() leaves the state
 as the per-slot rules (tests/reference.py's step) over any prefix of them
 leave it.  Two facts make the stretch exact in int64:
 
-- Service does not depend on arrivals.  A slot's whole capacity is
-  int(credit), and the credit keeps only its fractional part whether or
-  not the buffer empties (when it does not, exactly int(credit) was
-  served).  So the capacity of every slot follows from the rate and the
-  slot index alone: one read-only table is cached per rate, and a
-  stretch is a slice of it at the state's slot.
+- Service does not depend on arrivals.  A slot's capacity follows from
+  the rate and the slot index alone, whether or not the buffer emptied
+  before it: idle capacity is not banked.  So a buffer keeps the sums
+  floor(k p/q) in one int64 array, extended past its end as stretches
+  need, and a stretch's capacities are the steps of a slice of it.
 - Between the two walls the backlog is a Lindley recursion (Lindley 1952)
   on prefix sums.  With S_k = occupancy + sum(a[:k]) - sum(w[:k + 1]) for
   arrivals a and capacities w, the backlog after slot k's service is
@@ -29,37 +29,37 @@ leave it.  Two facts make the stretch exact in int64:
 
 from __future__ import annotations
 
-import functools
-import math
+import numbers
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["BufferState", "run_ahead", "commit"]
 
-# the shortest capacity table cached for a rate: a preset run's 3000 slots
-_TABLE_SLOTS = 4096
-
-# the most packets a stretch may serve, slots times service_per_slot: half
-# the int64 range, so that its prefix sums, with the arrivals and the
-# occupancy added, stay exact
-SERVICE_SUM_LIMIT = 2.0 ** 62
+# the bound on k * p for every slot k a stretch reaches, and on q: half the
+# int64 range, so that a stretch's capacity sums, with its arrivals and the
+# occupancy added, stay exact, and so does k * p for each slot up to twice
+# as far, where the buffer's array of sums may grow
+SERVICE_SUM_LIMIT = 1 << 62
 
 
 class BufferState:
     __slots__ = ("l1", "l2", "service_per_slot", "occupancy",
                  "cumulative_offered", "cumulative_served",
-                 "cumulative_dropped", "peak_occupancy", "peak_slot", "_slot")
+                 "cumulative_dropped", "peak_occupancy", "peak_slot", "_slot",
+                 "_capacity_sums")
 
-    def __init__(self, l1: int, l2: int, service_per_slot: float):
+    def __init__(self, l1: int, l2: int, service_per_slot: Fraction):
         if l1 <= 0 or l2 < 0:
             raise ValueError("buffer tiers must satisfy l1 > 0 and l2 >= 0")
-        if not 0 <= service_per_slot < math.inf:
-            raise ValueError(f"service_per_slot must be finite and >= 0, "
+        if not isinstance(service_per_slot, numbers.Rational) or service_per_slot < 0:
+            raise ValueError(f"service_per_slot must be an int or a Fraction >= 0, "
                              f"got {service_per_slot!r}")
         self.l1 = l1
         self.l2 = l2
-        self.service_per_slot = float(service_per_slot)
+        self.service_per_slot = Fraction(int(service_per_slot.numerator),
+                                         int(service_per_slot.denominator))
         self.occupancy = 0
         self.cumulative_offered = 0
         self.cumulative_served = 0
@@ -67,14 +67,12 @@ class BufferState:
         self.peak_occupancy = 0
         self.peak_slot = 0
         self._slot = 0
+        # floor(k p/q) for slots k = 0, 1, ...: derived from the rate alone
+        self._capacity_sums = np.zeros(1, dtype=np.int64)
 
     @property
     def capacity(self) -> int:
         return self.l1 + self.l2
-
-    def __repr__(self) -> str:
-        return (f"BufferState(occupancy={self.occupancy}, l1={self.l1}, l2={self.l2}, "
-                f"served={self.cumulative_served}, dropped={self.cumulative_dropped})")
 
 
 class Stretch(NamedTuple):
@@ -89,42 +87,33 @@ class Stretch(NamedTuple):
         return self.occupancy - self.backlog
 
 
-@functools.lru_cache(maxsize=8)
-def _service_table(service_per_slot: float, n: int) -> np.ndarray:
-    """The whole service capacity of each of a buffer's first n slots,
-    read-only: the per-slot rule's float credit from 0.0, slot by slot."""
-    whole, credit = [], 0.0
-    for _ in range(n):
-        credit += service_per_slot
-        w = int(credit)
-        credit -= w
-        whole.append(w)
-    table = np.array(whole, dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 def run_ahead(state: BufferState, arrivals: np.ndarray) -> Stretch:
     """Each count of arrivals run through the per-slot rules in turn, as
-    arrays; state unchanged.
+    arrays; state unchanged, but for the array of capacity sums it extends.
 
     Exact in int64: the empty-floored and the full regime of the module
     docstring, alternated at each switch.  commit() then leaves the state
-    as the rules over any prefix of the slots would.  A stretch that would
-    serve SERVICE_SUM_LIMIT packets or more raises OverflowError rather
-    than wrap.
+    as the rules over any prefix of the slots would.  A stretch to a slot
+    k with k * p or q at SERVICE_SUM_LIMIT or more raises OverflowError
+    rather than wrap.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
     n = len(arrivals)
     if n and arrivals.min() < 0:
         raise ValueError("arrivals must be >= 0")
-    if n * state.service_per_slot >= SERVICE_SUM_LIMIT:
-        raise OverflowError(f"{n} slots at {state.service_per_slot} packets a slot pass "
-                            "the int64 range of a stretch's prefix sums")
-
+    p, q = state.service_per_slot.numerator, state.service_per_slot.denominator
     lo, hi = state._slot, state._slot + n
-    size = max(_TABLE_SLOTS, 1 << (hi - 1).bit_length())
-    whole = _service_table(state.service_per_slot, size)[lo:hi]
+    if max(hi * p, q) >= SERVICE_SUM_LIMIT:
+        raise OverflowError(f"slot {hi} at {state.service_per_slot} packets a slot passes "
+                            "the int64 range of the buffer's capacity sums")
+
+    sums = state._capacity_sums
+    if hi >= len(sums):
+        # each slot's sum is computed once, and at least doubling the
+        # array keeps its copies linear in the slots a run reaches
+        k = np.arange(len(sums), max(hi + 1, 2 * len(sums)), dtype=np.int64)
+        sums = state._capacity_sums = np.concatenate((sums, k * p // q))
+    whole = sums[lo + 1:hi + 1] - sums[lo:hi]
     cap = state.capacity
     # each regime's slots: almost every stretch is one empty-floored pass
     # that never reaches capacity, and its arrays are the stretch's

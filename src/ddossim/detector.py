@@ -49,7 +49,7 @@ import numpy as np
 
 from .buffer import BufferState, commit, run_ahead
 from .stats import student_t_quantile
-from .traffic import require_numbers, slots_in
+from .traffic import RUN_SLOTS_LIMIT, require_numbers, slots_in
 
 __all__ = [
     "Method",
@@ -98,8 +98,11 @@ class DetectorConfig:
         # the tests' critical value is the t quantile at 1 - alpha/2
         if 1.0 - self.alpha / 2.0 == 1.0:
             raise ValueError(f"alpha={self.alpha} is too small: 1 - alpha/2 rounds to 1.0")
-        if self.baseline_len < 8:
-            raise ValueError("baseline_len must be >= 8")
+        # a baseline longer than a run could never warm up, and an int past
+        # the float range would overflow where it meets the float c
+        if not 8 <= self.baseline_len <= RUN_SLOTS_LIMIT:
+            raise ValueError(f"baseline_len must be >= 8 and at most {RUN_SLOTS_LIMIT:.0e}, "
+                             "the slots a run may hold")
         # a methods entry that is not a Method would match no rule, and
         # the run would silently detect nothing
         if not isinstance(self.methods, (tuple, list)) or not all(
@@ -388,9 +391,9 @@ class Detector:
         as it stood at the fire, over w_s; later calls keep it.
 
         Returns whether buffer-full must fire on the next slot, and nothing
-        before it.  A slot serves fewer than the buffer's service_per_slot
-        + 1 packets, so with the occupancy service_per_slot or more above
-        l1 (an exact int-to-float comparison) the next slot's backlog is at
+        before it.  A slot serves at most ceil(p/q) packets at the buffer's
+        service_per_slot p/q, so with the occupancy p/q or more above l1
+        ((occupancy - l1) * q >= p, in ints) the next slot's backlog is at
         least l1: restoration cannot hold there and buffer-full fires.
         Nothing fires first: the short window, just emptied, refills in one
         slot only when w_s is one slot, and a statistical check needs at
@@ -404,8 +407,9 @@ class Detector:
         if self.restoration is None:
             self.restoration = RestorationMonitor(
                 (1.0 + cfg.r) * (self._lambda_bar / self._slot_dt) * cfg.w_s, self._ws_slots)
+        rate = buffer.service_per_slot
         return (Method.BUFFER_FULL in cfg.methods
-                and buffer.occupancy - buffer.l1 >= buffer.service_per_slot
+                and (buffer.occupancy - buffer.l1) * rate.denominator >= rate.numerator
                 and (self._ws_slots > 1 or Method.RATIO not in cfg.methods))
 
     def run(self, arrivals: np.ndarray, buffer: BufferState,

@@ -3,11 +3,12 @@
 run_once drives the whole pipeline for one seed as a loop over stretches
 of slots, each run ahead to its next event by Detector.run.  Between
 episodes the buffer and the detector run on the slot totals to the next
-fire.  A fire freezes the detector, and every slot from then to
-restoration runs frozen: a measurement window of w_s, whose fires are
-ignored and whose traffic is then classified, and filter slots, which
-drop the blocked sources' packets, up to the next fire.  That fire
-means the residual traffic still looks abnormal, so the pipeline
+fire, at most 4096 slots a stretch, so that a long run costs time
+linear in its slots.  A fire freezes the detector, and every slot from
+then to restoration runs frozen: a measurement window of w_s, whose
+fires are ignored and whose traffic is then classified, and filter
+slots, which drop the blocked sources' packets, up to the next fire.
+That fire means the residual traffic still looks abnormal, so the pipeline
 re-measures and widens the block set; a false alarm just before the
 attack cannot blind the run, and a partial first classification is
 progressively repaired.  When Detector.rearm, at a classification, finds
@@ -131,8 +132,8 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
              id_method: str = "greedy", seed: int = 0) -> RunMetrics:
     """Execute one complete scenario and collect its metrics.
 
-    The buffer is built with the scenario's service rate, mu * slot_dt,
-    and serves at it for the whole run.
+    The buffer is built with the scenario's service rate, its exact
+    service_per_slot, and serves at it for the whole run.
 
     The configs checked themselves when they were made.  check_configs
     runs first, then the identification method is checked, and a seed
@@ -145,7 +146,7 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     rng_traffic, rng_split = (np.random.default_rng(s) for s in ss.spawn(2))
     stream = TrafficStream(scenario, rng_traffic, rng_split)
     dt = scenario.slot_dt
-    buf = BufferState(scenario.l1, scenario.l2, scenario.mu * dt)
+    buf = BufferState(scenario.l1, scenario.l2, scenario.service_per_slot)
     det = Detector(detector_cfg, dt)
 
     ws_slots, _, c_slots = det.window_slots
@@ -174,12 +175,14 @@ def run_once(scenario: ScenarioConfig, detector_cfg: DetectorConfig,
     n_slots = scenario.n_slots
     elapsed = 0                                # slots done
     while elapsed < n_slots:
-        # one stretch from slot lo: between episodes to the next fire or
-        # the end of the run, a window to its end, filter slots w_s ahead
-        # and on while nothing happens
+        # one stretch from slot lo: between episodes to the next fire, the
+        # end of the run or 4096 slots ahead, a window to its end, filter
+        # slots w_s ahead and on while nothing happens.  Detector.run builds
+        # arrays of a stretch's length, so a stretch between episodes is
+        # capped, above a preset run's 3000 slots so that none of them is cut
         lo = elapsed
         measuring = fire is not None and lo < fire + ws_slots
-        stop = n_slots if fire is None else min((fire if measuring else lo) + ws_slots, n_slots)
+        stop = min(lo + 4096 if fire is None else (fire if measuring else lo) + ws_slots, n_slots)
         # the stream splits a stretch's packets only if it filters them,
         # or if it is a window that will be classified: one that is not
         # cut short by the end of the run, while the run is not settled.

@@ -35,6 +35,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -64,11 +65,12 @@ RUN_PACKETS_LIMIT = 1e8
 # its memory for the rest of the process
 SPLIT_ARENA_LIMIT = 1 << 18
 
-# the most slots a run may hold: a stream keeps some 60 bytes a slot, and
-# a stretch that runs to the end of the run builds int64 arrays of its
-# length; sim2 over 10**6 slots peaks at about 150 MB, and the presets run
-# 3000 slots.  The stream's split tables, 32 of its bytes a slot, stay
-# cached after the run until a run of another config replaces them
+# the most slots a run may hold: a stream keeps some 60 bytes a slot and
+# the buffer 8 to 16 of capacity sums, and a stretch between episodes runs
+# at most 4096 slots; sim2 without attackers over 10**6 slots peaks at
+# some 43 MiB (tracemalloc), and the presets run 3000 slots.  The stream's
+# split tables, 32 of its bytes a slot, stay cached after the run until a
+# run of another config replaces them
 RUN_SLOTS_LIMIT = 10 ** 6
 
 # the most sources a run may hold: each classification builds int64 arrays
@@ -169,11 +171,12 @@ class ScenarioConfig:
             raise ValueError(f"total_duration={self.total_duration} at slot_dt={self.slot_dt} "
                              f"is {self.n_slots} slots, more than the {RUN_SLOTS_LIMIT:.0e} "
                              "a run may hold")
-        # the buffer serves mu * slot_dt a slot, and a stretch may run to
-        # the end of the run: its capacity prefix sums must stay in int64
-        if self.n_slots * (self.mu * self.slot_dt) >= SERVICE_SUM_LIMIT:
-            raise ValueError(f"mu={self.mu} serves too many packets over total_duration="
-                             f"{self.total_duration} for int64 capacity prefix sums")
+        # the buffer serves p/q packets a slot, and its capacity sums up to
+        # the run's last slot, k * p for each slot k, must stay in int64
+        rate = self.service_per_slot
+        if max(self.n_slots * rate.numerator, rate.denominator) >= SERVICE_SUM_LIMIT:
+            raise ValueError(f"mu={self.mu} at slot_dt={self.slot_dt} is {rate} packets a slot, "
+                             "too many or too precise for the buffer's int64 capacity sums")
         # each class sends n * lambda packets a second while it is active
         expected = (self.n_legal * self.lambda_n * self.total_duration
                     + self.n_attack * self.lambda_a * (self.attack_end - self.t_star))
@@ -183,6 +186,13 @@ class ScenarioConfig:
                 f"{self.total_duration} and n_attack={self.n_attack} at lambda_a="
                 f"{self.lambda_a} over [t_star, attack_end) expect {expected:.4g} packets, "
                 f"more than the {RUN_PACKETS_LIMIT:.0e} a run may hold")
+
+    @functools.cached_property
+    def service_per_slot(self) -> Fraction:
+        """The packets the buffer serves a slot, mu * slot_dt as written:
+        each read from its shortest repr, so mu = 4.5 at slot_dt = 0.1 is
+        exactly 9/20, which no float is."""
+        return Fraction(str(self.mu)) * Fraction(str(self.slot_dt))
 
     @property
     def slots_per_second(self) -> int:

@@ -15,9 +15,9 @@ slot gets the uniforms TrafficStream gives it once its next ask has
 stepped its generator back over them.  step(), push()
 and update() are the per-slot rules the package runs a stretch at a
 time.  step() runs a ReferenceBuffer, a BufferState that also keeps the
-float service credit and the backlog the last slot's service left; it
-computes each slot's capacity from that credit and never reads the
-package's capacity table.  ReferenceWindow and the lambda-bar ring hold
+backlog the last slot's service left; it computes each slot's capacity
+from the rate and the slot index in Python ints and never reads the
+package's array of capacity sums.  ReferenceWindow and the lambda-bar ring hold
 as deques the history that the package keeps as int64 tails of its
 slots, and ReferenceDetector's rotating bucket deque and the copies it
 pins at a freeze hold what the package keeps as its buckets from before
@@ -51,34 +51,29 @@ from ddossim.traffic import ScenarioConfig, slots_in
 
 
 class ReferenceBuffer(BufferState):
-    """A BufferState with the two fields the per-slot rule keeps: the float
-    service credit carried into the next slot, and the occupancy net of
-    the last slot's service, which buffer-full and restoration read."""
+    """A BufferState with the field the per-slot rule keeps: the occupancy
+    net of the last slot's service, which buffer-full and restoration
+    read."""
 
-    __slots__ = ("service_credit", "post_service_occupancy")
+    __slots__ = ("post_service_occupancy",)
 
-    def __init__(self, l1: int, l2: int, service_per_slot: float):
+    def __init__(self, l1: int, l2: int, service_per_slot: Fraction):
         super().__init__(l1, l2, service_per_slot)
-        self.service_credit = 0.0
         self.post_service_occupancy = 0
 
 
 def step(state: ReferenceBuffer, arrivals: int) -> int:
-    """Advance the buffer by one slot at the rate it was built with: serve,
-    then admit, then account; the packets admitted.  The cumulative
-    counters carry served and dropped."""
+    """Advance the buffer by one slot at the rate p/q it was built with:
+    serve, then admit, then account; the packets admitted.  Slot k may
+    serve floor((k + 1) p/q) - floor(k p/q), whatever earlier slots
+    served: idle capacity is not banked.  The cumulative counters carry
+    served and dropped."""
     if arrivals < 0:
         raise ValueError("arrivals must be >= 0")
 
-    credit = state.service_credit + state.service_per_slot
-    served = min(state.occupancy, int(credit))
+    p, q, k = state.service_per_slot.numerator, state.service_per_slot.denominator, state._slot
+    served = min(state.occupancy, (k + 1) * p // q - k * p // q)
     state.occupancy -= served
-    if state.occupancy == 0:
-        # idle capacity is not banked; only the fractional remainder carries
-        credit -= int(credit)
-    else:
-        credit -= served
-    state.service_credit = credit
     state.post_service_occupancy = state.occupancy
 
     room = state.capacity - state.occupancy
@@ -431,7 +426,7 @@ def reference_run(scenario: ScenarioConfig, cfg: DetectorConfig,
     rng_traffic, rng_split = (np.random.default_rng(s)
                               for s in np.random.SeedSequence(seed).spawn(2))
     traffic = CountVectorSplit(scenario, rng_traffic, rng_split)
-    buf = ReferenceBuffer(scenario.l1, scenario.l2, scenario.mu * scenario.slot_dt)
+    buf = ReferenceBuffer(scenario.l1, scenario.l2, scenario.service_per_slot)
     det = ReferenceDetector(cfg, scenario.slot_dt)
 
     ws_slots, _, c_slots = cfg.window_slots(scenario.slot_dt)

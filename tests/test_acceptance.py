@@ -9,6 +9,7 @@ import dataclasses
 import math
 import statistics
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def test_criterion_4_fluid_fill_time():
         ss = np.random.SeedSequence(ACCEPTANCE_SEED + seed)
         rng_t, rng_s = (np.random.default_rng(s) for s in ss.spawn(2))
         stream = TrafficStream(sc, rng_t, rng_s)
-        buf = ReferenceBuffer(sc.l1, sc.l2, sc.mu * sc.slot_dt)
+        buf = ReferenceBuffer(sc.l1, sc.l2, sc.service_per_slot)
         fill = None
         for i, arrivals in enumerate(stream.totals.tolist()):
             step(buf, arrivals)
@@ -161,7 +162,7 @@ def test_criterion_6_statistics_kernel_oracles():
 def test_criterion_7_structural_invariants():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     # buffer conservation under 1e5 random arrivals
-    buf = ReferenceBuffer(l1=17, l2=55, service_per_slot=6.5)
+    buf = ReferenceBuffer(l1=17, l2=55, service_per_slot=Fraction(13, 2))
     conserve_ok = True
     for a in rng.integers(0, 25, size=100_000):
         before, served = buf.occupancy, buf.cumulative_served

@@ -5,6 +5,7 @@ run_ahead() and commit() must give what it gives over every slot of a
 stretch, at the rate the buffer was built with."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_is_l1_full_boundaries():
 
 def test_conservation_under_random_arrivals():
     rng = np.random.default_rng(21)
-    buf = ReferenceBuffer(l1=40, l2=160, service_per_slot=7.5)
+    buf = ReferenceBuffer(l1=40, l2=160, service_per_slot=Fraction(15, 2))
     arrivals = rng.integers(0, 30, size=100_000)
     for a in arrivals:
         before = buf.occupancy
@@ -79,7 +80,7 @@ def test_conservation_under_random_arrivals():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=200),
-       st.floats(min_value=0.0, max_value=20.0, allow_nan=False))
+       st.fractions(min_value=0, max_value=20, max_denominator=1000))
 def test_conservation_property(arrivals, service):
     buf = ReferenceBuffer(l1=10, l2=25, service_per_slot=service)
     for a in arrivals:
@@ -104,9 +105,10 @@ def test_drain_time_without_arrivals():
 
 
 def test_fractional_service_long_run_rate():
-    # service 0.75/slot on a backlogged buffer must serve 3 packets per 4
-    # slots: the slot that admits the backlog serves nothing but carries 0.75
-    buf = ReferenceBuffer(l1=10, l2=10_000, service_per_slot=0.75)
+    # service 3/4 a slot on a backlogged buffer must serve 3 packets per 4
+    # slots: the slot that admits the backlog serves nothing, and its
+    # capacity floor(3/4) is 0
+    buf = ReferenceBuffer(l1=10, l2=10_000, service_per_slot=Fraction(3, 4))
     step(buf, 8000)
     for _ in range(3999):
         step(buf, 0)
@@ -126,11 +128,11 @@ def test_idle_capacity_not_banked():
 
 
 def test_fractional_remainder_carries_when_idle():
-    buf = ReferenceBuffer(l1=10, l2=10, service_per_slot=0.5)
-    # 0.5/slot over an empty buffer: the fraction carries, whole packets do not
+    buf = ReferenceBuffer(l1=10, l2=10, service_per_slot=Fraction(1, 2))
+    # 1/2 a slot over an empty buffer: the fraction carries, whole packets do not
     step(buf, 1)
     _, _, served = step_counts(buf, 0)
-    assert served == 1              # 0.5 carried + 0.5 = 1.0
+    assert served == 1              # floor(2 * 1/2) - floor(1/2)
 
 
 def test_post_service_backlog_vs_raw_occupancy():
@@ -149,10 +151,10 @@ def test_post_service_backlog_vs_raw_occupancy():
 
 
 def test_peak_tracking():
-    buf = ReferenceBuffer(l1=5, l2=20, service_per_slot=0.4)
+    buf = ReferenceBuffer(l1=5, l2=20, service_per_slot=Fraction(2, 5))
     step(buf, 3)
     step(buf, 10)
-    step(buf, 0)                    # the credit reaches 1.2: one packet served
+    step(buf, 0)                    # floor(3 * 2/5) = 1: one packet served
     assert buf.occupancy == 12
     assert buf.peak_occupancy == 13
     assert buf.peak_slot == 1
@@ -160,17 +162,17 @@ def test_peak_tracking():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        BufferState(0, 10, 1.0)
+        BufferState(0, 10, 1)
     with pytest.raises(ValueError):
-        BufferState(10, -1, 1.0)
+        BufferState(10, -1, 1)
 
 
 def test_step_input_validation():
-    buf = ReferenceBuffer(10, 10, 1.0)
+    buf = ReferenceBuffer(10, 10, 1)
     with pytest.raises(ValueError):
         step(buf, -1)
     with pytest.raises(ValueError):
-        ReferenceBuffer(10, 10, -1.0)
+        ReferenceBuffer(10, 10, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,10 @@ def test_step_input_validation():
 # ---------------------------------------------------------------------------
 
 def buffer_fields(buf):
-    return {name: getattr(buf, name) for name in BufferState.__slots__}
+    """The buffer's state fields; its array of capacity sums derives from
+    the rate alone."""
+    return {name: getattr(buf, name) for name in BufferState.__slots__
+            if name != "_capacity_sums"}
 
 
 def assert_same_state(buf, reference):
@@ -191,7 +196,7 @@ def assert_same_state(buf, reference):
 
 def warmed(l1, l2, warm, service):
     buf = ReferenceBuffer(l1=l1, l2=l2, service_per_slot=service)
-    for count in warm:              # carried occupancy, credit, peak and slot
+    for count in warm:              # carried occupancy, peak and slot
         step(buf, count)
     return buf
 
@@ -214,7 +219,7 @@ def assert_stretch_matches_step(bulk, reference, arrivals):
 
 
 # one rate per buffer, which warms at the rate it was built with
-SERVICE = st.sampled_from([0.4, 0.8, 8.0, 150.0])
+SERVICE = st.sampled_from([Fraction(2, 5), Fraction(4, 5), Fraction(9, 20), 8, 150])
 
 # l2 of 0 or 5 fills the buffer often, and counts up to 12 meet its walls
 # exactly, so both regimes and the switches between them are drawn
@@ -259,29 +264,34 @@ def test_run_ahead_gives_what_step_gives_each_slot(service, l1, l2, warm, arriva
                                 warmed(l1, l2, warm, service), arrivals)
 
 
-@pytest.mark.parametrize("service", [0.8, 7.3])
+@pytest.mark.parametrize("service", ["0.8", "7.3"])
 @pytest.mark.parametrize("warm", [4000, 4200])
 def test_stretch_past_the_cached_table(service, warm):
-    # the first table cached for a rate holds 4096 slots: a stretch from
-    # slot 4000 crosses its end, one from slot 4200 starts past it, and
-    # each reads a longer table; each slot and the state after commit()
-    # against step()
+    # a first stretch of `warm` slots leaves the buffer warm + 1 capacity
+    # sums; the next stretch passes their end and extends them, at least
+    # twofold, and the one after it reads inside them; each slot and the
+    # state after commit() against step()
+    rate = Fraction(service)
     rng = np.random.default_rng(warm)
-    warm_counts = rng.integers(0, 3 * service + 3, warm).tolist()
-    bulk = warmed(10, 5, warm_counts, service)
-    reference = warmed(10, 5, warm_counts, service)
-    arrivals = rng.integers(0, 3 * service + 3, 300).tolist()
-    stretch = assert_stretch_matches_step(bulk, reference, arrivals)
-    commit(bulk, stretch, len(arrivals))
+    counts = rng.integers(0, int(3 * rate) + 3, warm + 600).tolist()
+    bulk, reference = BufferState(10, 5, rate), warmed(10, 5, counts[:warm], rate)
+    commit(bulk, run_ahead(bulk, counts[:warm]), warm)
     assert_same_state(bulk, reference)
-    assert bulk._slot == warm + 300 > buffer._TABLE_SLOTS
+    assert len(bulk._capacity_sums) == warm + 1
+    for lo in (warm, warm + 300):
+        sums = bulk._capacity_sums
+        stretch = assert_stretch_matches_step(bulk, reference, counts[lo:lo + 300])
+        commit(bulk, stretch, 300)
+        assert_same_state(bulk, reference)
+        assert (bulk._capacity_sums is sums) == (lo > warm)
+    assert len(bulk._capacity_sums) == 2 * (warm + 1) > bulk._slot
 
 
 def test_run_ahead_through_both_regimes():
     # capacity 10, service 3: slot 1 fills the buffer (4 dropped), slots 2-5
     # serve all 3 (6 more dropped in slot 2), slot 6 finds 1 queued and
     # admits 10 of 12
-    buf = BufferState(l1=10, l2=0, service_per_slot=3.0)
+    buf = BufferState(l1=10, l2=0, service_per_slot=3)
     stretch = run_ahead(buf, np.array([8, 9, 9, 0, 0, 0, 12]))
     assert stretch.backlog.tolist() == [0, 5, 7, 7, 4, 1, 0]
     assert stretch.occupancy.tolist() == [8, 10, 10, 7, 4, 1, 10]
@@ -293,8 +303,9 @@ def test_run_ahead_through_both_regimes():
 
 
 def test_runs_with_two_service_rates_do_not_share_a_table():
-    # sim2 serves 0.8 packets a slot and sim1 150; each rate has its own
-    # cached sequence, so a run gives the row a fresh process gives
+    # sim2 serves 4/5 packets a slot and sim1 150; each buffer keeps the
+    # capacity sums of its own rate, so a run gives the row a fresh process
+    # gives
     def row(name):
         p = PRESETS[name]
         return run_once(p.scenario, p.detector, p.id_method, seed=3).as_row()
@@ -302,35 +313,96 @@ def test_runs_with_two_service_rates_do_not_share_a_table():
     rows = [row(name) for name in ("sim2", "sim1", "sim2")]
     fresh = []
     for name in ("sim2", "sim1", "sim2"):
-        buffer._service_table.cache_clear()
         fresh.append(row(name))
     assert rows == fresh
 
 
 def test_run_ahead_input_validation():
-    buf = BufferState(10, 10, 1.0)
+    buf = BufferState(10, 10, 1)
     with pytest.raises(ValueError):
         run_ahead(buf, np.array([1, -1]))
-    # the rate is checked once, when the buffer is built: a NaN would pass
-    # a `< 0` test, and neither it nor an infinity has whole capacities
-    for rate in (-1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="service_per_slot must be finite and >= 0"):
+    # the rate is checked once, when the buffer is built: an exact fraction
+    # >= 0; a float is no rate as written, and a NaN would pass a `< 0` test
+    for rate in (-1, Fraction(-1, 2), 0.5, math.nan, math.inf, "1"):
+        with pytest.raises(ValueError, match="service_per_slot must be an int or a "
+                                             "Fraction >= 0"):
             BufferState(10, 10, rate)
+    assert BufferState(10, 10, np.int64(3)).service_per_slot == 3
     stretch = run_ahead(buf, np.array([1, 2]))
     for k in (-1, 3):
         with pytest.raises(ValueError):
             commit(buf, stretch, k)
-    assert buffer_fields(buf) == buffer_fields(BufferState(10, 10, 1.0))
+    assert buffer_fields(buf) == buffer_fields(BufferState(10, 10, 1))
 
 
 def test_run_ahead_raises_rather_than_wraps():
-    # 100 slots at 1e17 packets a slot serve 1e19, past int64: the stretch's
-    # prefix sums would wrap, and the buffer admit -9.1e18 packets
-    buf = BufferState(10, 10, 1e17)
+    # slot 40 at p packets a slot: 40 * p is the largest below
+    # SERVICE_SUM_LIMIT, so a stretch to it is exact, slot by slot, and
+    # one slot more raises rather than let the capacity sums wrap
+    p = (buffer.SERVICE_SUM_LIMIT - 1) // 40
+    assert 41 * p >= buffer.SERVICE_SUM_LIMIT
+    buf = BufferState(10, 10, p)
     with pytest.raises(OverflowError, match="int64"):
-        run_ahead(buf, np.full(100, 5))
-    assert buffer_fields(buf) == buffer_fields(BufferState(10, 10, 1e17))
-    # 40 slots serve 4e18, within SERVICE_SUM_LIMIT: exact, slot by slot
-    assert 40 * 1e17 < buffer.SERVICE_SUM_LIMIT < 100 * 1e17
-    stretch = assert_stretch_matches_step(buf, ReferenceBuffer(10, 10, 1e17), [5] * 40)
+        run_ahead(buf, np.full(41, 5))
+    assert buffer_fields(buf) == buffer_fields(BufferState(10, 10, p))
+    stretch = assert_stretch_matches_step(buf, ReferenceBuffer(10, 10, p), [5] * 40)
     assert stretch.admitted.tolist() == [5] * 40 and not stretch.backlog.any()
+
+
+def test_run_ahead_takes_q_up_to_the_limit():
+    # the largest q below SERVICE_SUM_LIMIT: 1/q serves a packet only at
+    # slot q - 1, and slot 40 is far before it; one step past it raises
+    q = buffer.SERVICE_SUM_LIMIT - 1
+    stretch = assert_stretch_matches_step(BufferState(10, 90, Fraction(1, q)),
+                                          ReferenceBuffer(10, 90, Fraction(1, q)), [2] * 40)
+    assert stretch.occupancy.tolist() == list(range(2, 82, 2))
+    with pytest.raises(OverflowError, match="int64"):
+        run_ahead(BufferState(10, 90, Fraction(1, q + 1)), np.full(40, 2))
+
+
+# exact rates off the presets, each mu at slot_dt = 0.1: 9/20 (mu = 4.5)
+# and 29/100 (mu = 2.9) are rates whose float credit served packets a slot
+# late; with whole rates and any fraction of a bounded denominator
+RATES = (st.sampled_from([Fraction(9, 20), Fraction(29, 100), Fraction(117, 1000),
+                          Fraction(189, 50)])
+         | st.integers(min_value=0, max_value=200)
+         | st.fractions(min_value=0, max_value=200, max_denominator=10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(RATES, st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=10))
+def test_capacity_over_any_split_is_the_rate_as_written(rate, lengths):
+    # a buffer filled at slot 0 past what the later slots may serve stays
+    # backlogged, so each later slot k serves its whole capacity, which a
+    # Fraction oracle gives as floor((k + 1) rate) - floor(k rate), over
+    # any split of the slots into stretches
+    slots = 1 + sum(lengths)
+    fill = math.floor(slots * rate) + 1
+    buf = BufferState(l1=1, l2=fill, service_per_slot=rate)
+    commit(buf, run_ahead(buf, [fill]), 1)
+    served = [0]                    # an empty buffer serves nothing
+    for n in lengths:
+        occupancy = [buf.occupancy]
+        stretch = run_ahead(buf, np.zeros(n, dtype=np.int64))
+        commit(buf, stretch, n)
+        occupancy += stretch.occupancy.tolist()
+        served += [before - after for before, after in zip(occupancy, occupancy[1:])]
+    floors = [math.floor(k * rate) for k in range(slots + 1)]
+    assert served[1:] == [b - a for a, b in zip(floors[1:], floors[2:])]
+    assert buf.cumulative_served == floors[slots] - floors[1]
+
+
+def test_slot_19_serves_its_packet_at_0_45_a_slot():
+    # mu = 4.5 at slot_dt = 0.1 is 9/20 packets a slot: slots 0-19 may
+    # serve floor(20 * 9/20) = 9 packets, the ninth in slot 19.  Twenty
+    # float steps of 0.45 sum to just under 9, and a float credit served
+    # it in slot 20
+    arrivals = [20] + [0] * 19
+    buf = BufferState(40, 160, Fraction(9, 20))
+    stretch = run_ahead(buf, np.array(arrivals))
+    assert stretch.occupancy[-2:].tolist() == [12, 11]
+    commit(buf, stretch, 20)
+    reference = ReferenceBuffer(40, 160, Fraction(9, 20))
+    for count in arrivals:
+        step(reference, count)
+    assert buf.cumulative_served == reference.cumulative_served == 9

@@ -537,6 +537,12 @@ def test_main_runs(tmp_path, monkeypatch, ini, argv, check):
     # buffer's int64 capacity prefix sums; lambda_n = 1e7 expects too many
     # packets; 1e10 slots; and 1e10 sources, which expect only 3000 packets
     pytest.param(["--seed", "0"], sim2("[scenario]\nmu = 1e20\n"), 1, "int64", id="hugemu"),
+    # a mu too precise for the same sums: 0.1 + 0.2 is 3000000000000001/10**16
+    pytest.param(["--seed", "0"], sim2("[scenario]\nmu = 0.30000000000000004\n"), 1,
+                 "mu=0.30000000000000004", id="precisemu"),
+    # a baseline longer than any run, past the float range
+    pytest.param(["--seed", "0"], sim2(f"[detector]\nbaseline_len = {10 ** 400}\n"), 1,
+                 "baseline_len must be >= 8 and at most", id="hugebaseline"),
     pytest.param(["--seed", "0"], sim2("[scenario]\nlambda_n = 1e7\n"), 1,
                  "packets, more than", id="hugelambda"),
     pytest.param(["--seed", "0"], sim2("[scenario]\nlambda_n = 1e-3\nlambda_a = 1e-3\n"

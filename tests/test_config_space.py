@@ -83,6 +83,12 @@ BROKEN = {
 }
 
 
+# service rates on a decimal grid: the buffer serves mu * slot_dt as
+# written, and a float of 16 or 17 digits is mostly too precise for its
+# int64 capacity sums
+MU = st.integers(50, 100_000).map(lambda k: k / 100)
+
+
 @st.composite
 def config_pairs(draw):
     """A pair that runs, in at most 1000 slots, the field of it to break
@@ -106,7 +112,7 @@ def config_pairs(draw):
     scenario = ScenarioConfig(
         n_legal=draw(st.integers(0, 200)), n_attack=draw(st.integers(0, 200)),
         lambda_n=draw(st.floats(0.01, 5.0)), lambda_a=draw(st.floats(0.01, 10.0)),
-        mu=draw(st.floats(0.5, 1000.0)),
+        mu=draw(MU),
         l1=draw(st.integers(1, 100)), l2=draw(st.integers(0, 200)),
         t_star=t_star * slot_dt, attack_end=attack_end * slot_dt,
         total_duration=n_slots * slot_dt, slot_dt=slot_dt)
@@ -180,12 +186,14 @@ def with_pair_examples(test):
         test = example(pair)(test)
     # sim2 with each broken value that a seed's draws may miss: every value
     # of NOT_METHODS, a bool as a count, a string, None or a bool as a real
-    # number, and an int past the float range, which has no finite float
-    # value, in a scenario and a detector field
+    # number, an int past the float range, which has no finite float value,
+    # in a scenario and a detector field, an int count past any run, and a
+    # mu too precise for the buffer's int64 capacity sums
     for broken, value in [*(("methods", m) for m in NOT_METHODS),
                           ("n_attack", True), ("l1", True), ("baseline_len", True),
                           ("mu", "8"), ("lambda_n", None), ("lambda_n", True), ("r", "0.6"),
-                          ("mu", 10 ** 400), ("r", 10 ** 400)]:
+                          ("mu", 10 ** 400), ("r", 10 ** 400), ("baseline_len", 10 ** 400),
+                          ("mu", 0.1 + 0.2)]:
         test = example((SIM2.scenario, SIM2.detector, broken, value, SIM2.id_method, 0))(test)
     return test
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ddossim.buffer import BufferState, run_ahead
 from ddossim.detector import (ALL_METHODS, Detector, DetectorConfig, Method, detect_ratio,
                               detect_statistical, window_sums)
+from ddossim.traffic import RUN_SLOTS_LIMIT
 from reference import (ReferenceBuffer, ReferenceDetector, ReferenceRestorationMonitor,
                        ReferenceWindow, fraction_decision, monitor_state, step)
 
@@ -405,7 +406,10 @@ def detector_state(det):
 
 
 def buffer_fields(buf):
-    return {name: getattr(buf, name) for name in BufferState.__slots__}
+    """The buffer's state fields; its array of capacity sums derives from
+    the rate alone."""
+    return {name: getattr(buf, name) for name in BufferState.__slots__
+            if name != "_capacity_sums"}
 
 
 def observed(det, buf, arrivals):
@@ -528,7 +532,7 @@ def first_fire(cfg, aggregates, buf=None):
     through the same slots; without it the buffer-full method cannot fire."""
     if buf is None:
         # served faster than any slot fills it, a buffer is never backlogged
-        buf = BufferState(l1=40, l2=160, service_per_slot=float(max(aggregates)) + 1.0)
+        buf = BufferState(l1=40, l2=160, service_per_slot=max(aggregates) + 1)
     t = Twins(cfg, 0.1, buf)
     ran, fired, restored = t.det.run(np.array(aggregates, dtype=np.int64), t.buf)
     assert (ran, fired) == observed(t.ref, t.ref_buf, aggregates) and not restored
@@ -594,6 +598,15 @@ def test_config_rejects_a_non_integer_baseline_len(value):
     make_cfg(baseline_len=np.int64(30))
 
 
+def test_config_rejects_a_baseline_len_past_any_run():
+    # 10**400 passes every range check, and check_configs would overflow
+    # adding it to the float c; no run holds a baseline past RUN_SLOTS_LIMIT
+    for value in (10 ** 400, RUN_SLOTS_LIMIT + 1):
+        with pytest.raises(ValueError, match="baseline_len must be >= 8 and at most 1e\\+06"):
+            make_cfg(baseline_len=value)
+    make_cfg(baseline_len=RUN_SLOTS_LIMIT)
+
+
 def test_window_sizes_are_exact_slot_counts():
     det = Detector(make_cfg(), slot_dt=0.1)
     # 10 s and 45 s windows, a long tail of w_l + c less one slot; 45
@@ -625,7 +638,7 @@ def test_run_detection_step_change_fires_ratio():
 
 def test_run_detection_with_buffer_feed():
     cfg = make_cfg(methods=(Method.BUFFER_FULL,))
-    buf = BufferState(l1=40, l2=160, service_per_slot=10.0)
+    buf = BufferState(l1=40, l2=160, service_per_slot=10)
     elapsed, method = first_fire(cfg, [5] * 500 + [30] * 200, buf)
     assert method is Method.BUFFER_FULL
     assert elapsed > 500
@@ -644,7 +657,7 @@ def test_statistical_priority_over_ratio():
 
 def warm_ratio_detector():
     """A ratio-only detector and its buffer after 1000 slots of 10."""
-    det, buf = Detector(make_cfg(methods=(Method.RATIO,)), slot_dt=0.1), BufferState(40, 160, 8.0)
+    det, buf = Detector(make_cfg(methods=(Method.RATIO,)), slot_dt=0.1), BufferState(40, 160, 8)
     assert scanned(det, buf, [10] * 1_000) == []
     return det, buf
 
@@ -692,7 +705,7 @@ def test_lambda_bar_at_freeze_matches_reference(before, episode, after):
     # An episode's slots never enter it
     rng = np.random.default_rng(before * 100 + episode * 10 + after)
     t = Twins(make_cfg(w_s=2.0, w_l=5.0, c=3.0, baseline_len=8), 1.0,
-              BufferState(l1=40, l2=160, service_per_slot=8.0))
+              BufferState(l1=40, l2=160, service_per_slot=8))
     t.monitor(rng.integers(0, 20, before).tolist())
     if episode:
         t.freeze()
@@ -727,8 +740,8 @@ def test_rearm_requires_fresh_short_window():
 @pytest.mark.parametrize("methods, w_s, slot_dt, service, above, expected", [
     (ALL_METHODS, 10.0, 0.1, 3.0, 3, True),     # the occupancy service above l1
     (ALL_METHODS, 10.0, 0.1, 3.0, 2, False),
-    # a service just above 3, 3.0000000000000004: the occupancy 3 above l1
-    # is below it (30 * 0.1 itself rounds to exactly 3.0)
+    # a service just above 3, the float 3.0000000000000004 read exactly,
+    # 3 + 2**-51: the occupancy 3 above l1 is below it
     (ALL_METHODS, 10.0, 0.1, math.nextafter(3.0, math.inf), 3, False),
     # a one-slot short window, which one slot refills, with the ratio rule on
     ((Method.RATIO, Method.BUFFER_FULL), 1.0, 1.0, 3.0, 10, False),
@@ -739,7 +752,7 @@ def test_must_fire_next(methods, w_s, slot_dt, service, above, expected):
     # rearm() returns whether buffer-full must fire on the next slot, and
     # nothing before it, whether or not it is the episode's first
     det = Detector(make_cfg(w_s=w_s, methods=methods), slot_dt)
-    buf = BufferState(l1=40, l2=160, service_per_slot=service)
+    buf = BufferState(l1=40, l2=160, service_per_slot=Fraction(service))
     buf.occupancy = buf.l1 + above
     det.freeze()
     assert det.rearm(buf) is expected
@@ -753,7 +766,7 @@ def test_restoration_is_watched_from_the_first_rearm_to_unfreeze():
     # each later rearm(), and none once unfreeze() has dropped it.  Quiet
     # slots restore any watched run of w_s of them
     det = Detector(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), 1.0)
-    buf = BufferState(l1=10, l2=30, service_per_slot=8.0)
+    buf = BufferState(l1=10, l2=30, service_per_slot=8)
     quiet = np.zeros(2, dtype=np.int64)
     for _ in range(2):
         assert det.run(np.full(10, 2, dtype=np.int64), buf) == (10, None, False)
@@ -777,7 +790,7 @@ def test_restoration_ends_the_stretch_before_a_later_high_backlog():
     # buffer-full, which reads the same high mask, never fires.  Buffer-full
     # alone, so that no ratio hit on the 30 cuts the stretch first
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.BUFFER_FULL,)),
-              1.0, BufferState(l1=10, l2=30, service_per_slot=8.0))
+              1.0, BufferState(l1=10, l2=30, service_per_slot=8))
     t.monitor([2] * 10)
     t.freeze()
     assert t.measure([2, 2]) == (2, None, False)
@@ -792,7 +805,7 @@ def test_restoration_ends_the_stretch_before_a_later_high_backlog():
 
 def test_unfreeze_discards_excursion_buckets():
     cfg = make_cfg()
-    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8.0)
+    det, buf = Detector(cfg, slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8)
     rng = np.random.default_rng(39)
     scanned(det, buf, rng.poisson(0.5, 10_000))
     det.freeze()
@@ -812,7 +825,7 @@ def test_unfreeze_discards_excursion_buckets():
 def test_freeze_and_unfreeze_need_the_other_phase():
     # a warm default detector: its 75 buckets are full, and so is its short
     # window, which a rearm would empty
-    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8.0)
+    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8)
     scanned(det, buf, np.random.default_rng(42).poisson(1, 1000))
     warm = detector_state(det)
     assert len(det.buckets) == 75 and len(det.short) == 100
@@ -873,7 +886,8 @@ def scan_cases(draw):
                    r=draw(st.sampled_from([0.3, 0.6])), baseline_len=8,
                    methods=tuple(m for m in ALL_METHODS if m in methods))
     l1, l2 = draw(st.sampled_from([3, 10, 40])), draw(st.sampled_from([0, 30]))
-    buf = BufferState(l1, l2, service_per_slot=draw(st.sampled_from([0.4, 0.8, 8.0, 150.0])))
+    buf = BufferState(l1, l2, service_per_slot=draw(st.sampled_from(
+        [Fraction(2, 5), Fraction(4, 5), Fraction(9, 20), 8, 150])))
     t = Twins(cfg, 1 / slots_per_second, buf)
     # warm and carried-over state: the long window, the lambda-bar ring and
     # the buckets from before, optionally across an episode, which leaves
@@ -904,7 +918,7 @@ def test_scan_fires_as_observe_does(methods, expected):
     # a fresh sim2-sized detector: warm-up, baseline, then a tenfold step
     rng = np.random.default_rng(40)
     arrivals = rng.poisson(1, 1000).tolist() + rng.poisson(10, 400).tolist()
-    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160, service_per_slot=8.0))
+    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160, service_per_slot=8))
     _, fired = assert_scan_matches_observe(t, arrivals)
     assert fired is expected
 
@@ -913,7 +927,7 @@ def test_scan_ratio_boundary_is_strict():
     # 2-slot and 4-slot windows: after [1, 1, 4, 4] the short average 4 equals
     # 1.6 times the long average 2.5 exactly, which is not a fire
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, methods=(Method.RATIO,)), 1.0,
-              BufferState(l1=40, l2=160, service_per_slot=8.0))
+              BufferState(l1=40, l2=160, service_per_slot=8))
     assert (1.0 + t.det.cfg.r) * 2.5 == 4.0
     got = assert_scan_matches_observe(t, [1, 1, 4, 4, 20])
     assert got == (5, Method.RATIO)
@@ -972,7 +986,7 @@ def test_run_frozen_counts_the_checks_of_a_window(methods):
     # a sim2-sized detector frozen at a tenfold step, then a 100-slot window
     # and a rearmed second one: every check is counted, none stops the run
     rng = np.random.default_rng(41)
-    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160, service_per_slot=8.0))
+    t = Twins(make_cfg(methods=methods), 0.1, BufferState(l1=40, l2=160, service_per_slot=8))
     t.monitor(rng.poisson(1, 1000).tolist())
     t.freeze()
     det = t.det
@@ -1000,7 +1014,7 @@ def test_run_checks_exactly_at_huge_counts():
     big = 10 ** 11
     rng = np.random.default_rng(43)
     t = Twins(make_cfg(w_s=2.0, w_l=4.0, c=2.0, baseline_len=8, methods=(Method.STATISTICAL,)),
-              1.0, BufferState(l1=40, l2=2 * big, service_per_slot=float(big)))
+              1.0, BufferState(l1=40, l2=2 * big, service_per_slot=big))
     t.monitor((big + rng.poisson(4, 40)).tolist())
     t.assert_same()
     checks, positives = t.det.stat_checks, t.det.stat_positives
@@ -1018,11 +1032,11 @@ def test_run_checks_exactly_at_huge_counts():
 
 def test_run_frozen_needs_a_frozen_detector():
     # a measurement window, on an unfrozen detector
-    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8.0)
+    det, buf = Detector(make_cfg(), slot_dt=0.1), BufferState(l1=40, l2=160, service_per_slot=8)
     with pytest.raises(RuntimeError):
         det.run(np.zeros(5, dtype=np.int64), buf, watch=False)
     assert detector_state(det) == detector_state(Detector(make_cfg(), slot_dt=0.1))
-    assert buffer_fields(buf) == buffer_fields(BufferState(l1=40, l2=160, service_per_slot=8.0))
+    assert buffer_fields(buf) == buffer_fields(BufferState(l1=40, l2=160, service_per_slot=8))
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1053,7 @@ def episode_cases(draw):
     return t, feeds, draw(aggregate_feeds(3, min_segments=1))
 
 
-def episode_example(feeds, l2=30, service=8.0):
+def episode_example(feeds, l2=30, service=8):
     """An episode case on 1-slot buckets: w_s 2, a pinned lambda-bar of 2,
     so a ratio hit at a short sum above 6.4 and restoration at an admitted
     sum of 6.4 at most, and a statistical baseline of alternating 0 and 4,
@@ -1062,7 +1076,7 @@ def episode_example(feeds, l2=30, service=8.0):
     # is 7 and it admits 3 of its 9.  So on the second, the ratio hit on 18
     # arrivals, a statistical fire and restoration on an admitted sum of 6
     # coincide: restoration wins
-    [[9, 9], [9, 9, 9]], l2=0, service=3.0))
+    [[9, 9], [9, 9, 9]], l2=0, service=3))
 @settings(max_examples=300, deadline=None)
 @given(episode_cases())
 def test_frozen_stretch_matches_reference(case):
@@ -1144,7 +1158,7 @@ def assert_unfreeze_matches_reference(slots_per_second, w_s, extra_c, others, he
                    methods=tuple(m for m in ALL_METHODS
                                  if m is Method.STATISTICAL or m in others))
     spb = slots_per_second
-    t = Twins(cfg, 1 / spb, BufferState(l1=40, l2=160, service_per_slot=50.0))
+    t = Twins(cfg, 1 / spb, BufferState(l1=40, l2=160, service_per_slot=50))
     rng = np.random.default_rng(seed)
     t.monitor(rng.poisson(1, held * spb + lead % spb).tolist())
     t.freeze()

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,20 +173,38 @@ def test_config_accepts_ints_and_numpy_floats_as_real_numbers():
 
 
 def test_config_rejects_a_service_past_int64():
-    # a stretch may run to the end of the run, so the run's service, n_slots
-    # slots of mu * slot_dt, must keep the buffer's capacity prefix sums in
-    # int64; at mu = 1e20 one slot's capacity alone passes it
-    with pytest.raises(ValueError, match="int64 capacity prefix sums"):
+    # the buffer serves p/q = mu * slot_dt as written, and its capacity
+    # sums reach k * p at the run's last slot k: 3000 * p and q must stay
+    # below SERVICE_SUM_LIMIT; at mu = 1e20 one slot's capacity alone passes it
+    with pytest.raises(ValueError, match="mu=1e\\+20 at slot_dt=0.1 .* int64"):
         small_config(mu=1e20)
-    most = buffer.SERVICE_SUM_LIMIT / 300.0       # packets/sec over a 300 s run
-    with pytest.raises(ValueError, match="int64 capacity prefix sums"):
-        small_config(mu=most * 1.000001)
-    cfg = small_config(mu=most * 0.999999)
-    # and the whole run in one stretch at that rate does not wrap
-    buf = BufferState(cfg.l1, cfg.l2, cfg.mu * cfg.slot_dt)
+    most = (buffer.SERVICE_SUM_LIMIT - 1) // 3000      # the largest p over 3000 slots
+    cfg = small_config(mu=float(10 * most))
+    assert cfg.service_per_slot == most
+    with pytest.raises(ValueError, match="int64"):
+        small_config(mu=float(10 * (most + 1)))
+    # the largest decimal q at slot_dt = 0.1, 4e18, and the next, 5e18
+    assert small_config(mu=2.5e-18).service_per_slot == Fraction(1, 4 * 10 ** 18)
+    with pytest.raises(ValueError, match="mu=2e-18 .* too precise"):
+        small_config(mu=2e-18)
+    # and the whole run in one stretch at the largest p does not wrap
+    buf = BufferState(cfg.l1, cfg.l2, cfg.service_per_slot)
     stretch = run_ahead(buf, stream_of(cfg).totals)
     assert np.array_equal(stretch.admitted, stream_of(cfg).totals)
     assert not stretch.backlog.any()
+
+
+def test_config_reads_mu_as_written():
+    # each of mu and slot_dt is read from its shortest repr, so the rate is
+    # the decimal one wrote, not the float product
+    assert small_config(mu=4.5).service_per_slot == Fraction(9, 20)
+    assert small_config(mu=2.9, slot_dt=0.5).service_per_slot == Fraction(29, 20)
+    assert small_config(mu=np.float64(1.17), slot_dt=0.25).service_per_slot == Fraction(117, 400)
+    assert small_config(mu=8).service_per_slot == Fraction(4, 5)
+    # the float sum 0.1 + 0.2 is 0.30000000000000004, a numerator that
+    # 3000 slots take past int64
+    with pytest.raises(ValueError, match=re.escape("mu=0.30000000000000004 at slot_dt=0.1")):
+        small_config(mu=0.1 + 0.2)
 
 
 def test_config_rejects_traffic_past_the_packet_limit():
